@@ -181,9 +181,9 @@ func BuildGraphContext(ctx context.Context, l *layout.Layout, opts BuildOptions)
 	// build. The builder sorts and compacts every adjacency row, so the
 	// graph is a pure function of the edge *set* — independent of grid
 	// geometry, scan order, shard boundaries, and worker count. Incremental
-	// rebuilds (ApplyEdits) rely on exactly this: they splice cached
-	// adjacency into freshly discovered edges and must land on the same
-	// canonical form as a from-scratch build.
+	// rebuilds (ApplyEdits) rely on exactly this: they feed remapped prior
+	// pairs and freshly discovered ones through the same builder and land on
+	// the same canonical form as a from-scratch build.
 	tMerge = time.Now()
 	b.finishGraph()
 	timing.Merge += time.Since(tMerge)
@@ -316,15 +316,7 @@ func (b *builder) splitFeatures(ctx context.Context) error {
 		}
 		return nil
 	}
-	minSeg := b.opts.StitchMinSeg
-	if minSeg == 0 {
-		minSeg = b.l.Process.MinWidth
-	}
-	maxStitch := b.opts.MaxStitchesPerFeature
-	if maxStitch == 0 {
-		maxStitch = 2
-	}
-	splitter := newStitchSplitter(b.l, b.minS, minSeg, maxStitch)
+	splitter := newStitchSplitter(b.l, b.minS, b.opts)
 	defer splitter.grid.Release()
 	queriers := newQuerierLease(splitter.grid)
 	defer queriers.release()
@@ -564,19 +556,61 @@ type stitchSplitter struct {
 	rects    []geom.Rect
 }
 
-func newStitchSplitter(l *layout.Layout, minS, minSeg, maxCount int) *stitchSplitter {
-	s := &stitchSplitter{l: l, minS: minS, minSeg: minSeg, maxCount: maxCount}
-	world := l.Bounds().Expand(minS + 1)
-	total := l.RectCount()
-	s.grid = spatial.NewGrid(world, minS, total)
-	for fi, f := range l.Features {
-		for _, r := range f.Rects {
-			s.grid.Insert(r)
-			s.owner = append(s.owner, fi)
-			s.rects = append(s.rects, r)
-		}
+// newStitchSplitter indexes every rectangle of l.
+func newStitchSplitter(l *layout.Layout, minS int, opts BuildOptions) *stitchSplitter {
+	s := newSplitterIndex(l, minS, opts, l.Bounds(), l.RectCount())
+	for fi := range l.Features {
+		s.index(fi)
 	}
 	return s
+}
+
+// newWindowSplitter indexes only the rectangles of the given features. split
+// is exact for a feature as long as every rectangle within minS of it is
+// indexed, so ApplyEdits indexes just the window around the features it
+// re-splits instead of the whole layout.
+func newWindowSplitter(l *layout.Layout, minS int, opts BuildOptions, feats []int32) *stitchSplitter {
+	var world geom.Rect
+	total := 0
+	for k, fi := range feats {
+		f := l.Features[fi]
+		if k == 0 {
+			world = f.Bounds()
+		}
+		world = world.Union(f.Bounds())
+		total += len(f.Rects)
+	}
+	s := newSplitterIndex(l, minS, opts, world, total)
+	for _, fi := range feats {
+		s.index(int(fi))
+	}
+	return s
+}
+
+// newSplitterIndex returns an empty splitter over world sized for total
+// rectangles, with the stitch defaults resolved: the minimum segment is the
+// process minimum width and the per-feature cap is 2.
+func newSplitterIndex(l *layout.Layout, minS int, opts BuildOptions, world geom.Rect, total int) *stitchSplitter {
+	s := &stitchSplitter{l: l, minS: minS, minSeg: opts.StitchMinSeg, maxCount: opts.MaxStitchesPerFeature}
+	if s.minSeg == 0 {
+		s.minSeg = l.Process.MinWidth
+	}
+	if s.maxCount == 0 {
+		s.maxCount = 2
+	}
+	s.grid = spatial.NewGrid(world.Expand(minS+1), minS, total)
+	s.owner = make([]int, 0, total)
+	s.rects = make([]geom.Rect, 0, total)
+	return s
+}
+
+// index adds the rectangles of feature fi.
+func (s *stitchSplitter) index(fi int) {
+	for _, r := range s.l.Features[fi].Rects {
+		s.grid.Insert(r)
+		s.owner = append(s.owner, fi)
+		s.rects = append(s.rects, r)
+	}
 }
 
 // split returns the fragment polygons of one feature: single-rectangle

@@ -5,6 +5,7 @@ import (
 
 	"mpl/internal/geom"
 	"mpl/internal/layout"
+	"mpl/internal/spatial"
 )
 
 func TestVerticalWireStitch(t *testing.T) {
@@ -104,5 +105,59 @@ func TestBadMinSRejected(t *testing.T) {
 	l.AddRect(geom.Rect{X0: 0, Y0: 0, X1: 20, Y1: 20})
 	if _, err := BuildGraph(l, BuildOptions{MinS: -5}); err == nil {
 		t.Fatal("negative MinS accepted")
+	}
+}
+
+// TestGridCellUnchangedOnBenchmarks pins the spatial grid's bucket cap against
+// the committed circuits: each grid the build and the verifier make over a
+// committed layout keeps its requested cell size, at every K the tables
+// use. The bucket cap exists for sparse hostile inputs; it must not coarsen
+// the grids real layouts are decomposed with.
+func TestGridCellUnchangedOnBenchmarks(t *testing.T) {
+	for name, l := range parallelCases(t) {
+		for k := 3; k <= 6; k++ {
+			dg, err := BuildGraph(l, BuildOptions{K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			minS := dg.MinS
+			radius := minS + dg.HalfPitch
+			for _, g := range []struct {
+				what        string
+				world       geom.Rect
+				cell, count int
+			}{
+				{"splitter", l.Bounds().Expand(minS + 1), minS, l.RectCount()},
+				{"edges", l.Bounds().Expand(radius + 1), radius, len(dg.Fragments)},
+				{"verify", worldOf(dg), minS + 1, len(dg.Fragments)},
+			} {
+				grid := spatial.NewGrid(g.world, g.cell, g.count)
+				if grid.Cell() != g.cell {
+					t.Errorf("%s K=%d %s grid: cell %d grew to %d", name, k, g.what, g.cell, grid.Cell())
+				}
+				grid.Release()
+			}
+		}
+	}
+}
+
+// TestDecomposeFarApartFeatures: two features 10⁷ nm apart make a world box
+// of 10¹⁴ nm². Before the spatial grid capped its bucket count at a multiple
+// of its entries, building this two-feature layout allocated tens of
+// gigabytes and could crash the process with an uncatchable out-of-memory
+// error — from a request body of a few hundred bytes.
+func TestDecomposeFarApartFeatures(t *testing.T) {
+	l := layout.New("far")
+	l.AddRect(geom.Rect{X0: 0, Y0: 0, X1: 20, Y1: 20})
+	l.AddRect(geom.Rect{X0: 10_000_000, Y0: 10_000_000, X1: 10_000_020, Y1: 10_000_020})
+	res, err := Decompose(l, Options{K: 4, Algorithm: AlgLinear})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Graph.Stats.Fragments != 2 || res.Graph.Stats.ConflictEdges != 0 {
+		t.Fatalf("stats = %+v, want 2 isolated fragments", res.Graph.Stats)
+	}
+	if conf, stit, err := VerifySolution(res); err != nil || conf != 0 || stit != 0 {
+		t.Fatalf("VerifySolution = %d, %d, %v", conf, stit, err)
 	}
 }

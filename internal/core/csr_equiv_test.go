@@ -49,15 +49,7 @@ func referenceBuildGraph(l *layout.Layout, opts BuildOptions) (*Graph, error) {
 			pieces[fi] = []geom.Polygon{l.Features[fi]}
 		}
 	} else {
-		minSeg := opts.StitchMinSeg
-		if minSeg == 0 {
-			minSeg = l.Process.MinWidth
-		}
-		maxStitch := opts.MaxStitchesPerFeature
-		if maxStitch == 0 {
-			maxStitch = 2
-		}
-		splitter := newStitchSplitter(l, minS, minSeg, maxStitch)
+		splitter := newStitchSplitter(l, minS, opts)
 		defer splitter.grid.Release()
 		q := splitter.grid.NewQuerier()
 		defer q.Release()

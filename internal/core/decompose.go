@@ -239,6 +239,12 @@ type Result struct {
 	// colors copied from this result are only valid under the exact
 	// engine, seed, division, and stitch settings that produced them.
 	Options Options
+
+	// components is the number of connected components of Graph under
+	// conflict ∪ stitch edges, or 0 when unknown (a result assembled
+	// outside this package). ApplyEdits keeps it exact without walking
+	// the components its edits did not touch.
+	components int
 }
 
 // Masks groups fragment shapes by assigned mask.
@@ -383,6 +389,7 @@ func (r *graphRun) merge(context.Context) error {
 		K:             r.opts.K,
 		Alpha:         r.opts.Alpha,
 		Options:       r.opts,
+		components:    r.stats.Components,
 	}
 	return nil
 }

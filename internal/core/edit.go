@@ -13,9 +13,10 @@ package core
 //
 //  1. Canonical graphs. BuildGraph emits adjacency lists sorted ascending,
 //     so a decomposition graph is a pure function of its edge set — never
-//     of grid geometry or scan order. ApplyEdits can therefore splice
-//     reused adjacency into freshly discovered edges and land on the
-//     byte-identical graph a scratch build would produce.
+//     of grid geometry or scan order. ApplyEdits can therefore feed the
+//     prior graph's remapped pairs and freshly discovered ones through
+//     the same builder and land on the byte-identical graph a scratch
+//     build would produce.
 //  2. Locality of construction. A feature's fragmentation depends only on
 //     neighbors within MinS (projection intervals), and an edge only on the
 //     geometry of its two endpoints. Features outside the dirty region keep
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -126,21 +128,17 @@ func EditLayout(l *layout.Layout, edits []Edit) (*layout.Layout, error) {
 	return plan.newLayout(l), nil
 }
 
-// featureState tracks one post-edit feature back to its pre-edit identity.
-type featureState struct {
-	// orig is the feature's index in the pre-edit layout, or -1 for
-	// features added by an edit.
-	orig int
-	// edited is true when the geometry differs from the pre-edit layout
-	// (added or moved features).
-	edited bool
-	shape  geom.Polygon
-}
-
-// editPlan is the resolved edit batch: the post-edit feature list plus the
-// bounding boxes of every piece of geometry that appeared or disappeared.
+// editPlan is the resolved edit batch: the post-edit feature list, each
+// feature's pre-edit identity, and the bounding boxes of every piece of
+// geometry that appeared or disappeared.
 type editPlan struct {
-	feats []featureState
+	// shapes is the post-edit feature list. orig[fi] is feature fi's index
+	// in the pre-edit layout, or -1 for features added by an edit; edited
+	// marks the features whose geometry differs from the pre-edit layout
+	// (added or moved ones).
+	shapes []geom.Polygon
+	orig   []int32
+	edited []bool
 	// dirty holds the bounds of all edited geometry — the old position of
 	// removed and moved features and the new position of added and moved
 	// ones. Everything within MinS of a dirty rect is suspect.
@@ -148,34 +146,47 @@ type editPlan struct {
 }
 
 func planEdits(l *layout.Layout, edits []Edit) (*editPlan, error) {
-	feats := make([]featureState, len(l.Features))
-	for i, f := range l.Features {
-		feats[i] = featureState{orig: i, shape: f}
+	n, adds := len(l.Features), 0
+	for _, e := range edits {
+		if e.Op == EditAdd {
+			adds++
+		}
 	}
-	p := &editPlan{feats: feats}
+	p := &editPlan{
+		shapes: make([]geom.Polygon, n, n+adds),
+		orig:   make([]int32, n, n+adds),
+		edited: make([]bool, n, n+adds),
+	}
+	copy(p.shapes, l.Features)
+	for i := range p.orig {
+		p.orig[i] = int32(i)
+	}
 	for ei, e := range edits {
 		switch e.Op {
 		case EditAdd:
 			if !e.Shape.Valid() || !e.Shape.Connected() {
 				return nil, fmt.Errorf("core: edit %d: added feature is invalid or disconnected", ei)
 			}
-			p.feats = append(p.feats, featureState{orig: -1, edited: true, shape: e.Shape})
+			p.shapes = append(p.shapes, e.Shape)
+			p.orig = append(p.orig, -1)
+			p.edited = append(p.edited, true)
 			p.dirty = append(p.dirty, e.Shape.Bounds())
 		case EditRemove:
-			if e.Feature < 0 || e.Feature >= len(p.feats) {
-				return nil, fmt.Errorf("core: edit %d: remove of feature %d out of range [0,%d)", ei, e.Feature, len(p.feats))
+			if e.Feature < 0 || e.Feature >= len(p.shapes) {
+				return nil, fmt.Errorf("core: edit %d: remove of feature %d out of range [0,%d)", ei, e.Feature, len(p.shapes))
 			}
-			p.dirty = append(p.dirty, p.feats[e.Feature].shape.Bounds())
-			p.feats = append(p.feats[:e.Feature], p.feats[e.Feature+1:]...)
+			p.dirty = append(p.dirty, p.shapes[e.Feature].Bounds())
+			p.shapes = slices.Delete(p.shapes, e.Feature, e.Feature+1)
+			p.orig = slices.Delete(p.orig, e.Feature, e.Feature+1)
+			p.edited = slices.Delete(p.edited, e.Feature, e.Feature+1)
 		case EditMove:
-			if e.Feature < 0 || e.Feature >= len(p.feats) {
-				return nil, fmt.Errorf("core: edit %d: move of feature %d out of range [0,%d)", ei, e.Feature, len(p.feats))
+			if e.Feature < 0 || e.Feature >= len(p.shapes) {
+				return nil, fmt.Errorf("core: edit %d: move of feature %d out of range [0,%d)", ei, e.Feature, len(p.shapes))
 			}
-			fs := &p.feats[e.Feature]
-			p.dirty = append(p.dirty, fs.shape.Bounds())
-			fs.shape = fs.shape.Translate(e.DX, e.DY)
-			fs.edited = true
-			p.dirty = append(p.dirty, fs.shape.Bounds())
+			p.dirty = append(p.dirty, p.shapes[e.Feature].Bounds())
+			p.shapes[e.Feature] = p.shapes[e.Feature].Translate(e.DX, e.DY)
+			p.edited[e.Feature] = true
+			p.dirty = append(p.dirty, p.shapes[e.Feature].Bounds())
 		default:
 			return nil, fmt.Errorf("core: edit %d: unknown op %v", ei, e.Op)
 		}
@@ -183,13 +194,10 @@ func planEdits(l *layout.Layout, edits []Edit) (*editPlan, error) {
 	return p, nil
 }
 
-// newLayout materializes the post-edit layout.
+// newLayout materializes the post-edit layout. It shares the plan's
+// feature list, which nothing modifies after planning.
 func (p *editPlan) newLayout(l *layout.Layout) *layout.Layout {
-	shapes := make([]geom.Polygon, len(p.feats))
-	for i, fs := range p.feats {
-		shapes[i] = fs.shape
-	}
-	return &layout.Layout{Name: l.Name, Process: l.Process, Features: shapes}
+	return &layout.Layout{Name: l.Name, Process: l.Process, Features: p.shapes}
 }
 
 // ApplyEdits incrementally re-decomposes an edited layout. l and prev are
@@ -254,7 +262,16 @@ func ApplyEdits(ctx context.Context, l *layout.Layout, prev *Result, edits []Edi
 		return nil, nil, nil, err
 	}
 	newL := plan.newLayout(l)
-	if err := newL.Validate(); err != nil {
+	// Only edited features need checking: the rest are unchanged from l,
+	// which prev was built from.
+	for fi, edited := range plan.edited {
+		if edited {
+			if err := newL.ValidateFeature(fi); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+	}
+	if err := newL.ValidateProcess(); err != nil {
 		return nil, nil, nil, err
 	}
 
@@ -265,16 +282,25 @@ func ApplyEdits(ctx context.Context, l *layout.Layout, prev *Result, edits []Edi
 	// divide/merge tail is shared with the from-scratch run (divide runs
 	// the regular division pipeline over the dirty subgraph; merge applies
 	// component-local objective deltas instead of a full recount).
+	// sc lends the transient flat arrays (index maps, visit marks, builder
+	// pairs and counters) for the whole call.
+	sc := sharedScratch.Get()
+	defer sharedScratch.Put(sc)
 	es := &EditStats{Edits: len(edits)}
-	run := &editRun{l: l, newL: newL, prev: prev, plan: plan, opts: opts, minS: minS, es: es}
+	run := &editRun{newL: newL, prev: prev, plan: plan, opts: opts, minS: minS, es: es}
 	rec := pipeline.NewRecorder()
 	p := pipeline.New(rec,
-		pipeline.Func(pipeline.StageBuild, run.build),
-		pipeline.Func(pipeline.StagePartition, run.partition),
+		pipeline.Func(pipeline.StageBuild, func(context.Context) error { return run.build(sc) }),
+		pipeline.Func(pipeline.StagePartition, func(context.Context) error { return run.partition(sc) }),
 		pipeline.Composite(run.divide),
 		pipeline.Func(pipeline.StageMerge, run.merge),
 	)
-	if err := p.Run(ctx); err != nil {
+	err = p.Run(ctx)
+	if run.ib != nil {
+		sc.PutInt32s(run.ib.oldToNew)
+		sc.PutInt32s(run.ib.newToOld)
+	}
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	run.res.DivisionStats.Stages = pipeline.MergeStages(run.res.DivisionStats.Stages, rec.Snapshot())
@@ -293,242 +319,371 @@ type incrementalGraph struct {
 	// reused components keep their vertices in the same relative order.
 	oldToNew []int32
 	newToOld []int32
+	// rebuilt lists the post-edit fragments with no prior counterpart,
+	// ascending.
+	rebuilt []int32
+}
+
+// rebuiltFeature is one post-edit feature whose fragments the rebuild
+// re-derived, and the index of its first fragment in the new graph.
+type rebuiltFeature struct {
+	fi     int
+	pieces []geom.Polygon
+	start  int
 }
 
 // rebuildGraph reconstructs the decomposition graph of the edited layout,
-// reusing every fragment and every adjacency entry whose inputs provably
-// did not change. The result is identical to BuildGraph(newLayout) — the
-// equivalence harness and FuzzApplyEdits check this end to end.
-func rebuildGraph(l, newL *layout.Layout, prev *Result, plan *editPlan, opts Options, minS int, es *EditStats) (*incrementalGraph, error) {
+// reusing every fragment and every edge whose inputs provably did not
+// change. The result is identical to BuildGraph(newL) — the equivalence
+// harness and FuzzApplyEdits check this end to end.
+//
+// Geometry work (splitting, neighbor queries) touches only small windows
+// around the edits. What remains proportional to the layout is flat array
+// passes: the feature-bounds scans that select those windows, the fragment
+// copy, and the remap of the prior pairs into the graph builder.
+func rebuildGraph(newL *layout.Layout, prev *Result, plan *editPlan, opts Options, minS int, sc *pipeline.Scratch, es *EditStats) (*incrementalGraph, error) {
 	pg := prev.Graph
-	hp := l.Process.HalfPitch
-	nf := len(plan.feats)
-	nOld := len(pg.Fragments)
+	nOld, nf := len(pg.Fragments), len(plan.shapes)
 
-	// Prior fragments per pre-edit feature, for piece reuse and comparison.
-	oldFragsOf := make([][]int32, len(l.Features))
+	// oldStart[o]..oldStart[o+1] are the prior fragments of pre-edit
+	// feature o: every build numbers fragments in feature order.
+	oldStart := sc.Int32s(pg.Stats.Features + 1)
+	defer sc.PutInt32s(oldStart)
 	for i, fr := range pg.Fragments {
-		oldFragsOf[fr.Feature] = append(oldFragsOf[fr.Feature], int32(i))
+		if fr.Feature < 0 || fr.Feature >= pg.Stats.Features || (i > 0 && fr.Feature < pg.Fragments[i-1].Feature) {
+			return nil, fmt.Errorf("core: previous result is inconsistent: fragment %d of feature %d out of feature order", i, fr.Feature)
+		}
+		oldStart[fr.Feature+1]++
+	}
+	for o := 0; o < pg.Stats.Features; o++ {
+		oldStart[o+1] += oldStart[o]
+	}
+	oldFrags := func(o int) []Fragment { return pg.Fragments[oldStart[o]:oldStart[o+1]] }
+
+	// Every window below is selected by a scan of this flat array rather
+	// than of the polygons themselves.
+	fbp := boundsPool.Get().(*[]geom.Rect)
+	fb := slices.Grow((*fbp)[:0], nf)[:nf]
+	defer func() { *fbp = fb[:0]; boundsPool.Put(fbp) }()
+	for fi, f := range plan.shapes {
+		fb[fi] = f.Bounds()
 	}
 
-	// Stage 1: fragmentation. Edited features always re-split; unedited
-	// features within MinS of edited geometry ("suspects") re-split too,
-	// because their projection intervals may have changed — but they count
-	// as rebuilt only if the pieces actually differ. Everything else reuses
-	// its prior pieces untouched (fragmentation is MinS-local).
-	rebuild := make([]bool, nf)
-	for fi, fs := range plan.feats {
-		if fs.edited {
-			rebuild[fi] = true
-		}
-	}
-	var splitter *stitchSplitter
-	if !opts.Build.DisableStitches {
-		minSeg := opts.Build.StitchMinSeg
-		if minSeg == 0 {
-			minSeg = newL.Process.MinWidth
-		}
-		maxStitch := opts.Build.MaxStitchesPerFeature
-		if maxStitch == 0 {
-			maxStitch = 2
-		}
-		splitter = newStitchSplitter(newL, minS, minSeg, maxStitch)
-	}
-	suspect := make([]bool, nf)
-	if splitter != nil {
-		for _, dr := range plan.dirty {
-			splitter.grid.Near(dr, minS, func(id int) {
-				fi := splitter.owner[id]
-				if !rebuild[fi] && !suspect[fi] {
-					suspect[fi] = true
-					es.SuspectFeatures++
-				}
-			})
-		}
-	}
-	pieces := make([][]geom.Polygon, nf)
-	var q *spatial.Querier
-	if splitter != nil {
-		q = splitter.grid.NewQuerier()
-		defer q.Release()
-		defer splitter.grid.Release()
-	}
-	split := func(fi int) []geom.Polygon {
-		if splitter == nil {
-			return []geom.Polygon{plan.feats[fi].shape}
-		}
-		return splitter.split(q, fi, plan.feats[fi].shape)
-	}
-	oldPieces := func(orig int) []geom.Polygon {
-		ids := oldFragsOf[orig]
-		out := make([]geom.Polygon, len(ids))
-		for k, id := range ids {
-			out[k] = pg.Fragments[id].Shape
-		}
-		return out
-	}
-	for fi, fs := range plan.feats {
-		switch {
-		case rebuild[fi]:
-			pieces[fi] = split(fi)
-		case suspect[fi]:
-			ps := split(fi)
-			if !piecesEqual(ps, oldPieces(fs.orig)) {
-				rebuild[fi] = true
-			}
-			pieces[fi] = ps // identical to the prior pieces when stable
-		default:
-			pieces[fi] = oldPieces(fs.orig)
-		}
-		if rebuild[fi] {
-			es.RebuiltFeatures++
-		}
-	}
+	// Stage 1: fragmentation of the dirty features only.
+	rb := splitDirty(newL, plan, fb, opts.Build, minS, oldFrags, es)
 
-	// Stage 2: fragment numbering (feature order, like a scratch build) and
-	// the old↔new index maps for stable features.
-	var frags []Fragment
-	oldToNew := make([]int32, nOld)
+	// Stage 2: fragment numbering in feature order, like a scratch build:
+	// rebuilt features take their new pieces, every other feature copies its
+	// prior fragments with the feature index rewritten.
+	nNew, k := 0, 0
+	for fi, o := range plan.orig {
+		if k < len(rb) && rb[k].fi == fi {
+			nNew += len(rb[k].pieces)
+			k++
+		} else {
+			nNew += len(oldFrags(int(o)))
+		}
+	}
+	if nNew > graph.MaxVertices {
+		return nil, fmt.Errorf("core: layout splits into %d fragments, exceeding the graph capacity of %d vertices", nNew, graph.MaxVertices)
+	}
+	frags := make([]Fragment, nNew)
+	// The index maps live until ApplyEdits returns them to sc.
+	oldToNew := sc.Int32s(nOld)
 	for i := range oldToNew {
 		oldToNew[i] = -1
 	}
-	for fi := range plan.feats {
-		base := len(frags)
-		for _, p := range pieces[fi] {
-			frags = append(frags, Fragment{Feature: fi, Shape: p})
-		}
-		if !rebuild[fi] {
-			for k, of := range oldFragsOf[plan.feats[fi].orig] {
-				oldToNew[of] = int32(base + k)
+	newToOld := sc.Int32s(nNew)
+	newStart := sc.Int32s(nf + 1)
+	defer sc.PutInt32s(newStart)
+	var rebuilt []int32
+	nw := 0
+	k = 0
+	for fi := 0; fi < nf; {
+		if k < len(rb) && rb[k].fi == fi {
+			newStart[fi] = int32(nw)
+			rb[k].start = nw
+			for _, p := range rb[k].pieces {
+				frags[nw] = Fragment{Feature: fi, Shape: p}
+				newToOld[nw] = -1
+				rebuilt = append(rebuilt, int32(nw))
+				nw++
 			}
-			es.ReusedFragments += len(pieces[fi])
-		} else {
-			es.RebuiltFragments += len(pieces[fi])
-		}
-	}
-	nNew := len(frags)
-	newToOld := make([]int32, nNew)
-	for i := range newToOld {
-		newToOld[i] = -1
-	}
-	for of, nw := range oldToNew {
-		if nw >= 0 {
-			newToOld[nw] = int32(of)
-		}
-	}
-
-	// Stage 3: edge rediscovery around rebuilt fragments only. Edges
-	// between two reused fragments are unchanged by construction (their
-	// geometry is untouched), so the prior adjacency is spliced in; every
-	// pair with a rebuilt endpoint is re-derived from geometry via a fresh
-	// spatial grid. Near's candidate filter is a pure distance predicate,
-	// so the discovered edge set matches a scratch scan exactly.
-	radius := minS + hp
-	minSq := int64(minS) * int64(minS)
-	friendOuter := int64(radius) * int64(radius)
-	grid := spatial.NewGrid(newL.Bounds().Expand(radius+1), radius, nNew)
-	defer grid.Release()
-	for _, fr := range frags {
-		grid.Insert(fr.Shape.Bounds())
-	}
-	confOf := make([][]int32, nNew)
-	friendOf := make([][]int32, nNew)
-	for of := 0; of < nOld; of++ {
-		i := oldToNew[of]
-		if i < 0 {
+			k++
+			fi++
 			continue
 		}
-		for _, oj := range pg.G.ConflictNeighbors(of) {
-			if j := oldToNew[oj]; int(oj) > of && j >= 0 {
-				confOf[i] = append(confOf[i], j)
+		// A run of reused features that were consecutive before the edit
+		// owns one contiguous block of prior fragments: copy it whole and
+		// shift the feature indices and both index maps by constants.
+		end := fi + 1
+		for end < nf && plan.orig[end] == plan.orig[end-1]+1 && (k == len(rb) || rb[k].fi != end) {
+			end++
+		}
+		lo, hi := oldStart[plan.orig[fi]], oldStart[plan.orig[end-1]+1]
+		copy(frags[nw:], pg.Fragments[lo:hi])
+		if shift := fi - int(plan.orig[fi]); shift != 0 {
+			for i := nw; i < nw+int(hi-lo); i++ {
+				frags[i].Feature += shift
 			}
 		}
-		for _, oj := range pg.G.FriendNeighbors(of) {
-			if j := oldToNew[oj]; int(oj) > of && j >= 0 {
-				friendOf[i] = append(friendOf[i], j)
-			}
+		delta := int32(nw) - lo
+		for of := lo; of < hi; of++ {
+			oldToNew[of] = of + delta
+			newToOld[of+delta] = of
 		}
-	}
-	var touched []int32
-	for u := 0; u < nNew; u++ {
-		if newToOld[u] >= 0 {
-			continue // reused fragment: its new pairs are found from the rebuilt side
+		for f := fi; f < end; f++ {
+			newStart[f] = oldStart[plan.orig[f]] + delta
 		}
-		fu := frags[u]
-		grid.Near(fu.Shape.Bounds(), radius, func(v int) {
-			if v == u || frags[v].Feature == fu.Feature {
-				return
-			}
-			d := geom.GapSqPoly(fu.Shape, frags[v].Shape)
-			if d >= friendOuter {
-				return
-			}
-			lo, hi := int32(u), int32(v)
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if d <= minSq {
-				confOf[lo] = append(confOf[lo], hi)
-			} else {
-				friendOf[lo] = append(friendOf[lo], hi)
-			}
-			touched = append(touched, lo)
-		})
+		nw += int(hi - lo)
+		fi = end
 	}
-	// Canonicalize the touched lists: spliced prior entries are already
-	// sorted (canonical input graph, monotonic index map), fresh pairs
-	// land unsorted and — when both endpoints are rebuilt — twice.
-	slices.Sort(touched)
-	touched = slices.Compact(touched)
-	for _, i := range touched {
-		slices.Sort(confOf[i])
-		confOf[i] = slices.Compact(confOf[i])
-		slices.Sort(friendOf[i])
-		friendOf[i] = slices.Compact(friendOf[i])
-	}
+	newStart[nf] = int32(nw)
+	es.RebuiltFragments = len(rebuilt)
+	es.ReusedFragments = nNew - len(rebuilt)
 
-	// Stage 4: assemble in scratch-build order — stitch edges feature by
-	// feature, then conflict/friend adjacency ascending — so the graph is
-	// byte-identical to BuildGraph(newL).
-	g := graph.New(nNew)
-	stats := BuildStats{Features: nf, Fragments: nNew, Workers: 1}
-	base := 0
-	for fi := range plan.feats {
-		ps := pieces[fi]
-		if !opts.Build.DisableStitches {
-			for i := 0; i < len(ps); i++ {
-				for j := i + 1; j < len(ps); j++ {
-					if geom.GapSqPoly(ps[i], ps[j]) == 0 && g.AddStitch(base+i, base+j) {
-						stats.StitchEdges++
+	// Stage 3: one builder receives every edge of the new graph. Pairs of
+	// two reused fragments are the prior graph's, remapped: their geometry
+	// is untouched. Stitch pairs of rebuilt features come from their pieces,
+	// and every pair with a rebuilt endpoint is re-derived from geometry.
+	// The builder sorts and compacts each row, so the adjacency is canonical
+	// by construction, exactly as in a scratch build.
+	bld := graph.NewBuilder(nNew)
+	if !opts.Build.DisableStitches {
+		for _, f := range rb {
+			for i := 0; i < len(f.pieces); i++ {
+				for j := i + 1; j < len(f.pieces); j++ {
+					if geom.GapSqPoly(f.pieces[i], f.pieces[j]) == 0 {
+						bld.AddStitch(f.start+i, f.start+j)
 					}
 				}
 			}
 		}
-		base += len(ps)
 	}
-	for i := 0; i < nNew; i++ {
-		for _, j := range confOf[i] {
-			if g.AddConflict(i, int(j)) {
-				stats.ConflictEdges++
+	addDirtyEdges(bld, frags, rebuilt, fb, newStart, minS, minS+newL.Process.HalfPitch)
+	bld.Reserve(sc, 2*pg.G.ConflictEdgeCount(), 2*pg.G.StitchEdgeCount(), 2*pg.G.FriendEdgeCount())
+	for of := 0; of < nOld; of++ {
+		i := int(oldToNew[of])
+		if i < 0 {
+			continue
+		}
+		for _, ow := range pg.G.ConflictNeighbors(of) {
+			if j := oldToNew[ow]; int(ow) > of && j >= 0 {
+				bld.AddConflict(i, int(j))
 			}
 		}
-		for _, j := range friendOf[i] {
-			if g.AddFriend(i, int(j)) {
-				stats.FriendEdges++
+		for _, ow := range pg.G.StitchNeighbors(of) {
+			if j := oldToNew[ow]; int(ow) > of && j >= 0 {
+				bld.AddStitch(i, int(j))
+			}
+		}
+		for _, ow := range pg.G.FriendNeighbors(of) {
+			if j := oldToNew[ow]; int(ow) > of && j >= 0 {
+				bld.AddFriend(i, int(j))
 			}
 		}
 	}
-	dg := &Graph{G: g, Fragments: frags, Stats: stats, MinS: minS, HalfPitch: hp}
-	return &incrementalGraph{dg: dg, oldToNew: oldToNew, newToOld: newToOld}, nil
+	g := bld.Build(sc)
+
+	stats := BuildStats{
+		Features:      nf,
+		Fragments:     nNew,
+		ConflictEdges: g.ConflictEdgeCount(),
+		StitchEdges:   g.StitchEdgeCount(),
+		FriendEdges:   g.FriendEdgeCount(),
+		Workers:       1,
+	}
+	dg := &Graph{G: g, Fragments: frags, Stats: stats, MinS: minS, HalfPitch: newL.Process.HalfPitch}
+	return &incrementalGraph{dg: dg, oldToNew: oldToNew, newToOld: newToOld, rebuilt: rebuilt}, nil
 }
 
-// piecesEqual reports whether two fragmentations are identical.
-func piecesEqual(a, b []geom.Polygon) bool {
-	if len(a) != len(b) {
+// splitDirty returns the features whose fragments must be rebuilt, in
+// feature order, with their new pieces. Edited features always re-split.
+// Unedited features with a rectangle within MinS of edited geometry
+// ("suspects") re-split too, because their projection intervals may have
+// changed, but count as rebuilt only if the pieces actually differ. Every
+// other feature keeps its prior pieces: fragmentation is MinS-local.
+//
+// The splitter indexes only the window of features within MinS of a
+// re-split wire — split reads nothing else — so its cost follows the dirty
+// region, not the layout.
+func splitDirty(newL *layout.Layout, plan *editPlan, fb []geom.Rect, opts BuildOptions, minS int, oldFrags func(int) []Fragment, es *EditStats) []rebuiltFeature {
+	var out []rebuiltFeature
+	if opts.DisableStitches {
+		for fi, edited := range plan.edited {
+			if edited {
+				out = append(out, rebuiltFeature{fi: fi, pieces: []geom.Polygon{plan.shapes[fi]}})
+			}
+		}
+		es.RebuiltFeatures = len(out)
+		return out
+	}
+	// Every edited feature passes the test: its own bounds are dirty.
+	var todo []int32
+	var wires []geom.Rect // the rectangles split queries around
+	dirty := newBoxSet(plan.dirty, minS)
+	for fi, b := range fb {
+		f := plan.shapes[fi]
+		if !dirty.nearPolygon(f, b) {
+			continue
+		}
+		todo = append(todo, int32(fi))
+		if !plan.edited[fi] {
+			es.SuspectFeatures++
+		}
+		if len(f.Rects) == 1 {
+			wires = append(wires, f.Rects[0])
+		}
+	}
+	if len(todo) == 0 {
+		return nil
+	}
+	var window []int32
+	near := newBoxSet(wires, minS)
+	for fi, b := range fb {
+		if near.nearPolygon(plan.shapes[fi], b) {
+			window = append(window, int32(fi))
+		}
+	}
+	splitter := newWindowSplitter(newL, minS, opts, window)
+	defer splitter.grid.Release()
+	q := splitter.grid.NewQuerier()
+	defer q.Release()
+	for _, fi := range todo {
+		ps := splitter.split(q, int(fi), plan.shapes[fi])
+		if !plan.edited[fi] && piecesEqual(ps, oldFrags(int(plan.orig[fi]))) {
+			continue // a stable suspect keeps its prior fragments
+		}
+		out = append(out, rebuiltFeature{fi: int(fi), pieces: ps})
+	}
+	es.RebuiltFeatures = len(out)
+	return out
+}
+
+// addDirtyEdges re-derives every conflict and color-friendly pair with a
+// rebuilt endpoint. The grid covers only the fragments whose bounds lie
+// within the query radius of a rebuilt fragment's bounds, selected from the
+// rebuilt geometry itself: a suspect wire that was re-split can reach far
+// past the edit that disturbed it. The scan goes feature by feature over
+// the flat bounds fb (a fragment lies inside its feature's bounds) and
+// looks at the fragments of near features only; newStart[fi] is the first
+// fragment of feature fi. Near's candidate filter is the same
+// bounds-distance predicate, so the pairs found are exactly a scratch
+// scan's. A pair with two rebuilt endpoints is found twice; the builder
+// compacts it.
+func addDirtyEdges(bld *graph.Builder, frags []Fragment, rebuilt []int32, fb []geom.Rect, newStart []int32, minS, radius int) {
+	if len(rebuilt) == 0 {
+		return
+	}
+	boxes := make([]geom.Rect, len(rebuilt))
+	for k, u := range rebuilt {
+		boxes[k] = frags[u].Shape.Bounds()
+	}
+	near := newBoxSet(boxes, radius)
+	var window []int32
+	var winBounds []geom.Rect
+	world := boxes[0]
+	for fi, b := range fb {
+		if !near.nearRect(b) {
+			continue
+		}
+		for v := newStart[fi]; v < newStart[fi+1]; v++ {
+			if b := frags[v].Shape.Bounds(); near.nearRect(b) {
+				window = append(window, v)
+				winBounds = append(winBounds, b)
+				world = world.Union(b)
+			}
+		}
+	}
+	grid := spatial.NewGrid(world.Expand(radius+1), radius, len(window))
+	defer grid.Release()
+	for _, b := range winBounds {
+		grid.Insert(b)
+	}
+	minSq := int64(minS) * int64(minS)
+	friendOuter := int64(radius) * int64(radius)
+	for k, u := range rebuilt {
+		fu := frags[u]
+		grid.Near(boxes[k], radius, func(id int) {
+			v := window[id]
+			if v == u || frags[v].Feature == fu.Feature {
+				return
+			}
+			d := geom.GapSqPoly(fu.Shape, frags[v].Shape)
+			switch {
+			case d <= minSq:
+				bld.AddConflict(int(u), int(v))
+			case d < friendOuter:
+				bld.AddFriend(int(u), int(v))
+			}
+		})
+	}
+}
+
+// boxSet answers "is this within d of any of a few boxes" for flat scans
+// over a whole layout. The predicate is Grid.Near's — squared gap at most
+// d² — behind two cheap rejections: the hull of the boxes grown by d, then
+// each box grown by d (a rectangle within d of a box touches it grown).
+type boxSet struct {
+	boxes []geom.Rect
+	grown []geom.Rect
+	hull  geom.Rect // of grown
+	dd    int64
+}
+
+func newBoxSet(boxes []geom.Rect, d int) *boxSet {
+	s := &boxSet{boxes: boxes, grown: make([]geom.Rect, len(boxes)), dd: int64(d) * int64(d)}
+	for k, b := range boxes {
+		s.grown[k] = b.Expand(d)
+		if k == 0 {
+			s.hull = s.grown[k]
+		}
+		s.hull = s.hull.Union(s.grown[k])
+	}
+	return s
+}
+
+// nearRect reports whether r lies within d of some box.
+func (s *boxSet) nearRect(r geom.Rect) bool {
+	if len(s.boxes) == 0 || !r.Touches(s.hull) {
 		return false
 	}
-	for i := range a {
-		if !slices.Equal(a[i].Rects, b[i].Rects) {
+	for k, g := range s.grown {
+		if r.Touches(g) && geom.GapSq(r, s.boxes[k]) <= s.dd {
+			return true
+		}
+	}
+	return false
+}
+
+// nearPolygon reports whether some rectangle of p, whose bounds are b,
+// lies within d of some box.
+func (s *boxSet) nearPolygon(p geom.Polygon, b geom.Rect) bool {
+	if !s.nearRect(b) {
+		return false
+	}
+	if len(p.Rects) == 1 {
+		return true
+	}
+	for _, r := range p.Rects {
+		if s.nearRect(r) {
+			return true
+		}
+	}
+	return false
+}
+
+// boundsPool recycles rebuildGraph's per-feature bounds array across calls.
+var boundsPool = sync.Pool{New: func() any { return new([]geom.Rect) }}
+
+// piecesEqual reports whether a fragmentation equals a feature's prior
+// fragments.
+func piecesEqual(ps []geom.Polygon, old []Fragment) bool {
+	if len(ps) != len(old) {
+		return false
+	}
+	for i := range ps {
+		if !slices.Equal(ps[i].Rects, old[i].Shape.Rects) {
 			return false
 		}
 	}
@@ -539,22 +694,22 @@ func piecesEqual(a, b []geom.Polygon) bool {
 // dirty-region Build and Partition substitutions, then the divide/merge
 // tail every solve path shares.
 type editRun struct {
-	l, newL *layout.Layout
-	prev    *Result
-	plan    *editPlan
-	opts    Options
-	minS    int
-	es      *EditStats
+	newL *layout.Layout
+	prev *Result
+	plan *editPlan
+	opts Options
+	minS int
+	es   *EditStats
 
 	ib *incrementalGraph
 
 	// partition output: the copy-safe components' colors pre-filled, the
-	// dirty vertex union, and the copied-vertex masks the merge deltas
-	// need.
-	colors    []int
-	dirty     []int
-	copiedOld []bool
-	copiedNew []bool
+	// dirty vertex union, and the prior fragments that were removed or
+	// rebuilt — with the prior images of the dirty vertices, exactly the
+	// prior vertices whose contribution the merge deltas subtract.
+	colors  []int
+	dirty   []int
+	lostOld []int32
 
 	// divide output.
 	unproven    atomic.Bool
@@ -566,9 +721,9 @@ type editRun struct {
 
 // build is the dirty-region Build stage: reconstruct the decomposition
 // graph reusing every provably unchanged fragment and adjacency entry.
-func (r *editRun) build(context.Context) error {
+func (r *editRun) build(sc *pipeline.Scratch) error {
 	t0 := time.Now()
-	ib, err := rebuildGraph(r.l, r.newL, r.prev, r.plan, r.opts, r.minS, r.es)
+	ib, err := rebuildGraph(r.newL, r.prev, r.plan, r.opts, r.minS, sc, r.es)
 	if err != nil {
 		return err
 	}
@@ -581,66 +736,135 @@ func (r *editRun) build(context.Context) error {
 // partition is the dirty-region Partition stage: classify each post-edit
 // component as copy-safe (prior colors reused verbatim) or dirty (queued
 // for the divide stage).
-func (r *editRun) partition(context.Context) error {
+//
+// A component may keep its prior colors only if its solver input is
+// provably the input the prior run solved: every vertex is a reused
+// fragment, and no vertex's old component reached a fragment that was
+// removed or rebuilt (otherwise the old component was larger than this one
+// and its coloring reflects constraints that are gone). So the dirty
+// components are exactly those reachable over conflict ∪ stitch edges from
+// two kinds of seeds: the rebuilt vertices, and the new images of the old
+// conflict/stitch neighbors of every lost (removed or rebuilt) fragment.
+// Friend edges need no seeds — they only influence a solver within one
+// component, and a friend edge to a vanished fragment necessarily crossed
+// a component boundary or its loss is caught by the conflict/stitch seeds.
+//
+// The search from the seeds costs what the dirty components cost; one flat
+// pass then copies the prior colors of every other vertex.
+func (r *editRun) partition(sc *pipeline.Scratch) error {
 	prev, ib := r.prev, r.ib
 	pg := prev.Graph
 	g := ib.dg.G
 	nNew := g.N()
 
-	// A component may keep its prior colors only if its solver input is
-	// provably the input the prior run solved: every vertex is a reused
-	// fragment, and no vertex's old component reached a fragment that was
-	// removed or rebuilt (otherwise the old component was larger than this
-	// one and its coloring reflects constraints that are gone). Checking
-	// each vertex's old conflict/stitch neighbors covers exactly that: a
-	// missing neighbor is a lost constraint, and transitively the check
-	// walks the whole old component. Friend edges need no check — they
-	// only influence a solver within one component, and a friend edge to a
-	// vanished fragment necessarily crossed a component boundary or its
-	// loss is caught by the conflict/stitch walk.
-	copySafe := func(comp []int) bool {
-		for _, v := range comp {
-			ov := ib.newToOld[v]
-			if ov < 0 {
-				return false
-			}
-			for _, w := range pg.G.ConflictNeighbors(int(ov)) {
-				if ib.oldToNew[w] < 0 {
-					return false
-				}
-			}
-			for _, w := range pg.G.StitchNeighbors(int(ov)) {
-				if ib.oldToNew[w] < 0 {
-					return false
-				}
+	seeds := slices.Clone(ib.rebuilt)
+	for of, nw := range ib.oldToNew {
+		if nw >= 0 {
+			continue
+		}
+		r.lostOld = append(r.lostOld, int32(of))
+		for _, w := range pg.G.ConflictNeighbors(of) {
+			if j := ib.oldToNew[w]; j >= 0 {
+				seeds = append(seeds, j)
 			}
 		}
-		return true
+		for _, w := range pg.G.StitchNeighbors(of) {
+			if j := ib.oldToNew[w]; j >= 0 {
+				seeds = append(seeds, j)
+			}
+		}
 	}
 
-	comps := g.Components()
-	r.es.Components = len(comps)
-	r.colors = make([]int, nNew)
-	for i := range r.colors {
-		r.colors[i] = coloring.Uncolored
-	}
-	r.copiedOld = make([]bool, pg.G.N())
-	r.copiedNew = make([]bool, nNew)
-	for _, comp := range comps {
-		if copySafe(comp) {
-			for _, v := range comp {
-				ov := ib.newToOld[v]
-				r.colors[v] = prev.Colors[ov]
-				r.copiedOld[ov] = true
-				r.copiedNew[v] = true
-			}
-			r.es.CopiedComponents++
-		} else {
-			r.dirty = append(r.dirty, comp...)
+	seen := sc.Int32s(nNew)
+	defer sc.PutInt32s(seen)
+	var dirty []int32
+	for _, s := range seeds {
+		if seen[s] == 0 {
+			dirty = appendComponent(g, s, seen, dirty)
 			r.es.ResolvedComponents++
 		}
 	}
+	r.colors = make([]int, nNew)
+	for v := range r.colors {
+		if seen[v] != 0 {
+			r.colors[v] = coloring.Uncolored
+		} else {
+			r.colors[v] = prev.Colors[ib.newToOld[v]]
+		}
+	}
+	r.dirty = make([]int, len(dirty))
+	for i, v := range dirty {
+		r.dirty[i] = int(v)
+	}
+	r.es.CopiedComponents = r.copiedComponents(sc, seen, dirty)
+	r.es.Components = r.es.ResolvedComponents + r.es.CopiedComponents
 	return nil
+}
+
+// copiedComponents counts the components that kept their prior colors.
+// They are exactly the prior components holding no lost fragment and no
+// prior image of a dirty vertex, so when prev knows its own component count
+// the answer is that count minus the prior components the edit touched — a
+// search over the dirty region of the prior graph. A prior result without
+// the count (one restored from a durable session) has its copied
+// components walked instead, marking them in seen.
+func (r *editRun) copiedComponents(sc *pipeline.Scratch, seen, dirty []int32) int {
+	prev := r.prev
+	pg := prev.Graph.G
+	var buf []int32
+	if prev.components == 0 && pg.N() > 0 {
+		g := r.ib.dg.G
+		n := 0
+		for v := range seen {
+			if seen[v] == 0 {
+				buf = appendComponent(g, int32(v), seen, buf[:0])
+				n++
+			}
+		}
+		return n
+	}
+	oldSeen := sc.Int32s(pg.N())
+	defer sc.PutInt32s(oldSeen)
+	touched := 0
+	touch := func(ov int32) {
+		if oldSeen[ov] == 0 {
+			buf = appendComponent(pg, ov, oldSeen, buf[:0])
+			touched++
+		}
+	}
+	for _, ov := range r.lostOld {
+		touch(ov)
+	}
+	for _, v := range dirty {
+		if ov := r.ib.newToOld[v]; ov >= 0 {
+			touch(ov)
+		}
+	}
+	return prev.components - touched
+}
+
+// appendComponent appends the component of s under conflict ∪ stitch edges
+// to buf in breadth-first order, marking its vertices in seen (s must be
+// unmarked).
+func appendComponent(g *graph.Graph, s int32, seen, buf []int32) []int32 {
+	seen[s] = 1
+	buf = append(buf, s)
+	for i := len(buf) - 1; i < len(buf); i++ {
+		u := int(buf[i])
+		for _, w := range g.ConflictNeighbors(u) {
+			if seen[w] == 0 {
+				seen[w] = 1
+				buf = append(buf, w)
+			}
+		}
+		for _, w := range g.StitchNeighbors(u) {
+			if seen[w] == 0 {
+				seen[w] = 1
+				buf = append(buf, w)
+			}
+		}
+	}
+	return buf
 }
 
 // divide re-solves the dirty components exactly as a scratch run would:
@@ -691,13 +915,13 @@ func (r *editRun) divide(ctx context.Context) error {
 // component boundaries, so the copied components' contribution is
 // byte-for-byte the same in both runs: subtract the old totals of
 // everything not copied, add the new totals of everything re-solved (or
-// newly built).
+// newly built). The prior vertices not copied are the lost ones plus the
+// prior images of the dirty vertices — a union of whole prior components,
+// so counting each edge from its lower endpoint counts it exactly once.
 func (r *editRun) merge(context.Context) error {
 	prev, ib := r.prev, r.ib
 	pg := prev.Graph
 	g := ib.dg.G
-	nNew := g.N()
-	nOld := pg.G.N()
 	colors := r.colors
 
 	if err := coloring.Validate(g, colors, r.opts.K); err != nil {
@@ -705,10 +929,7 @@ func (r *editRun) merge(context.Context) error {
 	}
 
 	conf, stit := prev.Conflicts, prev.Stitches
-	for ov := 0; ov < nOld; ov++ {
-		if r.copiedOld[ov] {
-			continue
-		}
+	unsolve := func(ov int) {
 		for _, w := range pg.G.ConflictNeighbors(ov) {
 			if int(w) > ov && prev.Colors[ov] == prev.Colors[w] {
 				conf--
@@ -720,9 +941,12 @@ func (r *editRun) merge(context.Context) error {
 			}
 		}
 	}
-	for v := 0; v < nNew; v++ {
-		if r.copiedNew[v] {
-			continue
+	for _, ov := range r.lostOld {
+		unsolve(int(ov))
+	}
+	for _, v := range r.dirty {
+		if ov := ib.newToOld[v]; ov >= 0 {
+			unsolve(int(ov))
 		}
 		for _, w := range g.ConflictNeighbors(v) {
 			if int(w) > v && colors[v] == colors[w] {
@@ -749,6 +973,7 @@ func (r *editRun) merge(context.Context) error {
 		K:             r.opts.K,
 		Alpha:         r.opts.Alpha,
 		Options:       r.opts,
+		components:    r.es.Components,
 	}
 	return nil
 }

@@ -124,11 +124,32 @@ func assertEquivalent(t *testing.T, k int, inc, scratch *Result) {
 	}
 }
 
+// assertEditStats checks EditStats' bookkeeping against the from-scratch
+// graph: fragment provenance covers every vertex, and the component counts
+// are exact — the copied/resolved split of ApplyEdits must add up to the
+// component count of the scratch graph, not just to itself.
+func assertEditStats(t *testing.T, step int, es *EditStats, inc, scratch *Result) {
+	t.Helper()
+	if es.ReusedFragments+es.RebuiltFragments != len(inc.Graph.Fragments) {
+		t.Fatalf("step %d: fragment provenance %d+%d != %d", step,
+			es.ReusedFragments, es.RebuiltFragments, len(inc.Graph.Fragments))
+	}
+	if es.ResolvedComponents+es.CopiedComponents != es.Components {
+		t.Fatalf("step %d: component partition %d+%d != %d", step,
+			es.ResolvedComponents, es.CopiedComponents, es.Components)
+	}
+	if want := len(scratch.Graph.G.Components()); es.Components != want {
+		t.Fatalf("step %d: EditStats.Components = %d, scratch graph has %d", step, es.Components, want)
+	}
+}
+
 // TestIncrementalEquivalenceRandomized chains random edit batches over the
 // synthetic circuits and checks every step against a from-scratch run, at
 // K = 3 and K = 4 and with 1 and 8 division workers, for each
 // deterministic engine (the ILP engine's wall-clock budget makes it the
-// one engine without a determinism guarantee).
+// one engine without a determinism guarantee). The served-C7552 case is
+// the configuration the serving benchmark's eco workload runs: the full
+// committed-size circuit, K = 4, SDP+Backtrack on two workers.
 func TestIncrementalEquivalenceRandomized(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -147,6 +168,7 @@ func TestIncrementalEquivalenceRandomized(t *testing.T) {
 		{"K4-w8-sdp-backtrack", "C499", 0.15, 4, 8, AlgSDPBacktrack, 4},
 		{"K3-w1-sdp-greedy", "C499", 0.15, 3, 1, AlgSDPGreedy, 4},
 		{"K3-w8-sdp-greedy", "C432", 0.15, 3, 8, AlgSDPGreedy, 4},
+		{"served-C7552-K4-w2-sdp-backtrack", "C7552", 1.0, 4, 2, AlgSDPBacktrack, 20},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,6 +184,11 @@ func TestIncrementalEquivalenceRandomized(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + ci)))
 			for step := 0; step < tc.steps; step++ {
 				edits := randomEdits(rng, l)
+				if step%2 == 1 {
+					// A result restored from a durable session carries no
+					// component count; ApplyEdits must count from scratch.
+					prev.components = 0
+				}
 				newL, inc, es, err := ApplyEdits(context.Background(), l, prev, edits, opts)
 				if err != nil {
 					t.Fatalf("step %d (%v): %v", step, edits, err)
@@ -171,14 +198,7 @@ func TestIncrementalEquivalenceRandomized(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertEquivalent(t, tc.k, inc, scratch)
-				if es.ReusedFragments+es.RebuiltFragments != len(inc.Graph.Fragments) {
-					t.Fatalf("step %d: fragment provenance %d+%d != %d", step,
-						es.ReusedFragments, es.RebuiltFragments, len(inc.Graph.Fragments))
-				}
-				if es.ResolvedComponents+es.CopiedComponents != es.Components {
-					t.Fatalf("step %d: component partition %d+%d != %d", step,
-						es.ResolvedComponents, es.CopiedComponents, es.Components)
-				}
+				assertEditStats(t, step, es, inc, scratch)
 				l, prev = newL, inc
 			}
 		})
@@ -321,6 +341,122 @@ func TestIncrementalEdgeCases(t *testing.T) {
 				t.Fatalf("option mismatch %d accepted", i)
 			}
 		}
+	})
+
+	// applyAndCompare runs one batch incrementally and from scratch and
+	// checks every equivalence and bookkeeping invariant.
+	applyAndCompare := func(t *testing.T, l *layout.Layout, edits []Edit) (*Result, *EditStats) {
+		t.Helper()
+		prev, err := Decompose(l, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newL, inc, es, err := ApplyEdits(ctx, l, prev, edits, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, err := Decompose(newL, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertEquivalent(t, 4, inc, scratch)
+		assertEditStats(t, 0, es, inc, scratch)
+		return inc, es
+	}
+
+	t.Run("add-outside-bounds", func(t *testing.T) {
+		// Two conflicting contacts far beyond the prior bounding box: the
+		// windows must not assume new geometry lies inside the old world.
+		l, _ := synth.GenerateByName("C432", 0.2)
+		b := l.Bounds()
+		x, y := b.X1+5000, b.Y1+3000
+		applyAndCompare(t, l, []Edit{
+			{Op: EditAdd, Shape: geom.NewPolygon(geom.Rect{X0: x, Y0: y, X1: x + 20, Y1: y + 20})},
+			{Op: EditAdd, Shape: geom.NewPolygon(geom.Rect{X0: x + 50, Y0: y, X1: x + 70, Y1: y + 20})},
+		})
+	})
+
+	t.Run("move-across-edge", func(t *testing.T) {
+		l, _ := synth.GenerateByName("C432", 0.2)
+		b := l.Bounds()
+		applyAndCompare(t, l, []Edit{
+			{Op: EditMove, Feature: 0, DX: b.Width() + 500, DY: 0},
+			{Op: EditMove, Feature: 1, DX: 0, DY: -b.Height() - 500},
+		})
+	})
+
+	t.Run("remove-splits-component", func(t *testing.T) {
+		// a–b–c is one conflict chain (gaps 50); a and c alone are 120
+		// apart, beyond MinS and the friend band. Removing b leaves two
+		// components, both re-solved.
+		l := layout.New("chain")
+		l.AddRect(geom.Rect{X0: 0, Y0: 0, X1: 20, Y1: 20})
+		l.AddRect(geom.Rect{X0: 70, Y0: 0, X1: 90, Y1: 20})
+		l.AddRect(geom.Rect{X0: 140, Y0: 0, X1: 160, Y1: 20})
+		l.AddRect(geom.Rect{X0: 1000, Y0: 0, X1: 1020, Y1: 20}) // untouched
+		_, es := applyAndCompare(t, l, []Edit{{Op: EditRemove, Feature: 1}})
+		if es.Components != 3 || es.ResolvedComponents != 2 || es.CopiedComponents != 1 {
+			t.Fatalf("components %d (resolved %d, copied %d), want 3 (2, 1)", es.Components, es.ResolvedComponents, es.CopiedComponents)
+		}
+	})
+
+	t.Run("move-resplits-neighbor", func(t *testing.T) {
+		// Sliding the left pin along the wire moves the wire's forbidden
+		// projection: the wire is re-split from one stitch to two although
+		// it was not edited.
+		l := layout.New("slide")
+		l.AddRect(geom.Rect{X0: 0, Y0: 0, X1: 400, Y1: 20})    // the wire
+		l.AddRect(geom.Rect{X0: 0, Y0: 60, X1: 60, Y1: 80})    // left pin
+		l.AddRect(geom.Rect{X0: 340, Y0: 60, X1: 400, Y1: 80}) // right pin
+		inc, es := applyAndCompare(t, l, []Edit{{Op: EditMove, Feature: 1, DX: 100}})
+		if es.SuspectFeatures == 0 || es.RebuiltFeatures != 2 {
+			t.Fatalf("want the wire re-split as a suspect: %+v", es)
+		}
+		if got := inc.Graph.Stats.StitchEdges; got != 2 {
+			t.Fatalf("wire has %d stitch edges after the move, want 2", got)
+		}
+	})
+
+	t.Run("far-reaching-resplit", func(t *testing.T) {
+		// A contact added over the middle of a 20 µm wire re-splits it, and
+		// the wire's last piece now starts 5 µm from the edit and reaches
+		// the far end, where a contact and a pin sit ~10 µm away from the
+		// edit. Their edges to the new piece come only from a window built
+		// around the rebuilt fragments, not around the edit.
+		l := layout.New("long-wire")
+		l.AddRect(geom.Rect{X0: 0, Y0: 0, X1: 20000, Y1: 20})               // the wire
+		l.AddRect(geom.Rect{X0: 0, Y0: 60, X1: 60, Y1: 80})                 // left pin
+		l.AddRect(geom.Rect{X0: 19940, Y0: 60, X1: 20000, Y1: 80})          // right pin
+		far := l.AddRect(geom.Rect{X0: 19800, Y0: -70, X1: 19820, Y1: -50}) // below the far end
+		inc, es := applyAndCompare(t, l, []Edit{
+			{Op: EditAdd, Shape: geom.NewPolygon(geom.Rect{X0: 9900, Y0: 60, X1: 9940, Y1: 80})},
+		})
+		if es.RebuiltFeatures != 2 {
+			t.Fatalf("want the added contact and the re-split wire rebuilt: %+v", es)
+		}
+		dg := inc.Graph
+		var farFrag int
+		for v, fr := range dg.Fragments {
+			if fr.Feature == far {
+				farFrag = v
+			}
+		}
+		linked := false
+		for _, w := range dg.G.ConflictNeighbors(farFrag) {
+			if fr := dg.Fragments[w]; fr.Feature == 0 && fr.Shape.Bounds().X0 < 19000 {
+				linked = true // the re-split piece reaching back toward the edit
+			}
+		}
+		if !linked {
+			t.Fatal("far contact lost its conflict with the re-split wire piece")
+		}
+	})
+
+	t.Run("far-move", func(t *testing.T) {
+		// A move by 10⁷ nm stretches the world box: before the spatial grid
+		// capped its bucket count, this one edit allocated tens of gigabytes.
+		l, _ := synth.GenerateByName("C432", 0.2)
+		applyAndCompare(t, l, []Edit{{Op: EditMove, Feature: 0, DX: 10_000_000, DY: 10_000_000}})
 	})
 
 	t.Run("stitch-region-edit", func(t *testing.T) {

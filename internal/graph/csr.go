@@ -19,10 +19,12 @@ package graph
 //
 // The row headers are also the mutable-adjacency shim: every view is a
 // full-capacity (three-index) subslice, so appending to a row — what
-// AddConflict and friends do during ApplyEdits' dirty-region rebuild —
-// reallocates that one row out of the arena instead of bleeding into its
-// neighbor. The arena itself is never mutated after Build; a graph that was
-// never edited keeps every row contiguous.
+// Graph.AddConflict and friends do — reallocates that one row out of the
+// arena instead of bleeding into its neighbor. The arena itself is never
+// mutated after Build; a graph that was never edited keeps every row
+// contiguous. ApplyEdits' dirty-region rebuild no longer edits graphs: it
+// feeds remapped prior pairs and fresh ones through a Builder like a
+// scratch build, which leaves Subgraph as the shim's last non-test caller.
 
 import (
 	"fmt"
@@ -58,6 +60,9 @@ type Builder struct {
 	conf   []int32 // flat (u,v) pairs
 	stit   []int32
 	friend []int32
+	// leased is the arena Reserve took the pair buffers from; Build
+	// returns them to it.
+	leased Int32Arena
 }
 
 // NewBuilder returns a Builder for a graph with n vertices.
@@ -128,6 +133,21 @@ func (b *Builder) Grow(conf, stit, friend int) {
 	b.friend = slices.Grow(b.friend, friend)
 }
 
+// Reserve is Grow with the pair buffers leased from sc: Build hands them
+// back, so a caller that builds a graph of similar size on every request
+// (ApplyEdits) stops reallocating them. Pairs added so far are kept.
+func (b *Builder) Reserve(sc Int32Arena, conf, stit, friend int) {
+	if sc == nil {
+		b.Grow(conf, stit, friend)
+		return
+	}
+	lease := func(cur []int32, extra int) []int32 {
+		return append(sc.Int32s(len(cur) + extra)[:0], cur...)
+	}
+	b.conf, b.stit, b.friend = lease(b.conf, conf), lease(b.stit, stit), lease(b.friend, friend)
+	b.leased = sc
+}
+
 func (b *Builder) validatePairs(pairs []int32) {
 	if len(pairs)%2 != 0 {
 		panic(fmt.Sprintf("graph: odd pair buffer length %d", len(pairs)))
@@ -149,13 +169,24 @@ func (b *Builder) Build(sc Int32Arena) *Graph {
 	// million-feature builds (and, on a GC-pressured machine, the collector's
 	// marking time with it).
 	g.conf, nc = csrRows(b.n, b.conf, sc)
+	b.release(b.conf)
 	b.conf = nil
 	g.stit, ns = csrRows(b.n, b.stit, sc)
+	b.release(b.stit)
 	b.stit = nil
 	g.friend, nf = csrRows(b.n, b.friend, sc)
+	b.release(b.friend)
 	b.friend = nil
 	g.nConf, g.nStit, g.nFriend = nc, ns, nf
 	return g
+}
+
+// release returns a consumed pair buffer to the arena Reserve leased it
+// from, if any.
+func (b *Builder) release(pairs []int32) {
+	if b.leased != nil {
+		b.leased.PutInt32s(pairs)
+	}
 }
 
 // csrRows runs the two-pass count-then-fill for one edge kind and returns
@@ -182,8 +213,10 @@ func csrRows(n int, pairs []int32, sc Int32Arena) ([][]int32, int) {
 		off[pairs[i]+1]++
 		off[pairs[i+1]+1]++
 	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
+	sum := int32(0)
+	for v := range off {
+		sum += off[v]
+		off[v] = sum
 	}
 
 	// Pass 2: fill. cursor[v] (reusing off, shifted) walks each row while
@@ -207,12 +240,27 @@ func csrRows(n int, pairs []int32, sc Int32Arena) ([][]int32, int) {
 		if len(row) == 0 {
 			continue
 		}
-		slices.Sort(row)
-		row = slices.Compact(row)
+		// Pairs emitted in ascending (u, v) order — a remapped canonical
+		// graph, as ApplyEdits feeds it — land already sorted and unique;
+		// checking is one linear pass, sorting and compacting are not.
+		if !strictlyIncreasing(row) {
+			slices.Sort(row)
+			row = slices.Compact(row)
+		}
 		unique += len(row)
 		// Full-capacity view: an append (mutable shim) reallocates the row
 		// instead of clobbering the next row's slack.
 		rows[v] = row[:len(row):len(row)]
 	}
 	return rows, unique / 2
+}
+
+// strictlyIncreasing reports whether row is sorted without duplicates.
+func strictlyIncreasing(row []int32) bool {
+	for i := 1; i < len(row); i++ {
+		if row[i-1] >= row[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -26,10 +26,11 @@ import (
 //
 // Bulk construction goes through Builder (csr.go), which lays each edge
 // kind out in one contiguous int32 arena and points these adjacency headers
-// into it. The Add* methods below remain the mutable shim on top: on an
-// arena-built graph an insert reallocates just the affected row (the views
-// are full-capacity subslices), leaving the arena and every other row
-// untouched.
+// into it — the scratch build and ApplyEdits' dirty-region rebuild both do.
+// The Add* methods below remain the mutable shim on top: on an arena-built
+// graph an insert reallocates just the affected row (the views are
+// full-capacity subslices), leaving the arena and every other row
+// untouched. Outside tests, Subgraph is their last caller.
 type Graph struct {
 	n       int
 	conf    [][]int32

@@ -96,14 +96,30 @@ func (l *Layout) RectCount() int {
 
 // Validate checks structural invariants: every feature valid and connected.
 func (l *Layout) Validate() error {
-	for i, f := range l.Features {
-		if !f.Valid() {
-			return fmt.Errorf("layout %q: feature %d invalid", l.Name, i)
-		}
-		if !f.Connected() {
-			return fmt.Errorf("layout %q: feature %d is disconnected", l.Name, i)
+	for i := range l.Features {
+		if err := l.ValidateFeature(i); err != nil {
+			return err
 		}
 	}
+	return l.ValidateProcess()
+}
+
+// ValidateFeature checks that feature i is valid and connected — the
+// per-feature half of Validate, for callers that changed only a few
+// features of an already validated layout.
+func (l *Layout) ValidateFeature(i int) error {
+	f := l.Features[i]
+	if !f.Valid() {
+		return fmt.Errorf("layout %q: feature %d invalid", l.Name, i)
+	}
+	if !f.Connected() {
+		return fmt.Errorf("layout %q: feature %d is disconnected", l.Name, i)
+	}
+	return nil
+}
+
+// ValidateProcess checks that the process parameters are positive.
+func (l *Layout) ValidateProcess() error {
 	if l.Process.MinWidth <= 0 || l.Process.MinSpace <= 0 || l.Process.HalfPitch <= 0 {
 		return fmt.Errorf("layout %q: non-positive process parameters %+v", l.Name, l.Process)
 	}

@@ -3,7 +3,7 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
+	"encoding/hex"
 	"strconv"
 	"strings"
 
@@ -20,11 +20,19 @@ import (
 // Colors slice), so order-insensitive hashing would alias distinct results.
 func LayoutHash(l *layout.Layout) string {
 	h := sha256.New()
-	var buf [16]byte
+	// Every value is one little-endian int64. They go through one buffer
+	// flushed in large writes: with one Write per value, call overhead
+	// took longer than the hashing itself.
+	var buf [4096]byte
+	n := 0
 	put := func(vals ...int) {
+		if n+8*len(vals) > len(buf) {
+			h.Write(buf[:n])
+			n = 0
+		}
 		for _, v := range vals {
-			binary.LittleEndian.PutUint64(buf[:8], uint64(int64(v)))
-			h.Write(buf[:8])
+			binary.LittleEndian.PutUint64(buf[n:], uint64(int64(v)))
+			n += 8
 		}
 	}
 	put(l.Process.MinWidth, l.Process.MinSpace, l.Process.HalfPitch)
@@ -35,7 +43,8 @@ func LayoutHash(l *layout.Layout) string {
 			put(r.X0, r.Y0, r.X1, r.Y1)
 		}
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	h.Write(buf[:n])
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // keyEnc builds the canonical option encoding of a cache key: an explicit

@@ -51,6 +51,15 @@ func putStamps(b []int32) {
 	stampPool.Put(&b)
 }
 
+// maxBucketsPerEntry caps a grid's bucket table at this many buckets per
+// expected entry (NewGrid's capHint). Without the cap the table covers the
+// world box at the requested cell size, so two features far apart — one
+// small request — could ask for billions of buckets. The grids built over
+// the committed benchmark circuits use at most about 7 buckets per entry
+// (K = 3 to 6), so the cap never changes their cell size
+// (TestGridCellUnchangedOnBenchmarks in internal/core pins that).
+const maxBucketsPerEntry = 64
+
 // Grid is a uniform bucket grid over rectangle bounding boxes. Each entry is
 // identified by the integer ID supplied at insertion. Entries are bucketed by
 // every cell their bounding box overlaps, so queries must deduplicate; the
@@ -69,18 +78,19 @@ type Grid struct {
 
 // NewGrid creates a grid covering the world rectangle with the given cell
 // size. The cell size should be on the order of the query radius; the
-// decomposer uses mins+hp. capHint sizes the per-ID tables.
+// decomposer uses mins+hp. capHint sizes the per-ID tables. When the world
+// is sparse — more than maxBucketsPerEntry buckets per capHint entry — the
+// cell size doubles until the table fits; Near stays an exact distance
+// predicate, so only the number of candidates scanned changes.
 func NewGrid(world geom.Rect, cell int, capHint int) *Grid {
 	if cell < 1 {
 		cell = 1
 	}
-	cols := (world.Width() + cell - 1) / cell
-	rows := (world.Height() + cell - 1) / cell
-	if cols < 1 {
-		cols = 1
-	}
-	if rows < 1 {
-		rows = 1
+	limit := maxBucketsPerEntry * max(capHint, 1)
+	cols, rows := gridDims(world, cell)
+	for cols > limit/rows {
+		cell *= 2
+		cols, rows = gridDims(world, cell)
 	}
 	return &Grid{
 		cell:    cell,
@@ -93,6 +103,18 @@ func NewGrid(world geom.Rect, cell int, capHint int) *Grid {
 		stamp:   getStamps(capHint),
 	}
 }
+
+// gridDims returns the column and row counts (each ≥ 1) covering world at
+// the given cell size.
+func gridDims(world geom.Rect, cell int) (cols, rows int) {
+	cols = max((world.Width()+cell-1)/cell, 1)
+	rows = max((world.Height()+cell-1)/cell, 1)
+	return cols, rows
+}
+
+// Cell returns the cell edge length the grid uses: the requested size, or
+// a larger one when NewGrid capped the bucket count.
+func (g *Grid) Cell() int { return g.cell }
 
 // Release returns the grid's visit-stamp array to the process-wide pool.
 // Call it when the grid is done (end of a graph build, end of a

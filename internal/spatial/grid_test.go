@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -174,5 +175,64 @@ func TestZeroCapHint(t *testing.T) {
 	id := g.Insert(geom.Rect{X0: 1, Y0: 1, X1: 2, Y1: 2})
 	if id != 0 || g.Len() != 1 {
 		t.Fatalf("insert into zero-hint grid: id=%d len=%d", id, g.Len())
+	}
+}
+
+// TestGridSparseWorldCapped: a world far larger than its entries warrant
+// (two features 10⁷ apart) must not allocate a bucket per cell of the
+// requested size — that was tens of gigabytes and an uncatchable
+// out-of-memory crash. The cell grows until the table fits the cap, and
+// Near still answers the exact distance predicate.
+func TestGridSparseWorldCapped(t *testing.T) {
+	world := geom.Rect{X0: -100, Y0: -100, X1: 10_000_100, Y1: 10_000_100}
+	g := NewGrid(world, 80, 2)
+	if n := len(g.buckets); n > 2*maxBucketsPerEntry {
+		t.Fatalf("%d buckets for 2 entries, cap %d", n, 2*maxBucketsPerEntry)
+	}
+	if g.Cell() <= 80 {
+		t.Fatalf("cell %d did not grow", g.Cell())
+	}
+	a := g.Insert(geom.Rect{X0: 0, Y0: 0, X1: 20, Y1: 20})
+	b := g.Insert(geom.Rect{X0: 10_000_000, Y0: 10_000_000, X1: 10_000_020, Y1: 10_000_020})
+	if got := collect(g, g.Bounds(a), 80); len(got) != 1 || got[0] != a {
+		t.Fatalf("Near(a) = %v, want only a", got)
+	}
+	if got := collect(g, g.Bounds(b), 80); len(got) != 1 || got[0] != b {
+		t.Fatalf("Near(b) = %v, want only b", got)
+	}
+	if got := collect(g, geom.Rect{X0: 100, Y0: 0, X1: 120, Y1: 20}, 80); len(got) != 1 || got[0] != a {
+		t.Fatalf("Near at gap exactly 80 = %v, want a", got)
+	}
+}
+
+// TestGridCappedMatchesBruteForce: a grid whose cell grew under the bucket
+// cap reports exactly what a brute-force scan does.
+func TestGridCappedMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	world := geom.Rect{X0: 0, Y0: 0, X1: 200_000, Y1: 200_000}
+	g := NewGrid(world, 16, 40)
+	if g.Cell() == 16 {
+		t.Fatal("test world too dense to exercise the cap")
+	}
+	var rects []geom.Rect
+	for i := 0; i < 40; i++ {
+		x, y := rng.Intn(199_000), rng.Intn(199_000)
+		r := geom.Rect{X0: x, Y0: y, X1: x + 1 + rng.Intn(900), Y1: y + 1 + rng.Intn(900)}
+		rects = append(rects, r)
+		g.Insert(r)
+	}
+	for trial := 0; trial < 200; trial++ {
+		q := rects[rng.Intn(len(rects))]
+		radius := rng.Intn(40_000)
+		var want []int
+		rr := int64(radius) * int64(radius)
+		for id, r := range rects {
+			if geom.GapSq(q, r) <= rr {
+				want = append(want, id)
+			}
+		}
+		if got := collect(g, q, radius); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
+		}
 	}
 }
