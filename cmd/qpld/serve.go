@@ -29,11 +29,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -56,6 +58,9 @@ import (
 type rectJSON [4]int
 
 // layoutJSON is the wire form of a layout: one rectangle list per feature.
+// The server never decodes into it — wire.go scans layouts straight into
+// geom.Rects — so it and rectJSON document the schema for clients and
+// encode the response masks.
 type layoutJSON struct {
 	Process  *processJSON `json:"process,omitempty"`
 	Features [][]rectJSON `json:"features"`
@@ -140,7 +145,7 @@ type shapeJSON struct {
 type editJSON struct {
 	Op      string     `json:"op"` // "add", "remove", "move"
 	Feature int        `json:"feature,omitempty"`
-	Rects   []rectJSON `json:"rects,omitempty"` // added feature geometry
+	Rects   []wireRect `json:"rects,omitempty"` // added feature geometry
 	DX      int        `json:"dx,omitempty"`
 	DY      int        `json:"dy,omitempty"`
 }
@@ -295,13 +300,58 @@ func (s *server) mux() *http.ServeMux {
 	return m
 }
 
-func (s *server) handleDecompose(w http.ResponseWriter, r *http.Request) {
-	var req decomposeRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+// readBody reads the whole request body, at most maxBody bytes, into one
+// buffer sized from Content-Length. A declared length past the limit fails
+// before anything is read or allocated.
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > s.maxBody {
+		return nil, &http.MaxBytesError{Limit: s.maxBody}
+	}
+	size := r.ContentLength
+	if size < 0 {
+		size = min(s.maxBody, 64<<10)
+	}
+	// One spare byte lets the final read see EOF without regrowing.
+	buf := make([]byte, 0, size+1)
+	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// bodyError answers a body that could not be read or decoded: 413 past
+// -max-body, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body larger than -max-body (%d bytes)", tooLarge.Limit)
 		return
 	}
-	resp, err := s.decomposeOne(r.Context(), &req)
+	httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+}
+
+func (s *server) handleDecompose(w http.ResponseWriter, r *http.Request) {
+	body, err := s.readBody(w, r)
+	if err != nil {
+		bodyError(w, err)
+		return
+	}
+	req, err := decodeDecompose(body)
+	if err != nil {
+		bodyError(w, err)
+		return
+	}
+	resp, err := s.decomposeOne(r.Context(), req)
 	if err != nil {
 		// Deadline/cancellation is load shedding, not a malformed request.
 		code := http.StatusBadRequest
@@ -315,34 +365,39 @@ func (s *server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	body, err := s.readBody(w, r)
+	if err != nil {
+		bodyError(w, err)
 		return
 	}
-	if len(req.Requests) == 0 {
+	reqs, err := decodeBatch(body)
+	if err != nil {
+		bodyError(w, err)
+		return
+	}
+	if len(reqs) == 0 {
 		httpError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	// Each element carries its own options and deadline; the service's
 	// worker pool bounds how many solve at once. Per-item failures are
 	// reported inline so one bad layout cannot sink the batch.
-	out := batchResponse{Responses: make([]decomposeResponse, len(req.Requests))}
+	out := batchResponse{Responses: make([]decomposeResponse, len(reqs))}
 	type slot struct {
 		i    int
 		resp decomposeResponse
 	}
-	results := make(chan slot, len(req.Requests))
-	for i := range req.Requests {
+	results := make(chan slot, len(reqs))
+	for i := range reqs {
 		go func(i int) {
-			resp, err := s.decomposeOne(r.Context(), &req.Requests[i])
+			resp, err := s.decomposeOne(r.Context(), &reqs[i])
 			if err != nil {
-				resp = decomposeResponse{Name: req.Requests[i].Name, Error: err.Error()}
+				resp = decomposeResponse{Name: reqs[i].opts.Name, Error: err.Error()}
 			}
 			results <- slot{i: i, resp: resp}
 		}(i)
 	}
-	for range req.Requests {
+	for range reqs {
 		sl := <-results
 		out.Responses[sl.i] = sl.resp
 	}
@@ -428,16 +483,17 @@ func (s *server) requestCtx(ctx context.Context, timeoutMs int64) (context.Conte
 	return ctx, func() {}
 }
 
-// decomposeOne converts one wire request into a service call.
-func (s *server) decomposeOne(ctx context.Context, req *decomposeRequest) (decomposeResponse, error) {
+// decomposeOne converts one decoded request into a service call.
+func (s *server) decomposeOne(ctx context.Context, wr *wireRequest) (decomposeResponse, error) {
+	req := &wr.opts
 	opts, err := s.resolveOptions(req.K, req.Algorithm, req.Engine, req.RaceBudgetMs, req.Alpha, req.Seed, req.Workers, req.BuildWorkers, req.Memoize)
 	if err != nil {
 		return decomposeResponse{}, err
 	}
-	l, err := layoutFromJSON(req.Layout)
-	if err != nil {
-		return decomposeResponse{}, err
+	if wr.layoutErr != nil {
+		return decomposeResponse{}, wr.layoutErr
 	}
+	l := wr.layout
 	ctx, cancel := s.requestCtx(ctx, req.TimeoutMs)
 	defer cancel()
 
@@ -477,9 +533,16 @@ func (s *server) decomposeOne(ctx context.Context, req *decomposeRequest) (decom
 // hash is 404 — the canonical client reaction is to re-send the full
 // layout via /v1/decompose, which (re)opens the session.
 func (s *server) handleIncremental(w http.ResponseWriter, r *http.Request) {
+	body, err := s.readBody(w, r)
+	if err != nil {
+		bodyError(w, err)
+		return
+	}
+	// Edit batches are small; encoding/json decodes them, with added
+	// rects held to the scanner's exactly-four-integers rule (wireRect).
 	var req incrementalRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		bodyError(w, err)
 		return
 	}
 	if req.Base == "" {
@@ -555,7 +618,11 @@ func (s *server) handleIncremental(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// editsFromJSON converts wire edits to core.Edit ops.
+// editsFromJSON converts wire edits to core.Edit ops. Added rects must lie
+// in the layout coordinate range, and a move must be shorter than 2^31 on
+// each axis: no single longer move can leave a feature in range, and the
+// durable edit log stores values as int32 — an added rect or move a later
+// edit of the batch undoes must still be replayable.
 func editsFromJSON(in []editJSON) ([]core.Edit, error) {
 	out := make([]core.Edit, 0, len(in))
 	for i, e := range in {
@@ -564,8 +631,8 @@ func editsFromJSON(in []editJSON) ([]core.Edit, error) {
 			var pg geom.Polygon
 			for _, r := range e.Rects {
 				rc := geom.Rect{X0: r[0], Y0: r[1], X1: r[2], Y1: r[3]}
-				if !rc.Valid() {
-					return nil, fmt.Errorf("edit %d: invalid rect %v", i, rc)
+				if err := layout.CheckRect(rc); err != nil {
+					return nil, fmt.Errorf("edit %d: %v", i, err)
 				}
 				pg.Rects = append(pg.Rects, rc)
 			}
@@ -573,40 +640,15 @@ func editsFromJSON(in []editJSON) ([]core.Edit, error) {
 		case "remove":
 			out = append(out, core.Edit{Op: core.EditRemove, Feature: e.Feature})
 		case "move":
+			if lim := 2 * layout.CoordLimit; e.DX <= -lim || e.DX >= lim || e.DY <= -lim || e.DY >= lim {
+				return nil, fmt.Errorf("edit %d: move (%d, %d) reaches past the coordinate range", i, e.DX, e.DY)
+			}
 			out = append(out, core.Edit{Op: core.EditMove, Feature: e.Feature, DX: e.DX, DY: e.DY})
 		default:
 			return nil, fmt.Errorf("edit %d: unknown op %q (want add, remove or move)", i, e.Op)
 		}
 	}
 	return out, nil
-}
-
-func layoutFromJSON(lj layoutJSON) (*layout.Layout, error) {
-	if len(lj.Features) == 0 {
-		return nil, fmt.Errorf("layout has no features")
-	}
-	l := layout.New("request")
-	if p := lj.Process; p != nil {
-		l.Process = layout.Process{MinWidth: p.MinWidth, MinSpace: p.MinSpace, HalfPitch: p.HalfPitch}
-	}
-	for fi, rects := range lj.Features {
-		if len(rects) == 0 {
-			return nil, fmt.Errorf("feature %d has no rectangles", fi)
-		}
-		var pg geom.Polygon
-		for _, r := range rects {
-			rc := geom.Rect{X0: r[0], Y0: r[1], X1: r[2], Y1: r[3]}
-			if !rc.Valid() {
-				return nil, fmt.Errorf("feature %d: invalid rect %v", fi, rc)
-			}
-			pg.Rects = append(pg.Rects, rc)
-		}
-		l.Add(pg)
-	}
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	return l, nil
 }
 
 func masksToJSON(res *core.Result) [][]rectJSON {

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,17 +160,67 @@ func TestServeDeadlineStillAnswers(t *testing.T) {
 func TestServeRejectsBadInput(t *testing.T) {
 	ts := testServer(t)
 	for name, body := range map[string]any{
-		"no features": decomposeRequest{Layout: layoutJSON{}},
-		"bad alg":     decomposeRequest{Algorithm: "magic", Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
-		"bad rect":    decomposeRequest{Layout: layoutJSON{Features: [][]rectJSON{{{10, 10, 0, 0}}}}},
-		"bad k":       decomposeRequest{K: 1, Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
-		"huge k":      decomposeRequest{K: 1 << 30, Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
-		"negative k":  decomposeRequest{K: -4, Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
+		"no features":      decomposeRequest{Layout: layoutJSON{}},
+		"bad alg":          decomposeRequest{Algorithm: "magic", Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
+		"bad rect":         decomposeRequest{Layout: layoutJSON{Features: [][]rectJSON{{{10, 10, 0, 0}}}}},
+		"bad k":            decomposeRequest{K: 1, Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
+		"huge k":           decomposeRequest{K: 1 << 30, Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
+		"negative k":       decomposeRequest{K: -4, Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
+		"coordinate range": decomposeRequest{Layout: layoutJSON{Features: [][]rectJSON{{{1 << 30, 0, 1<<30 + 10, 10}}}}},
+		// Rect arity: encoding/json into [4]int served [0,-5,10] as
+		// (0,-5)-(10,0) and dropped the 99.
+		"short rect": json.RawMessage(`{"layout":{"features":[[[0,-5,10]]]}}`),
+		"long rect":  json.RawMessage(`{"layout":{"features":[[[0,0,10,10,99]]]}}`),
 	} {
 		resp := postJSON(t, ts.URL+"/v1/decompose", body, nil)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+	// A batch answers a malformed rect with a 400 for the whole body.
+	for name, body := range map[string]string{
+		"short rect": `{"requests":[{"layout":{"features":[[[0,-5,10]]]}}]}`,
+		"long rect":  `{"requests":[{"layout":{"features":[[[0,0,10,10,99]]]}}]}`,
+	} {
+		resp := postJSON(t, ts.URL+"/v1/decompose/batch", json.RawMessage(body), nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("batch %s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+}
+
+func TestServeOversizedBodyIs413(t *testing.T) {
+	ts := testServer(t) // -max-body 1 MiB
+	big := rowRequest("big", 80000)
+	var full decomposeResponse
+	postJSON(t, ts.URL+"/v1/decompose", rowRequest("row", 4), &full)
+	inc := incrementalRequest{Base: full.LayoutHash, K: 4, Name: strings.Repeat("x", 2<<20), Edits: []editJSON{{Op: "remove"}}}
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/decompose", big},
+		{"/v1/decompose/batch", batchRequest{Requests: []decomposeRequest{big}}},
+		{"/v1/decompose/incremental", inc},
+	} {
+		var out map[string]string
+		resp := postJSON(t, ts.URL+tc.path, tc.body, &out)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(out["error"], "max-body") {
+			t.Errorf("%s: status %d %v, want 413", tc.path, resp.StatusCode, out)
+		}
+	}
+	// Without a Content-Length the limit still trips while reading.
+	buf, err := json.Marshal(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/decompose", "application/json", io.MultiReader(bytes.NewReader(buf)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked body: status %d, want 413", resp.StatusCode)
 	}
 }
 
@@ -280,7 +332,7 @@ func TestServeIncremental(t *testing.T) {
 	// Chain a second batch from the new state.
 	inc2 := incrementalRequest{
 		Base: out.LayoutHash, K: 4, Algorithm: "sdp-backtrack",
-		Edits: []editJSON{{Op: "add", Rects: []rectJSON{{1000, 0, 1020, 200}}}},
+		Edits: []editJSON{{Op: "add", Rects: []wireRect{{1000, 0, 1020, 200}}}},
 	}
 	var out2 decomposeResponse
 	resp = postJSON(t, ts.URL+"/v1/decompose/incremental", inc2, &out2)
@@ -298,14 +350,24 @@ func TestServeIncrementalErrors(t *testing.T) {
 
 	cases := []struct {
 		name string
-		req  incrementalRequest
+		req  any
 		code int
 	}{
 		{"unknown base", incrementalRequest{Base: "no-such-hash", K: 4, Edits: []editJSON{{Op: "remove"}}}, http.StatusNotFound},
 		{"missing base", incrementalRequest{K: 4, Edits: []editJSON{{Op: "remove"}}}, http.StatusBadRequest},
 		{"empty batch", incrementalRequest{Base: full.LayoutHash, K: 4}, http.StatusBadRequest},
 		{"bad op", incrementalRequest{Base: full.LayoutHash, K: 4, Edits: []editJSON{{Op: "teleport"}}}, http.StatusBadRequest},
-		{"bad rect", incrementalRequest{Base: full.LayoutHash, K: 4, Edits: []editJSON{{Op: "add", Rects: []rectJSON{{5, 5, 0, 0}}}}}, http.StatusBadRequest},
+		{"bad rect", incrementalRequest{Base: full.LayoutHash, K: 4, Edits: []editJSON{{Op: "add", Rects: []wireRect{{5, 5, 0, 0}}}}}, http.StatusBadRequest},
+		{"short rect", json.RawMessage(`{"base":"` + full.LayoutHash + `","k":4,"edits":[{"op":"add","rects":[[0,-5,10]]}]}`), http.StatusBadRequest},
+		{"long rect", json.RawMessage(`{"base":"` + full.LayoutHash + `","k":4,"edits":[{"op":"add","rects":[[0,0,10,10,99]]}]}`), http.StatusBadRequest},
+		{"null coordinate", json.RawMessage(`{"base":"` + full.LayoutHash + `","k":4,"edits":[{"op":"add","rects":[[null,0,10,10]]}]}`), http.StatusBadRequest},
+		{"rect out of range", incrementalRequest{Base: full.LayoutHash, K: 4, Edits: []editJSON{{Op: "add", Rects: []wireRect{{0, 0, 10, 1 << 30}}}}}, http.StatusBadRequest},
+		// Removed again within the batch, so only the wire check sees it.
+		{"rect out of range, then removed", incrementalRequest{Base: full.LayoutHash, K: 4, Edits: []editJSON{{Op: "add", Rects: []wireRect{{0, 0, 10, 1 << 40}}}, {Op: "remove", Feature: 4}}}, http.StatusBadRequest},
+		// A move that leaves the coordinate range is refused before it can
+		// reach a session or the edit log.
+		{"move out of range", incrementalRequest{Base: full.LayoutHash, K: 4, Edits: []editJSON{{Op: "move", Feature: 0, DX: 1 << 30}}}, http.StatusBadRequest},
+		{"move too long", incrementalRequest{Base: full.LayoutHash, K: 4, Edits: []editJSON{{Op: "move", Feature: 0, DX: 1 << 40}, {Op: "move", Feature: 0, DX: -(1 << 40)}}}, http.StatusBadRequest},
 		{"bad index", incrementalRequest{Base: full.LayoutHash, K: 4, Edits: []editJSON{{Op: "remove", Feature: 99}}}, http.StatusBadRequest},
 		// Sessions are keyed by (geometry, options): other options → 404.
 		{"other options", incrementalRequest{Base: full.LayoutHash, K: 4, Algorithm: "linear", Edits: []editJSON{{Op: "remove"}}}, http.StatusNotFound},

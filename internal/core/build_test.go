@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mpl/internal/geom"
@@ -159,5 +160,68 @@ func TestDecomposeFarApartFeatures(t *testing.T) {
 	}
 	if conf, stit, err := VerifySolution(res); err != nil || conf != 0 || stit != 0 {
 		t.Fatalf("VerifySolution = %d, %d, %v", conf, stit, err)
+	}
+}
+
+// TestDecomposeTranslationInvariantInRange pins the coordinate range: a
+// pair of overlapping parallel wires (each stitch-split where the other
+// ends) decomposes identically at every in-range offset, and an offset
+// that reaches ±2^30 is rejected instead of decomposing differently —
+// before the range existed, the pair at x = 2^62 overflowed into 2
+// fragments, 1 conflict edge and no stitch edges.
+func TestDecomposeTranslationInvariantInRange(t *testing.T) {
+	pair := [2]geom.Rect{{X0: 0, Y0: 0, X1: 400, Y1: 20}, {X0: 300, Y0: 50, X1: 700, Y1: 70}}
+	decompose := func(dx, dy int) (*Result, error) {
+		l := layout.New("pair")
+		for _, r := range pair {
+			l.AddRect(r.Translate(dx, dy))
+		}
+		return Decompose(l, Options{K: 4, Algorithm: AlgSDPBacktrack})
+	}
+	ref, err := decompose(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := ref.Graph.Stats; s.Fragments != 4 || s.ConflictEdges != 1 || s.StitchEdges != 2 {
+		t.Fatalf("reference stats %+v, want 4 fragments, 1 conflict edge, 2 stitch edges", s)
+	}
+	top := layout.CoordLimit - 1 - 700
+	for _, off := range [][2]int{{1 << 20, 0}, {top, top}, {-(layout.CoordLimit - 1), 5}} {
+		res, err := decompose(off[0], off[1])
+		if err != nil {
+			t.Fatalf("offset %v: %v", off, err)
+		}
+		a, b := res.Graph.Stats, ref.Graph.Stats
+		if a.Fragments != b.Fragments || a.ConflictEdges != b.ConflictEdges || a.StitchEdges != b.StitchEdges ||
+			res.Conflicts != ref.Conflicts || res.Stitches != ref.Stitches {
+			t.Fatalf("offset %v: %+v cn %d st %d, want %+v cn %d st %d", off, a, res.Conflicts, res.Stitches, b, ref.Conflicts, ref.Stitches)
+		}
+	}
+	for _, off := range [][2]int{{top + 1, 0}, {0, -layout.CoordLimit}, {1 << 62, 0}} {
+		if _, err := decompose(off[0], off[1]); err == nil {
+			t.Fatalf("offset %v beyond ±2^30 decomposed", off)
+		}
+	}
+}
+
+// TestApplyEditsRejectsOutOfRangeMove: a move is checked like any other
+// feature, so an ECO session can never hold geometry a scratch Decompose
+// (or the durable edit log) would refuse.
+func TestApplyEditsRejectsOutOfRangeMove(t *testing.T) {
+	l := layout.New("move")
+	l.AddRect(geom.Rect{X0: 0, Y0: 0, X1: 20, Y1: 200})
+	l.AddRect(geom.Rect{X0: 50, Y0: 0, X1: 70, Y1: 200})
+	opts := Options{K: 4, Algorithm: AlgLinear}
+	res, err := Decompose(l, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dy := range []int{layout.CoordLimit - 200, -layout.CoordLimit, 1 << 40} {
+		if _, _, _, err := ApplyEdits(context.Background(), l, res, []Edit{{Op: EditMove, Feature: 1, DY: dy}}, opts); err == nil {
+			t.Errorf("move by dy=%d accepted", dy)
+		}
+	}
+	if _, _, _, err := ApplyEdits(context.Background(), l, res, []Edit{{Op: EditMove, Feature: 1, DY: layout.CoordLimit - 201}}, opts); err != nil {
+		t.Errorf("in-range move rejected: %v", err)
 	}
 }

@@ -45,14 +45,22 @@ func (l *Layout) WriteBinary(w io.Writer) error {
 		le.PutUint32(scratch[:4], v)
 		bw.Write(scratch[:4])
 	}
-	writeI32 := func(v int) { writeU32(uint32(int32(v))) }
+	// writeI32 refuses values int32 cannot hold rather than truncating
+	// them into a different layout.
+	writeI32 := func(v int) bool {
+		if v != int(int32(v)) {
+			return false
+		}
+		writeU32(uint32(int32(v)))
+		return true
+	}
 
 	writeU16(binaryVersion)
 	writeU16(uint16(len(name)))
 	bw.Write(name)
-	writeI32(l.Process.MinWidth)
-	writeI32(l.Process.MinSpace)
-	writeI32(l.Process.HalfPitch)
+	if p := l.Process; !writeI32(p.MinWidth) || !writeI32(p.MinSpace) || !writeI32(p.HalfPitch) {
+		return fmt.Errorf("layout: process %+v does not fit the binary format's int32 fields", p)
+	}
 	writeU32(uint32(len(l.Features)))
 	for fi, f := range l.Features {
 		if len(f.Rects) > 0xFFFF {
@@ -63,10 +71,9 @@ func (l *Layout) WriteBinary(w io.Writer) error {
 			if !r.Valid() {
 				return fmt.Errorf("layout: feature %d has invalid rect %v", fi, r)
 			}
-			writeI32(r.X0)
-			writeI32(r.Y0)
-			writeI32(r.Width())
-			writeI32(r.Height())
+			if !writeI32(r.X0) || !writeI32(r.Y0) || !writeI32(r.Width()) || !writeI32(r.Height()) {
+				return fmt.Errorf("layout: feature %d rect %v does not fit the binary format's int32 fields", fi, r)
+			}
 		}
 	}
 	return bw.Flush()

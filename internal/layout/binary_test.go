@@ -125,3 +125,36 @@ func TestBinarySmallerThanText(t *testing.T) {
 		t.Fatal("text format sanity check failed")
 	}
 }
+
+// TestBinaryRejectsInt32Overflow: WriteBinary refuses what int32 cannot
+// hold instead of truncating it into a different layout.
+func TestBinaryRejectsInt32Overflow(t *testing.T) {
+	for _, r := range []geom.Rect{
+		{X0: 1 << 31, Y0: 0, X1: 1<<31 + 10, Y1: 10},
+		{X0: 0, Y0: -(1 << 32), X1: 10, Y1: 10},
+		{X0: -(1 << 30), Y0: 0, X1: 1 << 30, Y1: 10}, // width 2^31
+	} {
+		l := New("wide")
+		l.AddRect(r)
+		if err := l.WriteBinary(&bytes.Buffer{}); err == nil {
+			t.Errorf("%v: WriteBinary accepted it", r)
+		}
+	}
+	l := New("proc")
+	l.AddRect(geom.Rect{X1: 10, Y1: 10})
+	l.Process.HalfPitch = 1 << 40
+	if err := l.WriteBinary(&bytes.Buffer{}); err == nil {
+		t.Error("process parameter beyond int32 accepted")
+	}
+	// The widest in-range rect still round-trips.
+	in := New("edge")
+	in.AddRect(geom.Rect{X0: -(CoordLimit - 1), Y0: -(CoordLimit - 1), X1: CoordLimit - 1, Y1: CoordLimit - 1})
+	var buf bytes.Buffer
+	if err := in.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBinary(&buf)
+	if err != nil || got.Features[0].Rects[0] != in.Features[0].Rects[0] {
+		t.Fatalf("round trip: %v %v", got, err)
+	}
+}

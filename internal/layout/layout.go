@@ -94,7 +94,8 @@ func (l *Layout) RectCount() int {
 	return n
 }
 
-// Validate checks structural invariants: every feature valid and connected.
+// Validate checks structural invariants: every feature valid, in
+// coordinate range and connected, and positive process parameters.
 func (l *Layout) Validate() error {
 	for i := range l.Features {
 		if err := l.ValidateFeature(i); err != nil {
@@ -104,13 +105,41 @@ func (l *Layout) Validate() error {
 	return l.ValidateProcess()
 }
 
-// ValidateFeature checks that feature i is valid and connected — the
-// per-feature half of Validate, for callers that changed only a few
-// features of an already validated layout.
+// CoordLimit bounds every coordinate of a valid layout: |c| < CoordLimit.
+// Within it every width, height and gap is below 2^31, so it fits the
+// binary format's int32 fields and the edit log's int32 varints, and a
+// squared gap fits an int64: a layout decomposes the same at any in-range
+// translation.
+const CoordLimit = 1 << 30
+
+// CheckRect reports why r cannot be a layout rectangle: it is empty or
+// inverted, or a coordinate lies outside ±CoordLimit.
+func CheckRect(r geom.Rect) error {
+	if r.Valid() && r.X0 > -CoordLimit && r.Y0 > -CoordLimit && r.X1 < CoordLimit && r.Y1 < CoordLimit {
+		return nil
+	}
+	return rectError(r)
+}
+
+func rectError(r geom.Rect) error {
+	if !r.Valid() {
+		return fmt.Errorf("invalid rect %v", r)
+	}
+	return fmt.Errorf("rect %v: coordinate outside (-2^30, 2^30)", r)
+}
+
+// ValidateFeature checks that feature i is valid, in coordinate range and
+// connected — the per-feature half of Validate, for callers that changed
+// only a few features of an already validated layout.
 func (l *Layout) ValidateFeature(i int) error {
 	f := l.Features[i]
-	if !f.Valid() {
+	if len(f.Rects) == 0 {
 		return fmt.Errorf("layout %q: feature %d invalid", l.Name, i)
+	}
+	for _, r := range f.Rects {
+		if err := CheckRect(r); err != nil {
+			return fmt.Errorf("layout %q: feature %d: %v", l.Name, i, err)
+		}
 	}
 	if !f.Connected() {
 		return fmt.Errorf("layout %q: feature %d is disconnected", l.Name, i)

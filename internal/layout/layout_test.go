@@ -157,3 +157,28 @@ func TestSanitizedName(t *testing.T) {
 		t.Fatalf("empty name not defaulted: %q", buf.String())
 	}
 }
+
+func TestValidateCoordinateRange(t *testing.T) {
+	const L = CoordLimit
+	for _, c := range []struct {
+		r  geom.Rect
+		ok bool
+	}{
+		{geom.Rect{X0: -(L - 1), Y0: -(L - 1), X1: L - 1, Y1: L - 1}, true},
+		{geom.Rect{X0: 0, Y0: 0, X1: L, Y1: 10}, false},
+		{geom.Rect{X0: 0, Y0: -L, X1: 10, Y1: 10}, false},
+		{geom.Rect{X0: -L, Y0: 0, X1: 10, Y1: 10}, false},
+		{geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: L}, false},
+		{geom.Rect{X0: 1 << 62, Y0: 0, X1: 1<<62 + 10, Y1: 10}, false},
+		{geom.Rect{X0: 10, Y0: 0, X1: 0, Y1: 10}, false},
+	} {
+		l := New("range")
+		l.AddRect(c.r)
+		if err := l.Validate(); (err == nil) != c.ok {
+			t.Errorf("%v: Validate = %v, want ok=%v", c.r, err, c.ok)
+		}
+		if err := CheckRect(c.r); (err == nil) != c.ok {
+			t.Errorf("%v: CheckRect = %v, want ok=%v", c.r, err, c.ok)
+		}
+	}
+}
