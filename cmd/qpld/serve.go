@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os/signal"
@@ -423,6 +424,9 @@ const maxK = 16
 func (s *server) resolveOptions(k int, algName, engine string, raceBudgetMs int64, alpha float64, seed int64, workers, buildWorkers int, memoize bool) (core.Options, error) {
 	if k < 0 || k > maxK {
 		return core.Options{}, fmt.Errorf("k must be in [2, %d] (or 0 for the default 4), got %d", maxK, k)
+	}
+	if alpha < 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
+		return core.Options{}, fmt.Errorf("alpha must be finite and >= 0 (or 0 for the default 0.1), got %v", alpha)
 	}
 	if workers < 0 {
 		workers = 0

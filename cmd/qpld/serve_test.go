@@ -160,12 +160,14 @@ func TestServeDeadlineStillAnswers(t *testing.T) {
 func TestServeRejectsBadInput(t *testing.T) {
 	ts := testServer(t)
 	for name, body := range map[string]any{
-		"no features":      decomposeRequest{Layout: layoutJSON{}},
-		"bad alg":          decomposeRequest{Algorithm: "magic", Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
-		"bad rect":         decomposeRequest{Layout: layoutJSON{Features: [][]rectJSON{{{10, 10, 0, 0}}}}},
-		"bad k":            decomposeRequest{K: 1, Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
-		"huge k":           decomposeRequest{K: 1 << 30, Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
-		"negative k":       decomposeRequest{K: -4, Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
+		"no features": decomposeRequest{Layout: layoutJSON{}},
+		"bad alg":     decomposeRequest{Algorithm: "magic", Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
+		"bad rect":    decomposeRequest{Layout: layoutJSON{Features: [][]rectJSON{{{10, 10, 0, 0}}}}},
+		"bad k":       decomposeRequest{K: 1, Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
+		"huge k":      decomposeRequest{K: 1 << 30, Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
+		"negative k":  decomposeRequest{K: -4, Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
+		// Branch and bound's prune, and so a proven answer, needs α ≥ 0.
+		"negative alpha":   decomposeRequest{Alpha: -1, Layout: layoutJSON{Features: [][]rectJSON{{{0, 0, 10, 10}}}}},
 		"coordinate range": decomposeRequest{Layout: layoutJSON{Features: [][]rectJSON{{{1 << 30, 0, 1<<30 + 10, 10}}}}},
 		// Rect arity: encoding/json into [4]int served [0,-5,10] as
 		// (0,-5)-(10,0) and dropped the 99.
@@ -369,6 +371,7 @@ func TestServeIncrementalErrors(t *testing.T) {
 		{"move out of range", incrementalRequest{Base: full.LayoutHash, K: 4, Edits: []editJSON{{Op: "move", Feature: 0, DX: 1 << 30}}}, http.StatusBadRequest},
 		{"move too long", incrementalRequest{Base: full.LayoutHash, K: 4, Edits: []editJSON{{Op: "move", Feature: 0, DX: 1 << 40}, {Op: "move", Feature: 0, DX: -(1 << 40)}}}, http.StatusBadRequest},
 		{"bad index", incrementalRequest{Base: full.LayoutHash, K: 4, Edits: []editJSON{{Op: "remove", Feature: 99}}}, http.StatusBadRequest},
+		{"negative alpha", incrementalRequest{Base: full.LayoutHash, K: 4, Alpha: -1, Edits: []editJSON{{Op: "remove"}}}, http.StatusBadRequest},
 		// Sessions are keyed by (geometry, options): other options → 404.
 		{"other options", incrementalRequest{Base: full.LayoutHash, K: 4, Algorithm: "linear", Edits: []editJSON{{Op: "remove"}}}, http.StatusNotFound},
 	}

@@ -1,8 +1,9 @@
 package coloring
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"mpl/internal/graph"
 )
@@ -108,6 +109,19 @@ func (w *Weighted) Backtrack(k int, alpha float64, nodeLimit int64) BacktrackRes
 // every 1024 expanded nodes, and on cancellation the search stops and the
 // incumbent (at worst the greedy seed) is returned with Proven=false —
 // exactly the node-limit behavior, triggered by deadline instead of count.
+//
+// The search is an iterative depth-first walk with an explicit per-depth
+// stack. Its contract is the tree itself: every entered node (root and leaf
+// included) counts one toward Nodes, ctx is polled when the count is a
+// multiple of 1024, the search stops once the count exceeds nodeLimit, and a
+// node is pruned when its partial cost reaches the incumbent's. Node-capped
+// searches return whatever incumbent the first nodeLimit nodes found, so
+// their output is a function of this exact walk; none of it may change
+// without changing served bytes. Partial costs are integer conflict and
+// stitch tallies combined as float64(C)+α·float64(S), the same expression
+// the incumbent is scored with, so no prune hinges on accumulated float
+// rounding. Conf and Stit must be symmetric, as AddConflict and AddStitch
+// build them.
 func (w *Weighted) BacktrackContext(ctx context.Context, k int, alpha float64, nodeLimit int64) BacktrackResult {
 	n := w.NumV
 	if nodeLimit <= 0 {
@@ -116,15 +130,27 @@ func (w *Weighted) BacktrackContext(ctx context.Context, k int, alpha float64, n
 	if n == 0 {
 		return BacktrackResult{Colors: []int{}, Proven: true}
 	}
+	width := max(min(k, n), 1) // colors a position can take: at most min(k, depth+1)
+
+	// One arena for every per-vertex and per-depth integer array.
+	buf := make([]int, 6*n+(2*n+1)+3*(n+1)+2*n*width)
+	carve := func(m int) []int {
+		s := buf[:m:m]
+		buf = buf[m:]
+		return s
+	}
+	order, pos := carve(n), carve(n)
+	wdeg, sdeg := carve(n), carve(n)
+	stTot := carve(n)                        // weight of stitches to earlier positions
+	col := carve(n)                          // col[d]: color of position d on the current path
+	off := carve(2*n + 1)                    // CSR offsets: conflicts of d, then stitches of d
+	used := carve(n + 1)                     // used[d]: colors in use among positions < d
+	tc, ts := carve(n+1), carve(n+1)         // conflict/stitch tallies entering depth d
+	dc, ds := carve(n*width), carve(n*width) // per-depth, per-color deltas
 
 	// Static order: descending weighted conflict degree, then stitch degree.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	wdeg := make([]int, n)
-	sdeg := make([]int, n)
 	for v := 0; v < n; v++ {
+		order[v] = v
 		for _, a := range w.Conf[v] {
 			wdeg[v] += a.Weight
 		}
@@ -132,100 +158,126 @@ func (w *Weighted) BacktrackContext(ctx context.Context, k int, alpha float64, n
 			sdeg[v] += a.Weight
 		}
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
+	slices.SortStableFunc(order, func(a, b int) int {
 		if wdeg[a] != wdeg[b] {
-			return wdeg[a] > wdeg[b]
+			return cmp.Compare(wdeg[b], wdeg[a])
 		}
-		return sdeg[a] > sdeg[b]
+		return cmp.Compare(sdeg[b], sdeg[a])
 	})
-	pos := make([]int, n) // vertex -> position in order
 	for i, v := range order {
 		pos[v] = i
 	}
 
 	// Greedy incumbent so a node-limited search still returns something.
-	greedy := w.greedyColors(order, k, alpha)
-	bestC, bestS := w.CountWeighted(greedy)
-	best := append([]int(nil), greedy...)
+	best := w.greedyColors(order, k, alpha)
+	bestC, bestS := w.CountWeighted(best)
 	bestCost := float64(bestC) + alpha*float64(bestS)
 
-	colors := make([]int, n)
-	for i := range colors {
-		colors[i] = Uncolored
-	}
-	var nodes int64
-	exhausted := true
-	stopped := false
 	done := ctx.Done()
+	select {
+	case <-done: // already cancelled: return the greedy incumbent
+		return BacktrackResult{Colors: best, Conflicts: bestC, Stitches: bestS}
+	default:
+	}
 
-	// deltaCost returns the cost increase of giving v color c, considering
-	// only neighbors earlier in the order (already colored).
-	deltaCost := func(v, c int) float64 {
-		d := 0.0
+	// Per-position CSR of earlier neighbours, addressed by position: a
+	// counting pass sizes the arena, a second pass fills it.
+	m := 0
+	for p, v := range order {
 		for _, a := range w.Conf[v] {
-			if pos[a.To] < pos[v] && colors[a.To] == c {
-				d += float64(a.Weight)
+			if pos[a.To] < p {
+				m++
 			}
 		}
 		for _, a := range w.Stit[v] {
-			if pos[a.To] < pos[v] && colors[a.To] != c {
-				d += alpha * float64(a.Weight)
+			if pos[a.To] < p {
+				m++
 			}
 		}
-		return d
 	}
+	arcs := make([]WArc, m)
+	m = 0
+	for p, v := range order {
+		off[2*p] = m
+		for _, a := range w.Conf[v] {
+			if q := pos[a.To]; q < p {
+				arcs[m] = WArc{To: q, Weight: a.Weight}
+				m++
+			}
+		}
+		off[2*p+1] = m
+		for _, a := range w.Stit[v] {
+			if q := pos[a.To]; q < p {
+				arcs[m] = WArc{To: q, Weight: a.Weight}
+				stTot[p] += a.Weight
+				m++
+			}
+		}
+	}
+	off[2*n] = m
 
-	var rec func(idx int, cost float64, used int)
-	rec = func(idx int, cost float64, used int) {
+	var nodes int64
+	exhausted := true
+	d := 0 // depth of the node being entered: positions < d are colored
+search:
+	for {
 		nodes++
 		if nodes&1023 == 0 {
 			select {
 			case <-done:
-				stopped = true
+				exhausted = false
+				break search
 			default:
 			}
 		}
-		if stopped || nodes > nodeLimit {
+		if nodes > nodeLimit {
 			exhausted = false
-			return
+			break
 		}
-		if cost >= bestCost-1e-12 {
-			return
-		}
-		if idx == n {
-			c, s := w.CountWeighted(colors)
-			cc := float64(c) + alpha*float64(s)
-			if cc < bestCost-1e-12 {
-				bestCost = cc
-				bestC, bestS = c, s
-				copy(best, colors)
-			}
-			return
-		}
-		v := order[idx]
-		limit := used + 1
-		if limit > k {
-			limit = k
-		}
-		for c := 0; c < limit; c++ {
-			colors[v] = c
-			nu := used
-			if c == used {
-				nu++
-			}
-			rec(idx+1, cost+deltaCost(v, c), nu)
-			colors[v] = Uncolored
-			if stopped || nodes > nodeLimit {
-				return
+		if cost := float64(tc[d]) + alpha*float64(ts[d]); cost < bestCost-1e-12 {
+			if d == n {
+				bestCost, bestC, bestS = cost, tc[d], ts[d]
+				for p, v := range order {
+					best[v] = col[p]
+				}
+			} else if lim := min(used[d]+1, k); lim > 0 {
+				// Expand position d: one pass over its earlier neighbours
+				// fills the conflict and same-color stitch weight of every
+				// candidate color.
+				cd, sd := dc[d*width:d*width+lim], ds[d*width:d*width+lim]
+				clear(cd)
+				clear(sd)
+				for _, a := range arcs[off[2*d]:off[2*d+1]] {
+					cd[col[a.To]] += a.Weight
+				}
+				for _, a := range arcs[off[2*d+1]:off[2*d+2]] {
+					sd[col[a.To]] += a.Weight
+				}
+				col[d] = 0
+				tc[d+1] = tc[d] + cd[0]
+				ts[d+1] = ts[d] + stTot[d] - sd[0]
+				used[d+1] = max(used[d], 1)
+				d++
+				continue
 			}
 		}
-	}
-	select {
-	case <-done:
-		exhausted = false // already cancelled: return the greedy incumbent
-	default:
-		rec(0, 0, 0)
+		// Backtrack to the deepest position with a color left to try.
+		for d > 0 {
+			d--
+			c := col[d] + 1
+			if c < min(used[d]+1, k) {
+				col[d] = c
+				tc[d+1] = tc[d] + dc[d*width+c]
+				ts[d+1] = ts[d] + stTot[d] - ds[d*width+c]
+				used[d+1] = used[d]
+				if c == used[d] {
+					used[d+1]++
+				}
+				d++
+				continue search
+			}
+		}
+		break
 	}
 
 	return BacktrackResult{

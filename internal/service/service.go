@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -177,6 +178,20 @@ func New(cfg Config) *Service {
 	}
 }
 
+// checkOptions rejects options no engine can honor: K below 2, and a
+// negative or non-finite stitch weight, under which the branch-and-bound
+// prune (and so a Proven answer) no longer holds. Zero values mean the
+// defaults.
+func checkOptions(opts core.Options) error {
+	if opts.K != 0 && opts.K < 2 {
+		return fmt.Errorf("service: K must be >= 2, got %d", opts.K)
+	}
+	if opts.Alpha < 0 || math.IsNaN(opts.Alpha) || math.IsInf(opts.Alpha, 0) {
+		return fmt.Errorf("service: alpha must be finite and >= 0, got %v", opts.Alpha)
+	}
+	return nil
+}
+
 // Decompose runs (or reuses) one decomposition. cached reports whether the
 // result was served from the cache or by waiting on an identical in-flight
 // solve. The returned Result has its own Colors slice, so callers may
@@ -190,8 +205,8 @@ func (s *Service) Decompose(ctx context.Context, l *layout.Layout, opts core.Opt
 // keyed the run under — the session base for DecomposeIncremental — so
 // callers building responses (qpld serve) don't re-hash the geometry.
 func (s *Service) DecomposeHashed(ctx context.Context, l *layout.Layout, opts core.Options) (res *core.Result, layoutHash string, cached bool, err error) {
-	if opts.K != 0 && opts.K < 2 {
-		return nil, "", false, fmt.Errorf("service: K must be >= 2, got %d", opts.K)
+	if err := checkOptions(opts); err != nil {
+		return nil, "", false, err
 	}
 	if s.cfg.DefaultTimeout > 0 {
 		if _, has := ctx.Deadline(); !has {
@@ -478,8 +493,8 @@ func (s *Service) graphFor(lh string, l *layout.Layout, opts core.Options) (*cor
 // (evicted, never created, or caching disabled) the call fails with
 // ErrNoSession and the client re-sends the full layout via Decompose.
 func (s *Service) DecomposeIncremental(ctx context.Context, baseHash string, edits []core.Edit, opts core.Options) (res *core.Result, newHash string, estats *core.EditStats, cached bool, err error) {
-	if opts.K != 0 && opts.K < 2 {
-		return nil, "", nil, false, fmt.Errorf("service: K must be >= 2, got %d", opts.K)
+	if err := checkOptions(opts); err != nil {
+		return nil, "", nil, false, err
 	}
 	if s.cfg.DefaultTimeout > 0 {
 		if _, has := ctx.Deadline(); !has {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -231,6 +232,20 @@ func TestInvalidKRejected(t *testing.T) {
 	s := New(Config{})
 	if _, _, err := s.Decompose(context.Background(), denseRow("row", 4), core.Options{K: 1}); err == nil {
 		t.Fatal("K=1 must be rejected, not panic")
+	}
+}
+
+func TestInvalidAlphaRejected(t *testing.T) {
+	s := New(Config{})
+	ctx := context.Background()
+	l := denseRow("row", 4)
+	for _, alpha := range []float64{-1, -1e-9, math.NaN(), math.Inf(1)} {
+		if _, _, err := s.Decompose(ctx, l, core.Options{K: 4, Alpha: alpha}); err == nil {
+			t.Errorf("alpha=%v: Decompose must reject it", alpha)
+		}
+		if _, _, _, _, err := s.DecomposeIncremental(ctx, LayoutHash(l), nil, core.Options{K: 4, Alpha: alpha}); err == nil || errors.Is(err, ErrNoSession) {
+			t.Errorf("alpha=%v: DecomposeIncremental err = %v, want a validation error", alpha, err)
+		}
 	}
 }
 
