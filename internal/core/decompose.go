@@ -8,9 +8,9 @@ import (
 	"time"
 
 	"mpl/internal/balance"
-	"mpl/internal/canon"
 	"mpl/internal/coloring"
 	"mpl/internal/division"
+	"mpl/internal/flight"
 	"mpl/internal/geom"
 	"mpl/internal/graph"
 	"mpl/internal/layout"
@@ -328,7 +328,7 @@ type graphRun struct {
 	dg     *Graph
 	opts   Options
 	pool   *pipeline.ScratchPool
-	shapes *canon.ShapeCache
+	shapes *flight.Cache[[]int]
 
 	colors     []int
 	stats      division.Stats
@@ -411,7 +411,7 @@ func decomposeGraphPool(ctx context.Context, dg *Graph, opts Options, rec *pipel
 // decomposeGraphShapes additionally takes the shape cache, so equivalence
 // and stress tests can run against a fresh cache whose hit/miss counters
 // don't depend on what earlier tests populated process-wide.
-func decomposeGraphShapes(ctx context.Context, dg *Graph, opts Options, rec *pipeline.Recorder, pool *pipeline.ScratchPool, shapes *canon.ShapeCache) (*Result, error) {
+func decomposeGraphShapes(ctx context.Context, dg *Graph, opts Options, rec *pipeline.Recorder, pool *pipeline.ScratchPool, shapes *flight.Cache[[]int]) (*Result, error) {
 	run := &graphRun{dg: dg, opts: opts, pool: pool, shapes: shapes}
 	p := pipeline.New(rec,
 		pipeline.Composite(run.divide),

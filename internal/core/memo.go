@@ -8,6 +8,7 @@ import (
 
 	"mpl/internal/canon"
 	"mpl/internal/division"
+	"mpl/internal/flight"
 	"mpl/internal/graph"
 	"mpl/internal/pipeline"
 )
@@ -15,9 +16,10 @@ import (
 // sharedShapes is the process-wide canonical-shape cache every memoized
 // solve path shares (like sharedScratch): real workloads repeat standard
 // cells across layouts and across requests, so hits compound over the
-// life of the process. Bounded; distinct shapes beyond the bound evict
-// least-recently-used classes.
-var sharedShapes = canon.NewShapeCache(4096)
+// life of the process. Entries are solved colorings, one per labeled
+// encoding, in canonical-label space; bounded, least-recently-used
+// entries evicted beyond the bound.
+var sharedShapes = flight.New[[]int](4096, nil)
 
 // shapeTally accumulates one run's shape-cache counters while division
 // workers hit the cache concurrently; drainInto publishes them to
@@ -77,12 +79,27 @@ func shapeOptionsSig(o Options) string {
 // each piece is encoded and canonicalized, byte-identical repeats of an
 // already-solved piece rehydrate the stored canonical-space colors through
 // the piece's own vertex mapping (tallied as the "memo" engine), and cache
-// misses solve through inner under the class's single flight so a hot
+// misses solve through inner under the encoding's single flight so a hot
 // shape solves once even when every division worker hits it at the same
-// time. Only clean solves are stored: a piece solved after the run went
-// unproven (ILP budget) or under a dying context releases its flight with
-// nil instead, so the cache never replays degraded colors.
-func memoSolver(ctx context.Context, opts Options, inner division.Solver, unproven *atomic.Bool, tally *engineTally, shapes *canon.ShapeCache, st *shapeTally) division.Solver {
+// time. Only clean solves are kept: a piece solved after the run went
+// unproven (ILP budget) or under a dying context is not stored, so the
+// cache never replays degraded colors; a worker whose context dies while
+// waiting on another's flight (Bypass) solves locally.
+//
+// A hit needs a byte-identical labeled encoding, not merely the same
+// canonical class: the engines break ties by vertex index, so they are not
+// equivariant under relabeling, and serving a differently-labeled twin's
+// colors through the vertex mapping could differ from what a memo-off
+// solve of this piece would have produced. Byte-equal encodings, by
+// contrast, drive the deterministic solver identically, so replaying a
+// stored coloring is exact (DESIGN.md §11). The entry key is therefore
+// (options signature, class key, labeled encoding); the class remains the
+// unit of the Distinct counter, and the unit a future cluster-wide store
+// would ship. Colors are stored in canonical-label space (stored[Perm[v]]
+// = colors[v]) and rehydrated through the reader's own Perm; for
+// byte-identical encodings the deterministic canonical search yields the
+// identical Perm, so the round trip is exact.
+func memoSolver(ctx context.Context, opts Options, inner division.Solver, unproven *atomic.Bool, tally *engineTally, shapes *flight.Cache[[]int], st *shapeTally) division.Solver {
 	sig := shapeOptionsSig(opts)
 	return func(g *graph.Graph, sc *pipeline.Scratch) []int {
 		n := g.N()
@@ -91,32 +108,34 @@ func memoSolver(ctx context.Context, opts Options, inner division.Solver, unprov
 		}
 		enc := canon.Encode(g)
 		form := canon.Canonicalize(g)
-		key := sig + "\x00" + string(form.Key(enc))
-		colors, state := shapes.Acquire(ctx, key, enc)
-		switch state {
-		case canon.Hit:
-			st.hit(key)
-			tally.add("memo")
-			out := sc.Ints(n)
+		class := sig + "\x00" + string(form.Key(enc))
+		// Both the class key and enc are self-delimiting (uvarint-counted)
+		// encodings, so the concatenation identifies the pair.
+		var out []int
+		stored, outcome, _ := shapes.Do(ctx, class+string(enc), func() ([]int, bool, error) {
+			out = inner(g, sc)
+			if ctx.Err() != nil || unproven.Load() {
+				return nil, false, nil
+			}
+			stored := make([]int, n)
 			for v := 0; v < n; v++ {
-				out[v] = colors[form.Perm[v]]
+				stored[form.Perm[v]] = out[v]
+			}
+			return stored, true, nil
+		})
+		switch outcome {
+		case flight.Hit:
+			st.hit(class)
+			tally.add("memo")
+			out = sc.Ints(n)
+			for v := 0; v < n; v++ {
+				out[v] = stored[form.Perm[v]]
 			}
 			return out
-		case canon.Owner:
-			out := inner(g, sc)
-			var stored []int
-			if ctx.Err() == nil && !unproven.Load() {
-				stored = make([]int, n)
-				for v := 0; v < n; v++ {
-					stored[form.Perm[v]] = out[v]
-				}
-			}
-			shapes.Finish(key, enc, stored)
-			st.miss(key)
-			return out
-		default: // Bypass: context died waiting on another flight
-			st.miss(key)
-			return inner(g, sc)
+		case flight.Bypass: // context died waiting on another flight
+			out = inner(g, sc)
 		}
+		st.miss(class)
+		return out
 	}
 }

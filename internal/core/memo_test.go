@@ -16,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"mpl/internal/canon"
+	"mpl/internal/flight"
 	"mpl/internal/graph"
 	"mpl/internal/layout"
 	"mpl/internal/pipeline"
@@ -30,7 +30,7 @@ func memoRun(t *testing.T, dg *Graph, opts Options) *Result {
 		t.Fatal(err)
 	}
 	res, err := decomposeGraphShapes(context.Background(), dg, opts.withDefaults(),
-		pipeline.NewRecorder(), sharedScratch, canon.NewShapeCache(4096))
+		pipeline.NewRecorder(), sharedScratch, flight.New[[]int](4096, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,11 @@
 //     "callers must hold s.mu", checked at its call sites' leisure by the
 //     same annotation appearing where they lock.
 //
-// Scope: any package that annotates fields (today internal/service, whose
-// Service caches and stats are all `guarded by mu`).
+// Scope: any package that annotates fields — today internal/flight, whose
+// generic Cache keeps its LRU, in-flight map and eviction count `guarded
+// by mu` (fields of a generic type are matched through its origin
+// declaration, so every instantiation is checked), internal/service, whose
+// Service stats are, and internal/core's run-local tallies.
 package lockdiscipline
 
 import (

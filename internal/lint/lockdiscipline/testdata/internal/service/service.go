@@ -85,3 +85,22 @@ func (c *Counter) Snapshot() int {
 	//lint:ignore lockdiscipline fixture: monotonic gauge read, torn values are acceptable and documented
 	return c.n
 }
+
+// Box is a generic annotated struct: its methods see the instantiated
+// receiver type Box[V], whose fields resolve to the same declaration.
+type Box[V any] struct {
+	mu sync.Mutex
+	v  V // guarded by mu
+}
+
+// Set is the plain shape on a generic receiver.
+func (b *Box[V]) Set(v V) {
+	b.mu.Lock()
+	b.v = v
+	b.mu.Unlock()
+}
+
+// Peek reads the guarded field of a generic struct with no lock.
+func (b *Box[V]) Peek() V {
+	return b.v // want `b\.v is guarded by b\.mu but accessed without holding it`
+}

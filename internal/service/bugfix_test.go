@@ -1,8 +1,8 @@
 package service
 
 // Regression tests for the service-layer bugfix sweep: the bounded
-// fallback-lane wait and the hit/miss re-tally rules of the two
-// single-flight loops and the graph cache.
+// fallback-lane wait and the hit/miss tally rules of the result cache (on
+// both the full and the incremental path) and the graph cache.
 
 import (
 	"context"
@@ -11,7 +11,34 @@ import (
 	"time"
 
 	"mpl/internal/core"
+	"mpl/internal/flight"
 )
+
+// plantOwner stands in for a slow owner: it starts a fill of key on c that
+// blocks until release is called with the fill's results, and returns once
+// the flight is registered. The test must call release before it ends.
+func plantOwner[V any](c *flight.Cache[V], key string) (release func(v V, keep bool, err error)) {
+	started, done := make(chan struct{}), make(chan struct{})
+	type fillResult struct {
+		v    V
+		keep bool
+		err  error
+	}
+	results := make(chan fillResult)
+	go func() {
+		defer close(done)
+		c.Do(context.Background(), key, func() (V, bool, error) {
+			close(started)
+			r := <-results
+			return r.v, r.keep, r.err
+		})
+	}()
+	<-started
+	return func(v V, keep bool, err error) {
+		results <- fillResult{v, keep, err}
+		<-done
+	}
+}
 
 // TestFallbackLaneSaturationBounded: with both the full-quality semaphore
 // and the fallback lane full and the context already dead, the request must
@@ -54,11 +81,9 @@ func TestWaiterDegradedRetalliedAsMiss(t *testing.T) {
 	s := New(Config{})
 	l := denseRow("skew", 5)
 	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
-	// A never-completing in-flight entry stands in for a slow owner.
-	e := &entry{ready: make(chan struct{})}
-	s.mu.Lock()
-	s.results.put(resultKey(LayoutHash(l), opts), e, nil)
-	s.mu.Unlock()
+	// An in-flight fill that outlives the request stands in for a slow owner.
+	release := plantOwner(s.results, resultKey(LayoutHash(l), opts))
+	defer release(nil, false, nil)
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -71,8 +96,8 @@ func TestWaiterDegradedRetalliedAsMiss(t *testing.T) {
 	}
 }
 
-// TestIncrementalWaiterDegradedRetalliedAsMiss: the twin loop in
-// DecomposeIncremental follows the same re-tally rule.
+// TestIncrementalWaiterDegradedRetalliedAsMiss: DecomposeIncremental
+// follows the same tally rule.
 func TestIncrementalWaiterDegradedRetalliedAsMiss(t *testing.T) {
 	s := New(Config{})
 	ctx := context.Background()
@@ -86,10 +111,8 @@ func TestIncrementalWaiterDegradedRetalliedAsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &entry{ready: make(chan struct{})}
-	s.mu.Lock()
-	s.results.put(resultKey(LayoutHash(newL), opts), e, nil)
-	s.mu.Unlock()
+	release := plantOwner(s.results, resultKey(LayoutHash(newL), opts))
+	defer release(nil, false, nil)
 	before := s.StatsSnapshot()
 
 	dead, cancel := context.WithCancel(ctx)
@@ -104,41 +127,29 @@ func TestIncrementalWaiterDegradedRetalliedAsMiss(t *testing.T) {
 }
 
 // TestGraphHitRetalliedOnFailedBuild: a caller that waits on an in-flight
-// graph build which then fails ends up building the graph itself — the
-// optimistic GraphHits tally must be taken back.
+// graph build which then fails ends up building the graph itself — which
+// must not count as a graph hit.
 func TestGraphHitRetalliedOnFailedBuild(t *testing.T) {
 	s := New(Config{})
 	l := denseRow("gskew", 5)
 	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
-	ge := &graphEntry{ready: make(chan struct{})}
 	gk := graphKey(LayoutHash(l), opts.Normalize().Build)
-	s.mu.Lock()
-	s.graphs.put(gk, ge, nil)
-	s.mu.Unlock()
+	release := plantOwner(s.graphs, gk)
 
 	done := make(chan error, 1)
 	go func() {
 		_, _, err := s.Decompose(context.Background(), l, opts)
 		done <- err
 	}()
-	// Wait until the caller is parked on the seeded entry (it tallied its
-	// optimistic graph hit), then fail the build the way the owner path
-	// does: remove the entry, set the error, release the waiters.
+	// Wait until the caller is parked on the planted build, then fail it.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if s.StatsSnapshot().GraphHits == 1 {
-			break
-		}
+	for s.graphs.Waiters(gk) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("caller never reached the graph wait")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s.mu.Lock()
-	s.graphs.removeIf(gk, ge)
-	s.mu.Unlock()
-	ge.err = errors.New("synthetic build failure")
-	close(ge.ready)
+	release(nil, false, errors.New("synthetic build failure"))
 
 	if err := <-done; err != nil {
 		t.Fatalf("retry after failed in-flight build: %v", err)

@@ -6,7 +6,7 @@ package service
 //   - persistEdits: a successful DecomposeIncremental logs its edit batch
 //     (rooting the chain with a base snapshot if the log has never seen
 //     the base) before the successor session is registered in memory;
-//   - spillEvicted: a session the LRU pushes out is snapshotted to disk
+//   - spill: a session the LRU pushes out is snapshotted to disk
 //     instead of dropped, unless the log can already replay it;
 //   - rehydrate / fullFromStore: a miss in the in-memory stores loads the
 //     nearest snapshot and replays the log tail through core.ApplyEdits —
@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"mpl/internal/core"
+	"mpl/internal/flight"
 	"mpl/internal/store"
 )
 
@@ -79,32 +80,23 @@ func (s *Service) persistEdits(base, succ *session, edits []core.Edit) {
 	}
 }
 
-// spillEvicted persists sessions the LRU pushed out, so eviction demotes a
-// session from memory to disk instead of destroying it. Sessions the log
-// already replays (rooted by persistEdits, or spilled before and
-// rehydrated since) are skipped. Called without s.mu — spilling writes to
-// disk.
-func (s *Service) spillEvicted(evicted []lruItem) {
-	st := s.cfg.Store
-	if st == nil || len(evicted) == 0 {
+// spill is the session store's eviction hook: it persists a session the
+// LRU pushed out, so eviction demotes a session from memory to disk
+// instead of destroying it. Sessions the log already replays (rooted by
+// persistEdits, or spilled before and rehydrated since) are skipped.
+// Called without any lock held — spilling writes to disk.
+func (s *Service) spill(e flight.Entry[*session]) {
+	st, sess := s.cfg.Store, e.Value
+	if st == nil || st.Has(sess.sig, sess.hash) {
 		return
 	}
-	for _, it := range evicted {
-		sess, ok := it.val.(*session)
-		if !ok {
-			continue
-		}
-		if st.Has(sess.sig, sess.hash) {
-			continue
-		}
-		if err := st.AppendSnapshot(sess.sig, sess.hash, snapOf(sess)); err != nil {
-			s.storeError()
-			continue
-		}
-		s.mu.Lock()
-		s.stats.Spills++
-		s.mu.Unlock()
+	if err := st.AppendSnapshot(sess.sig, sess.hash, snapOf(sess)); err != nil {
+		s.storeError()
+		return
 	}
+	s.mu.Lock()
+	s.stats.Spills++
+	s.mu.Unlock()
 }
 
 // sessionFromSnapshot reconstructs a servable session from a persisted
@@ -112,9 +104,9 @@ func (s *Service) spillEvicted(evicted []lruItem) {
 // the graph cache, so repeated rehydrations under one process build once)
 // and the persisted coloring is verified against it — the objective values
 // must reproduce exactly, or the snapshot is rejected as corrupt.
-func (s *Service) sessionFromSnapshot(snap *store.Snapshot, sig string, opts core.Options) (*session, error) {
+func (s *Service) sessionFromSnapshot(ctx context.Context, snap *store.Snapshot, sig string, opts core.Options) (*session, error) {
 	lh := LayoutHash(snap.Layout)
-	dg, err := s.graphFor(lh, snap.Layout, opts)
+	dg, err := s.graphFor(ctx, lh, snap.Layout, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -156,11 +148,7 @@ func (s *Service) sessionFromSnapshot(snap *store.Snapshot, sig string, opts cor
 // verification — and an error only when the caller's context died
 // mid-replay (a degraded replay must never be registered as a session).
 func (s *Service) rehydrate(ctx context.Context, hash, sig string, opts core.Options) (*session, error) {
-	st := s.cfg.Store
-	if st == nil {
-		return nil, nil
-	}
-	chain, err := st.Lookup(sig, hash)
+	chain, err := s.cfg.Store.Lookup(sig, hash)
 	if err != nil {
 		s.storeError()
 		return nil, nil
@@ -168,7 +156,7 @@ func (s *Service) rehydrate(ctx context.Context, hash, sig string, opts core.Opt
 	if chain == nil {
 		return nil, nil
 	}
-	sess, err := s.sessionFromSnapshot(chain.Snap, sig, opts)
+	sess, err := s.sessionFromSnapshot(ctx, chain.Snap, sig, opts)
 	if err != nil {
 		s.storeError()
 		return nil, nil
@@ -203,13 +191,9 @@ func (s *Service) rehydrate(ctx context.Context, hash, sig string, opts core.Opt
 		}
 		sess = &session{hash: h, sig: sig, layout: resL, res: res}
 	}
-	var evicted []lruItem
 	s.mu.Lock()
-	evicted = s.sessions.put(hash+sig, sess, nil)
-	s.stats.Sessions = s.sessions.len()
 	s.stats.Rehydrations++
 	s.mu.Unlock()
-	s.spillEvicted(evicted)
 	return sess, nil
 }
 
@@ -219,7 +203,7 @@ func (s *Service) rehydrate(ctx context.Context, hash, sig string, opts core.Opt
 // itself. Deeper chains are left to rehydrate — replaying edit batches to
 // answer a request that already carries the full layout can cost more than
 // the solve it saves.
-func (s *Service) fullFromStore(lh, sig string, opts core.Options) *core.Result {
+func (s *Service) fullFromStore(ctx context.Context, lh, sig string, opts core.Options) *core.Result {
 	st := s.cfg.Store
 	if st == nil {
 		return nil
@@ -232,7 +216,7 @@ func (s *Service) fullFromStore(lh, sig string, opts core.Options) *core.Result 
 	if chain == nil || len(chain.Batches) != 0 {
 		return nil
 	}
-	sess, err := s.sessionFromSnapshot(chain.Snap, sig, opts)
+	sess, err := s.sessionFromSnapshot(ctx, chain.Snap, sig, opts)
 	if err != nil || sess.hash != lh {
 		s.storeError()
 		return nil

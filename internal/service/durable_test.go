@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 
 	"mpl/internal/core"
@@ -271,5 +272,64 @@ func TestDurableDisabledIsVolatile(t *testing.T) {
 	stats := svc.StatsSnapshot()
 	if stats.Store != nil || stats.Rehydrations != 0 || stats.Spills != 0 || stats.StoreErrors != 0 {
 		t.Fatalf("volatile service reports durable activity: %+v", stats)
+	}
+}
+
+// TestConcurrentRehydrateReplaysOnce: concurrent batches against a base
+// that exists only on disk share one rehydration through the session
+// store's flight — one log-tail replay, one Rehydrations tally — and every
+// batch answers identically.
+func TestConcurrentRehydrateReplaysOnce(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	l := denseRow("rehy", 8)
+	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
+	st := openTestStore(t, dir, store.Options{})
+	svcA := New(Config{Store: st})
+	if _, _, err := svcA.Decompose(ctx, l, opts); err != nil {
+		t.Fatal(err)
+	}
+	hash := LayoutHash(l)
+	for _, b := range [][]core.Edit{
+		{{Op: core.EditMove, Feature: 1, DX: 20, DY: 0}},
+		{{Op: core.EditRemove, Feature: 0}},
+	} {
+		_, nh, _, _, err := svcA.DecomposeIncremental(ctx, hash, b, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash = nh
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A restarted service: the base lives only in the log (snapshot plus a
+	// replay tail).
+	svc := New(Config{Store: openTestStore(t, dir, store.Options{})})
+	const n = 8
+	batch := []core.Edit{{Op: core.EditMove, Feature: 3, DX: 0, DY: 40}}
+	results := make([]*core.Result, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			results[i], _, _, _, errs[i] = svc.DecomposeIncremental(ctx, hash, batch, opts)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("batch %d: %v", i, errs[i])
+		}
+		sameSolution(t, "concurrent rehydrated batch", results[i], results[0])
+	}
+	if got := svc.StatsSnapshot().Rehydrations; got != 1 {
+		t.Fatalf("Rehydrations = %d for %d concurrent batches on one base, want 1", got, n)
 	}
 }

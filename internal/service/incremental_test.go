@@ -8,11 +8,13 @@ package service
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
 	"mpl/internal/coloring"
 	"mpl/internal/core"
+	"mpl/internal/flight"
 	"mpl/internal/geom"
 	"mpl/internal/synth"
 )
@@ -259,9 +261,7 @@ func TestSessionRecoveryAfterEviction(t *testing.T) {
 	}
 	// Simulate the session store evicting this entry while the result
 	// cache kept it (the two LRUs age independently).
-	s.mu.Lock()
-	s.sessions = newLRU(s.cfg.CacheSize)
-	s.mu.Unlock()
+	s.sessions = flight.New(s.cfg.CacheSize, s.spill)
 	edits := []core.Edit{{Op: core.EditRemove, Feature: 0}}
 	if _, _, _, _, err := s.DecomposeIncremental(ctx, LayoutHash(l), edits, opts); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("evicted session: err = %v, want ErrNoSession", err)
@@ -312,5 +312,62 @@ func TestIncrementalDegradedNotCachedNotSessioned(t *testing.T) {
 	}
 	if LayoutHash(l) == nh {
 		t.Fatal("sanity: edit did not change the layout hash")
+	}
+}
+
+// TestFullAndIncrementalShareOneFlight: a full Decompose of geometry L′
+// and an incremental batch reaching L′ from a live base key the same
+// result-cache entry, so together they cost exactly one solve — whichever
+// arrives first owns it and the other hits — return identical colors, and
+// register one session.
+func TestFullAndIncrementalShareOneFlight(t *testing.T) {
+	s := New(Config{})
+	ctx := context.Background()
+	l := denseRow("share", 12)
+	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
+	if _, _, err := s.Decompose(ctx, l, opts); err != nil {
+		t.Fatal(err)
+	}
+	edits := []core.Edit{{Op: core.EditMove, Feature: 5, DX: 10, DY: 0}}
+	lp, err := core.EditLayout(l, edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.StatsSnapshot()
+
+	var full, inc *core.Result
+	var fullErr, incErr error
+	var newHash string
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		<-start
+		full, _, fullErr = s.Decompose(ctx, lp, opts)
+	}()
+	go func() {
+		defer wg.Done()
+		<-start
+		inc, newHash, _, _, incErr = s.DecomposeIncremental(ctx, LayoutHash(l), edits, opts)
+	}()
+	close(start)
+	wg.Wait()
+	if fullErr != nil || incErr != nil {
+		t.Fatalf("full: %v, incremental: %v", fullErr, incErr)
+	}
+	if newHash != LayoutHash(lp) {
+		t.Fatal("sanity: the batch did not reach L′")
+	}
+	if !slices.Equal(full.Colors, inc.Colors) {
+		t.Fatal("full and incremental answers for one geometry differ")
+	}
+	st := s.StatsSnapshot()
+	if st.Misses != before.Misses+1 || st.Hits != before.Hits+1 {
+		t.Fatalf("misses %d->%d hits %d->%d, want one solve and one hit",
+			before.Misses, st.Misses, before.Hits, st.Hits)
+	}
+	if st.Sessions != before.Sessions+1 {
+		t.Fatalf("sessions %d->%d, want exactly one new session", before.Sessions, st.Sessions)
 	}
 }

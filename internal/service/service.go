@@ -18,7 +18,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -29,6 +28,7 @@ import (
 
 	"mpl/internal/core"
 	"mpl/internal/division"
+	"mpl/internal/flight"
 	"mpl/internal/geom"
 	"mpl/internal/layout"
 	"mpl/internal/pipeline"
@@ -78,7 +78,7 @@ type Stats struct {
 	Evictions   uint64 // cache entries dropped by the LRU policy
 	GraphHits   uint64 // graph builds avoided by the graph cache
 	Incremental uint64 // incremental (ApplyEdits) solves actually executed
-	Size        int    // current result-cache entry count
+	Size        int    // current result-cache entry count (stored results; in-flight solves excluded)
 	Sessions    int    // current session-store entry count
 	// Rehydrations counts sessions reconstructed from the durable store
 	// (nearest snapshot plus log-tail replay); Spills counts sessions
@@ -119,16 +119,22 @@ type Stats struct {
 
 // Service runs decompositions with caching and bounded concurrency. Safe
 // for concurrent use.
+//
+// All three caches share one entry lifecycle, internal/flight: one caller
+// owns a key's fill, the rest wait for it, and only full-quality results,
+// successful builds and replayable sessions are kept. Each call tallies
+// its outcome exactly once (Hit → Hits, Miss or Bypass → Misses; a graph
+// Hit → GraphHits).
 type Service struct {
-	cfg   Config
-	sem   chan struct{} // full-quality solves
-	fbSem chan struct{} // fallback solves for requests whose deadline expired while queued
+	cfg      Config
+	sem      chan struct{}               // full-quality solves
+	fbSem    chan struct{}               // fallback solves for requests whose deadline expired while queued
+	results  *flight.Cache[*core.Result] // layout hash + options sig -> full-quality result
+	graphs   *flight.Cache[*core.Graph]  // graphKey -> decomposition graph
+	sessions *flight.Cache[*session]     // layout hash + options sig -> session (immutable once stored)
 
-	mu       sync.Mutex
-	results  *lru  // guarded by mu; key -> *entry (may be in-flight)
-	graphs   *lru  // guarded by mu; key -> *graphEntry (may be in-flight)
-	sessions *lru  // guarded by mu; key -> *session (always complete; immutable once stored)
-	stats    Stats // guarded by mu
+	mu    sync.Mutex
+	stats Stats // guarded by mu
 }
 
 // session is one servable decomposition state: the layout geometry and the
@@ -157,25 +163,29 @@ func snapshotLayout(l *layout.Layout) *layout.Layout {
 	}
 }
 
-// entry is one result-cache slot. ready is closed once res/err are set;
-// until then other callers with the same key wait on it (single-flight).
-type entry struct {
-	ready chan struct{}
-	res   *core.Result
-	err   error
-}
-
 // New returns a Service with the given configuration.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	return &Service{
-		cfg:      cfg,
-		sem:      make(chan struct{}, cfg.Workers),
-		fbSem:    make(chan struct{}, cfg.Workers),
-		results:  newLRU(cfg.CacheSize),
-		graphs:   newLRU(cfg.CacheSize),
-		sessions: newLRU(cfg.CacheSize),
+	s := &Service{
+		cfg:     cfg,
+		sem:     make(chan struct{}, cfg.Workers),
+		fbSem:   make(chan struct{}, cfg.Workers),
+		results: flight.New[*core.Result](cfg.CacheSize, nil),
+		graphs:  flight.New[*core.Graph](cfg.CacheSize, nil),
 	}
+	s.sessions = flight.New(cfg.CacheSize, s.spill)
+	return s
+}
+
+// withDefaultTimeout bounds ctx by Config.DefaultTimeout when it carries
+// no deadline of its own.
+func (s *Service) withDefaultTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.cfg.DefaultTimeout > 0 {
+		if _, has := ctx.Deadline(); !has {
+			return context.WithTimeout(ctx, s.cfg.DefaultTimeout)
+		}
+	}
+	return ctx, func() {}
 }
 
 // checkOptions rejects options no engine can honor: K below 2, and a
@@ -208,118 +218,80 @@ func (s *Service) DecomposeHashed(ctx context.Context, l *layout.Layout, opts co
 	if err := checkOptions(opts); err != nil {
 		return nil, "", false, err
 	}
-	if s.cfg.DefaultTimeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)
-			defer cancel()
-		}
-	}
+	ctx, cancel := s.withDefaultTimeout(ctx)
+	defer cancel()
 	lh := LayoutHash(l)
 	sig := optionsSig(opts)
-	key := lh + sig
-
-	var e *entry
-	for e == nil {
-		s.mu.Lock()
-		if v, ok := s.results.get(key); ok {
-			shared := v.(*entry)
-			s.stats.Hits++
-			// Probe the session store while the lock is already held: on
-			// the steady-state hit path (live session) this costs one map
-			// lookup, not an extra lock acquisition.
-			_, sessOK := s.sessions.get(key)
-			s.mu.Unlock()
-			select {
-			case <-shared.ready:
-			case <-ctx.Done():
-				// Our deadline expired while waiting on someone else's
-				// solve. Answer degraded ourselves — the same contract the
-				// owner path honors — instead of turning a cache-key
-				// collision into an error. The result is uncacheable by
-				// construction, so it bypasses the entry bookkeeping, and
-				// the optimistic Hits tally above is re-tallied as the
-				// miss this turned out to be.
-				res, err := s.solve(ctx, lh, l, opts)
-				s.mu.Lock()
-				s.stats.Hits--
-				s.stats.Misses++
-				s.recordEngines(res)
-				s.mu.Unlock()
-				if err != nil {
-					return nil, "", false, err
-				}
-				return res, lh, false, nil
-			}
-			// A healthy completed solve is shareable. A degraded or failed
-			// one reflects the owning caller's context, not this one's, so
-			// retry under our own: the owner has already removed the entry,
-			// making the next loop iteration a fresh miss (or a wait on a
-			// newer in-flight solve).
-			if shared.err == nil && shared.res.Degraded == 0 {
-				// Re-register the session if it was LRU-evicted while the
-				// result stayed hot: the documented recovery for a lost
-				// session is "re-send the full layout", and that recovery
-				// must work even when it lands here instead of on a solve.
-				if !sessOK {
-					s.ensureSession(lh, sig, l, shared.res)
-				}
-				return copyResult(shared.res), lh, true, nil
-			}
-			// The wait produced nothing servable: take back the optimistic
-			// Hits tally. The retry iteration re-counts whatever actually
-			// happens (a hit on a newer entry, or an owned miss).
-			s.mu.Lock()
-			s.stats.Hits--
-			s.mu.Unlock()
-			continue
-		}
-		e = &entry{ready: make(chan struct{})}
-		s.stats.Misses++
-		s.results.put(key, e, &s.stats.Evictions)
-		s.stats.Size = s.results.len()
-		s.mu.Unlock()
-	}
-
+	solve := func() (*core.Result, error) { return s.solve(ctx, lh, l, opts) }
 	// A restart may have left this very solve on disk: a durable snapshot
 	// of the requested hash with no replay tail reconstructs the result
 	// (graph build + verification) without re-running the solve.
-	if res := s.fullFromStore(lh, sig, opts); res != nil {
-		e.res = res
-	} else {
-		e.res, e.err = s.solve(ctx, lh, l, opts)
+	fromStoreOrSolve := func() (*core.Result, error) {
+		if r := s.fullFromStore(ctx, lh, sig, opts); r != nil {
+			return r, nil
+		}
+		return solve()
 	}
-	// Degraded or failed solves are not worth caching: a later caller with
-	// a healthy deadline deserves a full-quality run. removeIf guards
-	// against deleting a newer entry that replaced ours after an eviction.
-	// A healthy solve additionally registers a session so the caller can
-	// follow up with DecomposeIncremental edit batches. The layout snapshot
-	// is O(features) pure work, so it happens before taking the lock.
-	// (DecomposeIncremental's post-solve bookkeeping mirrors this — keep
-	// the two in sync.)
-	var sess *session
-	if e.err == nil && e.res.Degraded == 0 {
-		sess = &session{hash: lh, sig: sig, layout: snapshotLayout(l), res: e.res}
+	res, cached, err = s.resolve(ctx, lh, sig, l, fromStoreOrSolve, solve, nil)
+	if err != nil {
+		return nil, "", false, err
 	}
-	var evicted []lruItem
-	s.mu.Lock()
-	if e.err == nil {
-		s.recordEngines(e.res)
+	return res, lh, cached, nil
+}
+
+// resolve is the result-cache path both public methods share: it serves
+// key lh+sig through the results flight, running fill on a miss. A
+// healthy fill registers its session for l — after persist, the
+// incremental path's write-ahead log hook, and before any waiter wakes —
+// and is kept; a degraded or failed one is not, so a later caller with a
+// healthy deadline gets a full-quality run. A waiter whose deadline
+// expires answers by itself through bypass, uncached, instead of turning a
+// cache-key collision into an error. A hit re-registers the session if it
+// was LRU-evicted while the result stayed hot: the documented recovery for
+// a lost session is "re-send the full layout", and it must work when it
+// lands on a hit. The returned Result has its own Colors slice.
+func (s *Service) resolve(ctx context.Context, lh, sig string, l *layout.Layout, fill, bypass func() (*core.Result, error), persist func(*session)) (*core.Result, bool, error) {
+	key := lh + sig
+	res, out, err := s.results.Do(ctx, key, func() (*core.Result, bool, error) {
+		// An owner knows its outcome before it solves: a Miss.
+		s.mu.Lock()
+		s.stats.Misses++
+		s.mu.Unlock()
+		res, err := fill()
+		s.mu.Lock()
+		s.recordEngines(res)
+		s.mu.Unlock()
+		if err != nil || res.Degraded > 0 {
+			return res, false, err
+		}
+		// The layout snapshot is O(features) pure work, taken outside any
+		// lock.
+		sess := &session{hash: lh, sig: sig, layout: snapshotLayout(l), res: res}
+		if persist != nil {
+			persist(sess)
+		}
+		s.sessions.Put(key, sess)
+		return res, true, nil
+	})
+	switch out {
+	case flight.Hit:
+		s.mu.Lock()
+		s.stats.Hits++
+		s.mu.Unlock()
+	case flight.Bypass:
+		res, err = bypass()
+		s.mu.Lock()
+		s.stats.Misses++
+		s.recordEngines(res)
+		s.mu.Unlock()
 	}
-	if sess == nil {
-		s.results.removeIf(key, e)
-	} else {
-		evicted = s.sessions.put(key, sess, nil)
-		s.stats.Sessions = s.sessions.len()
+	if err != nil {
+		return nil, false, err
 	}
-	s.stats.Size = s.results.len()
-	s.mu.Unlock()
-	close(e.ready)
-	s.spillEvicted(evicted)
-	if e.err != nil {
-		return nil, "", false, e.err
+	if out == flight.Hit {
+		s.ensureSession(lh, sig, l, res)
 	}
-	return copyResult(e.res), lh, false, nil
+	return copyResult(res), out == flight.Hit, nil
 }
 
 // recordEngines folds one executed solve's per-engine dispatch histogram
@@ -358,25 +330,13 @@ func (s *Service) recordBuild(st core.BuildStats) {
 
 // ensureSession re-registers a session for a healthy cached result whose
 // session entry may have been LRU-evicted independently. The (pure,
-// O(features)) snapshot is taken outside the lock and only when actually
-// needed.
+// O(features)) snapshot is taken only when actually needed.
 func (s *Service) ensureSession(lh, sig string, l *layout.Layout, res *core.Result) {
 	key := lh + sig
-	s.mu.Lock()
-	_, ok := s.sessions.get(key) // present: just bumped its recency
-	s.mu.Unlock()
-	if ok {
+	if _, ok := s.sessions.Get(key); ok { // present: just bumped its recency
 		return
 	}
-	sess := &session{hash: lh, sig: sig, layout: snapshotLayout(l), res: res}
-	var evicted []lruItem
-	s.mu.Lock()
-	if _, ok := s.sessions.get(key); !ok {
-		evicted = s.sessions.put(key, sess, nil)
-		s.stats.Sessions = s.sessions.len()
-	}
-	s.mu.Unlock()
-	s.spillEvicted(evicted)
+	s.sessions.Put(key, &session{hash: lh, sig: sig, layout: snapshotLayout(l), res: res})
 }
 
 // fallbackLaneWait bounds how long an expired request may queue for the
@@ -419,62 +379,37 @@ func (s *Service) solve(ctx context.Context, lh string, l *layout.Layout, opts c
 	}
 	defer release()
 
-	dg, err := s.graphFor(lh, l, opts)
+	dg, err := s.graphFor(ctx, lh, l, opts)
 	if err != nil {
 		return nil, err
 	}
 	return core.DecomposeGraphContext(ctx, dg, opts)
 }
 
-// graphEntry is one graph-cache slot; ready is closed once g/err are set,
-// so concurrent requests for one layout build its graph exactly once.
-type graphEntry struct {
-	ready chan struct{}
-	g     *core.Graph
-	err   error
-}
-
 // graphFor returns the decomposition graph for the layout, building it at
 // most once per (layout, build options) across concurrent callers. Waiting
 // on another caller's in-flight build is not interruptible: the build is
 // already running, always terminates, and finishing the wait is the fastest
-// route to any answer — including a degraded one.
-func (s *Service) graphFor(lh string, l *layout.Layout, opts core.Options) (*core.Graph, error) {
+// route to any answer — including a degraded one. For the same reason the
+// build itself runs uncancelled. A failed build is not kept, so its
+// waiters retry and one of them builds afresh.
+func (s *Service) graphFor(ctx context.Context, lh string, l *layout.Layout, opts core.Options) (*core.Graph, error) {
 	build := opts.Normalize().Build
-	gk := graphKey(lh, build)
-	for {
+	ctx = context.WithoutCancel(ctx)
+	g, out, err := s.graphs.Do(ctx, graphKey(lh, build), func() (*core.Graph, bool, error) {
+		g, err := core.BuildGraphContext(ctx, l, build)
+		if err != nil {
+			return nil, false, err
+		}
+		s.recordBuild(g.Stats)
+		return g, true, nil
+	})
+	if out == flight.Hit {
 		s.mu.Lock()
-		if v, ok := s.graphs.get(gk); ok {
-			ge := v.(*graphEntry)
-			s.stats.GraphHits++
-			s.mu.Unlock()
-			<-ge.ready
-			if ge.err == nil {
-				return ge.g, nil
-			}
-			// The in-flight build failed: no build was avoided after all,
-			// so take back the optimistic GraphHits tally before retrying
-			// (the retry either hits a real entry or builds — and counts —
-			// fresh).
-			s.mu.Lock()
-			s.stats.GraphHits--
-			s.mu.Unlock()
-			continue // owner removed the failed entry; retry (or own) fresh
-		}
-		ge := &graphEntry{ready: make(chan struct{})}
-		s.graphs.put(gk, ge, nil)
+		s.stats.GraphHits++
 		s.mu.Unlock()
-		ge.g, ge.err = core.BuildGraph(l, build)
-		if ge.err != nil {
-			s.mu.Lock()
-			s.graphs.removeIf(gk, ge)
-			s.mu.Unlock()
-		} else {
-			s.recordBuild(ge.g.Stats)
-		}
-		close(ge.ready)
-		return ge.g, ge.err
 	}
+	return g, err
 }
 
 // DecomposeIncremental advances the session identified by baseHash (a
@@ -496,126 +431,64 @@ func (s *Service) DecomposeIncremental(ctx context.Context, baseHash string, edi
 	if err := checkOptions(opts); err != nil {
 		return nil, "", nil, false, err
 	}
-	if s.cfg.DefaultTimeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)
-			defer cancel()
-		}
-	}
+	ctx, cancel := s.withDefaultTimeout(ctx)
+	defer cancel()
 	sig := optionsSig(opts)
-	s.mu.Lock()
-	v, ok := s.sessions.get(baseHash + sig)
-	s.mu.Unlock()
-	var sess *session
-	if ok {
-		sess = v.(*session)
-	} else {
-		// The in-memory store lost the session (evicted, or a restart) —
-		// rehydrate it from the durable log before giving up. Only when
-		// the disk has nothing either is it truly no session.
-		var err error
-		if sess, err = s.rehydrate(ctx, baseHash, sig, opts); err != nil {
-			return nil, "", nil, false, err
-		}
-		if sess == nil {
-			return nil, "", nil, false, fmt.Errorf("%w: %.16s…", ErrNoSession, baseHash)
-		}
+	base, err := s.session(ctx, baseHash, sig, opts)
+	if err != nil {
+		return nil, "", nil, false, err
 	}
 
 	// Hash the post-edit geometry up front: the result cache and
 	// single-flight machinery then work exactly as for full solves.
-	newL, err := core.EditLayout(sess.layout, edits)
+	newL, err := core.EditLayout(base.layout, edits)
 	if err != nil {
 		return nil, "", nil, false, err
 	}
 	newHash = LayoutHash(newL)
-	key := newHash + sig
-
-	// NOTE: this single-flight loop is the deliberate twin of the one in
-	// DecomposeHashed — entry lifecycle, degraded-entry retry, session
-	// registration, close(ready) ordering. A semantic change to either
-	// loop must be mirrored in the other.
-	var e *entry
-	for e == nil {
-		s.mu.Lock()
-		if v, ok := s.results.get(key); ok {
-			shared := v.(*entry)
-			s.stats.Hits++
-			_, sessOK := s.sessions.get(key)
-			s.mu.Unlock()
-			select {
-			case <-shared.ready:
-			case <-ctx.Done():
-				// Deadline expired while waiting on someone else's solve:
-				// answer degraded under our own context, uncached, like
-				// Decompose does — and re-tally the optimistic Hits count
-				// as the miss this turned out to be.
-				_, res, estats, err := s.applyEdits(ctx, sess, edits, opts)
-				s.mu.Lock()
-				s.stats.Hits--
-				s.stats.Misses++
-				s.recordEngines(res)
-				s.mu.Unlock()
-				if err != nil {
-					return nil, "", nil, false, err
-				}
-				return res, newHash, estats, false, nil
-			}
-			if shared.err == nil && shared.res.Degraded == 0 {
-				// The successor session may have been evicted while its
-				// result stayed cached; chaining from newHash must work.
-				if !sessOK {
-					s.ensureSession(newHash, sig, newL, shared.res)
-				}
-				return copyResult(shared.res), newHash, nil, true, nil
-			}
-			// Nothing servable came of the wait: take back the optimistic
-			// Hits tally before retrying (the twin loop in DecomposeHashed
-			// does the same).
-			s.mu.Lock()
-			s.stats.Hits--
-			s.mu.Unlock()
-			continue
-		}
-		e = &entry{ready: make(chan struct{})}
-		s.stats.Misses++
-		s.results.put(key, e, &s.stats.Evictions)
-		s.stats.Size = s.results.len()
-		s.mu.Unlock()
+	apply := func() (r *core.Result, applyErr error) {
+		_, r, estats, applyErr = s.applyEdits(ctx, base, edits, opts)
+		return r, applyErr
 	}
-
-	var resL *layout.Layout
-	resL, e.res, estats, e.err = s.applyEdits(ctx, sess, edits, opts)
 	// A healthy successor is persisted to the durable log BEFORE it is
 	// registered in memory (write-ahead discipline: once a client can chain
-	// from newHash, a crash must not lose the state it chains from). The
-	// layout snapshot mirrors the Decompose path — sessions are immutable
-	// once stored, whichever loop stored them.
-	var succ *session
-	if e.err == nil && e.res.Degraded == 0 {
-		succ = &session{hash: newHash, sig: sig, layout: snapshotLayout(resL), res: e.res}
-		s.persistEdits(sess, succ, edits)
+	// from newHash, a crash must not lose the state it chains from).
+	persist := func(succ *session) { s.persistEdits(base, succ, edits) }
+	res, cached, err = s.resolve(ctx, newHash, sig, newL, apply, apply, persist)
+	if err != nil {
+		return nil, "", nil, false, err
 	}
-	var evicted []lruItem
-	s.mu.Lock()
-	if e.err == nil {
-		s.recordEngines(e.res)
+	return res, newHash, estats, cached, nil
+}
+
+// session returns the live session for hash under sig. With a durable
+// store, a session the in-memory store lost (evicted, or a restart) is
+// rehydrated from the log as a fill of the session cache, so concurrent
+// batches on one lost base share one replay; an unreplayable base is not
+// kept, and a waiter whose context ends first gets its context error, as
+// a dead-context replay does. Only when the disk has nothing either is it
+// truly no session.
+func (s *Service) session(ctx context.Context, hash, sig string, opts core.Options) (*session, error) {
+	key := hash + sig
+	sess, _ := s.sessions.Get(key)
+	if sess == nil && s.cfg.Store != nil {
+		var out flight.Outcome
+		var err error
+		sess, out, err = s.sessions.Do(ctx, key, func() (*session, bool, error) {
+			sess, err := s.rehydrate(ctx, hash, sig, opts)
+			return sess, sess != nil, err
+		})
+		if out == flight.Bypass {
+			return nil, ctx.Err()
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	if succ == nil {
-		s.results.removeIf(key, e)
-	} else {
-		evicted = s.sessions.put(key, succ, nil)
-		s.stats.Sessions = s.sessions.len()
+	if sess == nil {
+		return nil, fmt.Errorf("%w: %.16s…", ErrNoSession, hash)
 	}
-	s.stats.Size = s.results.len()
-	s.mu.Unlock()
-	close(e.ready)
-	s.spillEvicted(evicted)
-	if e.err != nil {
-		return nil, "", nil, false, e.err
-	}
-	return copyResult(e.res), newHash, estats, false, nil
+	return sess, nil
 }
 
 // applyEdits runs core.ApplyEdits under the same concurrency discipline as
@@ -635,11 +508,11 @@ func (s *Service) applyEdits(ctx context.Context, sess *session, edits []core.Ed
 
 // StatsSnapshot returns current cache statistics.
 func (s *Service) StatsSnapshot() Stats {
+	evictions, size, sessions := s.results.Evictions(), s.results.Len(), s.sessions.Len()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Size = s.results.len()
-	st.Sessions = s.sessions.len()
+	st.Evictions, st.Size, st.Sessions = evictions, size, sessions
 	if s.stats.Engines != nil {
 		st.Engines = make(map[string]uint64, len(s.stats.Engines))
 		for name, n := range s.stats.Engines {
@@ -727,67 +600,4 @@ func (s *Service) DecomposeAll(ctx context.Context, reqs []Request) []Response {
 	close(idx)
 	wg.Wait()
 	return out
-}
-
-// lru is a tiny mutex-free (caller-locked) LRU map over container/list.
-type lru struct {
-	cap   int
-	ll    *list.List // front = most recent; Value = *lruItem
-	items map[string]*list.Element
-}
-
-type lruItem struct {
-	key string
-	val any
-}
-
-func newLRU(capacity int) *lru {
-	return &lru{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
-}
-
-func (c *lru) len() int { return c.ll.Len() }
-
-func (c *lru) get(key string) (any, bool) {
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruItem).val, true
-}
-
-// put inserts or refreshes key and returns the items the capacity bound
-// pushed out (usually none) so the caller can dispose of them outside the
-// lock — the session store spills evicted sessions to disk.
-func (c *lru) put(key string, val any, evictions *uint64) (evicted []lruItem) {
-	if c.cap < 0 {
-		return nil
-	}
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruItem).val = val
-		c.ll.MoveToFront(el)
-		return nil
-	}
-	c.items[key] = c.ll.PushFront(&lruItem{key: key, val: val})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		it := oldest.Value.(*lruItem)
-		delete(c.items, it.key)
-		evicted = append(evicted, *it)
-		if evictions != nil {
-			*evictions++
-		}
-	}
-	return evicted
-}
-
-// removeIf deletes key only while it still maps to val: after an LRU
-// eviction a newer caller may have re-registered the key, and that entry
-// belongs to them, not to the evicted owner doing cleanup.
-func (c *lru) removeIf(key string, val any) {
-	if el, ok := c.items[key]; ok && el.Value.(*lruItem).val == val {
-		c.ll.Remove(el)
-		delete(c.items, key)
-	}
 }
