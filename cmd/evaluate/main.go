@@ -80,7 +80,7 @@ func main() {
 	jsonLabel := flag.String("json-label", "trajectory", "label stored in the -json record")
 	edits := flag.Int("edits", 0, "with -json: replay this many random ECO edit batches per circuit with the first -algs engine, recording incremental vs from-scratch latency")
 	stages := flag.Bool("stages", false, "after each table, print per-stage wall times (simplify/partition/dispatch/stitch/merge) per circuit and engine")
-	memo := flag.Bool("memo", false, "enable canonical-shape memoization (byte-identical results; shape hit/miss counters appear in -stages and -json output)")
+	memo := flag.Bool("memo", false, "enable shape memoization: byte-identical repeated solver pieces reuse one engine solve (byte-identical results; shape hit/miss/distinct counters appear in -stages and -json output)")
 	laydir := flag.String("laydir", "", "read circuits from <dir>/<name>.lay instead of synthesizing them (-scale does not apply)")
 	dataDir := flag.String("data-dir", "", "with -json -edits: write-ahead log every replayed batch to this durable session store (internal/store), recording the per-batch logging cost and the log counters in the trajectory entry")
 	flag.Parse()

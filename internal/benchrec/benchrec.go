@@ -41,7 +41,7 @@ type Run struct {
 	BuildWorkers int     `json:"build_workers"`
 	DivWorkers   int     `json:"division_workers"`
 	ILPBudgetMs  float64 `json:"ilp_budget_ms,omitempty"`
-	// Memoize records whether canonical-shape memoization was on for the
+	// Memoize records whether shape memoization was on for the
 	// sweep (shape counters then appear per algorithm run).
 	Memoize bool `json:"memoize,omitempty"`
 
@@ -166,7 +166,7 @@ type AlgorithmRun struct {
 	// across division workers, so with DivWorkers > 1 it is CPU-style
 	// time, like SolverMs.
 	StageMs map[string]float64 `json:"stage_ms,omitempty"`
-	// Shape-cache counters of the run (canonical-shape memoization;
+	// Shape-cache counters of the run (shape memoization;
 	// all omitted for memo-off runs, which report no shape traffic).
 	ShapeHits     int `json:"shape_hits,omitempty"`
 	ShapeMisses   int `json:"shape_misses,omitempty"`

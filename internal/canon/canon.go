@@ -1,360 +1,56 @@
-// Package canon computes canonical forms of solver pieces so that
-// components which are the same shape — equal up to vertex relabeling,
-// which is what geometric translation of a repeated standard cell produces
-// — can share one cached color assignment (DESIGN.md §11).
+// Package canon serializes solver pieces so the memoization layer can
+// recognize repeats: components that are byte-identical labeled graphs —
+// what the division of a layout with repeated standard cells produces —
+// share one cached color assignment (DESIGN.md §11).
 //
-// The pipeline per piece is:
-//
-//  1. Encode: a deterministic byte serialization of the labeled graph
-//     (vertex count plus sorted conflict/stitch/friend edge lists).
-//  2. Fingerprint: a cheap isomorphism-invariant hash over the equilibrium
-//     classes of one-dimensional Weisfeiler–Leman color refinement. Equal
-//     shapes always fingerprint equal; unequal shapes may collide (the
-//     canonical example — a 6-cycle versus two disjoint triangles — is a
-//     committed fuzz corpus input), which is why the fingerprint is never
-//     used as a cache identity on its own.
-//  3. Canonicalize: an individualization–refinement search that produces
-//     the lexicographically least relabeled encoding (the canonical form)
-//     and the permutation reaching it. Two pieces are isomorphic iff their
-//     canonical forms are byte-equal, so the exact check on fingerprint
-//     collision is a bytes.Equal.
-//
-// The search visits the full branch tree with no pruning: the visited-node
-// count is therefore a function of the isomorphism class alone, which makes
-// the search-budget bail decision label-invariant — either every labeling
-// of a shape gets an exact canonical form, or none does. A bailed Form
-// falls back to the identity permutation with the labeled encoding as its
-// cache key, which is still correct (merely less shared).
+// The identity is the labeled encoding itself, not a canonical form: the
+// engines break ties by vertex index, so only byte-equal encodings are
+// guaranteed to solve identically, and for those no relabeling is needed.
 package canon
 
 import (
-	"bytes"
 	"encoding/binary"
-	"sort"
+	"math/bits"
 
 	"mpl/internal/graph"
 )
 
-const (
-	// MaxVertices bounds the pieces the memoization layer considers at
-	// all: larger pieces bypass the cache (solving them dwarfs any
-	// canonicalization saving, and distinct huge shapes would only churn
-	// the LRU).
-	MaxVertices = 4096
+// MaxVertices bounds the pieces the memoization layer considers at all:
+// larger pieces bypass the cache (solving them dwarfs any encoding saving,
+// and distinct huge shapes would only churn the LRU).
+const MaxVertices = 4096
 
-	// searchBudget caps the individualization–refinement tree. Solver
-	// pieces are small (division splits circuits into components, blocks
-	// and GH fragments) and mostly rigid after refinement, so real shapes
-	// discretize in a handful of nodes; the budget exists for adversarial
-	// highly-symmetric inputs. Because the search never prunes, the node
-	// count — and hence whether the budget trips — is label-invariant.
-	searchBudget = 1 << 14
-)
-
-// Form is the canonical identity of one solver piece.
-type Form struct {
-	// Fingerprint is the WL-invariant hash: equal for isomorphic pieces,
-	// probably unequal otherwise.
-	Fingerprint uint64
-	// N is the piece's vertex count.
-	N int
-	// Canon is the lexicographically least relabeled encoding, nil unless
-	// Exact.
-	Canon []byte
-	// Perm maps piece labels to canonical labels: canonical vertex
-	// Perm[v] is piece vertex v. Identity when !Exact.
-	Perm []int32
-	// Exact records whether the canonical search completed within budget.
-	Exact bool
-}
-
-// Key returns the cache identity for a piece with this form and labeled
-// encoding enc: the canonical form when the search completed (so every
-// relabeling shares one entry), the labeled encoding otherwise.
-func (f *Form) Key(enc []byte) []byte {
-	if f.Exact {
-		return f.Canon
-	}
-	return enc
-}
-
-// Encode serializes g with its own labeling. Byte-equal encodings are
-// identical labeled graphs.
+// Encode serializes g with its own labeling: the vertex count followed by
+// the conflict, stitch and friend edge lists, each as an edge count and
+// then its (u, w) pairs with u < w in ascending order, all as uvarints.
+// Byte-equal encodings are identical labeled graphs.
+//
+// Adjacency rows are sorted ascending and u ascends, so streaming each row's
+// neighbors above u emits the pairs already in order — no pair buffer, no
+// sort.
 func Encode(g *graph.Graph) []byte {
-	return EncodeRelabeled(g, identity(g.N()))
-}
-
-// EncodeRelabeled serializes g under the relabeling perm (vertex v becomes
-// perm[v]): the vertex count followed by the sorted conflict, stitch and
-// friend edge lists, all as uvarints. The encoding is a pure function of
-// the relabeled edge sets, so two pieces have a common relabeled encoding
-// iff they are isomorphic.
-func EncodeRelabeled(g *graph.Graph, perm []int32) []byte {
 	n := g.N()
-	buf := make([]byte, 0, 16+8*(g.ConflictEdgeCount()+g.StitchEdgeCount()))
+	nc, ns, nf := g.ConflictEdgeCount(), g.StitchEdgeCount(), g.FriendEdgeCount()
+	// Every vertex id is below n, so no id's uvarint is wider than n's;
+	// the four counts take at most MaxVarintLen64 bytes each.
+	width := (bits.Len(uint(n)|1) + 6) / 7
+	buf := make([]byte, 0, 4*binary.MaxVarintLen64+2*width*(nc+ns+nf))
 	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = appendEdgeList(buf, g, perm, g.ConflictNeighbors)
-	buf = appendEdgeList(buf, g, perm, g.StitchNeighbors)
-	buf = appendEdgeList(buf, g, perm, g.FriendNeighbors)
+	buf = appendEdgeList(buf, n, nc, g.ConflictNeighbors)
+	buf = appendEdgeList(buf, n, ns, g.StitchNeighbors)
+	buf = appendEdgeList(buf, n, nf, g.FriendNeighbors)
 	return buf
 }
 
-func appendEdgeList(buf []byte, g *graph.Graph, perm []int32, nbrs func(int) []int32) []byte {
-	n := g.N()
-	var pairs [][2]int32
+func appendEdgeList(buf []byte, n, edges int, nbrs func(int) []int32) []byte {
+	buf = binary.AppendUvarint(buf, uint64(edges))
 	for u := 0; u < n; u++ {
 		for _, w := range nbrs(u) {
-			if int(w) <= u {
-				continue // each undirected edge once
+			if int(w) > u { // each undirected edge once, from its lower end
+				buf = binary.AppendUvarint(buf, uint64(u))
+				buf = binary.AppendUvarint(buf, uint64(w))
 			}
-			a, b := perm[u], perm[w]
-			if a > b {
-				a, b = b, a
-			}
-			pairs = append(pairs, [2]int32{a, b})
 		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
-	for _, p := range pairs {
-		buf = binary.AppendUvarint(buf, uint64(p[0]))
-		buf = binary.AppendUvarint(buf, uint64(p[1]))
 	}
 	return buf
-}
-
-func identity(n int) []int32 {
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	return perm
-}
-
-// Canonicalize computes g's Form. Always sets Fingerprint and N; sets
-// Canon/Perm/Exact when the canonical search completes within budget.
-func Canonicalize(g *graph.Graph) Form {
-	n := g.N()
-	f := Form{N: n}
-	if n == 0 {
-		f.Canon = Encode(g)
-		f.Perm = []int32{}
-		f.Exact = true
-		return f
-	}
-	class, k := refineToEquilibrium(g, make([]int32, n))
-	f.Fingerprint = fingerprint(g, class, k)
-	if n > MaxVertices {
-		f.Perm = identity(n)
-		return f
-	}
-	s := &searcher{g: g, n: n, budget: searchBudget}
-	s.search(class, k)
-	if s.bailed {
-		f.Perm = identity(n)
-		return f
-	}
-	f.Canon = s.best
-	f.Perm = s.bestPerm
-	f.Exact = true
-	return f
-}
-
-// refineToEquilibrium runs 1-WL color refinement from the initial classes
-// until the partition stops splitting, returning dense equilibrium class
-// ids and their count. Each round's signature for a vertex is its current
-// class followed by the sorted class multisets of its conflict, stitch and
-// friend neighborhoods; vertices are re-classed by the lexicographic rank
-// of their signature. Signatures contain only class ids (label-invariant
-// by induction from the uniform start), so the resulting partition and its
-// class numbering are label-invariant too. Leading with the old class
-// makes every round a refinement, so the class count is non-decreasing and
-// equality between rounds is the fixpoint test.
-func refineToEquilibrium(g *graph.Graph, class []int32) ([]int32, int) {
-	n := g.N()
-	sigs := make([][]int32, n)
-	order := make([]int, n)
-	prev := 0
-	for {
-		for v := 0; v < n; v++ {
-			sig := sigs[v][:0]
-			sig = append(sig, class[v], -1)
-			sig = appendSortedClasses(sig, class, g.ConflictNeighbors(v))
-			sig = append(sig, -1)
-			sig = appendSortedClasses(sig, class, g.StitchNeighbors(v))
-			sig = append(sig, -1)
-			sig = appendSortedClasses(sig, class, g.FriendNeighbors(v))
-			sigs[v] = sig
-		}
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(i, j int) bool {
-			return lessInt32s(sigs[order[i]], sigs[order[j]])
-		})
-		next := make([]int32, n)
-		c := int32(-1)
-		for i, v := range order {
-			if i == 0 || !equalInt32s(sigs[v], sigs[order[i-1]]) {
-				c++
-			}
-			next[v] = c
-		}
-		k := int(c) + 1
-		class = next
-		if k == prev || k == n {
-			return class, k
-		}
-		prev = k
-	}
-}
-
-func appendSortedClasses(sig []int32, class []int32, nbrs []int32) []int32 {
-	start := len(sig)
-	for _, w := range nbrs {
-		sig = append(sig, class[w])
-	}
-	tail := sig[start:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
-	return sig
-}
-
-func lessInt32s(a, b []int32) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-func equalInt32s(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// fingerprint hashes the label-invariant profile of the WL-equilibrium
-// partition: vertex and edge counts plus, per class in class-id order
-// (itself invariant), the class size and a member's per-edge-type degrees
-// (identical across the class at equilibrium). FNV-1a over the values.
-func fingerprint(g *graph.Graph, class []int32, k int) uint64 {
-	n := g.N()
-	nFriend := 0
-	for v := 0; v < n; v++ {
-		nFriend += len(g.FriendNeighbors(v))
-	}
-	size := make([]uint64, k)
-	degC := make([]uint64, k)
-	degS := make([]uint64, k)
-	degF := make([]uint64, k)
-	for v := 0; v < n; v++ {
-		c := class[v]
-		size[c]++
-		degC[c] = uint64(len(g.ConflictNeighbors(v)))
-		degS[c] = uint64(len(g.StitchNeighbors(v)))
-		degF[c] = uint64(len(g.FriendNeighbors(v)))
-	}
-	h := fnvOffset
-	h = fnvMix(h, uint64(n))
-	h = fnvMix(h, uint64(g.ConflictEdgeCount()))
-	h = fnvMix(h, uint64(g.StitchEdgeCount()))
-	h = fnvMix(h, uint64(nFriend/2))
-	for c := 0; c < k; c++ {
-		h = fnvMix(h, size[c])
-		h = fnvMix(h, degC[c])
-		h = fnvMix(h, degS[c])
-		h = fnvMix(h, degF[c])
-	}
-	return h
-}
-
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-// fnvMix folds one value into an FNV-1a style accumulator (value-at-a-time
-// rather than byte-at-a-time; the stream of values is self-delimiting
-// because the class count is mixed in via n and the fixed 4-per-class
-// layout).
-func fnvMix(h, v uint64) uint64 {
-	return (h ^ v) * fnvPrime
-}
-
-// searcher runs the individualization–refinement search for the
-// lexicographically least relabeled encoding.
-type searcher struct {
-	g        *graph.Graph
-	n        int
-	nodes    int
-	budget   int
-	bailed   bool
-	best     []byte
-	bestPerm []int32
-}
-
-// search explores one node of the branch tree: at a discrete partition
-// (every class a singleton) the class assignment is itself the candidate
-// permutation; otherwise it individualizes each vertex of the first
-// non-singleton cell in turn and recurses on the refined partition.
-// Deliberately no pruning — a pruned search's node count would depend on
-// which labeling found the eventual minimum first, making the budget bail
-// label-dependent (see the package comment).
-func (s *searcher) search(class []int32, k int) {
-	if s.bailed {
-		return
-	}
-	s.nodes++
-	if s.nodes > s.budget {
-		s.bailed = true
-		return
-	}
-	if k == s.n {
-		enc := EncodeRelabeled(s.g, class)
-		if s.best == nil || bytes.Compare(enc, s.best) < 0 {
-			s.best = enc
-			s.bestPerm = append([]int32(nil), class...)
-		}
-		return
-	}
-	size := make([]int32, k)
-	for _, c := range class {
-		size[c]++
-	}
-	target := int32(-1)
-	for c := int32(0); c < int32(k); c++ {
-		if size[c] > 1 {
-			target = c
-			break
-		}
-	}
-	for v := 0; v < s.n; v++ {
-		if class[v] != target {
-			continue
-		}
-		// Individualize v: split it off below its cell-mates, keeping all
-		// other class orderings intact, then re-refine.
-		nc := make([]int32, s.n)
-		for w := range nc {
-			nc[w] = class[w] * 2
-		}
-		nc[v] = class[v]*2 - 1
-		rc, rk := refineToEquilibrium(s.g, nc)
-		s.search(rc, rk)
-		if s.bailed {
-			return
-		}
-	}
 }

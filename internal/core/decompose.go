@@ -124,8 +124,8 @@ type Options struct {
 	// SDPRestarts / SDPMaxIter tune the relaxation solver (0 = defaults).
 	SDPRestarts int
 	SDPMaxIter  int
-	// Memoize enables canonical-shape memoization of Dispatch solves
-	// (internal/canon, DESIGN.md §11): every solver piece is canonicalized
+	// Memoize enables shape memoization of Dispatch solves (internal/canon,
+	// DESIGN.md §11): every solver piece is encoded with its own labeling
 	// and byte-identical repeats of an already-solved piece are answered
 	// from a process-wide shape cache instead of re-running an engine.
 	// Results are byte-identical to a memo-off run. Ignored (forced off)

@@ -292,7 +292,7 @@ func ApplyEdits(ctx context.Context, l *layout.Layout, prev *Result, edits []Edi
 	p := pipeline.New(rec,
 		pipeline.Func(pipeline.StageBuild, func(context.Context) error { return run.build(sc) }),
 		pipeline.Func(pipeline.StagePartition, func(context.Context) error { return run.partition(sc) }),
-		pipeline.Composite(run.divide),
+		pipeline.Composite(func(ctx context.Context) error { return run.divide(ctx, sc) }),
 		pipeline.Func(pipeline.StageMerge, run.merge),
 	)
 	err = p.Run(ctx)
@@ -873,7 +873,7 @@ func appendComponent(g *graph.Graph, s int32, seen, buf []int32) []int32 {
 // adjacency, so each engine sees the same per-component input a full
 // DecomposeGraph would hand it. Composite — division tallies its own
 // simplify/partition/dispatch/stitch regions into the run's stats.
-func (r *editRun) divide(ctx context.Context) error {
+func (r *editRun) divide(ctx context.Context, sc *pipeline.Scratch) error {
 	tSolve := time.Now()
 	if len(r.dirty) > 0 {
 		sort.Ints(r.dirty)
@@ -894,7 +894,9 @@ func (r *editRun) divide(ctx context.Context) error {
 			r.solverNanos.Add(int64(time.Since(t)))
 			return out
 		}
-		sub, orig := r.ib.dg.G.Subgraph(r.dirty)
+		idx := sc.Int32s(r.ib.dg.G.N())
+		sub, orig := r.ib.dg.G.Subgraph(r.dirty, idx)
+		sc.PutInt32s(idx)
 		subColors, st := division.DecomposeEnv(ctx, sub, r.opts.Division, env, solver)
 		for i, v := range orig {
 			r.colors[v] = subColors[i]

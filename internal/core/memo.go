@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,12 +14,12 @@ import (
 	"mpl/internal/pipeline"
 )
 
-// sharedShapes is the process-wide canonical-shape cache every memoized
-// solve path shares (like sharedScratch): real workloads repeat standard
-// cells across layouts and across requests, so hits compound over the
-// life of the process. Entries are solved colorings, one per labeled
-// encoding, in canonical-label space; bounded, least-recently-used
-// entries evicted beyond the bound.
+// sharedShapes is the process-wide shape cache every memoized solve path
+// shares (like sharedScratch): real workloads repeat standard cells across
+// layouts and across requests, so hits compound over the life of the
+// process. Entries are solved colorings, one per labeled encoding, in the
+// piece's own labeling; bounded, least-recently-used entries evicted
+// beyond the bound.
 var sharedShapes = flight.New[[]int](4096, nil)
 
 // shapeTally accumulates one run's shape-cache counters while division
@@ -75,67 +76,52 @@ func shapeOptionsSig(o Options) string {
 	return fmt.Sprintf("%#v", o)
 }
 
-// memoSolver wraps an engine dispatcher with the canonical-shape cache:
-// each piece is encoded and canonicalized, byte-identical repeats of an
-// already-solved piece rehydrate the stored canonical-space colors through
-// the piece's own vertex mapping (tallied as the "memo" engine), and cache
-// misses solve through inner under the encoding's single flight so a hot
-// shape solves once even when every division worker hits it at the same
-// time. Only clean solves are kept: a piece solved after the run went
-// unproven (ILP budget) or under a dying context is not stored, so the
-// cache never replays degraded colors; a worker whose context dies while
-// waiting on another's flight (Bypass) solves locally.
+// memoSolver wraps an engine dispatcher with the shape cache: each piece
+// is encoded with its own labeling, byte-identical repeats of an
+// already-solved piece copy out the stored colors (tallied as the "memo"
+// engine), and cache misses solve through inner under the encoding's
+// single flight so a hot shape solves once even when every division worker
+// hits it at the same time. Only clean solves are kept: a piece solved
+// after the run went unproven (ILP budget) or under a dying context is not
+// stored, so the cache never replays degraded colors; a worker whose
+// context dies while waiting on another's flight (Bypass) solves locally.
 //
-// A hit needs a byte-identical labeled encoding, not merely the same
-// canonical class: the engines break ties by vertex index, so they are not
-// equivariant under relabeling, and serving a differently-labeled twin's
-// colors through the vertex mapping could differ from what a memo-off
-// solve of this piece would have produced. Byte-equal encodings, by
-// contrast, drive the deterministic solver identically, so replaying a
-// stored coloring is exact (DESIGN.md §11). The entry key is therefore
-// (options signature, class key, labeled encoding); the class remains the
-// unit of the Distinct counter, and the unit a future cluster-wide store
-// would ship. Colors are stored in canonical-label space (stored[Perm[v]]
-// = colors[v]) and rehydrated through the reader's own Perm; for
-// byte-identical encodings the deterministic canonical search yields the
-// identical Perm, so the round trip is exact.
+// The entry key is (options signature, labeled encoding). Byte-equal
+// encodings are the same labeled graph, and the engines are deterministic
+// functions of that graph and the options, so replaying a stored coloring
+// is exactly what a memo-off solve of the piece would produce. No
+// canonical form is needed, and none would be sound: the engines break
+// ties by vertex index, so an isomorphic but differently-labeled twin can
+// legitimately color differently (DESIGN.md §11).
 func memoSolver(ctx context.Context, opts Options, inner division.Solver, unproven *atomic.Bool, tally *engineTally, shapes *flight.Cache[[]int], st *shapeTally) division.Solver {
-	sig := shapeOptionsSig(opts)
+	sig := shapeOptionsSig(opts) + "\x00"
 	return func(g *graph.Graph, sc *pipeline.Scratch) []int {
 		n := g.N()
 		if n > canon.MaxVertices {
 			return inner(g, sc) // uncounted: never a cache candidate
 		}
-		enc := canon.Encode(g)
-		form := canon.Canonicalize(g)
-		class := sig + "\x00" + string(form.Key(enc))
-		// Both the class key and enc are self-delimiting (uvarint-counted)
-		// encodings, so the concatenation identifies the pair.
+		// The encoding is self-delimiting (uvarint-counted) and the
+		// signature ends in a NUL, so the concatenation identifies the pair.
+		key := sig + string(canon.Encode(g))
 		var out []int
-		stored, outcome, _ := shapes.Do(ctx, class+string(enc), func() ([]int, bool, error) {
+		stored, outcome, _ := shapes.Do(ctx, key, func() ([]int, bool, error) {
 			out = inner(g, sc)
 			if ctx.Err() != nil || unproven.Load() {
 				return nil, false, nil
 			}
-			stored := make([]int, n)
-			for v := 0; v < n; v++ {
-				stored[form.Perm[v]] = out[v]
-			}
-			return stored, true, nil
+			return slices.Clone(out), true, nil
 		})
 		switch outcome {
 		case flight.Hit:
-			st.hit(class)
+			st.hit(key)
 			tally.add("memo")
 			out = sc.Ints(n)
-			for v := 0; v < n; v++ {
-				out[v] = stored[form.Perm[v]]
-			}
+			copy(out, stored)
 			return out
 		case flight.Bypass: // context died waiting on another flight
 			out = inner(g, sc)
 		}
-		st.miss(class)
+		st.miss(key)
 		return out
 	}
 }

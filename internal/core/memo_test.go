@@ -1,6 +1,6 @@
 package core
 
-// Byte-equivalence harness for canonical-shape memoization (ISSUE 7): a
+// Byte-equivalence harness for shape memoization: a
 // memoized solve must be indistinguishable from a memo-off solve in every
 // observable output — colors byte-for-byte, cn#/st#, Proven — on every
 // committed circuit, every engine, serial and parallel. Plus the

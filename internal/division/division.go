@@ -129,7 +129,7 @@ type Stats struct {
 	// around it. Lazily allocated, merged across workers like Engines.
 	Stages map[string]pipeline.StageStats
 
-	// Shapes reports the canonical-shape memoization counters of the run
+	// Shapes reports the shape memoization counters of the run
 	// (internal/canon, Options.Memoize). Like Engines, the counters are
 	// produced by the dispatcher in internal/core — this package never
 	// touches them — and arrive after the division finishes; worker-level
@@ -182,10 +182,10 @@ func (b *Balance) Merge(o Balance) {
 	}
 }
 
-// ShapeStats counts canonical-shape cache traffic for one run: Hits is
-// solver pieces answered from the cache, Misses is pieces that went to an
-// engine (cache miss or memoization bypass), Distinct is the number of
-// distinct shape identities the run touched.
+// ShapeStats counts shape-cache traffic for one run: Hits is solver pieces
+// answered from the cache, Misses is pieces that went to an engine (cache
+// miss or memoization bypass), Distinct is the number of distinct labeled
+// encodings (cache identities) the run touched.
 type ShapeStats struct {
 	Hits     int
 	Misses   int
@@ -295,11 +295,13 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 	if opts.Workers <= 1 {
 		sc := env.Scratch.Get()
 		defer env.Scratch.Put(sc)
+		idx := sc.Int32s(n)
+		defer sc.PutInt32s(idx)
 		var busy time.Duration
 		for _, comp := range comps {
 			t0 := time.Now()
-			sub, orig := subgraphTimed(g, comp, &st)
-			subColors := decomposeComponent(ctx, sub, opts, solve, &st, sc)
+			sub, orig := subgraphTimed(g, comp, idx, &st)
+			subColors := decomposeComponent(ctx, sub, opts, solve, &st, sc, idx)
 			for i, v := range orig {
 				colors[v] = subColors[i]
 			}
@@ -357,12 +359,14 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 			defer env.Budget.Free()
 			sc := env.Scratch.Get()
 			defer env.Scratch.Put(sc)
+			idx := sc.Int32s(n)
+			defer sc.PutInt32s(idx)
 			var busy time.Duration
 			jobsRun := 0
 			for j := range jobs {
 				t0 := time.Now()
-				sub, orig := subgraphTimed(g, j.comp, ws)
-				subColors := decomposeComponent(ctx, sub, opts, solve, ws, sc)
+				sub, orig := subgraphTimed(g, j.comp, idx, ws)
+				subColors := decomposeComponent(ctx, sub, opts, solve, ws, sc, idx)
 				for i, v := range orig {
 					colors[v] = subColors[i]
 				}
@@ -383,10 +387,12 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 }
 
 // subgraphTimed extracts an induced subgraph under the Partition stage
-// clock (structural splitting is partition work wherever it happens).
-func subgraphTimed(g *graph.Graph, vertices []int, st *Stats) (*graph.Graph, []int) {
+// clock (structural splitting is partition work wherever it happens). idx
+// is the worker's all-zero Subgraph index, leased once per run at the
+// size of the run's graph, which bounds every piece nested inside it.
+func subgraphTimed(g *graph.Graph, vertices []int, idx []int32, st *Stats) (*graph.Graph, []int) {
 	t0 := time.Now()
-	sub, orig := g.Subgraph(vertices)
+	sub, orig := g.Subgraph(vertices, idx)
 	st.AddStage(pipeline.StagePartition, time.Since(t0))
 	return sub, orig
 }
@@ -411,7 +417,7 @@ func callSolver(ctx context.Context, g *graph.Graph, opts Options, solve Solver,
 
 // decomposeComponent handles one connected component: peel, solve the core
 // (via biconnected + GH division), then pop the peel stack.
-func decomposeComponent(ctx context.Context, g *graph.Graph, opts Options, solve Solver, st *Stats, sc *pipeline.Scratch) []int {
+func decomposeComponent(ctx context.Context, g *graph.Graph, opts Options, solve Solver, st *Stats, sc *pipeline.Scratch, idx []int32) []int {
 	n := g.N()
 	colors := sc.Ints(n)
 	for i := range colors {
@@ -432,14 +438,14 @@ func decomposeComponent(ctx context.Context, g *graph.Graph, opts Options, solve
 	}
 
 	if len(core) > 0 {
-		coreSub, coreOrig := subgraphTimed(g, core, st)
+		coreSub, coreOrig := subgraphTimed(g, core, idx, st)
 		// Peeling can disconnect the core; re-split into components.
 		tPart := time.Now()
 		coreComps := coreSub.Components()
 		st.AddStage(pipeline.StagePartition, time.Since(tPart))
 		for _, cc := range coreComps {
-			ccSub, ccOrig := subgraphTimed(coreSub, cc, st)
-			ccColors := solveCore(ctx, ccSub, opts, solve, st, sc)
+			ccSub, ccOrig := subgraphTimed(coreSub, cc, idx, st)
+			ccColors := solveCore(ctx, ccSub, opts, solve, st, sc, idx)
 			for i, v := range ccOrig {
 				colors[coreOrig[v]] = ccColors[i]
 			}
@@ -464,17 +470,17 @@ func decomposeComponent(ctx context.Context, g *graph.Graph, opts Options, solve
 }
 
 // solveCore applies the biconnected split to one connected core component.
-func solveCore(ctx context.Context, g *graph.Graph, opts Options, solve Solver, st *Stats, sc *pipeline.Scratch) []int {
+func solveCore(ctx context.Context, g *graph.Graph, opts Options, solve Solver, st *Stats, sc *pipeline.Scratch, idx []int32) []int {
 	if opts.DisableBiconnected {
 		st.Blocks++
-		return solveBlock(ctx, g, opts, solve, st, sc)
+		return solveBlock(ctx, g, opts, solve, st, sc, idx)
 	}
 	tPart := time.Now()
 	blocks, _ := g.BiconnectedComponents()
 	st.AddStage(pipeline.StagePartition, time.Since(tPart))
 	if len(blocks) == 1 {
 		st.Blocks++
-		return solveBlock(ctx, g, opts, solve, st, sc)
+		return solveBlock(ctx, g, opts, solve, st, sc, idx)
 	}
 
 	n := g.N()
@@ -500,8 +506,8 @@ func solveCore(ctx context.Context, g *graph.Graph, opts Options, solve Solver, 
 		queue = queue[1:]
 		st.Blocks++
 		block := blocks[bi]
-		bsub, borig := subgraphTimed(g, block, st)
-		bcolors := solveBlock(ctx, bsub, opts, solve, st, sc)
+		bsub, borig := subgraphTimed(g, block, idx, st)
+		bcolors := solveBlock(ctx, bsub, opts, solve, st, sc, idx)
 
 		// Find the anchor: a vertex already colored by an earlier block.
 		tStitch := time.Now()
@@ -533,7 +539,7 @@ func solveCore(ctx context.Context, g *graph.Graph, opts Options, solve Solver, 
 
 // solveBlock applies GH-tree (K−1)-cut division to one biconnected block
 // (Algorithm 3) and reassembles with color rotations.
-func solveBlock(ctx context.Context, g *graph.Graph, opts Options, solve Solver, st *Stats, sc *pipeline.Scratch) []int {
+func solveBlock(ctx context.Context, g *graph.Graph, opts Options, solve Solver, st *Stats, sc *pipeline.Scratch, idx []int32) []int {
 	n := g.N()
 	if opts.DisableGHTree || n > opts.GHTreeMaxN || n < 2 {
 		return callSolver(ctx, g, opts, solve, st, sc)
@@ -558,7 +564,7 @@ func solveBlock(ctx context.Context, g *graph.Graph, opts Options, solve Solver,
 		colors[i] = coloring.Uncolored
 	}
 	for _, comp := range comps {
-		csub, corig := subgraphTimed(g, comp, st)
+		csub, corig := subgraphTimed(g, comp, idx, st)
 		// The piece may itself be disconnected once cut edges are ignored;
 		// components inside it are solved independently (their relative
 		// rotation is later fixed edge by edge).
@@ -566,7 +572,7 @@ func solveBlock(ctx context.Context, g *graph.Graph, opts Options, solve Solver,
 		ccs := csub.Components()
 		st.AddStage(pipeline.StagePartition, time.Since(tSplit))
 		for _, cc := range ccs {
-			ccSub, ccOrig := subgraphTimed(csub, cc, st)
+			ccSub, ccOrig := subgraphTimed(csub, cc, idx, st)
 			ccColors := callSolver(ctx, ccSub, opts, solve, st, sc)
 			for i, v := range ccOrig {
 				colors[corig[v]] = ccColors[i]

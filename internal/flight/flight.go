@@ -1,6 +1,6 @@
 // Package flight is the one cache-entry lifecycle every memoising layer of
 // the decomposer shares: the service's result, graph and session caches
-// and core's canonical-shape store. A Cache is a bounded LRU of completed
+// and core's shape store. A Cache is a bounded LRU of completed
 // values plus a map of in-flight fills, in the idiom of Go's singleflight
 // (golang.org/x/sync/singleflight): one caller owns a key's fill, callers
 // arriving meanwhile wait for it, and only a fill that asks to be kept is

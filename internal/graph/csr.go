@@ -22,9 +22,9 @@ package graph
 // Graph.AddConflict and friends do — reallocates that one row out of the
 // arena instead of bleeding into its neighbor. The arena itself is never
 // mutated after Build; a graph that was never edited keeps every row
-// contiguous. ApplyEdits' dirty-region rebuild no longer edits graphs: it
-// feeds remapped prior pairs and fresh ones through a Builder like a
-// scratch build, which leaves Subgraph as the shim's last non-test caller.
+// contiguous. No production path edits a graph: ApplyEdits' dirty-region
+// rebuild feeds remapped prior pairs and fresh ones through a Builder like
+// a scratch build, and Subgraph copies filtered rows into arenas of its own.
 
 import (
 	"fmt"

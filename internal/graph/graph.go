@@ -30,7 +30,8 @@ import (
 // The Add* methods below remain the mutable shim on top: on an arena-built
 // graph an insert reallocates just the affected row (the views are
 // full-capacity subslices), leaving the arena and every other row
-// untouched. Outside tests, Subgraph is their last caller.
+// untouched. Only tests call them; production graphs are built by Builder
+// or copied out of one by Subgraph.
 type Graph struct {
 	n       int
 	conf    [][]int32
@@ -243,42 +244,86 @@ func (g *Graph) Components() [][]int {
 	return out
 }
 
-// Subgraph extracts the induced subgraph over the given vertices. It returns
-// the new graph and the mapping from new indices to original vertex IDs
-// (which equals the input slice, copied). Edges of every kind are preserved
-// when both endpoints are inside the subset.
-func (g *Graph) Subgraph(vertices []int) (*Graph, []int) {
-	idx := make(map[int]int32, len(vertices))
+// Subgraph extracts the induced subgraph over the given vertices, with
+// vertex i of the result standing for vertices[i]. It returns the new graph
+// and the mapping from new indices to original vertex IDs (the input slice,
+// copied). Edges of every kind are preserved when both endpoints are inside
+// the subset.
+//
+// The result is a filtered CSR copy: each member's adjacency row is copied,
+// neighbors outside the subset dropped and the rest relabeled, into one
+// arena per edge kind. Membership is looked up in index, a caller-leased
+// table that must be all zero and at least g.N() long: Subgraph stamps
+// index[vertices[i]] = i+1 and re-zeroes exactly those entries before it
+// returns (or panics), so a caller extracting many pieces leases one table
+// and never clears it. A nil index allocates one. Relabeling preserves
+// order when vertices ascends, so the copied rows are already sorted; any
+// other order sorts each row.
+func (g *Graph) Subgraph(vertices []int, index []int32) (*Graph, []int) {
+	if index == nil {
+		index = make([]int32, g.n)
+	} else if len(index) < g.n {
+		panic(fmt.Sprintf("graph: subgraph index has %d entries, graph has %d vertices", len(index), g.n))
+	}
 	orig := make([]int, len(vertices))
+	ascending := true
 	for i, v := range vertices {
-		if v < 0 || v >= g.n {
-			panic(fmt.Sprintf("graph: subgraph vertex %d out of range", v))
-		}
-		if _, dup := idx[v]; dup {
+		if v < 0 || v >= g.n || index[v] != 0 {
+			clearIndex(index, vertices[:i])
+			if v < 0 || v >= g.n {
+				panic(fmt.Sprintf("graph: subgraph vertex %d out of range", v))
+			}
 			panic(fmt.Sprintf("graph: subgraph vertex %d repeated", v))
 		}
-		idx[v] = int32(i)
+		index[v] = int32(i + 1)
 		orig[i] = v
+		ascending = ascending && (i == 0 || vertices[i-1] < v)
 	}
-	sub := New(len(vertices))
-	for i, v := range vertices {
-		for _, w := range g.conf[v] {
-			if j, ok := idx[int(w)]; ok && int32(i) < j {
-				sub.AddConflict(i, int(j))
-			}
-		}
-		for _, w := range g.stit[v] {
-			if j, ok := idx[int(w)]; ok && int32(i) < j {
-				sub.AddStitch(i, int(j))
-			}
-		}
-		for _, w := range g.friend[v] {
-			if j, ok := idx[int(w)]; ok && int32(i) < j {
-				sub.AddFriend(i, int(j))
-			}
-		}
-	}
+	sub := &Graph{n: len(vertices)}
+	sub.conf, sub.nConf = filterRows(g.conf, vertices, index, ascending)
+	sub.stit, sub.nStit = filterRows(g.stit, vertices, index, ascending)
+	sub.friend, sub.nFriend = filterRows(g.friend, vertices, index, ascending)
+	clearIndex(index, vertices)
 	return sub, orig
+}
+
+// filterRows copies one edge kind's rows of the stamped members into one
+// arena, keeping only member neighbors under their new labels, and returns
+// the row views plus the number of undirected edges kept.
+func filterRows(adj [][]int32, vertices []int, index []int32, ascending bool) ([][]int32, int) {
+	rows := make([][]int32, len(vertices))
+	size := 0
+	for _, v := range vertices {
+		size += len(adj[v])
+	}
+	if size == 0 {
+		return rows, 0
+	}
+	arena := make([]int32, 0, size)
+	for i, v := range vertices {
+		start := len(arena)
+		for _, w := range adj[v] {
+			if j := index[w]; j != 0 {
+				arena = append(arena, j-1)
+			}
+		}
+		if len(arena) == start {
+			continue // isolated in the subgraph: nil row, as Build leaves it
+		}
+		row := arena[start:len(arena):len(arena)]
+		if !ascending {
+			slices.Sort(row)
+		}
+		rows[i] = row
+	}
+	return rows, len(arena) / 2
+}
+
+// clearIndex re-zeroes the index entries Subgraph stamped for vertices.
+func clearIndex(index []int32, vertices []int) {
+	for _, v := range vertices {
+		index[v] = 0
+	}
 }
 
 // Clone returns a deep copy of the graph.

@@ -106,7 +106,7 @@ func TestSubgraph(t *testing.T) {
 	g.AddConflict(1, 2)
 	g.AddStitch(2, 3)
 	g.AddFriend(0, 2)
-	sub, orig := g.Subgraph([]int{0, 1, 2})
+	sub, orig := g.Subgraph([]int{0, 1, 2}, nil)
 	if sub.N() != 3 || !reflect.DeepEqual(orig, []int{0, 1, 2}) {
 		t.Fatalf("Subgraph N=%d orig=%v", sub.N(), orig)
 	}
@@ -123,14 +123,21 @@ func TestSubgraph(t *testing.T) {
 
 func TestSubgraphPanics(t *testing.T) {
 	g := New(3)
-	for _, verts := range [][]int{{0, 0}, {0, 9}} {
+	for _, tc := range []struct {
+		verts []int
+		index []int32
+	}{
+		{[]int{0, 0}, nil},
+		{[]int{0, 9}, nil},
+		{[]int{0}, make([]int32, 2)}, // index shorter than the graph
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Subgraph(%v) did not panic", verts)
+					t.Errorf("Subgraph(%v, len %d index) did not panic", tc.verts, len(tc.index))
 				}
 			}()
-			g.Subgraph(verts)
+			g.Subgraph(tc.verts, tc.index)
 		}()
 	}
 }

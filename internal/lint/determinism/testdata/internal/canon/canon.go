@@ -1,6 +1,6 @@
 // Package canon is a determinism fixture for the shape-cache pattern: its
 // import path ends in internal/canon, so the solver-path rules apply. The
-// real shape store (an internal/flight.Cache) holds maps keyed by canonical
+// real shape store (an internal/flight.Cache) holds maps keyed by labeled
 // encodings; the contract is that those maps are only read through keyed
 // lookups — ranging over one and letting the order escape would make cache
 // behavior (eviction, reporting) depend on Go's randomized map order.

@@ -104,7 +104,7 @@ type Stats struct {
 	// builds this service actually ran (cache-hit graphs add nothing —
 	// the build they reuse was recorded when it happened).
 	Stages map[string]pipeline.StageStats
-	// Shapes accumulates the canonical-shape memoization counters of
+	// Shapes accumulates the shape memoization counters of
 	// every memoized solve this service executed (core Options.Memoize).
 	// Distinct sums per-run distinct-shape counts, so a shape two solves
 	// both touch is counted by each.

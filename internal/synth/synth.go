@@ -81,7 +81,7 @@ var Table1 = []Spec{
 var Table2Names = []string{"C6288", "C7552", "S38417", "S35932", "S38584", "S15850"}
 
 // Extras lists circuits outside the paper's tables that exercise specific
-// subsystems. REPCELL is the canonical-shape memoization workload: many
+// subsystems. REPCELL is the shape-memoization workload: many
 // copies of a small set of dense cell shapes (cross clusters and macro
 // patches), with Bumps deliberately zero — bump contacts are placed by the
 // per-macro RNG, so any bump would perturb each macro's surroundings and
