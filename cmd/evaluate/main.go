@@ -80,7 +80,6 @@ func main() {
 	jsonLabel := flag.String("json-label", "trajectory", "label stored in the -json record")
 	edits := flag.Int("edits", 0, "with -json: replay this many random ECO edit batches per circuit with the first -algs engine, recording incremental vs from-scratch latency")
 	stages := flag.Bool("stages", false, "after each table, print per-stage wall times (simplify/partition/dispatch/stitch/merge) per circuit and engine")
-	memo := flag.Bool("memo", false, "enable shape memoization: byte-identical repeated solver pieces reuse one engine solve (byte-identical results; shape hit/miss/distinct counters appear in -stages and -json output)")
 	laydir := flag.String("laydir", "", "read circuits from <dir>/<name>.lay instead of synthesizing them (-scale does not apply)")
 	dataDir := flag.String("data-dir", "", "with -json -edits: write-ahead log every replayed batch to this durable session store (internal/store), recording the per-batch logging cost and the log counters in the trajectory entry")
 	flag.Parse()
@@ -106,7 +105,7 @@ func main() {
 		if *dataDir != "" && *edits == 0 {
 			log.Fatal("-data-dir measures the durable replay; it requires -edits")
 		}
-		runJSON(names, *k, *scale, *seed, *ilpBudget, specs, *workers, *buildWorkers, *edits, *memo, *jsonOut, *jsonLabel, *dataDir)
+		runJSON(names, *k, *scale, *seed, *ilpBudget, specs, *workers, *buildWorkers, *edits, *jsonOut, *jsonLabel, *dataDir)
 		return
 	}
 	if *edits > 0 {
@@ -117,7 +116,7 @@ func main() {
 	}
 	switch *ablation {
 	case "":
-		runTable(names, *k, *scale, *seed, *ilpBudget, specs, *workers, *buildWorkers, *batchWorkers, *stages, *memo)
+		runTable(names, *k, *scale, *seed, *ilpBudget, specs, *workers, *buildWorkers, *batchWorkers, *stages)
 	case "division":
 		runDivisionAblation(names, *k, *scale, *seed, *workers, *buildWorkers)
 	case "threshold":
@@ -196,14 +195,13 @@ type sweepSpec struct {
 }
 
 // options builds the mpl.Options for this spec with the shared sweep knobs.
-func (s sweepSpec) options(k int, seed int64, ilpBudget time.Duration, workers, buildWorkers int, memo bool) mpl.Options {
+func (s sweepSpec) options(k int, seed int64, ilpBudget time.Duration, workers, buildWorkers int) mpl.Options {
 	return mpl.Options{
 		K:            k,
 		Algorithm:    s.alg,
 		Engine:       s.engine,
 		Seed:         seed,
 		ILPTimeLimit: ilpBudget,
-		Memoize:      memo,
 		Build:        mpl.BuildOptions{K: k, Workers: buildWorkers},
 		Division:     division.Options{Workers: workers},
 	}
@@ -243,7 +241,7 @@ func sweepList(algsFlag, engineFlag string, k int) []sweepSpec {
 	return specs
 }
 
-func runTable(names []string, k int, scale float64, seed int64, ilpBudget time.Duration, specs []sweepSpec, workers, buildWorkers, batchWorkers int, showStages, memo bool) {
+func runTable(names []string, k int, scale float64, seed int64, ilpBudget time.Duration, specs []sweepSpec, workers, buildWorkers, batchWorkers int, showStages bool) {
 	cols := make([]string, len(specs))
 	hasBT := false
 	for i, s := range specs {
@@ -278,7 +276,7 @@ func runTable(names []string, k int, scale float64, seed int64, ilpBudget time.D
 			reqs = append(reqs, service.Request{
 				Name:    name,
 				Layout:  l,
-				Options: s.options(k, seed, ilpBudget, workers, buildWorkers, memo),
+				Options: s.options(k, seed, ilpBudget, workers, buildWorkers),
 			})
 		}
 	}
@@ -321,8 +319,8 @@ func runTable(names []string, k int, scale float64, seed int64, ilpBudget time.D
 // per-circuit build times).
 func writeStageTable(w io.Writer, names []string, specs []sweepSpec, out []service.Response) {
 	stageCols := []string{pipeline.StageSimplify, pipeline.StagePartition, pipeline.StageDispatch, pipeline.StageStitch, pipeline.StageMerge}
-	// Shape-cache columns appear only when the sweep had shape traffic
-	// (i.e. it ran with -memo); memo-off tables keep the classic layout.
+	// Shape-tier columns appear only when the sweep had shape traffic
+	// (any non-race engine); race-only tables keep the classic layout.
 	shapes := false
 	for _, r := range out {
 		if r.Err == nil && r.Result != nil {
@@ -413,7 +411,7 @@ func runDivisionAblation(names []string, k int, scale float64, seed int64, worke
 // with dataDir also set, every batch is write-ahead logged to a durable
 // session store the way `qpld serve -data-dir` would log it, so the entry
 // records what durability costs per batch and what the log grew to.
-func runJSON(names []string, k int, scale float64, seed int64, ilpBudget time.Duration, specs []sweepSpec, workers, buildWorkers, edits int, memo bool, outPath, label, dataDir string) {
+func runJSON(names []string, k int, scale float64, seed int64, ilpBudget time.Duration, specs []sweepSpec, workers, buildWorkers, edits int, outPath, label, dataDir string) {
 	start := time.Now()
 	if outPath == "auto" {
 		outPath = benchrec.DefaultFilename(start)
@@ -444,7 +442,6 @@ func runJSON(names []string, k int, scale float64, seed int64, ilpBudget time.Du
 		BuildWorkers: buildWorkers,
 		DivWorkers:   workers,
 		ILPBudgetMs:  float64(ilpBudget.Milliseconds()),
-		Memoize:      memo,
 	}
 	for _, name := range names {
 		l, err := loadLayout(name, scale)
@@ -458,7 +455,7 @@ func runJSON(names []string, k int, scale float64, seed int64, ilpBudget time.Du
 		c := benchrec.CircuitOf(name, g.Stats)
 		var first *mpl.Result
 		for _, s := range specs {
-			o := s.options(k, seed, ilpBudget, workers, buildWorkers, memo)
+			o := s.options(k, seed, ilpBudget, workers, buildWorkers)
 			o.Build = mpl.BuildOptions{} // graph already built above
 			res, err := mpl.DecomposeGraph(g, o)
 			if err != nil {
@@ -470,7 +467,7 @@ func runJSON(names []string, k int, scale float64, seed int64, ilpBudget time.Du
 			c.Algorithms = append(c.Algorithms, benchrec.AlgorithmRunOf(s.label, res))
 		}
 		if edits > 0 {
-			opts := specs[0].options(k, seed, ilpBudget, workers, buildWorkers, memo)
+			opts := specs[0].options(k, seed, ilpBudget, workers, buildWorkers)
 			er, err := runEditReplay(name, l, first, opts, specs[0].label, edits, st)
 			if err != nil {
 				log.Fatal(err)

@@ -91,10 +91,10 @@ type decomposeRequest struct {
 	Seed         int64   `json:"seed,omitempty"`
 	Workers      int     `json:"workers,omitempty"`       // per-request component workers
 	BuildWorkers int     `json:"build_workers,omitempty"` // graph-construction workers, capped by -build-workers
-	// Memoize enables shape memoization: byte-identical repeated solver
-	// pieces (standard cells) are answered from the server's
-	// process-wide shape cache instead of re-solved. Byte-identical
-	// results; ignored by engine "race".
+	// Memoize is deprecated and ignored: every non-race solve answers
+	// byte-identical repeats of already-solved pieces (standard cells)
+	// from the server's process-wide shape tier. Still accepted, so
+	// older clients keep working.
 	Memoize      bool       `json:"memoize,omitempty"`
 	TimeoutMs    int64      `json:"timeout_ms,omitempty"` // capped by the server's -timeout
 	IncludeMasks bool       `json:"include_masks,omitempty"`
@@ -116,8 +116,8 @@ type decomposeResponse struct {
 	// "build" (the graph may have come from the graph cache); incremental
 	// solves include their dirty-region build.
 	StageMs map[string]float64 `json:"stage_ms,omitempty"`
-	// Shapes reports this solve's shape-cache traffic (memoized
-	// requests only; absent on cache hits and memo-off solves).
+	// Shapes reports this solve's shape-tier traffic (absent on cache
+	// hits and on race solves, which bypass the tier).
 	Shapes    *shapeJSON `json:"shapes,omitempty"`
 	Fragments int        `json:"fragments"`
 	Conflicts int        `json:"conflicts"`
@@ -134,7 +134,7 @@ type decomposeResponse struct {
 	Error       string           `json:"error,omitempty"`
 }
 
-// shapeJSON is the wire form of one solve's (or the aggregate) shape-cache
+// shapeJSON is the wire form of one solve's (or the aggregate) shape-tier
 // counters.
 type shapeJSON struct {
 	Hits     int `json:"hits"`
@@ -166,7 +166,7 @@ type incrementalRequest struct {
 	Seed         int64      `json:"seed,omitempty"`
 	Workers      int        `json:"workers,omitempty"`
 	BuildWorkers int        `json:"build_workers,omitempty"`
-	Memoize      bool       `json:"memoize,omitempty"`
+	Memoize      bool       `json:"memoize,omitempty"` // deprecated, ignored (decomposeRequest.Memoize)
 	TimeoutMs    int64      `json:"timeout_ms,omitempty"`
 	IncludeMasks bool       `json:"include_masks,omitempty"`
 }
@@ -421,7 +421,7 @@ const maxK = 16
 // relative to solves, so sustained overlap is rare); operators running high
 // request concurrency on narrow machines should lower -build-workers (see
 // docs/API.md).
-func (s *server) resolveOptions(k int, algName, engine string, raceBudgetMs int64, alpha float64, seed int64, workers, buildWorkers int, memoize bool) (core.Options, error) {
+func (s *server) resolveOptions(k int, algName, engine string, raceBudgetMs int64, alpha float64, seed int64, workers, buildWorkers int) (core.Options, error) {
 	if k < 0 || k > maxK {
 		return core.Options{}, fmt.Errorf("k must be in [2, %d] (or 0 for the default 4), got %d", maxK, k)
 	}
@@ -465,7 +465,6 @@ func (s *server) resolveOptions(k int, algName, engine string, raceBudgetMs int6
 		RaceBudget: raceBudget,
 		Alpha:      alpha,
 		Seed:       seed,
-		Memoize:    memoize,
 		Build:      core.BuildOptions{Workers: buildWorkers},
 		Division:   division.Options{Workers: workers},
 	}, nil
@@ -490,7 +489,7 @@ func (s *server) requestCtx(ctx context.Context, timeoutMs int64) (context.Conte
 // decomposeOne converts one decoded request into a service call.
 func (s *server) decomposeOne(ctx context.Context, wr *wireRequest) (decomposeResponse, error) {
 	req := &wr.opts
-	opts, err := s.resolveOptions(req.K, req.Algorithm, req.Engine, req.RaceBudgetMs, req.Alpha, req.Seed, req.Workers, req.BuildWorkers, req.Memoize)
+	opts, err := s.resolveOptions(req.K, req.Algorithm, req.Engine, req.RaceBudgetMs, req.Alpha, req.Seed, req.Workers, req.BuildWorkers)
 	if err != nil {
 		return decomposeResponse{}, err
 	}
@@ -557,7 +556,7 @@ func (s *server) handleIncremental(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "empty edit batch")
 		return
 	}
-	opts, err := s.resolveOptions(req.K, req.Algorithm, req.Engine, req.RaceBudgetMs, req.Alpha, req.Seed, req.Workers, req.BuildWorkers, req.Memoize)
+	opts, err := s.resolveOptions(req.K, req.Algorithm, req.Engine, req.RaceBudgetMs, req.Alpha, req.Seed, req.Workers, req.BuildWorkers)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

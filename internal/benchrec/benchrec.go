@@ -41,8 +41,9 @@ type Run struct {
 	BuildWorkers int     `json:"build_workers"`
 	DivWorkers   int     `json:"division_workers"`
 	ILPBudgetMs  float64 `json:"ilp_budget_ms,omitempty"`
-	// Memoize records whether shape memoization was on for the
-	// sweep (shape counters then appear per algorithm run).
+	// Memoize records whether the sweep ran with evaluate's former -memo
+	// flag. Since the shape tier serves every non-race solve it is always
+	// false; older records keep it.
 	Memoize bool `json:"memoize,omitempty"`
 
 	Circuits []Circuit `json:"circuits"`
@@ -166,8 +167,9 @@ type AlgorithmRun struct {
 	// across division workers, so with DivWorkers > 1 it is CPU-style
 	// time, like SolverMs.
 	StageMs map[string]float64 `json:"stage_ms,omitempty"`
-	// Shape-cache counters of the run (shape memoization;
-	// all omitted for memo-off runs, which report no shape traffic).
+	// Shape-tier counters of the run (omitted for race runs, which
+	// bypass the tier, and in records from before the tier served every
+	// solve, whose memo-off runs reported no shape traffic).
 	ShapeHits     int `json:"shape_hits,omitempty"`
 	ShapeMisses   int `json:"shape_misses,omitempty"`
 	ShapeDistinct int `json:"shape_distinct,omitempty"`

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -198,7 +199,9 @@ func TestMasksPartition(t *testing.T) {
 
 func TestILPTimeBudgetReportsUnproven(t *testing.T) {
 	// A layout with several K5 clusters and a 1 ns budget: the ILP engine
-	// must fall back and clear Proven.
+	// must fall back and clear Proven. The solve runs on a disabled shape
+	// tier: budgets are not part of the tier key, so a tier hit would
+	// return a stored proven answer (checked below).
 	l := layout.New("budget")
 	for cluster := 0; cluster < 3; cluster++ {
 		ox := cluster * 1000
@@ -206,15 +209,26 @@ func TestILPTimeBudgetReportsUnproven(t *testing.T) {
 			l.AddRect(geom.Rect{X0: p.X, Y0: p.Y, X1: p.X + 20, Y1: p.Y + 20})
 		}
 	}
-	res, err := Decompose(l, Options{
-		K: 4, Algorithm: AlgILP, ILPTimeLimit: time.Nanosecond,
-		Build: BuildOptions{MinS: 60},
-	})
+	dg, err := BuildGraph(l, BuildOptions{K: 4, MinS: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Proven {
+	budget := Options{K: 4, Algorithm: AlgILP, ILPTimeLimit: time.Nanosecond}
+	if res := tierRun(t, dg, budget, noTier()); res.Proven {
 		t.Fatal("1ns ILP budget reported proven")
+	}
+
+	// A tier warmed by an ample-budget solve answers every piece of the
+	// 1 ns run with the stored proven colors.
+	tier := freshTier()
+	ample := tierRun(t, dg, Options{K: 4, Algorithm: AlgILP, ILPTimeLimit: time.Minute}, tier)
+	res := tierRun(t, dg, budget, tier)
+	if !ample.Proven || !res.Proven || res.DivisionStats.Shapes.Hits != res.DivisionStats.SolverCalls {
+		t.Fatalf("tier hit under a 1ns budget: proven %v (ample %v), shapes %+v over %d solver calls",
+			res.Proven, ample.Proven, res.DivisionStats.Shapes, res.DivisionStats.SolverCalls)
+	}
+	if !slices.Equal(res.Colors, ample.Colors) {
+		t.Fatal("tier hit under a 1ns budget changed the colors")
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -124,12 +123,9 @@ type Options struct {
 	// SDPRestarts / SDPMaxIter tune the relaxation solver (0 = defaults).
 	SDPRestarts int
 	SDPMaxIter  int
-	// Memoize enables shape memoization of Dispatch solves (internal/canon,
-	// DESIGN.md §11): every solver piece is encoded with its own labeling
-	// and byte-identical repeats of an already-solved piece are answered
-	// from a process-wide shape cache instead of re-running an engine.
-	// Results are byte-identical to a memo-off run. Ignored (forced off)
-	// by EngineRace, whose winners are wall-clock dependent.
+	// Memoize is a deprecated no-op, kept so existing callers compile:
+	// every non-race solve now consults the shape tier (DESIGN.md §11),
+	// and Normalize clears the field.
 	Memoize bool
 	// Build controls graph construction.
 	Build BuildOptions
@@ -180,11 +176,10 @@ func (o Options) withDefaults() Options {
 		if o.RaceBudget == 0 {
 			o.RaceBudget = 2 * time.Second
 		}
-		// A race winner is wall-clock dependent, so caching its colors
-		// would replay one timing outcome forever; memoization is a no-op
-		// under race and normalizes off so option spellings compare equal.
-		o.Memoize = false
 	}
+	// Memoize no longer selects anything (the shape tier serves every
+	// deterministic solve), so it normalizes off and spellings compare equal.
+	o.Memoize = false
 	o.Build.K = o.K
 	o.Division.K = o.K
 	o.Division.Alpha = o.Alpha
@@ -328,43 +323,23 @@ type graphRun struct {
 	dg     *Graph
 	opts   Options
 	pool   *pipeline.ScratchPool
-	shapes *flight.Cache[[]int]
+	shapes *flight.Cache[shapeEntry]
 
 	colors     []int
 	stats      division.Stats
-	unproven   atomic.Bool
-	solverNs   atomic.Int64
+	unproven   bool
+	solverTime time.Duration
 	assignTime time.Duration
 	res        *Result
 }
 
-// divide runs graph division with the configured engine dispatcher over
-// the shared scratch pool. The run's pipeline environment couples the
-// division worker pool to the engines: one scratch pool for every arena
-// lease, and one parallelism budget (sized to Division.Workers) shared by
-// component-level workers and the SDP restart fan-out, so their combined
-// goroutine count never exceeds the configured worker allowance.
+// divide runs graph division with the run's Dispatch stage (newDispatch)
+// over the scratch pool and the shape tier.
 func (r *graphRun) divide(ctx context.Context) error {
 	start := time.Now()
-	tally := newEngineTally()
-	env := pipeline.Env{Scratch: r.pool, Budget: pipeline.NewBudget(r.opts.Division.Workers)}
-	inner := makeSolver(ctx, r.opts, &r.unproven, tally, env)
-	var shapeStats *shapeTally
-	if r.opts.Memoize {
-		shapeStats = newShapeTally()
-		inner = memoSolver(ctx, r.opts, inner, &r.unproven, tally, r.shapes, shapeStats)
-	}
-	solver := func(g *graph.Graph, sc *pipeline.Scratch) []int {
-		t0 := time.Now()
-		colors := inner(g, sc)
-		r.solverNs.Add(int64(time.Since(t0)))
-		return colors
-	}
-	r.colors, r.stats = division.DecomposeEnv(ctx, r.dg.G, r.opts.Division, env, solver)
-	tally.drainInto(&r.stats)
-	if shapeStats != nil {
-		shapeStats.drainInto(&r.stats)
-	}
+	d, solve := newDispatch(ctx, r.opts, r.pool, r.shapes)
+	r.colors, r.stats = division.DecomposeEnv(ctx, r.dg.G, r.opts.Division, d.env, solve)
+	r.unproven, r.solverTime = d.drainInto(&r.stats)
 	r.assignTime = time.Since(start)
 	return nil
 }
@@ -381,9 +356,9 @@ func (r *graphRun) merge(context.Context) error {
 		Colors:        r.colors,
 		Conflicts:     conf,
 		Stitches:      stit,
-		Proven:        !r.unproven.Load() && r.stats.Fallbacks == 0,
+		Proven:        !r.unproven && r.stats.Fallbacks == 0,
 		AssignTime:    r.assignTime,
-		SolverTime:    time.Duration(r.solverNs.Load()),
+		SolverTime:    r.solverTime,
 		DivisionStats: r.stats,
 		Degraded:      r.stats.Fallbacks,
 		K:             r.opts.K,
@@ -408,10 +383,11 @@ func decomposeGraphPool(ctx context.Context, dg *Graph, opts Options, rec *pipel
 	return decomposeGraphShapes(ctx, dg, opts, rec, pool, sharedShapes)
 }
 
-// decomposeGraphShapes additionally takes the shape cache, so equivalence
-// and stress tests can run against a fresh cache whose hit/miss counters
-// don't depend on what earlier tests populated process-wide.
-func decomposeGraphShapes(ctx context.Context, dg *Graph, opts Options, rec *pipeline.Recorder, pool *pipeline.ScratchPool, shapes *flight.Cache[[]int]) (*Result, error) {
+// decomposeGraphShapes additionally takes the shape tier, so equivalence
+// and stress tests can run against a fresh (or disabled) tier whose
+// hit/miss counters don't depend on what earlier tests populated
+// process-wide.
+func decomposeGraphShapes(ctx context.Context, dg *Graph, opts Options, rec *pipeline.Recorder, pool *pipeline.ScratchPool, shapes *flight.Cache[shapeEntry]) (*Result, error) {
 	run := &graphRun{dg: dg, opts: opts, pool: pool, shapes: shapes}
 	p := pipeline.New(rec,
 		pipeline.Composite(run.divide),
@@ -424,30 +400,6 @@ func decomposeGraphShapes(ctx context.Context, dg *Graph, opts Options, rec *pip
 	// tally so the Result carries the complete per-stage map.
 	run.res.DivisionStats.Stages = pipeline.MergeStages(run.res.DivisionStats.Stages, rec.Snapshot())
 	return run.res, nil
-}
-
-// engineTally accumulates the per-engine dispatch histogram while division
-// workers run the solver concurrently; drainInto publishes it to
-// division.Stats.Engines once the pipeline has finished.
-type engineTally struct {
-	mu sync.Mutex
-	m  map[string]int
-}
-
-func newEngineTally() *engineTally { return &engineTally{m: make(map[string]int)} }
-
-func (t *engineTally) add(name string) {
-	t.mu.Lock()
-	t.m[name]++
-	t.mu.Unlock()
-}
-
-func (t *engineTally) drainInto(st *division.Stats) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for name, n := range t.m {
-		st.AddEngine(name, n)
-	}
 }
 
 // classSolver builds the context-aware solver for one portfolio engine
@@ -532,41 +484,59 @@ func engineLabel(class portfolio.Class, fellBack bool) string {
 	return class.String()
 }
 
-// makeSolver builds the per-component solve function the division pipeline
-// calls — the Dispatch stage's dispatcher: the fixed Options.Algorithm
-// engine, or the adaptive auto/race portfolio when Options.Engine is set.
-// The unproven flag is set when the kept result's exact search was cut
-// short (node limit, time budget, or ctx cancellation mid-solve) — in race
-// mode a cancelled loser does not taint it. Every dispatch is tallied per
-// engine name into tally, with budget-fallback pieces attributed to
-// "fallback", not their class. The worker's scratch arena is threaded into
+// solved is what the engine dispatcher reports about one piece: its
+// colors, the engine label they carry ("fallback" when the spent ILP
+// budget made the linear fallback answer), whether the kept result's exact
+// search was cut short, and whether the solve is clean enough for the
+// shape tier to keep.
+type solved struct {
+	colors   []int
+	engine   string
+	unproven bool
+	keep     bool
+}
+
+// pieceSolver colors one division piece and reports how (solved).
+type pieceSolver func(g *graph.Graph, sc *pipeline.Scratch) solved
+
+// makeSolver builds the per-piece engine dispatcher the Dispatch stage
+// calls: the fixed Options.Algorithm engine, or the adaptive auto/race
+// portfolio when Options.Engine is set. A piece is unproven when the kept
+// result's exact search was cut short (node limit, time budget, or ctx
+// cancellation mid-solve) — in race mode a cancelled loser does not taint
+// it — and budget-fallback pieces are labeled "fallback", not their class.
+// The keep rule lives here too: a fixed or auto solve is kept only when it
+// is proven (which also rules out the fallback) and its context is still
+// live; a race solve never is. The worker's scratch arena is threaded into
 // the engine (auto/fixed); race-mode racers lease their own arenas from
 // the run's pool, because a cancelled loser may still be writing to its
 // arena after the race returns. The env additionally carries the run's
 // parallelism budget down into the SDP restart fan-out.
-func makeSolver(ctx context.Context, opts Options, unproven *atomic.Bool, tally *engineTally, env pipeline.Env) division.Solver {
+func makeSolver(ctx context.Context, opts Options, env pipeline.Env) pieceSolver {
 	// The shared ILP budget is a wall-clock deadline by contract: budget
 	// exhaustion degrades pieces to the linear fallback, tallied as
 	// "fallback" and surfaced via Proven=false — never as different bytes
 	// under a proven label (portfolio_gate_test pins this).
 	//lint:ignore determinism shared ILP budget; expiry degrades to fallback + Proven=false, not silent byte drift
 	ilpDeadline := time.Now().Add(opts.ILPTimeLimit)
+	report := func(colors []int, class portfolio.Class, unproven, fell *atomic.Bool) solved {
+		u := unproven.Load()
+		return solved{colors: colors, engine: engineLabel(class, fell.Load()), unproven: u, keep: !u && ctx.Err() == nil}
+	}
 	switch opts.Engine {
 	case EngineAuto:
-		return func(g *graph.Graph, sc *pipeline.Scratch) []int {
-			// fell tracks, per class, whether the selected engine actually
-			// ran or the spent ILP budget made the linear fallback answer.
-			var fell [portfolio.NumClasses]atomic.Bool
+		return func(g *graph.Graph, sc *pipeline.Scratch) solved {
+			// Auto runs exactly one class, so one pair of flags serves all.
+			var unproven, fell atomic.Bool
 			var engines [portfolio.NumClasses]portfolio.Solver
 			for c := portfolio.Class(0); c < portfolio.NumClasses; c++ {
-				engines[c] = classSolver(c, opts, env, unproven, &fell[c], ilpDeadline)
+				engines[c] = classSolver(c, opts, env, &unproven, &fell, ilpDeadline)
 			}
 			colors, out := portfolio.Auto(ctx, g, opts.Portfolio, opts.K, engines, sc)
-			tally.add(engineLabel(out.Winner, fell[out.Winner].Load()))
-			return colors
+			return report(colors, out.Winner, &unproven, &fell)
 		}
 	case EngineRace:
-		return func(g *graph.Graph, _ *pipeline.Scratch) []int {
+		return func(g *graph.Graph, _ *pipeline.Scratch) solved {
 			// Per-racer provenness: only the winner's truncation (or a
 			// budget expiry it survived on quality) may mark the result
 			// unproven; a cancelled loser's is irrelevant. fell tracks,
@@ -578,19 +548,15 @@ func makeSolver(ctx context.Context, opts Options, unproven *atomic.Bool, tally 
 				engines[c] = classSolver(c, opts, env, &flags[c], &fell[c], ilpDeadline)
 			}
 			colors, out := portfolio.Race(ctx, g, opts.Portfolio, opts.K, opts.Alpha, opts.RaceBudget, engines, env)
-			if !out.ProvenOptimal && flags[out.Winner].Load() {
-				unproven.Store(true)
-			}
-			tally.add(engineLabel(out.Winner, fell[out.Winner].Load()))
-			return colors
+			return solved{colors: colors, engine: engineLabel(out.Winner, fell[out.Winner].Load()),
+				unproven: !out.ProvenOptimal && flags[out.Winner].Load()}
 		}
 	}
 	class := classOf(opts.Algorithm)
-	return func(g *graph.Graph, sc *pipeline.Scratch) []int {
-		var fell atomic.Bool
-		colors := classSolver(class, opts, env, unproven, &fell, ilpDeadline)(ctx, g, sc)
-		tally.add(engineLabel(class, fell.Load()))
-		return colors
+	return func(g *graph.Graph, sc *pipeline.Scratch) solved {
+		var unproven, fell atomic.Bool
+		colors := classSolver(class, opts, env, &unproven, &fell, ilpDeadline)(ctx, g, sc)
+		return report(colors, class, &unproven, &fell)
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpl/internal/coloring"
@@ -712,9 +711,9 @@ type editRun struct {
 	lostOld []int32
 
 	// divide output.
-	unproven    atomic.Bool
-	solverNanos atomic.Int64
-	dstats      division.Stats
+	unproven   bool
+	solverTime time.Duration
+	dstats     division.Stats
 
 	res *Result
 }
@@ -877,34 +876,15 @@ func (r *editRun) divide(ctx context.Context, sc *pipeline.Scratch) error {
 	tSolve := time.Now()
 	if len(r.dirty) > 0 {
 		sort.Ints(r.dirty)
-		tally := newEngineTally()
-		// Same env coupling as the from-scratch divide: one scratch pool,
-		// one worker-budget shared between division workers and the SDP
-		// restart fan-out.
-		env := pipeline.Env{Scratch: sharedScratch, Budget: pipeline.NewBudget(r.opts.Division.Workers)}
-		inner := makeSolver(ctx, r.opts, &r.unproven, tally, env)
-		var shapeStats *shapeTally
-		if r.opts.Memoize {
-			shapeStats = newShapeTally()
-			inner = memoSolver(ctx, r.opts, inner, &r.unproven, tally, sharedShapes, shapeStats)
-		}
-		solver := func(sg *graph.Graph, sc *pipeline.Scratch) []int {
-			t := time.Now()
-			out := inner(sg, sc)
-			r.solverNanos.Add(int64(time.Since(t)))
-			return out
-		}
+		d, solve := newDispatch(ctx, r.opts, sharedScratch, sharedShapes)
 		idx := sc.Int32s(r.ib.dg.G.N())
 		sub, orig := r.ib.dg.G.Subgraph(r.dirty, idx)
 		sc.PutInt32s(idx)
-		subColors, st := division.DecomposeEnv(ctx, sub, r.opts.Division, env, solver)
+		subColors, st := division.DecomposeEnv(ctx, sub, r.opts.Division, d.env, solve)
 		for i, v := range orig {
 			r.colors[v] = subColors[i]
 		}
-		tally.drainInto(&st)
-		if shapeStats != nil {
-			shapeStats.drainInto(&st)
-		}
+		r.unproven, r.solverTime = d.drainInto(&st)
 		r.dstats = st
 		r.es.ResolvedFragments = len(r.dirty)
 	}
@@ -967,9 +947,9 @@ func (r *editRun) merge(context.Context) error {
 		Colors:        colors,
 		Conflicts:     conf,
 		Stitches:      stit,
-		Proven:        prev.Proven && !r.unproven.Load() && r.dstats.Fallbacks == 0,
+		Proven:        prev.Proven && !r.unproven && r.dstats.Fallbacks == 0,
 		AssignTime:    r.es.SolveTime,
-		SolverTime:    time.Duration(r.solverNanos.Load()),
+		SolverTime:    r.solverTime,
 		DivisionStats: r.dstats,
 		Degraded:      r.dstats.Fallbacks,
 		K:             r.opts.K,

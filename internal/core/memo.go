@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mpl/internal/canon"
 	"mpl/internal/division"
@@ -14,61 +15,32 @@ import (
 	"mpl/internal/pipeline"
 )
 
-// sharedShapes is the process-wide shape cache every memoized solve path
-// shares (like sharedScratch): real workloads repeat standard cells across
-// layouts and across requests, so hits compound over the life of the
-// process. Entries are solved colorings, one per labeled encoding, in the
-// piece's own labeling; bounded, least-recently-used entries evicted
-// beyond the bound.
-var sharedShapes = flight.New[[]int](4096, nil)
-
-// shapeTally accumulates one run's shape-cache counters while division
-// workers hit the cache concurrently; drainInto publishes them to
-// division.Stats.Shapes after the pipeline finishes (the same lifecycle as
-// engineTally). Distinct is counted run-locally — the process-wide cache
-// cannot answer "how many shapes did *this* run touch".
-type shapeTally struct {
-	mu       sync.Mutex
-	hits     int                 // guarded by mu
-	misses   int                 // guarded by mu
-	distinct map[string]struct{} // guarded by mu; only len() is read, never ranged
+// shapeEntry is one stored piece solve: the colors in the piece's own
+// labeling and the engine label of the solve that produced them, so a hit
+// is tallied under the engine whose answer it carries.
+type shapeEntry struct {
+	colors []int
+	engine string
 }
 
-func newShapeTally() *shapeTally { return &shapeTally{distinct: make(map[string]struct{})} }
+// sharedShapes is the process-wide shape tier every deterministic solve
+// path shares (like sharedScratch): real workloads repeat standard cells
+// across layouts, across requests and across the steps of an ECO session,
+// so hits compound over the life of the process. Entries are clean piece
+// solves, one per labeled encoding; bounded, least-recently-used entries
+// evicted beyond the bound.
+var sharedShapes = flight.New[shapeEntry](4096, nil)
 
-func (t *shapeTally) hit(key string) {
-	t.mu.Lock()
-	t.hits++
-	t.distinct[key] = struct{}{}
-	t.mu.Unlock()
-}
-
-func (t *shapeTally) miss(key string) {
-	t.mu.Lock()
-	t.misses++
-	t.distinct[key] = struct{}{}
-	t.mu.Unlock()
-}
-
-func (t *shapeTally) drainInto(st *division.Stats) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st.Shapes.Hits += t.hits
-	st.Shapes.Misses += t.misses
-	st.Shapes.Distinct += len(t.distinct)
-}
-
-// shapeOptionsSig is the solver-configuration part of a shape-cache key:
-// two runs may share cached colors only when every option an engine reads
+// shapeOptionsSig is the solver-configuration part of a shape-tier key:
+// two runs may share stored colors only when every option an engine reads
 // matches. Fields that cannot change a piece's deterministic solution are
 // zeroed — worker counts and build tuning don't reach the engines, and the
 // wall-clock budgets (ILPTimeLimit, RaceBudget) are excluded because a
-// budget-expired solve is never stored in the first place (memoSolver
-// skips storing once the run is unproven or cancelled), so every cached
-// entry is the budget-independent exact answer.
+// piece whose own solve was cut short by one is never stored (see
+// makeSolver's keep rule), so every entry is the budget-independent exact
+// answer.
 func shapeOptionsSig(o Options) string {
 	o = o.withDefaults()
-	o.Memoize = false
 	o.ILPTimeLimit = 0
 	o.RaceBudget = 0
 	o.Build = BuildOptions{}
@@ -76,52 +48,124 @@ func shapeOptionsSig(o Options) string {
 	return fmt.Sprintf("%#v", o)
 }
 
-// memoSolver wraps an engine dispatcher with the shape cache: each piece
-// is encoded with its own labeling, byte-identical repeats of an
-// already-solved piece copy out the stored colors (tallied as the "memo"
-// engine), and cache misses solve through inner under the encoding's
-// single flight so a hot shape solves once even when every division worker
-// hits it at the same time. Only clean solves are kept: a piece solved
-// after the run went unproven (ILP budget) or under a dying context is not
-// stored, so the cache never replays degraded colors; a worker whose
-// context dies while waiting on another's flight (Bypass) solves locally.
+// dispatch is one run's Dispatch stage, shared by the from-scratch and the
+// incremental divide: the engine dispatcher (makeSolver) behind the shape
+// tier, plus the run's engine histogram, shape counters, provenness and
+// summed solver time, which division workers accumulate concurrently and
+// drainInto publishes once the division has finished.
+type dispatch struct {
+	env      pipeline.Env
+	inner    pieceSolver
+	shapes   *flight.Cache[shapeEntry] // nil under EngineRace: no tier
+	sig      string
+	unproven atomic.Bool
+	solverNs atomic.Int64
+
+	mu       sync.Mutex
+	engines  map[string]int      // guarded by mu
+	hits     int                 // guarded by mu
+	misses   int                 // guarded by mu
+	distinct map[string]struct{} // guarded by mu; only len() is read, never ranged
+}
+
+// newDispatch builds the Dispatch stage of one run over the scratch pool
+// and the shape tier, returning it with the division.Solver that runs
+// pieces through it under ctx. The run's pipeline environment couples the
+// division worker pool to the engines: one scratch pool for every arena
+// lease, and one parallelism budget (sized to Division.Workers) shared by
+// component-level workers and the SDP restart fan-out, so their combined
+// goroutine count never exceeds the configured worker allowance. Race runs
+// bypass the tier: their winners are wall-clock dependent.
+func newDispatch(ctx context.Context, opts Options, pool *pipeline.ScratchPool, shapes *flight.Cache[shapeEntry]) (*dispatch, division.Solver) {
+	d := &dispatch{
+		env:      pipeline.Env{Scratch: pool, Budget: pipeline.NewBudget(opts.Division.Workers)},
+		engines:  make(map[string]int),
+		distinct: make(map[string]struct{}),
+	}
+	d.inner = makeSolver(ctx, opts, d.env)
+	if opts.Engine != EngineRace {
+		d.shapes = shapes
+		d.sig = shapeOptionsSig(opts) + "\x00"
+	}
+	return d, func(g *graph.Graph, sc *pipeline.Scratch) []int { return d.solve(ctx, g, sc) }
+}
+
+// solve colors one division piece. Each piece is encoded with its own
+// labeling; byte-identical repeats of an already-solved piece copy out the
+// stored colors, and misses solve through the engine dispatcher under the
+// encoding's single flight, so a hot shape solves once even when every
+// division worker hits it at the same time. A solve is stored only when
+// the dispatcher reports it clean, so the tier never replays degraded
+// colors; a worker whose context dies while waiting on another's flight
+// (Bypass) solves locally.
 //
 // The entry key is (options signature, labeled encoding). Byte-equal
 // encodings are the same labeled graph, and the engines are deterministic
 // functions of that graph and the options, so replaying a stored coloring
-// is exactly what a memo-off solve of the piece would produce. No
-// canonical form is needed, and none would be sound: the engines break
-// ties by vertex index, so an isomorphic but differently-labeled twin can
+// is exactly what a fresh solve of the piece would produce. No canonical
+// form is needed, and none would be sound: the engines break ties by
+// vertex index, so an isomorphic but differently-labeled twin can
 // legitimately color differently (DESIGN.md §11).
-func memoSolver(ctx context.Context, opts Options, inner division.Solver, unproven *atomic.Bool, tally *engineTally, shapes *flight.Cache[[]int], st *shapeTally) division.Solver {
-	sig := shapeOptionsSig(opts) + "\x00"
-	return func(g *graph.Graph, sc *pipeline.Scratch) []int {
-		n := g.N()
-		if n > canon.MaxVertices {
-			return inner(g, sc) // uncounted: never a cache candidate
-		}
-		// The encoding is self-delimiting (uvarint-counted) and the
-		// signature ends in a NUL, so the concatenation identifies the pair.
-		key := sig + string(canon.Encode(g))
-		var out []int
-		stored, outcome, _ := shapes.Do(ctx, key, func() ([]int, bool, error) {
-			out = inner(g, sc)
-			if ctx.Err() != nil || unproven.Load() {
-				return nil, false, nil
-			}
-			return slices.Clone(out), true, nil
-		})
-		switch outcome {
-		case flight.Hit:
-			st.hit(key)
-			tally.add("memo")
-			out = sc.Ints(n)
-			copy(out, stored)
-			return out
-		case flight.Bypass: // context died waiting on another flight
-			out = inner(g, sc)
-		}
-		st.miss(key)
-		return out
+func (d *dispatch) solve(ctx context.Context, g *graph.Graph, sc *pipeline.Scratch) []int {
+	t0 := time.Now()
+	defer func() { d.solverNs.Add(int64(time.Since(t0))) }()
+	n := g.N()
+	if d.shapes == nil || n > canon.MaxVertices {
+		return d.record(d.inner(g, sc), "", false) // uncounted: never a tier candidate
 	}
+	// The encoding is self-delimiting (uvarint-counted) and the signature
+	// ends in a NUL, so the concatenation identifies the pair.
+	key := d.sig + string(canon.Encode(g))
+	var p solved
+	stored, outcome, _ := d.shapes.Do(ctx, key, func() (shapeEntry, bool, error) {
+		p = d.inner(g, sc)
+		if !p.keep {
+			return shapeEntry{}, false, nil
+		}
+		return shapeEntry{slices.Clone(p.colors), p.engine}, true, nil
+	})
+	switch outcome {
+	case flight.Hit:
+		out := sc.Ints(n)
+		copy(out, stored.colors)
+		return d.record(solved{colors: out, engine: stored.engine}, key, true)
+	case flight.Bypass: // context died waiting on another flight
+		p = d.inner(g, sc)
+	}
+	return d.record(p, key, false)
+}
+
+// record tallies one served piece: its engine label and provenness, and,
+// for a tier candidate (key non-empty), a hit or a miss of key.
+func (d *dispatch) record(p solved, key string, hit bool) []int {
+	if p.unproven {
+		d.unproven.Store(true)
+	}
+	d.mu.Lock()
+	d.engines[p.engine]++
+	if key != "" {
+		if hit {
+			d.hits++
+		} else {
+			d.misses++
+		}
+		d.distinct[key] = struct{}{}
+	}
+	d.mu.Unlock()
+	return p.colors
+}
+
+// drainInto publishes the run's engine histogram and shape counters to st
+// after the division has finished, and reports whether any served piece
+// was unproven plus the solver time summed across workers.
+func (d *dispatch) drainInto(st *division.Stats) (unproven bool, solverTime time.Duration) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for name, n := range d.engines {
+		st.AddEngine(name, n)
+	}
+	st.Shapes.Hits += d.hits
+	st.Shapes.Misses += d.misses
+	st.Shapes.Distinct += len(d.distinct)
+	return d.unproven.Load(), time.Duration(d.solverNs.Load())
 }

@@ -1,40 +1,67 @@
 package core
 
-// Byte-equivalence harness for shape memoization: a
-// memoized solve must be indistinguishable from a memo-off solve in every
-// observable output — colors byte-for-byte, cn#/st#, Proven — on every
-// committed circuit, every engine, serial and parallel. Plus the
-// concurrency contract: N identical components dispatch exactly one engine
-// solve, the rest rehydrate from the cache ("memo" bucket), even when the
+// Byte-equivalence harness for the shape tier: a solve served from a warm
+// tier must be indistinguishable from a solve on a disabled tier in every
+// observable output — colors byte-for-byte, cn#/st#, Proven, the engine
+// histogram — on every committed circuit, every engine, serial and
+// parallel. Plus the concurrency contract: N identical components dispatch
+// exactly one engine solve and the rest are tier hits, even when the
 // division worker pool hits the shape simultaneously under -race.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"mpl/internal/division"
 	"mpl/internal/flight"
 	"mpl/internal/graph"
 	"mpl/internal/layout"
 	"mpl/internal/pipeline"
+	"mpl/internal/synth"
 )
 
-// memoRun solves dg with opts against a fresh shape cache (so hit/miss
-// counters are a function of this run alone, not of test order).
-func memoRun(t *testing.T, dg *Graph, opts Options) *Result {
+// freshTier is an empty shape tier, so hit/miss counters are a function of
+// the runs through it alone, not of test order; noTier is a disabled one
+// (every piece goes to an engine): the oracle of the equivalence suites.
+func freshTier() *flight.Cache[shapeEntry] { return flight.New[shapeEntry](4096, nil) }
+func noTier() *flight.Cache[shapeEntry]    { return flight.New[shapeEntry](-1, nil) }
+
+// tierRun solves dg with opts through the given shape tier.
+func tierRun(t *testing.T, dg *Graph, opts Options, shapes *flight.Cache[shapeEntry]) *Result {
 	t.Helper()
 	if _, err := ParseEngine(opts.Engine); err != nil {
 		t.Fatal(err)
 	}
 	res, err := decomposeGraphShapes(context.Background(), dg, opts.withDefaults(),
-		pipeline.NewRecorder(), sharedScratch, flight.New[[]int](4096, nil))
+		pipeline.NewRecorder(), sharedScratch, shapes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// sameSolve fails unless two results agree in every observable output.
+func sameSolve(t *testing.T, want, got *Result) {
+	t.Helper()
+	if !bytes.Equal(intsToBytes(want.Colors), intsToBytes(got.Colors)) {
+		t.Fatalf("tier-served colors differ from a fresh solve")
+	}
+	if want.Conflicts != got.Conflicts || want.Stitches != got.Stitches {
+		t.Fatalf("objective drifted: fresh %d/%d, tier %d/%d",
+			want.Conflicts, want.Stitches, got.Conflicts, got.Stitches)
+	}
+	if want.Proven != got.Proven {
+		t.Fatalf("Proven drifted: fresh %v, tier %v", want.Proven, got.Proven)
+	}
+	if !maps.Equal(want.DivisionStats.Engines, got.DivisionStats.Engines) {
+		t.Fatalf("engine histogram drifted: fresh %v, tier %v",
+			want.DivisionStats.Engines, got.DivisionStats.Engines)
+	}
 }
 
 func committedCircuit(t *testing.T, name string) *Graph {
@@ -51,7 +78,8 @@ func committedCircuit(t *testing.T, name string) *Graph {
 }
 
 // TestMemoizedByteIdenticalToMemoOff is the headline equivalence gate:
-// memo-on vs memo-off on all committed circuits × engines × workers 1/8.
+// a fresh tier (repeats within the circuit hit) against a disabled tier on
+// all committed circuits × engines × workers 1/8.
 func TestMemoizedByteIdenticalToMemoOff(t *testing.T) {
 	circuits := []string{"C432", "C499", "C880", "C1355", "C5315"}
 	type engine struct {
@@ -75,35 +103,20 @@ func TestMemoizedByteIdenticalToMemoOff(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/w%d", name, eng.label, workers), func(t *testing.T) {
 					opts := eng.opts
 					opts.Division.Workers = workers
-					base := memoRun(t, dg, opts)
-					opts.Memoize = true
-					memo := memoRun(t, dg, opts)
-
-					if !bytes.Equal(intsToBytes(base.Colors), intsToBytes(memo.Colors)) {
-						t.Fatalf("memoized colors differ from memo-off")
-					}
-					if base.Conflicts != memo.Conflicts || base.Stitches != memo.Stitches {
-						t.Fatalf("objective drifted: memo-off %d/%d, memo-on %d/%d",
-							base.Conflicts, base.Stitches, memo.Conflicts, memo.Stitches)
-					}
-					if base.Proven != memo.Proven {
-						t.Fatalf("Proven drifted: %v vs %v", base.Proven, memo.Proven)
-					}
+					base := tierRun(t, dg, opts, noTier())
+					memo := tierRun(t, dg, opts, freshTier())
+					sameSolve(t, base, memo)
 					// Counter accounting: every solver piece was either a
 					// hit or a miss (committed circuits have no pieces over
-					// canon.MaxVertices), hits match the memo bucket, and
-					// the memo-off run reports no shape traffic at all.
-					if base.DivisionStats.Shapes.Hits+base.DivisionStats.Shapes.Misses != 0 {
-						t.Fatalf("memo-off run reports shape traffic: %+v", base.DivisionStats.Shapes)
+					// canon.MaxVertices), and the disabled tier misses all.
+					bs := base.DivisionStats.Shapes
+					if bs.Hits != 0 || bs.Misses != base.DivisionStats.SolverCalls {
+						t.Fatalf("disabled tier: %+v over %d solver calls", bs, base.DivisionStats.SolverCalls)
 					}
 					sh := memo.DivisionStats.Shapes
 					if sh.Hits+sh.Misses != memo.DivisionStats.SolverCalls {
 						t.Fatalf("shape counters don't cover solver calls: %+v vs %d calls",
 							sh, memo.DivisionStats.SolverCalls)
-					}
-					if sh.Hits != memo.DivisionStats.Engines["memo"] {
-						t.Fatalf("memo engine bucket %d != shape hits %d",
-							memo.DivisionStats.Engines["memo"], sh.Hits)
 					}
 					if sh.Distinct == 0 || sh.Distinct > sh.Hits+sh.Misses {
 						t.Fatalf("implausible distinct-shape count: %+v", sh)
@@ -123,7 +136,7 @@ func intsToBytes(xs []int) []byte {
 }
 
 // TestMemoizedILPByteIdentical covers the exact engine separately (it is
-// too slow for the full matrix): C432 under ILP, memo-on vs memo-off.
+// too slow for the full matrix): C432 under ILP, fresh vs disabled tier.
 func TestMemoizedILPByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exact engine on a committed circuit; skipped in -short mode")
@@ -133,12 +146,9 @@ func TestMemoizedILPByteIdentical(t *testing.T) {
 	}
 	dg := committedCircuit(t, "C432")
 	opts := Options{K: 4, Algorithm: AlgILP, Seed: 1, ILPTimeLimit: 10 * time.Minute}
-	base := memoRun(t, dg, opts)
-	opts.Memoize = true
-	memo := memoRun(t, dg, opts)
-	if !bytes.Equal(intsToBytes(base.Colors), intsToBytes(memo.Colors)) {
-		t.Fatalf("memoized ILP colors differ from memo-off")
-	}
+	base := tierRun(t, dg, opts, noTier())
+	memo := tierRun(t, dg, opts, freshTier())
+	sameSolve(t, base, memo)
 	if !memo.Proven || !base.Proven {
 		t.Fatalf("ILP run not proven (base %v, memo %v)", base.Proven, memo.Proven)
 	}
@@ -162,46 +172,31 @@ func nIdenticalK5s(n int) *Graph {
 }
 
 // TestMemoSingleFlightOneDispatchForIdenticalComponents pins the
-// concurrency contract from the ISSUE: N identical components solved by 8
-// division workers produce exactly 1 real engine dispatch; the other N−1
-// rehydrate from the cache, and all N pieces count one distinct shape.
+// concurrency contract: N identical components solved by 8 division
+// workers produce exactly 1 real engine dispatch; the other N−1 are tier
+// hits, tallied under the engine whose answer they carry, and all N
+// pieces count one distinct shape.
 func TestMemoSingleFlightOneDispatchForIdenticalComponents(t *testing.T) {
 	const n = 48
 	dg := nIdenticalK5s(n)
-	opts := Options{K: 4, Algorithm: AlgSDPBacktrack, Seed: 1, Memoize: true}
+	opts := Options{K: 4, Algorithm: AlgSDPBacktrack, Seed: 1}
 	opts.Division.Workers = 8
-	res := memoRun(t, dg, opts)
+	res := tierRun(t, dg, opts, freshTier())
 
 	sh := res.DivisionStats.Shapes
 	if sh.Misses != 1 || sh.Hits != n-1 || sh.Distinct != 1 {
 		t.Fatalf("want 1 miss / %d hits / 1 distinct, got %+v", n-1, sh)
 	}
-	if res.DivisionStats.Engines["memo"] != n-1 {
-		t.Fatalf("memo bucket = %d, want %d (engines: %v)",
-			res.DivisionStats.Engines["memo"], n-1, res.DivisionStats.Engines)
+	if want := map[string]int{"SDP+Backtrack": n}; !maps.Equal(res.DivisionStats.Engines, want) {
+		t.Fatalf("engines = %v, want %v", res.DivisionStats.Engines, want)
 	}
-	real := 0
-	for name, c := range res.DivisionStats.Engines {
-		if name != "memo" {
-			real += c
-		}
-	}
-	if real != 1 {
-		t.Fatalf("identical components dispatched %d engine solves, want 1 (engines: %v)",
-			real, res.DivisionStats.Engines)
-	}
-	// And the result must equal the memo-off solve of the same graph.
-	offOpts := opts
-	offOpts.Memoize = false
-	base := memoRun(t, dg, offOpts)
-	if !bytes.Equal(intsToBytes(base.Colors), intsToBytes(res.Colors)) {
-		t.Fatalf("single-flight rehydration changed the coloring")
-	}
+	// And the result must equal the disabled-tier solve of the same graph.
+	sameSolve(t, tierRun(t, dg, opts, noTier()), res)
 }
 
-// TestMemoizedAutoNeverWorseThanGoldenBest extends the PR 4 portfolio gate:
-// auto with memoization on still matches the golden best counts on every
-// committed circuit — the cache must not change what auto produces.
+// TestMemoizedAutoNeverWorseThanGoldenBest extends the portfolio gate: auto
+// through a fresh shape tier still matches the golden best counts on every
+// committed circuit — the tier must not change what auto produces.
 func TestMemoizedAutoNeverWorseThanGoldenBest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale committed circuits; skipped in -short mode")
@@ -210,10 +205,10 @@ func TestMemoizedAutoNeverWorseThanGoldenBest(t *testing.T) {
 		circuit, engines := circuit, engines
 		t.Run(circuit, func(t *testing.T) {
 			dg := committedCircuit(t, circuit)
-			res := memoRun(t, dg, Options{
-				K: 4, Engine: EngineAuto, Seed: 1, Memoize: true,
+			res := tierRun(t, dg, Options{
+				K: 4, Engine: EngineAuto, Seed: 1,
 				ILPTimeLimit: 10 * time.Minute,
-			})
+			}, freshTier())
 			best := goldenBest(engines)
 			if res.Conflicts > best[0] || (res.Conflicts == best[0] && res.Stitches > best[1]) {
 				t.Errorf("memoized auto cn#/st# = %d/%d exceeds golden best %d/%d",
@@ -223,16 +218,120 @@ func TestMemoizedAutoNeverWorseThanGoldenBest(t *testing.T) {
 	}
 }
 
-// TestMemoizeNormalizesOffUnderRace pins the options contract: race
-// winners are wall-clock dependent, so Normalize forces Memoize off (and
-// equivalent option spellings therefore share cache/session keys).
+// TestMemoizeNormalizesOffUnderRace pins the options contract: Memoize is
+// a deprecated no-op, so Normalize clears it under every engine policy
+// (and equivalent option spellings therefore share cache/session keys).
 func TestMemoizeNormalizesOffUnderRace(t *testing.T) {
-	o := Options{K: 4, Engine: EngineRace, Memoize: true}.Normalize()
-	if o.Memoize {
-		t.Fatalf("race must normalize Memoize off")
+	for _, engine := range []string{EngineFixed, EngineAuto, EngineRace} {
+		if (Options{K: 4, Engine: engine, Memoize: true}).Normalize().Memoize {
+			t.Fatalf("engine %q: Normalize must clear Memoize", engine)
+		}
 	}
-	o = Options{K: 4, Engine: EngineAuto, Memoize: true}.Normalize()
-	if !o.Memoize {
-		t.Fatalf("auto must keep Memoize on")
+}
+
+// TestShapeTrafficWorkerInvariant: what the tier stores is decided per
+// piece, so shape traffic, the engine histogram and Proven are the same at
+// any division worker count. On node-capped dense K=5 layouts a capped
+// piece used to mark the whole run unproven and block every later store,
+// so the count of stored pieces depended on which worker finished first.
+func TestShapeTrafficWorkerInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full C6288 layouts at K=5; skipped in -short mode")
 	}
+	spec, _ := synth.ByName("C6288")
+	for seed := int64(1); seed <= 3; seed++ {
+		dg, err := BuildGraph(synth.GenerateSeeded(spec, 1, seed), BuildOptions{K: 5, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs [2]*Result
+		for i, workers := range []int{1, 2} {
+			opts := Options{K: 5, Algorithm: AlgSDPBacktrack, Memoize: true}
+			opts.Division.Workers = workers
+			runs[i] = tierRun(t, dg, opts, freshTier())
+		}
+		a, b := runs[0], runs[1]
+		if a.DivisionStats.Shapes.Hits != b.DivisionStats.Shapes.Hits ||
+			a.DivisionStats.Shapes.Misses != b.DivisionStats.Shapes.Misses ||
+			!maps.Equal(a.DivisionStats.Engines, b.DivisionStats.Engines) || a.Proven != b.Proven {
+			t.Errorf("seed %d: workers 1 gave %+v %v proven=%v, workers 2 gave %+v %v proven=%v", seed,
+				a.DivisionStats.Shapes, a.DivisionStats.Engines, a.Proven,
+				b.DivisionStats.Shapes, b.DivisionStats.Engines, b.Proven)
+		}
+	}
+}
+
+// TestShapeTierHitEqualsFreshSolve: for every engine the tier admits, a
+// solve served entirely from a warm tier equals a disabled-tier solve in
+// colors, cn#/st#, Proven and the engine histogram.
+func TestShapeTierHitEqualsFreshSolve(t *testing.T) {
+	engines := []struct {
+		label string
+		opts  Options
+	}{
+		{"linear", Options{K: 4, Algorithm: AlgLinear, Seed: 1}},
+		{"sdp-greedy", Options{K: 4, Algorithm: AlgSDPGreedy, Seed: 1}},
+		{"sdp-backtrack", Options{K: 4, Algorithm: AlgSDPBacktrack, Seed: 1}},
+		{"auto", Options{K: 4, Engine: EngineAuto, Seed: 1, ILPTimeLimit: 10 * time.Minute}},
+		{"ilp", Options{K: 4, Algorithm: AlgILP, Seed: 1, ILPTimeLimit: 10 * time.Minute}},
+	}
+	dg := committedCircuit(t, "C432")
+	for _, eng := range engines {
+		t.Run(eng.label, func(t *testing.T) {
+			if eng.label == "ilp" && raceEnabled {
+				t.Skip("exact search is ~25x slower under -race")
+			}
+			opts := eng.opts
+			opts.Division.Workers = 2
+			fresh := tierRun(t, dg, opts, noTier())
+			tier := freshTier()
+			tierRun(t, dg, opts, tier) // warm-up: fills the tier
+			warm := tierRun(t, dg, opts, tier)
+			sameSolve(t, fresh, warm)
+			if sh := warm.DivisionStats.Shapes; sh.Misses != 0 || sh.Hits != warm.DivisionStats.SolverCalls {
+				t.Fatalf("warm tier still solved pieces: %+v over %d solver calls", sh, warm.DivisionStats.SolverCalls)
+			}
+		})
+	}
+
+	// A piece whose backtracking search hit its node cap is served but
+	// never stored, so the next run solves it again (unproven again).
+	t.Run("capped", func(t *testing.T) {
+		dg := nIdenticalK5s(4)
+		opts := Options{K: 4, Algorithm: AlgSDPBacktrack, Seed: 1, BacktrackNodeLimit: 1}
+		tier := freshTier()
+		for run := 0; run < 2; run++ {
+			res := tierRun(t, dg, opts, tier)
+			if res.Proven {
+				t.Fatalf("run %d: a 1-node backtracking cap reported proven", run)
+			}
+			if sh := res.DivisionStats.Shapes; sh.Hits != 0 || sh.Misses != 4 {
+				t.Fatalf("run %d: capped pieces were served from the tier: %+v", run, sh)
+			}
+		}
+		if tier.Len() != 0 {
+			t.Fatalf("tier stored %d capped pieces", tier.Len())
+		}
+	})
+
+	// Race winners are wall-clock dependent, so a race run neither reads
+	// nor fills the tier and reports no shape traffic.
+	t.Run("race", func(t *testing.T) {
+		dg := nIdenticalK5s(4)
+		tier := freshTier()
+		race := Options{K: 4, Engine: EngineRace, Seed: 1}
+		check := func(when string, stored int) {
+			res := tierRun(t, dg, race, tier)
+			if res.DivisionStats.Shapes != (division.ShapeStats{}) || tier.Len() != stored || tier.Evictions() != 0 {
+				t.Fatalf("race on %s tier: shapes %+v, tier holds %d (want %d), %d evictions",
+					when, res.DivisionStats.Shapes, tier.Len(), stored, tier.Evictions())
+			}
+		}
+		check("an empty", 0)
+		tierRun(t, dg, Options{K: 4, Engine: EngineAuto, Seed: 1}, tier)
+		if tier.Len() == 0 {
+			t.Fatal("auto stored nothing")
+		}
+		check("a warm", tier.Len())
+	})
 }

@@ -119,6 +119,9 @@ type Stats struct {
 	// (the cancellation path of callSolver); the portfolio dispatcher in
 	// internal/core fills in the engine names it routed pieces to, so a
 	// fixed-engine run shows one bucket, an auto/race run shows the mix.
+	// A piece served from core's shape tier counts under the engine whose
+	// stored answer it carries, so the histogram does not depend on what
+	// the tier held.
 	// Lazily allocated — a Stats with no dispatches has a nil map.
 	Engines map[string]int
 
@@ -129,8 +132,8 @@ type Stats struct {
 	// around it. Lazily allocated, merged across workers like Engines.
 	Stages map[string]pipeline.StageStats
 
-	// Shapes reports the shape memoization counters of the run
-	// (internal/canon, Options.Memoize). Like Engines, the counters are
+	// Shapes reports the shape-tier counters of the run (internal/canon;
+	// every non-race solve, DESIGN.md §11). Like Engines, the counters are
 	// produced by the dispatcher in internal/core — this package never
 	// touches them — and arrive after the division finishes; worker-level
 	// Stats always carry zeros here.
@@ -182,10 +185,10 @@ func (b *Balance) Merge(o Balance) {
 	}
 }
 
-// ShapeStats counts shape-cache traffic for one run: Hits is solver pieces
-// answered from the cache, Misses is pieces that went to an engine (cache
-// miss or memoization bypass), Distinct is the number of distinct labeled
-// encodings (cache identities) the run touched.
+// ShapeStats counts shape-tier traffic for one run: Hits is solver pieces
+// answered from the tier, Misses is pieces that went to an engine (tier
+// miss, bypass, or a disabled tier), Distinct is the number of distinct
+// labeled encodings (tier identities) the run touched.
 type ShapeStats struct {
 	Hits     int
 	Misses   int

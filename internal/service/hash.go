@@ -102,7 +102,10 @@ func (e *keyEnc) encodeOptions(o core.Options) {
 	e.int64("btnodes", o.BacktrackNodeLimit)
 	e.int("sdprestarts", o.SDPRestarts)
 	e.int("sdpmaxiter", o.SDPMaxIter)
-	e.bool("memo", o.Memoize)
+	// Memoize is a deprecated no-op that Normalize clears, so it is
+	// key-neutral; the constant field keeps every signature byte-identical
+	// to those of older binaries, whose durable sessions still rehydrate.
+	e.bool("memo", false)
 	e.encodeBuild(o.Build)
 	e.int("d.k", o.Division.K)
 	e.float("d.alpha", o.Division.Alpha)

@@ -26,8 +26,10 @@ var keyFields = map[reflect.Type]map[string]bool{
 		"K": true, "Algorithm": true, "Engine": true, "Portfolio": true,
 		"RaceBudget": true, "Alpha": true, "Threshold": true, "Seed": true,
 		"ILPTimeLimit": true, "BacktrackNodeLimit": true,
-		"SDPRestarts": true, "SDPMaxIter": true, "Memoize": true,
+		"SDPRestarts": true, "SDPMaxIter": true,
 		"Build": true, "Division": true, "Linear": true,
+		// Memoize is a deprecated no-op, cleared by Normalize.
+		"Memoize": false,
 	},
 	reflect.TypeOf(core.BuildOptions{}): {
 		"MinS": true, "K": true, "DisableStitches": true,
@@ -97,7 +99,6 @@ func TestResultKeyDistinguishesOptions(t *testing.T) {
 		"alpha":     {K: 4, Alpha: 0.25},
 		"threshold": {K: 4, Threshold: 0.5},
 		"seed":      {K: 4, Seed: 9},
-		"memoize":   {K: 4, Memoize: true},
 		"build":     {K: 4, Build: core.BuildOptions{DisableStitches: true}},
 		"division":  {K: 4, Division: division.Options{DisableGHTree: true}},
 		"linear":    {K: 4, Linear: coloring.LinearOptions{DisableColorFriendly: true}},
@@ -108,16 +109,38 @@ func TestResultKeyDistinguishesOptions(t *testing.T) {
 			t.Errorf("option %s does not reach the result key", name)
 		}
 	}
-	// Worker counts are key-neutral by design.
+	// Worker counts are key-neutral by design, and so is the deprecated
+	// Memoize.
 	w := base
 	w.Division.Workers = 8
 	w.Build.Workers = 8
 	if resultKey("lh", w) != bk {
 		t.Error("worker counts must not affect the result key")
 	}
+	if resultKey("lh", core.Options{K: 4, Memoize: true}) != bk {
+		t.Error("Memoize must not affect the result key")
+	}
 	// Default spellings share an entry through normalization.
 	if resultKey("lh", core.Options{}) != bk {
 		t.Error("{} and {K: 4} must normalize to one key")
+	}
+}
+
+// TestOptionsSigPinned pins one durable session signature byte for byte:
+// sessions on disk are keyed by it, so any drift orphans every session
+// written by an older binary. Memo-on sessions from before Memoize became
+// a no-op were keyed with "memo=true" and answer 404 (clients re-send).
+func TestOptionsSigPinned(t *testing.T) {
+	const want = "|k=4|alg=0|engine=|pf.ilpn=0|pf.ilpm=0|pf.btn=0|pf.grn=0|race=0|alpha=0.1|tth=0.9|seed=0" +
+		"|ilpbudget=60000000000|btnodes=0|sdprestarts=0|sdpmaxiter=0|memo=false" +
+		"|b.mins=0|b.k=4|b.nostitch=false|b.minseg=0|b.maxstitch=0" +
+		"|d.k=4|d.alpha=0.1|d.nopeel=false|d.nobicon=false|d.noght=false|d.ghmaxn=0|d.maxstitchdeg=0" +
+		"|d.lin.k=4|d.lin.alpha=0.1|d.lin.nofriend=false|d.lin.fw=0|d.lin.maxstitchdeg=0|d.lin.order=0" +
+		"|lin.k=4|lin.alpha=0.1|lin.nofriend=false|lin.fw=0|lin.maxstitchdeg=0|lin.order=0"
+	for _, o := range []core.Options{{K: 4}, {K: 4, Memoize: true}} {
+		if got := OptionsSig(o); got != want {
+			t.Errorf("OptionsSig(%+v) =\n%s\nwant\n%s", o, got, want)
+		}
 	}
 }
 

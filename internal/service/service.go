@@ -104,8 +104,8 @@ type Stats struct {
 	// builds this service actually ran (cache-hit graphs add nothing —
 	// the build they reuse was recorded when it happened).
 	Stages map[string]pipeline.StageStats
-	// Shapes accumulates the shape memoization counters of
-	// every memoized solve this service executed (core Options.Memoize).
+	// Shapes accumulates the shape-tier counters of every non-race solve
+	// this service executed (DESIGN.md §11).
 	// Distinct sums per-run distinct-shape counts, so a shape two solves
 	// both touch is counted by each.
 	Shapes division.ShapeStats
