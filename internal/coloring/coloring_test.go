@@ -72,6 +72,50 @@ func TestCountAndCost(t *testing.T) {
 	}
 }
 
+// TestCountMatchesEdgeListsNoAlloc: Count walks the CSR rows instead of
+// materializing the edge lists, and must agree with the edge-list count
+// (uncolored endpoints included) while allocating nothing.
+func TestCountMatchesEdgeListsNoAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(40)
+		b := graph.NewBuilder(n)
+		for e := 0; e < 3*n; e++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			if rng.Intn(3) == 0 {
+				b.AddStitch(u, v)
+			} else {
+				b.AddConflict(u, v)
+			}
+		}
+		g := b.Build(nil)
+		colors := make([]int, n)
+		for v := range colors {
+			colors[v] = rng.Intn(5) - 1 // -1 is Uncolored
+		}
+		var wantC, wantS int
+		for _, e := range g.ConflictEdges() {
+			if cu := colors[e.U]; cu != Uncolored && cu == colors[e.V] {
+				wantC++
+			}
+		}
+		for _, e := range g.StitchEdges() {
+			if cu, cv := colors[e.U], colors[e.V]; cu != Uncolored && cv != Uncolored && cu != cv {
+				wantS++
+			}
+		}
+		if c, s := Count(g, colors); c != wantC || s != wantS {
+			t.Fatalf("trial %d: Count = %d,%d, edge lists give %d,%d", trial, c, s, wantC, wantS)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { Count(g, colors) }); allocs != 0 {
+			t.Fatalf("trial %d: Count allocates %v times", trial, allocs)
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	g := graph.New(2)
 	if err := Validate(g, []int{0, 3}, 4); err != nil {

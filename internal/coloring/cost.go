@@ -18,18 +18,23 @@ const Uncolored = -1
 
 // Count returns the number of conflicts (same-colored conflict edges) and
 // stitches (differently-colored stitch edges) of a complete assignment.
-// Edges with an uncolored endpoint are not counted.
+// Edges with an uncolored endpoint are not counted. It walks each edge once
+// from its lower endpoint's adjacency row and allocates nothing.
 func Count(g *graph.Graph, colors []int) (conflicts, stitches int) {
-	for _, e := range g.ConflictEdges() {
-		cu, cv := colors[e.U], colors[e.V]
-		if cu != Uncolored && cu == cv {
-			conflicts++
+	for u := 0; u < g.N(); u++ {
+		cu := colors[u]
+		if cu == Uncolored {
+			continue
 		}
-	}
-	for _, e := range g.StitchEdges() {
-		cu, cv := colors[e.U], colors[e.V]
-		if cu != Uncolored && cv != Uncolored && cu != cv {
-			stitches++
+		for _, v := range g.ConflictNeighbors(u) {
+			if int(v) > u && colors[v] == cu {
+				conflicts++
+			}
+		}
+		for _, v := range g.StitchNeighbors(u) {
+			if cv := colors[v]; int(v) > u && cv != Uncolored && cv != cu {
+				stitches++
+			}
 		}
 	}
 	return conflicts, stitches

@@ -7,10 +7,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,16 +203,17 @@ type builder struct {
 	hp      int
 	workers int
 
-	// Stage 1 output, indexed by feature.
-	pieces   [][]geom.Polygon
-	stitches [][][2]int // per feature: local piece index pairs touching (gap 0)
+	// Stage 1 output: the pieces of each feature, and per shard chunk the
+	// touching (gap 0) piece pairs as flat (feature, i, j) triples of
+	// local piece indices, in feature order within the chunk.
+	pieces      [][]geom.Polygon
+	stitchShard [][]int32
 
 	// Stage 2 output.
-	frags          []Fragment
-	fragsOfFeature [][]int
-	bld            *graph.Builder
-	g              *graph.Graph
-	stats          BuildStats
+	frags []Fragment
+	bld   *graph.Builder
+	g     *graph.Graph
+	stats BuildStats
 
 	// Stage 3 output, indexed by shard chunk: flat (u,v) conflict and
 	// color-friendly pairs, u < v (owner-computes dedup). Each chunk is
@@ -309,41 +311,48 @@ func (b *builder) runSharded(ctx context.Context, n int, stage string, fn func(c
 func (b *builder) splitFeatures(ctx context.Context) error {
 	nf := len(b.l.Features)
 	b.pieces = make([][]geom.Polygon, nf)
-	b.stitches = make([][][2]int, nf)
 	if b.opts.DisableStitches {
-		for fi := range b.l.Features {
-			b.pieces[fi] = []geom.Polygon{b.l.Features[fi]}
+		whole := slices.Clone(b.l.Features)
+		for fi := range whole {
+			b.pieces[fi] = whole[fi : fi+1 : fi+1]
 		}
 		return nil
 	}
+	_, nChunks := b.shardPlan(nf)
+	b.stitchShard = make([][]int32, nChunks)
 	splitter := newStitchSplitter(b.l, b.minS, b.opts)
 	defer splitter.grid.Release()
 	queriers := newQuerierLease(splitter.grid)
 	defer queriers.release()
-	return b.runSharded(ctx, nf, "stitch splitting", func(_, lo, hi int) {
+	return b.runSharded(ctx, nf, "stitch splitting", func(ci, lo, hi int) {
 		q := queriers.get()
 		defer queriers.put(q)
+		buf := newSplitBuf(hi - lo)
+		var stitches []int32
 		for fi := lo; fi < hi; fi++ {
-			ps := splitter.split(q, fi, b.l.Features[fi])
+			ps := splitter.split(q, buf, fi, b.l.Features[fi])
 			b.pieces[fi] = ps
 			// Touching pieces of one feature are stitch candidates; record
 			// local pairs now so the merge only replays them.
 			for i := 0; i < len(ps); i++ {
 				for j := i + 1; j < len(ps); j++ {
 					if geom.GapSqPoly(ps[i], ps[j]) == 0 {
-						b.stitches[fi] = append(b.stitches[fi], [2]int{i, j})
+						stitches = append(stitches, int32(fi), int32(i), int32(j))
 					}
 				}
 			}
 		}
+		b.stitchShard[ci] = stitches
 	})
 }
 
 // assembleFragments runs stage 2: deterministic fragment numbering in
-// feature order and stitch-pair staging into the CSR builder. It returns an
-// error — instead of letting graph.NewBuilder panic — when the fragment
-// count exceeds the int32 vertex-id capacity, so million-feature inputs that
-// overshoot fail with a diagnosis rather than silent id truncation.
+// feature order and stitch-pair staging into the CSR builder. The fragments
+// of feature fi are numbered contiguously from start[fi], so a local piece
+// index is an offset from there. It returns an error — instead of letting
+// graph.NewBuilder panic — when the fragment count exceeds the int32
+// vertex-id capacity, so million-feature inputs that overshoot fail with a
+// diagnosis rather than silent id truncation.
 func (b *builder) assembleFragments() error {
 	total := 0
 	for _, ps := range b.pieces {
@@ -353,21 +362,23 @@ func (b *builder) assembleFragments() error {
 		return fmt.Errorf("core: layout splits into %d fragments, exceeding the graph capacity of %d vertices", total, graph.MaxVertices)
 	}
 	b.frags = make([]Fragment, 0, total)
-	b.fragsOfFeature = make([][]int, len(b.pieces))
+	start := make([]int32, len(b.pieces))
 	for fi, ps := range b.pieces {
+		start[fi] = int32(len(b.frags))
 		for _, p := range ps {
-			b.fragsOfFeature[fi] = append(b.fragsOfFeature[fi], len(b.frags))
 			b.frags = append(b.frags, Fragment{Feature: fi, Shape: p})
 		}
 	}
+	b.pieces = nil
 	b.bld = graph.NewBuilder(len(b.frags))
 	b.stats = BuildStats{Features: len(b.l.Features), Fragments: len(b.frags)}
-	for fi, pairs := range b.stitches {
-		ids := b.fragsOfFeature[fi]
-		for _, pr := range pairs {
-			b.bld.AddStitch(ids[pr[0]], ids[pr[1]])
+	for _, tri := range b.stitchShard {
+		for k := 0; k < len(tri); k += 3 {
+			s := int(start[tri[k]])
+			b.bld.AddStitch(s+int(tri[k+1]), s+int(tri[k+2]))
 		}
 	}
+	b.stitchShard = nil
 	return nil
 }
 
@@ -385,11 +396,12 @@ func (b *builder) discoverEdges(ctx context.Context) error {
 	}
 	radius := b.minS + b.hp
 	world := b.l.Bounds().Expand(radius + 1)
-	grid := spatial.NewGrid(world, radius, n)
-	defer grid.Release()
-	for _, fr := range b.frags {
-		grid.Insert(fr.Shape.Bounds())
+	bounds := make([]geom.Rect, n)
+	for i, fr := range b.frags {
+		bounds[i] = fr.Shape.Bounds()
 	}
+	grid := spatial.NewGrid(world, radius, bounds)
+	defer grid.Release()
 
 	// Tile sharding (parallel builds only): order fragment indices by the
 	// coarse tile containing their bounds center (ties by index). Workers
@@ -409,17 +421,17 @@ func (b *builder) discoverEdges(ctx context.Context) error {
 		tile := make([]int32, n)
 		tileSize := 4 * radius
 		cols := world.Width()/tileSize + 1
-		for i, fr := range b.frags {
-			bb := fr.Shape.Bounds()
+		for i, bb := range bounds {
 			tx := ((bb.X0+bb.X1)/2 - world.X0) / tileSize
 			ty := ((bb.Y0+bb.Y1)/2 - world.Y0) / tileSize
 			tile[i] = int32(ty*cols + tx)
 		}
-		sort.Slice(order, func(a, c int) bool {
-			if tile[order[a]] != tile[order[c]] {
-				return tile[order[a]] < tile[order[c]]
+		// (tile, index) is a total order, so the sort has one result.
+		slices.SortFunc(order, func(a, c int32) int {
+			if tile[a] != tile[c] {
+				return cmp.Compare(tile[a], tile[c])
 			}
-			return order[a] < order[c]
+			return cmp.Compare(a, c)
 		})
 	}
 
@@ -432,7 +444,7 @@ func (b *builder) discoverEdges(ctx context.Context) error {
 		return b.runSharded(ctx, n, "edge generation", func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				fi := b.frags[i]
-				grid.Near(fi.Shape.Bounds(), radius, func(j int) {
+				grid.Near(bounds[i], radius, func(j int) {
 					if j <= i || fi.Feature == b.frags[j].Feature {
 						return
 					}
@@ -456,7 +468,7 @@ func (b *builder) discoverEdges(ctx context.Context) error {
 		for _, oi := range order[lo:hi] {
 			i := int(oi)
 			fi := b.frags[i]
-			q.Near(fi.Shape.Bounds(), radius, func(j int) {
+			q.Near(bounds[i], radius, func(j int) {
 				if j <= i || fi.Feature == b.frags[j].Feature {
 					return
 				}
@@ -552,16 +564,17 @@ type stitchSplitter struct {
 	minSeg   int
 	maxCount int
 	grid     *spatial.Grid
-	owner    []int // grid id -> feature index
-	rects    []geom.Rect
+	owner    []int32     // grid id -> feature index
+	rects    []geom.Rect // grid id -> rectangle (the grid's bounds table)
 }
 
 // newStitchSplitter indexes every rectangle of l.
 func newStitchSplitter(l *layout.Layout, minS int, opts BuildOptions) *stitchSplitter {
-	s := newSplitterIndex(l, minS, opts, l.Bounds(), l.RectCount())
+	s := newSplitterIndex(l, minS, opts, l.RectCount())
 	for fi := range l.Features {
 		s.index(fi)
 	}
+	s.seal(l.Bounds())
 	return s
 }
 
@@ -580,17 +593,18 @@ func newWindowSplitter(l *layout.Layout, minS int, opts BuildOptions, feats []in
 		world = world.Union(f.Bounds())
 		total += len(f.Rects)
 	}
-	s := newSplitterIndex(l, minS, opts, world, total)
+	s := newSplitterIndex(l, minS, opts, total)
 	for _, fi := range feats {
 		s.index(int(fi))
 	}
+	s.seal(world)
 	return s
 }
 
-// newSplitterIndex returns an empty splitter over world sized for total
-// rectangles, with the stitch defaults resolved: the minimum segment is the
-// process minimum width and the per-feature cap is 2.
-func newSplitterIndex(l *layout.Layout, minS int, opts BuildOptions, world geom.Rect, total int) *stitchSplitter {
+// newSplitterIndex returns an empty splitter sized for total rectangles,
+// with the stitch defaults resolved: the minimum segment is the process
+// minimum width and the per-feature cap is 2.
+func newSplitterIndex(l *layout.Layout, minS int, opts BuildOptions, total int) *stitchSplitter {
 	s := &stitchSplitter{l: l, minS: minS, minSeg: opts.StitchMinSeg, maxCount: opts.MaxStitchesPerFeature}
 	if s.minSeg == 0 {
 		s.minSeg = l.Process.MinWidth
@@ -598,8 +612,7 @@ func newSplitterIndex(l *layout.Layout, minS int, opts BuildOptions, world geom.
 	if s.maxCount == 0 {
 		s.maxCount = 2
 	}
-	s.grid = spatial.NewGrid(world.Expand(minS+1), minS, total)
-	s.owner = make([]int, 0, total)
+	s.owner = make([]int32, 0, total)
 	s.rects = make([]geom.Rect, 0, total)
 	return s
 }
@@ -607,10 +620,55 @@ func newSplitterIndex(l *layout.Layout, minS int, opts BuildOptions, world geom.
 // index adds the rectangles of feature fi.
 func (s *stitchSplitter) index(fi int) {
 	for _, r := range s.l.Features[fi].Rects {
-		s.grid.Insert(r)
-		s.owner = append(s.owner, fi)
+		s.owner = append(s.owner, int32(fi))
 		s.rects = append(s.rects, r)
 	}
+}
+
+// seal builds the grid over every indexed rectangle; world bounds them.
+func (s *stitchSplitter) seal(world geom.Rect) {
+	s.grid = spatial.NewGrid(world.Expand(s.minS+1), s.minS, s.rects)
+}
+
+// span is a forbidden projection interval [lo, hi) along a wire.
+type span struct{ lo, hi int }
+
+// splitBuf is what stitchSplitter.split writes into: the fragment polygons
+// and their rectangles are carved from two arenas as capped windows, so no
+// later append to one piece can clobber its neighbour, and the
+// forbidden-interval and cut buffers are reused from feature to feature.
+// One buffer serves one goroutine; the fresh build gives each shard chunk
+// its own, ApplyEdits one per call.
+type splitBuf struct {
+	polys     []geom.Polygon
+	rects     []geom.Rect
+	chunk     int // arena chunk length
+	forbidden []span
+	cuts      []int
+}
+
+// newSplitBuf returns a buffer whose arena chunks hold one piece per
+// feature of a run of the given length.
+func newSplitBuf(features int) *splitBuf { return &splitBuf{chunk: max(features, 16)} }
+
+// carve hands out the next n elements of *arena as a capped window,
+// starting a fresh chunk when the current one is short. Earlier windows
+// keep pointing into the chunk they came from.
+func carve[T any](arena *[]T, n, chunk int) []T {
+	a := *arena
+	if cap(a)-len(a) < n {
+		a = make([]T, 0, max(n, chunk))
+	}
+	k := len(a)
+	*arena = a[:k+n]
+	return a[k : k+n : k+n]
+}
+
+// whole returns f as the single piece of its feature.
+func (b *splitBuf) whole(f geom.Polygon) []geom.Polygon {
+	out := carve(&b.polys, 1, b.chunk)
+	out[0] = f
+	return out
 }
 
 // split returns the fragment polygons of one feature: single-rectangle
@@ -618,10 +676,11 @@ func (s *stitchSplitter) index(fi int) {
 // whole. (Stitches inside complex polygons exist in practice but the
 // paper's stitch model — one candidate per uncovered projection interval —
 // is defined on wires; see DESIGN.md §5.) Queries go through the caller's
-// Querier so shards can split concurrently over the shared grid.
-func (s *stitchSplitter) split(q *spatial.Querier, fi int, f geom.Polygon) []geom.Polygon {
+// Querier so shards can split concurrently over the shared grid; the
+// pieces live in buf's arenas.
+func (s *stitchSplitter) split(q *spatial.Querier, buf *splitBuf, fi int, f geom.Polygon) []geom.Polygon {
 	if len(f.Rects) != 1 {
-		return []geom.Polygon{f}
+		return buf.whole(f)
 	}
 	r := f.Rects[0]
 	horizontal := r.Width() >= r.Height()
@@ -630,16 +689,15 @@ func (s *stitchSplitter) split(q *spatial.Querier, fi int, f geom.Polygon) []geo
 		length = r.Height()
 	}
 	if length < 2*s.minSeg {
-		return []geom.Polygon{f}
+		return buf.whole(f)
 	}
 
 	// Forbidden intervals: projections of conflicting neighbor rectangles,
 	// expanded by minSeg so a stitch keeps clearance from the region where
 	// the neighbor actually constrains the wire.
-	type iv struct{ lo, hi int }
-	var forbidden []iv
+	forbidden := buf.forbidden[:0]
 	q.Near(r, s.minS, func(id int) {
-		if s.owner[id] == fi {
+		if int(s.owner[id]) == fi {
 			return
 		}
 		nr := s.rects[id]
@@ -647,11 +705,12 @@ func (s *stitchSplitter) split(q *spatial.Querier, fi int, f geom.Polygon) []geo
 			return
 		}
 		if horizontal {
-			forbidden = append(forbidden, iv{nr.X0 - s.minSeg, nr.X1 + s.minSeg})
+			forbidden = append(forbidden, span{nr.X0 - s.minSeg, nr.X1 + s.minSeg})
 		} else {
-			forbidden = append(forbidden, iv{nr.Y0 - s.minSeg, nr.Y1 + s.minSeg})
+			forbidden = append(forbidden, span{nr.Y0 - s.minSeg, nr.Y1 + s.minSeg})
 		}
 	})
+	buf.forbidden = forbidden
 
 	lo, hi := r.X0, r.X1
 	if !horizontal {
@@ -660,12 +719,15 @@ func (s *stitchSplitter) split(q *spatial.Querier, fi int, f geom.Polygon) []geo
 	// Candidate window: stitches must leave minSeg on both sides.
 	winLo, winHi := lo+s.minSeg, hi-s.minSeg
 	if winLo >= winHi {
-		return []geom.Polygon{f}
+		return buf.whole(f)
 	}
-	sort.Slice(forbidden, func(a, b int) bool { return forbidden[a].lo < forbidden[b].lo })
+	// Intervals with equal lo may land in either order: the first of them
+	// decides whether a gap ends at lo, and the cursor leaves the group at
+	// the maximum of their hi either way, so the walk below is unchanged.
+	slices.SortFunc(forbidden, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 
 	// Walk the window collecting allowed gaps; one stitch per gap midpoint.
-	var cuts []int
+	cuts := buf.cuts[:0]
 	cursor := winLo
 	emit := func(gapLo, gapHi int) {
 		if len(cuts) >= s.maxCount {
@@ -690,28 +752,36 @@ func (s *stitchSplitter) split(q *spatial.Querier, fi int, f geom.Polygon) []geo
 	if cursor < winHi {
 		emit(cursor, winHi)
 	}
+	buf.cuts = cuts
 	if len(cuts) == 0 {
-		return []geom.Polygon{f}
+		return buf.whole(f)
 	}
-	sort.Ints(cuts)
-
-	var out []geom.Polygon
+	slices.Sort(cuts)
+	kept := cuts[:0]
 	prev := lo
 	for _, c := range cuts {
 		if c <= prev || c >= hi {
 			continue
 		}
-		if horizontal {
-			out = append(out, geom.NewPolygon(geom.Rect{X0: prev, Y0: r.Y0, X1: c, Y1: r.Y1}))
-		} else {
-			out = append(out, geom.NewPolygon(geom.Rect{X0: r.X0, Y0: prev, X1: r.X1, Y1: c}))
-		}
+		kept = append(kept, c)
 		prev = c
 	}
-	if horizontal {
-		out = append(out, geom.NewPolygon(geom.Rect{X0: prev, Y0: r.Y0, X1: hi, Y1: r.Y1}))
-	} else {
-		out = append(out, geom.NewPolygon(geom.Rect{X0: r.X0, Y0: prev, X1: r.X1, Y1: hi}))
+
+	out := carve(&buf.polys, len(kept)+1, buf.chunk)
+	rs := carve(&buf.rects, len(kept)+1, buf.chunk)
+	prev = lo
+	for k := range rs {
+		end := hi
+		if k < len(kept) {
+			end = kept[k]
+		}
+		if horizontal {
+			rs[k] = geom.Rect{X0: prev, Y0: r.Y0, X1: end, Y1: r.Y1}
+		} else {
+			rs[k] = geom.Rect{X0: r.X0, Y0: prev, X1: r.X1, Y1: end}
+		}
+		out[k] = geom.Polygon{Rects: rs[k : k+1 : k+1]}
+		prev = end
 	}
 	return out
 }

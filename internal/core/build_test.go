@@ -123,16 +123,24 @@ func TestGridCellUnchangedOnBenchmarks(t *testing.T) {
 			}
 			minS := dg.MinS
 			radius := minS + dg.HalfPitch
+			var rects, frags []geom.Rect
+			for _, f := range l.Features {
+				rects = append(rects, f.Rects...)
+			}
+			for _, fr := range dg.Fragments {
+				frags = append(frags, fr.Shape.Bounds())
+			}
 			for _, g := range []struct {
-				what        string
-				world       geom.Rect
-				cell, count int
+				what  string
+				world geom.Rect
+				cell  int
+				rects []geom.Rect
 			}{
-				{"splitter", l.Bounds().Expand(minS + 1), minS, l.RectCount()},
-				{"edges", l.Bounds().Expand(radius + 1), radius, len(dg.Fragments)},
-				{"verify", worldOf(dg), minS + 1, len(dg.Fragments)},
+				{"splitter", l.Bounds().Expand(minS + 1), minS, rects},
+				{"edges", l.Bounds().Expand(radius + 1), radius, frags},
+				{"verify", worldOf(dg), minS + 1, frags},
 			} {
-				grid := spatial.NewGrid(g.world, g.cell, g.count)
+				grid := spatial.NewGrid(g.world, g.cell, g.rects)
 				if grid.Cell() != g.cell {
 					t.Errorf("%s K=%d %s grid: cell %d grew to %d", name, k, g.what, g.cell, grid.Cell())
 				}

@@ -53,8 +53,9 @@ func referenceBuildGraph(l *layout.Layout, opts BuildOptions) (*Graph, error) {
 		defer splitter.grid.Release()
 		q := splitter.grid.NewQuerier()
 		defer q.Release()
+		buf := newSplitBuf(nf)
 		for fi := range l.Features {
-			ps := splitter.split(q, fi, l.Features[fi])
+			ps := splitter.split(q, buf, fi, l.Features[fi])
 			pieces[fi] = ps
 			for i := 0; i < len(ps); i++ {
 				for j := i + 1; j < len(ps); j++ {
@@ -91,11 +92,12 @@ func referenceBuildGraph(l *layout.Layout, opts BuildOptions) (*Graph, error) {
 	if n > 0 {
 		radius := minS + hp
 		world := l.Bounds().Expand(radius + 1)
-		grid := spatial.NewGrid(world, radius, n)
-		defer grid.Release()
-		for _, fr := range frags {
-			grid.Insert(fr.Shape.Bounds())
+		bounds := make([]geom.Rect, n)
+		for i, fr := range frags {
+			bounds[i] = fr.Shape.Bounds()
 		}
+		grid := spatial.NewGrid(world, radius, bounds)
+		defer grid.Release()
 		minSq := int64(minS) * int64(minS)
 		friendOuter := int64(radius) * int64(radius)
 		for i := 0; i < n; i++ {

@@ -583,14 +583,15 @@ func VerifySolution(r *Result) (conflicts, stitches int, err error) {
 	}
 	minSq := int64(dg.MinS) * int64(dg.MinS)
 	world := worldOf(dg)
-	grid := spatial.NewGrid(world, dg.MinS+1, len(dg.Fragments))
-	defer grid.Release()
-	for _, fr := range dg.Fragments {
-		grid.Insert(fr.Shape.Bounds())
+	bounds := make([]geom.Rect, len(dg.Fragments))
+	for i, fr := range dg.Fragments {
+		bounds[i] = fr.Shape.Bounds()
 	}
+	grid := spatial.NewGrid(world, dg.MinS+1, bounds)
+	defer grid.Release()
 	for i := range dg.Fragments {
 		fi := dg.Fragments[i]
-		grid.Near(fi.Shape.Bounds(), dg.MinS, func(j int) {
+		grid.Near(bounds[i], dg.MinS, func(j int) {
 			if j <= i {
 				return
 			}

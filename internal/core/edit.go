@@ -548,8 +548,9 @@ func splitDirty(newL *layout.Layout, plan *editPlan, fb []geom.Rect, opts BuildO
 	defer splitter.grid.Release()
 	q := splitter.grid.NewQuerier()
 	defer q.Release()
+	buf := newSplitBuf(len(todo))
 	for _, fi := range todo {
-		ps := splitter.split(q, int(fi), plan.shapes[fi])
+		ps := splitter.split(q, buf, int(fi), plan.shapes[fi])
 		if !plan.edited[fi] && piecesEqual(ps, oldFrags(int(plan.orig[fi]))) {
 			continue // a stable suspect keeps its prior fragments
 		}
@@ -594,11 +595,8 @@ func addDirtyEdges(bld *graph.Builder, frags []Fragment, rebuilt []int32, fb []g
 			}
 		}
 	}
-	grid := spatial.NewGrid(world.Expand(radius+1), radius, len(window))
+	grid := spatial.NewGrid(world.Expand(radius+1), radius, winBounds)
 	defer grid.Release()
-	for _, b := range winBounds {
-		grid.Insert(b)
-	}
 	minSq := int64(minS) * int64(minS)
 	friendOuter := int64(radius) * int64(radius)
 	for k, u := range rebuilt {

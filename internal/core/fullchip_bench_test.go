@@ -16,24 +16,54 @@ import (
 	"testing"
 
 	"mpl/internal/division"
+	"mpl/internal/layout"
 	"mpl/internal/synth"
 )
 
-func BenchmarkFullchipSolve(b *testing.B) {
+// fullchipRequest returns the seeded S38417 layout and options of one
+// fullchip request, after one warm-up solve has filled the shape tier and
+// the scratch pools.
+func fullchipRequest(tb testing.TB) (*layout.Layout, Options) {
 	spec, _ := synth.ByName("S38417")
 	l := synth.GenerateSeeded(spec, 1, 1)
 	opts := Options{K: 4, Engine: EngineAuto,
 		Build: BuildOptions{Workers: 2}, Division: division.Options{Workers: 2}}
-	ctx := context.Background()
-	// One warm-up solve fills the shape tier and the scratch pools.
-	if _, err := DecomposeContext(ctx, l, opts); err != nil {
-		b.Fatal(err)
+	if _, err := DecomposeContext(context.Background(), l, opts); err != nil {
+		tb.Fatal(err)
 	}
+	return l, opts
+}
+
+func BenchmarkFullchipSolve(b *testing.B) {
+	l, opts := fullchipRequest(b)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecomposeContext(ctx, l, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFullchipSolveAllocsBounded keeps the fresh build allocating per
+// stage, not per fragment or grid bucket: a warm fullchip solve makes
+// ~43k allocations, most of them the divide's per-piece ones. The ceiling
+// leaves room for those to drift, not for a per-feature allocation (S38417
+// has ~80k features) to return.
+func TestFullchipSolveAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers under -race, so the count is not the production one")
+	}
+	const ceiling = 100_000
+	l, opts := fullchipRequest(t)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := DecomposeContext(ctx, l, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("warm S38417 solve made %.0f allocations, ceiling %d", allocs, ceiling)
 	}
 }

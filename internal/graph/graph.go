@@ -180,13 +180,15 @@ type Edge struct {
 }
 
 // ConflictEdges returns all conflict edges with U < V, sorted.
-func (g *Graph) ConflictEdges() []Edge { return collectEdges(g.conf) }
+func (g *Graph) ConflictEdges() []Edge { return collectEdges(g.conf, g.nConf) }
 
 // StitchEdges returns all stitch edges with U < V, sorted.
-func (g *Graph) StitchEdges() []Edge { return collectEdges(g.stit) }
+func (g *Graph) StitchEdges() []Edge { return collectEdges(g.stit, g.nStit) }
 
-func collectEdges(adj [][]int32) []Edge {
-	var out []Edge
+// collectEdges lists the m edges of adj. Rows ascend and are visited in
+// vertex order, so the list comes out sorted by (U, V).
+func collectEdges(adj [][]int32, m int) []Edge {
+	out := make([]Edge, 0, m)
 	for u := range adj {
 		for _, v := range adj[u] {
 			if int(v) > u {
@@ -194,12 +196,6 @@ func collectEdges(adj [][]int32) []Edge {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
 	return out
 }
 

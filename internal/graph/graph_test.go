@@ -82,6 +82,64 @@ func TestEdgeLists(t *testing.T) {
 	}
 }
 
+// TestEdgeListsSortedAndPresized: the edge lists come straight off the
+// sorted CSR rows with no sort of their own, so they must already be in
+// (U, V) order, hold exactly the edge count, and be allocated at that size.
+func TestEdgeListsSortedAndPresized(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + rng.Intn(30)
+		b, shim := NewBuilder(n), New(n)
+		for e := 0; e < 2*n; e++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				b.AddConflict(u, v)
+				shim.AddConflict(u, v)
+			} else {
+				b.AddStitch(u, v)
+				shim.AddStitch(u, v)
+			}
+		}
+		for _, g := range []*Graph{b.Build(nil), shim} {
+			for _, lists := range []struct {
+				edges []Edge
+				count int
+				rows  func(int) []int32
+			}{
+				{g.ConflictEdges(), g.ConflictEdgeCount(), g.ConflictNeighbors},
+				{g.StitchEdges(), g.StitchEdgeCount(), g.StitchNeighbors},
+			} {
+				var want []Edge
+				for u := 0; u < n; u++ {
+					for _, v := range lists.rows(u) {
+						if int(v) > u {
+							want = append(want, Edge{U: u, V: int(v)})
+						}
+					}
+				}
+				sort.Slice(want, func(i, j int) bool {
+					if want[i].U != want[j].U {
+						return want[i].U < want[j].U
+					}
+					return want[i].V < want[j].V
+				})
+				if len(want) == 0 {
+					want = []Edge{}
+				}
+				if !reflect.DeepEqual(lists.edges, want) {
+					t.Fatalf("trial %d: edges %v, sorted reference %v", trial, lists.edges, want)
+				}
+				if len(lists.edges) != lists.count || cap(lists.edges) != lists.count {
+					t.Fatalf("trial %d: %d edges in cap %d, count %d", trial, len(lists.edges), cap(lists.edges), lists.count)
+				}
+			}
+		}
+	}
+}
+
 func TestComponents(t *testing.T) {
 	g := New(7)
 	g.AddConflict(0, 1)

@@ -3,11 +3,16 @@
 // the minimum coloring distance (conflict edges) and within the
 // color-friendly band (mins, mins+hp) without an O(n²) scan.
 //
-// Visit-stamp arrays — the per-query deduplication state of Grid and
-// Querier — are recycled through a process-wide pool: grids and queriers
-// are per-build objects, but their stamp arrays are size-stable across
+// A Grid is built once, by NewGrid, from the full rectangle slice as a
+// two-pass CSR layout: count the entries per bucket, prefix-sum them into
+// offsets, fill one id array. The grid is immutable afterwards; its ids are
+// the rectangles' positions in the slice.
+//
+// The grid's arrays — bucket offsets, bucket ids and the visit stamps that
+// deduplicate a query — are recycled through process-wide pools: grids and
+// queriers are per-build objects, but their arrays are size-stable across
 // repeated service requests, so Release-ing them keeps steady-state graph
-// builds from re-allocating O(n) stamp memory every time.
+// builds from re-allocating them every time.
 package spatial
 
 import (
@@ -20,88 +25,155 @@ import (
 
 // MaxEntries is the largest number of rectangles one Grid can hold: bucket
 // entries are int32 IDs, so anything past 2^31−1 would silently truncate.
-// Insert enforces it with a diagnosing panic — million-feature layouts stay
-// far below it, but the guard turns a would-be silent wraparound (phantom
-// neighbors, missed conflicts) into an immediate, attributable failure.
+// NewGrid enforces it with a diagnosing panic — million-feature layouts
+// stay far below it, but the guard turns a would-be silent wraparound
+// (phantom neighbors, missed conflicts) into an immediate, attributable
+// failure.
 const MaxEntries = math.MaxInt32
 
 // maxEntries is MaxEntries behind a var, so the guard test can lower it to
 // an addressable size instead of allocating 2^31 rectangles.
 var maxEntries = MaxEntries
 
-// stampPool recycles visit-stamp backing arrays across grids and queriers.
-var stampPool = sync.Pool{New: func() any { return new([]int32) }}
+// int32Pool recycles []int32 backing arrays of one role across grids. Each
+// role (stamps, offsets, ids) has its own pool, so a pool's arrays stay
+// near one size instead of a small array being fetched and dropped by a
+// large grid.
+type int32Pool struct{ p sync.Pool }
 
-// getStamps leases a zeroed stamp array with capacity ≥ capHint, length 0.
-func getStamps(capHint int) []int32 {
-	b := *stampPool.Get().(*[]int32)
-	if cap(b) < capHint {
-		return make([]int32, 0, capHint)
+var stampPool, offPool, idPool int32Pool
+
+// get leases a zeroed array of length n.
+func (p *int32Pool) get(n int) []int32 {
+	bp, _ := p.p.Get().(*[]int32)
+	if bp == nil || cap(*bp) < n {
+		return make([]int32, n)
 	}
-	b = b[:cap(b)]
+	b := (*bp)[:n]
 	clear(b)
-	return b[:0]
+	return b
 }
 
-func putStamps(b []int32) {
+func (p *int32Pool) put(b []int32) {
 	if cap(b) == 0 {
 		return
 	}
 	b = b[:0]
-	stampPool.Put(&b)
+	p.p.Put(&b)
 }
 
-// maxBucketsPerEntry caps a grid's bucket table at this many buckets per
-// expected entry (NewGrid's capHint). Without the cap the table covers the
-// world box at the requested cell size, so two features far apart — one
-// small request — could ask for billions of buckets. The grids built over
-// the committed benchmark circuits use at most about 7 buckets per entry
-// (K = 3 to 6), so the cap never changes their cell size
-// (TestGridCellUnchangedOnBenchmarks in internal/core pins that).
+// maxBucketsPerEntry caps a grid at this many buckets per rectangle, and
+// at this many bucket entries per rectangle. Without the first cap the
+// table covers the world box at the requested cell size, so two features
+// far apart — one small request — could ask for billions of buckets.
+// Without the second, rectangles spanning many cells fill the table
+// quadratically: a thousand overlapping world-sized rectangles put every
+// id in every bucket. The grids built over the committed benchmark
+// circuits stay well inside both caps (K = 3 to 6), so neither changes
+// their cell size (TestGridCellUnchangedOnBenchmarks in internal/core pins
+// that).
 const maxBucketsPerEntry = 64
 
 // Grid is a uniform bucket grid over rectangle bounding boxes. Each entry is
-// identified by the integer ID supplied at insertion. Entries are bucketed by
-// every cell their bounding box overlaps, so queries must deduplicate; the
-// Grid handles that internally with a visit-stamp array.
+// identified by its index in the slice the grid was built from. Entries are
+// bucketed by every cell their bounding box overlaps, so queries must
+// deduplicate; the Grid handles that internally with a visit-stamp array.
 type Grid struct {
-	cell    int // cell edge length
-	minX    int
-	minY    int
-	cols    int
-	rows    int
-	buckets [][]int32
-	bounds  []geom.Rect // per-ID bounding boxes
-	stamp   []int32     // visit stamps for deduplication
-	visit   int32
+	cell   int // cell edge length
+	minX   int
+	minY   int
+	cols   int
+	rows   int
+	off    []int32     // bucket b holds ids[off[b]:off[b+1]]
+	ids    []int32     // ascending within each bucket
+	bounds []geom.Rect // per-ID bounding boxes (the caller's slice)
+	stamp  []int32     // visit stamps for deduplication
+	visit  int32
 }
 
-// NewGrid creates a grid covering the world rectangle with the given cell
-// size. The cell size should be on the order of the query radius; the
-// decomposer uses mins+hp. capHint sizes the per-ID tables. When the world
-// is sparse — more than maxBucketsPerEntry buckets per capHint entry — the
-// cell size doubles until the table fits; Near stays an exact distance
-// predicate, so only the number of candidates scanned changes.
-func NewGrid(world geom.Rect, cell int, capHint int) *Grid {
+// NewGrid indexes rects over the world rectangle; rects[i] gets ID i. The
+// grid keeps rects as its bounds table, so the caller must not modify the
+// slice while the grid is in use. The cell size should be on the order of
+// the query radius; the decomposer uses mins+hp. When the world is sparse —
+// more than maxBucketsPerEntry buckets per rectangle — or the rectangles
+// span so many cells that the buckets would hold more than
+// maxBucketsPerEntry entries per rectangle, the cell size doubles until
+// both fit; Near stays an exact distance predicate, so only the number of
+// candidates scanned changes. NewGrid panics with a diagnosis when rects
+// holds more than MaxEntries rectangles.
+func NewGrid(world geom.Rect, cell int, rects []geom.Rect) *Grid {
+	n := len(rects)
+	if n > maxEntries {
+		panic(fmt.Sprintf("spatial: %d rectangles exceed the grid capacity of %d; int32 ids cannot address more", n, maxEntries))
+	}
 	if cell < 1 {
 		cell = 1
 	}
-	limit := maxBucketsPerEntry * max(capHint, 1)
+	limit := maxBucketsPerEntry * max(n, 1)
 	cols, rows := gridDims(world, cell)
 	for cols > limit/rows {
 		cell *= 2
 		cols, rows = gridDims(world, cell)
 	}
-	return &Grid{
-		cell:    cell,
-		minX:    world.X0,
-		minY:    world.Y0,
-		cols:    cols,
-		rows:    rows,
-		buckets: make([][]int32, cols*rows),
-		bounds:  make([]geom.Rect, 0, capHint),
-		stamp:   getStamps(capHint),
+	g := &Grid{cell: cell, minX: world.X0, minY: world.Y0, cols: cols, rows: rows, bounds: rects}
+	// The entry total is at least n (every rectangle covers one bucket
+	// once the cell spans the world), so the loop ends; capping it at
+	// MaxInt32 keeps every offset addressable by an int32.
+	entryLimit := min(int64(limit), math.MaxInt32)
+	total := g.entries()
+	for total > entryLimit {
+		g.cell *= 2
+		g.cols, g.rows = gridDims(world, g.cell)
+		total = g.entries()
 	}
+
+	// Pass one counts each bucket's entries into off[b+1]; the prefix sum
+	// turns the counts into start offsets; pass two fills the ids, walking
+	// rectangles in ID order so each bucket lists its ids ascending, which
+	// fixes the order Near reports them in.
+	nb := g.cols * g.rows
+	g.off = offPool.get(nb + 1)
+	for _, r := range rects {
+		c0, r0, c1, r1 := g.cellRange(r)
+		for row := r0; row <= r1; row++ {
+			for col := c0; col <= c1; col++ {
+				g.off[row*g.cols+col+1]++
+			}
+		}
+	}
+	for b := 1; b <= nb; b++ {
+		g.off[b] += g.off[b-1]
+	}
+	g.ids = idPool.get(int(total))
+	for id, r := range rects {
+		c0, r0, c1, r1 := g.cellRange(r)
+		for row := r0; row <= r1; row++ {
+			for col := c0; col <= c1; col++ {
+				b := row*g.cols + col
+				g.ids[g.off[b]] = int32(id)
+				g.off[b]++
+			}
+		}
+	}
+	// The fill advanced each off[b] to its bucket's end, which is the next
+	// bucket's start: shift back by one.
+	copy(g.off[1:], g.off[:nb])
+	g.off[0] = 0
+	g.stamp = stampPool.get(n)
+	return g
+}
+
+// entries returns the number of bucket entries the grid's rectangles
+// occupy at its current cell size.
+func (g *Grid) entries() int64 {
+	var total int64
+	for _, r := range g.bounds {
+		c0, r0, c1, r1 := g.cellRange(r)
+		if c1 >= c0 && r1 >= r0 {
+			total += int64(c1-c0+1) * int64(r1-r0+1)
+		}
+	}
+	return total
 }
 
 // gridDims returns the column and row counts (each ≥ 1) covering world at
@@ -113,17 +185,20 @@ func gridDims(world geom.Rect, cell int) (cols, rows int) {
 }
 
 // Cell returns the cell edge length the grid uses: the requested size, or
-// a larger one when NewGrid capped the bucket count.
+// a larger one when NewGrid capped the bucket or entry count.
 func (g *Grid) Cell() int { return g.cell }
 
-// Release returns the grid's visit-stamp array to the process-wide pool.
-// Call it when the grid is done (end of a graph build, end of a
-// verification pass); the grid must not be queried afterwards. Releasing
-// is optional — an un-released grid is merely garbage-collected without
-// recycling its stamps.
+// Release returns the grid's bucket and visit-stamp arrays to the
+// process-wide pools. Call it when the grid is done (end of a graph build,
+// end of a verification pass), after every Querier over it is released;
+// the grid must not be queried afterwards. Releasing is optional — an
+// un-released grid is merely garbage-collected without recycling its
+// arrays.
 func (g *Grid) Release() {
-	putStamps(g.stamp)
-	g.stamp = nil
+	offPool.put(g.off)
+	idPool.put(g.ids)
+	stampPool.put(g.stamp)
+	g.off, g.ids, g.stamp = nil, nil, nil
 }
 
 func (g *Grid) clampCol(c int) int {
@@ -154,30 +229,6 @@ func (g *Grid) cellRange(r geom.Rect) (c0, r0, c1, r1 int) {
 	r1 = g.clampRow((r.Y1 - 1 - g.minY) / g.cell)
 	return
 }
-
-// Insert adds a rectangle under the next sequential ID (0, 1, 2, ...) and
-// returns that ID. IDs are dense and stable. Insert panics with a clear
-// diagnosis when the grid is at MaxEntries — the int32 ID would otherwise
-// wrap silently.
-func (g *Grid) Insert(r geom.Rect) int {
-	if len(g.bounds) >= maxEntries {
-		panic(fmt.Sprintf("spatial: grid full at %d entries; int32 ids cannot address more", maxEntries))
-	}
-	id := int32(len(g.bounds))
-	g.bounds = append(g.bounds, r)
-	g.stamp = append(g.stamp, 0)
-	c0, r0, c1, r1 := g.cellRange(r)
-	for row := r0; row <= r1; row++ {
-		for col := c0; col <= c1; col++ {
-			idx := row*g.cols + col
-			g.buckets[idx] = append(g.buckets[idx], id)
-		}
-	}
-	return int(id)
-}
-
-// Len returns the number of inserted rectangles.
-func (g *Grid) Len() int { return len(g.bounds) }
 
 // Bounds returns the bounding box stored for id.
 func (g *Grid) Bounds(id int) geom.Rect { return g.bounds[id] }
@@ -215,7 +266,8 @@ func (g *Grid) near(stamp []int32, visit *int32, q geom.Rect, radius int, fn fun
 	c0, r0, c1, r1 := g.cellRange(expanded)
 	for row := r0; row <= r1; row++ {
 		for col := c0; col <= c1; col++ {
-			for _, id := range g.buckets[row*g.cols+col] {
+			b := row*g.cols + col
+			for _, id := range g.ids[g.off[b]:g.off[b+1]] {
 				if stamp[id] == *visit {
 					continue
 				}
@@ -228,29 +280,26 @@ func (g *Grid) near(stamp []int32, visit *int32, q geom.Rect, radius int, fn fun
 	}
 }
 
-// Querier is a read-only query cursor over a frozen Grid with its own
-// visit-stamp state, so multiple goroutines can run Near queries over one
-// shared grid concurrently (the parallel graph-construction shards of
-// internal/core). The grid must not receive further Inserts while queriers
-// exist: a querier's stamp array is sized at creation time.
+// Querier is a read-only query cursor over a Grid with its own visit-stamp
+// state, so multiple goroutines can run Near queries over one shared grid
+// concurrently (the parallel graph-construction shards of internal/core).
 type Querier struct {
 	g     *Grid
 	stamp []int32
 	visit int32
 }
 
-// NewQuerier returns an independent query cursor over the grid's current
-// contents. Each goroutine gets its own; a single Querier is not safe for
-// concurrent use with itself. Pair with Release to recycle its stamp
-// array across builds.
+// NewQuerier returns an independent query cursor over the grid. Each
+// goroutine gets its own; a single Querier is not safe for concurrent use
+// with itself. Pair with Release to recycle its stamp array across builds.
 func (g *Grid) NewQuerier() *Querier {
-	return &Querier{g: g, stamp: getStamps(len(g.bounds))[:len(g.bounds)]}
+	return &Querier{g: g, stamp: stampPool.get(len(g.bounds))}
 }
 
 // Release returns the querier's stamp array to the process-wide pool. The
 // querier must not be used afterwards. Optional, like Grid.Release.
 func (q *Querier) Release() {
-	putStamps(q.stamp)
+	stampPool.put(q.stamp)
 	q.stamp = nil
 }
 

@@ -17,13 +17,12 @@ func collect(g *Grid, q geom.Rect, radius int) []int {
 }
 
 func TestGridBasicQuery(t *testing.T) {
-	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 1000, Y1: 1000}, 50, 4)
-	a := g.Insert(geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: 10})
-	b := g.Insert(geom.Rect{X0: 30, Y0: 0, X1: 40, Y1: 10})
-	c := g.Insert(geom.Rect{X0: 500, Y0: 500, X1: 510, Y1: 510})
-	if g.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", g.Len())
-	}
+	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 1000, Y1: 1000}, 50, []geom.Rect{
+		{X0: 0, Y0: 0, X1: 10, Y1: 10},
+		{X0: 30, Y0: 0, X1: 40, Y1: 10},
+		{X0: 500, Y0: 500, X1: 510, Y1: 510},
+	})
+	a, b, c := 0, 1, 2
 	got := collect(g, g.Bounds(a), 25)
 	if len(got) != 2 || got[0] != a || got[1] != b {
 		t.Fatalf("Near = %v, want [a b]", got)
@@ -44,8 +43,8 @@ func TestGridBasicQuery(t *testing.T) {
 
 func TestGridDeduplicates(t *testing.T) {
 	// A rectangle spanning many cells must still be reported once.
-	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 1000, Y1: 1000}, 10, 1)
-	id := g.Insert(geom.Rect{X0: 0, Y0: 0, X1: 900, Y1: 15})
+	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 1000, Y1: 1000}, 10, []geom.Rect{{X0: 0, Y0: 0, X1: 900, Y1: 15}})
+	id := 0
 	got := collect(g, geom.Rect{X0: 400, Y0: 0, X1: 410, Y1: 10}, 5)
 	if len(got) != 1 || got[0] != id {
 		t.Fatalf("Near = %v, want exactly one report", got)
@@ -53,8 +52,8 @@ func TestGridDeduplicates(t *testing.T) {
 }
 
 func TestGridQueryOutsideWorld(t *testing.T) {
-	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}, 20, 1)
-	id := g.Insert(geom.Rect{X0: 90, Y0: 90, X1: 99, Y1: 99})
+	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}, 20, []geom.Rect{{X0: 90, Y0: 90, X1: 99, Y1: 99}})
+	id := 0
 	// Query beyond the world bounds should clamp, not panic.
 	got := collect(g, geom.Rect{X0: 150, Y0: 150, X1: 160, Y1: 160}, 80)
 	if len(got) != 1 || got[0] != id {
@@ -68,8 +67,8 @@ func TestGridQueryOutsideWorld(t *testing.T) {
 
 func TestGridDegenerateWorld(t *testing.T) {
 	// A world smaller than one cell must still work.
-	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 5, Y1: 5}, 100, 1)
-	id := g.Insert(geom.Rect{X0: 0, Y0: 0, X1: 2, Y1: 2})
+	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 5, Y1: 5}, 100, []geom.Rect{{X0: 0, Y0: 0, X1: 2, Y1: 2}})
+	id := 0
 	got := collect(g, geom.Rect{X0: 3, Y0: 0, X1: 4, Y1: 2}, 1)
 	if len(got) != 1 || got[0] != id {
 		t.Fatalf("Near = %v", got)
@@ -79,14 +78,12 @@ func TestGridDegenerateWorld(t *testing.T) {
 func TestGridMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	world := geom.Rect{X0: 0, Y0: 0, X1: 2000, Y1: 2000}
-	g := NewGrid(world, 64, 256)
 	var rects []geom.Rect
 	for i := 0; i < 300; i++ {
 		x, y := rng.Intn(1900), rng.Intn(1900)
-		r := geom.Rect{X0: x, Y0: y, X1: x + 1 + rng.Intn(80), Y1: y + 1 + rng.Intn(80)}
-		rects = append(rects, r)
-		g.Insert(r)
+		rects = append(rects, geom.Rect{X0: x, Y0: y, X1: x + 1 + rng.Intn(80), Y1: y + 1 + rng.Intn(80)})
 	}
+	g := NewGrid(world, 64, rects)
 	for trial := 0; trial < 100; trial++ {
 		x, y := rng.Intn(1900), rng.Intn(1900)
 		q := geom.Rect{X0: x, Y0: y, X1: x + 1 + rng.Intn(60), Y1: y + 1 + rng.Intn(60)}
@@ -111,8 +108,7 @@ func TestGridMatchesBruteForce(t *testing.T) {
 }
 
 func TestGridStampWraparound(t *testing.T) {
-	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}, 10, 2)
-	g.Insert(geom.Rect{X0: 0, Y0: 0, X1: 5, Y1: 5})
+	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}, 10, []geom.Rect{{X0: 0, Y0: 0, X1: 5, Y1: 5}})
 	g.visit = -2 // force wrap within two queries
 	got := collect(g, geom.Rect{X0: 0, Y0: 0, X1: 5, Y1: 5}, 1)
 	if len(got) != 1 {
@@ -140,9 +136,7 @@ func TestGridExactRadiusBoundary(t *testing.T) {
 		// the gap is hit at least once.
 		for off := 0; off <= cell; off++ {
 			world := geom.Rect{X0: -200 - off, Y0: -200 - off, X1: 400, Y1: 400}
-			g := NewGrid(world, cell, 2)
-			g.Insert(a)
-			g.Insert(b)
+			g := NewGrid(world, cell, []geom.Rect{a, b})
 			if got := collect(g, a, radius); len(got) != 2 {
 				t.Fatalf("cell=%d off=%d: ids at gap exactly %d = %v, want both", cell, off, radius, got)
 			}
@@ -150,32 +144,37 @@ func TestGridExactRadiusBoundary(t *testing.T) {
 	}
 }
 
-// TestInsertCapacityGuard pins the int32-id overflow guard: at the entry
-// limit, Insert must fail loudly instead of wrapping the id silently (which
-// would corrupt bucket contents with phantom small ids). The limit is
-// lowered through the internal maxEntries var — the real one is 2^31−1.
-func TestInsertCapacityGuard(t *testing.T) {
+// TestNewGridCapacityGuard pins the int32-id overflow guard: past the
+// entry limit, NewGrid must fail loudly instead of wrapping ids silently
+// (which would corrupt bucket contents with phantom small ids). The limit
+// is lowered through the internal maxEntries var — the real one is 2^31−1.
+func TestNewGridCapacityGuard(t *testing.T) {
 	defer func(old int) { maxEntries = old }(maxEntries)
 	maxEntries = 3
-	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}, 10, 4)
+	world := geom.Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}
+	var rects []geom.Rect
 	for i := 0; i < 3; i++ {
-		g.Insert(geom.Rect{X0: i, Y0: 0, X1: i + 1, Y1: 1})
+		rects = append(rects, geom.Rect{X0: i, Y0: 0, X1: i + 1, Y1: 1})
 	}
+	NewGrid(world, 10, rects).Release() // at the limit: fine
 	defer func() {
 		if recover() == nil {
-			t.Fatal("insert past capacity did not panic")
+			t.Fatal("grid past capacity did not panic")
 		}
 	}()
-	g.Insert(geom.Rect{X0: 50, Y0: 50, X1: 51, Y1: 51})
+	NewGrid(world, 10, append(rects, geom.Rect{X0: 50, Y0: 50, X1: 51, Y1: 51}))
 }
 
-// TestZeroCapHint: zero-capacity grids stay well-defined.
-func TestZeroCapHint(t *testing.T) {
-	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: 10}, 5, 0)
-	id := g.Insert(geom.Rect{X0: 1, Y0: 1, X1: 2, Y1: 2})
-	if id != 0 || g.Len() != 1 {
-		t.Fatalf("insert into zero-hint grid: id=%d len=%d", id, g.Len())
+// TestGridEmpty: grids over no rectangles stay well-defined.
+func TestGridEmpty(t *testing.T) {
+	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: 10}, 5, nil)
+	if got := collect(g, geom.Rect{X0: 1, Y0: 1, X1: 2, Y1: 2}, 100); len(got) != 0 {
+		t.Fatalf("Near over an empty grid = %v", got)
 	}
+	q := g.NewQuerier()
+	q.Near(geom.Rect{X0: 1, Y0: 1, X1: 2, Y1: 2}, 100, func(id int) { t.Fatalf("querier reported %d", id) })
+	q.Release()
+	g.Release()
 }
 
 // TestGridSparseWorldCapped: a world far larger than its entries warrant
@@ -185,15 +184,17 @@ func TestZeroCapHint(t *testing.T) {
 // Near still answers the exact distance predicate.
 func TestGridSparseWorldCapped(t *testing.T) {
 	world := geom.Rect{X0: -100, Y0: -100, X1: 10_000_100, Y1: 10_000_100}
-	g := NewGrid(world, 80, 2)
-	if n := len(g.buckets); n > 2*maxBucketsPerEntry {
+	g := NewGrid(world, 80, []geom.Rect{
+		{X0: 0, Y0: 0, X1: 20, Y1: 20},
+		{X0: 10_000_000, Y0: 10_000_000, X1: 10_000_020, Y1: 10_000_020},
+	})
+	if n := len(g.off) - 1; n > 2*maxBucketsPerEntry {
 		t.Fatalf("%d buckets for 2 entries, cap %d", n, 2*maxBucketsPerEntry)
 	}
 	if g.Cell() <= 80 {
 		t.Fatalf("cell %d did not grow", g.Cell())
 	}
-	a := g.Insert(geom.Rect{X0: 0, Y0: 0, X1: 20, Y1: 20})
-	b := g.Insert(geom.Rect{X0: 10_000_000, Y0: 10_000_000, X1: 10_000_020, Y1: 10_000_020})
+	a, b := 0, 1
 	if got := collect(g, g.Bounds(a), 80); len(got) != 1 || got[0] != a {
 		t.Fatalf("Near(a) = %v, want only a", got)
 	}
@@ -210,16 +211,14 @@ func TestGridSparseWorldCapped(t *testing.T) {
 func TestGridCappedMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	world := geom.Rect{X0: 0, Y0: 0, X1: 200_000, Y1: 200_000}
-	g := NewGrid(world, 16, 40)
-	if g.Cell() == 16 {
-		t.Fatal("test world too dense to exercise the cap")
-	}
 	var rects []geom.Rect
 	for i := 0; i < 40; i++ {
 		x, y := rng.Intn(199_000), rng.Intn(199_000)
-		r := geom.Rect{X0: x, Y0: y, X1: x + 1 + rng.Intn(900), Y1: y + 1 + rng.Intn(900)}
-		rects = append(rects, r)
-		g.Insert(r)
+		rects = append(rects, geom.Rect{X0: x, Y0: y, X1: x + 1 + rng.Intn(900), Y1: y + 1 + rng.Intn(900)})
+	}
+	g := NewGrid(world, 16, rects)
+	if g.Cell() == 16 {
+		t.Fatal("test world too dense to exercise the cap")
 	}
 	for trial := 0; trial < 200; trial++ {
 		q := rects[rng.Intn(len(rects))]
