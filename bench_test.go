@@ -316,7 +316,7 @@ func BenchmarkSyntheticGeneration(b *testing.B) {
 
 // kingGraph builds a w×h king-graph (the macro component shape).
 func kingGraph(w, h int) *graph.Graph {
-	g := graph.New(w * h)
+	b := graph.NewBuilder(w * h)
 	id := func(x, y int) int { return y*w + x }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -324,11 +324,11 @@ func kingGraph(w, h int) *graph.Graph {
 				for dx := -1; dx <= 1; dx++ {
 					nx, ny := x+dx, y+dy
 					if (dx != 0 || dy != 0) && nx >= 0 && nx < w && ny >= 0 && ny < h && id(nx, ny) > id(x, y) {
-						g.AddConflict(id(x, y), id(nx, ny))
+						b.AddConflict(id(x, y), id(nx, ny))
 					}
 				}
 			}
 		}
 	}
-	return g
+	return b.Build(nil)
 }

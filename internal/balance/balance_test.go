@@ -42,9 +42,10 @@ func TestMaskAreas(t *testing.T) {
 func TestRebalanceTwoComponents(t *testing.T) {
 	// Two disjoint edges, all area initially on masks 0/1. Rebalancing can
 	// rotate one component to masks 2/3, halving the spread.
-	g := graph.New(4)
-	g.AddConflict(0, 1)
-	g.AddConflict(2, 3)
+	b := graph.NewBuilder(4)
+	b.AddConflict(0, 1)
+	b.AddConflict(2, 3)
+	g := b.Build(nil)
 	colors := []int{0, 1, 0, 1}
 	areas := []int64{10, 10, 10, 10}
 	before := Spread(MaskAreas(colors, areas, 4))
@@ -58,25 +59,35 @@ func TestRebalanceTwoComponents(t *testing.T) {
 	}
 }
 
+// randomGraph draws ce conflict and then se stitch candidates over n
+// vertices; a stitch never lands on a pair already joined.
+func randomGraph(rng *rand.Rand, n, ce, se int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	joined := map[[2]int]bool{}
+	for i := 0; i < ce; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			b.AddConflict(u, v)
+			joined[[2]int{min(u, v), max(u, v)}] = true
+		}
+	}
+	for i := 0; i < se; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if pair := [2]int{min(u, v), max(u, v)}; u != v && !joined[pair] {
+			b.AddStitch(u, v)
+			joined[pair] = true
+		}
+	}
+	return b.Build(nil)
+}
+
 // TestRebalancePreservesCost is the core invariant: rotation never changes
 // conflicts or stitches.
 func TestRebalancePreservesCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 60; trial++ {
 		n := 10 + rng.Intn(40)
-		g := graph.New(n)
-		for i := 0; i < n; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v && !g.HasStitch(u, v) {
-				g.AddConflict(u, v)
-			}
-		}
-		for i := 0; i < n/3; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v && !g.HasConflict(u, v) && !g.HasStitch(u, v) {
-				g.AddStitch(u, v)
-			}
-		}
+		g := randomGraph(rng, n, n, n/3)
 		k := 4 + rng.Intn(2)
 		colors := make([]int, n)
 		areas := make([]int64, n)
@@ -102,7 +113,7 @@ func TestRebalancePreservesCost(t *testing.T) {
 }
 
 func TestRebalancePanics(t *testing.T) {
-	g := graph.New(2)
+	g := graph.NewBuilder(2).Build(nil)
 	cases := []func(){
 		func() { Rebalance(g, []int{0}, []int64{1, 1}, 4) },
 		func() { Rebalance(g, []int{0, 0}, []int64{1}, 4) },

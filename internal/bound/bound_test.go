@@ -9,13 +9,13 @@ import (
 )
 
 func completeGraph(n int) *graph.Graph {
-	g := graph.New(n)
+	b := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
-	return g
+	return b.Build(nil)
 }
 
 func TestK5Bound(t *testing.T) {
@@ -31,34 +31,36 @@ func TestK5Bound(t *testing.T) {
 
 func TestDisjointK5s(t *testing.T) {
 	// Three disjoint K5s → bound 3.
-	g := graph.New(15)
+	b := graph.NewBuilder(15)
 	for c := 0; c < 3; c++ {
 		for i := 0; i < 5; i++ {
 			for j := i + 1; j < 5; j++ {
-				g.AddConflict(c*5+i, c*5+j)
+				b.AddConflict(c*5+i, c*5+j)
 			}
 		}
 	}
+	g := b.Build(nil)
 	if got := MinConflicts(g, 4); got != 3 {
 		t.Fatalf("bound = %d, want 3", got)
 	}
 }
 
 func TestSparseGraphBoundZero(t *testing.T) {
-	g := graph.New(10)
+	b := graph.NewBuilder(10)
 	for i := 0; i < 9; i++ {
-		g.AddConflict(i, i+1)
+		b.AddConflict(i, i+1)
 	}
+	g := b.Build(nil)
 	if got := MinConflicts(g, 4); got != 0 {
 		t.Fatalf("path bound = %d, want 0", got)
 	}
 }
 
 func TestPackCliquesEdgeCases(t *testing.T) {
-	if got := PackCliques(graph.New(0), 3); got != nil {
+	if got := PackCliques(graph.NewBuilder(0).Build(nil), 3); got != nil {
 		t.Fatalf("empty graph = %v", got)
 	}
-	if got := PackCliques(graph.New(3), 1); len(got) != 3 {
+	if got := PackCliques(graph.NewBuilder(3).Build(nil), 1); len(got) != 3 {
 		t.Fatalf("size-1 packing = %v", got)
 	}
 	if got := PackCliques(completeGraph(4), 9); len(got) != 0 {
@@ -72,7 +74,7 @@ func TestBadKPanics(t *testing.T) {
 			t.Fatal("k=0 did not panic")
 		}
 	}()
-	MinConflicts(graph.New(1), 0)
+	MinConflicts(graph.NewBuilder(1).Build(nil), 0)
 }
 
 // bruteChromaticConflicts computes the true minimum conflict count by
@@ -110,13 +112,14 @@ func TestBoundIsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 60; trial++ {
 		n := 3 + rng.Intn(6)
-		g := graph.New(n)
+		b := graph.NewBuilder(n)
 		for i := 0; i < n*2; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				g.AddConflict(u, v)
+				b.AddConflict(u, v)
 			}
 		}
+		g := b.Build(nil)
 		k := 2 + rng.Intn(3)
 		lb := MinConflicts(g, k)
 		opt := bruteChromaticConflicts(g, k)
@@ -131,13 +134,14 @@ func TestCliquesAreCliquesAndDisjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	for trial := 0; trial < 40; trial++ {
 		n := 6 + rng.Intn(20)
-		g := graph.New(n)
+		b := graph.NewBuilder(n)
 		for i := 0; i < n*3; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				g.AddConflict(u, v)
+				b.AddConflict(u, v)
 			}
 		}
+		g := b.Build(nil)
 		size := 3 + rng.Intn(3)
 		seen := make([]bool, n)
 		for _, cl := range PackCliques(g, size) {

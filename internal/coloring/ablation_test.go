@@ -10,20 +10,22 @@ import (
 // denseGraph builds a random dense component with friend edges, the regime
 // where ordering and color-friendly rules matter.
 func denseGraph(rng *rand.Rand, n int) *graph.Graph {
-	g := graph.New(n)
+	b := graph.NewBuilder(n)
+	conflict := map[[2]int]bool{}
 	for i := 0; i < 3*n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			g.AddConflict(u, v)
+			b.AddConflict(u, v)
+			conflict[[2]int{min(u, v), max(u, v)}] = true
 		}
 	}
 	for i := 0; i < n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !g.HasConflict(u, v) {
-			g.AddFriend(u, v)
+		if u != v && !conflict[[2]int{min(u, v), max(u, v)}] {
+			b.AddFriend(u, v)
 		}
 	}
-	return g
+	return b.Build(nil)
 }
 
 // TestAblationPeerSelection: peer selection (OrderAuto) must never do worse

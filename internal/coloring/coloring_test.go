@@ -34,28 +34,34 @@ func bruteForce(g *graph.Graph, k int, alpha float64) (best []int, bestCost floa
 	return best, bestCost
 }
 
+// randomGraph draws ce conflict and then se stitch candidates over n
+// vertices; a stitch never lands on a pair already joined.
 func randomGraph(rng *rand.Rand, n, ce, se int) *graph.Graph {
-	g := graph.New(n)
+	b := graph.NewBuilder(n)
+	joined := map[[2]int]bool{}
 	for i := 0; i < ce; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !g.HasStitch(u, v) {
-			g.AddConflict(u, v)
+		if u != v {
+			b.AddConflict(u, v)
+			joined[[2]int{min(u, v), max(u, v)}] = true
 		}
 	}
 	for i := 0; i < se; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !g.HasConflict(u, v) && !g.HasStitch(u, v) {
-			g.AddStitch(u, v)
+		if pair := [2]int{min(u, v), max(u, v)}; u != v && !joined[pair] {
+			b.AddStitch(u, v)
+			joined[pair] = true
 		}
 	}
-	return g
+	return b.Build(nil)
 }
 
 func TestCountAndCost(t *testing.T) {
-	g := graph.New(4)
-	g.AddConflict(0, 1)
-	g.AddConflict(1, 2)
-	g.AddStitch(2, 3)
+	b := graph.NewBuilder(4)
+	b.AddConflict(0, 1)
+	b.AddConflict(1, 2)
+	b.AddStitch(2, 3)
+	g := b.Build(nil)
 	colors := []int{0, 0, 1, 0}
 	c, s := Count(g, colors)
 	if c != 1 || s != 1 {
@@ -117,7 +123,7 @@ func TestCountMatchesEdgeListsNoAlloc(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	g := graph.New(2)
+	g := graph.NewBuilder(2).Build(nil)
 	if err := Validate(g, []int{0, 3}, 4); err != nil {
 		t.Fatalf("valid assignment rejected: %v", err)
 	}
@@ -160,12 +166,13 @@ func TestBacktrackEmptyAndSingle(t *testing.T) {
 
 func TestBacktrackK5(t *testing.T) {
 	// K5 with 4 colors: the minimum conflict count is 1.
-	g := graph.New(5)
+	b := graph.NewBuilder(5)
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
+	g := b.Build(nil)
 	res := FromGraph(g).Backtrack(4, 0.1, 0)
 	if !res.Proven || res.Conflicts != 1 || res.Stitches != 0 {
 		t.Fatalf("K5 result = %+v", res)
@@ -240,13 +247,14 @@ func TestSDPGreedyValid(t *testing.T) {
 
 func TestSDPGreedyTwoCliques(t *testing.T) {
 	// Two K4s with K=4: both algorithms must find zero conflicts.
-	g := graph.New(8)
+	b := graph.NewBuilder(8)
 	for i := 0; i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
-			g.AddConflict(i, j)
-			g.AddConflict(4+i, 4+j)
+			b.AddConflict(i, j)
+			b.AddConflict(4+i, 4+j)
 		}
 	}
+	g := b.Build(nil)
 	sol := sdp.Solve(g, sdp.Options{K: 4, Alpha: 0.1, Seed: 2, Restarts: 4})
 	colors := SDPGreedy(g, sol, 4, 0.1)
 	if c, _ := Count(g, colors); c != 0 {
@@ -259,7 +267,7 @@ func TestSDPGreedyTwoCliques(t *testing.T) {
 }
 
 func TestLinearEmptyAndValidity(t *testing.T) {
-	if got := Linear(graph.New(0), LinearOptions{K: 4, Alpha: 0.1}); len(got) != 0 {
+	if got := Linear(graph.NewBuilder(0).Build(nil), LinearOptions{K: 4, Alpha: 0.1}); len(got) != 0 {
 		t.Fatalf("empty = %v", got)
 	}
 	rng := rand.New(rand.NewSource(41))
@@ -276,12 +284,13 @@ func TestLinearEmptyAndValidity(t *testing.T) {
 func TestLinearK5(t *testing.T) {
 	// K5 with K=4: optimal is 1 conflict; linear must match (nothing peels,
 	// peer selection and refinement keep it tight on this symmetric case).
-	g := graph.New(5)
+	b := graph.NewBuilder(5)
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
+	g := b.Build(nil)
 	colors := Linear(g, LinearOptions{K: 4, Alpha: 0.1})
 	if c, _ := Count(g, colors); c != 1 {
 		t.Fatalf("K5 conflicts = %d, want 1", c)
@@ -320,9 +329,10 @@ func TestFig4ColorFriendly(t *testing.T) {
 	// Fig. 4's mechanism: a vertex with a color-friendly neighbor prefers
 	// that neighbor's color when otherwise indifferent — and a real
 	// conflict still dominates the friendly bonus.
-	g := graph.New(4)
-	g.AddConflict(0, 3) // vertex 3 conflicts with vertex 0
-	g.AddFriend(1, 3)   // vertex 3 is color-friendly to vertex 1
+	b := graph.NewBuilder(4)
+	b.AddConflict(0, 3) // vertex 3 conflicts with vertex 0
+	b.AddFriend(1, 3)   // vertex 3 is color-friendly to vertex 1
+	g := b.Build(nil)
 	colors := []int{0, 2, Uncolored, Uncolored}
 	opts := LinearOptions{K: 4, Alpha: 0.1}.withDefaults()
 
@@ -337,9 +347,10 @@ func TestFig4ColorFriendly(t *testing.T) {
 		t.Fatalf("friend choice = %d, want 2", got)
 	}
 	// A conflict with the friendly color overrides the bonus.
-	g2 := graph.New(4)
-	g2.AddConflict(2, 3)
-	g2.AddFriend(1, 3)
+	b2 := graph.NewBuilder(4)
+	b2.AddConflict(2, 3)
+	b2.AddFriend(1, 3)
+	g2 := b2.Build(nil)
 	colors2 := []int{0, 2, 2, Uncolored}
 	if got := chooseColor(g2, colors2, 3, opts); got == 2 {
 		t.Fatal("friend bonus overrode a real conflict")
@@ -348,15 +359,16 @@ func TestFig4ColorFriendly(t *testing.T) {
 
 func TestLinearOrdersAndPeerSelection(t *testing.T) {
 	// The three orders must be permutations of the core.
-	g := graph.New(8)
+	b := graph.NewBuilder(8)
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
-	g.AddConflict(5, 0)
-	g.AddConflict(6, 1)
-	g.AddConflict(7, 2)
+	b.AddConflict(5, 0)
+	b.AddConflict(6, 1)
+	b.AddConflict(7, 2)
+	g := b.Build(nil)
 	_, core := g.PeelOrder(4, 2, nil)
 	for name, ord := range map[string][]int{
 		"sequence": sequenceOrder(core),
@@ -382,7 +394,7 @@ func TestLinearPanicsOnBadK(t *testing.T) {
 			t.Fatal("K=1 did not panic")
 		}
 	}()
-	Linear(graph.New(1), LinearOptions{K: 1})
+	Linear(graph.NewBuilder(1).Build(nil), LinearOptions{K: 1})
 }
 
 func TestILPAssignMatchesBruteForce(t *testing.T) {
@@ -406,12 +418,13 @@ func TestILPAssignMatchesBruteForce(t *testing.T) {
 }
 
 func TestILPAssignK5(t *testing.T) {
-	g := graph.New(5)
+	b := graph.NewBuilder(5)
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
+	g := b.Build(nil)
 	res := ILPAssign(g, 4, 0.1, time.Minute)
 	if !res.Proven {
 		t.Fatalf("status %v", res.Status)
@@ -422,7 +435,7 @@ func TestILPAssignK5(t *testing.T) {
 }
 
 func TestILPAssignEmpty(t *testing.T) {
-	res := ILPAssign(graph.New(0), 4, 0.1, 0)
+	res := ILPAssign(graph.NewBuilder(0).Build(nil), 4, 0.1, 0)
 	if !res.Proven || len(res.Colors) != 0 {
 		t.Fatalf("empty = %+v", res)
 	}
@@ -431,10 +444,11 @@ func TestILPAssignEmpty(t *testing.T) {
 func TestILPStitchTradeoff(t *testing.T) {
 	// Path 0-1 conflict; stitch 1-2; conflict 2-0. Coloring 0,1 differ;
 	// vertex 2 must differ from 0; stitch to 1 avoidable by matching 1.
-	g := graph.New(3)
-	g.AddConflict(0, 1)
-	g.AddStitch(1, 2)
-	g.AddConflict(0, 2)
+	b := graph.NewBuilder(3)
+	b.AddConflict(0, 1)
+	b.AddStitch(1, 2)
+	b.AddConflict(0, 2)
+	g := b.Build(nil)
 	res := ILPAssign(g, 4, 0.1, time.Minute)
 	c, s := Count(g, res.Colors)
 	if c != 0 || s != 0 {
@@ -444,12 +458,13 @@ func TestILPStitchTradeoff(t *testing.T) {
 
 func TestSDPGreedyPentuple(t *testing.T) {
 	// K5 clique at K=5 is cleanly colorable; greedy must find it.
-	g := graph.New(5)
+	b := graph.NewBuilder(5)
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
+	g := b.Build(nil)
 	sol := sdp.Solve(g, sdp.Options{K: 5, Alpha: 0.1, Seed: 8})
 	colors := SDPGreedy(g, sol, 5, 0.1)
 	if c, _ := Count(g, colors); c != 0 {
@@ -488,10 +503,11 @@ func TestBacktrackStitchTradeoff(t *testing.T) {
 func TestLinearStitchAwareness(t *testing.T) {
 	// A stitch pair whose endpoints have disjoint conflict constraints:
 	// linear should avoid the stitch when a shared color exists.
-	g := graph.New(4)
-	g.AddStitch(0, 1)
-	g.AddConflict(0, 2) // 2 will take some color; 0 must differ from 2
-	g.AddConflict(1, 3)
+	b := graph.NewBuilder(4)
+	b.AddStitch(0, 1)
+	b.AddConflict(0, 2) // 2 will take some color; 0 must differ from 2
+	b.AddConflict(1, 3)
+	g := b.Build(nil)
 	colors := Linear(g, LinearOptions{K: 4, Alpha: 0.1})
 	if c, s := Count(g, colors); c != 0 || s != 0 {
 		t.Fatalf("cn/st = %d/%d, want 0/0 (colors %v)", c, s, colors)

@@ -487,10 +487,10 @@ func (b *builder) discoverEdges(ctx context.Context) error {
 
 // finishGraph runs stage 4: drain the per-shard edge lists into the CSR
 // builder (resident pairs from a serial build are already there) and run the
-// two-pass count-then-fill build. Transient degree/offset arrays come from
-// the shared scratch pool; the edge arenas belong to the finished graph.
-// Edge-kind totals come from the builder's compacted rows, so they equal the
-// per-insert tallies of the old mutable path by construction.
+// two-pass count-then-fill build. Transient fill cursors come from the
+// shared scratch pool; the offsets and id arrays belong to the finished
+// graph. Edge-kind totals come from the builder's compacted rows, so they
+// equal the per-insert tallies of the old mutable path by construction.
 func (b *builder) finishGraph() {
 	var nc, nf int
 	for ci := range b.confShard {

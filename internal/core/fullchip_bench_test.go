@@ -48,7 +48,7 @@ func BenchmarkFullchipSolve(b *testing.B) {
 
 // TestFullchipSolveAllocsBounded keeps the fresh build allocating per
 // stage, not per fragment or grid bucket: a warm fullchip solve makes
-// ~43k allocations, most of them the divide's per-piece ones. The ceiling
+// ~35k allocations, most of them the divide's per-piece ones. The ceiling
 // leaves room for those to drift, not for a per-feature allocation (S38417
 // has ~80k features) to return.
 func TestFullchipSolveAllocsBounded(t *testing.T) {

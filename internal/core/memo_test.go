@@ -159,16 +159,16 @@ func TestMemoizedILPByteIdentical(t *testing.T) {
 // min cut 4 survives the (K−1)-cut removal), so a memoized solve must
 // dispatch exactly one engine call.
 func nIdenticalK5s(n int) *Graph {
-	g := graph.New(5 * n)
+	b := graph.NewBuilder(5 * n)
 	for c := 0; c < n; c++ {
 		base := 5 * c
 		for i := 0; i < 5; i++ {
 			for j := i + 1; j < 5; j++ {
-				g.AddConflict(base+i, base+j)
+				b.AddConflict(base+i, base+j)
 			}
 		}
 	}
-	return &Graph{G: g}
+	return &Graph{G: b.Build(nil)}
 }
 
 // TestMemoSingleFlightOneDispatchForIdenticalComponents pins the

@@ -18,18 +18,7 @@ import (
 // worker count are the only run-varying parts and are excluded).
 func graphsIdentical(t *testing.T, want, got *Graph) {
 	t.Helper()
-	if !reflect.DeepEqual(want.Fragments, got.Fragments) {
-		t.Fatalf("fragment tables differ: %d vs %d fragments", len(want.Fragments), len(got.Fragments))
-	}
-	if want.MinS != got.MinS || want.HalfPitch != got.HalfPitch {
-		t.Fatalf("parameters differ: minS %d/%d hp %d/%d", want.MinS, got.MinS, want.HalfPitch, got.HalfPitch)
-	}
-	ws, gs := want.Stats, got.Stats
-	ws.Timing, gs.Timing = BuildTiming{}, BuildTiming{}
-	ws.Workers, gs.Workers = 0, 0
-	if ws != gs {
-		t.Fatalf("stats differ: %+v vs %+v", ws, gs)
-	}
+	headersIdentical(t, want, got)
 	if want.G.N() != got.G.N() {
 		t.Fatalf("vertex counts differ: %d vs %d", want.G.N(), got.G.N())
 	}
@@ -43,6 +32,24 @@ func graphsIdentical(t *testing.T, want, got *Graph) {
 		if !reflect.DeepEqual(want.G.FriendNeighbors(v), got.G.FriendNeighbors(v)) {
 			t.Fatalf("friend adjacency of %d differs: %v vs %v", v, want.G.FriendNeighbors(v), got.G.FriendNeighbors(v))
 		}
+	}
+}
+
+// headersIdentical is graphsIdentical without the adjacency: fragments,
+// parameters and stats.
+func headersIdentical(t *testing.T, want, got *Graph) {
+	t.Helper()
+	if !reflect.DeepEqual(want.Fragments, got.Fragments) {
+		t.Fatalf("fragment tables differ: %d vs %d fragments", len(want.Fragments), len(got.Fragments))
+	}
+	if want.MinS != got.MinS || want.HalfPitch != got.HalfPitch {
+		t.Fatalf("parameters differ: minS %d/%d hp %d/%d", want.MinS, got.MinS, want.HalfPitch, got.HalfPitch)
+	}
+	ws, gs := want.Stats, got.Stats
+	ws.Timing, gs.Timing = BuildTiming{}, BuildTiming{}
+	ws.Workers, gs.Workers = 0, 0
+	if ws != gs {
+		t.Fatalf("stats differ: %+v vs %+v", ws, gs)
 	}
 }
 

@@ -269,7 +269,7 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 	var st Stats
 	tPart := time.Now()
 	// Component discovery shards across the division worker pool on large
-	// graphs (lock-free union-find over the CSR arenas); the result is
+	// graphs (lock-free union-find over the CSR rows); the result is
 	// byte-identical to a serial scan at any worker count.
 	comps := g.ComponentsWorkers(opts.Workers)
 	// LPT (longest-processing-time-first) scheduling order for the parallel

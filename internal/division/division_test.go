@@ -60,32 +60,37 @@ func bruteForce(g *graph.Graph, k int, alpha float64) (conf int, cost float64) {
 	return bestConf, bestCost
 }
 
+// randomGraph draws ce conflict and then se stitch candidates over n
+// vertices; a stitch never lands on a pair already joined.
 func randomGraph(rng *rand.Rand, n, ce, se int) *graph.Graph {
-	g := graph.New(n)
+	b := graph.NewBuilder(n)
+	joined := map[[2]int]bool{}
 	for i := 0; i < ce; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !g.HasStitch(u, v) {
-			g.AddConflict(u, v)
+		if u != v {
+			b.AddConflict(u, v)
+			joined[[2]int{min(u, v), max(u, v)}] = true
 		}
 	}
 	for i := 0; i < se; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !g.HasConflict(u, v) && !g.HasStitch(u, v) {
-			g.AddStitch(u, v)
+		if pair := [2]int{min(u, v), max(u, v)}; u != v && !joined[pair] {
+			b.AddStitch(u, v)
+			joined[pair] = true
 		}
 	}
-	return g
+	return b.Build(nil)
 }
 
 func TestEmptyGraph(t *testing.T) {
-	colors, st := Decompose(graph.New(0), Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
+	colors, st := Decompose(graph.NewBuilder(0).Build(nil), Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	if len(colors) != 0 || st.Components != 0 {
 		t.Fatalf("empty = %v %+v", colors, st)
 	}
 }
 
 func TestIsolatedVertices(t *testing.T) {
-	g := graph.New(5)
+	g := graph.NewBuilder(5).Build(nil)
 	colors, st := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	if err := coloring.Validate(g, colors, 4); err != nil {
 		t.Fatal(err)
@@ -105,10 +110,11 @@ func TestFig5ThreeCutRotation(t *testing.T) {
 	// though the pieces are colored independently and reconnected by
 	// rotation. Disable peeling so division actually exercises the GH path
 	// (all prism vertices have degree 3 < 4 and would otherwise peel).
-	g := graph.New(6)
+	b := graph.NewBuilder(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {0, 3}, {1, 4}, {2, 5}} {
-		g.AddConflict(e[0], e[1])
+		b.AddConflict(e[0], e[1])
 	}
+	g := b.Build(nil)
 	opts := Options{K: 4, Alpha: 0.1, DisablePeeling: true}
 	colors, st := Decompose(g, opts, exactSolver(4, 0.1))
 	if err := coloring.Validate(g, colors, 4); err != nil {
@@ -124,10 +130,11 @@ func TestFig5ThreeCutRotation(t *testing.T) {
 
 func TestPeelingHandlesTree(t *testing.T) {
 	// A path graph peels completely: zero solver calls, zero conflicts.
-	g := graph.New(10)
+	b := graph.NewBuilder(10)
 	for i := 0; i < 9; i++ {
-		g.AddConflict(i, i+1)
+		b.AddConflict(i, i+1)
 	}
+	g := b.Build(nil)
 	colors, st := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	if c, _ := coloring.Count(g, colors); c != 0 {
 		t.Fatalf("conflicts = %d", c)
@@ -141,18 +148,19 @@ func TestBiconnectedAlignment(t *testing.T) {
 	// Two K5s sharing one articulation vertex. Each block needs 1 conflict
 	// (K5 with 4 colors); the shared vertex must end with one consistent
 	// color and total conflicts must be exactly 2.
-	g := graph.New(9)
+	b := graph.NewBuilder(9)
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
 	second := []int{4, 5, 6, 7, 8} // vertex 4 shared
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			g.AddConflict(second[i], second[j])
+			b.AddConflict(second[i], second[j])
 		}
 	}
+	g := b.Build(nil)
 	colors, st := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	if err := coloring.Validate(g, colors, 4); err != nil {
 		t.Fatal(err)
@@ -191,15 +199,16 @@ func TestRotationNeverAddsConflict(t *testing.T) {
 func TestAblationSwitches(t *testing.T) {
 	// All four technique combinations must produce valid colorings with
 	// the same conflict count on a structured graph (two K5s + a bridge).
-	g := graph.New(11)
+	b := graph.NewBuilder(11)
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			g.AddConflict(i, j)
-			g.AddConflict(5+i, 5+j)
+			b.AddConflict(i, j)
+			b.AddConflict(5+i, 5+j)
 		}
 	}
-	g.AddConflict(4, 10)
-	g.AddConflict(10, 5)
+	b.AddConflict(4, 10)
+	b.AddConflict(10, 5)
+	g := b.Build(nil)
 	for _, opt := range []Options{
 		{K: 4, Alpha: 0.1},
 		{K: 4, Alpha: 0.1, DisablePeeling: true},
@@ -220,10 +229,11 @@ func TestAblationSwitches(t *testing.T) {
 func TestGHTreeMaxNCap(t *testing.T) {
 	// With the cap below the component size, GH division is skipped and the
 	// solver sees the whole block.
-	g := graph.New(6)
+	b := graph.NewBuilder(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {0, 3}, {1, 4}, {2, 5}} {
-		g.AddConflict(e[0], e[1])
+		b.AddConflict(e[0], e[1])
 	}
+	g := b.Build(nil)
 	opts := Options{K: 4, Alpha: 0.1, DisablePeeling: true, GHTreeMaxN: 2}
 	var maxSeen int
 	solver := func(sub *graph.Graph, sc *pipeline.Scratch) []int {
@@ -243,10 +253,11 @@ func TestGHTreeMaxNCap(t *testing.T) {
 func TestStitchEdgesSurviveDivision(t *testing.T) {
 	// Stitch-linked vertices in different GH pieces: rotation scoring must
 	// prefer matching them when conflict-free.
-	g := graph.New(4)
-	g.AddConflict(0, 1)
-	g.AddConflict(2, 3)
-	g.AddStitch(1, 2)
+	b := graph.NewBuilder(4)
+	b.AddConflict(0, 1)
+	b.AddConflict(2, 3)
+	b.AddStitch(1, 2)
+	g := b.Build(nil)
 	colors, _ := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	c, s := coloring.Count(g, colors)
 	if c != 0 || s != 0 {
@@ -260,7 +271,7 @@ func TestBadKPanics(t *testing.T) {
 			t.Fatal("K=0 did not panic")
 		}
 	}()
-	Decompose(graph.New(1), Options{K: 0}, exactSolver(4, 0.1))
+	Decompose(graph.NewBuilder(1).Build(nil), Options{K: 0}, exactSolver(4, 0.1))
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
@@ -286,13 +297,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestParallelRace(t *testing.T) {
 	// Exercised under -race: many small components, several workers.
-	g := graph.New(400)
+	b := graph.NewBuilder(400)
 	for i := 0; i < 400; i += 4 {
-		g.AddConflict(i, i+1)
-		g.AddConflict(i+1, i+2)
-		g.AddConflict(i+2, i+3)
-		g.AddConflict(i+3, i)
+		b.AddConflict(i, i+1)
+		b.AddConflict(i+1, i+2)
+		b.AddConflict(i+2, i+3)
+		b.AddConflict(i+3, i)
 	}
+	g := b.Build(nil)
 	colors, st := Decompose(g, Options{K: 4, Alpha: 0.1, Workers: 8}, exactSolver(4, 0.1))
 	if err := coloring.Validate(g, colors, 4); err != nil {
 		t.Fatal(err)
@@ -309,20 +321,22 @@ func TestLPTDispatchMatchesDiscoveryOrder(t *testing.T) {
 	// built so LPT genuinely disagrees with discovery order: the components
 	// appear smallest-first, so the descending-weight sort reverses the job
 	// sequence entirely.
-	g := graph.New(0)
-	addChain := func(n int) {
-		first := g.AddVertex()
-		prev := first
-		for i := 1; i < n; i++ {
-			v := g.AddVertex()
-			g.AddConflict(prev, v)
-			prev = v
+	sizes := []int{2, 2, 2, 3, 4, 6, 9, 14, 21, 40}
+	n := 0
+	for _, size := range sizes {
+		n += size
+	}
+	b := graph.NewBuilder(n)
+	first := 0 // each chain's vertices are numbered on from the previous one's
+	for _, size := range sizes {
+		last := first + size - 1
+		for v := first; v < last; v++ {
+			b.AddConflict(v, v+1)
 		}
-		g.AddStitch(first, prev)
+		b.AddStitch(first, last)
+		first = last + 1
 	}
-	for _, size := range []int{2, 2, 2, 3, 4, 6, 9, 14, 21, 40} {
-		addChain(size)
-	}
+	g := b.Build(nil)
 	serial, _ := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	for _, workers := range []int{1, 2, 8} {
 		colors, st := Decompose(g, Options{K: 4, Alpha: 0.1, Workers: workers}, exactSolver(4, 0.1))
@@ -495,17 +509,18 @@ func TestStatsMergeCoversAllFields(t *testing.T) {
 func TestStageTelemetry(t *testing.T) {
 	// Three disjoint K5 cliques (conflict degree 4 = K, so they survive
 	// peeling and reach the solver) with a peelable two-vertex tail each.
-	g := graph.New(21)
+	b := graph.NewBuilder(21)
 	for base := 0; base < 15; base += 5 {
 		for i := 0; i < 5; i++ {
 			for j := i + 1; j < 5; j++ {
-				g.AddConflict(base+i, base+j)
+				b.AddConflict(base+i, base+j)
 			}
 		}
 		tail := 15 + 2*(base/5)
-		g.AddConflict(base, tail)
-		g.AddConflict(tail, tail+1)
+		b.AddConflict(base, tail)
+		b.AddConflict(tail, tail+1)
 	}
+	g := b.Build(nil)
 	_, st := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	for _, name := range []string{pipeline.StageSimplify, pipeline.StagePartition, pipeline.StageDispatch} {
 		if st.Stages[name].Calls == 0 {
@@ -559,14 +574,15 @@ func TestCancelledContextFallsBackToLinear(t *testing.T) {
 func TestWorkerPoolDrainsOnCancel(t *testing.T) {
 	// 100 disjoint K5 cliques: conflict degree 4 = K, so nothing peels and
 	// every component reaches the solver (or its fallback) exactly once.
-	g := graph.New(500)
+	b := graph.NewBuilder(500)
 	for base := 0; base < 500; base += 5 {
 		for i := 0; i < 5; i++ {
 			for j := i + 1; j < 5; j++ {
-				g.AddConflict(base+i, base+j)
+				b.AddConflict(base+i, base+j)
 			}
 		}
 	}
+	g := b.Build(nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
 	engine := func(sub *graph.Graph, _ *pipeline.Scratch) []int {

@@ -10,10 +10,11 @@ func TestCutEdgesBelowWeightOrdering(t *testing.T) {
 	// Path a-b-c-d with unit edges: the GH tree is the path itself and all
 	// edges have weight 1. CutEdgesBelowWeight(4) must return every tree
 	// edge, deepest child first.
-	g := graph.New(4)
-	g.AddConflict(0, 1)
-	g.AddConflict(1, 2)
-	g.AddConflict(2, 3)
+	b := graph.NewBuilder(4)
+	b.AddConflict(0, 1)
+	b.AddConflict(1, 2)
+	b.AddConflict(2, 3)
+	g := b.Build(nil)
 	tr := BuildFromConflictGraph(g)
 	cuts := tr.CutEdgesBelowWeight(4)
 	if len(cuts) != 3 {
@@ -38,10 +39,11 @@ func TestCutEdgesBelowWeightOrdering(t *testing.T) {
 
 func TestSubtreeMaskProperties(t *testing.T) {
 	// Star with center 0: every leaf's subtree is itself.
-	g := graph.New(5)
+	b := graph.NewBuilder(5)
 	for v := 1; v < 5; v++ {
-		g.AddConflict(0, v)
+		b.AddConflict(0, v)
 	}
+	g := b.Build(nil)
 	tr := BuildFromConflictGraph(g)
 	for v := 0; v < 5; v++ {
 		if tr.Parent[v] < 0 {
@@ -83,10 +85,11 @@ func TestWeightedParallelEdgesAccumulate(t *testing.T) {
 
 func TestLargeCycleAllCutsTwo(t *testing.T) {
 	n := 20
-	g := graph.New(n)
+	b := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		g.AddConflict(i, (i+1)%n)
+		b.AddConflict(i, (i+1)%n)
 	}
+	g := b.Build(nil)
 	tr := BuildFromConflictGraph(g)
 	for v := 1; v < n; v++ {
 		if got := tr.MinCut(0, v); got != 2 {

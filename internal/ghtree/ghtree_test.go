@@ -21,11 +21,12 @@ func TestFig6GHTree(t *testing.T) {
 	// Rather than chase the exact drawing, we verify the defining GH-tree
 	// property on this graph: every tree-path minimum equals the true
 	// s-t min cut.
-	g := graph.New(5)
+	b := graph.NewBuilder(5)
 	edges := [][2]int{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}, {3, 4}}
 	for _, e := range edges {
-		g.AddConflict(e[0], e[1])
+		b.AddConflict(e[0], e[1])
 	}
+	g := b.Build(nil)
 	tr := BuildFromConflictGraph(g)
 	for u := 0; u < 5; u++ {
 		for v := u + 1; v < 5; v++ {
@@ -88,12 +89,13 @@ func TestMinCutSelfPanics(t *testing.T) {
 func TestComponentsBelowWeightK5(t *testing.T) {
 	// K5 has all-pairs min cut 4, so with minWeight 4 it must stay whole,
 	// and with minWeight 5 it must shatter.
-	g := graph.New(5)
+	b := graph.NewBuilder(5)
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
+	g := b.Build(nil)
 	tr := BuildFromConflictGraph(g)
 	whole := tr.ComponentsBelowWeight(4)
 	if len(whole) != 1 || len(whole[0]) != 5 {
@@ -108,10 +110,11 @@ func TestComponentsBelowWeightK5(t *testing.T) {
 func TestFig5ThreeCutSplits(t *testing.T) {
 	// Fig. 5(a): two triangles {a,b,c} and {d,e,f} joined by the 3-cut
 	// (a-d, b-e, c-f). All cross-pairs have min cut 3 < 4 → two components.
-	g := graph.New(6)
+	b := graph.NewBuilder(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {0, 3}, {1, 4}, {2, 5}} {
-		g.AddConflict(e[0], e[1])
+		b.AddConflict(e[0], e[1])
 	}
+	g := b.Build(nil)
 	tr := BuildFromConflictGraph(g)
 	if got := tr.MinCut(0, 3); got != 3 {
 		t.Fatalf("cross min cut = %d, want 3", got)
@@ -260,13 +263,14 @@ func TestBuildScratchIdenticalTree(t *testing.T) {
 	sc := pipeline.NewScratchPool().Get()
 	for trial := 0; trial < 25; trial++ {
 		n := 2 + rng.Intn(14)
-		g := graph.New(n)
+		b := graph.NewBuilder(n)
 		for i := 0; i < n*2; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				g.AddConflict(u, v)
+				b.AddConflict(u, v)
 			}
 		}
+		g := b.Build(nil)
 		ref := BuildFromConflictGraph(g)
 		got := BuildFromConflictGraphScratch(context.Background(), g, sc)
 		if !reflect.DeepEqual(ref.Parent, got.Parent) || !reflect.DeepEqual(ref.Weight, got.Weight) {

@@ -8,7 +8,7 @@ import (
 
 // ComponentsWorkers is Components with the edge scan sharded across workers
 // goroutines (0 or 1 means serial — identical to Components). The parallel
-// path runs a lock-free union-find over the CSR adjacency arenas: workers
+// path runs a lock-free union-find over the CSR adjacency rows: workers
 // sweep disjoint vertex ranges and union each vertex with its conflict and
 // stitch neighbors, roots always winning toward the smaller id, so the final
 // partition — and therefore the output — is independent of scheduling. The
@@ -77,12 +77,12 @@ func (g *Graph) ComponentsWorkers(workers int) [][]int {
 				lo := c * chunk
 				hi := min(lo+chunk, g.n)
 				for u := lo; u < hi; u++ {
-					for _, v := range g.conf[u] {
+					for _, v := range g.conf.row(u) {
 						if int(v) > u {
 							union(int32(u), v)
 						}
 					}
-					for _, v := range g.stit[u] {
+					for _, v := range g.stit.row(u) {
 						if int(v) > u {
 							union(int32(u), v)
 						}

@@ -1,30 +1,23 @@
 package graph
 
-// Arena-backed CSR (compressed sparse row) construction. A Builder collects
-// raw undirected edge pairs in flat append-only buffers — no per-insert
+// CSR (compressed sparse row) construction. A Builder collects raw
+// undirected edge pairs in flat append-only buffers — no per-insert
 // deduplication, no per-vertex allocation — and Build materializes the
 // decomposition graph in two passes per edge kind:
 //
 //	count: one sweep over the pairs tallies every vertex's degree, and a
 //	       prefix sum turns the tallies into row offsets;
 //	fill:  a second sweep scatters both directions of every pair into one
-//	       contiguous int32 arena at those offsets.
+//	       contiguous int32 id array at those offsets.
 //
-// Each row is then sorted and compacted in place (sort + compact replaces
-// the per-insert `contains` scan of the mutable Add* path, which went
-// quadratic on hub vertices), so duplicate insertions cost O(log deg)
-// amortized instead of O(deg). The resulting Graph stores its adjacency as
-// three arenas — one per edge kind, struct-of-arrays — with the [][]int32
-// row headers pointing into them.
-//
-// The row headers are also the mutable-adjacency shim: every view is a
-// full-capacity (three-index) subslice, so appending to a row — what
-// Graph.AddConflict and friends do — reallocates that one row out of the
-// arena instead of bleeding into its neighbor. The arena itself is never
-// mutated after Build; a graph that was never edited keeps every row
-// contiguous. No production path edits a graph: ApplyEdits' dirty-region
-// rebuild feeds remapped prior pairs and fresh ones through a Builder like
-// a scratch build, and Subgraph copies filtered rows into arenas of its own.
+// Each row is then sorted and compacted, and slid down over the gaps its
+// predecessors' duplicates left, so duplicate insertions cost O(log deg)
+// amortized instead of the O(deg) per-insert scan that went quadratic on
+// hub vertices. The resulting Graph holds each edge kind as one offsets
+// array and one id array (struct-of-arrays). Nothing edits a graph after
+// Build: ApplyEdits' dirty-region rebuild feeds remapped prior pairs and
+// fresh ones through a Builder like a scratch build, and Subgraph copies
+// filtered rows into arrays of its own.
 
 import (
 	"fmt"
@@ -33,18 +26,19 @@ import (
 )
 
 // MaxVertices is the largest vertex count a Graph can hold: vertex ids are
-// int32, so anything beyond 2^31−1 would overflow silently. New, AddVertex
-// and NewBuilder enforce it; internal/core checks fragment counts against it
-// before building and returns an error instead of panicking.
+// int32, so anything beyond 2^31−1 would overflow silently. NewBuilder
+// enforces it, and the Builder's Add methods range-check ids before
+// narrowing them; internal/core checks fragment counts against it before
+// building and returns an error instead of panicking.
 const MaxVertices = math.MaxInt32
 
-// maxArenaEntries bounds one edge kind's directed adjacency arena (two
-// entries per undirected edge). Row offsets are int32, so the arena must
-// stay addressable by them.
+// maxArenaEntries bounds one edge kind's directed id array (two entries
+// per undirected edge). Row offsets are int32, so the array must stay
+// addressable by them.
 const maxArenaEntries = math.MaxInt32
 
 // Int32Arena is the slice-recycling surface a Builder can lease transient
-// build state (degree counters, row offsets) from; *pipeline.Scratch
+// build state (fill cursors, pair buffers) from; *pipeline.Scratch
 // satisfies it. A nil arena — or a typed-nil one, since the Scratch methods
 // are nil-safe — simply allocates.
 type Int32Arena interface {
@@ -76,8 +70,10 @@ func NewBuilder(n int) *Builder {
 // N returns the vertex count the builder was created with.
 func (b *Builder) N() int { return b.n }
 
-func (b *Builder) checkPair(u, v int32) {
-	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
+// checkPair range-checks an edge as ints, before any narrowing to int32
+// could alias an out-of-range id onto a real vertex.
+func (b *Builder) checkPair(u, v int) {
+	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
 	}
 	if u == v {
@@ -87,19 +83,19 @@ func (b *Builder) checkPair(u, v int32) {
 
 // AddConflict records an undirected conflict edge. Duplicates are fine.
 func (b *Builder) AddConflict(u, v int) {
-	b.checkPair(int32(u), int32(v))
+	b.checkPair(u, v)
 	b.conf = append(b.conf, int32(u), int32(v))
 }
 
 // AddStitch records an undirected stitch edge.
 func (b *Builder) AddStitch(u, v int) {
-	b.checkPair(int32(u), int32(v))
+	b.checkPair(u, v)
 	b.stit = append(b.stit, int32(u), int32(v))
 }
 
 // AddFriend records an undirected color-friendly edge.
 func (b *Builder) AddFriend(u, v int) {
-	b.checkPair(int32(u), int32(v))
+	b.checkPair(u, v)
 	b.friend = append(b.friend, int32(u), int32(v))
 }
 
@@ -108,12 +104,6 @@ func (b *Builder) AddFriend(u, v int) {
 func (b *Builder) AddConflictPairs(pairs []int32) {
 	b.validatePairs(pairs)
 	b.conf = append(b.conf, pairs...)
-}
-
-// AddStitchPairs bulk-appends flat stitch (u,v) pairs.
-func (b *Builder) AddStitchPairs(pairs []int32) {
-	b.validatePairs(pairs)
-	b.stit = append(b.stit, pairs...)
 }
 
 // AddFriendPairs bulk-appends flat color-friendly (u,v) pairs.
@@ -153,31 +143,29 @@ func (b *Builder) validatePairs(pairs []int32) {
 		panic(fmt.Sprintf("graph: odd pair buffer length %d", len(pairs)))
 	}
 	for i := 0; i < len(pairs); i += 2 {
-		b.checkPair(pairs[i], pairs[i+1])
+		b.checkPair(int(pairs[i]), int(pairs[i+1]))
 	}
 }
 
 // Build materializes the graph. sc, when non-nil, lends the transient
-// degree/offset arrays (they are returned before Build exits); the edge
-// arenas themselves belong to the returned Graph and are never pooled.
+// fill cursors (they are returned before Build exits); the offsets and id
+// arrays themselves belong to the returned Graph and are never pooled.
 // The builder must not be reused afterwards.
 func (b *Builder) Build(sc Int32Arena) *Graph {
 	g := &Graph{n: b.n}
-	var nc, ns, nf int
-	// Each pair buffer is released as soon as its arena is materialized:
-	// holding all three alongside all three arenas would double peak heap on
-	// million-feature builds (and, on a GC-pressured machine, the collector's
-	// marking time with it).
-	g.conf, nc = csrRows(b.n, b.conf, sc)
+	// Each pair buffer is released as soon as its rows are materialized:
+	// holding all three alongside all three id arrays would double peak heap
+	// on million-feature builds (and, on a GC-pressured machine, the
+	// collector's marking time with it).
+	g.conf, g.nConf = csrRows(b.n, b.conf, sc)
 	b.release(b.conf)
 	b.conf = nil
-	g.stit, ns = csrRows(b.n, b.stit, sc)
+	g.stit, g.nStit = csrRows(b.n, b.stit, sc)
 	b.release(b.stit)
 	b.stit = nil
-	g.friend, nf = csrRows(b.n, b.friend, sc)
+	g.friend, g.nFriend = csrRows(b.n, b.friend, sc)
 	b.release(b.friend)
 	b.friend = nil
-	g.nConf, g.nStit, g.nFriend = nc, ns, nf
 	return g
 }
 
@@ -190,11 +178,10 @@ func (b *Builder) release(pairs []int32) {
 }
 
 // csrRows runs the two-pass count-then-fill for one edge kind and returns
-// the row views plus the number of unique undirected edges.
-func csrRows(n int, pairs []int32, sc Int32Arena) ([][]int32, int) {
-	rows := make([][]int32, n)
+// its rows plus the number of unique undirected edges.
+func csrRows(n int, pairs []int32, sc Int32Arena) (csr, int) {
 	if len(pairs) == 0 {
-		return rows, 0
+		return csr{}, 0
 	}
 	if len(pairs) > maxArenaEntries {
 		panic(fmt.Sprintf("graph: edge arena needs %d entries, max %d", len(pairs), maxArenaEntries))
@@ -202,44 +189,40 @@ func csrRows(n int, pairs []int32, sc Int32Arena) ([][]int32, int) {
 
 	// Pass 1: count. off[v+1] accumulates deg(v), then a prefix sum turns
 	// counts into row start offsets.
-	var off []int32
-	if sc != nil {
-		off = sc.Int32s(n + 1)
-		defer sc.PutInt32s(off)
-	} else {
-		off = make([]int32, n+1)
-	}
+	off := make([]int32, n+1)
 	for i := 0; i < len(pairs); i += 2 {
 		off[pairs[i]+1]++
 		off[pairs[i+1]+1]++
 	}
-	sum := int32(0)
-	for v := range off {
-		sum += off[v]
-		off[v] = sum
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
 	}
 
-	// Pass 2: fill. cursor[v] (reusing off, shifted) walks each row while
-	// both directions of every pair scatter into the shared arena.
-	arena := make([]int32, len(pairs))
+	// Pass 2: fill. cursor[v] walks row v from its start while both
+	// directions of every pair scatter into the shared id array.
+	var cursor []int32
+	if sc != nil {
+		cursor = sc.Int32s(n)
+		defer sc.PutInt32s(cursor)
+	} else {
+		cursor = make([]int32, n)
+	}
+	copy(cursor, off)
+	adj := make([]int32, len(pairs))
 	for i := 0; i < len(pairs); i += 2 {
 		u, v := pairs[i], pairs[i+1]
-		arena[off[u]] = v
-		off[u]++
-		arena[off[v]] = u
-		off[v]++
+		adj[cursor[u]] = v
+		cursor[u]++
+		adj[cursor[v]] = u
+		cursor[v]++
 	}
-	// off[v] is now the END of row v (and the start of row v+1): recover
-	// starts from the previous row's end.
-	unique := 0
-	end := off
-	start := int32(0)
+
+	// Sort and compact each row, sliding it down over the gaps earlier
+	// rows' duplicates left; off[v] is rewritten to the row's new start
+	// once its old start has been read. cursor[v] is the row's old end.
+	w := int32(0)
 	for v := 0; v < n; v++ {
-		row := arena[start:end[v]]
-		start = end[v]
-		if len(row) == 0 {
-			continue
-		}
+		row := adj[off[v]:cursor[v]]
 		// Pairs emitted in ascending (u, v) order — a remapped canonical
 		// graph, as ApplyEdits feeds it — land already sorted and unique;
 		// checking is one linear pass, sorting and compacting are not.
@@ -247,12 +230,11 @@ func csrRows(n int, pairs []int32, sc Int32Arena) ([][]int32, int) {
 			slices.Sort(row)
 			row = slices.Compact(row)
 		}
-		unique += len(row)
-		// Full-capacity view: an append (mutable shim) reallocates the row
-		// instead of clobbering the next row's slack.
-		rows[v] = row[:len(row):len(row)]
+		off[v] = w
+		w += int32(copy(adj[w:], row))
 	}
-	return rows, unique / 2
+	off[n] = w
+	return csr{off: off, adj: adj[:w]}, int(w) / 2
 }
 
 // strictlyIncreasing reports whether row is sorted without duplicates.

@@ -1,32 +1,27 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // equalGraphs reports whether two graphs are byte-identical: same vertex
-// count, same edge-kind totals, and the same adjacency slice contents for
-// every vertex and edge kind.
+// count, same edge-kind totals, and the same row contents for every vertex
+// and edge kind.
 func equalGraphs(a, b *Graph) bool {
-	if a.n != b.n || a.nConf != b.nConf || a.nStit != b.nStit || a.nFriend != b.nFriend {
+	aRows, aCounts := kindRows(a)
+	bRows, bCounts := kindRows(b)
+	if a.N() != b.N() || aCounts != bCounts {
 		return false
 	}
-	eq := func(x, y []int32) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
+	for kind := range aRows {
+		for v := 0; v < a.N(); v++ {
+			if !slices.Equal(aRows[kind](v), bRows[kind](v)) {
 				return false
 			}
-		}
-		return true
-	}
-	for v := 0; v < a.n; v++ {
-		if !eq(a.conf[v], b.conf[v]) || !eq(a.stit[v], b.stit[v]) || !eq(a.friend[v], b.friend[v]) {
-			return false
 		}
 	}
 	return true
@@ -53,9 +48,9 @@ func randomEdges(rng *rand.Rand, n, m int) [][2]int {
 }
 
 // TestBuilderMatchesMutable is the representation-equivalence property: for
-// random edge multisets, the CSR two-pass build and the legacy mutable Add*
-// path produce byte-identical graphs — adjacency contents, edge counts,
-// duplicate handling.
+// random edge multisets, the CSR two-pass build and the legacy per-insert
+// representation (mutable_ref_test.go) produce identical graphs — row
+// contents, edge counts, duplicate handling.
 func TestBuilderMatchesMutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cases := 200
@@ -64,27 +59,22 @@ func TestBuilderMatchesMutable(t *testing.T) {
 	}
 	for it := 0; it < cases; it++ {
 		n := 2 + rng.Intn(60)
-		conf := randomEdges(rng, n, rng.Intn(4*n))
-		stit := randomEdges(rng, n, rng.Intn(n))
-		friend := randomEdges(rng, n, rng.Intn(2*n))
-
-		mutable := New(n)
+		kinds := [numKinds][][2]int{
+			kindConflict: randomEdges(rng, n, rng.Intn(4*n)),
+			kindStitch:   randomEdges(rng, n, rng.Intn(n)),
+			kindFriend:   randomEdges(rng, n, rng.Intn(2*n)),
+		}
+		ref := newMutableRef(n)
 		bld := NewBuilder(n)
-		for _, p := range conf {
-			mutable.AddConflict(p[0], p[1])
-			bld.AddConflict(p[0], p[1])
+		for kind, pairs := range kinds {
+			for _, p := range pairs {
+				ref.add(kind, p[0], p[1])
+				addKind(bld, kind, p[0], p[1])
+			}
 		}
-		for _, p := range stit {
-			mutable.AddStitch(p[0], p[1])
-			bld.AddStitch(p[0], p[1])
-		}
-		for _, p := range friend {
-			mutable.AddFriend(p[0], p[1])
-			bld.AddFriend(p[0], p[1])
-		}
-		if csr := bld.Build(nil); !equalGraphs(mutable, csr) {
-			t.Fatalf("iteration %d: CSR build differs from mutable build (n=%d, %d/%d/%d pairs)",
-				it, n, len(conf), len(stit), len(friend))
+		if diff := refMismatch(bld.Build(nil), ref); diff != "" {
+			t.Fatalf("iteration %d: CSR build differs from the per-insert reference (n=%d, %d/%d/%d pairs): %s",
+				it, n, len(kinds[0]), len(kinds[1]), len(kinds[2]), diff)
 		}
 	}
 }
@@ -116,9 +106,9 @@ func TestBuilderPairsMatchSingles(t *testing.T) {
 	}
 }
 
-// TestBuilderArenaRows: a never-edited CSR graph keeps full-capacity row
-// views (appending via the mutable shim must reallocate the row, not
-// clobber the neighbor row in the shared arena).
+// TestBuilderArenaRows: rows are full-capacity views into one id array,
+// so a caller appending to a row reallocates it instead of clobbering the
+// next row.
 func TestBuilderArenaRows(t *testing.T) {
 	bld := NewBuilder(4)
 	bld.AddConflict(0, 1)
@@ -126,14 +116,15 @@ func TestBuilderArenaRows(t *testing.T) {
 	bld.AddConflict(1, 2)
 	g := bld.Build(nil)
 	before := append([]int32(nil), g.ConflictNeighbors(1)...)
-	if !g.AddConflict(0, 3) {
-		t.Fatal("shim insert rejected")
-	}
+	row := append(g.ConflictNeighbors(0), 3)
 	if got := g.ConflictNeighbors(1); !reflect.DeepEqual(got, before) {
-		t.Fatalf("neighbor row of 1 changed by insert at 0: %v -> %v", before, got)
+		t.Fatalf("neighbor row of 1 changed by an append to row 0: %v -> %v", before, got)
 	}
-	if want := []int32{1, 2, 3}; !reflect.DeepEqual(g.ConflictNeighbors(0), want) {
+	if want := []int32{1, 2}; !reflect.DeepEqual(g.ConflictNeighbors(0), want) {
 		t.Fatalf("row 0 = %v, want %v", g.ConflictNeighbors(0), want)
+	}
+	if want := []int32{1, 2, 3}; !reflect.DeepEqual(row, want) {
+		t.Fatalf("appended row = %v, want %v", row, want)
 	}
 }
 
@@ -202,17 +193,18 @@ func TestComponentsWorkersMatchesSerial(t *testing.T) {
 // BenchmarkDenseHub pins the O(deg²) dense-hub fix: building a graph whose
 // vertex 0 neighbors everyone — with every edge inserted twice, the dedup
 // pressure that made the old linear `contains` scan quadratic — through the
-// mutable path versus the CSR builder. The builder's sort+compact build is
+// legacy per-insert representation (mutable_ref_test.go) versus the CSR
+// builder. The builder's sort+compact build is
 // near-linear in the edge count; regressions show up as a superlinear gap
 // between the /size=... variants.
 func BenchmarkDenseHub(b *testing.B) {
 	for _, size := range []int{1 << 10, 1 << 12, 1 << 14} {
 		b.Run("mutable/size="+itoa(size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g := New(size)
+				r := newMutableRef(size)
 				for v := 1; v < size; v++ {
-					g.AddConflict(0, v)
-					g.AddConflict(v, 0) // duplicate: dedup probe on the hub row
+					r.add(kindConflict, 0, v)
+					r.add(kindConflict, v, 0) // duplicate: dedup probe on the hub row
 				}
 			}
 		})
@@ -243,26 +235,35 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// TestVertexCapacityGuards: constructors must reject vertex counts outside
+// TestVertexCapacityGuards: the Builder must reject vertex counts outside
 // the int32 id range before any allocation happens, with a clear diagnosis
-// — the silent-overflow bugfix of the million-feature hardening pass.
+// — the silent-overflow bugfix of the million-feature hardening pass — and
+// must range-check edge endpoints as ints, before narrowing them to int32
+// could alias an out-of-range id onto a real vertex.
 func TestVertexCapacityGuards(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
 	for _, n := range []int{-1, MaxVertices + 1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%d) did not panic", n)
-				}
-			}()
-			New(n)
-		}()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewBuilder(%d) did not panic", n)
-				}
-			}()
-			NewBuilder(n)
-		}()
+		mustPanic(fmt.Sprintf("NewBuilder(%d)", n), func() { NewBuilder(n) })
+	}
+	// 1<<32+1 narrows to vertex 1; only a 64-bit int can hold it.
+	var wide int64 = 1<<32 + 1
+	if int64(int(wide)) != wide {
+		return
+	}
+	for name, add := range map[string]func(*Builder, int, int){
+		"AddConflict": (*Builder).AddConflict,
+		"AddStitch":   (*Builder).AddStitch,
+		"AddFriend":   (*Builder).AddFriend,
+	} {
+		mustPanic(name+"(1<<32+1, 0)", func() { add(NewBuilder(3), int(wide), 0) })
+		mustPanic(name+"(0, 1<<32+1)", func() { add(NewBuilder(3), 0, int(wide)) })
 	}
 }

@@ -6,6 +6,9 @@
 // (Definition 2, distance in (mins, mins+hp)), which the linear color
 // assignment consults as soft same-color hints.
 //
+// A graph is built once, by Builder, and never edited: each edge kind is
+// stored as compressed sparse rows, one offsets array and one id array.
+//
 // The package also provides the structural operations the graph-division
 // pipeline needs: connected components, iterative peeling of vertices with
 // conflict degree < K, biconnected components and articulation points, and
@@ -24,35 +27,36 @@ import (
 // what makes the graph a pure function of its edge set (insertion order
 // never shows through), the determinism contract the golden suites pin.
 //
-// Bulk construction goes through Builder (csr.go), which lays each edge
-// kind out in one contiguous int32 arena and points these adjacency headers
-// into it — the scratch build and ApplyEdits' dirty-region rebuild both do.
-// The Add* methods below remain the mutable shim on top: on an arena-built
-// graph an insert reallocates just the affected row (the views are
-// full-capacity subslices), leaving the arena and every other row
-// untouched. Only tests call them; production graphs are built by Builder
-// or copied out of one by Subgraph.
+// A Graph is immutable once built. Builder (csr.go) constructs it — the
+// scratch build and ApplyEdits' dirty-region rebuild both do — and Subgraph
+// copies filtered pieces out of one. Each edge kind is one offsets array
+// and one id array (csr); the row accessors hand out read-only
+// full-capacity views, so an append by a caller reallocates instead of
+// overwriting the next row.
 type Graph struct {
 	n       int
-	conf    [][]int32
-	stit    [][]int32
-	friend  [][]int32
+	conf    csr
+	stit    csr
+	friend  csr
 	nConf   int
 	nStit   int
 	nFriend int
 }
 
-// New returns a graph with n isolated vertices.
-func New(n int) *Graph {
-	if n < 0 || n > MaxVertices {
-		panic(fmt.Sprintf("graph: vertex count %d outside [0, %d]", n, MaxVertices))
+// csr is one edge kind's adjacency in compressed sparse row form: row v is
+// adj[off[v]:off[v+1]]. A kind with no edges leaves both nil.
+type csr struct {
+	off []int32 // n+1 row starts
+	adj []int32
+}
+
+// row returns v's row as a full-capacity view.
+func (c *csr) row(v int) []int32 {
+	if c.off == nil {
+		return nil
 	}
-	return &Graph{
-		n:      n,
-		conf:   make([][]int32, n),
-		stit:   make([][]int32, n),
-		friend: make([][]int32, n),
-	}
+	lo, hi := c.off[v], c.off[v+1]
+	return c.adj[lo:hi:hi]
 }
 
 // N returns the vertex count.
@@ -67,85 +71,12 @@ func (g *Graph) StitchEdgeCount() int { return g.nStit }
 // FriendEdgeCount returns the number of color-friendly pairs.
 func (g *Graph) FriendEdgeCount() int { return g.nFriend }
 
-// AddVertex appends an isolated vertex and returns its index.
-func (g *Graph) AddVertex() int {
-	if g.n >= MaxVertices {
-		panic(fmt.Sprintf("graph: vertex count would exceed %d", MaxVertices))
-	}
-	g.conf = append(g.conf, nil)
-	g.stit = append(g.stit, nil)
-	g.friend = append(g.friend, nil)
-	g.n++
-	return g.n - 1
-}
-
-// sortedInsert puts v into ascending adjacency adj, reporting whether it was
-// absent. Membership is a binary search; the shift is O(deg) but runs only
-// on actual inserts, so repeated duplicate insertions on a hub vertex cost
-// O(log deg) each instead of the old linear contains scan.
-func sortedInsert(adj []int32, v int32) ([]int32, bool) {
-	i, found := slices.BinarySearch(adj, v)
-	if found {
-		return adj, false
-	}
-	return slices.Insert(adj, i, v), true
-}
-
-func (g *Graph) check(u, v int) {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n))
-	}
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop at %d", u))
-	}
-}
-
-// AddConflict inserts an undirected conflict edge; duplicate insertions are
-// ignored. It reports whether the edge was new.
-func (g *Graph) AddConflict(u, v int) bool {
-	g.check(u, v)
-	row, fresh := sortedInsert(g.conf[u], int32(v))
-	if !fresh {
-		return false
-	}
-	g.conf[u] = row
-	g.conf[v], _ = sortedInsert(g.conf[v], int32(u))
-	g.nConf++
-	return true
-}
-
-// AddStitch inserts an undirected stitch edge; duplicates are ignored.
-func (g *Graph) AddStitch(u, v int) bool {
-	g.check(u, v)
-	row, fresh := sortedInsert(g.stit[u], int32(v))
-	if !fresh {
-		return false
-	}
-	g.stit[u] = row
-	g.stit[v], _ = sortedInsert(g.stit[v], int32(u))
-	g.nStit++
-	return true
-}
-
-// AddFriend inserts an undirected color-friendly edge; duplicates ignored.
-func (g *Graph) AddFriend(u, v int) bool {
-	g.check(u, v)
-	row, fresh := sortedInsert(g.friend[u], int32(v))
-	if !fresh {
-		return false
-	}
-	g.friend[u] = row
-	g.friend[v], _ = sortedInsert(g.friend[v], int32(u))
-	g.nFriend++
-	return true
-}
-
 // HasConflict reports whether {u,v} is a conflict edge.
 func (g *Graph) HasConflict(u, v int) bool {
 	if u < 0 || v < 0 || u >= g.n || v >= g.n || u == v {
 		return false
 	}
-	_, found := slices.BinarySearch(g.conf[u], int32(v))
+	_, found := slices.BinarySearch(g.conf.row(u), int32(v))
 	return found
 }
 
@@ -154,25 +85,25 @@ func (g *Graph) HasStitch(u, v int) bool {
 	if u < 0 || v < 0 || u >= g.n || v >= g.n || u == v {
 		return false
 	}
-	_, found := slices.BinarySearch(g.stit[u], int32(v))
+	_, found := slices.BinarySearch(g.stit.row(u), int32(v))
 	return found
 }
 
 // ConflictDegree returns dconf(v), the number of conflict edges at v.
-func (g *Graph) ConflictDegree(v int) int { return len(g.conf[v]) }
+func (g *Graph) ConflictDegree(v int) int { return len(g.conf.row(v)) }
 
 // StitchDegree returns dstit(v), the number of stitch edges at v.
-func (g *Graph) StitchDegree(v int) int { return len(g.stit[v]) }
+func (g *Graph) StitchDegree(v int) int { return len(g.stit.row(v)) }
 
 // ConflictNeighbors returns the conflict adjacency of v. The slice is owned
 // by the graph; callers must not modify it.
-func (g *Graph) ConflictNeighbors(v int) []int32 { return g.conf[v] }
+func (g *Graph) ConflictNeighbors(v int) []int32 { return g.conf.row(v) }
 
 // StitchNeighbors returns the stitch adjacency of v (read-only).
-func (g *Graph) StitchNeighbors(v int) []int32 { return g.stit[v] }
+func (g *Graph) StitchNeighbors(v int) []int32 { return g.stit.row(v) }
 
 // FriendNeighbors returns the color-friendly adjacency of v (read-only).
-func (g *Graph) FriendNeighbors(v int) []int32 { return g.friend[v] }
+func (g *Graph) FriendNeighbors(v int) []int32 { return g.friend.row(v) }
 
 // Edge is an undirected vertex pair with U < V.
 type Edge struct {
@@ -180,17 +111,17 @@ type Edge struct {
 }
 
 // ConflictEdges returns all conflict edges with U < V, sorted.
-func (g *Graph) ConflictEdges() []Edge { return collectEdges(g.conf, g.nConf) }
+func (g *Graph) ConflictEdges() []Edge { return collectEdges(&g.conf, g.n, g.nConf) }
 
 // StitchEdges returns all stitch edges with U < V, sorted.
-func (g *Graph) StitchEdges() []Edge { return collectEdges(g.stit, g.nStit) }
+func (g *Graph) StitchEdges() []Edge { return collectEdges(&g.stit, g.n, g.nStit) }
 
-// collectEdges lists the m edges of adj. Rows ascend and are visited in
-// vertex order, so the list comes out sorted by (U, V).
-func collectEdges(adj [][]int32, m int) []Edge {
+// collectEdges lists the m edges of one kind over n vertices. Rows ascend
+// and are visited in vertex order, so the list comes out sorted by (U, V).
+func collectEdges(c *csr, n, m int) []Edge {
 	out := make([]Edge, 0, m)
-	for u := range adj {
-		for _, v := range adj[u] {
+	for u := 0; u < n; u++ {
+		for _, v := range c.row(u) {
 			if int(v) > u {
 				out = append(out, Edge{U: u, V: int(v)})
 			}
@@ -221,13 +152,13 @@ func (g *Graph) Components() [][]int {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			members = append(members, u)
-			for _, v := range g.conf[u] {
+			for _, v := range g.conf.row(u) {
 				if comp[v] == -1 {
 					comp[v] = id
 					stack = append(stack, int(v))
 				}
 			}
-			for _, v := range g.stit[u] {
+			for _, v := range g.stit.row(u) {
 				if comp[v] == -1 {
 					comp[v] = id
 					stack = append(stack, int(v))
@@ -248,7 +179,7 @@ func (g *Graph) Components() [][]int {
 //
 // The result is a filtered CSR copy: each member's adjacency row is copied,
 // neighbors outside the subset dropped and the rest relabeled, into one
-// arena per edge kind. Membership is looked up in index, a caller-leased
+// offsets array and one id array per edge kind. Membership is looked up in index, a caller-leased
 // table that must be all zero and at least g.N() long: Subgraph stamps
 // index[vertices[i]] = i+1 and re-zeroes exactly those entries before it
 // returns (or panics), so a caller extracting many pieces leases one table
@@ -276,43 +207,40 @@ func (g *Graph) Subgraph(vertices []int, index []int32) (*Graph, []int) {
 		ascending = ascending && (i == 0 || vertices[i-1] < v)
 	}
 	sub := &Graph{n: len(vertices)}
-	sub.conf, sub.nConf = filterRows(g.conf, vertices, index, ascending)
-	sub.stit, sub.nStit = filterRows(g.stit, vertices, index, ascending)
-	sub.friend, sub.nFriend = filterRows(g.friend, vertices, index, ascending)
+	sub.conf, sub.nConf = filterRows(&g.conf, vertices, index, ascending)
+	sub.stit, sub.nStit = filterRows(&g.stit, vertices, index, ascending)
+	sub.friend, sub.nFriend = filterRows(&g.friend, vertices, index, ascending)
 	clearIndex(index, vertices)
 	return sub, orig
 }
 
 // filterRows copies one edge kind's rows of the stamped members into one
-// arena, keeping only member neighbors under their new labels, and returns
-// the row views plus the number of undirected edges kept.
-func filterRows(adj [][]int32, vertices []int, index []int32, ascending bool) ([][]int32, int) {
-	rows := make([][]int32, len(vertices))
+// offsets array and one id array, keeping only member neighbors under their
+// new labels, and returns them plus the number of undirected edges kept.
+// A kind with no member rows allocates nothing.
+func filterRows(c *csr, vertices []int, index []int32, ascending bool) (csr, int) {
 	size := 0
 	for _, v := range vertices {
-		size += len(adj[v])
+		size += len(c.row(v))
 	}
 	if size == 0 {
-		return rows, 0
+		return csr{}, 0
 	}
-	arena := make([]int32, 0, size)
+	off := make([]int32, len(vertices)+1)
+	adj := make([]int32, 0, size)
 	for i, v := range vertices {
-		start := len(arena)
-		for _, w := range adj[v] {
+		start := len(adj)
+		for _, w := range c.row(v) {
 			if j := index[w]; j != 0 {
-				arena = append(arena, j-1)
+				adj = append(adj, j-1)
 			}
 		}
-		if len(arena) == start {
-			continue // isolated in the subgraph: nil row, as Build leaves it
-		}
-		row := arena[start:len(arena):len(arena)]
 		if !ascending {
-			slices.Sort(row)
+			slices.Sort(adj[start:])
 		}
-		rows[i] = row
+		off[i+1] = int32(len(adj))
 	}
-	return rows, len(arena) / 2
+	return csr{off: off, adj: adj}, len(adj) / 2
 }
 
 // clearIndex re-zeroes the index entries Subgraph stamped for vertices.
@@ -320,25 +248,6 @@ func clearIndex(index []int32, vertices []int) {
 	for _, v := range vertices {
 		index[v] = 0
 	}
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		n:       g.n,
-		conf:    make([][]int32, g.n),
-		stit:    make([][]int32, g.n),
-		friend:  make([][]int32, g.n),
-		nConf:   g.nConf,
-		nStit:   g.nStit,
-		nFriend: g.nFriend,
-	}
-	for i := 0; i < g.n; i++ {
-		c.conf[i] = append([]int32(nil), g.conf[i]...)
-		c.stit[i] = append([]int32(nil), g.stit[i]...)
-		c.friend[i] = append([]int32(nil), g.friend[i]...)
-	}
-	return c
 }
 
 // PeelOrder computes the iterative low-degree vertex removal of Algorithm 2
@@ -362,12 +271,12 @@ func (g *Graph) PeelOrder(k, maxStitch int, active []bool) (stack []int, core []
 			removed[v] = true // outside the working set; never peeled or core
 			continue
 		}
-		for _, w := range g.conf[v] {
+		for _, w := range g.conf.row(v) {
 			if isActive(int(w)) {
 				deg[v]++
 			}
 		}
-		for _, w := range g.stit[v] {
+		for _, w := range g.stit.row(v) {
 			if isActive(int(w)) {
 				sdeg[v]++
 			}
@@ -388,7 +297,7 @@ func (g *Graph) PeelOrder(k, maxStitch int, active []bool) (stack []int, core []
 		}
 		removed[v] = true
 		stack = append(stack, v)
-		for _, w := range g.conf[v] {
+		for _, w := range g.conf.row(v) {
 			wi := int(w)
 			if removed[wi] {
 				continue
@@ -399,7 +308,7 @@ func (g *Graph) PeelOrder(k, maxStitch int, active []bool) (stack []int, core []
 				queue = append(queue, wi)
 			}
 		}
-		for _, w := range g.stit[v] {
+		for _, w := range g.stit.row(v) {
 			wi := int(w)
 			if removed[wi] {
 				continue
@@ -445,13 +354,13 @@ func (g *Graph) BiconnectedComponents() (blocks [][]int, cuts []int) {
 
 	neighbors := func(v int) []int32 {
 		// Combined conflict+stitch adjacency, materialized lazily per call.
-		if len(g.stit[v]) == 0 {
-			return g.conf[v]
+		conf, stit := g.conf.row(v), g.stit.row(v)
+		if len(stit) == 0 {
+			return conf
 		}
-		out := make([]int32, 0, len(g.conf[v])+len(g.stit[v]))
-		out = append(out, g.conf[v]...)
-		out = append(out, g.stit[v]...)
-		return out
+		out := make([]int32, 0, len(conf)+len(stit))
+		out = append(out, conf...)
+		return append(out, stit...)
 	}
 
 	popBlock := func(until Edge) []int {

@@ -8,16 +8,22 @@ import (
 	"testing/quick"
 )
 
+// conflicts builds a graph with n vertices and the given conflict edges.
+func conflicts(n int, pairs ...[2]int) *Graph {
+	b := NewBuilder(n)
+	for _, p := range pairs {
+		b.AddConflict(p[0], p[1])
+	}
+	return b.Build(nil)
+}
+
 func TestAddAndQueryEdges(t *testing.T) {
-	g := New(4)
-	if !g.AddConflict(0, 1) {
-		t.Fatal("first AddConflict returned false")
-	}
-	if g.AddConflict(1, 0) {
-		t.Fatal("duplicate conflict accepted")
-	}
-	g.AddStitch(1, 2)
-	g.AddFriend(2, 3)
+	b := NewBuilder(4)
+	b.AddConflict(0, 1)
+	b.AddConflict(1, 0) // duplicate: Build compacts it
+	b.AddStitch(1, 2)
+	b.AddFriend(2, 3)
+	g := b.Build(nil)
 	if !g.HasConflict(0, 1) || !g.HasConflict(1, 0) {
 		t.Fatal("HasConflict missing edge")
 	}
@@ -26,6 +32,9 @@ func TestAddAndQueryEdges(t *testing.T) {
 	}
 	if !g.HasStitch(2, 1) {
 		t.Fatal("HasStitch missing edge")
+	}
+	if g.HasStitch(0, 1) || g.HasStitch(1, 1) || g.HasStitch(2, 4) {
+		t.Fatal("HasStitch phantom edge")
 	}
 	if g.ConflictEdgeCount() != 1 || g.StitchEdgeCount() != 1 {
 		t.Fatalf("edge counts = %d/%d", g.ConflictEdgeCount(), g.StitchEdgeCount())
@@ -38,25 +47,13 @@ func TestAddAndQueryEdges(t *testing.T) {
 	}
 }
 
-func TestAddVertex(t *testing.T) {
-	g := New(1)
-	v := g.AddVertex()
-	if v != 1 || g.N() != 2 {
-		t.Fatalf("AddVertex = %d, N = %d", v, g.N())
-	}
-	g.AddConflict(0, 1)
-	if !g.HasConflict(0, 1) {
-		t.Fatal("edge to appended vertex lost")
-	}
-}
-
 func TestSelfLoopPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("self-loop did not panic")
 		}
 	}()
-	New(2).AddConflict(1, 1)
+	NewBuilder(2).AddConflict(1, 1)
 }
 
 func TestOutOfRangePanics(t *testing.T) {
@@ -65,14 +62,15 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Fatal("out-of-range edge did not panic")
 		}
 	}()
-	New(2).AddConflict(0, 5)
+	NewBuilder(2).AddConflict(0, 5)
 }
 
 func TestEdgeLists(t *testing.T) {
-	g := New(4)
-	g.AddConflict(2, 0)
-	g.AddConflict(3, 1)
-	g.AddStitch(0, 3)
+	b := NewBuilder(4)
+	b.AddConflict(2, 0)
+	b.AddConflict(3, 1)
+	b.AddStitch(0, 3)
+	g := b.Build(nil)
 	want := []Edge{{0, 2}, {1, 3}}
 	if got := g.ConflictEdges(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ConflictEdges = %v, want %v", got, want)
@@ -89,7 +87,7 @@ func TestEdgeListsSortedAndPresized(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(30)
-		b, shim := NewBuilder(n), New(n)
+		b := NewBuilder(n)
 		for e := 0; e < 2*n; e++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
@@ -97,56 +95,53 @@ func TestEdgeListsSortedAndPresized(t *testing.T) {
 			}
 			if rng.Intn(2) == 0 {
 				b.AddConflict(u, v)
-				shim.AddConflict(u, v)
 			} else {
 				b.AddStitch(u, v)
-				shim.AddStitch(u, v)
 			}
 		}
-		for _, g := range []*Graph{b.Build(nil), shim} {
-			for _, lists := range []struct {
-				edges []Edge
-				count int
-				rows  func(int) []int32
-			}{
-				{g.ConflictEdges(), g.ConflictEdgeCount(), g.ConflictNeighbors},
-				{g.StitchEdges(), g.StitchEdgeCount(), g.StitchNeighbors},
-			} {
-				var want []Edge
-				for u := 0; u < n; u++ {
-					for _, v := range lists.rows(u) {
-						if int(v) > u {
-							want = append(want, Edge{U: u, V: int(v)})
-						}
+		g := b.Build(nil)
+		for _, lists := range []struct {
+			edges []Edge
+			count int
+			rows  func(int) []int32
+		}{
+			{g.ConflictEdges(), g.ConflictEdgeCount(), g.ConflictNeighbors},
+			{g.StitchEdges(), g.StitchEdgeCount(), g.StitchNeighbors},
+		} {
+			var want []Edge
+			for u := 0; u < n; u++ {
+				for _, v := range lists.rows(u) {
+					if int(v) > u {
+						want = append(want, Edge{U: u, V: int(v)})
 					}
 				}
-				sort.Slice(want, func(i, j int) bool {
-					if want[i].U != want[j].U {
-						return want[i].U < want[j].U
-					}
-					return want[i].V < want[j].V
-				})
-				if len(want) == 0 {
-					want = []Edge{}
+			}
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].U != want[j].U {
+					return want[i].U < want[j].U
 				}
-				if !reflect.DeepEqual(lists.edges, want) {
-					t.Fatalf("trial %d: edges %v, sorted reference %v", trial, lists.edges, want)
-				}
-				if len(lists.edges) != lists.count || cap(lists.edges) != lists.count {
-					t.Fatalf("trial %d: %d edges in cap %d, count %d", trial, len(lists.edges), cap(lists.edges), lists.count)
-				}
+				return want[i].V < want[j].V
+			})
+			if len(want) == 0 {
+				want = []Edge{}
+			}
+			if !reflect.DeepEqual(lists.edges, want) {
+				t.Fatalf("trial %d: edges %v, sorted reference %v", trial, lists.edges, want)
+			}
+			if len(lists.edges) != lists.count || cap(lists.edges) != lists.count {
+				t.Fatalf("trial %d: %d edges in cap %d, count %d", trial, len(lists.edges), cap(lists.edges), lists.count)
 			}
 		}
 	}
 }
 
 func TestComponents(t *testing.T) {
-	g := New(7)
-	g.AddConflict(0, 1)
-	g.AddStitch(1, 2) // stitch edges connect components too
-	g.AddConflict(3, 4)
+	b := NewBuilder(7)
+	b.AddConflict(0, 1)
+	b.AddStitch(1, 2) // stitch edges connect components too
+	b.AddConflict(3, 4)
 	// 5, 6 isolated
-	comps := g.Components()
+	comps := b.Build(nil).Components()
 	if len(comps) != 4 {
 		t.Fatalf("components = %d, want 4: %v", len(comps), comps)
 	}
@@ -159,12 +154,12 @@ func TestComponents(t *testing.T) {
 }
 
 func TestSubgraph(t *testing.T) {
-	g := New(5)
-	g.AddConflict(0, 1)
-	g.AddConflict(1, 2)
-	g.AddStitch(2, 3)
-	g.AddFriend(0, 2)
-	sub, orig := g.Subgraph([]int{0, 1, 2}, nil)
+	b := NewBuilder(5)
+	b.AddConflict(0, 1)
+	b.AddConflict(1, 2)
+	b.AddStitch(2, 3)
+	b.AddFriend(0, 2)
+	sub, orig := b.Build(nil).Subgraph([]int{0, 1, 2}, nil)
 	if sub.N() != 3 || !reflect.DeepEqual(orig, []int{0, 1, 2}) {
 		t.Fatalf("Subgraph N=%d orig=%v", sub.N(), orig)
 	}
@@ -180,7 +175,7 @@ func TestSubgraph(t *testing.T) {
 }
 
 func TestSubgraphPanics(t *testing.T) {
-	g := New(3)
+	g := conflicts(3)
 	for _, tc := range []struct {
 		verts []int
 		index []int32
@@ -200,26 +195,10 @@ func TestSubgraphPanics(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := New(3)
-	g.AddConflict(0, 1)
-	g.AddStitch(1, 2)
-	c := g.Clone()
-	c.AddConflict(0, 2)
-	if g.HasConflict(0, 2) {
-		t.Fatal("Clone shares adjacency storage")
-	}
-	if !c.HasConflict(0, 1) || !c.HasStitch(1, 2) {
-		t.Fatal("Clone lost edges")
-	}
-}
-
 func TestPeelOrderSimple(t *testing.T) {
 	// Path 0-1-2 with K=4: every vertex has conflict degree <= 2 < 4,
 	// so everything peels and the core is empty.
-	g := New(3)
-	g.AddConflict(0, 1)
-	g.AddConflict(1, 2)
+	g := conflicts(3, [2]int{0, 1}, [2]int{1, 2})
 	stack, core := g.PeelOrder(4, 2, nil)
 	if len(stack) != 3 || len(core) != 0 {
 		t.Fatalf("stack=%v core=%v", stack, core)
@@ -228,13 +207,14 @@ func TestPeelOrderSimple(t *testing.T) {
 
 func TestPeelOrderKeepsDenseCore(t *testing.T) {
 	// K5 with K=4: all vertices have conflict degree 4, nothing peels.
-	g := New(6)
+	b := NewBuilder(6)
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
-	g.AddConflict(0, 5) // pendant vertex: degree 1, peels; then K5 stays
+	b.AddConflict(0, 5) // pendant vertex: degree 1, peels; then K5 stays
+	g := b.Build(nil)
 	stack, core := g.PeelOrder(4, 2, nil)
 	if len(stack) != 1 || stack[0] != 5 {
 		t.Fatalf("stack = %v, want [5]", stack)
@@ -246,16 +226,17 @@ func TestPeelOrderKeepsDenseCore(t *testing.T) {
 
 func TestPeelOrderCascades(t *testing.T) {
 	// Removing a pendant chain one by one: 0-1-2-3-K5.
-	g := New(9)
+	b := NewBuilder(9)
 	for i := 4; i < 9; i++ {
 		for j := i + 1; j < 9; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
-	g.AddConflict(0, 1)
-	g.AddConflict(1, 2)
-	g.AddConflict(2, 3)
-	g.AddConflict(3, 4)
+	b.AddConflict(0, 1)
+	b.AddConflict(1, 2)
+	b.AddConflict(2, 3)
+	b.AddConflict(3, 4)
+	g := b.Build(nil)
 	stack, core := g.PeelOrder(4, 2, nil)
 	if len(stack) != 4 {
 		t.Fatalf("stack = %v, want chain of 4", stack)
@@ -267,9 +248,10 @@ func TestPeelOrderCascades(t *testing.T) {
 
 func TestPeelOrderStitchBound(t *testing.T) {
 	// A vertex with 2 stitch edges must not peel even with low conflict degree.
-	g := New(3)
-	g.AddStitch(0, 1)
-	g.AddStitch(1, 2)
+	b := NewBuilder(3)
+	b.AddStitch(0, 1)
+	b.AddStitch(1, 2)
+	g := b.Build(nil)
 	stack, core := g.PeelOrder(4, 2, nil)
 	// Vertices 0 and 2 peel first (1 stitch each); vertex 1 then drops to
 	// 0 stitch degree and peels too.
@@ -282,10 +264,7 @@ func TestPeelOrderStitchBound(t *testing.T) {
 }
 
 func TestPeelOrderActiveMask(t *testing.T) {
-	g := New(4)
-	g.AddConflict(0, 1)
-	g.AddConflict(1, 2)
-	g.AddConflict(2, 3)
+	g := conflicts(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3})
 	active := []bool{true, true, false, false}
 	stack, core := g.PeelOrder(1, 2, active)
 	for _, v := range append(append([]int{}, stack...), core...) {
@@ -307,13 +286,14 @@ func TestPeelSafetyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
-		g := New(n)
+		b := NewBuilder(n)
 		for i := 0; i < n*2; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				g.AddConflict(u, v)
+				b.AddConflict(u, v)
 			}
 		}
+		g := b.Build(nil)
 		k := 2 + rng.Intn(4)
 		stack, core := g.PeelOrder(k, 2, nil)
 		inCore := make(map[int]bool)
@@ -348,11 +328,7 @@ func TestPeelSafetyProperty(t *testing.T) {
 
 func TestBiconnectedTriangleWithTail(t *testing.T) {
 	// Triangle 0-1-2 plus tail 2-3: blocks {0,1,2} and {2,3}; cut vertex 2.
-	g := New(4)
-	g.AddConflict(0, 1)
-	g.AddConflict(1, 2)
-	g.AddConflict(0, 2)
-	g.AddConflict(2, 3)
+	g := conflicts(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2}, [2]int{2, 3})
 	blocks, cuts := g.BiconnectedComponents()
 	if len(blocks) != 2 {
 		t.Fatalf("blocks = %v", blocks)
@@ -368,14 +344,8 @@ func TestBiconnectedTriangleWithTail(t *testing.T) {
 
 func TestBiconnectedBridge(t *testing.T) {
 	// Two triangles joined by a bridge 2-3.
-	g := New(6)
-	g.AddConflict(0, 1)
-	g.AddConflict(1, 2)
-	g.AddConflict(0, 2)
-	g.AddConflict(3, 4)
-	g.AddConflict(4, 5)
-	g.AddConflict(3, 5)
-	g.AddConflict(2, 3)
+	g := conflicts(6, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2},
+		[2]int{3, 4}, [2]int{4, 5}, [2]int{3, 5}, [2]int{2, 3})
 	blocks, cuts := g.BiconnectedComponents()
 	if len(blocks) != 3 {
 		t.Fatalf("blocks = %v, want 3", blocks)
@@ -386,8 +356,7 @@ func TestBiconnectedBridge(t *testing.T) {
 }
 
 func TestBiconnectedIsolatedAndSingle(t *testing.T) {
-	g := New(3)
-	g.AddConflict(0, 1)
+	g := conflicts(3, [2]int{0, 1})
 	blocks, cuts := g.BiconnectedComponents()
 	if len(blocks) != 2 {
 		t.Fatalf("blocks = %v", blocks)
@@ -400,11 +369,11 @@ func TestBiconnectedIsolatedAndSingle(t *testing.T) {
 func TestBiconnectedStitchEdgesBind(t *testing.T) {
 	// A stitch edge must participate in connectivity: 0-1 conflict,
 	// 1-2 stitch, 2-0 conflict forms one biconnected triangle.
-	g := New(3)
-	g.AddConflict(0, 1)
-	g.AddStitch(1, 2)
-	g.AddConflict(2, 0)
-	blocks, cuts := g.BiconnectedComponents()
+	b := NewBuilder(3)
+	b.AddConflict(0, 1)
+	b.AddStitch(1, 2)
+	b.AddConflict(2, 0)
+	blocks, cuts := b.Build(nil).BiconnectedComponents()
 	if len(blocks) != 1 || len(blocks[0]) != 3 {
 		t.Fatalf("blocks = %v", blocks)
 	}
@@ -419,13 +388,14 @@ func TestBiconnectedCoverageProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(40)
-		g := New(n)
+		b := NewBuilder(n)
 		for i := 0; i < n*3/2; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				g.AddConflict(u, v)
+				b.AddConflict(u, v)
 			}
 		}
+		g := b.Build(nil)
 		blocks, _ := g.BiconnectedComponents()
 		seen := make([]bool, n)
 		for _, b := range blocks {
@@ -464,11 +434,11 @@ func TestBiconnectedCoverageProperty(t *testing.T) {
 
 func TestBiconnectedCycleIsOneBlock(t *testing.T) {
 	n := 12
-	g := New(n)
+	b := NewBuilder(n)
 	for i := 0; i < n; i++ {
-		g.AddConflict(i, (i+1)%n)
+		b.AddConflict(i, (i+1)%n)
 	}
-	blocks, cuts := g.BiconnectedComponents()
+	blocks, cuts := b.Build(nil).BiconnectedComponents()
 	if len(blocks) != 1 || len(blocks[0]) != n {
 		t.Fatalf("cycle blocks = %v", blocks)
 	}
@@ -512,20 +482,28 @@ func TestArticulationMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 100; trial++ {
 		n := 2 + rng.Intn(14)
-		g := New(n)
+		// A pair keeps the kind it was first drawn as, so no pair is
+		// both a conflict and a stitch edge.
+		b := NewBuilder(n)
+		stitch := map[[2]int]bool{}
 		for i := 0; i < n*3/2; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
 				continue
 			}
+			key := [2]int{min(u, v), max(u, v)}
+			isStitch, seen := stitch[key]
 			if rng.Intn(5) == 0 {
-				if !g.HasConflict(u, v) {
-					g.AddStitch(u, v)
+				if !seen || isStitch {
+					b.AddStitch(u, v)
+					stitch[key] = true
 				}
-			} else if !g.HasStitch(u, v) {
-				g.AddConflict(u, v)
+			} else if !seen || !isStitch {
+				b.AddConflict(u, v)
+				stitch[key] = false
 			}
 		}
+		g := b.Build(nil)
 		_, cuts := g.BiconnectedComponents()
 		isCut := make([]bool, n)
 		for _, v := range cuts {

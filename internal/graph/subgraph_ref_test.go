@@ -14,8 +14,9 @@ import (
 )
 
 // subgraphReference is the map-plus-sorted-insert Subgraph this package
-// shipped before the filtered CSR copy.
-func subgraphReference(g *Graph, vertices []int) (*Graph, []int) {
+// shipped before the filtered CSR copy, building into the legacy mutable
+// representation (mutable_ref_test.go).
+func subgraphReference(g *Graph, vertices []int) (*mutableRef, []int) {
 	idx := make(map[int]int32, len(vertices))
 	orig := make([]int, len(vertices))
 	for i, v := range vertices {
@@ -28,21 +29,14 @@ func subgraphReference(g *Graph, vertices []int) (*Graph, []int) {
 		idx[v] = int32(i)
 		orig[i] = v
 	}
-	sub := New(len(vertices))
+	sub := newMutableRef(len(vertices))
+	rows, _ := kindRows(g)
 	for i, v := range vertices {
-		for _, w := range g.conf[v] {
-			if j, ok := idx[int(w)]; ok && int32(i) < j {
-				sub.AddConflict(i, int(j))
-			}
-		}
-		for _, w := range g.stit[v] {
-			if j, ok := idx[int(w)]; ok && int32(i) < j {
-				sub.AddStitch(i, int(j))
-			}
-		}
-		for _, w := range g.friend[v] {
-			if j, ok := idx[int(w)]; ok && int32(i) < j {
-				sub.AddFriend(i, int(j))
+		for kind, row := range rows {
+			for _, w := range row(v) {
+				if j, ok := idx[int(w)]; ok && int32(i) < j {
+					sub.add(kind, i, int(j))
+				}
 			}
 		}
 	}
@@ -50,7 +44,7 @@ func subgraphReference(g *Graph, vertices []int) (*Graph, []int) {
 }
 
 // subgraphOutcome runs one extraction, capturing a panic as its message.
-func subgraphOutcome(f func() (*Graph, []int)) (sub *Graph, orig []int, panicked any) {
+func subgraphOutcome[G any](f func() (G, []int)) (sub G, orig []int, panicked any) {
 	defer func() { panicked = recover() }()
 	sub, orig = f()
 	return sub, orig, nil
@@ -61,7 +55,7 @@ func subgraphOutcome(f func() (*Graph, []int)) (sub *Graph, orig []int, panicked
 // (nil when both panicked) so callers can nest.
 func checkSubgraph(t testing.TB, g *Graph, vertices []int, index []int32) *Graph {
 	t.Helper()
-	want, wantOrig, wantPanic := subgraphOutcome(func() (*Graph, []int) { return subgraphReference(g, vertices) })
+	want, wantOrig, wantPanic := subgraphOutcome(func() (*mutableRef, []int) { return subgraphReference(g, vertices) })
 	got, gotOrig, gotPanic := subgraphOutcome(func() (*Graph, []int) { return g.Subgraph(vertices, index) })
 	for v, x := range index {
 		if x != 0 {
@@ -77,64 +71,57 @@ func checkSubgraph(t testing.TB, g *Graph, vertices []int, index []int32) *Graph
 	if !slices.Equal(gotOrig, wantOrig) {
 		t.Fatalf("vertices %v: orig %v, reference %v", vertices, gotOrig, wantOrig)
 	}
-	if got.N() != want.N() || got.ConflictEdgeCount() != want.ConflictEdgeCount() ||
-		got.StitchEdgeCount() != want.StitchEdgeCount() || got.FriendEdgeCount() != want.FriendEdgeCount() {
-		t.Fatalf("vertices %v: n/conf/stit/friend = %d/%d/%d/%d, reference %d/%d/%d/%d", vertices,
-			got.N(), got.ConflictEdgeCount(), got.StitchEdgeCount(), got.FriendEdgeCount(),
-			want.N(), want.ConflictEdgeCount(), want.StitchEdgeCount(), want.FriendEdgeCount())
+	if diff := refMismatch(got, want); diff != "" {
+		t.Fatalf("vertices %v: %s", vertices, diff)
 	}
-	for v := 0; v < got.N(); v++ {
-		for kind, rows := range [][2][]int32{
-			{got.ConflictNeighbors(v), want.ConflictNeighbors(v)},
-			{got.StitchNeighbors(v), want.StitchNeighbors(v)},
-			{got.FriendNeighbors(v), want.FriendNeighbors(v)},
-		} {
-			if !slices.Equal(rows[0], rows[1]) {
-				t.Fatalf("vertices %v: kind %d row %d = %v, reference %v", vertices, kind, v, rows[0], rows[1])
-			}
-			// Full-capacity views: an Add* on the result reallocates the
+	rows, _ := kindRows(got)
+	for kind, row := range rows {
+		for v := 0; v < got.N(); v++ {
+			// Full-capacity views: an append by a caller reallocates the
 			// row instead of writing into its neighbor's.
-			if cap(rows[0]) != len(rows[0]) {
-				t.Fatalf("vertices %v: kind %d row %d has spare capacity %d", vertices, kind, v, cap(rows[0])-len(rows[0]))
+			if r := row(v); cap(r) != len(r) {
+				t.Fatalf("vertices %v: kind %d row %d has spare capacity %d", vertices, kind, v, cap(r)-len(r))
 			}
 		}
 	}
 	return got
 }
 
-// randomGraph draws a graph with n vertices and about m edges of each
-// kind, through the Builder or (shim) through the Add* inserts.
-func randomGraph(rng *rand.Rand, n, m int, shim bool) *Graph {
-	b := NewBuilder(n)
-	g := New(n)
+// randomGraph draws a Builder graph with n vertices and about m edges of
+// each kind, and the same edges inserted into the legacy reference.
+func randomGraph(rng *rand.Rand, n, m int) (*Graph, *mutableRef) {
+	b, ref := NewBuilder(n), newMutableRef(n)
 	for i := 0; i < 3*m && n > 1; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v {
 			continue
 		}
-		switch i % 3 {
-		case 0:
-			b.AddConflict(u, v)
-			g.AddConflict(u, v)
-		case 1:
-			b.AddStitch(u, v)
-			g.AddStitch(u, v)
-		case 2:
-			b.AddFriend(u, v)
-			g.AddFriend(u, v)
-		}
+		addKind(b, i%3, u, v)
+		ref.add(i%3, u, v)
 	}
-	if shim {
-		return g
+	return b.Build(nil), ref
+}
+
+// addKind records {u,v} in b as an edge of the given kind.
+func addKind(b *Builder, kind, u, v int) {
+	switch kind {
+	case kindConflict:
+		b.AddConflict(u, v)
+	case kindStitch:
+		b.AddStitch(u, v)
+	case kindFriend:
+		b.AddFriend(u, v)
 	}
-	return b.Build(nil)
 }
 
 func TestSubgraphMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(60)
-		g := randomGraph(rng, n, rng.Intn(3*n), trial%2 == 1)
+		g, ref := randomGraph(rng, n, rng.Intn(3*n))
+		if diff := refMismatch(g, ref); diff != "" {
+			t.Fatalf("trial %d: Builder graph vs reference: %s", trial, diff)
+		}
 		index := make([]int32, n+rng.Intn(3)) // at least g.N(), possibly longer
 		all := make([]int, n)
 		for i := range all {
@@ -177,10 +164,11 @@ func TestSubgraphMatchesReference(t *testing.T) {
 }
 
 // FuzzSubgraphMatchesReference decodes a small graph and a vertex list from
-// the fuzz bytes: byte 0 is the vertex count (1..16), then 3-byte
-// [kind, u, v] edge records up to a 0xFF separator, then one vertex per
-// byte (values past n exercise the out-of-range panic, repeats the
-// repeated-vertex one). Byte 0's high bit picks the shim over the Builder.
+// the fuzz bytes: byte 0's low nibble is the vertex count minus one (1..16;
+// its high bits are ignored), then 3-byte [kind, u, v] edge records up to a
+// 0xFF separator, then one vertex per byte (values past n exercise the
+// out-of-range panic, repeats the repeated-vertex one). Every input first
+// checks the Builder graph against the legacy reference, then extracts.
 func FuzzSubgraphMatchesReference(f *testing.F) {
 	f.Add([]byte{5, 0, 0, 1, 1, 1, 2, 2, 0, 2, 0xFF, 0, 1, 2})
 	f.Add([]byte{0x86, 0, 0, 1, 0, 1, 2, 0, 2, 3, 1, 3, 4, 0xFF, 4, 2, 0})
@@ -191,31 +179,22 @@ func FuzzSubgraphMatchesReference(f *testing.F) {
 			return
 		}
 		n := int(data[0]&0x0F) + 1
-		shim := data[0]&0x80 != 0
 		data = data[1:]
-		b, g := NewBuilder(n), New(n)
+		b, ref := NewBuilder(n), newMutableRef(n)
 		for len(data) >= 3 && data[0] != 0xFF {
 			u, v := int(data[1])%n, int(data[2])%n
 			if u != v {
-				switch data[0] % 3 {
-				case 0:
-					b.AddConflict(u, v)
-					g.AddConflict(u, v)
-				case 1:
-					b.AddStitch(u, v)
-					g.AddStitch(u, v)
-				case 2:
-					b.AddFriend(u, v)
-					g.AddFriend(u, v)
-				}
+				addKind(b, int(data[0])%3, u, v)
+				ref.add(int(data[0])%3, u, v)
 			}
 			data = data[3:]
 		}
 		if len(data) > 0 && data[0] == 0xFF {
 			data = data[1:]
 		}
-		if !shim {
-			g = b.Build(nil)
+		g := b.Build(nil)
+		if diff := refMismatch(g, ref); diff != "" {
+			t.Fatalf("Builder graph vs reference: %s", diff)
 		}
 		vertices := make([]int, len(data))
 		for i, c := range data {

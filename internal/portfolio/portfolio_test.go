@@ -11,21 +11,21 @@ import (
 )
 
 func path(n int) *graph.Graph {
-	g := graph.New(n)
+	b := graph.NewBuilder(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddConflict(i, i+1)
+		b.AddConflict(i, i+1)
 	}
-	return g
+	return b.Build(nil)
 }
 
 func clique(n int) *graph.Graph {
-	g := graph.New(n)
+	b := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
-	return g
+	return b.Build(nil)
 }
 
 func TestAnalyze(t *testing.T) {

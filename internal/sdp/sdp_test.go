@@ -42,14 +42,14 @@ func TestIdealVectorsPanics(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	sol := Solve(graph.New(0), Options{K: 4, Alpha: 0.1})
+	sol := Solve(graph.NewBuilder(0).Build(nil), Options{K: 4, Alpha: 0.1})
 	if len(sol.Vectors) != 0 || sol.Obj != 0 {
 		t.Fatalf("empty solve = %+v", sol)
 	}
 }
 
 func TestSingleVertex(t *testing.T) {
-	sol := Solve(graph.New(1), Options{K: 4, Alpha: 0.1, Seed: 1})
+	sol := Solve(graph.NewBuilder(1).Build(nil), Options{K: 4, Alpha: 0.1, Seed: 1})
 	if len(sol.Vectors) != 1 {
 		t.Fatalf("vectors = %d", len(sol.Vectors))
 	}
@@ -64,15 +64,16 @@ func TestKInvalidPanics(t *testing.T) {
 			t.Fatal("K=1 did not panic")
 		}
 	}()
-	Solve(graph.New(2), Options{K: 1})
+	Solve(graph.NewBuilder(2).Build(nil), Options{K: 1})
 }
 
 // TestConflictPairSeparates: two vertices joined by a conflict edge should
 // reach x_ij ≈ −1/(K−1), the relaxation optimum.
 func TestConflictPairSeparates(t *testing.T) {
 	for _, k := range []int{4, 5} {
-		g := graph.New(2)
-		g.AddConflict(0, 1)
+		b := graph.NewBuilder(2)
+		b.AddConflict(0, 1)
+		g := b.Build(nil)
 		sol := Solve(g, Options{K: k, Alpha: 0.1, Seed: 7})
 		want := -1.0 / float64(k-1)
 		if got := sol.Pair(0, 1); got > want+0.05 {
@@ -86,8 +87,9 @@ func TestConflictPairSeparates(t *testing.T) {
 
 // TestStitchPairAligns: a stitch edge with no conflicts drives x_ij → 1.
 func TestStitchPairAligns(t *testing.T) {
-	g := graph.New(2)
-	g.AddStitch(0, 1)
+	b := graph.NewBuilder(2)
+	b.AddStitch(0, 1)
+	g := b.Build(nil)
 	sol := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 3})
 	if got := sol.Pair(0, 1); got < 0.99 {
 		t.Fatalf("x01 = %v, want ≈ 1", got)
@@ -100,12 +102,13 @@ func TestStitchPairAligns(t *testing.T) {
 // Σ (3/4)(x_ij + 1/3) is then ≥ 0. The solver must reach a near-feasible
 // point with objective close to the floor.
 func TestK5RelaxationValue(t *testing.T) {
-	g := graph.New(5)
+	b := graph.NewBuilder(5)
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
+	g := b.Build(nil)
 	sol := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 11, Restarts: 4})
 	if sol.MaxViolation > 0.05 {
 		t.Fatalf("violation = %v", sol.MaxViolation)
@@ -125,12 +128,13 @@ func TestK5RelaxationValue(t *testing.T) {
 // be PSD (it is a Gram matrix by construction — the check guards the
 // matrix plumbing).
 func TestK4CliqueSplitsCleanly(t *testing.T) {
-	g := graph.New(4)
+	b := graph.NewBuilder(4)
 	for i := 0; i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
+	g := b.Build(nil)
 	sol := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 5})
 	if math.Abs(sol.Obj-(-2)) > 0.1 {
 		t.Fatalf("objective = %v, want ≈ -2", sol.Obj)
@@ -150,14 +154,15 @@ func TestK4CliqueSplitsCleanly(t *testing.T) {
 // separated while the stitch pair stays aligned — the exact signal
 // SDP+Backtrack thresholds at 0.9.
 func TestMergeSignalQuality(t *testing.T) {
-	g := graph.New(8)
+	b := graph.NewBuilder(8)
 	for i := 0; i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
-			g.AddConflict(i, j)
-			g.AddConflict(4+i, 4+j)
+			b.AddConflict(i, j)
+			b.AddConflict(4+i, 4+j)
 		}
 	}
-	g.AddStitch(3, 4)
+	b.AddStitch(3, 4)
+	g := b.Build(nil)
 	sol := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 13, Restarts: 4})
 	if got := sol.Pair(3, 4); got < 0.8 {
 		t.Fatalf("stitch pair x = %v, want high", got)
@@ -177,17 +182,18 @@ func TestMergeSignalQuality(t *testing.T) {
 func TestDiscreteObjectiveIdentity(t *testing.T) {
 	for _, k := range []int{4, 5} {
 		ideal := IdealVectors(k)
-		g := graph.New(6)
-		g.AddConflict(0, 1)
-		g.AddConflict(1, 2)
-		g.AddConflict(2, 3)
-		g.AddStitch(3, 4)
-		g.AddStitch(4, 5)
+		b := graph.NewBuilder(6)
+		b.AddConflict(0, 1)
+		b.AddConflict(1, 2)
+		b.AddConflict(2, 3)
+		b.AddStitch(3, 4)
+		b.AddStitch(4, 5)
 		colors := []int{0, 1, 1, 0, 0, k - 1} // conflict at (1,2); stitches differ at (3,4)? no: c3=0,c4=0 same; (4,5) differ
 		wantConf := 1.0
 		wantStitch := 1.0
 		scale := float64(k-1) / float64(k)
 		confSum, stitSum := 0.0, 0.0
+		g := b.Build(nil)
 		for _, e := range g.ConflictEdges() {
 			x := matrix.Dot(ideal[colors[e.U]], ideal[colors[e.V]])
 			confSum += scale * (x + 1.0/float64(k-1))
@@ -206,12 +212,13 @@ func TestDiscreteObjectiveIdentity(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	g := graph.New(6)
-	g.AddConflict(0, 1)
-	g.AddConflict(1, 2)
-	g.AddConflict(2, 0)
-	g.AddStitch(3, 4)
-	g.AddConflict(4, 5)
+	bld := graph.NewBuilder(6)
+	bld.AddConflict(0, 1)
+	bld.AddConflict(1, 2)
+	bld.AddConflict(2, 0)
+	bld.AddStitch(3, 4)
+	bld.AddConflict(4, 5)
+	g := bld.Build(nil)
 	a := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 21})
 	b := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 21})
 	for i := range a.Vectors {
@@ -225,12 +232,13 @@ func TestDeterminism(t *testing.T) {
 
 func TestSextupleRelaxation(t *testing.T) {
 	// K7 clique with K=6 colors: feasible floor is 21·(−1/5) = −4.2.
-	g := graph.New(7)
+	b := graph.NewBuilder(7)
 	for i := 0; i < 7; i++ {
 		for j := i + 1; j < 7; j++ {
-			g.AddConflict(i, j)
+			b.AddConflict(i, j)
 		}
 	}
+	g := b.Build(nil)
 	sol := Solve(g, Options{K: 6, Alpha: 0.1, Seed: 5, Restarts: 4})
 	if sol.MaxViolation > 0.05 {
 		t.Fatalf("violation = %v", sol.MaxViolation)
@@ -241,9 +249,10 @@ func TestSextupleRelaxation(t *testing.T) {
 }
 
 func TestExplicitRankOption(t *testing.T) {
-	g := graph.New(3)
-	g.AddConflict(0, 1)
-	g.AddConflict(1, 2)
+	b := graph.NewBuilder(3)
+	b.AddConflict(0, 1)
+	b.AddConflict(1, 2)
+	g := b.Build(nil)
 	sol := Solve(g, Options{K: 4, Alpha: 0.1, Rank: 5, Seed: 2})
 	// Rank caps at n.
 	if len(sol.Vectors[0]) != 3 {
@@ -257,14 +266,15 @@ func TestExplicitRankOption(t *testing.T) {
 
 func TestRestartsImproveOrMatch(t *testing.T) {
 	// More restarts never pick a worse-scoring solution (best-of selection).
-	g := graph.New(6)
+	b := graph.NewBuilder(6)
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
 			if (i+j)%2 == 0 {
-				g.AddConflict(i, j)
+				b.AddConflict(i, j)
 			}
 		}
 	}
+	g := b.Build(nil)
 	one := Solve(g, Options{K: 4, Alpha: 0.1, Restarts: 1, Seed: 9})
 	many := Solve(g, Options{K: 4, Alpha: 0.1, Restarts: 6, Seed: 9})
 	// Compare the penalized score proxy: objective + violation weight.
@@ -278,12 +288,13 @@ func TestSolveScratchMatchesSolveContext(t *testing.T) {
 	// deterministic restart trajectory — and therefore every Gram entry —
 	// is bit-identical with and without a scratch arena, and across
 	// repeated solves on one arena (stale contents must never leak in).
-	g := graph.New(6)
+	b := graph.NewBuilder(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 3}} {
-		g.AddConflict(e[0], e[1])
+		b.AddConflict(e[0], e[1])
 	}
-	g.AddStitch(1, 3)
+	b.AddStitch(1, 3)
 	opts := Options{K: 4, Alpha: 0.1, Seed: 7}
+	g := b.Build(nil)
 	ref := Solve(g, opts)
 	sc := pipeline.NewScratchPool().Get()
 	for round := 0; round < 3; round++ {
