@@ -126,20 +126,35 @@ func TestResultKeyDistinguishesOptions(t *testing.T) {
 	}
 }
 
-// TestOptionsSigPinned pins one durable session signature byte for byte:
-// sessions on disk are keyed by it, so any drift orphans every session
+// TestOptionsSigPinned pins the durable session signatures byte for byte:
+// sessions on disk are keyed by them, so any drift orphans every session
 // written by an older binary. Memo-on sessions from before Memoize became
 // a no-op were keyed with "memo=true" and answer 404 (clients re-send).
+// The rows cover a fixed engine at both ends of the engine enum (alg=0,
+// alg=3) and both adaptive policies, whose pf.* fields carry the auto
+// thresholds.
 func TestOptionsSigPinned(t *testing.T) {
-	const want = "|k=4|alg=0|engine=|pf.ilpn=0|pf.ilpm=0|pf.btn=0|pf.grn=0|race=0|alpha=0.1|tth=0.9|seed=0" +
+	const tail = "|alpha=0.1|tth=0.9|seed=0" +
 		"|ilpbudget=60000000000|btnodes=0|sdprestarts=0|sdpmaxiter=0|memo=false" +
 		"|b.mins=0|b.k=4|b.nostitch=false|b.minseg=0|b.maxstitch=0" +
 		"|d.k=4|d.alpha=0.1|d.nopeel=false|d.nobicon=false|d.noght=false|d.ghmaxn=0|d.maxstitchdeg=0" +
 		"|d.lin.k=4|d.lin.alpha=0.1|d.lin.nofriend=false|d.lin.fw=0|d.lin.maxstitchdeg=0|d.lin.order=0" +
 		"|lin.k=4|lin.alpha=0.1|lin.nofriend=false|lin.fw=0|lin.maxstitchdeg=0|lin.order=0"
-	for _, o := range []core.Options{{K: 4}, {K: 4, Memoize: true}} {
-		if got := OptionsSig(o); got != want {
-			t.Errorf("OptionsSig(%+v) =\n%s\nwant\n%s", o, got, want)
+	const fixed = "|pf.ilpn=0|pf.ilpm=0|pf.btn=0|pf.grn=0|race=0"
+	const adaptive = "|pf.ilpn=16|pf.ilpm=48|pf.btn=3000|pf.grn=20000"
+	cases := []struct {
+		opts core.Options
+		want string
+	}{
+		{core.Options{K: 4}, "|k=4|alg=0|engine=" + fixed + tail},
+		{core.Options{K: 4, Memoize: true}, "|k=4|alg=0|engine=" + fixed + tail},
+		{core.Options{K: 4, Algorithm: core.AlgLinear}, "|k=4|alg=3|engine=" + fixed + tail},
+		{core.Options{K: 4, Engine: core.EngineAuto}, "|k=4|alg=0|engine=auto" + adaptive + "|race=0" + tail},
+		{core.Options{K: 4, Engine: core.EngineRace}, "|k=4|alg=0|engine=race" + adaptive + "|race=2000000000" + tail},
+	}
+	for _, c := range cases {
+		if got := OptionsSig(c.opts); got != c.want {
+			t.Errorf("OptionsSig(%+v) =\n%s\nwant\n%s", c.opts, got, c.want)
 		}
 	}
 }
