@@ -19,35 +19,21 @@ import (
 	"mpl/internal/spatial"
 )
 
-// Algorithm selects the color-assignment engine of Section 3.
-type Algorithm int
+// Algorithm selects the color-assignment engine of Section 3. It is the
+// portfolio's engine enum, so its String is the paper's column name.
+type Algorithm = portfolio.Class
 
 // The four engines compared in Tables 1 and 2 of the paper.
 const (
 	// AlgILP is the exact integer-linear-programming baseline.
-	AlgILP Algorithm = iota
+	AlgILP = portfolio.ILP
 	// AlgSDPBacktrack is SDP relaxation + merged-graph backtracking (Alg. 1).
-	AlgSDPBacktrack
+	AlgSDPBacktrack = portfolio.SDPBacktrack
 	// AlgSDPGreedy is SDP relaxation + greedy mapping.
-	AlgSDPGreedy
+	AlgSDPGreedy = portfolio.SDPGreedy
 	// AlgLinear is the linear-time color assignment (Alg. 2).
-	AlgLinear
+	AlgLinear = portfolio.Linear
 )
-
-// String implements fmt.Stringer with the paper's column names.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgILP:
-		return "ILP"
-	case AlgSDPBacktrack:
-		return "SDP+Backtrack"
-	case AlgSDPGreedy:
-		return "SDP+Greedy"
-	case AlgLinear:
-		return "Linear"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
 
 // Engine values: the per-component engine policy of Options.Engine. The
 // empty string keeps the classic behavior — Options.Algorithm applied
@@ -56,7 +42,8 @@ const (
 	// EngineFixed applies Options.Algorithm to every component.
 	EngineFixed = ""
 	// EngineAuto selects an engine per component from its structure
-	// (internal/portfolio thresholds over size, density, odd cycles).
+	// (internal/portfolio's constant thresholds over size, conflict
+	// edges and odd cycles).
 	EngineAuto = "auto"
 	// EngineRace runs two candidate engines per component concurrently
 	// under Options.RaceBudget, keeping the provably-optimal or better
@@ -71,6 +58,19 @@ func ParseEngine(s string) (string, error) {
 		return s, nil
 	}
 	return "", fmt.Errorf("core: unknown engine %q (want \"auto\", \"race\" or empty for fixed)", s)
+}
+
+// checkEngine rejects an unknown engine policy, or a fixed-engine
+// Algorithm outside the four engines, with an error instead of a panic
+// deep in the dispatch stage.
+func checkEngine(o Options) error {
+	if _, err := ParseEngine(o.Engine); err != nil {
+		return err
+	}
+	if o.Engine == EngineFixed && (o.Algorithm < 0 || o.Algorithm >= portfolio.NumClasses) {
+		return fmt.Errorf("core: unknown algorithm %v", o.Algorithm)
+	}
+	return nil
 }
 
 // ParseAlgorithm maps a command-line name to an Algorithm.
@@ -100,9 +100,6 @@ type Options struct {
 	// EngineAuto or EngineRace. Auto and race ignore Algorithm and pick
 	// engines per component (internal/portfolio).
 	Engine string
-	// Portfolio tunes the auto/race selection thresholds; the zero value
-	// uses the BENCH-calibrated defaults. Ignored when Engine is fixed.
-	Portfolio portfolio.Thresholds
 	// RaceBudget is the shared per-component deadline of EngineRace: both
 	// racers run under one child context bounded by it, so a component can
 	// never hold the race longer than this even when the request context
@@ -159,20 +156,16 @@ func (o Options) withDefaults() Options {
 	}
 	// Engine-policy fields normalize to what the run actually reads, so
 	// two spellings of the same run compare — and cache/session-key —
-	// equal: a fixed-engine run reads neither portfolio field, auto reads
-	// only the thresholds, only race reads the budget, and neither
-	// adaptive policy ever reads Algorithm.
+	// equal: only race reads the budget, and neither adaptive policy ever
+	// reads Algorithm.
 	switch o.Engine {
 	case EngineFixed:
-		o.Portfolio = portfolio.Thresholds{}
 		o.RaceBudget = 0
 	case EngineAuto:
 		o.Algorithm = 0
-		o.Portfolio = o.Portfolio.WithDefaults()
 		o.RaceBudget = 0
 	default:
 		o.Algorithm = 0
-		o.Portfolio = o.Portfolio.WithDefaults()
 		if o.RaceBudget == 0 {
 			o.RaceBudget = 2 * time.Second
 		}
@@ -272,7 +265,7 @@ func Decompose(l *layout.Layout, opts Options) (*Result, error) {
 // fallback pieces and Proven false — rather than an error, so a serving
 // layer can always answer with its best effort under a deadline.
 func DecomposeContext(ctx context.Context, l *layout.Layout, opts Options) (*Result, error) {
-	if _, err := ParseEngine(opts.Engine); err != nil {
+	if err := checkEngine(opts); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
@@ -305,7 +298,7 @@ func DecomposeGraph(dg *Graph, opts Options) (*Result, error) {
 // DecomposeGraphContext is DecomposeGraph with the cancellation semantics
 // of DecomposeContext.
 func DecomposeGraphContext(ctx context.Context, dg *Graph, opts Options) (*Result, error) {
-	if _, err := ParseEngine(opts.Engine); err != nil {
+	if err := checkEngine(opts); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
@@ -458,21 +451,6 @@ func classSolver(class portfolio.Class, opts Options, env pipeline.Env, unproven
 	}
 }
 
-// classOf maps the classic Algorithm enum to its portfolio class.
-func classOf(a Algorithm) portfolio.Class {
-	switch a {
-	case AlgILP:
-		return portfolio.ILP
-	case AlgSDPBacktrack:
-		return portfolio.SDPBacktrack
-	case AlgSDPGreedy:
-		return portfolio.SDPGreedy
-	case AlgLinear:
-		return portfolio.Linear
-	}
-	panic(fmt.Sprintf("core: unknown algorithm %v", a))
-}
-
 // engineLabel is the histogram bucket of one dispatched piece: the engine
 // class that colored it, or "fallback" when the class never ran (the ILP
 // budget was already spent and the linear fallback answered) — the same
@@ -500,11 +478,12 @@ type solved struct {
 type pieceSolver func(g *graph.Graph, sc *pipeline.Scratch) solved
 
 // makeSolver builds the per-piece engine dispatcher the Dispatch stage
-// calls: the fixed Options.Algorithm engine, or the adaptive auto/race
-// portfolio when Options.Engine is set. A piece is unproven when the kept
-// result's exact search was cut short (node limit, time budget, or ctx
-// cancellation mid-solve) — in race mode a cancelled loser does not taint
-// it — and budget-fallback pieces are labeled "fallback", not their class.
+// calls: the fixed Options.Algorithm engine, auto's portfolio.Select
+// choice, or a portfolio race when Options.Engine is set. A piece is
+// unproven when the kept result's exact search was cut short (node limit,
+// time budget, or ctx cancellation mid-solve) — in race mode a cancelled
+// loser does not taint it — and budget-fallback pieces are labeled
+// "fallback", not their class.
 // The keep rule lives here too: a fixed or auto solve is kept only when it
 // is proven (which also rules out the fallback) and its context is still
 // live; a race solve never is. The worker's scratch arena is threaded into
@@ -519,21 +498,17 @@ func makeSolver(ctx context.Context, opts Options, env pipeline.Env) pieceSolver
 	// under a proven label (portfolio_gate_test pins this).
 	//lint:ignore determinism shared ILP budget; expiry degrades to fallback + Proven=false, not silent byte drift
 	ilpDeadline := time.Now().Add(opts.ILPTimeLimit)
-	report := func(colors []int, class portfolio.Class, unproven, fell *atomic.Bool) solved {
+	// solve runs one class on the worker's arena (fixed and auto).
+	solve := func(class portfolio.Class, g *graph.Graph, sc *pipeline.Scratch) solved {
+		var unproven, fell atomic.Bool
+		colors := classSolver(class, opts, env, &unproven, &fell, ilpDeadline)(ctx, g, sc)
 		u := unproven.Load()
 		return solved{colors: colors, engine: engineLabel(class, fell.Load()), unproven: u, keep: !u && ctx.Err() == nil}
 	}
 	switch opts.Engine {
 	case EngineAuto:
 		return func(g *graph.Graph, sc *pipeline.Scratch) solved {
-			// Auto runs exactly one class, so one pair of flags serves all.
-			var unproven, fell atomic.Bool
-			var engines [portfolio.NumClasses]portfolio.Solver
-			for c := portfolio.Class(0); c < portfolio.NumClasses; c++ {
-				engines[c] = classSolver(c, opts, env, &unproven, &fell, ilpDeadline)
-			}
-			colors, out := portfolio.Auto(ctx, g, opts.Portfolio, opts.K, engines, sc)
-			return report(colors, out.Winner, &unproven, &fell)
+			return solve(portfolio.Select(portfolio.Analyze(g)), g, sc)
 		}
 	case EngineRace:
 		return func(g *graph.Graph, _ *pipeline.Scratch) solved {
@@ -547,16 +522,13 @@ func makeSolver(ctx context.Context, opts Options, env pipeline.Env) pieceSolver
 			for c := portfolio.Class(0); c < portfolio.NumClasses; c++ {
 				engines[c] = classSolver(c, opts, env, &flags[c], &fell[c], ilpDeadline)
 			}
-			colors, out := portfolio.Race(ctx, g, opts.Portfolio, opts.K, opts.Alpha, opts.RaceBudget, engines, env)
+			colors, out := portfolio.Race(ctx, g, opts.Alpha, opts.RaceBudget, engines, env)
 			return solved{colors: colors, engine: engineLabel(out.Winner, fell[out.Winner].Load()),
 				unproven: !out.ProvenOptimal && flags[out.Winner].Load()}
 		}
 	}
-	class := classOf(opts.Algorithm)
 	return func(g *graph.Graph, sc *pipeline.Scratch) solved {
-		var unproven, fell atomic.Bool
-		colors := classSolver(class, opts, env, &unproven, &fell, ilpDeadline)(ctx, g, sc)
-		return report(colors, class, &unproven, &fell)
+		return solve(opts.Algorithm, g, sc)
 	}
 }
 

@@ -220,7 +220,7 @@ func (p *editPlan) newLayout(l *layout.Layout) *layout.Layout {
 // instead of failing. A degraded incremental result is still a valid
 // coloring but no longer matches a from-scratch run.
 func ApplyEdits(ctx context.Context, l *layout.Layout, prev *Result, edits []Edit, opts Options) (*layout.Layout, *Result, *EditStats, error) {
-	if _, err := ParseEngine(opts.Engine); err != nil {
+	if err := checkEngine(opts); err != nil {
 		return nil, nil, nil, err
 	}
 	opts = opts.withDefaults()

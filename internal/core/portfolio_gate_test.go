@@ -57,7 +57,7 @@ func TestAutoNeverWorseThanGoldenBest(t *testing.T) {
 			best := goldenBest(engines)
 			if res.Conflicts > best[0] || (res.Conflicts == best[0] && res.Stitches > best[1]) {
 				t.Errorf("auto cn#/st# = %d/%d exceeds the best single-engine golden counts %d/%d — "+
-					"the portfolio thresholds regressed; recalibrate (internal/portfolio defaults) in the same commit",
+					"the portfolio thresholds regressed; recalibrate (internal/portfolio constants) in the same commit",
 					res.Conflicts, res.Stitches, best[0], best[1])
 			}
 			// The gate also guards the flip side: auto must actually be

@@ -150,15 +150,21 @@ func TestRaceTinyBudgetDegradesGracefully(t *testing.T) {
 
 func TestUnknownEngineRejected(t *testing.T) {
 	l := fuzzBaseLayout()
-	if _, err := Decompose(l, Options{K: 4, Engine: "bogus"}); err == nil {
-		t.Fatal("unknown engine must be rejected")
-	}
 	prev, err := Decompose(l, Options{K: 4, Algorithm: AlgLinear})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := ApplyEdits(context.Background(), l, prev, []Edit{{Op: EditRemove, Feature: 0}}, Options{K: 4, Engine: "bogus"}); err == nil {
-		t.Fatal("ApplyEdits must reject an unknown engine")
+	for _, bad := range []Options{
+		{K: 4, Engine: "bogus"},
+		{K: 4, Algorithm: Algorithm(7)},
+		{K: 4, Algorithm: Algorithm(-1)},
+	} {
+		if _, err := Decompose(l, bad); err == nil {
+			t.Errorf("Decompose must reject %+v", bad)
+		}
+		if _, _, _, err := ApplyEdits(context.Background(), l, prev, []Edit{{Op: EditRemove, Feature: 0}}, bad); err == nil {
+			t.Errorf("ApplyEdits must reject %+v", bad)
+		}
 	}
 }
 

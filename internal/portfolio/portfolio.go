@@ -7,11 +7,12 @@
 // engines and the linear heuristic trade quality for orders of magnitude in
 // wall time (see the recorded BENCH trajectory, EXPERIMENTS.md).
 //
-// The package offers two policies over a set of candidate engines:
+// The package offers two policies over the four engine classes:
 //
-//   - auto — inspect the component's structure (vertex count, conflict
-//     density, odd-cycle evidence, K) and dispatch it to the engine the
-//     thresholds predict is the cheapest one achieving reference quality;
+//   - auto — Select reads the component's structure (vertex count,
+//     conflict edges, odd-cycle evidence) and names the engine the
+//     constant thresholds predict is the cheapest one achieving reference
+//     quality; the caller runs it;
 //   - race — run two candidate engines concurrently under one shared
 //     deadline budget, keep the first result whose cost is provably optimal
 //     (cost 0: no conflicts, no stitches — the objective's lower bound), or
@@ -20,8 +21,8 @@
 //
 // Engines are supplied by the caller as context-aware solve functions, so
 // the package stays free of solver dependencies and the division pipeline
-// stays solver-agnostic. Thresholds are exported and comparable so they can
-// ride inside cache keys and options-equality checks.
+// stays solver-agnostic. Class is the repository's one engine enum
+// (core.Algorithm aliases it).
 package portfolio
 
 import (
@@ -34,31 +35,37 @@ import (
 	"mpl/internal/pipeline"
 )
 
-// Class identifies one candidate engine, in ascending quality-per-cost
-// order: Linear is the cheapest, ILP the reference-quality exact baseline.
+// Class identifies one color-assignment engine. It is the only engine enum:
+// core.Algorithm aliases it, and the values are those the options
+// signature has always encoded (alg=0 … alg=3), so they must not move.
 type Class int
 
 // The four engine classes of the paper's Tables 1–2.
 const (
-	Linear Class = iota
-	SDPGreedy
+	// ILP is the exact integer-linear-programming baseline.
+	ILP Class = iota
+	// SDPBacktrack is SDP relaxation + merged-graph backtracking (Alg. 1).
 	SDPBacktrack
-	ILP
+	// SDPGreedy is SDP relaxation + greedy mapping.
+	SDPGreedy
+	// Linear is the linear-time color assignment (Alg. 2).
+	Linear
 	// NumClasses sizes engine tables indexed by Class.
 	NumClasses
 )
 
-// String returns the trajectory/report label of the class.
+// String returns the paper's column name of the class, which is also its
+// engine-histogram label.
 func (c Class) String() string {
 	switch c {
-	case Linear:
-		return "Linear"
-	case SDPGreedy:
-		return "SDP+Greedy"
-	case SDPBacktrack:
-		return "SDP+Backtrack"
 	case ILP:
 		return "ILP"
+	case SDPBacktrack:
+		return "SDP+Backtrack"
+	case SDPGreedy:
+		return "SDP+Greedy"
+	case Linear:
+		return "Linear"
 	}
 	return fmt.Sprintf("Class(%d)", int(c))
 }
@@ -71,31 +78,23 @@ func (c Class) String() string {
 // consumed, because the next solve on the same arena reclaims them.
 type Solver func(ctx context.Context, g *graph.Graph, sc *pipeline.Scratch) []int
 
-// Profile captures the component structure the selection thresholds read.
+// Profile captures the component structure the selection rule reads.
 type Profile struct {
 	// N is the vertex (fragment) count.
 	N int
-	// ConflictEdges and StitchEdges are the component's |CE| and |SE|.
+	// ConflictEdges is the component's |CE|.
 	ConflictEdges int
-	StitchEdges   int
-	// Density is 2·|CE| / (N·(N−1)), in [0, 1]; 0 for N < 2.
-	Density float64
 	// OddEdges counts conflict edges whose endpoints land in the same part
 	// of a BFS 2-coloring — each one closes an odd cycle, the structures
 	// that make K-coloring hard. Zero means the conflict graph is
 	// bipartite (2-colorable, so conflicts are always avoidable).
 	OddEdges int
-	// MaxConflictDegree is the largest conflict degree in the component.
-	MaxConflictDegree int
 }
 
 // Analyze profiles one component in O(N + E).
 func Analyze(g *graph.Graph) Profile {
 	n := g.N()
-	p := Profile{N: n, ConflictEdges: g.ConflictEdgeCount(), StitchEdges: g.StitchEdgeCount()}
-	if n > 1 {
-		p.Density = 2 * float64(p.ConflictEdges) / (float64(n) * float64(n-1))
-	}
+	p := Profile{N: n, ConflictEdges: g.ConflictEdgeCount()}
 	// BFS 2-coloring of the conflict graph; same-side edges witness odd
 	// cycles. The count is deterministic for a given adjacency (BFS from
 	// ascending roots over canonical sorted adjacency).
@@ -110,9 +109,6 @@ func Analyze(g *graph.Graph) Profile {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			if d := g.ConflictDegree(u); d > p.MaxConflictDegree {
-				p.MaxConflictDegree = d
-			}
 			for _, w := range g.ConflictNeighbors(u) {
 				wi := int(w)
 				if side[wi] == 0 {
@@ -127,60 +123,33 @@ func Analyze(g *graph.Graph) Profile {
 	return p
 }
 
-// Thresholds are the auto-mode decision boundaries. The zero value selects
-// the defaults calibrated on the recorded BENCH trajectory (DESIGN.md
-// §"Engine selection & racing"); all fields are comparable ints so a
-// Thresholds can sit inside cache keys and options-equality checks.
-type Thresholds struct {
+// The auto-mode decision boundaries, calibrated on the recorded BENCH
+// trajectory (DESIGN.md §8). They are constants, not options: the options
+// signature still records them for the adaptive engines (pf.* fields), so
+// changing one re-keys every auto and race cache entry and durable
+// session.
+const (
 	// ILPMaxN is the largest component (vertices) routed to the exact ILP.
 	// Below it the branch-and-bound proves optimality in microseconds to
 	// low milliseconds; past it the exact search ages exponentially
 	// (BENCH: the C1355 core at 20 vertices / 56 conflict edges alone
 	// costs ~3.4 s, versus ~25 ms for the 16-vertex / 43-edge cores of
-	// the other committed circuits). 0 means the calibrated default;
-	// negative disables the ILP tier.
-	ILPMaxN int
+	// the other committed circuits).
+	ILPMaxN = 16
 	// ILPMaxM caps the conflict-edge count for the ILP tier — a second
 	// guard because dense king-graph patches blow up the model size long
-	// before the vertex bound does. 0 means the calibrated default.
-	ILPMaxM int
+	// before the vertex bound does.
+	ILPMaxM = 48
 	// BacktrackMaxN is the largest component routed to SDP+Backtrack;
-	// larger bipartite-ish components go to SDP+Greedy and anything past
-	// GreedyMaxN to the linear-time engine. 0 means the default.
-	BacktrackMaxN int
-	// GreedyMaxN is the largest component routed to SDP+Greedy. 0 means
-	// the default.
-	GreedyMaxN int
-}
-
-// Calibrated defaults: see DESIGN.md §"Engine selection & racing" for the
-// BENCH-trajectory derivation.
-const (
-	defaultILPMaxN       = 16
-	defaultILPMaxM       = 48
-	defaultBacktrackMaxN = 3000
-	defaultGreedyMaxN    = 20000
+	// larger components go to SDP+Greedy and anything past GreedyMaxN to
+	// the linear-time engine.
+	BacktrackMaxN = 3000
+	// GreedyMaxN is the largest component routed to SDP+Greedy.
+	GreedyMaxN = 20000
 )
 
-// WithDefaults resolves zero fields to the calibrated defaults.
-func (t Thresholds) WithDefaults() Thresholds {
-	if t.ILPMaxN == 0 {
-		t.ILPMaxN = defaultILPMaxN
-	}
-	if t.ILPMaxM == 0 {
-		t.ILPMaxM = defaultILPMaxM
-	}
-	if t.BacktrackMaxN == 0 {
-		t.BacktrackMaxN = defaultBacktrackMaxN
-	}
-	if t.GreedyMaxN == 0 {
-		t.GreedyMaxN = defaultGreedyMaxN
-	}
-	return t
-}
-
-// Select is the auto policy: the cheapest engine class the thresholds
-// predict will reach reference quality on a component shaped like p.
+// Select is the auto policy: the cheapest engine class predicted to reach
+// reference quality on a component shaped like p.
 //
 //   - Small hard components — ≤ ILPMaxN vertices, ≤ ILPMaxM conflict edges
 //     (the density guard: exact-search cost tracks edges as much as
@@ -197,15 +166,14 @@ func (t Thresholds) WithDefaults() Thresholds {
 //     mapping degrades (Table 1).
 //   - Past BacktrackMaxN the backtrack search space is hopeless within any
 //     serving deadline: SDP+Greedy until GreedyMaxN, Linear beyond.
-func (t Thresholds) Select(p Profile, k int) Class {
-	t = t.WithDefaults()
-	if p.N <= t.ILPMaxN && p.ConflictEdges <= t.ILPMaxM && p.OddEdges > 0 && t.ILPMaxN > 0 {
+func Select(p Profile) Class {
+	if p.N <= ILPMaxN && p.ConflictEdges <= ILPMaxM && p.OddEdges > 0 {
 		return ILP
 	}
-	if p.N <= t.BacktrackMaxN {
+	if p.N <= BacktrackMaxN {
 		return SDPBacktrack
 	}
-	if p.N <= t.GreedyMaxN {
+	if p.N <= GreedyMaxN {
 		return SDPGreedy
 	}
 	return Linear
@@ -223,14 +191,13 @@ func (t Thresholds) Select(p Profile, k int) Class {
 //   - everything larger races the linear-time engine, which guarantees a
 //     full-quality *completed* answer inside any budget the expensive
 //     primary might miss.
-func (t Thresholds) RacePair(p Profile, k int) (primary, secondary Class) {
-	t = t.WithDefaults()
-	primary = t.Select(p, k)
+func RacePair(p Profile) (primary, secondary Class) {
+	primary = Select(p)
 	switch primary {
 	case ILP:
 		return ILP, SDPBacktrack
 	case SDPBacktrack:
-		if p.N <= 3*t.ILPMaxN && p.ConflictEdges <= 3*t.ILPMaxM {
+		if p.N <= 3*ILPMaxN && p.ConflictEdges <= 3*ILPMaxM {
 			return SDPBacktrack, ILP
 		}
 		return SDPBacktrack, Linear
@@ -239,25 +206,13 @@ func (t Thresholds) RacePair(p Profile, k int) (primary, secondary Class) {
 	}
 }
 
-// Outcome reports how one auto or race dispatch went.
+// Outcome reports how one race went.
 type Outcome struct {
 	// Winner is the class whose coloring was kept.
 	Winner Class
-	// Raced reports whether a second engine actually ran.
-	Raced bool
-	// Loser is the cancelled/outscored class (valid only when Raced).
-	Loser Class
 	// ProvenOptimal reports the cost-0 early exit: the winner's coloring
 	// has no conflicts and no stitches, the objective's lower bound.
 	ProvenOptimal bool
-}
-
-// Auto profiles g, selects a class, and runs it on the caller's scratch
-// arena (the dispatching division worker owns exactly one solve at a time,
-// so sharing its arena is safe).
-func Auto(ctx context.Context, g *graph.Graph, t Thresholds, k int, engines [NumClasses]Solver, sc *pipeline.Scratch) ([]int, Outcome) {
-	class := t.Select(Analyze(g), k)
-	return engines[class](ctx, g, sc), Outcome{Winner: class}
 }
 
 // Race profiles g, picks the candidate pair, and runs both concurrently
@@ -274,9 +229,9 @@ func Auto(ctx context.Context, g *graph.Graph, t Thresholds, k int, engines [Num
 // may be after Race has returned, so the caller's arena must never be
 // exposed to it. The env's parallelism budget rides along untouched — the
 // engines themselves (SDP restarts) decide whether to claim idle slots.
-func Race(ctx context.Context, g *graph.Graph, t Thresholds, k int, alpha float64, budget time.Duration, engines [NumClasses]Solver, env pipeline.Env) ([]int, Outcome) {
+func Race(ctx context.Context, g *graph.Graph, alpha float64, budget time.Duration, engines [NumClasses]Solver, env pipeline.Env) ([]int, Outcome) {
 	pool := env.Scratch
-	primary, secondary := t.RacePair(Analyze(g), k)
+	primary, secondary := RacePair(Analyze(g))
 	if primary == secondary {
 		sc := pool.Get()
 		colors, out := engines[primary](ctx, g, sc), Outcome{Winner: primary}
@@ -318,7 +273,7 @@ func Race(ctx context.Context, g *graph.Graph, t Thresholds, k int, alpha float6
 		// Provably optimal: cost has lower bound 0, nothing can beat it.
 		// Cancel the loser and return without waiting for it.
 		cancel()
-		return first.colors, Outcome{Winner: first.class, Raced: true, Loser: other(first.class, primary, secondary), ProvenOptimal: true}
+		return first.colors, Outcome{Winner: first.class, ProvenOptimal: true}
 	}
 	second := <-ch
 
@@ -327,14 +282,7 @@ func Race(ctx context.Context, g *graph.Graph, t Thresholds, k int, alpha float6
 		pri, sec = second, first
 	}
 	if sec.cost < pri.cost {
-		return sec.colors, Outcome{Winner: sec.class, Raced: true, Loser: pri.class, ProvenOptimal: false}
+		return sec.colors, Outcome{Winner: sec.class}
 	}
-	return pri.colors, Outcome{Winner: pri.class, Raced: true, Loser: sec.class, ProvenOptimal: false}
-}
-
-func other(c, a, b Class) Class {
-	if c == a {
-		return b
-	}
-	return a
+	return pri.colors, Outcome{Winner: pri.class}
 }

@@ -2,7 +2,6 @@ package portfolio
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,7 +29,7 @@ func clique(n int) *graph.Graph {
 
 func TestAnalyze(t *testing.T) {
 	p := Analyze(path(5))
-	if p.N != 5 || p.ConflictEdges != 4 || p.OddEdges != 0 || p.MaxConflictDegree != 2 {
+	if p.N != 5 || p.ConflictEdges != 4 || p.OddEdges != 0 {
 		t.Fatalf("path profile %+v", p)
 	}
 	tri := Analyze(clique(3))
@@ -38,7 +37,7 @@ func TestAnalyze(t *testing.T) {
 		t.Fatalf("a triangle closes an odd cycle: %+v", tri)
 	}
 	k5 := Analyze(clique(5))
-	if k5.Density != 1.0 || k5.MaxConflictDegree != 4 || k5.OddEdges == 0 {
+	if k5.N != 5 || k5.ConflictEdges != 10 || k5.OddEdges == 0 {
 		t.Fatalf("K5 profile %+v", k5)
 	}
 	// Deterministic: same graph, same profile.
@@ -48,7 +47,6 @@ func TestAnalyze(t *testing.T) {
 }
 
 func TestSelectThresholds(t *testing.T) {
-	var th Thresholds // defaults
 	cases := []struct {
 		p    Profile
 		want Class
@@ -63,29 +61,23 @@ func TestSelectThresholds(t *testing.T) {
 		{Profile{N: 100000, ConflictEdges: 150000, OddEdges: 99}, Linear},   // past GreedyMaxN
 	}
 	for _, c := range cases {
-		if got := th.Select(c.p, 4); got != c.want {
+		if got := Select(c.p); got != c.want {
 			t.Errorf("Select(%+v) = %v, want %v", c.p, got, c.want)
 		}
-	}
-	// A negative ILPMaxN disables the exact tier entirely.
-	noILP := Thresholds{ILPMaxN: -1}
-	if got := noILP.Select(Profile{N: 5, ConflictEdges: 10, OddEdges: 4}, 4); got != SDPBacktrack {
-		t.Errorf("disabled ILP tier still selected %v", got)
 	}
 }
 
 func TestRacePair(t *testing.T) {
-	var th Thresholds
-	if p, s := th.RacePair(Profile{N: 5, ConflictEdges: 10, OddEdges: 4}, 4); p != ILP || s != SDPBacktrack {
+	if p, s := RacePair(Profile{N: 5, ConflictEdges: 10, OddEdges: 4}); p != ILP || s != SDPBacktrack {
 		t.Errorf("ILP-tier pair = (%v, %v)", p, s)
 	}
-	if p, s := th.RacePair(Profile{N: 30, ConflictEdges: 60}, 4); p != SDPBacktrack || s != ILP {
+	if p, s := RacePair(Profile{N: 30, ConflictEdges: 60}); p != SDPBacktrack || s != ILP {
 		t.Errorf("near-tier pair = (%v, %v)", p, s)
 	}
-	if p, s := th.RacePair(Profile{N: 500, ConflictEdges: 900}, 4); p != SDPBacktrack || s != Linear {
+	if p, s := RacePair(Profile{N: 500, ConflictEdges: 900}); p != SDPBacktrack || s != Linear {
 		t.Errorf("mid pair = (%v, %v)", p, s)
 	}
-	if p, s := th.RacePair(Profile{N: 5000, ConflictEdges: 9000}, 4); p != SDPGreedy || s != Linear {
+	if p, s := RacePair(Profile{N: 5000, ConflictEdges: 9000}); p != SDPGreedy || s != Linear {
 		t.Errorf("large pair = (%v, %v)", p, s)
 	}
 }
@@ -96,11 +88,8 @@ func TestRacePair(t *testing.T) {
 func raceGraph() *graph.Graph { return clique(3) }
 
 // stub builds an engine that waits for delay (or ctx) and returns colors.
-func stub(delay time.Duration, colors []int, ran *atomic.Int32) Solver {
+func stub(delay time.Duration, colors []int) Solver {
 	return func(ctx context.Context, g *graph.Graph, _ *pipeline.Scratch) []int {
-		if ran != nil {
-			ran.Add(1)
-		}
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
@@ -119,9 +108,9 @@ func TestRaceFirstProvablyOptimalWinsAndCancelsLoser(t *testing.T) {
 		close(cancelled)
 		return []int{0, 0, 0} // cost-3 incumbent
 	}
-	engines[SDPBacktrack] = stub(0, []int{0, 1, 2}, nil) // cost 0, instant
-	colors, out := Race(context.Background(), g, Thresholds{}, 4, 0.1, 0, engines, pipeline.Env{})
-	if !out.ProvenOptimal || out.Winner != SDPBacktrack || !out.Raced || out.Loser != ILP {
+	engines[SDPBacktrack] = stub(0, []int{0, 1, 2}) // cost 0, instant
+	colors, out := Race(context.Background(), g, 0.1, 0, engines, pipeline.Env{})
+	if !out.ProvenOptimal || out.Winner != SDPBacktrack {
 		t.Fatalf("outcome %+v", out)
 	}
 	if colors[0] == colors[1] {
@@ -140,9 +129,9 @@ func TestRaceTieGoesToPrimary(t *testing.T) {
 	// Both colorings cost 3 (all vertices share a color); the secondary
 	// finishes long before the primary, but a tie must keep the primary so
 	// race degenerates to auto deterministically.
-	engines[ILP] = stub(30*time.Millisecond, []int{1, 1, 1}, nil)
-	engines[SDPBacktrack] = stub(0, []int{2, 2, 2}, nil)
-	colors, out := Race(context.Background(), g, Thresholds{}, 4, 0.1, 0, engines, pipeline.Env{})
+	engines[ILP] = stub(30*time.Millisecond, []int{1, 1, 1})
+	engines[SDPBacktrack] = stub(0, []int{2, 2, 2})
+	colors, out := Race(context.Background(), g, 0.1, 0, engines, pipeline.Env{})
 	if out.Winner != ILP || out.ProvenOptimal {
 		t.Fatalf("outcome %+v", out)
 	}
@@ -154,9 +143,9 @@ func TestRaceTieGoesToPrimary(t *testing.T) {
 func TestRaceStrictlyBetterSecondaryWins(t *testing.T) {
 	g := raceGraph() // triangle: primary ILP, secondary SDPBacktrack
 	var engines [NumClasses]Solver
-	engines[ILP] = stub(0, []int{0, 0, 0}, nil)          // cost 3 (all edges conflict)
-	engines[SDPBacktrack] = stub(0, []int{0, 1, 1}, nil) // cost 1 — strictly better, nonzero
-	colors, out := Race(context.Background(), g, Thresholds{}, 4, 0.1, 0, engines, pipeline.Env{})
+	engines[ILP] = stub(0, []int{0, 0, 0})          // cost 3 (all edges conflict)
+	engines[SDPBacktrack] = stub(0, []int{0, 1, 1}) // cost 1 — strictly better, nonzero
+	colors, out := Race(context.Background(), g, 0.1, 0, engines, pipeline.Env{})
 	if out.Winner != SDPBacktrack || out.ProvenOptimal {
 		t.Fatalf("outcome %+v, colors %v", out, colors)
 	}
@@ -167,35 +156,14 @@ func TestRaceBudgetBoundsTheRace(t *testing.T) {
 	var engines [NumClasses]Solver
 	// Both racers only return on cancellation; without the budget the race
 	// would hang. Their incumbents tie, so the primary wins.
-	engines[ILP] = stub(time.Hour, []int{0, 0, 0}, nil)
-	engines[SDPBacktrack] = stub(time.Hour, []int{1, 1, 1}, nil)
+	engines[ILP] = stub(time.Hour, []int{0, 0, 0})
+	engines[SDPBacktrack] = stub(time.Hour, []int{1, 1, 1})
 	start := time.Now()
-	_, out := Race(context.Background(), g, Thresholds{}, 4, 0.1, 50*time.Millisecond, engines, pipeline.Env{})
+	_, out := Race(context.Background(), g, 0.1, 50*time.Millisecond, engines, pipeline.Env{})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("race ran %v past a 50ms budget", elapsed)
 	}
 	if out.Winner != ILP {
 		t.Fatalf("outcome %+v", out)
-	}
-}
-
-func TestAutoDispatchesSelectedClass(t *testing.T) {
-	var ran [NumClasses]atomic.Int32
-	var engines [NumClasses]Solver
-	for c := Class(0); c < NumClasses; c++ {
-		engines[c] = stub(0, []int{0, 1, 2}, &ran[c])
-	}
-	_, out := Auto(context.Background(), raceGraph(), Thresholds{}, 4, engines, nil)
-	if out.Winner != ILP || out.Raced {
-		t.Fatalf("outcome %+v", out)
-	}
-	for c := Class(0); c < NumClasses; c++ {
-		want := int32(0)
-		if c == ILP {
-			want = 1
-		}
-		if got := ran[c].Load(); got != want {
-			t.Errorf("engine %v ran %d times, want %d", c, got, want)
-		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"mpl/internal/coloring"
 	"mpl/internal/core"
 	"mpl/internal/layout"
+	"mpl/internal/portfolio"
 )
 
 // LayoutHash returns a hex digest identifying the layout geometry: the
@@ -90,10 +91,18 @@ func (e *keyEnc) encodeOptions(o core.Options) {
 	e.int("k", o.K)
 	e.int("alg", int(o.Algorithm))
 	e.str("engine", o.Engine)
-	e.int("pf.ilpn", o.Portfolio.ILPMaxN)
-	e.int("pf.ilpm", o.Portfolio.ILPMaxM)
-	e.int("pf.btn", o.Portfolio.BacktrackMaxN)
-	e.int("pf.grn", o.Portfolio.GreedyMaxN)
+	// The pf.* fields hold the auto thresholds under an adaptive engine
+	// and zeros under a fixed one, so durable sessions written by older
+	// binaries keep their signatures; changing a threshold constant
+	// re-keys every adaptive entry.
+	var pf [4]int
+	if o.Engine != core.EngineFixed {
+		pf = [4]int{portfolio.ILPMaxN, portfolio.ILPMaxM, portfolio.BacktrackMaxN, portfolio.GreedyMaxN}
+	}
+	e.int("pf.ilpn", pf[0])
+	e.int("pf.ilpm", pf[1])
+	e.int("pf.btn", pf[2])
+	e.int("pf.grn", pf[3])
 	e.int64("race", int64(o.RaceBudget))
 	e.float("alpha", o.Alpha)
 	e.float("tth", o.Threshold)

@@ -10,7 +10,6 @@ import (
 	"mpl/internal/coloring"
 	"mpl/internal/core"
 	"mpl/internal/division"
-	"mpl/internal/portfolio"
 )
 
 // keyFields records, per option struct, every field the canonical cache-key
@@ -23,8 +22,7 @@ import (
 // making keys address-dependent.
 var keyFields = map[reflect.Type]map[string]bool{
 	reflect.TypeOf(core.Options{}): {
-		"K": true, "Algorithm": true, "Engine": true, "Portfolio": true,
-		"RaceBudget": true, "Alpha": true, "Threshold": true, "Seed": true,
+		"K": true, "Algorithm": true, "Engine": true, "RaceBudget": true, "Alpha": true, "Threshold": true, "Seed": true,
 		"ILPTimeLimit": true, "BacktrackNodeLimit": true,
 		"SDPRestarts": true, "SDPMaxIter": true,
 		"Build": true, "Division": true, "Linear": true,
@@ -36,9 +34,6 @@ var keyFields = map[reflect.Type]map[string]bool{
 		"StitchMinSeg": true, "MaxStitchesPerFeature": true,
 		// Workers never changes the built graph, only wall clock.
 		"Workers": false,
-	},
-	reflect.TypeOf(portfolio.Thresholds{}): {
-		"ILPMaxN": true, "ILPMaxM": true, "BacktrackMaxN": true, "GreedyMaxN": true,
 	},
 	reflect.TypeOf(division.Options{}): {
 		"K": true, "Alpha": true, "DisablePeeling": true,
@@ -93,7 +88,6 @@ func TestResultKeyDistinguishesOptions(t *testing.T) {
 		"k":         {K: 3},
 		"algorithm": {K: 4, Algorithm: core.AlgLinear},
 		"engine":    {K: 4, Engine: core.EngineAuto},
-		"portfolio": {K: 4, Engine: core.EngineAuto, Portfolio: portfolio.Thresholds{ILPMaxN: 9}},
 		"racebudget": {K: 4, Engine: core.EngineRace,
 			RaceBudget: 123 * time.Millisecond},
 		"alpha":     {K: 4, Alpha: 0.25},

@@ -55,13 +55,14 @@
 //
 // Options.Engine switches color assignment from one fixed Algorithm to
 // per-component dispatch (DESIGN.md §8): "auto" profiles every connected
-// component the division pipeline isolates (size, conflict density,
-// odd-cycle evidence) and routes it to the cheapest engine predicted to
-// reach reference quality — exact ILP on small hard cores, SDP+Backtrack
-// in the middle, the linear-time engine on blocks too large for search —
-// while "race" runs two candidate engines per component concurrently
-// under Options.RaceBudget, keeps the first provably optimal result (or
-// the better of the two), and cancels the loser:
+// component the division pipeline isolates (size, conflict edges,
+// odd-cycle evidence) and, by four constant thresholds, routes it to the
+// cheapest engine predicted to reach reference quality — exact ILP on
+// small hard cores, SDP+Backtrack in the middle, the linear-time engine on
+// blocks too large for search — while "race" runs two candidate engines
+// per component concurrently under Options.RaceBudget, keeps the first
+// provably optimal result (or the better of the two), and cancels the
+// loser:
 //
 //	res, err := mpl.Decompose(l, mpl.Options{K: 4, Engine: mpl.EngineAuto})
 //
@@ -164,7 +165,7 @@ const (
 // selection & racing").
 const (
 	// EngineAuto picks an engine per connected component from its
-	// structure (size, conflict density, odd-cycle evidence): exact ILP on
+	// structure (size, conflict edges, odd-cycle evidence): exact ILP on
 	// small hard cores, SDP+Backtrack in the middle, the cheaper engines
 	// on components too large for search.
 	EngineAuto = core.EngineAuto
