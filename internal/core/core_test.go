@@ -152,6 +152,26 @@ func TestVerifySolutionAgrees(t *testing.T) {
 				alg, conf, stit, res.Conflicts, res.Stitches)
 		}
 	}
+
+	// A mask outside [0, K), or a result with K < 2, must not verify.
+	c432, _ := stageTestLayout(t)
+	res, err := Decompose(c432, Options{K: 4, Algorithm: AlgLinear})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []int{7, -1} {
+		bad := *res
+		bad.Colors = append([]int(nil), res.Colors...)
+		bad.Colors[0] = c
+		if _, _, err := VerifySolution(&bad); err == nil {
+			t.Errorf("Colors[0]=%d at K=4 verified", c)
+		}
+	}
+	bad := *res
+	bad.K = 1
+	if _, _, err := VerifySolution(&bad); err == nil {
+		t.Error("K=1 result verified")
+	}
 }
 
 func TestEmptyLayout(t *testing.T) {

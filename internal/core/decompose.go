@@ -205,7 +205,7 @@ type Result struct {
 	// Division.Workers > 1 it sums across goroutines (CPU time, not wall
 	// clock).
 	SolverTime time.Duration
-	// DivisionStats reports what the pipeline did, including the
+	// DivisionStats reports what the division did, including the
 	// per-stage telemetry map (DivisionStats.Stages, keyed by the
 	// pipeline.Stage* names) covering every stage this call actually ran:
 	// build appears for Decompose/DecomposeContext/ApplyEdits but not for
@@ -269,24 +269,18 @@ func DecomposeContext(ctx context.Context, l *layout.Layout, opts Options) (*Res
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	rec := pipeline.NewRecorder()
-	var dg *Graph
 	// The build deliberately ignores ctx: the degraded-result contract of
 	// this API promises a valid best-effort coloring even when ctx is
 	// already dead, and a half-built graph has no degraded form — an
 	// abort-and-rebuild would only ever add work. Parallelism still applies
 	// (opts.Build.Workers); callers that prefer abort-on-cancel semantics
 	// compose BuildGraphContext with DecomposeGraphContext themselves.
-	build := pipeline.Func(pipeline.StageBuild, func(context.Context) error {
-		var err error
-		//lint:ignore ctxflow deliberate: a half-built graph has no degraded form, so aborting the build only adds work (see comment above)
-		dg, err = BuildGraph(l, opts.Build)
-		return err
-	})
-	if err := pipeline.New(rec, build).Run(ctx); err != nil {
+	//lint:ignore ctxflow deliberate: a half-built graph has no degraded form, so aborting the build only adds work (see comment above)
+	dg, err := BuildGraph(l, opts.Build)
+	if err != nil {
 		return nil, err
 	}
-	return decomposeGraph(ctx, dg, opts, rec)
+	return decomposeGraph(ctx, dg, opts, true, sharedScratch, sharedShapes)
 }
 
 // DecomposeGraph colors an already-built decomposition graph; callers that
@@ -302,97 +296,50 @@ func DecomposeGraphContext(ctx context.Context, dg *Graph, opts Options) (*Resul
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	return decomposeGraph(ctx, dg, opts, pipeline.NewRecorder())
+	return decomposeGraph(ctx, dg, opts, false, sharedScratch, sharedShapes)
 }
 
-// graphRun carries one graph-coloring run through the stage pipeline. The
-// divide stage is composite — internal/division tallies the Simplify,
-// Partition, Dispatch and Stitch regions it interleaves per component —
-// while Merge (validate + count + assemble) is recorded by the pipeline
-// itself, and any stages the caller already ran (the Build of
-// DecomposeContext, the incremental stages of ApplyEdits) arrive through
-// the shared recorder.
-type graphRun struct {
-	dg     *Graph
-	opts   Options
-	pool   *pipeline.ScratchPool
-	shapes *flight.Cache[shapeEntry]
-
-	colors     []int
-	stats      division.Stats
-	unproven   bool
-	solverTime time.Duration
-	assignTime time.Duration
-	res        *Result
-}
-
-// divide runs graph division with the run's Dispatch stage (newDispatch)
-// over the scratch pool and the shape tier.
-func (r *graphRun) divide(ctx context.Context) error {
+// decomposeGraph is the divide-and-merge tail of every from-scratch solve:
+// graph division with the run's Dispatch stage (newDispatch) over the
+// scratch pool and the shape tier, then Merge — validate the full
+// coloring, count the objective, assemble the Result. Division tallies
+// its own Simplify, Partition, Dispatch and Stitch regions; build reports
+// whether this call built dg, whose own clock (Stats.Timing.Total) is
+// then the Build stage. Tests pass their own pool and shape tier, so the
+// allocation benchmarks can compare pooled against unpooled arenas and
+// the traffic tests can count against a fresh (or disabled) tier. opts
+// must be validated and defaulted.
+func decomposeGraph(ctx context.Context, dg *Graph, opts Options, build bool, pool *pipeline.ScratchPool, shapes *flight.Cache[shapeEntry]) (*Result, error) {
 	start := time.Now()
-	d, solve := newDispatch(ctx, r.opts, r.pool, r.shapes)
-	r.colors, r.stats = division.DecomposeEnv(ctx, r.dg.G, r.opts.Division, d.env, solve)
-	r.unproven, r.solverTime = d.drainInto(&r.stats)
-	r.assignTime = time.Since(start)
-	return nil
-}
-
-// merge validates the full coloring, counts the objective, and assembles
-// the Result.
-func (r *graphRun) merge(context.Context) error {
-	if err := coloring.Validate(r.dg.G, r.colors, r.opts.K); err != nil {
-		return fmt.Errorf("core: internal error: %w", err)
+	d, solve := newDispatch(ctx, opts, pool, shapes)
+	colors, st := division.DecomposeEnv(ctx, dg.G, opts.Division, d.env, solve)
+	unproven, solverTime := d.drainInto(&st)
+	assignTime := time.Since(start)
+	if build {
+		st.AddStage(pipeline.StageBuild, dg.Stats.Timing.Total)
 	}
-	conf, stit := coloring.Count(r.dg.G, r.colors)
-	r.res = &Result{
-		Graph:         r.dg,
-		Colors:        r.colors,
+
+	tMerge := time.Now()
+	if err := coloring.Validate(dg.G, colors, opts.K); err != nil {
+		return nil, fmt.Errorf("core: internal error: %w", err)
+	}
+	conf, stit := coloring.Count(dg.G, colors)
+	st.AddStage(pipeline.StageMerge, time.Since(tMerge))
+	return &Result{
+		Graph:         dg,
+		Colors:        colors,
 		Conflicts:     conf,
 		Stitches:      stit,
-		Proven:        !r.unproven && r.stats.Fallbacks == 0,
-		AssignTime:    r.assignTime,
-		SolverTime:    r.solverTime,
-		DivisionStats: r.stats,
-		Degraded:      r.stats.Fallbacks,
-		K:             r.opts.K,
-		Alpha:         r.opts.Alpha,
-		Options:       r.opts,
-		components:    r.stats.Components,
-	}
-	return nil
-}
-
-// decomposeGraph is the shared stage composition of every from-scratch
-// solve: divide (composite) then merge, with rec carrying stages the
-// caller already ran. opts must be validated and defaulted.
-func decomposeGraph(ctx context.Context, dg *Graph, opts Options, rec *pipeline.Recorder) (*Result, error) {
-	return decomposeGraphPool(ctx, dg, opts, rec, sharedScratch)
-}
-
-// decomposeGraphPool is decomposeGraph with an explicit scratch pool, so
-// the allocation benchmarks can compare pooled against unpooled arenas
-// without mutating the shared pool under everyone else.
-func decomposeGraphPool(ctx context.Context, dg *Graph, opts Options, rec *pipeline.Recorder, pool *pipeline.ScratchPool) (*Result, error) {
-	return decomposeGraphShapes(ctx, dg, opts, rec, pool, sharedShapes)
-}
-
-// decomposeGraphShapes additionally takes the shape tier, so equivalence
-// and stress tests can run against a fresh (or disabled) tier whose
-// hit/miss counters don't depend on what earlier tests populated
-// process-wide.
-func decomposeGraphShapes(ctx context.Context, dg *Graph, opts Options, rec *pipeline.Recorder, pool *pipeline.ScratchPool, shapes *flight.Cache[shapeEntry]) (*Result, error) {
-	run := &graphRun{dg: dg, opts: opts, pool: pool, shapes: shapes}
-	p := pipeline.New(rec,
-		pipeline.Composite(run.divide),
-		pipeline.Func(pipeline.StageMerge, run.merge),
-	)
-	if err := p.Run(ctx); err != nil {
-		return nil, err
-	}
-	// Fold the pipeline-recorded stages (build, merge) into the division
-	// tally so the Result carries the complete per-stage map.
-	run.res.DivisionStats.Stages = pipeline.MergeStages(run.res.DivisionStats.Stages, rec.Snapshot())
-	return run.res, nil
+		Proven:        !unproven && st.Fallbacks == 0,
+		AssignTime:    assignTime,
+		SolverTime:    solverTime,
+		DivisionStats: st,
+		Degraded:      st.Fallbacks,
+		K:             opts.K,
+		Alpha:         opts.Alpha,
+		Options:       opts,
+		components:    st.Components,
+	}, nil
 }
 
 // classSolver builds the context-aware solver for one portfolio engine
@@ -547,11 +494,20 @@ func solveSDP(ctx context.Context, g *graph.Graph, opts Options, sc *pipeline.Sc
 // same-mask fragment pairs of different features within MinS, plus stitch
 // mismatches between touching fragments of one feature. It must agree with
 // Result.Conflicts/Stitches — a cross-check that graph construction and
-// coloring agree (used by tests and cmd/qpld -verify).
+// coloring agree (used by tests and cmd/qpld -verify). A coloring with a
+// mask outside [0, r.K), or a result with K < 2, is an error.
 func VerifySolution(r *Result) (conflicts, stitches int, err error) {
 	dg := r.Graph
 	if len(r.Colors) != len(dg.Fragments) {
 		return 0, 0, fmt.Errorf("core: color count %d != fragment count %d", len(r.Colors), len(dg.Fragments))
+	}
+	if r.K < 2 {
+		return 0, 0, fmt.Errorf("core: result has K=%d, want >= 2", r.K)
+	}
+	for i, c := range r.Colors {
+		if c < 0 || c >= r.K {
+			return 0, 0, fmt.Errorf("core: fragment %d has mask %d outside [0, %d)", i, c, r.K)
+		}
 	}
 	minSq := int64(dg.MinS) * int64(dg.MinS)
 	world := worldOf(dg)

@@ -274,36 +274,36 @@ func ApplyEdits(ctx context.Context, l *layout.Layout, prev *Result, edits []Edi
 		return nil, nil, nil, err
 	}
 
-	// The incremental path is the regular stage pipeline with the Build
-	// and Partition stages substituted by their dirty-region versions: the
-	// build reuses every provably unchanged fragment and edge, the
-	// partition classifies components as copy-safe versus dirty, the
-	// divide/merge tail is shared with the from-scratch run (divide runs
-	// the regular division pipeline over the dirty subgraph; merge applies
-	// component-local objective deltas instead of a full recount).
+	// The incremental path runs the regular stages with Build and
+	// Partition substituted by their dirty-region versions: the build
+	// reuses every provably unchanged fragment and edge, the partition
+	// classifies components as copy-safe versus dirty, the divide runs the
+	// regular division over the dirty subgraph, and the merge applies
+	// component-local objective deltas instead of a full recount.
 	// sc lends the transient flat arrays (index maps, visit marks, builder
 	// pairs and counters) for the whole call.
 	sc := sharedScratch.Get()
 	defer sharedScratch.Put(sc)
 	es := &EditStats{Edits: len(edits)}
 	run := &editRun{newL: newL, prev: prev, plan: plan, opts: opts, minS: minS, es: es}
-	rec := pipeline.NewRecorder()
-	p := pipeline.New(rec,
-		pipeline.Func(pipeline.StageBuild, func(context.Context) error { return run.build(sc) }),
-		pipeline.Func(pipeline.StagePartition, func(context.Context) error { return run.partition(sc) }),
-		pipeline.Composite(func(ctx context.Context) error { return run.divide(ctx, sc) }),
-		pipeline.Func(pipeline.StageMerge, run.merge),
-	)
-	err = p.Run(ctx)
-	if run.ib != nil {
-		sc.PutInt32s(run.ib.oldToNew)
-		sc.PutInt32s(run.ib.newToOld)
+	if err := run.build(sc); err != nil {
+		return nil, nil, nil, err
 	}
+	tPart := time.Now()
+	run.partition(sc)
+	partTime := time.Since(tPart)
+	run.divide(ctx, sc)
+	run.dstats.AddStage(pipeline.StageBuild, es.BuildTime)
+	run.dstats.AddStage(pipeline.StagePartition, partTime)
+	tMerge := time.Now()
+	res, err := run.merge()
+	sc.PutInt32s(run.ib.oldToNew)
+	sc.PutInt32s(run.ib.newToOld)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	run.res.DivisionStats.Stages = pipeline.MergeStages(run.res.DivisionStats.Stages, rec.Snapshot())
-	return newL, run.res, es, nil
+	res.DivisionStats.AddStage(pipeline.StageMerge, time.Since(tMerge))
+	return newL, res, es, nil
 }
 
 // incrementalGraph is the output of the dirty-region graph rebuild: the
@@ -687,9 +687,9 @@ func piecesEqual(ps []geom.Polygon, old []Fragment) bool {
 	return true
 }
 
-// editRun carries one ApplyEdits call through the stage pipeline: the
-// dirty-region Build and Partition substitutions, then the divide/merge
-// tail every solve path shares.
+// editRun carries one ApplyEdits call through its stages: the
+// dirty-region Build and Partition substitutions, then a divide over the
+// dirty subgraph and a delta merge.
 type editRun struct {
 	newL *layout.Layout
 	prev *Result
@@ -712,8 +712,6 @@ type editRun struct {
 	unproven   bool
 	solverTime time.Duration
 	dstats     division.Stats
-
-	res *Result
 }
 
 // build is the dirty-region Build stage: reconstruct the decomposition
@@ -748,7 +746,7 @@ func (r *editRun) build(sc *pipeline.Scratch) error {
 //
 // The search from the seeds costs what the dirty components cost; one flat
 // pass then copies the prior colors of every other vertex.
-func (r *editRun) partition(sc *pipeline.Scratch) error {
+func (r *editRun) partition(sc *pipeline.Scratch) {
 	prev, ib := r.prev, r.ib
 	pg := prev.Graph
 	g := ib.dg.G
@@ -795,7 +793,6 @@ func (r *editRun) partition(sc *pipeline.Scratch) error {
 	}
 	r.es.CopiedComponents = r.copiedComponents(sc, seen, dirty)
 	r.es.Components = r.es.ResolvedComponents + r.es.CopiedComponents
-	return nil
 }
 
 // copiedComponents counts the components that kept their prior colors.
@@ -868,9 +865,9 @@ func appendComponent(g *graph.Graph, s int32, seen, buf []int32) []int32 {
 // the induced subgraph over their union has those components as its
 // components, and the double relabeling is order-preserving over canonical
 // adjacency, so each engine sees the same per-component input a full
-// DecomposeGraph would hand it. Composite — division tallies its own
+// DecomposeGraph would hand it. Division tallies its own
 // simplify/partition/dispatch/stitch regions into the run's stats.
-func (r *editRun) divide(ctx context.Context, sc *pipeline.Scratch) error {
+func (r *editRun) divide(ctx context.Context, sc *pipeline.Scratch) {
 	tSolve := time.Now()
 	if len(r.dirty) > 0 {
 		sort.Ints(r.dirty)
@@ -887,7 +884,6 @@ func (r *editRun) divide(ctx context.Context, sc *pipeline.Scratch) error {
 		r.es.ResolvedFragments = len(r.dirty)
 	}
 	r.es.SolveTime = time.Since(tSolve)
-	return nil
 }
 
 // merge validates the stitched-together coloring and updates the objective
@@ -898,14 +894,14 @@ func (r *editRun) divide(ctx context.Context, sc *pipeline.Scratch) error {
 // newly built). The prior vertices not copied are the lost ones plus the
 // prior images of the dirty vertices — a union of whole prior components,
 // so counting each edge from its lower endpoint counts it exactly once.
-func (r *editRun) merge(context.Context) error {
+func (r *editRun) merge() (*Result, error) {
 	prev, ib := r.prev, r.ib
 	pg := prev.Graph
 	g := ib.dg.G
 	colors := r.colors
 
 	if err := coloring.Validate(g, colors, r.opts.K); err != nil {
-		return fmt.Errorf("core: internal error: %w", err)
+		return nil, fmt.Errorf("core: internal error: %w", err)
 	}
 
 	conf, stit := prev.Conflicts, prev.Stitches
@@ -940,7 +936,7 @@ func (r *editRun) merge(context.Context) error {
 		}
 	}
 
-	r.res = &Result{
+	return &Result{
 		Graph:         ib.dg,
 		Colors:        colors,
 		Conflicts:     conf,
@@ -954,6 +950,5 @@ func (r *editRun) merge(context.Context) error {
 		Alpha:         r.opts.Alpha,
 		Options:       r.opts,
 		components:    r.es.Components,
-	}
-	return nil
+	}, nil
 }

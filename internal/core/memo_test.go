@@ -21,7 +21,6 @@ import (
 	"mpl/internal/flight"
 	"mpl/internal/graph"
 	"mpl/internal/layout"
-	"mpl/internal/pipeline"
 	"mpl/internal/synth"
 )
 
@@ -37,8 +36,7 @@ func tierRun(t *testing.T, dg *Graph, opts Options, shapes *flight.Cache[shapeEn
 	if _, err := ParseEngine(opts.Engine); err != nil {
 		t.Fatal(err)
 	}
-	res, err := decomposeGraphShapes(context.Background(), dg, opts.withDefaults(),
-		pipeline.NewRecorder(), sharedScratch, shapes)
+	res, err := decomposeGraph(context.Background(), dg, opts.withDefaults(), false, sharedScratch, shapes)
 	if err != nil {
 		t.Fatal(err)
 	}

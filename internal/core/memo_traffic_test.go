@@ -6,7 +6,6 @@ import (
 	"maps"
 	"testing"
 
-	"mpl/internal/pipeline"
 	"mpl/internal/synth"
 )
 
@@ -48,8 +47,7 @@ func TestMemoShapeTrafficPinned(t *testing.T) {
 			opts := Options{K: 4, Engine: EngineAuto}
 			opts.Division.Workers = workers
 			for i, dg := range graphs {
-				res, err := decomposeGraphShapes(context.Background(), dg, opts.withDefaults(),
-					pipeline.NewRecorder(), sharedScratch, shapes)
+				res, err := decomposeGraph(context.Background(), dg, opts.withDefaults(), false, sharedScratch, shapes)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -38,7 +38,7 @@ func benchRepeatedSolve(b *testing.B, pool *pipeline.ScratchPool) {
 	g := benchSolveGraph(b)
 	opts := (Options{K: 4, Algorithm: AlgSDPBacktrack, Seed: 1}).withDefaults()
 	solve := func() (*Result, error) {
-		return decomposeGraphPool(context.Background(), g, opts, pipeline.NewRecorder(), pool)
+		return decomposeGraph(context.Background(), g, opts, false, pool, sharedShapes)
 	}
 	// One warm-up solve so the pooled variant measures steady state (the
 	// first request grows the arenas; every later one reuses them).

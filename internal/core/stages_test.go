@@ -2,9 +2,9 @@ package core
 
 // Stage-telemetry contract tests: every solve path must report the stages
 // it actually ran in Result.DivisionStats.Stages, under the canonical
-// pipeline.Stage* names, and the refactor onto the stage pipeline must be
-// behavior-preserving (pinned separately by the golden, incremental, and
-// portfolio suites).
+// pipeline.Stage* names, each timed by exactly one clock (the build stage
+// is the builder's own). Behavior is pinned separately by the golden,
+// incremental, and portfolio suites.
 
 import (
 	"context"
@@ -48,6 +48,16 @@ func TestDecomposeContextReportsAllStages(t *testing.T) {
 	}
 	if res.AssignTime <= 0 || st[pipeline.StageBuild].Wall <= 0 {
 		t.Errorf("timings missing: assign=%v build=%v", res.AssignTime, st[pipeline.StageBuild].Wall)
+	}
+	// One clock per stage: the build stage is the builder's own timer, and
+	// build and merge are each one region.
+	if got, want := st[pipeline.StageBuild].Wall, res.Graph.Stats.Timing.Total; got != want {
+		t.Errorf("build stage wall = %v, builder clock = %v", got, want)
+	}
+	for _, name := range []string{pipeline.StageBuild, pipeline.StageMerge} {
+		if got := st[name].Calls; got != 1 {
+			t.Errorf("stage %q calls = %d, want 1", name, got)
+		}
 	}
 }
 
@@ -102,6 +112,16 @@ func TestApplyEditsReportsIncrementalStages(t *testing.T) {
 	}
 	if st[pipeline.StageSimplify].Calls == 0 {
 		t.Errorf("dirty component was re-solved but no simplify region recorded: %+v", st)
+	}
+	// One clock per stage: the build stage is the dirty-region rebuild's
+	// own timer, and build and merge are each one region.
+	if got := st[pipeline.StageBuild].Wall; got != es.BuildTime || got != res2.Graph.Stats.Timing.Total {
+		t.Errorf("build stage wall = %v, rebuild clock = %v, graph timing = %v", got, es.BuildTime, res2.Graph.Stats.Timing.Total)
+	}
+	for _, name := range []string{pipeline.StageBuild, pipeline.StageMerge} {
+		if got := st[name].Calls; got != 1 {
+			t.Errorf("stage %q calls = %d, want 1", name, got)
+		}
 	}
 }
 

@@ -128,8 +128,8 @@ type Stats struct {
 	// Stages is the per-stage telemetry of the run, keyed by the
 	// pipeline.Stage* names. This package tallies the stages it owns
 	// (simplify, partition, dispatch, stitch; wall summed across workers,
-	// like SolverTime); internal/core folds in the build and merge stages
-	// around it. Lazily allocated, merged across workers like Engines.
+	// like SolverTime); internal/core adds build and merge around it with
+	// AddStage. Lazily allocated, merged across workers like Engines.
 	Stages map[string]pipeline.StageStats
 
 	// Shapes reports the shape-tier counters of the run (internal/canon;
@@ -295,91 +295,76 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 	}
 	st.AddStage(pipeline.StagePartition, time.Since(tPart))
 	st.Components = len(comps)
-	if opts.Workers <= 1 {
+
+	// Components enter the pre-filled, closed jobs channel in the LPT order
+	// computed above (discovery order for a serial run). Scheduling order is
+	// observably identical to discovery order: each component is solved
+	// from the same inputs, the writes are vertex-disjoint, and the
+	// per-worker stats merge the same way regardless of which worker ran
+	// which job.
+	jobs := make(chan []int, len(comps))
+	if order != nil {
+		for _, ci := range order {
+			jobs <- comps[ci]
+		}
+	} else {
+		for _, comp := range comps {
+			jobs <- comp
+		}
+	}
+	close(jobs)
+
+	// worker drains the jobs channel into ws on its own scratch arena.
+	// Components are vertex-disjoint, so concurrent workers write
+	// non-overlapping slices of colors.
+	worker := func(ws *Stats) {
 		sc := env.Scratch.Get()
 		defer env.Scratch.Put(sc)
 		idx := sc.Int32s(n)
 		defer sc.PutInt32s(idx)
 		var busy time.Duration
-		for _, comp := range comps {
+		jobsRun := 0
+		for comp := range jobs {
 			t0 := time.Now()
-			sub, orig := subgraphTimed(g, comp, idx, &st)
-			subColors := decomposeComponent(ctx, sub, opts, solve, &st, sc, idx)
+			sub, orig := subgraphTimed(g, comp, idx, ws)
+			subColors := decomposeComponent(ctx, sub, opts, solve, ws, sc, idx)
 			for i, v := range orig {
 				colors[v] = subColors[i]
 			}
 			sc.PutInts(subColors)
 			busy += time.Since(t0)
+			jobsRun++
 		}
-		if len(comps) > 0 {
-			st.Balance = Balance{Workers: 1, MaxBusy: busy, MinBusy: busy}
+		if jobsRun > 0 {
+			ws.Balance = Balance{Workers: 1, MaxBusy: busy, MinBusy: busy}
 		}
+	}
+	if opts.Workers <= 1 {
+		var ws Stats
+		worker(&ws)
+		st.addWorker(ws)
 		return colors, st
 	}
-
-	// Parallel mode: components are vertex-disjoint, so goroutines write
-	// non-overlapping slices of colors; per-worker stats merge at the end.
-	//
-	// Components enter the (pre-filled, closed) jobs channel in the LPT
-	// order computed above. Scheduling order is observably identical to
-	// discovery order: each component is solved from the same inputs, the
-	// writes are vertex-disjoint, and the per-worker stats merge the same
-	// way regardless of which worker ran which job.
-	type job struct{ comp []int }
-	jobs := make(chan job, len(comps))
-	if order != nil {
-		for _, ci := range order {
-			jobs <- job{comp: comps[ci]}
-		}
-	} else {
-		for _, comp := range comps {
-			jobs <- job{comp: comp}
-		}
-	}
-	close(jobs)
 
 	// Spare worker slots — workers this run will never spawn because there
 	// are fewer components than Options.Workers — go straight to the shared
 	// budget, where a huge component's SDP restart fan-out can claim them.
-	spawn := opts.Workers
-	if len(comps) < spawn {
-		spawn = len(comps)
-	}
+	spawn := min(opts.Workers, len(comps))
 	for w := spawn; w < opts.Workers; w++ {
 		env.Budget.Free()
 	}
-
 	workerStats := make([]Stats, spawn)
 	var wg sync.WaitGroup
-	for w := 0; w < spawn; w++ {
+	for w := range workerStats {
 		wg.Add(1)
 		go func(ws *Stats) {
 			defer wg.Done()
-			// The jobs channel is pre-filled and closed, so when this
+			// The jobs channel is pre-filled and closed, so once this
 			// worker's receive fails it is permanently idle: its slot
 			// returns to the shared budget for nested fan-outs of the
 			// still-running workers.
 			defer env.Budget.Free()
-			sc := env.Scratch.Get()
-			defer env.Scratch.Put(sc)
-			idx := sc.Int32s(n)
-			defer sc.PutInt32s(idx)
-			var busy time.Duration
-			jobsRun := 0
-			for j := range jobs {
-				t0 := time.Now()
-				sub, orig := subgraphTimed(g, j.comp, idx, ws)
-				subColors := decomposeComponent(ctx, sub, opts, solve, ws, sc, idx)
-				for i, v := range orig {
-					colors[v] = subColors[i]
-				}
-				sc.PutInts(subColors)
-				busy += time.Since(t0)
-				jobsRun++
-			}
-			if jobsRun > 0 {
-				ws.Balance = Balance{Workers: 1, MaxBusy: busy, MinBusy: busy}
-			}
+			worker(ws)
 		}(&workerStats[w])
 	}
 	wg.Wait()

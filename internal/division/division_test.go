@@ -359,7 +359,7 @@ func TestLPTDispatchMatchesDiscoveryOrder(t *testing.T) {
 // statsEqualIgnoringTime compares two Stats up to wall-clock noise: all
 // counters, histograms, and per-stage region *counts* must match (the
 // stage structure is deterministic at any worker count), while stage wall
-// times and allocation deltas — genuinely run-dependent — are ignored.
+// times — genuinely run-dependent — are ignored.
 // Balance is ignored entirely: both its busy times and its worker count
 // (how many pool workers won at least one job) depend on scheduling.
 func statsEqualIgnoringTime(a, b Stats) bool {

@@ -60,14 +60,6 @@ func Build(n int, edges []WeightedEdge) *Tree {
 	return buildCtx(nil, n, edges, nil)
 }
 
-// BuildContext is Build with cooperative cancellation: ctx is polled before
-// each of the n−1 max-flow computations (the dominant cost on large blocks)
-// and the function returns nil when cancelled before the tree is complete —
-// a partial contraction tree is not a cut tree, so no partial result exists.
-func BuildContext(ctx context.Context, n int, edges []WeightedEdge) *Tree {
-	return buildCtx(ctx.Done(), n, edges, nil)
-}
-
 func buildCtx(done <-chan struct{}, n int, edges []WeightedEdge, sc *pipeline.Scratch) *Tree {
 	t := &Tree{Parent: make([]int, n), Weight: make([]int64, n)}
 	if n == 0 {
@@ -255,14 +247,12 @@ func BuildFromConflictGraph(g *graph.Graph) *Tree {
 	return Build(g.N(), conflictEdges(g))
 }
 
-// BuildFromConflictGraphContext is BuildFromConflictGraph with the
-// cancellation semantics of BuildContext (nil when cancelled).
-func BuildFromConflictGraphContext(ctx context.Context, g *graph.Graph) *Tree {
-	return BuildContext(ctx, g.N(), conflictEdges(g))
-}
-
-// BuildFromConflictGraphScratch is BuildFromConflictGraphContext with the
-// contraction maps and max-flow networks of the n−1 flow computations
+// BuildFromConflictGraphScratch is BuildFromConflictGraph with cooperative
+// cancellation and pooled workspace. ctx is polled before each of the n−1
+// max-flow computations (the dominant cost on large blocks), and the
+// function returns nil when cancelled before the tree is complete: a
+// partial contraction tree is not a cut tree, so no partial result exists.
+// The contraction maps and max-flow networks of those flow computations are
 // carved from the worker's scratch arena (nil-safe) — the division
 // pipeline's Partition stage calls this once per GH-divided block, and
 // without pooling those throwaway networks dominate the whole solve's

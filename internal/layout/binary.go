@@ -190,16 +190,6 @@ func (l *Layout) WriteBinaryFile(path string) error {
 	return f.Close()
 }
 
-// ReadBinaryFile parses a binary layout file.
-func ReadBinaryFile(path string) (*Layout, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
-}
-
 // ReadAny parses path as binary when it has the binary magic, text
 // otherwise — the loader the command-line tools use.
 func ReadAny(path string) (*Layout, error) {

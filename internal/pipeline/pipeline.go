@@ -1,22 +1,22 @@
-// Package pipeline defines the stage decomposition of the solve flow and
-// the telemetry that rides on it. The DAC'14 flow (Fig. 2) is one
-// conceptual pipeline —
+// Package pipeline holds the machinery the solve flow shares across
+// layers. The DAC'14 flow (Fig. 2) is one conceptual pipeline —
 //
 //	Build → Simplify → Partition → Dispatch → Stitch → Merge
 //
 // — and every solve path in this repository (from-scratch decomposition,
-// incremental ECO re-decomposition, the portfolio auto/race dispatch) is a
-// composition of these six stages over different inputs: the incremental
-// path substitutes a dirty-region Build and Partition, nothing more
-// (DESIGN.md §"Pipeline architecture"). The package provides:
+// incremental ECO re-decomposition, the portfolio auto/race dispatch) runs
+// these six stages over different inputs: the incremental path substitutes
+// a dirty-region Build and Partition, nothing more (DESIGN.md §9). The
+// package provides:
 //
-//   - the canonical stage names and a Stage/Pipeline composition type that
-//     runs stages in order while recording per-stage wall time and heap
-//     allocation deltas;
-//   - Recorder, a concurrency-safe accumulator the division workers and
-//     the top-level pipeline share, so interleaved per-component work
-//     (peel this component, solve that one) still lands in the right
-//     stage bucket;
+//   - the canonical stage names and StageStats, the per-stage wall-time
+//     tally. Each stage is timed once, where it runs, into
+//     division.Stats.Stages: internal/division times the regions it
+//     interleaves per component, internal/core adds build (the builder's
+//     own clock) and merge around it, and MergeStages is the one fold rule
+//     for every Stages map;
+//   - Env and Budget, the scratch pool and shared parallelism budget one
+//     run threads from core through division into the engines;
 //   - Scratch / ScratchPool, sync.Pool-backed per-worker arenas for the
 //     hot-path buffers that used to be re-allocated on every solve
 //     (per-component color slices, SDP matrix workspace, spatial visit
@@ -24,17 +24,11 @@
 //     cost for memory whose size is stable across requests.
 //
 // The package deliberately knows nothing about graphs, layouts or engines:
-// stages are plain functions, scratch buffers are plain slices, and the
-// consumers (internal/division, internal/core, internal/sdp) decide what
-// lives in them.
+// scratch buffers are plain slices, and the consumers (internal/division,
+// internal/core, internal/sdp) decide what lives in them.
 package pipeline
 
-import (
-	"context"
-	"runtime/metrics"
-	"sync"
-	"time"
-)
+import "time"
 
 // Canonical stage names, in flow order. Every telemetry consumer — the
 // division pipeline, /v1/stats, cmd/evaluate's stage columns, the BENCH
@@ -73,30 +67,9 @@ type StageStats struct {
 	// several division workers sum across goroutines (CPU time, not
 	// elapsed time), matching how Result.SolverTime is reported.
 	Wall time.Duration
-	// Allocs and Bytes are heap allocation deltas (objects and bytes)
-	// measured across the stage via runtime/metrics. They are recorded
-	// only for the serial top-level stages (Build, Partition, Merge) —
-	// the process-global counters cannot be attributed per goroutine, so
-	// concurrent stages record wall time only. Treat them as an
-	// approximation in both directions: anything else the process
-	// allocates during the stage is included, while small allocations are
-	// batched in per-P span caches and may not reach the global counter
-	// until later (a microseconds-scale stage can legitimately read 0).
-	// The -benchmem benchmarks, not this telemetry, are the precision
-	// instrument for allocation regressions.
-	Allocs uint64
-	Bytes  uint64
 	// Calls counts how many timed regions were folded into this bucket
 	// (per-piece dispatch regions make this the piece count).
 	Calls int
-}
-
-// add folds another accumulation into s.
-func (s *StageStats) add(o StageStats) {
-	s.Wall += o.Wall
-	s.Allocs += o.Allocs
-	s.Bytes += o.Bytes
-	s.Calls += o.Calls
 }
 
 // MergeStages folds src into dst, allocating dst on first use, and returns
@@ -111,157 +84,9 @@ func MergeStages(dst, src map[string]StageStats) map[string]StageStats {
 	}
 	for name, st := range src {
 		cur := dst[name]
-		cur.add(st)
+		cur.Wall += st.Wall
+		cur.Calls += st.Calls
 		dst[name] = cur
 	}
 	return dst
-}
-
-// Recorder accumulates per-stage telemetry. It is safe for concurrent use:
-// division workers observe dispatch/stitch regions from many goroutines
-// while the top-level pipeline records its serial stages. The zero value
-// is NOT usable; a nil *Recorder is — every method no-ops — so telemetry
-// can be threaded optionally.
-type Recorder struct {
-	mu sync.Mutex
-	m  map[string]StageStats
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{m: make(map[string]StageStats)}
-}
-
-// Observe folds one timed region into the named stage.
-func (r *Recorder) Observe(name string, wall time.Duration) {
-	if r == nil {
-		return
-	}
-	r.observe(name, StageStats{Wall: wall, Calls: 1})
-}
-
-func (r *Recorder) observe(name string, st StageStats) {
-	r.mu.Lock()
-	cur := r.m[name]
-	cur.add(st)
-	r.m[name] = cur
-	r.mu.Unlock()
-}
-
-// ObserveStats folds a pre-accumulated StageStats map (a worker's local
-// tally, a nested pipeline's snapshot) into the recorder.
-func (r *Recorder) ObserveStats(stages map[string]StageStats) {
-	if r == nil || len(stages) == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.m = MergeStages(r.m, stages)
-	r.mu.Unlock()
-}
-
-// Snapshot returns a copy of the accumulated per-stage telemetry. A nil
-// recorder returns nil.
-func (r *Recorder) Snapshot() map[string]StageStats {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.m) == 0 {
-		return nil
-	}
-	out := make(map[string]StageStats, len(r.m))
-	for name, st := range r.m {
-		out[name] = st
-	}
-	return out
-}
-
-// Stage is one named step of a solve pipeline.
-type Stage struct {
-	// Name is the canonical stage name the run is recorded under. A stage
-	// with an empty name is composite: its body records its own
-	// fine-grained regions into the pipeline's Recorder (the division
-	// stages), so the pipeline itself records nothing for it — wrapping it
-	// too would double-count the same wall time.
-	Name string
-	// Run executes the stage. Stages receive the pipeline's context and
-	// must honor the repository's cancellation contract themselves (most
-	// degrade rather than abort); the pipeline does not cancel between
-	// stages.
-	Run func(ctx context.Context) error
-}
-
-// Func builds a recorded stage.
-func Func(name string, run func(ctx context.Context) error) Stage {
-	return Stage{Name: name, Run: run}
-}
-
-// Composite builds a stage whose body does its own stage accounting.
-func Composite(run func(ctx context.Context) error) Stage {
-	return Stage{Run: run}
-}
-
-// readAllocs samples the heap-allocation counters into the caller's
-// two-element buffer (objects, bytes). Reading is cheap (two counter
-// loads, no stop-the-world), so the pipeline can afford it per stage
-// boundary; the buffer is reused so the telemetry itself stays off the
-// allocation profile it measures.
-func readAllocs(s []metrics.Sample) (objects, bytes uint64) {
-	metrics.Read(s)
-	if s[0].Value.Kind() == metrics.KindUint64 {
-		objects = s[0].Value.Uint64()
-	}
-	if s[1].Value.Kind() == metrics.KindUint64 {
-		bytes = s[1].Value.Uint64()
-	}
-	return objects, bytes
-}
-
-// Pipeline composes stages over a shared Recorder. Run is single-shot and
-// single-goroutine, so the metrics sample buffer is reused across stages.
-type Pipeline struct {
-	rec     *Recorder
-	stages  []Stage
-	samples [2]metrics.Sample
-}
-
-// New builds a pipeline recording into rec (which may be nil for untimed
-// runs; composite stages then receive no telemetry sink either).
-func New(rec *Recorder, stages ...Stage) *Pipeline {
-	p := &Pipeline{rec: rec, stages: stages}
-	p.samples[0].Name = "/gc/heap/allocs:objects"
-	p.samples[1].Name = "/gc/heap/allocs:bytes"
-	return p
-}
-
-// Run executes the stages in order, recording wall time and allocation
-// deltas for every named stage, and stops at the first stage error.
-// Cancellation is deliberately left to the stages: the decomposition
-// contract returns a degraded-but-valid result under a dead context, so
-// the pipeline must keep running stages rather than aborting between them.
-func (p *Pipeline) Run(ctx context.Context) error {
-	for _, st := range p.stages {
-		if st.Name == "" {
-			if err := st.Run(ctx); err != nil {
-				return err
-			}
-			continue
-		}
-		var a0, b0 uint64
-		if p.rec != nil {
-			a0, b0 = readAllocs(p.samples[:])
-		}
-		t0 := time.Now()
-		err := st.Run(ctx)
-		wall := time.Since(t0)
-		if p.rec != nil {
-			a1, b1 := readAllocs(p.samples[:])
-			p.rec.observe(st.Name, StageStats{Wall: wall, Allocs: a1 - a0, Bytes: b1 - b0, Calls: 1})
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

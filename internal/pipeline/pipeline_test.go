@@ -1,114 +1,6 @@
 package pipeline
 
-import (
-	"context"
-	"errors"
-	"sync"
-	"testing"
-	"time"
-)
-
-var allocSink []byte
-
-func TestPipelineRecordsNamedStages(t *testing.T) {
-	rec := NewRecorder()
-	var order []string
-	p := New(rec,
-		Func(StageBuild, func(context.Context) error {
-			order = append(order, "build")
-			allocSink = make([]byte, 1<<16) // visible in the alloc delta
-			return nil
-		}),
-		Composite(func(context.Context) error {
-			order = append(order, "composite")
-			rec.Observe(StageDispatch, 5*time.Millisecond)
-			rec.Observe(StageDispatch, 7*time.Millisecond)
-			return nil
-		}),
-		Func(StageMerge, func(context.Context) error {
-			order = append(order, "merge")
-			return nil
-		}),
-	)
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[0] != "build" || order[1] != "composite" || order[2] != "merge" {
-		t.Fatalf("stage order = %v", order)
-	}
-	snap := rec.Snapshot()
-	if _, ok := snap[StageBuild]; !ok {
-		t.Fatalf("build stage not recorded: %v", snap)
-	}
-	if snap[StageBuild].Allocs == 0 || snap[StageBuild].Bytes < 1<<16 {
-		t.Errorf("build stage alloc delta not captured: %+v", snap[StageBuild])
-	}
-	d := snap[StageDispatch]
-	if d.Calls != 2 || d.Wall != 12*time.Millisecond {
-		t.Errorf("dispatch bucket = %+v, want 2 calls / 12ms", d)
-	}
-	if _, ok := snap["composite"]; ok {
-		t.Errorf("composite stage must not be recorded under a name")
-	}
-}
-
-func TestPipelineStopsAtFirstError(t *testing.T) {
-	boom := errors.New("boom")
-	ran := 0
-	p := New(nil,
-		Func(StageBuild, func(context.Context) error { ran++; return boom }),
-		Func(StageMerge, func(context.Context) error { ran++; return nil }),
-	)
-	if err := p.Run(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if ran != 1 {
-		t.Fatalf("ran %d stages, want 1", ran)
-	}
-}
-
-func TestPipelineRunsStagesUnderDeadCtx(t *testing.T) {
-	// The decomposition contract degrades under a dead context instead of
-	// aborting, so the pipeline must keep running stages.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := 0
-	p := New(NewRecorder(), Func(StageBuild, func(context.Context) error { ran++; return nil }),
-		Func(StageMerge, func(context.Context) error { ran++; return nil }))
-	if err := p.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 2 {
-		t.Fatalf("ran %d stages under cancelled ctx, want 2", ran)
-	}
-}
-
-func TestRecorderNilSafe(t *testing.T) {
-	var r *Recorder
-	r.Observe(StageBuild, time.Second)
-	r.ObserveStats(map[string]StageStats{StageMerge: {Wall: 1}})
-	if r.Snapshot() != nil {
-		t.Fatal("nil recorder must snapshot nil")
-	}
-}
-
-func TestRecorderConcurrent(t *testing.T) {
-	rec := NewRecorder()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				rec.Observe(StageDispatch, time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := rec.Snapshot()[StageDispatch]; got.Calls != 8000 || got.Wall != 8000*time.Microsecond {
-		t.Fatalf("concurrent tally = %+v", got)
-	}
-}
+import "testing"
 
 func TestMergeStages(t *testing.T) {
 	var dst map[string]StageStats

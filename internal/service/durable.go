@@ -111,11 +111,6 @@ func (s *Service) sessionFromSnapshot(ctx context.Context, snap *store.Snapshot,
 		return nil, err
 	}
 	nopts := opts.Normalize()
-	for _, c := range snap.Colors {
-		if c < 0 || c >= nopts.K {
-			return nil, fmt.Errorf("service: persisted color %d outside [0, %d)", c, nopts.K)
-		}
-	}
 	res := &core.Result{
 		Graph:     dg,
 		Colors:    append([]int(nil), snap.Colors...),
