@@ -182,9 +182,10 @@ func BuildGraphContext(ctx context.Context, l *layout.Layout, opts BuildOptions)
 	// build. The builder sorts and compacts every adjacency row, so the
 	// graph is a pure function of the edge *set* — independent of grid
 	// geometry, scan order, shard boundaries, and worker count. Incremental
-	// rebuilds (ApplyEdits) rely on exactly this: they feed remapped prior
-	// pairs and freshly discovered ones through the same builder and land on
-	// the same canonical form as a from-scratch build.
+	// rebuilds (ApplyEdits) rely on exactly this: they splice the prior
+	// graph's sorted rows with freshly discovered pairs
+	// (Builder.BuildSpliced) and land on the same canonical form as a
+	// from-scratch build.
 	tMerge = time.Now()
 	b.finishGraph()
 	timing.Merge += time.Since(tMerge)

@@ -13,10 +13,11 @@ package core
 //
 //  1. Canonical graphs. BuildGraph emits adjacency lists sorted ascending,
 //     so a decomposition graph is a pure function of its edge set — never
-//     of grid geometry or scan order. ApplyEdits can therefore feed the
-//     prior graph's remapped pairs and freshly discovered ones through
-//     the same builder and land on the byte-identical graph a scratch
-//     build would produce.
+//     of grid geometry or scan order. The index maps are monotonic, so a
+//     reused fragment's prior row, mapped and stripped of lost neighbors,
+//     is still sorted; ApplyEdits therefore splices the prior rows with the
+//     freshly discovered pairs (graph.Builder.BuildSpliced) and lands on
+//     the byte-identical graph a scratch build would produce.
 //  2. Locality of construction. A feature's fragmentation depends only on
 //     neighbors within MinS (projection intervals), and an edge only on the
 //     geometry of its two endpoints. Features outside the dirty region keep
@@ -234,6 +235,9 @@ func ApplyEdits(ctx context.Context, l *layout.Layout, prev *Result, edits []Edi
 	if len(prev.Colors) != len(pg.Fragments) {
 		return nil, nil, nil, fmt.Errorf("core: previous result is inconsistent: %d colors for %d fragments", len(prev.Colors), len(pg.Fragments))
 	}
+	if pg.G == nil || pg.G.N() != len(pg.Fragments) {
+		return nil, nil, nil, fmt.Errorf("core: previous result is inconsistent: its graph does not have one vertex per fragment (%d fragments)", len(pg.Fragments))
+	}
 	// Copied components are only valid under the exact options that
 	// produced prev — engine, seed, division ablations, stitch settings,
 	// everything. Compare the full normalized options, ignoring only the
@@ -280,8 +284,8 @@ func ApplyEdits(ctx context.Context, l *layout.Layout, prev *Result, edits []Edi
 	// classifies components as copy-safe versus dirty, the divide runs the
 	// regular division over the dirty subgraph, and the merge applies
 	// component-local objective deltas instead of a full recount.
-	// sc lends the transient flat arrays (index maps, visit marks, builder
-	// pairs and counters) for the whole call.
+	// sc lends the transient flat arrays (index maps, visit marks, splice
+	// marks and counters) for the whole call.
 	sc := sharedScratch.Get()
 	defer sharedScratch.Put(sc)
 	es := &EditStats{Edits: len(edits)}
@@ -339,7 +343,8 @@ type rebuiltFeature struct {
 // Geometry work (splitting, neighbor queries) touches only small windows
 // around the edits. What remains proportional to the layout is flat array
 // passes: the feature-bounds scans that select those windows, the fragment
-// copy, and the remap of the prior pairs into the graph builder.
+// copy, and the splice's pass over the vertices and mapped copies of
+// untouched rows.
 func rebuildGraph(newL *layout.Layout, prev *Result, plan *editPlan, opts Options, minS int, sc *pipeline.Scratch, es *EditStats) (*incrementalGraph, error) {
 	pg := prev.Graph
 	nOld, nf := len(pg.Fragments), len(plan.shapes)
@@ -441,12 +446,12 @@ func rebuildGraph(newL *layout.Layout, prev *Result, plan *editPlan, opts Option
 	es.RebuiltFragments = len(rebuilt)
 	es.ReusedFragments = nNew - len(rebuilt)
 
-	// Stage 3: one builder receives every edge of the new graph. Pairs of
-	// two reused fragments are the prior graph's, remapped: their geometry
-	// is untouched. Stitch pairs of rebuilt features come from their pieces,
-	// and every pair with a rebuilt endpoint is re-derived from geometry.
-	// The builder sorts and compacts each row, so the adjacency is canonical
-	// by construction, exactly as in a scratch build.
+	// Stage 3: the builder receives only the pairs with a rebuilt endpoint:
+	// stitch pairs of rebuilt features from their pieces, conflict and
+	// friend pairs re-derived from geometry. Pairs of two reused fragments
+	// are the prior graph's — their geometry is untouched — so the splice
+	// copies those rows through the index maps and merges in the fresh
+	// entries, landing on the canonical rows a scratch build produces.
 	bld := graph.NewBuilder(nNew)
 	if !opts.Build.DisableStitches {
 		for _, f := range rb {
@@ -460,29 +465,7 @@ func rebuildGraph(newL *layout.Layout, prev *Result, plan *editPlan, opts Option
 		}
 	}
 	addDirtyEdges(bld, frags, rebuilt, fb, newStart, minS, minS+newL.Process.HalfPitch)
-	bld.Reserve(sc, 2*pg.G.ConflictEdgeCount(), 2*pg.G.StitchEdgeCount(), 2*pg.G.FriendEdgeCount())
-	for of := 0; of < nOld; of++ {
-		i := int(oldToNew[of])
-		if i < 0 {
-			continue
-		}
-		for _, ow := range pg.G.ConflictNeighbors(of) {
-			if j := oldToNew[ow]; int(ow) > of && j >= 0 {
-				bld.AddConflict(i, int(j))
-			}
-		}
-		for _, ow := range pg.G.StitchNeighbors(of) {
-			if j := oldToNew[ow]; int(ow) > of && j >= 0 {
-				bld.AddStitch(i, int(j))
-			}
-		}
-		for _, ow := range pg.G.FriendNeighbors(of) {
-			if j := oldToNew[ow]; int(ow) > of && j >= 0 {
-				bld.AddFriend(i, int(j))
-			}
-		}
-	}
-	g := bld.Build(sc)
+	g := bld.BuildSpliced(pg.G, newToOld, oldToNew, sc)
 
 	stats := BuildStats{
 		Features:      nf,
@@ -569,8 +552,8 @@ func splitDirty(newL *layout.Layout, plan *editPlan, fb []geom.Rect, opts BuildO
 // looks at the fragments of near features only; newStart[fi] is the first
 // fragment of feature fi. Near's candidate filter is the same
 // bounds-distance predicate, so the pairs found are exactly a scratch
-// scan's. A pair with two rebuilt endpoints is found twice; the builder
-// compacts it.
+// scan's. A pair with two rebuilt endpoints is found twice; the splice
+// drops the duplicate.
 func addDirtyEdges(bld *graph.Builder, frags []Fragment, rebuilt []int32, fb []geom.Rect, newStart []int32, minS, radius int) {
 	if len(rebuilt) == 0 {
 		return

@@ -343,6 +343,31 @@ func TestIncrementalEdgeCases(t *testing.T) {
 		}
 	})
 
+	// A prior result whose graph disagrees with its own fragment list is
+	// rejected with an error: the rebuild indexes the prior graph by
+	// fragment and used to panic (index out of range) on a short list or a
+	// nil graph.
+	t.Run("graph-fragment-mismatch-rejected", func(t *testing.T) {
+		l, _ := synth.GenerateByName("C432", 0.4)
+		prev, err := Decompose(l, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		move := []Edit{{Op: EditMove, Feature: 0, DX: 5}}
+		short := *prev.Graph
+		short.Fragments = short.Fragments[:len(short.Fragments)-1]
+		noGraph := *prev.Graph
+		noGraph.G = nil
+		for name, pg := range map[string]*Graph{"short fragment list": &short, "nil graph": &noGraph} {
+			bad := *prev
+			bad.Graph = pg
+			bad.Colors = prev.Colors[:len(pg.Fragments)]
+			if _, _, _, err := ApplyEdits(ctx, l, &bad, move, opts); err == nil {
+				t.Fatalf("%s accepted", name)
+			}
+		}
+	})
+
 	// applyAndCompare runs one batch incrementally and from scratch and
 	// checks every equivalence and bookkeeping invariant.
 	applyAndCompare := func(t *testing.T, l *layout.Layout, edits []Edit) (*Result, *EditStats) {

@@ -15,11 +15,12 @@ package graph
 // amortized instead of the O(deg) per-insert scan that went quadratic on
 // hub vertices. The resulting Graph holds each edge kind as one offsets
 // array and one id array (struct-of-arrays). Nothing edits a graph after
-// Build: ApplyEdits' dirty-region rebuild feeds remapped prior pairs and
-// fresh ones through a Builder like a scratch build, and Subgraph copies
-// filtered rows into arrays of its own.
+// it is built: ApplyEdits' dirty-region rebuild holds only the pairs it
+// re-derived in a Builder and BuildSpliced copies every other row from the
+// prior graph, and Subgraph copies filtered rows into arrays of its own.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -38,8 +39,9 @@ const MaxVertices = math.MaxInt32
 const maxArenaEntries = math.MaxInt32
 
 // Int32Arena is the slice-recycling surface a Builder can lease transient
-// build state (fill cursors, pair buffers) from; *pipeline.Scratch
-// satisfies it. A nil arena — or a typed-nil one, since the Scratch methods
+// build state (fill cursors, splice marks and fresh-entry orders) from;
+// *pipeline.Scratch satisfies it. Int32s must return a zeroed slice, as a
+// fresh one is. A nil arena — or a typed-nil one, since the Scratch methods
 // are nil-safe — simply allocates.
 type Int32Arena interface {
 	Int32s(n int) []int32
@@ -54,9 +56,6 @@ type Builder struct {
 	conf   []int32 // flat (u,v) pairs
 	stit   []int32
 	friend []int32
-	// leased is the arena Reserve took the pair buffers from; Build
-	// returns them to it.
-	leased Int32Arena
 }
 
 // NewBuilder returns a Builder for a graph with n vertices.
@@ -123,21 +122,6 @@ func (b *Builder) Grow(conf, stit, friend int) {
 	b.friend = slices.Grow(b.friend, friend)
 }
 
-// Reserve is Grow with the pair buffers leased from sc: Build hands them
-// back, so a caller that builds a graph of similar size on every request
-// (ApplyEdits) stops reallocating them. Pairs added so far are kept.
-func (b *Builder) Reserve(sc Int32Arena, conf, stit, friend int) {
-	if sc == nil {
-		b.Grow(conf, stit, friend)
-		return
-	}
-	lease := func(cur []int32, extra int) []int32 {
-		return append(sc.Int32s(len(cur) + extra)[:0], cur...)
-	}
-	b.conf, b.stit, b.friend = lease(b.conf, conf), lease(b.stit, stit), lease(b.friend, friend)
-	b.leased = sc
-}
-
 func (b *Builder) validatePairs(pairs []int32) {
 	if len(pairs)%2 != 0 {
 		panic(fmt.Sprintf("graph: odd pair buffer length %d", len(pairs)))
@@ -158,23 +142,12 @@ func (b *Builder) Build(sc Int32Arena) *Graph {
 	// on million-feature builds (and, on a GC-pressured machine, the
 	// collector's marking time with it).
 	g.conf, g.nConf = csrRows(b.n, b.conf, sc)
-	b.release(b.conf)
 	b.conf = nil
 	g.stit, g.nStit = csrRows(b.n, b.stit, sc)
-	b.release(b.stit)
 	b.stit = nil
 	g.friend, g.nFriend = csrRows(b.n, b.friend, sc)
-	b.release(b.friend)
 	b.friend = nil
 	return g
-}
-
-// release returns a consumed pair buffer to the arena Reserve leased it
-// from, if any.
-func (b *Builder) release(pairs []int32) {
-	if b.leased != nil {
-		b.leased.PutInt32s(pairs)
-	}
 }
 
 // csrRows runs the two-pass count-then-fill for one edge kind and returns
@@ -223,9 +196,9 @@ func csrRows(n int, pairs []int32, sc Int32Arena) (csr, int) {
 	w := int32(0)
 	for v := 0; v < n; v++ {
 		row := adj[off[v]:cursor[v]]
-		// Pairs emitted in ascending (u, v) order — a remapped canonical
-		// graph, as ApplyEdits feeds it — land already sorted and unique;
-		// checking is one linear pass, sorting and compacting are not.
+		// A row that arrives sorted and unique — any row of degree one, and
+		// any row whose pairs were emitted in ascending order — needs only
+		// this linear check, not the sort and compaction.
 		if !strictlyIncreasing(row) {
 			slices.Sort(row)
 			row = slices.Compact(row)
@@ -245,4 +218,217 @@ func strictlyIncreasing(row []int32) bool {
 		}
 	}
 	return true
+}
+
+// BuildSpliced materializes the graph that an edit turns prev into. The
+// builder holds only the fresh pairs; every other edge is one of prev's,
+// carried over through the vertex maps. newToOld[i] is the prior vertex
+// that new vertex i continues, or -1 when i was rebuilt; oldToNew is its
+// inverse, -1 for a lost prior vertex (removed or rebuilt). Both maps must
+// be monotonic on their defined entries, and every fresh pair must have a
+// rebuilt endpoint; BuildSpliced panics otherwise.
+//
+// The result is byte for byte the graph Build returns when the builder also
+// holds every prior pair of two surviving vertices under their new ids, at
+// a cost that follows the edit rather than the graph. A reused vertex is
+// touched when it has a fresh entry or a lost neighbor in some edge kind;
+// the marks come from the fresh pairs and the lost vertices' rows, once per
+// call. Per edge kind, one pass over the new vertices in order then writes
+// each row exactly once:
+//
+//   - a run of untouched reused vertices with consecutive prior ids is one
+//     block: its offsets are prev's shifted by a constant, and its ids are
+//     prev's id range mapped through oldToNew in one flat loop (every
+//     neighbor survives, and oldToNew is monotonic, so each row stays
+//     sorted);
+//   - a touched reused vertex maps its prior row through oldToNew, drops
+//     the lost neighbors and merges in its sorted, deduplicated fresh
+//     entries;
+//   - a rebuilt vertex's row is its fresh entries alone.
+//
+// Every mapped entry is a reused vertex and every fresh entry of a reused
+// vertex a rebuilt one, so the two sources never overlap and the rows come
+// out sorted and unique, as Build's canonical rows do. sc lends the
+// transient marks and fresh-entry orders, leased once per call; the offsets
+// and id arrays are sized exactly and belong to the returned Graph. The
+// builder must not be reused afterwards.
+func (b *Builder) BuildSpliced(prev *Graph, newToOld, oldToNew []int32, sc Int32Arena) *Graph {
+	n, nOld := b.n, prev.n
+	if len(newToOld) != n || len(oldToNew) != nOld {
+		panic(fmt.Sprintf("graph: splice maps have %d and %d entries for %d new and %d prior vertices",
+			len(newToOld), len(oldToNew), n, nOld))
+	}
+	lease := func(k int) []int32 {
+		if sc == nil {
+			return make([]int32, k)
+		}
+		return sc.Int32s(k)
+	}
+	release := func(s []int32) {
+		if sc != nil {
+			sc.PutInt32s(s)
+		}
+	}
+	kinds := [...]struct {
+		prev  *csr
+		pairs []int32
+	}{{&prev.conf, b.conf}, {&prev.stit, b.stit}, {&prev.friend, b.friend}}
+
+	// One pass over the prior vertices checks that the maps are monotonic
+	// inverses, marks every surviving neighbor of a lost vertex as touched,
+	// and sizes every kind: a lost vertex takes its own row and its entry
+	// in each surviving neighbor's.
+	touched := lease(n)
+	defer release(touched)
+	var size [len(kinds)]int
+	for k, kd := range kinds {
+		size[k] = len(kd.prev.adj)
+	}
+	kept, last := 0, int32(-1)
+	for o, i := range oldToNew {
+		if i >= 0 {
+			if int(i) >= n || newToOld[i] != int32(o) || i <= last {
+				panic(fmt.Sprintf("graph: splice maps are not monotonic inverses at prior vertex %d", o))
+			}
+			kept, last = kept+1, i
+			continue
+		}
+		for k, kd := range kinds {
+			row := kd.prev.row(o)
+			size[k] -= len(row)
+			for _, w := range row {
+				if m := oldToNew[w]; m >= 0 {
+					touched[m] = 1
+					size[k]--
+				}
+			}
+		}
+	}
+	for _, o := range newToOld {
+		if o >= 0 {
+			kept--
+		}
+	}
+	if kept != 0 {
+		panic("graph: splice maps are not monotonic inverses")
+	}
+
+	// Each kind's fresh entries, both directions of every pair, as indices
+	// into its pair buffer sorted by (vertex, neighbor) with duplicates
+	// dropped: entry e is the directed pair (pairs[e], pairs[e^1]).
+	total := 0
+	for _, kd := range kinds {
+		total += len(kd.pairs)
+	}
+	ordBuf := lease(total)
+	defer release(ordBuf)
+	var ords [len(kinds)][]int32
+	rest := ordBuf
+	for k, kd := range kinds {
+		pairs := kd.pairs
+		ord := rest[:len(pairs)]
+		rest = rest[len(pairs):]
+		for e := range ord {
+			u := pairs[e]
+			if newToOld[u] >= 0 {
+				if newToOld[pairs[e^1]] >= 0 {
+					panic(fmt.Sprintf("graph: fresh pair (%d,%d) joins two reused vertices", u, pairs[e^1]))
+				}
+				touched[u] = 1
+			}
+			ord[e] = int32(e)
+		}
+		slices.SortFunc(ord, func(x, y int32) int {
+			if c := cmp.Compare(pairs[x], pairs[y]); c != 0 {
+				return c
+			}
+			return cmp.Compare(pairs[x^1], pairs[y^1])
+		})
+		ords[k] = slices.CompactFunc(ord, func(x, y int32) bool {
+			return pairs[x] == pairs[y] && pairs[x^1] == pairs[y^1]
+		})
+	}
+
+	g := &Graph{n: n}
+	out := [...]*csr{&g.conf, &g.stit, &g.friend}
+	counts := [...]*int{&g.nConf, &g.nStit, &g.nFriend}
+	for k, kd := range kinds {
+		m := size[k] + len(ords[k])
+		*out[k] = spliceRows(kd.prev, kd.pairs, ords[k], newToOld, oldToNew, touched, m)
+		*counts[k] = m / 2
+	}
+	b.conf, b.stit, b.friend = nil, nil, nil
+	return g
+}
+
+// spliceRows writes one edge kind's rows for BuildSpliced: c is the prior
+// kind, ord its sorted unique fresh entries into pairs, touched the marks
+// of the reused vertices that cannot be copied as a block, and size the
+// exact id count of the result.
+func spliceRows(c *csr, pairs, ord, newToOld, oldToNew, touched []int32, size int) csr {
+	if size == 0 {
+		return csr{}
+	}
+	if size > maxArenaEntries {
+		panic(fmt.Sprintf("graph: edge arena needs %d entries, max %d", size, maxArenaEntries))
+	}
+	n := len(newToOld)
+	off := make([]int32, n+1)
+	adj := make([]int32, size)
+	poff, padj := c.off, c.adj // poff is nil when every prior row is empty
+	w, f := int32(0), 0
+	for i := 0; i < n; {
+		o := newToOld[i]
+		if o >= 0 && touched[i] == 0 {
+			j := i + 1
+			for j < n && newToOld[j] == o+int32(j-i) && touched[j] == 0 {
+				j++
+			}
+			if poff == nil {
+				for ; i < j; i++ {
+					off[i] = w
+				}
+				continue
+			}
+			lo, hi := poff[o], poff[o+int32(j-i)]
+			delta := w - lo
+			for t, s := range poff[o : o+int32(j-i)] {
+				off[i+t] = s + delta
+			}
+			for x, v := range padj[lo:hi] {
+				adj[w+int32(x)] = oldToNew[v]
+			}
+			w += hi - lo
+			i = j
+			continue
+		}
+		// One row merged from the mapped prior row, if any, and the fresh
+		// entries of i.
+		off[i] = w
+		fe := f
+		for fe < len(ord) && pairs[ord[fe]] == int32(i) {
+			fe++
+		}
+		if o >= 0 && poff != nil {
+			for _, x := range padj[poff[o]:poff[o+1]] {
+				m := oldToNew[x]
+				if m < 0 {
+					continue
+				}
+				for ; f < fe && pairs[ord[f]^1] < m; f++ {
+					adj[w] = pairs[ord[f]^1]
+					w++
+				}
+				adj[w] = m
+				w++
+			}
+		}
+		for ; f < fe; f++ {
+			adj[w] = pairs[ord[f]^1]
+			w++
+		}
+		i++
+	}
+	off[n] = w
+	return csr{off: off, adj: adj}
 }
