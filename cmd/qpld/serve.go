@@ -42,6 +42,7 @@ import (
 	"net/http"
 	"os/signal"
 	"runtime"
+	"sync"
 	"syscall"
 	"time"
 
@@ -219,12 +220,12 @@ func runServe(args []string) {
 		log.Printf("durable sessions in %s (%d replayable, %d log records; %d torn-tail truncations, %d orphans dropped at recovery)",
 			st.Dir(), ss.LiveSessions, ss.WALRecords, ss.TornTail, ss.Orphans)
 	}
-	svc := service.New(service.Config{CacheSize: *cacheSize, Workers: *workers, Store: st})
-	srv := &server{svc: svc, maxTimeout: *timeout, maxBody: *maxBody, buildWorkers: bw}
 	w := *workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
+	svc := service.New(service.Config{CacheSize: *cacheSize, Workers: w, Store: st})
+	srv := &server{svc: svc, maxTimeout: *timeout, maxBody: *maxBody, workers: w, buildWorkers: bw}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
@@ -284,6 +285,9 @@ type server struct {
 	svc        *service.Service
 	maxTimeout time.Duration
 	maxBody    int64
+	// workers is the resolved -workers value: the number of goroutines a
+	// batch runs its elements on (a zero value runs batches serially).
+	workers int
 	// buildWorkers is the resolved -build-workers value: the default for
 	// requests that omit build_workers and the cap for those that set it.
 	buildWorkers int
@@ -380,28 +384,32 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	// Each element carries its own options and deadline; the service's
-	// worker pool bounds how many solve at once. Per-item failures are
+	// Each element carries its own options and deadline (which starts when
+	// the element does). At most s.workers goroutines pull element indices,
+	// as service.DecomposeAll does, so a body of millions of tiny elements
+	// cannot ask for millions of goroutines. Per-item failures are
 	// reported inline so one bad layout cannot sink the batch.
 	out := batchResponse{Responses: make([]decomposeResponse, len(reqs))}
-	type slot struct {
-		i    int
-		resp decomposeResponse
-	}
-	results := make(chan slot, len(reqs))
-	for i := range reqs {
-		go func(i int) {
-			resp, err := s.decomposeOne(r.Context(), &reqs[i])
-			if err != nil {
-				resp = decomposeResponse{Name: reqs[i].opts.Name, Error: err.Error()}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for n := min(max(s.workers, 1), len(reqs)); n > 0; n-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				resp, err := s.decomposeOne(r.Context(), &reqs[i])
+				if err != nil {
+					resp = decomposeResponse{Name: reqs[i].opts.Name, Error: err.Error()}
+				}
+				out.Responses[i] = resp
 			}
-			results <- slot{i: i, resp: resp}
-		}(i)
+		}()
 	}
-	for range reqs {
-		sl := <-results
-		out.Responses[sl.i] = sl.resp
+	for i := range reqs {
+		idx <- i
 	}
+	close(idx)
+	wg.Wait()
 	writeJSON(w, out)
 }
 
@@ -505,8 +513,15 @@ func (s *server) decomposeOne(ctx context.Context, wr *wireRequest) (decomposeRe
 	if err != nil {
 		return decomposeResponse{}, err
 	}
+	return newResponse(req.Name, opts, res, lh, cached, req.IncludeMasks, t0), nil
+}
+
+// newResponse builds the reply to one full or incremental solve that
+// started at t0. A cached answer carries no per-solve telemetry (engines,
+// stage times, shape traffic): nothing ran.
+func newResponse(name string, opts core.Options, res *core.Result, layoutHash string, cached, includeMasks bool, t0 time.Time) decomposeResponse {
 	resp := decomposeResponse{
-		Name:       req.Name,
+		Name:       name,
 		K:          res.K,
 		Algorithm:  opts.Algorithm.String(),
 		Engine:     opts.Engine,
@@ -517,7 +532,7 @@ func (s *server) decomposeOne(ctx context.Context, wr *wireRequest) (decomposeRe
 		Degraded:   res.Degraded,
 		Cached:     cached,
 		ElapsedMs:  float64(time.Since(t0).Microseconds()) / 1000,
-		LayoutHash: lh,
+		LayoutHash: layoutHash,
 	}
 	if !cached {
 		resp.Engines = res.DivisionStats.Engines
@@ -526,10 +541,10 @@ func (s *server) decomposeOne(ctx context.Context, wr *wireRequest) (decomposeRe
 			resp.Shapes = &shapeJSON{Hits: sh.Hits, Misses: sh.Misses, Distinct: sh.Distinct}
 		}
 	}
-	if req.IncludeMasks {
+	if includeMasks {
 		resp.Masks = masksToJSON(res)
 	}
-	return resp, nil
+	return resp
 }
 
 // handleIncremental advances a session by an edit batch. An unknown base
@@ -582,27 +597,7 @@ func (s *server) handleIncremental(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, "%v", err)
 		return
 	}
-	resp := decomposeResponse{
-		Name:       req.Name,
-		K:          res.K,
-		Algorithm:  opts.Algorithm.String(),
-		Engine:     opts.Engine,
-		Fragments:  len(res.Graph.Fragments),
-		Conflicts:  res.Conflicts,
-		Stitches:   res.Stitches,
-		Proven:     res.Proven,
-		Degraded:   res.Degraded,
-		Cached:     cached,
-		ElapsedMs:  float64(time.Since(t0).Microseconds()) / 1000,
-		LayoutHash: newHash,
-	}
-	if !cached {
-		resp.Engines = res.DivisionStats.Engines
-		resp.StageMs = benchrec.StageMsOf(res.DivisionStats.Stages)
-		if sh := res.DivisionStats.Shapes; sh.Hits+sh.Misses > 0 {
-			resp.Shapes = &shapeJSON{Hits: sh.Hits, Misses: sh.Misses, Distinct: sh.Distinct}
-		}
-	}
+	resp := newResponse(req.Name, opts, res, newHash, cached, req.IncludeMasks, t0)
 	if estats != nil {
 		resp.Incremental = &incrementalJSON{
 			RebuiltFeatures:    estats.RebuiltFeatures,
@@ -614,9 +609,6 @@ func (s *server) handleIncremental(w http.ResponseWriter, r *http.Request) {
 			BuildMs:            float64(estats.BuildTime.Microseconds()) / 1000,
 			SolveMs:            float64(estats.SolveTime.Microseconds()) / 1000,
 		}
-	}
-	if req.IncludeMasks {
-		resp.Masks = masksToJSON(res)
 	}
 	writeJSON(w, resp)
 }

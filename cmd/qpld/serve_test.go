@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +142,60 @@ func TestServeBatch(t *testing.T) {
 	}
 	if misses := stats["cache_misses"].(float64); misses != 2 {
 		t.Fatalf("cache_misses = %v, want 2 (a/b solved once each)", misses)
+	}
+}
+
+// TestServeBatchFanOutBounded: a batch runs on at most -workers
+// goroutines however many elements it holds. The first element is slow
+// enough to keep the rest queued behind it; one goroutine per element
+// would show them all as live goroutines at once.
+func TestServeBatchFanOutBounded(t *testing.T) {
+	srv := &server{
+		svc:        service.New(service.Config{CacheSize: 32, Workers: 1}),
+		maxTimeout: 30 * time.Second,
+		maxBody:    8 << 20,
+		workers:    1,
+	}
+	ts := httptest.NewServer(srv.mux())
+	defer ts.Close()
+
+	const n = 300
+	batch := batchRequest{Requests: make([]decomposeRequest, n)}
+	batch.Requests[0] = gridRequest("slow", 12)
+	for i := 1; i < n; i++ {
+		batch.Requests[i] = rowRequest("row", 4)
+	}
+	base := runtime.NumGoroutine()
+	peak := base
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			if g := runtime.NumGoroutine(); g > peak {
+				peak = g
+			}
+			select {
+			case <-done:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
+	var out batchResponse
+	resp := postJSON(t, ts.URL+"/v1/decompose/batch", batch, &out)
+	close(done)
+	<-sampled
+	if resp.StatusCode != http.StatusOK || len(out.Responses) != n {
+		t.Fatalf("status %d, %d responses", resp.StatusCode, len(out.Responses))
+	}
+	for i, r := range out.Responses {
+		if r.Error != "" || r.Name != batch.Requests[i].Name {
+			t.Fatalf("response %d: %+v", i, r)
+		}
+	}
+	if grew := peak - base; grew > n/10 {
+		t.Fatalf("a %d-element batch at -workers 1 peaked at %d extra goroutines", n, grew)
 	}
 }
 

@@ -334,7 +334,7 @@ func TestFig4ColorFriendly(t *testing.T) {
 	b.AddFriend(1, 3)   // vertex 3 is color-friendly to vertex 1
 	g := b.Build(nil)
 	colors := []int{0, 2, Uncolored, Uncolored}
-	opts := LinearOptions{K: 4, Alpha: 0.1}.withDefaults()
+	opts := LinearOptions{K: 4, Alpha: 0.1}
 
 	// Without friends, vertex 3 avoids color 0 and takes the lowest free
 	// color, 1. With friends it prefers 2 (vertex 1's color).

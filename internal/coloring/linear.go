@@ -43,30 +43,18 @@ type LinearOptions struct {
 	// DisableColorFriendly turns off Definition 2's same-color hints
 	// (used by the ablation study; the paper always keeps them on).
 	DisableColorFriendly bool
-	// FriendWeight is the soft bonus for matching a color-friendly
-	// neighbor; it must stay below Alpha so hints never outweigh real
-	// stitch costs. 0 means the default 0.05.
-	FriendWeight float64
-	// MaxStitchDegree is the dstit bound of the stage-1 removal; 0 means
-	// the paper's 2.
-	MaxStitchDegree int
 	// Order forces a single stage-2 vertex order; OrderAuto (zero) keeps
 	// the paper's peer selection over all three.
 	Order Order
 }
 
-func (o LinearOptions) withDefaults() LinearOptions {
-	if o.K < 2 {
-		panic("coloring: Linear needs K >= 2")
-	}
-	if o.FriendWeight == 0 {
-		o.FriendWeight = 0.05
-	}
-	if o.MaxStitchDegree == 0 {
-		o.MaxStitchDegree = 2
-	}
-	return o
-}
+// friendWeight is the soft bonus for matching a color-friendly neighbor;
+// it stays below the paper's α = 0.1 so hints never outweigh real stitch
+// costs.
+const friendWeight = 0.05
+
+// linearMaxStitchDegree is the paper's dstit bound of the stage-1 removal.
+const linearMaxStitchDegree = 2
 
 // Linear implements Algorithm 2, the O(n) three-stage color assignment:
 //
@@ -79,7 +67,9 @@ func (o LinearOptions) withDefaults() LinearOptions {
 //  3. post-refine each vertex once, then pop the stack assigning each
 //     vertex a legal color (one is always conflict-free, by construction).
 func Linear(g *graph.Graph, opts LinearOptions) []int {
-	opts = opts.withDefaults()
+	if opts.K < 2 {
+		panic("coloring: Linear needs K >= 2")
+	}
 	n := g.N()
 	colors := make([]int, n)
 	for i := range colors {
@@ -90,7 +80,7 @@ func Linear(g *graph.Graph, opts LinearOptions) []int {
 	}
 
 	// Stage 1: removal.
-	stack, core := g.PeelOrder(opts.K, opts.MaxStitchDegree, nil)
+	stack, core := g.PeelOrder(opts.K, linearMaxStitchDegree, nil)
 
 	// Stage 2: peer selection across the three orders (or the single
 	// order forced by the ablation option).
@@ -219,7 +209,7 @@ func chooseColor(g *graph.Graph, colors []int, v int, opts LinearOptions) int {
 		if !opts.DisableColorFriendly {
 			for _, w := range g.FriendNeighbors(v) {
 				if colors[w] == c {
-					cost -= opts.FriendWeight
+					cost -= friendWeight
 				}
 			}
 		}

@@ -75,13 +75,6 @@ type BuildOptions struct {
 	K int
 	// DisableStitches turns off stitch candidate generation.
 	DisableStitches bool
-	// StitchMinSeg is the minimum fragment length left on each side of a
-	// stitch; zero means the process minimum width.
-	StitchMinSeg int
-	// MaxStitchesPerFeature caps candidates per feature; zero means 2
-	// (long wires rarely profit from more, and the cap keeps vertex counts
-	// close to the paper's "stitch candidate" regime).
-	MaxStitchesPerFeature int
 	// Workers is the number of goroutines sharding the split and
 	// edge-generation stages; 0 or 1 means serial (matching
 	// division.Options.Workers). The constructed graph is identical —
@@ -321,7 +314,7 @@ func (b *builder) splitFeatures(ctx context.Context) error {
 	}
 	_, nChunks := b.shardPlan(nf)
 	b.stitchShard = make([][]int32, nChunks)
-	splitter := newStitchSplitter(b.l, b.minS, b.opts)
+	splitter := newStitchSplitter(b.l, b.minS)
 	defer splitter.grid.Release()
 	queriers := newQuerierLease(splitter.grid)
 	defer queriers.release()
@@ -555,23 +548,27 @@ func (ql *querierLease) release() {
 	ql.created = nil
 }
 
+// maxStitchesPerFeature caps the stitch candidates of one feature: long
+// wires rarely profit from more, and the cap keeps vertex counts close to
+// the paper's "stitch candidate" regime.
+const maxStitchesPerFeature = 2
+
 // stitchSplitter implements projection-based stitch candidate generation
 // (DESIGN.md §5): a wire-like rectangle may be split at positions not
 // covered by the projection of any conflicting neighbor, keeping at least
 // minSeg of material on each side.
 type stitchSplitter struct {
-	l        *layout.Layout
-	minS     int
-	minSeg   int
-	maxCount int
-	grid     *spatial.Grid
-	owner    []int32     // grid id -> feature index
-	rects    []geom.Rect // grid id -> rectangle (the grid's bounds table)
+	l      *layout.Layout
+	minS   int
+	minSeg int
+	grid   *spatial.Grid
+	owner  []int32     // grid id -> feature index
+	rects  []geom.Rect // grid id -> rectangle (the grid's bounds table)
 }
 
 // newStitchSplitter indexes every rectangle of l.
-func newStitchSplitter(l *layout.Layout, minS int, opts BuildOptions) *stitchSplitter {
-	s := newSplitterIndex(l, minS, opts, l.RectCount())
+func newStitchSplitter(l *layout.Layout, minS int) *stitchSplitter {
+	s := newSplitterIndex(l, minS, l.RectCount())
 	for fi := range l.Features {
 		s.index(fi)
 	}
@@ -583,7 +580,7 @@ func newStitchSplitter(l *layout.Layout, minS int, opts BuildOptions) *stitchSpl
 // is exact for a feature as long as every rectangle within minS of it is
 // indexed, so ApplyEdits indexes just the window around the features it
 // re-splits instead of the whole layout.
-func newWindowSplitter(l *layout.Layout, minS int, opts BuildOptions, feats []int32) *stitchSplitter {
+func newWindowSplitter(l *layout.Layout, minS int, feats []int32) *stitchSplitter {
 	var world geom.Rect
 	total := 0
 	for k, fi := range feats {
@@ -594,7 +591,7 @@ func newWindowSplitter(l *layout.Layout, minS int, opts BuildOptions, feats []in
 		world = world.Union(f.Bounds())
 		total += len(f.Rects)
 	}
-	s := newSplitterIndex(l, minS, opts, total)
+	s := newSplitterIndex(l, minS, total)
 	for _, fi := range feats {
 		s.index(int(fi))
 	}
@@ -602,17 +599,10 @@ func newWindowSplitter(l *layout.Layout, minS int, opts BuildOptions, feats []in
 	return s
 }
 
-// newSplitterIndex returns an empty splitter sized for total rectangles,
-// with the stitch defaults resolved: the minimum segment is the process
-// minimum width and the per-feature cap is 2.
-func newSplitterIndex(l *layout.Layout, minS int, opts BuildOptions, total int) *stitchSplitter {
-	s := &stitchSplitter{l: l, minS: minS, minSeg: opts.StitchMinSeg, maxCount: opts.MaxStitchesPerFeature}
-	if s.minSeg == 0 {
-		s.minSeg = l.Process.MinWidth
-	}
-	if s.maxCount == 0 {
-		s.maxCount = 2
-	}
+// newSplitterIndex returns an empty splitter sized for total rectangles.
+// Each stitch leaves at least the process minimum width on both sides.
+func newSplitterIndex(l *layout.Layout, minS int, total int) *stitchSplitter {
+	s := &stitchSplitter{l: l, minS: minS, minSeg: l.Process.MinWidth}
 	s.owner = make([]int32, 0, total)
 	s.rects = make([]geom.Rect, 0, total)
 	return s
@@ -731,7 +721,7 @@ func (s *stitchSplitter) split(q *spatial.Querier, buf *splitBuf, fi int, f geom
 	cuts := buf.cuts[:0]
 	cursor := winLo
 	emit := func(gapLo, gapHi int) {
-		if len(cuts) >= s.maxCount {
+		if len(cuts) >= maxStitchesPerFeature {
 			return
 		}
 		if gapHi > gapLo {

@@ -27,31 +27,40 @@ func TestVerticalWireStitch(t *testing.T) {
 
 func TestMaxStitchesPerFeatureCap(t *testing.T) {
 	// A very long wire with many isolated neighbor clusters would admit
-	// many stitches; the cap keeps it at the configured count.
+	// many stitches; the cap keeps it at maxStitchesPerFeature.
 	l := layout.New("cap")
 	l.AddRect(geom.Rect{X0: 0, Y0: 0, X1: 2000, Y1: 20})
 	for i := 0; i < 8; i++ {
 		x := i * 250
 		l.AddRect(geom.Rect{X0: x, Y0: 60, X1: x + 40, Y1: 80})
 	}
-	for _, cap := range []int{1, 2, 3} {
-		dg, err := BuildGraph(l, BuildOptions{K: 4, MaxStitchesPerFeature: cap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := dg.Stats.StitchEdges; got > cap {
-			t.Fatalf("cap %d: %d stitch edges", cap, got)
-		}
+	dg, err := BuildGraph(l, BuildOptions{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dg.Stats.StitchEdges; got != maxStitchesPerFeature {
+		t.Fatalf("%d stitch edges, want the cap %d", got, maxStitchesPerFeature)
 	}
 }
 
 func TestStitchMinSegRespected(t *testing.T) {
-	// With a huge minimum segment, no stitch fits on a short wire.
+	// A stitch leaves the process minimum width on each side: the short
+	// wire splits under the default process, and with a huge minimum
+	// width (MinS pinned, so the conflicts stay the same) no stitch fits.
 	l := layout.New("minseg")
 	l.AddRect(geom.Rect{X0: 0, Y0: 0, X1: 300, Y1: 20})
 	l.AddRect(geom.Rect{X0: 0, Y0: 60, X1: 40, Y1: 80})
 	l.AddRect(geom.Rect{X0: 260, Y0: 60, X1: 300, Y1: 80})
-	dg, err := BuildGraph(l, BuildOptions{K: 4, StitchMinSeg: 200})
+	opts := BuildOptions{K: 4, MinS: l.Process.MinColoringDistance(4)}
+	dg, err := BuildGraph(l, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dg.Stats.StitchEdges == 0 {
+		t.Fatalf("stats = %+v, want a split at the default minimum width", dg.Stats)
+	}
+	l.Process.MinWidth = 200
+	dg, err = BuildGraph(l, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

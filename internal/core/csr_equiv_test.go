@@ -74,7 +74,7 @@ func referenceBuildGraph(l *layout.Layout, opts BuildOptions) (*legacyGraph, err
 			pieces[fi] = []geom.Polygon{l.Features[fi]}
 		}
 	} else {
-		splitter := newStitchSplitter(l, minS, opts)
+		splitter := newStitchSplitter(l, minS)
 		defer splitter.grid.Release()
 		q := splitter.grid.NewQuerier()
 		defer q.Release()

@@ -90,6 +90,9 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 
 // Options configures a decomposition run. The zero value plus K is usable;
 // defaults follow the paper (α = 0.1, t_th = 0.9, all division techniques).
+// The parameters the paper fixes — the backtracking node cap, the SDP
+// restart and iteration counts, the stitch bounds and the GH-tree size
+// cap — are constants of the packages that use them, not options.
 type Options struct {
 	// K is the number of masks; 0 means 4 (quadruple patterning).
 	K int
@@ -115,11 +118,6 @@ type Options struct {
 	// ILPTimeLimit bounds the total ILP solve time across components; the
 	// zero value means 60 s (the paper used 3600 s on full-chip cases).
 	ILPTimeLimit time.Duration
-	// BacktrackNodeLimit bounds Algorithm 1's search; 0 means 2e6 nodes.
-	BacktrackNodeLimit int64
-	// SDPRestarts / SDPMaxIter tune the relaxation solver (0 = defaults).
-	SDPRestarts int
-	SDPMaxIter  int
 	// Memoize is a deprecated no-op, kept so existing callers compile:
 	// every non-race solve now consults the shape tier (DESIGN.md §11),
 	// and Normalize clears the field.
@@ -128,9 +126,11 @@ type Options struct {
 	Build BuildOptions
 	// Division toggles the Section 4 techniques (ablations).
 	Division division.Options
-	// Linear tunes Algorithm 2.
-	Linear coloring.LinearOptions
 }
+
+// backtrackNodeLimit bounds each of Algorithm 1's merged-graph searches.
+// It is a var only so a test can lower it to force a capped search.
+var backtrackNodeLimit int64 = 2_000_000
 
 // Normalize returns o with every defaulted field resolved to the value
 // Decompose would actually use (K=4, α=0.1, t_th=0.9, ...), so that two
@@ -176,11 +176,6 @@ func (o Options) withDefaults() Options {
 	o.Build.K = o.K
 	o.Division.K = o.K
 	o.Division.Alpha = o.Alpha
-	o.Linear.K = o.K
-	o.Linear.Alpha = o.Alpha
-	// The cancellation fallback must honor the same linear-engine tuning
-	// as a configured AlgLinear run.
-	o.Division.Linear = o.Linear
 	return o
 }
 
@@ -357,9 +352,8 @@ func decomposeGraph(ctx context.Context, dg *Graph, opts Options, build bool, po
 func classSolver(class portfolio.Class, opts Options, env pipeline.Env, unproven *atomic.Bool, fellBack *atomic.Bool, ilpDeadline time.Time) portfolio.Solver {
 	switch class {
 	case portfolio.Linear:
-		lin := opts.Linear
 		return func(_ context.Context, g *graph.Graph, _ *pipeline.Scratch) []int {
-			return coloring.Linear(g, lin)
+			return coloring.Linear(g, coloring.LinearOptions{K: opts.K, Alpha: opts.Alpha})
 		}
 	case portfolio.SDPGreedy:
 		return func(ctx context.Context, g *graph.Graph, sc *pipeline.Scratch) []int {
@@ -369,7 +363,7 @@ func classSolver(class portfolio.Class, opts Options, env pipeline.Env, unproven
 	case portfolio.SDPBacktrack:
 		return func(ctx context.Context, g *graph.Graph, sc *pipeline.Scratch) []int {
 			sol := solveSDP(ctx, g, opts, sc, env)
-			colors, ok := coloring.SDPBacktrackContext(ctx, g, sol, opts.K, opts.Alpha, opts.Threshold, opts.BacktrackNodeLimit)
+			colors, ok := coloring.SDPBacktrackContext(ctx, g, sol, opts.K, opts.Alpha, opts.Threshold, backtrackNodeLimit)
 			if !ok {
 				unproven.Store(true)
 			}
@@ -385,7 +379,7 @@ func classSolver(class portfolio.Class, opts Options, env pipeline.Env, unproven
 				}
 				// Budget exhausted: greedy fallback keeps the run going so
 				// the harness can still report a (non-optimal) solution.
-				return coloring.Linear(g, opts.Linear)
+				return coloring.Linear(g, coloring.LinearOptions{K: opts.K, Alpha: opts.Alpha})
 			}
 			res := coloring.ILPAssignContext(ctx, g, opts.K, opts.Alpha, remaining)
 			if !res.Proven {
@@ -480,13 +474,7 @@ func makeSolver(ctx context.Context, opts Options, env pipeline.Env) pieceSolver
 }
 
 func solveSDP(ctx context.Context, g *graph.Graph, opts Options, sc *pipeline.Scratch, env pipeline.Env) *sdp.Solution {
-	return sdp.SolveScratchEnv(ctx, g, sdp.Options{
-		K:        opts.K,
-		Alpha:    opts.Alpha,
-		Restarts: opts.SDPRestarts,
-		MaxIter:  opts.SDPMaxIter,
-		Seed:     opts.Seed,
-	}, sc, env)
+	return sdp.SolveScratchEnv(ctx, g, sdp.Options{K: opts.K, Alpha: opts.Alpha, Seed: opts.Seed}, sc, env)
 }
 
 // VerifySolution independently re-derives conflicts from geometry: it

@@ -374,7 +374,7 @@ func rebuildGraph(newL *layout.Layout, prev *Result, plan *editPlan, opts Option
 	}
 
 	// Stage 1: fragmentation of the dirty features only.
-	rb := splitDirty(newL, plan, fb, opts.Build, minS, oldFrags, es)
+	rb := splitDirty(newL, plan, fb, opts.Build.DisableStitches, minS, oldFrags, es)
 
 	// Stage 2: fragment numbering in feature order, like a scratch build:
 	// rebuilt features take their new pieces, every other feature copies its
@@ -489,9 +489,9 @@ func rebuildGraph(newL *layout.Layout, prev *Result, plan *editPlan, opts Option
 // The splitter indexes only the window of features within MinS of a
 // re-split wire — split reads nothing else — so its cost follows the dirty
 // region, not the layout.
-func splitDirty(newL *layout.Layout, plan *editPlan, fb []geom.Rect, opts BuildOptions, minS int, oldFrags func(int) []Fragment, es *EditStats) []rebuiltFeature {
+func splitDirty(newL *layout.Layout, plan *editPlan, fb []geom.Rect, disableStitches bool, minS int, oldFrags func(int) []Fragment, es *EditStats) []rebuiltFeature {
 	var out []rebuiltFeature
-	if opts.DisableStitches {
+	if disableStitches {
 		for fi, edited := range plan.edited {
 			if edited {
 				out = append(out, rebuiltFeature{fi: fi, pieces: []geom.Polygon{plan.shapes[fi]}})
@@ -527,7 +527,7 @@ func splitDirty(newL *layout.Layout, plan *editPlan, fb []geom.Rect, opts BuildO
 			window = append(window, int32(fi))
 		}
 	}
-	splitter := newWindowSplitter(newL, minS, opts, window)
+	splitter := newWindowSplitter(newL, minS, window)
 	defer splitter.grid.Release()
 	q := splitter.grid.NewQuerier()
 	defer q.Release()

@@ -296,7 +296,9 @@ func TestShapeTierHitEqualsFreshSolve(t *testing.T) {
 	// never stored, so the next run solves it again (unproven again).
 	t.Run("capped", func(t *testing.T) {
 		dg := nIdenticalK5s(4)
-		opts := Options{K: 4, Algorithm: AlgSDPBacktrack, Seed: 1, BacktrackNodeLimit: 1}
+		defer func(n int64) { backtrackNodeLimit = n }(backtrackNodeLimit)
+		backtrackNodeLimit = 1
+		opts := Options{K: 4, Algorithm: AlgSDPBacktrack, Seed: 1}
 		tier := freshTier()
 		for run := 0; run < 2; run++ {
 			res := tierRun(t, dg, opts, tier)

@@ -70,40 +70,23 @@ type Options struct {
 	DisableBiconnected bool
 	// DisableGHTree skips GH-tree (K−1)-cut division (ablation).
 	DisableGHTree bool
-	// GHTreeMaxN caps the component size for which a GH tree is built
-	// (n−1 max-flows get expensive on huge blocks); 0 means 3000.
-	GHTreeMaxN int
-	// MaxStitchDegree bounds dstit for peeling; 0 means the paper's 2.
-	MaxStitchDegree int
 	// Workers sets the number of goroutines coloring independent
 	// components concurrently; 0 or 1 means serial. Results are
 	// deterministic regardless of worker count because components are
 	// disjoint and each is solved from the same inputs — but the solver
 	// must be safe for concurrent calls.
 	Workers int
-	// Linear tunes the linear-time engine used as the cancellation
-	// fallback, so degraded pieces honor the same heuristic settings as a
-	// configured AlgLinear run. A zero value means K/Alpha with the
-	// paper's defaults.
-	Linear coloring.LinearOptions
 }
 
-func (o Options) withDefaults() Options {
-	if o.K < 2 {
-		panic("division: K must be >= 2")
-	}
-	if o.GHTreeMaxN == 0 {
-		o.GHTreeMaxN = 3000
-	}
-	if o.MaxStitchDegree == 0 {
-		o.MaxStitchDegree = 2
-	}
-	o.Linear.K = o.K
-	if o.Linear.Alpha == 0 {
-		o.Linear.Alpha = o.Alpha
-	}
-	return o
-}
+// maxStitchDegree is the paper's dstit bound for peeling: a vertex with
+// fewer than K conflict neighbours and at most this many stitch
+// neighbours is peeled.
+const maxStitchDegree = 2
+
+// ghTreeMaxN caps the block size for which a GH tree is built (n−1
+// max-flows get expensive on huge blocks). It is a var only so a test can
+// lower it.
+var ghTreeMaxN = 3000
 
 // Stats reports how much structure the pipeline exposed.
 type Stats struct {
@@ -260,7 +243,9 @@ func DecomposeContext(ctx context.Context, g *graph.Graph, opts Options, solve S
 // decides whether buffers are pooled and whether idle worker slots are
 // handed to nested engine fan-outs.
 func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, solve Solver) ([]int, Stats) {
-	opts = opts.withDefaults()
+	if opts.K < 2 {
+		panic("division: K must be >= 2")
+	}
 	n := g.N()
 	colors := make([]int, n)
 	for i := range colors {
@@ -396,7 +381,7 @@ func callSolver(ctx context.Context, g *graph.Graph, opts Options, solve Solver,
 	case <-ctx.Done():
 		st.Fallbacks++
 		st.AddEngine("fallback", 1)
-		return coloring.Linear(g, opts.Linear)
+		return coloring.Linear(g, coloring.LinearOptions{K: opts.K, Alpha: opts.Alpha})
 	default:
 		st.SolverCalls++
 		return solve(g, sc)
@@ -420,7 +405,7 @@ func decomposeComponent(ctx context.Context, g *graph.Graph, opts Options, solve
 		}
 	} else {
 		tSimp := time.Now()
-		stack, core = g.PeelOrder(opts.K, opts.MaxStitchDegree, nil)
+		stack, core = g.PeelOrder(opts.K, maxStitchDegree, nil)
 		st.AddStage(pipeline.StageSimplify, time.Since(tSimp))
 		st.Peeled += len(stack)
 	}
@@ -529,7 +514,7 @@ func solveCore(ctx context.Context, g *graph.Graph, opts Options, solve Solver, 
 // (Algorithm 3) and reassembles with color rotations.
 func solveBlock(ctx context.Context, g *graph.Graph, opts Options, solve Solver, st *Stats, sc *pipeline.Scratch, idx []int32) []int {
 	n := g.N()
-	if opts.DisableGHTree || n > opts.GHTreeMaxN || n < 2 {
+	if opts.DisableGHTree || n > ghTreeMaxN || n < 2 {
 		return callSolver(ctx, g, opts, solve, st, sc)
 	}
 	tPart := time.Now()

@@ -234,7 +234,9 @@ func TestGHTreeMaxNCap(t *testing.T) {
 		b.AddConflict(e[0], e[1])
 	}
 	g := b.Build(nil)
-	opts := Options{K: 4, Alpha: 0.1, DisablePeeling: true, GHTreeMaxN: 2}
+	defer func(n int) { ghTreeMaxN = n }(ghTreeMaxN)
+	ghTreeMaxN = 2
+	opts := Options{K: 4, Alpha: 0.1, DisablePeeling: true}
 	var maxSeen int
 	solver := func(sub *graph.Graph, sc *pipeline.Scratch) []int {
 		if sub.N() > maxSeen {

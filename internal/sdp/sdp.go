@@ -42,11 +42,12 @@ type Options struct {
 	Rank int
 	// Restarts is the number of random restarts; 0 means 3.
 	Restarts int
-	// MaxIter bounds gradient iterations per restart; 0 means 400.
-	MaxIter int
 	// Seed makes the run deterministic.
 	Seed int64
 }
+
+// maxIter bounds the gradient iterations of one restart.
+const maxIter = 400
 
 func (o Options) withDefaults(n int) Options {
 	if o.K < 2 {
@@ -54,9 +55,6 @@ func (o Options) withDefaults(n int) Options {
 	}
 	if o.Restarts <= 0 {
 		o.Restarts = 3
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 400
 	}
 	if o.Rank <= 0 {
 		r := int(math.Ceil(math.Sqrt(float64(2 * n))))
@@ -416,7 +414,7 @@ func (st *state) descend(done <-chan struct{}, ce, se []graph.Edge, opts Options
 		step = math.Max(step, 0.05)
 		return true
 	}
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		select {
 		case <-done:
 			return

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"mpl/internal/coloring"
 	"mpl/internal/core"
 	"mpl/internal/layout"
 	"mpl/internal/portfolio"
@@ -79,8 +78,9 @@ func (e *keyEnc) encodeBuild(b core.BuildOptions) {
 	e.int("b.mins", b.MinS)
 	e.int("b.k", b.K)
 	e.bool("b.nostitch", b.DisableStitches)
-	e.int("b.minseg", b.StitchMinSeg)
-	e.int("b.maxstitch", b.MaxStitchesPerFeature)
+	// The stitch segment and per-feature cap are build constants now; they
+	// were options whose zero value selected the same constants.
+	e.b.WriteString("|b.minseg=0|b.maxstitch=0")
 }
 
 // encodeOptions writes every key-participating core.Options field. The
@@ -108,32 +108,30 @@ func (e *keyEnc) encodeOptions(o core.Options) {
 	e.float("tth", o.Threshold)
 	e.int64("seed", o.Seed)
 	e.int64("ilpbudget", int64(o.ILPTimeLimit))
-	e.int64("btnodes", o.BacktrackNodeLimit)
-	e.int("sdprestarts", o.SDPRestarts)
-	e.int("sdpmaxiter", o.SDPMaxIter)
-	// Memoize is a deprecated no-op that Normalize clears, so it is
-	// key-neutral; the constant field keeps every signature byte-identical
-	// to those of older binaries, whose durable sessions still rehydrate.
-	e.bool("memo", false)
+	// Constant fields keep every signature byte-identical to those of
+	// older binaries, whose durable sessions still rehydrate. The node
+	// cap, SDP restarts and iterations, the GH-tree cap, the peeling
+	// stitch degree and the linear engine's tuning (two copies) were
+	// options whose zero value selected today's engine constants, and the
+	// linear engine always ran with the run's K and α; unlike a pf.*
+	// threshold, changing one of those constants re-keys nothing. Memoize
+	// is a deprecated no-op that Normalize clears.
+	e.b.WriteString("|btnodes=0|sdprestarts=0|sdpmaxiter=0|memo=false")
 	e.encodeBuild(o.Build)
 	e.int("d.k", o.Division.K)
 	e.float("d.alpha", o.Division.Alpha)
 	e.bool("d.nopeel", o.Division.DisablePeeling)
 	e.bool("d.nobicon", o.Division.DisableBiconnected)
 	e.bool("d.noght", o.Division.DisableGHTree)
-	e.int("d.ghmaxn", o.Division.GHTreeMaxN)
-	e.int("d.maxstitchdeg", o.Division.MaxStitchDegree)
-	e.encodeLinear("d.lin.", o.Division.Linear)
-	e.encodeLinear("lin.", o.Linear)
-}
-
-func (e *keyEnc) encodeLinear(prefix string, lo coloring.LinearOptions) {
-	e.int(prefix+"k", lo.K)
-	e.float(prefix+"alpha", lo.Alpha)
-	e.bool(prefix+"nofriend", lo.DisableColorFriendly)
-	e.float(prefix+"fw", lo.FriendWeight)
-	e.int(prefix+"maxstitchdeg", lo.MaxStitchDegree)
-	e.int(prefix+"order", int(lo.Order))
+	e.b.WriteString("|d.ghmaxn=0|d.maxstitchdeg=0")
+	for _, prefix := range []string{"d.lin.", "lin."} {
+		e.int(prefix+"k", o.K)
+		e.float(prefix+"alpha", o.Alpha)
+		e.str(prefix+"nofriend", "false")
+		e.str(prefix+"fw", "0")
+		e.str(prefix+"maxstitchdeg", "0")
+		e.str(prefix+"order", "0")
+	}
 }
 
 // optionsSig is the canonical encoding of every solve-affecting option —

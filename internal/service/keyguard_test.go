@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"mpl/internal/coloring"
 	"mpl/internal/core"
 	"mpl/internal/division"
 )
@@ -23,28 +22,20 @@ import (
 var keyFields = map[reflect.Type]map[string]bool{
 	reflect.TypeOf(core.Options{}): {
 		"K": true, "Algorithm": true, "Engine": true, "RaceBudget": true, "Alpha": true, "Threshold": true, "Seed": true,
-		"ILPTimeLimit": true, "BacktrackNodeLimit": true,
-		"SDPRestarts": true, "SDPMaxIter": true,
-		"Build": true, "Division": true, "Linear": true,
+		"ILPTimeLimit": true, "Build": true, "Division": true,
 		// Memoize is a deprecated no-op, cleared by Normalize.
 		"Memoize": false,
 	},
 	reflect.TypeOf(core.BuildOptions{}): {
 		"MinS": true, "K": true, "DisableStitches": true,
-		"StitchMinSeg": true, "MaxStitchesPerFeature": true,
 		// Workers never changes the built graph, only wall clock.
 		"Workers": false,
 	},
 	reflect.TypeOf(division.Options{}): {
 		"K": true, "Alpha": true, "DisablePeeling": true,
 		"DisableBiconnected": true, "DisableGHTree": true,
-		"GHTreeMaxN": true, "MaxStitchDegree": true, "Linear": true,
 		// Workers never changes the (deterministic) coloring.
 		"Workers": false,
-	},
-	reflect.TypeOf(coloring.LinearOptions{}): {
-		"K": true, "Alpha": true, "DisableColorFriendly": true,
-		"FriendWeight": true, "MaxStitchDegree": true, "Order": true,
 	},
 }
 
@@ -95,7 +86,6 @@ func TestResultKeyDistinguishesOptions(t *testing.T) {
 		"seed":      {K: 4, Seed: 9},
 		"build":     {K: 4, Build: core.BuildOptions{DisableStitches: true}},
 		"division":  {K: 4, Division: division.Options{DisableGHTree: true}},
-		"linear":    {K: 4, Linear: coloring.LinearOptions{DisableColorFriendly: true}},
 	}
 	bk := resultKey("lh", base)
 	for name, o := range variants {
@@ -171,11 +161,9 @@ func TestGraphKeyDistinguishesBuildOptions(t *testing.T) {
 	base := core.BuildOptions{K: 4}
 	bk := graphKey("lh", base)
 	variants := map[string]core.BuildOptions{
-		"mins":      {K: 4, MinS: 70},
-		"k":         {K: 5},
-		"nostitch":  {K: 4, DisableStitches: true},
-		"minseg":    {K: 4, StitchMinSeg: 33},
-		"maxstitch": {K: 4, MaxStitchesPerFeature: 7},
+		"mins":     {K: 4, MinS: 70},
+		"k":        {K: 5},
+		"nostitch": {K: 4, DisableStitches: true},
 	}
 	for name, o := range variants {
 		if vk := graphKey("lh", o); vk == bk {

@@ -120,7 +120,10 @@ type (
 
 // Decomposition types.
 type (
-	// Options configures a decomposition; see core.Options for all knobs.
+	// Options configures a decomposition: K, the engine (Algorithm or
+	// Engine, with RaceBudget), α, t_th, the seed, the ILP budget, and the
+	// Build and Division settings. The parameters the paper fixes are
+	// constants, not options (see core.Options).
 	Options = core.Options
 	// BuildOptions configures decomposition-graph construction, including
 	// BuildOptions.Workers, the parallel-build shard count.
