@@ -95,45 +95,65 @@ type BacktrackResult struct {
 	Nodes  int64
 }
 
+// BacktrackNodeLimit is the node cap a nodeLimit ≤ 0 selects, and the cap
+// every served SDP+Backtrack search runs under. It is the smallest cap at
+// which the bounded search's conflict and cost totals on C6288-class K=5
+// layouts are no worse than the unbounded search's were at its former
+// 2,000,000-node cap (EXPERIMENTS.md, "Forced-conflict bound").
+const BacktrackNodeLimit = 200_000
+
 // Backtrack performs the branch-and-bound backtracking of Algorithm 1
 // (lines 7–19) on the merged graph: it enumerates color assignments in a
 // static order (descending weighted conflict degree), prunes when the
-// partial cost reaches the incumbent, and breaks color symmetry by only
-// allowing each vertex one fresh color beyond those already used.
-// nodeLimit bounds the search; 0 means 2,000,000 nodes.
+// partial cost plus a lower bound on the uncolored vertices reaches the
+// incumbent, and breaks color symmetry by only allowing each vertex one
+// fresh color beyond those already used. nodeLimit bounds the search; 0
+// means BacktrackNodeLimit nodes.
 func (w *Weighted) Backtrack(k int, alpha float64, nodeLimit int64) BacktrackResult {
 	return w.BacktrackContext(context.Background(), k, alpha, nodeLimit)
 }
 
 // BacktrackContext is Backtrack with cooperative cancellation: ctx is polled
-// every 1024 expanded nodes, and on cancellation the search stops and the
+// every 1024 entered nodes, and on cancellation the search stops and the
 // incumbent (at worst the greedy seed) is returned with Proven=false —
 // exactly the node-limit behavior, triggered by deadline instead of count.
 //
 // The search is an iterative depth-first walk with an explicit per-depth
 // stack. Its contract is the tree itself: every entered node (root and leaf
-// included) counts one toward Nodes, ctx is polled when the count is a
-// multiple of 1024, the search stops once the count exceeds nodeLimit, and a
-// node is pruned when its partial cost reaches the incumbent's. Node-capped
-// searches return whatever incumbent the first nodeLimit nodes found, so
-// their output is a function of this exact walk; none of it may change
-// without changing served bytes. Partial costs are integer conflict and
-// stitch tallies combined as float64(C)+α·float64(S), the same expression
-// the incumbent is scored with, so no prune hinges on accumulated float
-// rounding. Conf and Stit must be symmetric, as AddConflict and AddStitch
-// build them.
+// included, and every child pruned on entry) counts one toward Nodes, ctx is
+// polled when the count is a multiple of 1024, the search stops once the
+// count exceeds nodeLimit, and a node is pruned when its partial cost plus
+// its bound reaches the incumbent's. Node-capped searches return whatever
+// incumbent the first nodeLimit nodes found, so their output is a function
+// of this exact walk; none of it may change without changing served bytes.
+//
+// The bound is the number of conflicts already forced on the uncolored
+// positions: LB = Σ over uncolored u of min over colors c of u's conflict
+// weight to colored neighbours of color c. Every completion of the partial
+// coloring pays at least C+LB conflicts and S stitches, so a pruned subtree
+// holds no leaf that would replace the incumbent: the bounded walk finds the
+// unbounded walk's incumbents in the same order, and a proven search returns
+// the same result with fewer nodes. Partial costs are integer tallies
+// combined as float64(C+LB)+α·float64(S), the same expression the incumbent
+// is scored with, so no prune hinges on accumulated float rounding; α must
+// be ≥ 0. Conf and Stit must be symmetric, with non-negative weights, as
+// AddConflict and AddStitch build them.
 func (w *Weighted) BacktrackContext(ctx context.Context, k int, alpha float64, nodeLimit int64) BacktrackResult {
 	n := w.NumV
 	if nodeLimit <= 0 {
-		nodeLimit = 2_000_000
+		nodeLimit = BacktrackNodeLimit
 	}
 	if n == 0 {
 		return BacktrackResult{Colors: []int{}, Proven: true}
 	}
-	width := max(min(k, n), 1) // colors a position can take: at most min(k, depth+1)
+	// Colors a position can take: at most min(k, depth+1). An uncolored
+	// position has at most n-1 colored neighbours, so when k > n some
+	// column of its tallies is zero and the minimum over width columns is
+	// the minimum over all k colors.
+	width := max(min(k, n), 1)
 
 	// One arena for every per-vertex and per-depth integer array.
-	buf := make([]int, 6*n+(2*n+1)+3*(n+1)+2*n*width)
+	buf := make([]int, 7*n+2*(n+1)+4*(n+1)+2*n*width)
 	carve := func(m int) []int {
 		s := buf[:m:m]
 		buf = buf[m:]
@@ -141,12 +161,13 @@ func (w *Weighted) BacktrackContext(ctx context.Context, k int, alpha float64, n
 	}
 	order, pos := carve(n), carve(n)
 	wdeg, sdeg := carve(n), carve(n)
-	stTot := carve(n)                        // weight of stitches to earlier positions
-	col := carve(n)                          // col[d]: color of position d on the current path
-	off := carve(2*n + 1)                    // CSR offsets: conflicts of d, then stitches of d
-	used := carve(n + 1)                     // used[d]: colors in use among positions < d
-	tc, ts := carve(n+1), carve(n+1)         // conflict/stitch tallies entering depth d
-	dc, ds := carve(n*width), carve(n*width) // per-depth, per-color deltas
+	stTot := carve(n)                                // weight of stitches to earlier positions
+	col := carve(n)                                  // col[d]: color of position d on the current path
+	mins := carve(n)                                 // mins[u]: min over colors of confT[u*width:]
+	soff, coff := carve(n+1), carve(n+1)             // CSR offsets: earlier stitches, later conflicts
+	used := carve(n + 1)                             // used[d]: colors in use among positions < d
+	tc, ts, lb := carve(n+1), carve(n+1), carve(n+1) // tallies and bound entering depth d
+	confT, ds := carve(n*width), carve(n*width)      // per-position conflict tallies, per-depth stitch deltas
 
 	// Static order: descending weighted conflict degree, then stitch degree.
 	for v := 0; v < n; v++ {
@@ -180,17 +201,19 @@ func (w *Weighted) BacktrackContext(ctx context.Context, k int, alpha float64, n
 	default:
 	}
 
-	// Per-position CSR of earlier neighbours, addressed by position: a
+	// Per-position CSR lists addressed by position: stitches to earlier
+	// positions (read when a position is expanded) and conflicts to later
+	// ones (pushed into their tallies when a position is colored). A
 	// counting pass sizes the arena, a second pass fills it.
 	m := 0
 	for p, v := range order {
-		for _, a := range w.Conf[v] {
+		for _, a := range w.Stit[v] {
 			if pos[a.To] < p {
 				m++
 			}
 		}
-		for _, a := range w.Stit[v] {
-			if pos[a.To] < p {
+		for _, a := range w.Conf[v] {
+			if pos[a.To] > p {
 				m++
 			}
 		}
@@ -198,14 +221,7 @@ func (w *Weighted) BacktrackContext(ctx context.Context, k int, alpha float64, n
 	arcs := make([]WArc, m)
 	m = 0
 	for p, v := range order {
-		off[2*p] = m
-		for _, a := range w.Conf[v] {
-			if q := pos[a.To]; q < p {
-				arcs[m] = WArc{To: q, Weight: a.Weight}
-				m++
-			}
-		}
-		off[2*p+1] = m
+		soff[p] = m
 		for _, a := range w.Stit[v] {
 			if q := pos[a.To]; q < p {
 				arcs[m] = WArc{To: q, Weight: a.Weight}
@@ -214,70 +230,116 @@ func (w *Weighted) BacktrackContext(ctx context.Context, k int, alpha float64, n
 			}
 		}
 	}
-	off[2*n] = m
-
-	var nodes int64
-	exhausted := true
-	d := 0 // depth of the node being entered: positions < d are colored
-search:
-	for {
-		nodes++
-		if nodes&1023 == 0 {
-			select {
-			case <-done:
-				exhausted = false
-				break search
-			default:
+	soff[n] = m
+	for p, v := range order {
+		coff[p] = m
+		for _, a := range w.Conf[v] {
+			if q := pos[a.To]; q > p {
+				arcs[m] = WArc{To: q, Weight: a.Weight}
+				m++
 			}
 		}
-		if nodes > nodeLimit {
-			exhausted = false
-			break
+	}
+	coff[n] = m
+
+	// color pushes position d's color c into the tallies of its later
+	// neighbours and returns the bound's increase. A minimum moves only
+	// when c was the neighbour's cheapest color.
+	color := func(d, c int) (grow int) {
+		for _, a := range arcs[coff[d]:coff[d+1]] {
+			t := confT[a.To*width : a.To*width+width]
+			if t[c] == mins[a.To] {
+				t[c] += a.Weight
+				lo := t[0]
+				for _, x := range t[1:] {
+					lo = min(lo, x)
+				}
+				grow += lo - mins[a.To]
+				mins[a.To] = lo
+			} else {
+				t[c] += a.Weight
+			}
 		}
-		if cost := float64(tc[d]) + alpha*float64(ts[d]); cost < bestCost-1e-12 {
-			if d == n {
-				bestCost, bestC, bestS = cost, tc[d], ts[d]
-				for p, v := range order {
-					best[v] = col[p]
+		return grow
+	}
+	// uncolor undoes color(d, c): the old minimum is the smaller of the
+	// current one and the restored tally.
+	uncolor := func(d, c int) {
+		for _, a := range arcs[coff[d]:coff[d+1]] {
+			t := &confT[a.To*width+c]
+			*t -= a.Weight
+			mins[a.To] = min(mins[a.To], *t)
+		}
+	}
+
+	nodes := int64(1) // the root: no colors, zero cost and zero bound
+	exhausted := true
+	d := 0 // depth of the node whose children are being scanned
+	if 0 < bestCost-1e-12 && k > 0 {
+		col[0] = -1 // the root has no earlier neighbours: ds[0:width] stays zero
+	search:
+		for {
+			c := col[d] + 1
+			if c >= min(used[d]+1, k) {
+				// Children exhausted: back up to the parent's next color.
+				if d == 0 {
+					break
 				}
-			} else if lim := min(used[d]+1, k); lim > 0 {
-				// Expand position d: one pass over its earlier neighbours
-				// fills the conflict and same-color stitch weight of every
-				// candidate color.
-				cd, sd := dc[d*width:d*width+lim], ds[d*width:d*width+lim]
-				clear(cd)
-				clear(sd)
-				for _, a := range arcs[off[2*d]:off[2*d+1]] {
-					cd[col[a.To]] += a.Weight
-				}
-				for _, a := range arcs[off[2*d+1]:off[2*d+2]] {
-					sd[col[a.To]] += a.Weight
-				}
-				col[d] = 0
-				tc[d+1] = tc[d] + cd[0]
-				ts[d+1] = ts[d] + stTot[d] - sd[0]
-				used[d+1] = max(used[d], 1)
-				d++
+				d--
+				uncolor(d, col[d])
 				continue
 			}
-		}
-		// Backtrack to the deepest position with a color left to try.
-		for d > 0 {
-			d--
-			c := col[d] + 1
-			if c < min(used[d]+1, k) {
-				col[d] = c
-				tc[d+1] = tc[d] + dc[d*width+c]
-				ts[d+1] = ts[d] + stTot[d] - ds[d*width+c]
-				used[d+1] = used[d]
-				if c == used[d] {
-					used[d+1]++
+			col[d] = c
+			nodes++
+			if nodes&1023 == 0 {
+				select {
+				case <-done:
+					exhausted = false
+					break search
+				default:
 				}
-				d++
-				continue search
+			}
+			if nodes > nodeLimit {
+				exhausted = false
+				break
+			}
+			cc := tc[d] + confT[d*width+c]
+			sc := ts[d] + stTot[d] - ds[d*width+c]
+			if d+1 == n {
+				if cost := float64(cc) + alpha*float64(sc); cost < bestCost-1e-12 {
+					bestCost, bestC, bestS = cost, cc, sc
+					for p, v := range order {
+						best[v] = col[p]
+					}
+				}
+				continue
+			}
+			// Every later minimum only grows, so LB − mins[d] bounds each
+			// child before its update is paid for.
+			bound := lb[d] - mins[d]
+			if float64(cc+bound)+alpha*float64(sc) >= bestCost-1e-12 {
+				continue
+			}
+			bound += color(d, c)
+			if float64(cc+bound)+alpha*float64(sc) >= bestCost-1e-12 {
+				uncolor(d, c)
+				continue
+			}
+			tc[d+1], ts[d+1], lb[d+1] = cc, sc, bound
+			used[d+1] = used[d]
+			if c == used[d] {
+				used[d+1]++
+			}
+			d++
+			col[d] = -1
+			// Expand position d: one pass over its earlier stitches fills
+			// the same-color stitch weight of every candidate color.
+			sd := ds[d*width : d*width+min(used[d]+1, k)]
+			clear(sd)
+			for _, a := range arcs[soff[d]:soff[d+1]] {
+				sd[col[a.To]] += a.Weight
 			}
 		}
-		break
 	}
 
 	return BacktrackResult{

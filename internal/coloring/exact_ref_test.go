@@ -2,18 +2,32 @@ package coloring
 
 import (
 	"context"
+	"slices"
 	"sort"
 )
 
 // backtrackReference is the recursive-closure branch and bound that the
-// iterative kernel in exact.go replaced, kept verbatim as the oracle for
-// the differential suite and fuzz target in exact_test.go: the kernel must
+// iterative kernel in exact.go replaced, with the kernel's forced-conflict
+// bound recomputed from scratch at every node. It is the oracle for the
+// differential suite and fuzz target in exact_test.go: the kernel must
 // return a DeepEqual BacktrackResult (colors, counts, Proven and Nodes) on
 // every input.
 func (w *Weighted) backtrackReference(ctx context.Context, k int, alpha float64, nodeLimit int64) BacktrackResult {
+	return w.referenceWalk(ctx, k, alpha, nodeLimit, true)
+}
+
+// backtrackUnbounded is the same walk pruning on the partial cost alone, as
+// the kernel did before it had a bound: the second oracle, against which
+// TestBoundAdmissible and FuzzBoundDominates check that the bound removes
+// only subtrees without an improving leaf.
+func (w *Weighted) backtrackUnbounded(ctx context.Context, k int, alpha float64, nodeLimit int64) BacktrackResult {
+	return w.referenceWalk(ctx, k, alpha, nodeLimit, false)
+}
+
+func (w *Weighted) referenceWalk(ctx context.Context, k int, alpha float64, nodeLimit int64, bounded bool) BacktrackResult {
 	n := w.NumV
 	if nodeLimit <= 0 {
-		nodeLimit = 2_000_000
+		nodeLimit = BacktrackNodeLimit
 	}
 	if n == 0 {
 		return BacktrackResult{Colors: []int{}, Proven: true}
@@ -78,6 +92,30 @@ func (w *Weighted) backtrackReference(ctx context.Context, k int, alpha float64,
 		return d
 	}
 
+	// forced returns the bound: over every uncolored vertex, the least
+	// conflict weight any of the k colors has among its colored neighbours.
+	tally := make([]int, n*max(k, 1))
+	forced := func() int {
+		clear(tally)
+		for v, cv := range colors {
+			if cv == Uncolored {
+				continue
+			}
+			for _, a := range w.Conf[v] {
+				if colors[a.To] == Uncolored {
+					tally[a.To*k+cv] += a.Weight
+				}
+			}
+		}
+		lb := 0
+		for u, cu := range colors {
+			if cu == Uncolored && k > 0 {
+				lb += slices.Min(tally[u*k : u*k+k])
+			}
+		}
+		return lb
+	}
+
 	var rec func(idx int, cost float64, used int)
 	rec = func(idx int, cost float64, used int) {
 		nodes++
@@ -93,6 +131,9 @@ func (w *Weighted) backtrackReference(ctx context.Context, k int, alpha float64,
 			return
 		}
 		if cost >= bestCost-1e-12 {
+			return
+		}
+		if bounded && cost+float64(forced()) >= bestCost-1e-12 {
 			return
 		}
 		if idx == n {

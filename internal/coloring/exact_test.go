@@ -14,7 +14,7 @@ import (
 var diffAlphas = []float64{0, 0.05, 0.1, 0.3, 1}
 
 // diffCaps straddle the ctx poll period (1023/1024/1025) and include the
-// extremes: a one-node search and 0, the 2M default.
+// extremes: a one-node search and 0, the BacktrackNodeLimit default.
 var diffCaps = []int64{1, 5, 1023, 1024, 1025, 30_000, 0}
 
 // randomWeighted draws a merged-graph-like weighted graph: conflict density
@@ -58,7 +58,7 @@ func TestBacktrackMatchesReference(t *testing.T) {
 		for _, alpha := range diffAlphas {
 			for _, nodeLimit := range diffCaps {
 				if nodeLimit == 0 && n > 10 {
-					continue // the 2M default only where the walk stays short
+					continue // the default cap only where the walk stays short
 				}
 				checkMatchesReference(t, ctx, w, k, alpha, nodeLimit)
 			}
@@ -74,7 +74,7 @@ func TestBacktrackMatchesReference(t *testing.T) {
 
 // decodeBacktrackInput turns fuzz bytes into a search instance: a header of
 // vertex count (0–24), K (2–6), α (from diffAlphas) and cap (from diffCaps,
-// with the 2M default only on ≤ 10 vertices), then (u, v, kind|weight)
+// with the default cap only on ≤ 10 vertices), then (u, v, kind|weight)
 // triples that add conflict or stitch weight 1–4. Self-loops are allowed:
 // both searches must ignore them.
 func decodeBacktrackInput(data []byte) (w *Weighted, k int, alpha float64, nodeLimit int64, ok bool) {
@@ -111,18 +111,84 @@ func FuzzBacktrackMatchesReference(f *testing.F) {
 	})
 }
 
+// checkBoundAdmissible compares the kernel with the unbounded walk at the
+// same cap. The bound may only remove subtrees without an improving leaf,
+// so the kernel meets the unbounded walk's incumbents in the same order
+// within fewer nodes: where the unbounded walk is proven the kernel is too,
+// with the same colors and counts, and a capped kernel costs no more. The
+// bounded reference needs no run of its own: the differential suite holds
+// it equal to the kernel.
+func checkBoundAdmissible(t *testing.T, w *Weighted, k int, alpha float64, nodeLimit int64) {
+	t.Helper()
+	ctx := context.Background()
+	got := w.BacktrackContext(ctx, k, alpha, nodeLimit)
+	want := w.backtrackUnbounded(ctx, k, alpha, nodeLimit)
+	fail := func(why string) {
+		t.Fatalf("n=%d k=%d alpha=%v cap=%d: %s:\nbounded   %+v\nunbounded %+v", w.NumV, k, alpha, nodeLimit, why, got, want)
+	}
+	if got.Nodes > want.Nodes {
+		fail("bounded walk entered more nodes")
+	}
+	if want.Proven {
+		if !got.Proven || !reflect.DeepEqual(got.Colors, want.Colors) ||
+			got.Conflicts != want.Conflicts || got.Stitches != want.Stitches {
+			fail("proven results differ")
+		}
+		return
+	}
+	gotCost := float64(got.Conflicts) + alpha*float64(got.Stitches)
+	wantCost := float64(want.Conflicts) + alpha*float64(want.Stitches)
+	if gotCost > wantCost+1e-12 {
+		fail("bounded walk costs more")
+	}
+}
+
+func TestBoundAdmissible(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	trials := 120
+	if testing.Short() {
+		trials = 20
+	}
+	for trial := 0; trial < trials; trial++ {
+		n := rng.Intn(25)
+		k := 2 + rng.Intn(5)
+		w := randomWeighted(rng, n, 0.1+0.6*rng.Float64())
+		for _, alpha := range diffAlphas {
+			for _, nodeLimit := range diffCaps {
+				if nodeLimit == 0 && n > 10 {
+					continue // the default cap only where the walk stays short
+				}
+				checkBoundAdmissible(t, w, k, alpha, nodeLimit)
+			}
+		}
+	}
+}
+
+func FuzzBoundDominates(f *testing.F) {
+	f.Add([]byte{5, 3, 2, 1, 0, 1, 2, 1, 2, 2, 2, 3, 4, 3, 0, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, k, alpha, nodeLimit, ok := decodeBacktrackInput(data)
+		if !ok {
+			t.Skip()
+		}
+		checkBoundAdmissible(t, w, k, alpha, nodeLimit)
+	})
+}
+
 // BenchmarkBacktrack times the exact phase on a fixed seeded 26-vertex K=5
-// merged-graph-shaped instance that runs into the 2M default cap, for the
-// kernel and for the recursive reference. ns/node is the per-node cost the
-// dense-k5 serving latency scales with.
+// merged-graph-shaped instance that runs into the node cap: the kernel and
+// the recursive reference at the former 2M cap, where ns/node is the
+// per-node cost, and the kernel at the production cap BacktrackNodeLimit,
+// where ns/op and nodes/op are what one capped dense-k5 search pays.
 func BenchmarkBacktrack(b *testing.B) {
 	w := randomWeighted(rand.New(rand.NewSource(1)), 26, 0.45)
 	for _, bc := range []struct {
 		name string
 		run  func() BacktrackResult
 	}{
-		{"kernel", func() BacktrackResult { return w.Backtrack(5, 0.1, 0) }},
-		{"reference", func() BacktrackResult { return w.backtrackReference(context.Background(), 5, 0.1, 0) }},
+		{"kernel", func() BacktrackResult { return w.Backtrack(5, 0.1, 2_000_000) }},
+		{"reference", func() BacktrackResult { return w.backtrackReference(context.Background(), 5, 0.1, 2_000_000) }},
+		{"production-cap", func() BacktrackResult { return w.Backtrack(5, 0.1, BacktrackNodeLimit) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -135,6 +201,7 @@ func BenchmarkBacktrack(b *testing.B) {
 				nodes += res.Nodes
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 		})
 	}
 }

@@ -130,7 +130,7 @@ type Options struct {
 
 // backtrackNodeLimit bounds each of Algorithm 1's merged-graph searches.
 // It is a var only so a test can lower it to force a capped search.
-var backtrackNodeLimit int64 = 2_000_000
+var backtrackNodeLimit int64 = coloring.BacktrackNodeLimit
 
 // Normalize returns o with every defaulted field resolved to the value
 // Decompose would actually use (K=4, α=0.1, t_th=0.9, ...), so that two
