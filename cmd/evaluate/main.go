@@ -74,7 +74,7 @@ func main() {
 	workers := flag.Int("workers", 1, "parallel component workers (deterministic for any value)")
 	buildWorkers := flag.Int("build-workers", 1, "parallel graph-construction workers (deterministic for any value)")
 	batchWorkers := flag.Int("batch-workers", 0, "concurrent circuit solves in table mode (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "adaptive engine policies to add to the sweep: auto, race, or auto,race (portfolio per-component dispatch instead of one fixed algorithm)")
+	engine := flag.String("engine", "", "adaptive engine policy to add to the sweep: auto (portfolio per-component dispatch instead of one fixed algorithm)")
 	ablation := flag.String("ablation", "", "run an ablation instead of a table: division, threshold")
 	jsonOut := flag.String("json", "", "write a benchmark-trajectory JSON instead of a table: a path, or 'auto' for BENCH_<timestamp>.json")
 	jsonLabel := flag.String("json-label", "trajectory", "label stored in the -json record")
@@ -187,11 +187,11 @@ func algList(algsFlag string, k int) []mpl.Algorithm {
 }
 
 // sweepSpec is one column of a table or trajectory sweep: a fixed algorithm,
-// or an adaptive engine policy (portfolio auto/race per-component dispatch).
+// or the adaptive engine policy (portfolio auto per-component dispatch).
 type sweepSpec struct {
 	label  string
 	alg    mpl.Algorithm // used when engine is empty
-	engine string        // "auto" or "race"
+	engine string        // "auto" or empty
 }
 
 // options builds the mpl.Options for this spec with the shared sweep knobs.
@@ -208,32 +208,27 @@ func (s sweepSpec) options(k int, seed int64, ilpBudget time.Duration, workers, 
 }
 
 // deterministic reports whether the spec's results are wall-clock
-// independent: race-mode winners can flip on budget expiry and ILP rows
-// depend on the time budget, so neither anchors an -edits equivalence check.
+// independent: fixed ILP rows depend on the time budget, so they cannot
+// anchor an -edits equivalence check.
 func (s sweepSpec) deterministic() bool {
-	if s.engine != "" {
-		return s.engine == mpl.EngineAuto
-	}
-	return s.alg != mpl.ILP
+	return s.engine == mpl.EngineAuto || s.alg != mpl.ILP
 }
 
-// sweepList combines -algs (fixed algorithms) and -engine (adaptive
-// policies) into the sweep's column list.
+// sweepList combines -algs (fixed algorithms) and -engine (the adaptive
+// policy) into the sweep's column list.
 func sweepList(algsFlag, engineFlag string, k int) []sweepSpec {
 	var specs []sweepSpec
 	for _, a := range algList(algsFlag, k) {
 		specs = append(specs, sweepSpec{label: a.String(), alg: a})
 	}
 	if engineFlag != "" {
-		for _, e := range strings.Split(engineFlag, ",") {
-			eng, err := mpl.ParseEngine(strings.TrimSpace(e))
-			if err != nil || eng == "" {
-				log.Fatalf("-engine: want auto, race or auto,race; got %q", e)
-			}
-			// The portfolio dispatches to SDP+Backtrack defaults for its
-			// middle tier, so the classic Algorithm field stays zero-valued.
-			specs = append(specs, sweepSpec{label: eng, engine: eng})
+		eng, err := mpl.ParseEngine(engineFlag)
+		if err != nil || eng == "" {
+			log.Fatalf("-engine: want auto; got %q", engineFlag)
 		}
+		// The portfolio dispatches to SDP+Backtrack defaults for its
+		// middle tier, so the classic Algorithm field stays zero-valued.
+		specs = append(specs, sweepSpec{label: eng, engine: eng})
 	}
 	if len(specs) == 0 {
 		log.Fatal("-algs none without -engine leaves nothing to run")
@@ -319,23 +314,12 @@ func runTable(names []string, k int, scale float64, seed int64, ilpBudget time.D
 // per-circuit build times).
 func writeStageTable(w io.Writer, names []string, specs []sweepSpec, out []service.Response) {
 	stageCols := []string{pipeline.StageSimplify, pipeline.StagePartition, pipeline.StageDispatch, pipeline.StageStitch, pipeline.StageMerge}
-	// Shape-tier columns appear only when the sweep had shape traffic
-	// (any non-race engine); race-only tables keep the classic layout.
-	shapes := false
-	for _, r := range out {
-		if r.Err == nil && r.Result != nil {
-			sh := r.Result.DivisionStats.Shapes
-			shapes = shapes || sh.Hits+sh.Misses > 0
-		}
-	}
 	for si, s := range specs {
 		fmt.Fprintf(w, "\nstage timings (ms, %s):\n%-10s", s.label, "circuit")
 		for _, sc := range stageCols {
 			fmt.Fprintf(w, " %10s", sc)
 		}
-		if shapes {
-			fmt.Fprintf(w, " %8s %8s %8s", "sh-hit", "sh-miss", "sh-dist")
-		}
+		fmt.Fprintf(w, " %8s %8s %8s", "sh-hit", "sh-miss", "sh-dist")
 		// Dispatch-imbalance gauge: workers that processed ≥1 component and
 		// the busiest/idlest worker's busy wall (ms). A busy-max far above
 		// busy-min means a straggler held the dispatch stage hostage.
@@ -350,10 +334,8 @@ func writeStageTable(w io.Writer, names []string, specs []sweepSpec, out []servi
 			for _, sc := range stageCols {
 				fmt.Fprintf(w, " %10.3f", ms[sc])
 			}
-			if shapes {
-				sh := r.Result.DivisionStats.Shapes
-				fmt.Fprintf(w, " %8d %8d %8d", sh.Hits, sh.Misses, sh.Distinct)
-			}
+			sh := r.Result.DivisionStats.Shapes
+			fmt.Fprintf(w, " %8d %8d %8d", sh.Hits, sh.Misses, sh.Distinct)
 			bal := r.Result.DivisionStats.Balance
 			fmt.Fprintf(w, " %6d %9.3f %9.3f\n",
 				bal.Workers, benchrec.Ms(bal.MaxBusy), benchrec.Ms(bal.MinBusy))
@@ -417,7 +399,7 @@ func runJSON(names []string, k int, scale float64, seed int64, ilpBudget time.Du
 		outPath = benchrec.DefaultFilename(start)
 	}
 	if edits > 0 && !specs[0].deterministic() {
-		log.Fatal("-edits replay needs a deterministic engine first in the sweep (its equivalence check cannot cover the wall-clock-budgeted ILP or race modes)")
+		log.Fatal("-edits replay needs a deterministic engine first in the sweep (its equivalence check cannot cover the wall-clock-budgeted ILP)")
 	}
 	var st *store.Store
 	if dataDir != "" {

@@ -80,19 +80,15 @@ type decomposeRequest struct {
 	Name      string `json:"name,omitempty"`
 	K         int    `json:"k,omitempty"`         // default 4
 	Algorithm string `json:"algorithm,omitempty"` // ilp, sdp-backtrack, sdp-greedy, linear
-	// Engine selects the adaptive per-component policy: "auto" (pick an
-	// engine per component from its structure) or "race" (run two
-	// candidates concurrently, keep the better). Empty applies Algorithm
-	// uniformly. Auto/race ignore Algorithm.
-	Engine string `json:"engine,omitempty"`
-	// RaceBudgetMs bounds each component's race (engine "race" only);
-	// 0 means the server default (2000 ms), capped by the request deadline.
-	RaceBudgetMs int64   `json:"race_budget_ms,omitempty"`
+	// Engine selects the adaptive per-component policy: "auto" picks an
+	// engine per component from its structure. Empty applies Algorithm
+	// uniformly; auto ignores Algorithm.
+	Engine       string  `json:"engine,omitempty"`
 	Alpha        float64 `json:"alpha,omitempty"`
 	Seed         int64   `json:"seed,omitempty"`
 	Workers      int     `json:"workers,omitempty"`       // per-request component workers
 	BuildWorkers int     `json:"build_workers,omitempty"` // graph-construction workers, capped by -build-workers
-	// Memoize is deprecated and ignored: every non-race solve answers
+	// Memoize is deprecated and ignored: every solve answers
 	// byte-identical repeats of already-solved pieces (standard cells)
 	// from the server's process-wide shape tier. Still accepted, so
 	// older clients keep working.
@@ -106,7 +102,7 @@ type decomposeResponse struct {
 	Name      string `json:"name,omitempty"`
 	K         int    `json:"k"`
 	Algorithm string `json:"algorithm"`
-	// Engine echoes the requested policy ("auto"/"race"; absent for fixed),
+	// Engine echoes the requested policy ("auto"; absent for fixed),
 	// and Engines is this solve's per-engine dispatch histogram (engine
 	// name → pieces colored; absent on cache hits — nothing was solved).
 	Engine  string         `json:"engine,omitempty"`
@@ -118,7 +114,7 @@ type decomposeResponse struct {
 	// solves include their dirty-region build.
 	StageMs map[string]float64 `json:"stage_ms,omitempty"`
 	// Shapes reports this solve's shape-tier traffic (absent on cache
-	// hits and on race solves, which bypass the tier).
+	// hits).
 	Shapes    *shapeJSON `json:"shapes,omitempty"`
 	Fragments int        `json:"fragments"`
 	Conflicts int        `json:"conflicts"`
@@ -162,7 +158,6 @@ type incrementalRequest struct {
 	K            int        `json:"k,omitempty"`
 	Algorithm    string     `json:"algorithm,omitempty"`
 	Engine       string     `json:"engine,omitempty"`
-	RaceBudgetMs int64      `json:"race_budget_ms,omitempty"`
 	Alpha        float64    `json:"alpha,omitempty"`
 	Seed         int64      `json:"seed,omitempty"`
 	Workers      int        `json:"workers,omitempty"`
@@ -429,7 +424,7 @@ const maxK = 16
 // relative to solves, so sustained overlap is rare); operators running high
 // request concurrency on narrow machines should lower -build-workers (see
 // docs/API.md).
-func (s *server) resolveOptions(k int, algName, engine string, raceBudgetMs int64, alpha float64, seed int64, workers, buildWorkers int) (core.Options, error) {
+func (s *server) resolveOptions(k int, algName, engine string, alpha float64, seed int64, workers, buildWorkers int) (core.Options, error) {
 	if k < 0 || k > maxK {
 		return core.Options{}, fmt.Errorf("k must be in [2, %d] (or 0 for the default 4), got %d", maxK, k)
 	}
@@ -456,25 +451,14 @@ func (s *server) resolveOptions(k int, algName, engine string, raceBudgetMs int6
 	if err != nil {
 		return core.Options{}, err
 	}
-	if raceBudgetMs < 0 {
-		return core.Options{}, fmt.Errorf("race_budget_ms must be >= 0, got %d", raceBudgetMs)
-	}
-	var raceBudget time.Duration
-	if raceBudgetMs > 0 {
-		if eng != core.EngineRace {
-			return core.Options{}, fmt.Errorf("race_budget_ms requires engine \"race\"")
-		}
-		raceBudget = time.Duration(raceBudgetMs) * time.Millisecond
-	}
 	return core.Options{
-		K:          k,
-		Algorithm:  alg,
-		Engine:     eng,
-		RaceBudget: raceBudget,
-		Alpha:      alpha,
-		Seed:       seed,
-		Build:      core.BuildOptions{Workers: buildWorkers},
-		Division:   division.Options{Workers: workers},
+		K:         k,
+		Algorithm: alg,
+		Engine:    eng,
+		Alpha:     alpha,
+		Seed:      seed,
+		Build:     core.BuildOptions{Workers: buildWorkers},
+		Division:  division.Options{Workers: workers},
 	}, nil
 }
 
@@ -497,7 +481,7 @@ func (s *server) requestCtx(ctx context.Context, timeoutMs int64) (context.Conte
 // decomposeOne converts one decoded request into a service call.
 func (s *server) decomposeOne(ctx context.Context, wr *wireRequest) (decomposeResponse, error) {
 	req := &wr.opts
-	opts, err := s.resolveOptions(req.K, req.Algorithm, req.Engine, req.RaceBudgetMs, req.Alpha, req.Seed, req.Workers, req.BuildWorkers)
+	opts, err := s.resolveOptions(req.K, req.Algorithm, req.Engine, req.Alpha, req.Seed, req.Workers, req.BuildWorkers)
 	if err != nil {
 		return decomposeResponse{}, err
 	}
@@ -571,7 +555,7 @@ func (s *server) handleIncremental(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "empty edit batch")
 		return
 	}
-	opts, err := s.resolveOptions(req.K, req.Algorithm, req.Engine, req.RaceBudgetMs, req.Alpha, req.Seed, req.Workers, req.BuildWorkers)
+	opts, err := s.resolveOptions(req.K, req.Algorithm, req.Engine, req.Alpha, req.Seed, req.Workers, req.BuildWorkers)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -1,12 +1,13 @@
 package main
 
-// HTTP-level tests for the adaptive engine policies: the request field, the
+// HTTP-level tests for the adaptive engine policy: the request field, the
 // response echo + per-solve histogram, validation, and the /v1/stats
 // aggregate engine histogram.
 
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -93,21 +94,18 @@ func TestServeEngineValidation(t *testing.T) {
 		t.Fatalf("unknown engine: status %d, want 400", r.StatusCode)
 	}
 
-	budget := rowRequest("budget-no-race", 4)
-	budget.RaceBudgetMs = 50
-	if r := postJSON(t, ts.URL+"/v1/decompose", budget, nil); r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("race_budget_ms without race engine: status %d, want 400", r.StatusCode)
-	}
-
+	// The race policy is deleted: its old wire value is a rejected engine,
+	// and the error points the client at auto.
 	race := gridRequest("race-grid", 4)
 	race.Engine = "race"
-	race.RaceBudgetMs = 500
-	var resp decomposeResponse
-	if r := postJSON(t, ts.URL+"/v1/decompose", race, &resp); r.StatusCode != http.StatusOK {
-		t.Fatalf("race request: status %d", r.StatusCode)
+	var failed struct {
+		Error string `json:"error"`
 	}
-	if resp.Engine != "race" || len(resp.Engines) == 0 {
-		t.Fatalf("race response incomplete: %+v", resp)
+	if r := postJSON(t, ts.URL+"/v1/decompose", race, &failed); r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("race engine: status %d, want 400", r.StatusCode)
+	}
+	if !strings.Contains(failed.Error, `"auto"`) {
+		t.Fatalf("race engine error %q does not name auto", failed.Error)
 	}
 }
 

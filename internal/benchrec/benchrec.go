@@ -167,9 +167,10 @@ type AlgorithmRun struct {
 	// across division workers, so with DivWorkers > 1 it is CPU-style
 	// time, like SolverMs.
 	StageMs map[string]float64 `json:"stage_ms,omitempty"`
-	// Shape-tier counters of the run (omitted for race runs, which
-	// bypass the tier, and in records from before the tier served every
-	// solve, whose memo-off runs reported no shape traffic).
+	// Shape-tier counters of the run (omitted for the race runs of older
+	// records, which bypassed the tier, and in records from before the
+	// tier served every solve, whose memo-off runs reported no shape
+	// traffic).
 	ShapeHits     int `json:"shape_hits,omitempty"`
 	ShapeMisses   int `json:"shape_misses,omitempty"`
 	ShapeDistinct int `json:"shape_distinct,omitempty"`

@@ -43,21 +43,18 @@ const (
 	EngineFixed = ""
 	// EngineAuto selects an engine per component from its structure
 	// (internal/portfolio's constant thresholds over size, conflict
-	// edges and odd cycles).
+	// edges and odd cycles), and keeps Linear's coloring of a node-capped
+	// SDP+Backtrack piece when it costs strictly less.
 	EngineAuto = "auto"
-	// EngineRace runs two candidate engines per component concurrently
-	// under Options.RaceBudget, keeping the provably-optimal or better
-	// result and cancelling the loser.
-	EngineRace = "race"
 )
 
-// ParseEngine validates an engine policy name ("", "auto" or "race").
+// ParseEngine validates an engine policy name ("" or "auto").
 func ParseEngine(s string) (string, error) {
 	switch s {
-	case EngineFixed, EngineAuto, EngineRace:
+	case EngineFixed, EngineAuto:
 		return s, nil
 	}
-	return "", fmt.Errorf("core: unknown engine %q (want \"auto\", \"race\" or empty for fixed)", s)
+	return "", fmt.Errorf("core: unknown engine %q (want \"auto\" or empty for fixed)", s)
 }
 
 // checkEngine rejects an unknown engine policy, or a fixed-engine
@@ -99,16 +96,10 @@ type Options struct {
 	// Algorithm picks the color-assignment engine applied to every
 	// component when Engine is empty (the fixed policy).
 	Algorithm Algorithm
-	// Engine selects the per-component engine policy: EngineFixed (""),
-	// EngineAuto or EngineRace. Auto and race ignore Algorithm and pick
-	// engines per component (internal/portfolio).
+	// Engine selects the per-component engine policy: EngineFixed ("")
+	// or EngineAuto. Auto ignores Algorithm and picks engines per
+	// component (internal/portfolio).
 	Engine string
-	// RaceBudget is the shared per-component deadline of EngineRace: both
-	// racers run under one child context bounded by it, so a component can
-	// never hold the race longer than this even when the request context
-	// has a distant deadline. 0 means 2s; negative disables the bound
-	// (the request context still applies).
-	RaceBudget time.Duration
 	// Alpha is the stitch weight; 0 means 0.1.
 	Alpha float64
 	// Threshold is Algorithm 1's merge threshold t_th; 0 means 0.9.
@@ -119,7 +110,7 @@ type Options struct {
 	// zero value means 60 s (the paper used 3600 s on full-chip cases).
 	ILPTimeLimit time.Duration
 	// Memoize is a deprecated no-op, kept so existing callers compile:
-	// every non-race solve now consults the shape tier (DESIGN.md §11),
+	// every solve now consults the shape tier (DESIGN.md §11),
 	// and Normalize clears the field.
 	Memoize bool
 	// Build controls graph construction.
@@ -154,21 +145,10 @@ func (o Options) withDefaults() Options {
 	if o.ILPTimeLimit == 0 {
 		o.ILPTimeLimit = 60 * time.Second
 	}
-	// Engine-policy fields normalize to what the run actually reads, so
-	// two spellings of the same run compare — and cache/session-key —
-	// equal: only race reads the budget, and neither adaptive policy ever
-	// reads Algorithm.
-	switch o.Engine {
-	case EngineFixed:
-		o.RaceBudget = 0
-	case EngineAuto:
+	// Auto never reads Algorithm, so it normalizes to zero and two
+	// spellings of the same run compare — and cache/session-key — equal.
+	if o.Engine == EngineAuto {
 		o.Algorithm = 0
-		o.RaceBudget = 0
-	default:
-		o.Algorithm = 0
-		if o.RaceBudget == 0 {
-			o.RaceBudget = 2 * time.Second
-		}
 	}
 	// Memoize no longer selects anything (the shape tier serves every
 	// deterministic solve), so it normalizes off and spellings compare equal.
@@ -188,8 +168,11 @@ type Result struct {
 	// Conflicts and Stitches are the objective values (Table 1's cn#/st#).
 	Conflicts int
 	Stitches  int
-	// Proven is false when the ILP engine hit its time budget — the
-	// paper's "N/A (>3600s)" condition.
+	// Proven is false when some piece's exact search was cut short: the
+	// ILP engine hit its time budget (the paper's "N/A (>3600s)"
+	// condition), an SDP+Backtrack search hit its node cap (every K=5
+	// Table 2 run), or auto kept Linear's coloring of such a capped piece.
+	// A degraded result is never proven either.
 	Proven bool
 	// AssignTime is the total time of division plus color assignment.
 	AssignTime time.Duration
@@ -241,7 +224,7 @@ func (r *Result) Masks() [][]geom.Polygon {
 
 // sharedScratch is the process-wide scratch-arena pool every solve path
 // leases per-worker buffers from: division workers thread an arena into
-// each engine call (SDP matrix workspace), race-mode racers lease their
+// each engine call (SDP matrix workspace), SDP restart runners lease their
 // own, and pooled arenas survive across service requests, so steady-state
 // serving stops re-allocating hot-path memory. The allocation benchmarks
 // (BenchmarkRepeatedSolve) compare this pool against an unpooled one.
@@ -339,16 +322,14 @@ func decomposeGraph(ctx context.Context, dg *Graph, opts Options, build bool, po
 
 // classSolver builds the context-aware solver for one portfolio engine
 // class. The unproven flag is set when this engine's exact search is cut
-// short (node limit, time budget, or ctx cancellation mid-solve); callers
-// racing engines pass per-racer flags so a cancelled loser cannot taint the
-// winner's provenness. fellBack (nil-safe) is set when the piece was not
-// colored by the class at all — the ILP budget was already spent and the
-// linear fallback answered — so dispatchers can attribute the piece to
-// "fallback" instead of overstating the exact engine in the histogram.
-// ilpDeadline is the run-global ILP budget expiry, shared across
-// components like the classic AlgILP path. Solvers are safe for concurrent
-// calls (division's Workers mode); each call carves its engine workspace
-// from the scratch arena it is handed.
+// short (node limit, time budget, or ctx cancellation mid-solve). fellBack
+// is set when the piece was not colored by the class at all — the ILP
+// budget was already spent and the linear fallback answered — so the
+// dispatcher can attribute the piece to "fallback" instead of overstating
+// the exact engine in the histogram. ilpDeadline is the run-global ILP
+// budget expiry, shared across components like the classic AlgILP path.
+// Solvers are safe for concurrent calls (division's Workers mode); each
+// call carves its engine workspace from the scratch arena it is handed.
 func classSolver(class portfolio.Class, opts Options, env pipeline.Env, unproven *atomic.Bool, fellBack *atomic.Bool, ilpDeadline time.Time) portfolio.Solver {
 	switch class {
 	case portfolio.Linear:
@@ -374,9 +355,7 @@ func classSolver(class portfolio.Class, opts Options, env pipeline.Env, unproven
 			remaining := time.Until(ilpDeadline)
 			if remaining <= 0 {
 				unproven.Store(true)
-				if fellBack != nil {
-					fellBack.Store(true)
-				}
+				fellBack.Store(true)
 				// Budget exhausted: greedy fallback keeps the run going so
 				// the harness can still report a (non-optimal) solution.
 				return coloring.Linear(g, coloring.LinearOptions{K: opts.K, Alpha: opts.Alpha})
@@ -419,19 +398,20 @@ type solved struct {
 type pieceSolver func(g *graph.Graph, sc *pipeline.Scratch) solved
 
 // makeSolver builds the per-piece engine dispatcher the Dispatch stage
-// calls: the fixed Options.Algorithm engine, auto's portfolio.Select
-// choice, or a portfolio race when Options.Engine is set. A piece is
-// unproven when the kept result's exact search was cut short (node limit,
-// time budget, or ctx cancellation mid-solve) — in race mode a cancelled
-// loser does not taint it — and budget-fallback pieces are labeled
+// calls: the fixed Options.Algorithm engine, or auto's portfolio.Select
+// choice when Options.Engine is EngineAuto. A piece is unproven when the
+// kept result's exact search was cut short (node limit, time budget, or
+// ctx cancellation mid-solve), and budget-fallback pieces are labeled
 // "fallback", not their class.
-// The keep rule lives here too: a fixed or auto solve is kept only when it
-// is proven (which also rules out the fallback) and its context is still
-// live; a race solve never is. The worker's scratch arena is threaded into
-// the engine (auto/fixed); race-mode racers lease their own arenas from
-// the run's pool, because a cancelled loser may still be writing to its
-// arena after the race returns. The env additionally carries the run's
-// parallelism budget down into the SDP restart fan-out.
+// Auto adds one deterministic best-of: when its SDP+Backtrack solve comes
+// back unproven (node-capped), Linear colors the piece too and is kept
+// only at a strictly lower cost. Ties keep SDP+Backtrack, so auto's bytes
+// move only where the cap actually cost quality (DESIGN.md §8).
+// The keep rule lives here too: a solve is kept only when it is proven
+// (which also rules out the fallback and a kept Linear answer) and its
+// context is still live. The worker's scratch arena is threaded into the
+// engine, and the env additionally carries the run's parallelism budget
+// down into the SDP restart fan-out.
 func makeSolver(ctx context.Context, opts Options, env pipeline.Env) pieceSolver {
 	// The shared ILP budget is a wall-clock deadline by contract: budget
 	// exhaustion degrades pieces to the linear fallback, tallied as
@@ -439,33 +419,25 @@ func makeSolver(ctx context.Context, opts Options, env pipeline.Env) pieceSolver
 	// under a proven label (portfolio_gate_test pins this).
 	//lint:ignore determinism shared ILP budget; expiry degrades to fallback + Proven=false, not silent byte drift
 	ilpDeadline := time.Now().Add(opts.ILPTimeLimit)
-	// solve runs one class on the worker's arena (fixed and auto).
+	// solve runs one class on the worker's arena.
 	solve := func(class portfolio.Class, g *graph.Graph, sc *pipeline.Scratch) solved {
 		var unproven, fell atomic.Bool
 		colors := classSolver(class, opts, env, &unproven, &fell, ilpDeadline)(ctx, g, sc)
 		u := unproven.Load()
 		return solved{colors: colors, engine: engineLabel(class, fell.Load()), unproven: u, keep: !u && ctx.Err() == nil}
 	}
-	switch opts.Engine {
-	case EngineAuto:
+	if opts.Engine == EngineAuto {
 		return func(g *graph.Graph, sc *pipeline.Scratch) solved {
-			return solve(portfolio.Select(portfolio.Analyze(g)), g, sc)
-		}
-	case EngineRace:
-		return func(g *graph.Graph, _ *pipeline.Scratch) solved {
-			// Per-racer provenness: only the winner's truncation (or a
-			// budget expiry it survived on quality) may mark the result
-			// unproven; a cancelled loser's is irrelevant. fell tracks,
-			// per racer, whether the class actually ran or the spent ILP
-			// budget made the linear fallback answer in its place.
-			var flags, fell [portfolio.NumClasses]atomic.Bool
-			var engines [portfolio.NumClasses]portfolio.Solver
-			for c := portfolio.Class(0); c < portfolio.NumClasses; c++ {
-				engines[c] = classSolver(c, opts, env, &flags[c], &fell[c], ilpDeadline)
+			class := portfolio.Select(portfolio.Analyze(g))
+			p := solve(class, g, sc)
+			if class != portfolio.SDPBacktrack || !p.unproven {
+				return p
 			}
-			colors, out := portfolio.Race(ctx, g, opts.Alpha, opts.RaceBudget, engines, env)
-			return solved{colors: colors, engine: engineLabel(out.Winner, fell[out.Winner].Load()),
-				unproven: !out.ProvenOptimal && flags[out.Winner].Load()}
+			lin := coloring.Linear(g, coloring.LinearOptions{K: opts.K, Alpha: opts.Alpha})
+			if coloring.Cost(g, lin, opts.Alpha) < coloring.Cost(g, p.colors, opts.Alpha) {
+				return solved{colors: lin, engine: portfolio.Linear.String(), unproven: true}
+			}
+			return p
 		}
 	}
 	return func(g *graph.Graph, sc *pipeline.Scratch) solved {

@@ -35,14 +35,12 @@ var sharedShapes = flight.New[shapeEntry](4096, nil)
 // two runs may share stored colors only when every option an engine reads
 // matches. Fields that cannot change a piece's deterministic solution are
 // zeroed — worker counts and build tuning don't reach the engines, and the
-// wall-clock budgets (ILPTimeLimit, RaceBudget) are excluded because a
-// piece whose own solve was cut short by one is never stored (see
-// makeSolver's keep rule), so every entry is the budget-independent exact
-// answer.
+// wall-clock ILPTimeLimit is excluded because a piece whose own solve was
+// cut short by it is never stored (see makeSolver's keep rule), so every
+// entry is the budget-independent exact answer.
 func shapeOptionsSig(o Options) string {
 	o = o.withDefaults()
 	o.ILPTimeLimit = 0
-	o.RaceBudget = 0
 	o.Build = BuildOptions{}
 	o.Division = division.Options{}
 	return fmt.Sprintf("%#v", o)
@@ -56,7 +54,7 @@ func shapeOptionsSig(o Options) string {
 type dispatch struct {
 	env      pipeline.Env
 	inner    pieceSolver
-	shapes   *flight.Cache[shapeEntry] // nil under EngineRace: no tier
+	shapes   *flight.Cache[shapeEntry]
 	sig      string
 	unproven atomic.Bool
 	solverNs atomic.Int64
@@ -74,19 +72,16 @@ type dispatch struct {
 // division worker pool to the engines: one scratch pool for every arena
 // lease, and one parallelism budget (sized to Division.Workers) shared by
 // component-level workers and the SDP restart fan-out, so their combined
-// goroutine count never exceeds the configured worker allowance. Race runs
-// bypass the tier: their winners are wall-clock dependent.
+// goroutine count never exceeds the configured worker allowance.
 func newDispatch(ctx context.Context, opts Options, pool *pipeline.ScratchPool, shapes *flight.Cache[shapeEntry]) (*dispatch, division.Solver) {
 	d := &dispatch{
 		env:      pipeline.Env{Scratch: pool, Budget: pipeline.NewBudget(opts.Division.Workers)},
+		shapes:   shapes,
+		sig:      shapeOptionsSig(opts) + "\x00",
 		engines:  make(map[string]int),
 		distinct: make(map[string]struct{}),
 	}
 	d.inner = makeSolver(ctx, opts, d.env)
-	if opts.Engine != EngineRace {
-		d.shapes = shapes
-		d.sig = shapeOptionsSig(opts) + "\x00"
-	}
 	return d, func(g *graph.Graph, sc *pipeline.Scratch) []int { return d.solve(ctx, g, sc) }
 }
 
@@ -110,7 +105,7 @@ func (d *dispatch) solve(ctx context.Context, g *graph.Graph, sc *pipeline.Scrat
 	t0 := time.Now()
 	defer func() { d.solverNs.Add(int64(time.Since(t0))) }()
 	n := g.N()
-	if d.shapes == nil || n > canon.MaxVertices {
+	if n > canon.MaxVertices {
 		return d.record(d.inner(g, sc), "", false) // uncounted: never a tier candidate
 	}
 	// The encoding is self-delimiting (uvarint-counted) and the signature

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"mpl/internal/division"
 	"mpl/internal/flight"
 	"mpl/internal/graph"
 	"mpl/internal/layout"
@@ -216,11 +215,11 @@ func TestMemoizedAutoNeverWorseThanGoldenBest(t *testing.T) {
 	}
 }
 
-// TestMemoizeNormalizesOffUnderRace pins the options contract: Memoize is
-// a deprecated no-op, so Normalize clears it under every engine policy
-// (and equivalent option spellings therefore share cache/session keys).
-func TestMemoizeNormalizesOffUnderRace(t *testing.T) {
-	for _, engine := range []string{EngineFixed, EngineAuto, EngineRace} {
+// TestMemoizeNormalizesOff pins the options contract: Memoize is a
+// deprecated no-op, so Normalize clears it under every engine policy (and
+// equivalent option spellings therefore share cache/session keys).
+func TestMemoizeNormalizesOff(t *testing.T) {
+	for _, engine := range []string{EngineFixed, EngineAuto} {
 		if (Options{K: 4, Engine: engine, Memoize: true}).Normalize().Memoize {
 			t.Fatalf("engine %q: Normalize must clear Memoize", engine)
 		}
@@ -312,26 +311,5 @@ func TestShapeTierHitEqualsFreshSolve(t *testing.T) {
 		if tier.Len() != 0 {
 			t.Fatalf("tier stored %d capped pieces", tier.Len())
 		}
-	})
-
-	// Race winners are wall-clock dependent, so a race run neither reads
-	// nor fills the tier and reports no shape traffic.
-	t.Run("race", func(t *testing.T) {
-		dg := nIdenticalK5s(4)
-		tier := freshTier()
-		race := Options{K: 4, Engine: EngineRace, Seed: 1}
-		check := func(when string, stored int) {
-			res := tierRun(t, dg, race, tier)
-			if res.DivisionStats.Shapes != (division.ShapeStats{}) || tier.Len() != stored || tier.Evictions() != 0 {
-				t.Fatalf("race on %s tier: shapes %+v, tier holds %d (want %d), %d evictions",
-					when, res.DivisionStats.Shapes, tier.Len(), stored, tier.Evictions())
-			}
-		}
-		check("an empty", 0)
-		tierRun(t, dg, Options{K: 4, Engine: EngineAuto, Seed: 1}, tier)
-		if tier.Len() == 0 {
-			t.Fatal("auto stored nothing")
-		}
-		check("a warm", tier.Len())
 	})
 }

@@ -1,123 +1,35 @@
 package core
 
-// Integration tests for the adaptive engine portfolio: auto/race dispatch
-// through the full division pipeline, race-loser cancellation hygiene
-// (no goroutine leaks), deadline degradation, and the ECO path under auto.
+// Integration tests for the adaptive engine portfolio: auto dispatch
+// through the full division pipeline, its best-of over node-capped
+// SDP+Backtrack pieces, deadline degradation, and the ECO path under auto.
 
 import (
 	"context"
-	"runtime"
+	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mpl/internal/coloring"
 	"mpl/internal/geom"
-	"mpl/internal/layout"
+	"mpl/internal/graph"
+	"mpl/internal/pipeline"
+	"mpl/internal/portfolio"
 )
 
-// crossesLayout builds two K5 cross clusters plus a sparse row: every piece
-// reaching the solver is a 5-vertex cross whose optimal cost is 1 conflict
-// at K=4 — never 0 — so a race between ILP (primary at this size) and
-// SDP+Backtrack always ends in a cost tie broken toward the primary. That
-// makes race-mode winners provably identical to auto mode's selections,
-// the setup the byte-equivalence test needs.
-func crossesLayout() *layout.Layout {
-	l := layout.New("crosses")
-	cross := func(cx, cy int) {
-		for _, d := range [][2]int{{0, 0}, {40, 0}, {-40, 0}, {0, 40}, {0, -40}} {
-			l.AddRect(geom.Rect{X0: cx + d[0], Y0: cy + d[1], X1: cx + d[0] + 20, Y1: cy + d[1] + 20})
-		}
-	}
-	cross(0, 0)
-	cross(1000, 0)
-	for i := 0; i < 6; i++ {
-		l.AddRect(geom.Rect{X0: i * 300, Y0: 600, X1: i*300 + 20, Y1: 620})
-	}
-	return l
-}
-
-func TestRaceByteEquivalentToAutoOnIdenticalWinners(t *testing.T) {
-	l := crossesLayout()
-	g, err := BuildGraph(l, BuildOptions{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, err := DecomposeGraph(g, Options{K: 4, Engine: EngineAuto, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	race, err := DecomposeGraph(g, Options{K: 4, Engine: EngineRace, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same winners (the tie-break sends every cross to the primary, which
-	// is auto's selection) — so the colorings must be byte-identical.
-	if len(auto.DivisionStats.Engines) == 0 {
-		t.Fatalf("auto recorded no engine dispatches: %+v", auto.DivisionStats)
-	}
-	for name, n := range auto.DivisionStats.Engines {
-		if race.DivisionStats.Engines[name] != n {
-			t.Fatalf("winner histograms differ: auto %v, race %v — the cost-tie break no longer prefers the primary",
-				auto.DivisionStats.Engines, race.DivisionStats.Engines)
-		}
-	}
-	if !slices.Equal(auto.Colors, race.Colors) {
-		t.Errorf("race winners match auto's selections but the colors differ")
-	}
-	if auto.Conflicts != 2 {
-		t.Errorf("two K5 crosses at K=4 must cost exactly 2 conflicts, got %d", auto.Conflicts)
-	}
-}
-
-func TestRaceLeaksNoGoroutines(t *testing.T) {
-	l := crossesLayout()
-	g, err := BuildGraph(l, BuildOptions{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm-up: one run so lazily started runtime helpers don't count.
-	if _, err := DecomposeGraph(g, Options{K: 4, Engine: EngineRace, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-	for i := 0; i < 8; i++ {
-		res, err := DecomposeGraph(g, Options{K: 4, Engine: EngineRace, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := coloring.Validate(res.Graph.G, res.Colors, 4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Cancelled losers exit at their next checkpoint; give them a moment,
-	// then require the count back at (or below) the baseline. A small
-	// tolerance absorbs unrelated runtime goroutines, not race losers —
-	// 8 runs × several pieces × 1 loser each would blow well past it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before, %d five seconds after 8 race runs — race losers are leaking",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestRace1msDeadlineStillReturnsValidResult(t *testing.T) {
+func TestAuto1msDeadlineStillReturnsValidResult(t *testing.T) {
 	l := fuzzBaseLayout()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := DecomposeContext(ctx, l, Options{K: 4, Engine: EngineRace, Seed: 1})
+	res, err := DecomposeContext(ctx, l, Options{K: 4, Engine: EngineAuto, Seed: 1})
 	if err != nil {
 		t.Fatalf("a dead deadline must degrade, not fail: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("1ms-deadline race took %v; cancellation is not propagating", elapsed)
+		t.Fatalf("1ms-deadline auto took %v; cancellation is not propagating", elapsed)
 	}
 	if err := coloring.Validate(res.Graph.G, res.Colors, 4); err != nil {
 		t.Fatalf("degraded result must still be a valid coloring: %v", err)
@@ -134,20 +46,6 @@ func TestRace1msDeadlineStillReturnsValidResult(t *testing.T) {
 	}
 }
 
-func TestRaceTinyBudgetDegradesGracefully(t *testing.T) {
-	l := fuzzBaseLayout()
-	// A 1ns budget expires before either racer reaches its first
-	// checkpoint: both return incumbents, the better one is kept, and the
-	// result stays a complete valid coloring (the engines' contract).
-	res, err := Decompose(l, Options{K: 4, Engine: EngineRace, Seed: 1, RaceBudget: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coloring.Validate(res.Graph.G, res.Colors, 4); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUnknownEngineRejected(t *testing.T) {
 	l := fuzzBaseLayout()
 	prev, err := Decompose(l, Options{K: 4, Algorithm: AlgLinear})
@@ -156,6 +54,7 @@ func TestUnknownEngineRejected(t *testing.T) {
 	}
 	for _, bad := range []Options{
 		{K: 4, Engine: "bogus"},
+		{K: 4, Engine: "race"}, // the deleted race policy is a rejected value, not an alias
 		{K: 4, Algorithm: Algorithm(7)},
 		{K: 4, Algorithm: Algorithm(-1)},
 	} {
@@ -191,4 +90,65 @@ func TestApplyEditsAutoMatchesScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEquivalent(t, 4, inc, scratch)
+}
+
+// TestAutoBestOfCappedBacktrack pins auto's per-piece best-of: a
+// node-capped SDP+Backtrack solve is answered by Linear exactly when
+// Linear's cost is strictly lower, a tie keeps SDP+Backtrack, and either
+// way the piece stays unproven and is never offered to the shape tier.
+func TestAutoBestOfCappedBacktrack(t *testing.T) {
+	defer func(n int64) { backtrackNodeLimit = n }(backtrackNodeLimit)
+	backtrackNodeLimit = 1
+	opts := Options{K: 4, Seed: 1}.withDefaults()
+	env := pipeline.Env{}
+	auto := opts
+	auto.Engine = EngineAuto
+	solver := makeSolver(context.Background(), auto, env)
+	outcomes := map[string]int{}
+	for seed := int64(1); seed <= 40; seed++ {
+		g := randomPiece(seed, 24)
+		if portfolio.Select(portfolio.Analyze(g)) != portfolio.SDPBacktrack {
+			t.Fatalf("seed %d: piece does not route to SDP+Backtrack", seed)
+		}
+		var unproven, fell atomic.Bool
+		bt := classSolver(portfolio.SDPBacktrack, opts, env, &unproven, &fell, time.Time{})(context.Background(), g, nil)
+		if !unproven.Load() {
+			t.Fatalf("seed %d: a 1-node cap reported proven", seed)
+		}
+		lin := coloring.Linear(g, coloring.LinearOptions{K: opts.K, Alpha: opts.Alpha})
+		p := solver(g, nil)
+		want, wantEngine := bt, portfolio.SDPBacktrack.String()
+		if coloring.Cost(g, lin, opts.Alpha) < coloring.Cost(g, bt, opts.Alpha) {
+			want, wantEngine = lin, portfolio.Linear.String()
+		}
+		if p.engine != wantEngine || !slices.Equal(p.colors, want) {
+			t.Fatalf("seed %d: auto kept %s, want %s (SDP+Backtrack cost %v, Linear cost %v)", seed, p.engine, wantEngine,
+				coloring.Cost(g, bt, opts.Alpha), coloring.Cost(g, lin, opts.Alpha))
+		}
+		if !p.unproven || p.keep {
+			t.Fatalf("seed %d: capped piece reported unproven=%v keep=%v", seed, p.unproven, p.keep)
+		}
+		outcomes[p.engine]++
+	}
+	t.Logf("outcomes %v", outcomes)
+	if len(outcomes) != 2 {
+		t.Fatalf("the sample exercised only %v; want both outcomes of the best-of", outcomes)
+	}
+}
+
+// randomPiece is a seeded random piece of n vertices: conflict edges at
+// density 0.3 plus a sparse stitch chain, so both cost terms matter.
+func randomPiece(seed int64, n int) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < 0.3 {
+				b.AddConflict(u, v)
+			} else if v == u+1 && rng.Float64() < 0.5 {
+				b.AddStitch(u, v)
+			}
+		}
+	}
+	return b.Build(nil)
 }

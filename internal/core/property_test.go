@@ -1,7 +1,7 @@
 package core
 
 // Property-based test over seeded random layouts: every engine — the four
-// fixed ones plus the adaptive auto and race policies — must uphold the
+// fixed ones plus the adaptive auto policy — must uphold the
 // solution invariants on arbitrary (valid) geometry, not just the curated
 // benchmark circuits. The invariants are exactly what VerifySolution and
 // the golden tests rely on elsewhere:
@@ -31,13 +31,12 @@ var propertyEngines = []struct {
 	{"sdp-backtrack", Options{Algorithm: AlgSDPBacktrack}},
 	{"ilp", Options{Algorithm: AlgILP}},
 	{"auto", Options{Engine: EngineAuto}},
-	{"race", Options{Engine: EngineRace}},
 }
 
 func TestPropertyAllEnginesUpholdInvariants(t *testing.T) {
 	cases := 200
 	if raceEnabled {
-		// The full grid is 200 layouts × 2 K × 6 engines; under the race
+		// The full grid is 200 layouts × 2 K × 5 engines; under the race
 		// detector that is minutes of SDP descent with nothing new to
 		// find. CI's non-race pass runs the full grid.
 		cases = 40

@@ -101,7 +101,7 @@ type Stats struct {
 	// named engine colored. The pipeline itself records only "fallback"
 	// (the cancellation path of callSolver); the portfolio dispatcher in
 	// internal/core fills in the engine names it routed pieces to, so a
-	// fixed-engine run shows one bucket, an auto/race run shows the mix.
+	// fixed-engine run shows one bucket, an auto run shows the mix.
 	// A piece served from core's shape tier counts under the engine whose
 	// stored answer it carries, so the histogram does not depend on what
 	// the tier held.

@@ -9,7 +9,7 @@
 //     — fields outlive the lease and invite cross-goroutine sharing.
 //     (*pipeline.ScratchPool fields are fine: pools are shared by design.)
 //  2. noGoCapture (§9 rule 2): a goroutine must not capture or receive an
-//     enclosing scope's Scratch — each racer/worker leases its own arena
+//     enclosing scope's Scratch — each worker or runner leases its own arena
 //     inside its own goroutine (`sc := pool.Get()` in the goroutine body).
 //     The SDP restart fan-out (DESIGN.md §14) is the canonical sanctioned
 //     shape: the caller's arena keeps the pre-carved factor blocks, and
@@ -125,11 +125,11 @@ func checkGoStmt(pass *lintkit.Pass, g *ast.GoStmt) {
 			return true
 		}
 		// Declared inside the literal: the goroutine's own lease — the
-		// sanctioned racer pattern.
+		// sanctioned runner pattern.
 		if lit.Body.Pos() <= obj.Pos() && obj.Pos() <= lit.Body.End() {
 			return true
 		}
-		pass.Reportf(id.Pos(), "goroutine captures pipeline.Scratch %s from its enclosing scope (DESIGN.md §9 rule 2); racers lease their own arena with pool.Get() inside the goroutine", id.Name)
+		pass.Reportf(id.Pos(), "goroutine captures pipeline.Scratch %s from its enclosing scope (DESIGN.md §9 rule 2); runners lease their own arena with pool.Get() inside the goroutine", id.Name)
 		return true
 	})
 }

@@ -31,8 +31,8 @@ func GoArg(pool *pipeline.ScratchPool) {
 
 func use(sc *pipeline.Scratch) { _ = sc.Ints(4) }
 
-// Racer is the sanctioned shape: each goroutine leases its own arena.
-func Racer(pool *pipeline.ScratchPool) {
+// Runner is the sanctioned shape: each goroutine leases its own arena.
+func Runner(pool *pipeline.ScratchPool) {
 	go func() {
 		sc := pool.Get()
 		defer pool.Put(sc)

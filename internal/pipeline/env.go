@@ -9,8 +9,7 @@ package pipeline
 // parallelism never engages — so callers can thread an Env optionally.
 type Env struct {
 	// Scratch is the per-worker arena pool; each division worker (and each
-	// race-mode racer or restart runner) leases one arena for its own
-	// lifetime. Nil disables pooling.
+	// SDP restart runner) leases one arena for its own lifetime. Nil disables pooling.
 	Scratch *ScratchPool
 	// Budget is the run's shared goroutine budget (Options.Workers slots).
 	// Nil means no budget: nested fan-outs stay serial.

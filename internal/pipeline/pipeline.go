@@ -4,7 +4,7 @@
 //	Build → Simplify → Partition → Dispatch → Stitch → Merge
 //
 // — and every solve path in this repository (from-scratch decomposition,
-// incremental ECO re-decomposition, the portfolio auto/race dispatch) runs
+// incremental ECO re-decomposition, the portfolio auto dispatch) runs
 // these six stages over different inputs: the incremental path substitutes
 // a dirty-region Build and Partition, nothing more (DESIGN.md §9). The
 // package provides:
@@ -47,7 +47,7 @@ const (
 	// incremental path — the dirty/copy-safe component diff.
 	StagePartition = "partition"
 	// StageDispatch is per-piece color assignment: engine selection
-	// (fixed, auto, or race) plus the engine solve itself.
+	// (fixed or auto) plus the engine solve itself.
 	StageDispatch = "dispatch"
 	// StageStitch is reassembly: block rotations at articulation vertices,
 	// GH cut-edge rotations, and peel-stack pops.

@@ -7,17 +7,12 @@
 // engines and the linear heuristic trade quality for orders of magnitude in
 // wall time (see the recorded BENCH trajectory, EXPERIMENTS.md).
 //
-// The package offers two policies over the four engine classes:
-//
-//   - auto — Select reads the component's structure (vertex count,
-//     conflict edges, odd-cycle evidence) and names the engine the
-//     constant thresholds predict is the cheapest one achieving reference
-//     quality; the caller runs it;
-//   - race — run two candidate engines concurrently under one shared
-//     deadline budget, keep the first result whose cost is provably optimal
-//     (cost 0: no conflicts, no stitches — the objective's lower bound), or
-//     the better of the two once both finish or the budget expires, and
-//     cancel the loser through the usual context plumbing.
+// The package's one policy over the four engine classes is auto: Select
+// reads the component's structure (vertex count, conflict edges, odd-cycle
+// evidence) and names the engine the constant thresholds predict is the
+// cheapest one achieving reference quality; the caller runs it (core's
+// auto also keeps Linear's coloring of a node-capped SDP+Backtrack piece
+// when it costs strictly less).
 //
 // Engines are supplied by the caller as context-aware solve functions, so
 // the package stays free of solver dependencies and the division pipeline
@@ -28,9 +23,7 @@ package portfolio
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"mpl/internal/coloring"
 	"mpl/internal/graph"
 	"mpl/internal/pipeline"
 )
@@ -126,8 +119,7 @@ func Analyze(g *graph.Graph) Profile {
 // The auto-mode decision boundaries, calibrated on the recorded BENCH
 // trajectory (DESIGN.md §8). They are constants, not options: the options
 // signature still records them for the adaptive engines (pf.* fields), so
-// changing one re-keys every auto and race cache entry and durable
-// session.
+// changing one re-keys every auto cache entry and durable session.
 const (
 	// ILPMaxN is the largest component (vertices) routed to the exact ILP.
 	// Below it the branch-and-bound proves optimality in microseconds to
@@ -159,8 +151,7 @@ const (
 //   - A bipartite conflict graph (OddEdges == 0) skips the ILP tier: its
 //     conflicts are always avoidable and SDP+Backtrack reaches the
 //     conflict-free optimum in milliseconds, so only stitch ties remain —
-//     not worth the exact search in auto mode (race mode may still bet on
-//     ILP under budget, see RacePair).
+//     not worth the exact search.
 //   - Everything else up to BacktrackMaxN stays on SDP+Backtrack —
 //     odd-cycle-rich mid-size components are exactly where greedy SDP
 //     mapping degrades (Table 1).
@@ -177,112 +168,4 @@ func Select(p Profile) Class {
 		return SDPGreedy
 	}
 	return Linear
-}
-
-// RacePair is the race policy: the primary is auto's Select choice (so a
-// race degenerates to auto whenever the secondary cannot beat it), the
-// secondary is the complementary bet:
-//
-//   - primary ILP races SDP+Backtrack — insurance against an exact search
-//     that overruns the budget (the backtrack incumbent is near-optimal);
-//   - primary SDP+Backtrack races the exact ILP while the component is
-//     within 3× of the ILP tier — the budget, not a size cliff, decides
-//     whether exactness was affordable;
-//   - everything larger races the linear-time engine, which guarantees a
-//     full-quality *completed* answer inside any budget the expensive
-//     primary might miss.
-func RacePair(p Profile) (primary, secondary Class) {
-	primary = Select(p)
-	switch primary {
-	case ILP:
-		return ILP, SDPBacktrack
-	case SDPBacktrack:
-		if p.N <= 3*ILPMaxN && p.ConflictEdges <= 3*ILPMaxM {
-			return SDPBacktrack, ILP
-		}
-		return SDPBacktrack, Linear
-	default:
-		return primary, Linear
-	}
-}
-
-// Outcome reports how one race went.
-type Outcome struct {
-	// Winner is the class whose coloring was kept.
-	Winner Class
-	// ProvenOptimal reports the cost-0 early exit: the winner's coloring
-	// has no conflicts and no stitches, the objective's lower bound.
-	ProvenOptimal bool
-}
-
-// Race profiles g, picks the candidate pair, and runs both concurrently
-// under the shared budget (a child context of ctx; 0 means no extra bound
-// beyond ctx itself). The first result with cost 0 wins immediately and the
-// loser is cancelled; otherwise both results are awaited — every engine
-// returns its incumbent promptly once the budget context expires — and the
-// better cost wins, ties going to the primary so that a race whose
-// secondary cannot strictly beat auto's choice returns byte-identical
-// colors to auto mode.
-// Racers lease their own scratch arenas from the env's pool (nil disables
-// pooling) rather than sharing the caller's: a cancelled loser keeps
-// running — and writing into its arena — until its next checkpoint, which
-// may be after Race has returned, so the caller's arena must never be
-// exposed to it. The env's parallelism budget rides along untouched — the
-// engines themselves (SDP restarts) decide whether to claim idle slots.
-func Race(ctx context.Context, g *graph.Graph, alpha float64, budget time.Duration, engines [NumClasses]Solver, env pipeline.Env) ([]int, Outcome) {
-	pool := env.Scratch
-	primary, secondary := RacePair(Analyze(g))
-	if primary == secondary {
-		sc := pool.Get()
-		colors, out := engines[primary](ctx, g, sc), Outcome{Winner: primary}
-		pool.Put(sc)
-		return colors, out
-	}
-	var rctx context.Context
-	var cancel context.CancelFunc
-	if budget > 0 {
-		rctx, cancel = context.WithTimeout(ctx, budget)
-	} else {
-		rctx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel()
-
-	type attempt struct {
-		class  Class
-		colors []int
-		cost   float64
-	}
-	// Buffered: the loser's send never blocks, so a cancelled engine's
-	// goroutine always exits once it reaches its next checkpoint — the
-	// leak-freedom the race/cancellation tests pin down.
-	ch := make(chan attempt, 2)
-	run := func(c Class) {
-		// The racer goroutine owns its lease: the arena returns to the
-		// pool only once this engine has actually finished, which for a
-		// cancelled loser can be after Race itself has returned.
-		sc := pool.Get()
-		colors := engines[c](rctx, g, sc)
-		pool.Put(sc)
-		ch <- attempt{class: c, colors: colors, cost: coloring.Cost(g, colors, alpha)}
-	}
-	go run(primary)
-	go run(secondary)
-
-	first := <-ch
-	if first.cost == 0 {
-		// Provably optimal: cost has lower bound 0, nothing can beat it.
-		// Cancel the loser and return without waiting for it.
-		cancel()
-		return first.colors, Outcome{Winner: first.class, ProvenOptimal: true}
-	}
-	second := <-ch
-
-	pri, sec := first, second
-	if pri.class != primary {
-		pri, sec = second, first
-	}
-	if sec.cost < pri.cost {
-		return sec.colors, Outcome{Winner: sec.class}
-	}
-	return pri.colors, Outcome{Winner: pri.class}
 }

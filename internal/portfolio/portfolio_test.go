@@ -1,12 +1,9 @@
 package portfolio
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	"mpl/internal/graph"
-	"mpl/internal/pipeline"
 )
 
 func path(n int) *graph.Graph {
@@ -64,106 +61,5 @@ func TestSelectThresholds(t *testing.T) {
 		if got := Select(c.p); got != c.want {
 			t.Errorf("Select(%+v) = %v, want %v", c.p, got, c.want)
 		}
-	}
-}
-
-func TestRacePair(t *testing.T) {
-	if p, s := RacePair(Profile{N: 5, ConflictEdges: 10, OddEdges: 4}); p != ILP || s != SDPBacktrack {
-		t.Errorf("ILP-tier pair = (%v, %v)", p, s)
-	}
-	if p, s := RacePair(Profile{N: 30, ConflictEdges: 60}); p != SDPBacktrack || s != ILP {
-		t.Errorf("near-tier pair = (%v, %v)", p, s)
-	}
-	if p, s := RacePair(Profile{N: 500, ConflictEdges: 900}); p != SDPBacktrack || s != Linear {
-		t.Errorf("mid pair = (%v, %v)", p, s)
-	}
-	if p, s := RacePair(Profile{N: 5000, ConflictEdges: 9000}); p != SDPGreedy || s != Linear {
-		t.Errorf("large pair = (%v, %v)", p, s)
-	}
-}
-
-// raceGraph is a triangle: small, with an odd cycle, so its profile lands
-// in the ILP tier and the race pair is (ILP primary, SDPBacktrack
-// secondary). Colorings of length 3 cost 1 per same-colored edge.
-func raceGraph() *graph.Graph { return clique(3) }
-
-// stub builds an engine that waits for delay (or ctx) and returns colors.
-func stub(delay time.Duration, colors []int) Solver {
-	return func(ctx context.Context, g *graph.Graph, _ *pipeline.Scratch) []int {
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-		}
-		return colors
-	}
-}
-
-func TestRaceFirstProvablyOptimalWinsAndCancelsLoser(t *testing.T) {
-	g := raceGraph()
-	cancelled := make(chan struct{})
-	var engines [NumClasses]Solver
-	// Primary (ILP) would take forever; it must be cancelled.
-	engines[ILP] = func(ctx context.Context, _ *graph.Graph, _ *pipeline.Scratch) []int {
-		<-ctx.Done()
-		close(cancelled)
-		return []int{0, 0, 0} // cost-3 incumbent
-	}
-	engines[SDPBacktrack] = stub(0, []int{0, 1, 2}) // cost 0, instant
-	colors, out := Race(context.Background(), g, 0.1, 0, engines, pipeline.Env{})
-	if !out.ProvenOptimal || out.Winner != SDPBacktrack {
-		t.Fatalf("outcome %+v", out)
-	}
-	if colors[0] == colors[1] {
-		t.Fatalf("kept the losing coloring %v", colors)
-	}
-	select {
-	case <-cancelled:
-	case <-time.After(2 * time.Second):
-		t.Fatal("loser was never cancelled")
-	}
-}
-
-func TestRaceTieGoesToPrimary(t *testing.T) {
-	g := raceGraph()
-	var engines [NumClasses]Solver
-	// Both colorings cost 3 (all vertices share a color); the secondary
-	// finishes long before the primary, but a tie must keep the primary so
-	// race degenerates to auto deterministically.
-	engines[ILP] = stub(30*time.Millisecond, []int{1, 1, 1})
-	engines[SDPBacktrack] = stub(0, []int{2, 2, 2})
-	colors, out := Race(context.Background(), g, 0.1, 0, engines, pipeline.Env{})
-	if out.Winner != ILP || out.ProvenOptimal {
-		t.Fatalf("outcome %+v", out)
-	}
-	if colors[0] != 1 {
-		t.Fatalf("tie did not keep the primary's coloring: %v", colors)
-	}
-}
-
-func TestRaceStrictlyBetterSecondaryWins(t *testing.T) {
-	g := raceGraph() // triangle: primary ILP, secondary SDPBacktrack
-	var engines [NumClasses]Solver
-	engines[ILP] = stub(0, []int{0, 0, 0})          // cost 3 (all edges conflict)
-	engines[SDPBacktrack] = stub(0, []int{0, 1, 1}) // cost 1 — strictly better, nonzero
-	colors, out := Race(context.Background(), g, 0.1, 0, engines, pipeline.Env{})
-	if out.Winner != SDPBacktrack || out.ProvenOptimal {
-		t.Fatalf("outcome %+v, colors %v", out, colors)
-	}
-}
-
-func TestRaceBudgetBoundsTheRace(t *testing.T) {
-	g := raceGraph()
-	var engines [NumClasses]Solver
-	// Both racers only return on cancellation; without the budget the race
-	// would hang. Their incumbents tie, so the primary wins.
-	engines[ILP] = stub(time.Hour, []int{0, 0, 0})
-	engines[SDPBacktrack] = stub(time.Hour, []int{1, 1, 1})
-	start := time.Now()
-	_, out := Race(context.Background(), g, 0.1, 50*time.Millisecond, engines, pipeline.Env{})
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("race ran %v past a 50ms budget", elapsed)
-	}
-	if out.Winner != ILP {
-		t.Fatalf("outcome %+v", out)
 	}
 }

@@ -103,7 +103,10 @@ func (e *keyEnc) encodeOptions(o core.Options) {
 	e.int("pf.ilpm", pf[1])
 	e.int("pf.btn", pf[2])
 	e.int("pf.grn", pf[3])
-	e.int64("race", int64(o.RaceBudget))
+	// race= held the race engine's budget. The engine is gone (a race
+	// request is rejected), and the literal keeps every fixed and auto
+	// signature byte-identical to those of older binaries.
+	e.b.WriteString("|race=0")
 	e.float("alpha", o.Alpha)
 	e.float("tth", o.Threshold)
 	e.int64("seed", o.Seed)

@@ -21,7 +21,7 @@ import (
 // making keys address-dependent.
 var keyFields = map[reflect.Type]map[string]bool{
 	reflect.TypeOf(core.Options{}): {
-		"K": true, "Algorithm": true, "Engine": true, "RaceBudget": true, "Alpha": true, "Threshold": true, "Seed": true,
+		"K": true, "Algorithm": true, "Engine": true, "Alpha": true, "Threshold": true, "Seed": true,
 		"ILPTimeLimit": true, "Build": true, "Division": true,
 		// Memoize is a deprecated no-op, cleared by Normalize.
 		"Memoize": false,
@@ -79,8 +79,6 @@ func TestResultKeyDistinguishesOptions(t *testing.T) {
 		"k":         {K: 3},
 		"algorithm": {K: 4, Algorithm: core.AlgLinear},
 		"engine":    {K: 4, Engine: core.EngineAuto},
-		"racebudget": {K: 4, Engine: core.EngineRace,
-			RaceBudget: 123 * time.Millisecond},
 		"alpha":     {K: 4, Alpha: 0.25},
 		"threshold": {K: 4, Threshold: 0.5},
 		"seed":      {K: 4, Seed: 9},
@@ -115,9 +113,9 @@ func TestResultKeyDistinguishesOptions(t *testing.T) {
 // written by an older binary. Memo-on sessions from before Memoize became
 // a no-op were keyed with "memo=true" and answer 404 (clients re-send).
 // The rows cover a fixed engine at both ends of the engine enum (alg=0,
-// alg=3), both adaptive policies, whose pf.* fields carry the auto
-// thresholds, every option field at a non-default value, and an explicit
-// race budget.
+// alg=3), the auto policy, whose pf.* fields carry its thresholds, and
+// every option field at a non-default value. race=0 is a literal: it held
+// the deleted race engine's budget, so every signature keeps its old bytes.
 func TestOptionsSigPinned(t *testing.T) {
 	const tail = "|alpha=0.1|tth=0.9|seed=0" +
 		"|ilpbudget=60000000000|btnodes=0|sdprestarts=0|sdpmaxiter=0|memo=false" +
@@ -135,7 +133,6 @@ func TestOptionsSigPinned(t *testing.T) {
 		{core.Options{K: 4, Memoize: true}, "|k=4|alg=0|engine=" + fixed + tail},
 		{core.Options{K: 4, Algorithm: core.AlgLinear}, "|k=4|alg=3|engine=" + fixed + tail},
 		{core.Options{K: 4, Engine: core.EngineAuto}, "|k=4|alg=0|engine=auto" + adaptive + "|race=0" + tail},
-		{core.Options{K: 4, Engine: core.EngineRace}, "|k=4|alg=0|engine=race" + adaptive + "|race=2000000000" + tail},
 		{core.Options{K: 5, Algorithm: core.AlgSDPGreedy, Alpha: 0.25, Threshold: 0.75, Seed: 7,
 			ILPTimeLimit: 3 * time.Second,
 			Build:        core.BuildOptions{MinS: 70, DisableStitches: true, Workers: 3},
@@ -146,7 +143,6 @@ func TestOptionsSigPinned(t *testing.T) {
 				"|d.k=5|d.alpha=0.25|d.nopeel=true|d.nobicon=true|d.noght=true|d.ghmaxn=0|d.maxstitchdeg=0" +
 				"|d.lin.k=5|d.lin.alpha=0.25|d.lin.nofriend=false|d.lin.fw=0|d.lin.maxstitchdeg=0|d.lin.order=0" +
 				"|lin.k=5|lin.alpha=0.25|lin.nofriend=false|lin.fw=0|lin.maxstitchdeg=0|lin.order=0"},
-		{core.Options{K: 4, Engine: core.EngineRace, RaceBudget: 150 * time.Millisecond}, "|k=4|alg=0|engine=race" + adaptive + "|race=150000000" + tail},
 	}
 	for _, c := range cases {
 		if got := OptionsSig(c.opts); got != c.want {

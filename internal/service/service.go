@@ -95,7 +95,7 @@ type Stats struct {
 	// Engines accumulates the per-engine dispatch histograms of every solve
 	// this service executed (cache hits add nothing — no piece was solved):
 	// engine name → pieces colored. Fixed-engine requests land in one
-	// bucket; auto/race requests spread across the engines the portfolio
+	// bucket; auto requests spread across the engines the portfolio
 	// picked, plus "fallback" for deadline-degraded pieces.
 	Engines map[string]uint64
 	// Stages accumulates the per-stage telemetry of every solve this

@@ -59,10 +59,9 @@
 // odd-cycle evidence) and, by four constant thresholds, routes it to the
 // cheapest engine predicted to reach reference quality — exact ILP on
 // small hard cores, SDP+Backtrack in the middle, the linear-time engine on
-// blocks too large for search — while "race" runs two candidate engines
-// per component concurrently under Options.RaceBudget, keeps the first
-// provably optimal result (or the better of the two), and cancels the
-// loser:
+// blocks too large for search. When an SDP+Backtrack search hits its node
+// cap, auto also runs the linear-time engine on that piece and keeps it
+// only if it costs strictly less, so auto stays deterministic:
 //
 //	res, err := mpl.Decompose(l, mpl.Options{K: 4, Engine: mpl.EngineAuto})
 //
@@ -121,7 +120,7 @@ type (
 // Decomposition types.
 type (
 	// Options configures a decomposition: K, the engine (Algorithm or
-	// Engine, with RaceBudget), α, t_th, the seed, the ILP budget, and the
+	// Engine), α, t_th, the seed, the ILP budget, and the
 	// Build and Division settings. The parameters the paper fixes are
 	// constants, not options (see core.Options).
 	Options = core.Options
@@ -134,6 +133,10 @@ type (
 	// BuildTiming is the per-stage wall clock of one graph build.
 	BuildTiming = core.BuildTiming
 	// Result is a completed decomposition with per-fragment mask colors.
+	// Result.Proven is false when some piece's exact search was cut
+	// short: an ILP budget, an SDP+Backtrack node cap (every K=5 Table 2
+	// run), auto keeping Linear's coloring of such a capped piece, or a
+	// deadline fallback.
 	Result = core.Result
 	// Algorithm selects the color-assignment engine.
 	Algorithm = core.Algorithm
@@ -163,23 +166,17 @@ const (
 	EditMove = core.EditMove
 )
 
-// Engine policies for Options.Engine: adaptive per-component dispatch
-// instead of one fixed Algorithm (internal/portfolio; DESIGN.md §"Engine
-// selection & racing").
-const (
-	// EngineAuto picks an engine per connected component from its
-	// structure (size, conflict edges, odd-cycle evidence): exact ILP on
-	// small hard cores, SDP+Backtrack in the middle, the cheaper engines
-	// on components too large for search.
-	EngineAuto = core.EngineAuto
-	// EngineRace runs two candidate engines per component concurrently
-	// under Options.RaceBudget, keeps the first provably optimal result
-	// (or the better of the two), and cancels the loser via context.
-	EngineRace = core.EngineRace
-)
+// EngineAuto is the adaptive policy for Options.Engine: per-component
+// dispatch instead of one fixed Algorithm (internal/portfolio; DESIGN.md
+// §8). It picks an engine per connected component from its structure
+// (size, conflict edges, odd-cycle evidence): exact ILP on small hard
+// cores, SDP+Backtrack in the middle, the cheaper engines on components
+// too large for search, and Linear's coloring of a node-capped
+// SDP+Backtrack piece when it costs strictly less.
+const EngineAuto = core.EngineAuto
 
-// ParseEngine validates an Options.Engine policy name: "auto", "race" or
-// "" (fixed Algorithm).
+// ParseEngine validates an Options.Engine policy name: "auto" or ""
+// (fixed Algorithm).
 func ParseEngine(s string) (string, error) { return core.ParseEngine(s) }
 
 // The four color-assignment engines of the paper (Tables 1 and 2).
