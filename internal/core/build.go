@@ -161,9 +161,9 @@ func BuildGraphContext(ctx context.Context, l *layout.Layout, opts BuildOptions)
 
 	// Stage 3 (parallel over tile shards): conflict and color-friendly edge
 	// discovery via a shared read-only grid over fragment bounds. Each
-	// fragment i is owned by exactly one shard, which records its neighbors
-	// j > i in ascending order — the cross-tile deduplication rule: a pair
-	// found from both sides is emitted only by its lower-indexed owner.
+	// fragment i is owned by exactly one shard, which queries only the
+	// fragments j > i — the cross-tile deduplication rule: a pair is
+	// emitted only by its lower-indexed owner.
 	tEdges := time.Now()
 	if err := b.discoverEdges(ctx); err != nil {
 		return nil, err
@@ -377,12 +377,12 @@ func (b *builder) assembleFragments() error {
 }
 
 // discoverEdges runs stage 3: conflict and color-friendly candidate
-// discovery over a shared fragment grid. Fragments are sorted into spatial
-// tile shards so each worker's chunk touches a coherent region of the grid;
-// every fragment records only neighbors with a larger index (owner-computes
-// dedup: the lower-indexed endpoint owns the pair), sorted ascending so the
-// final adjacency is canonical — a pure function of the edge set rather
-// than of the grid's bucket enumeration order.
+// discovery over a shared fragment grid. Each fragment i queries only the
+// fragments above it (Querier.NearAfter), so every pair is found once, by
+// its lower-indexed endpoint (owner-computes dedup). Parallel builds sort
+// the fragments into spatial tile shards so each worker's chunk touches a
+// coherent region of the grid. Neither the scan order nor the shard
+// boundaries reach the graph: the CSR build sorts and compacts every row.
 func (b *builder) discoverEdges(ctx context.Context) error {
 	n := len(b.frags)
 	if n == 0 {
@@ -397,49 +397,19 @@ func (b *builder) discoverEdges(ctx context.Context) error {
 	grid := spatial.NewGrid(world, radius, bounds)
 	defer grid.Release()
 
-	// Tile sharding (parallel builds only): order fragment indices by the
-	// coarse tile containing their bounds center (ties by index). Workers
-	// then pull contiguous chunks of this order, so one chunk ≈ one
-	// spatial tile run. The serial path scans in index order and streams
-	// pairs straight into the CSR builder, so it allocates neither the
-	// order nor the per-chunk staging buffers.
-	var order []int32
-	if b.workers > 1 {
-		_, nChunks := b.shardPlan(n)
-		b.confShard = make([][]int32, nChunks)
-		b.friendShard = make([][]int32, nChunks)
-		order = make([]int32, n)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		tile := make([]int32, n)
-		tileSize := 4 * radius
-		cols := world.Width()/tileSize + 1
-		for i, bb := range bounds {
-			tx := ((bb.X0+bb.X1)/2 - world.X0) / tileSize
-			ty := ((bb.Y0+bb.Y1)/2 - world.Y0) / tileSize
-			tile[i] = int32(ty*cols + tx)
-		}
-		// (tile, index) is a total order, so the sort has one result.
-		slices.SortFunc(order, func(a, c int32) int {
-			if tile[a] != tile[c] {
-				return cmp.Compare(tile[a], tile[c])
-			}
-			return cmp.Compare(a, c)
-		})
-	}
-
 	minSq := int64(b.minS) * int64(b.minS)
 	friendOuter := int64(radius) * int64(radius)
 	if b.workers == 1 {
-		// Serial hot path: scan with the grid's own stamps and append each
-		// discovered pair to the builder as soon as the query reports it.
-		// No sorting here — the CSR build's sort+compact canonicalizes.
+		// Serial hot path: scan in index order and append each discovered
+		// pair to the builder as soon as the query reports it. No sorting
+		// here — the CSR build's sort+compact canonicalizes.
+		q := grid.NewQuerier()
+		defer q.Release()
 		return b.runSharded(ctx, n, "edge generation", func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				fi := b.frags[i]
-				grid.Near(bounds[i], radius, func(j int) {
-					if j <= i || fi.Feature == b.frags[j].Feature {
+				q.NearAfter(bounds[i], radius, i, func(j int) {
+					if fi.Feature == b.frags[j].Feature {
 						return
 					}
 					d := geom.GapSqPoly(fi.Shape, b.frags[j].Shape)
@@ -453,6 +423,15 @@ func (b *builder) discoverEdges(ctx context.Context) error {
 			}
 		})
 	}
+
+	// Tile sharding: workers pull contiguous chunks of the tile order, so
+	// one chunk ≈ one spatial tile run. Tiles are 4×4 grid cells, and the
+	// grid's cell is capped at a few cells per fragment, so the tile table
+	// is O(n) however sparse the layout.
+	_, nChunks := b.shardPlan(n)
+	b.confShard = make([][]int32, nChunks)
+	b.friendShard = make([][]int32, nChunks)
+	order := tileOrder(bounds, world, 4*grid.Cell())
 	queriers := newQuerierLease(grid)
 	defer queriers.release()
 	return b.runSharded(ctx, n, "edge generation", func(ci, lo, hi int) {
@@ -462,8 +441,8 @@ func (b *builder) discoverEdges(ctx context.Context) error {
 		for _, oi := range order[lo:hi] {
 			i := int(oi)
 			fi := b.frags[i]
-			q.Near(bounds[i], radius, func(j int) {
-				if j <= i || fi.Feature == b.frags[j].Feature {
+			q.NearAfter(bounds[i], radius, i, func(j int) {
+				if fi.Feature == b.frags[j].Feature {
 					return
 				}
 				d := geom.GapSqPoly(fi.Shape, b.frags[j].Shape)
@@ -477,6 +456,34 @@ func (b *builder) discoverEdges(ctx context.Context) error {
 		}
 		b.confShard[ci], b.friendShard[ci] = conf, friend
 	})
+}
+
+// tileOrder returns the indices of bounds ordered by the tile of side
+// tileSize (numbered row by row from world's corner) containing each box's
+// center, ascending within a tile: a counting sort that counts each tile's
+// boxes, prefix-sums the counts into starts and places the indices.
+func tileOrder(bounds []geom.Rect, world geom.Rect, tileSize int) []int32 {
+	cols := world.Width()/tileSize + 1
+	rows := world.Height()/tileSize + 1
+	tile := func(bb geom.Rect) int {
+		tx := ((bb.X0+bb.X1)/2 - world.X0) / tileSize
+		ty := ((bb.Y0+bb.Y1)/2 - world.Y0) / tileSize
+		return ty*cols + tx
+	}
+	start := make([]int32, cols*rows+1)
+	for _, bb := range bounds {
+		start[tile(bb)+1]++
+	}
+	for t := 1; t < len(start); t++ {
+		start[t] += start[t-1]
+	}
+	order := make([]int32, len(bounds))
+	for i, bb := range bounds {
+		t := tile(bb)
+		order[start[t]] = int32(i)
+		start[t]++
+	}
+	return order
 }
 
 // finishGraph runs stage 4: drain the per-shard edge lists into the CSR

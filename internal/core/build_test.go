@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"mpl/internal/geom"
@@ -177,6 +179,61 @@ func TestDecomposeFarApartFeatures(t *testing.T) {
 	}
 	if conf, stit, err := VerifySolution(res); err != nil || conf != 0 || stit != 0 {
 		t.Fatalf("VerifySolution = %d, %d, %v", conf, stit, err)
+	}
+}
+
+// TestParallelBuildSparseWorld: a parallel build orders fragments by tile
+// with a counting sort whose table has one slot per tile. Tiles are 4×4
+// cells of the edge grid, whose cell NewGrid coarsens until the grid has at
+// most a few cells per fragment, so the table stays O(n) on sparse layouts:
+// tiny features 2^30 apart, or at opposite corners of the coordinate range,
+// where tiles of four query radii would number past MaxInt32. The build
+// must succeed, allocate under 1 MiB and equal the serial build. Each
+// layout also carries a conflicting pair, so the graphs have an edge.
+func TestParallelBuildSparseWorld(t *testing.T) {
+	const half, far = 1 << 29, layout.CoordLimit - 100
+	// pair returns two 20 nm squares 40 nm apart, the first at (x, y).
+	pair := func(x, y int) []geom.Rect {
+		return []geom.Rect{{X0: x, Y0: y, X1: x + 20, Y1: y + 20}, {X0: x + 60, Y0: y, X1: x + 80, Y1: y + 20}}
+	}
+	for _, tc := range []struct {
+		name  string
+		rects []geom.Rect
+		huge  bool // tiles of four radii would number past MaxInt32
+	}{
+		{"wide", append(pair(-half, 0), geom.Rect{X0: half, Y0: 0, X1: half + 20, Y1: 20}), false},
+		{"corners", append(pair(-far, -far), geom.Rect{X0: far - 20, Y0: far - 20, X1: far, Y1: far}), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := layout.New(tc.name)
+			for _, r := range tc.rects {
+				l.AddRect(r)
+			}
+			serial, err := BuildGraph(l, BuildOptions{K: 4, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial.Stats.ConflictEdges != 1 {
+				t.Fatalf("stats = %+v, want one conflict edge", serial.Stats)
+			}
+			radius := serial.MinS + serial.HalfPitch
+			world := l.Bounds().Expand(radius + 1)
+			oldTiles := int64(world.Width()/(4*radius)+1) * int64(world.Height()/(4*radius)+1)
+			if huge := oldTiles > math.MaxInt32; huge != tc.huge {
+				t.Fatalf("%d tiles of four radii, past MaxInt32 = %v, want %v", oldTiles, huge, tc.huge)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			par, err := BuildGraph(l, BuildOptions{K: 4, Workers: 2})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+				t.Fatalf("parallel build allocated %d bytes, want under 1 MiB", b)
+			}
+			graphsIdentical(t, serial, par)
+		})
 	}
 }
 

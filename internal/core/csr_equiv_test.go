@@ -123,11 +123,13 @@ func referenceBuildGraph(l *layout.Layout, opts BuildOptions) (*legacyGraph, err
 		}
 		grid := spatial.NewGrid(world, radius, bounds)
 		defer grid.Release()
+		q := grid.NewQuerier()
+		defer q.Release()
 		minSq := int64(minS) * int64(minS)
 		friendOuter := int64(radius) * int64(radius)
 		for i := 0; i < n; i++ {
 			fi := frags[i]
-			grid.Near(fi.Shape.Bounds(), radius, func(j int) {
+			q.Near(fi.Shape.Bounds(), radius, func(j int) {
 				if j <= i || fi.Feature == frags[j].Feature {
 					return
 				}

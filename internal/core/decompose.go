@@ -477,12 +477,11 @@ func VerifySolution(r *Result) (conflicts, stitches int, err error) {
 	}
 	grid := spatial.NewGrid(world, dg.MinS+1, bounds)
 	defer grid.Release()
+	q := grid.NewQuerier()
+	defer q.Release()
 	for i := range dg.Fragments {
 		fi := dg.Fragments[i]
-		grid.Near(bounds[i], dg.MinS, func(j int) {
-			if j <= i {
-				return
-			}
+		q.NearAfter(bounds[i], dg.MinS, i, func(j int) {
 			fj := dg.Fragments[j]
 			d := geom.GapSqPoly(fi.Shape, fj.Shape)
 			if fi.Feature != fj.Feature {

@@ -580,11 +580,13 @@ func addDirtyEdges(bld *graph.Builder, frags []Fragment, rebuilt []int32, fb []g
 	}
 	grid := spatial.NewGrid(world.Expand(radius+1), radius, winBounds)
 	defer grid.Release()
+	q := grid.NewQuerier()
+	defer q.Release()
 	minSq := int64(minS) * int64(minS)
 	friendOuter := int64(radius) * int64(radius)
 	for k, u := range rebuilt {
 		fu := frags[u]
-		grid.Near(boxes[k], radius, func(id int) {
+		q.Near(boxes[k], radius, func(id int) {
 			v := window[id]
 			if v == u || frags[v].Feature == fu.Feature {
 				return
@@ -601,7 +603,7 @@ func addDirtyEdges(bld *graph.Builder, frags []Fragment, rebuilt []int32, fb []g
 }
 
 // boxSet answers "is this within d of any of a few boxes" for flat scans
-// over a whole layout. The predicate is Grid.Near's — squared gap at most
+// over a whole layout. The predicate is Querier.Near's — squared gap at most
 // d² — behind two cheap rejections: the hull of the boxes grown by d, then
 // each box grown by d (a rectangle within d of a box touches it grown).
 type boxSet struct {

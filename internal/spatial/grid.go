@@ -8,11 +8,16 @@
 // offsets, fill one id array. The grid is immutable afterwards; its ids are
 // the rectangles' positions in the slice.
 //
-// The grid's arrays — bucket offsets, bucket ids and the visit stamps that
-// deduplicate a query — are recycled through process-wide pools: grids and
-// queriers are per-build objects, but their arrays are size-stable across
-// repeated service requests, so Release-ing them keeps steady-state graph
-// builds from re-allocating them every time.
+// Every query goes through a Querier, a cursor with the visit stamps that
+// deduplicate one query; goroutines sharing a grid each take their own.
+// Querier.Near reports every id in range; Querier.NearAfter reports only
+// the ids above a given one, so an all-pairs scan finds each pair once.
+//
+// The grid's bucket offsets and ids and the queriers' stamps are recycled
+// through process-wide pools: grids and queriers are per-build objects,
+// but their arrays are size-stable across repeated service requests, so
+// Release-ing them keeps steady-state graph builds from re-allocating them
+// every time.
 package spatial
 
 import (
@@ -77,7 +82,7 @@ const maxBucketsPerEntry = 64
 // Grid is a uniform bucket grid over rectangle bounding boxes. Each entry is
 // identified by its index in the slice the grid was built from. Entries are
 // bucketed by every cell their bounding box overlaps, so queries must
-// deduplicate; the Grid handles that internally with a visit-stamp array.
+// deduplicate; each Querier does that with its own visit-stamp array.
 type Grid struct {
 	cell   int // cell edge length
 	minX   int
@@ -87,8 +92,6 @@ type Grid struct {
 	off    []int32     // bucket b holds ids[off[b]:off[b+1]]
 	ids    []int32     // ascending within each bucket
 	bounds []geom.Rect // per-ID bounding boxes (the caller's slice)
-	stamp  []int32     // visit stamps for deduplication
-	visit  int32
 }
 
 // NewGrid indexes rects over the world rectangle; rects[i] gets ID i. The
@@ -98,8 +101,8 @@ type Grid struct {
 // more than maxBucketsPerEntry buckets per rectangle — or the rectangles
 // span so many cells that the buckets would hold more than
 // maxBucketsPerEntry entries per rectangle, the cell size doubles until
-// both fit; Near stays an exact distance predicate, so only the number of
-// candidates scanned changes. NewGrid panics with a diagnosis when rects
+// both fit; a query stays an exact distance predicate, so only the number
+// of candidates scanned changes. NewGrid panics with a diagnosis when rects
 // holds more than MaxEntries rectangles.
 func NewGrid(world geom.Rect, cell int, rects []geom.Rect) *Grid {
 	n := len(rects)
@@ -116,31 +119,26 @@ func NewGrid(world geom.Rect, cell int, rects []geom.Rect) *Grid {
 		cols, rows = gridDims(world, cell)
 	}
 	g := &Grid{cell: cell, minX: world.X0, minY: world.Y0, cols: cols, rows: rows, bounds: rects}
-	// The entry total is at least n (every rectangle covers one bucket
-	// once the cell spans the world), so the loop ends; capping it at
-	// MaxInt32 keeps every offset addressable by an int32.
+
+	// The count pass tallies each bucket's entries into off[b+1] and stops
+	// once the total passes the entry cap; then the cell doubles, which
+	// never grows the table, and the pass reruns. The total is at least n
+	// once the cell spans the world, so the loop ends; capping it at
+	// MaxInt32 keeps every offset addressable by an int32. The prefix sum
+	// turns the counts into start offsets; the fill pass walks rectangles
+	// in ID order so each bucket lists its ids ascending, which fixes the
+	// order a query reports them in.
 	entryLimit := min(int64(limit), math.MaxInt32)
-	total := g.entries()
+	g.off = offPool.get(cols*rows + 1)
+	total := g.count(entryLimit)
 	for total > entryLimit {
 		g.cell *= 2
 		g.cols, g.rows = gridDims(world, g.cell)
-		total = g.entries()
+		g.off = g.off[:g.cols*g.rows+1]
+		clear(g.off)
+		total = g.count(entryLimit)
 	}
-
-	// Pass one counts each bucket's entries into off[b+1]; the prefix sum
-	// turns the counts into start offsets; pass two fills the ids, walking
-	// rectangles in ID order so each bucket lists its ids ascending, which
-	// fixes the order Near reports them in.
 	nb := g.cols * g.rows
-	g.off = offPool.get(nb + 1)
-	for _, r := range rects {
-		c0, r0, c1, r1 := g.cellRange(r)
-		for row := r0; row <= r1; row++ {
-			for col := c0; col <= c1; col++ {
-				g.off[row*g.cols+col+1]++
-			}
-		}
-	}
 	for b := 1; b <= nb; b++ {
 		g.off[b] += g.off[b-1]
 	}
@@ -159,18 +157,26 @@ func NewGrid(world geom.Rect, cell int, rects []geom.Rect) *Grid {
 	// bucket's start: shift back by one.
 	copy(g.off[1:], g.off[:nb])
 	g.off[0] = 0
-	g.stamp = stampPool.get(n)
 	return g
 }
 
-// entries returns the number of bucket entries the grid's rectangles
-// occupy at its current cell size.
-func (g *Grid) entries() int64 {
+// count adds each bucket's entries at the grid's current cell size into
+// off[b+1] and returns their total. It stops at the first rectangle that
+// takes the total past limit, so no count exceeds limit.
+func (g *Grid) count(limit int64) int64 {
 	var total int64
 	for _, r := range g.bounds {
 		c0, r0, c1, r1 := g.cellRange(r)
-		if c1 >= c0 && r1 >= r0 {
-			total += int64(c1-c0+1) * int64(r1-r0+1)
+		if c1 < c0 || r1 < r0 {
+			continue
+		}
+		if total += int64(c1-c0+1) * int64(r1-r0+1); total > limit {
+			return total
+		}
+		for row := r0; row <= r1; row++ {
+			for col := c0; col <= c1; col++ {
+				g.off[row*g.cols+col+1]++
+			}
 		}
 	}
 	return total
@@ -188,17 +194,15 @@ func gridDims(world geom.Rect, cell int) (cols, rows int) {
 // a larger one when NewGrid capped the bucket or entry count.
 func (g *Grid) Cell() int { return g.cell }
 
-// Release returns the grid's bucket and visit-stamp arrays to the
-// process-wide pools. Call it when the grid is done (end of a graph build,
-// end of a verification pass), after every Querier over it is released;
-// the grid must not be queried afterwards. Releasing is optional — an
-// un-released grid is merely garbage-collected without recycling its
-// arrays.
+// Release returns the grid's bucket arrays to the process-wide pools. Call
+// it when the grid is done (end of a graph build, end of a verification
+// pass), after every Querier over it is released; the grid must not be
+// queried afterwards. Releasing is optional — an un-released grid is
+// merely garbage-collected without recycling its arrays.
 func (g *Grid) Release() {
 	offPool.put(g.off)
 	idPool.put(g.ids)
-	stampPool.put(g.stamp)
-	g.off, g.ids, g.stamp = nil, nil, nil
+	g.off, g.ids = nil, nil
 }
 
 func (g *Grid) clampCol(c int) int {
@@ -233,56 +237,9 @@ func (g *Grid) cellRange(r geom.Rect) (c0, r0, c1, r1 int) {
 // Bounds returns the bounding box stored for id.
 func (g *Grid) Bounds(id int) geom.Rect { return g.bounds[id] }
 
-// Near calls fn for every stored ID whose bounding box gap distance to the
-// query rectangle is at most radius (squared comparison, exact integer
-// arithmetic). Each ID is reported once per query; the query ID itself is
-// reported too if it matches, so callers filter self-pairs. Near mutates the
-// grid's visit stamps, so it is not safe for concurrent use — concurrent
-// readers use per-goroutine Queriers instead.
-func (g *Grid) Near(q geom.Rect, radius int, fn func(id int)) {
-	g.near(g.stamp, &g.visit, q, radius, fn)
-}
-
-// near is the shared query kernel: the caller supplies the stamp array and
-// visit counter, so Grid.Near (grid-owned stamps) and Querier.Near
-// (per-goroutine stamps) enumerate identically — same bucket scan order,
-// same per-query deduplication — over the same immutable bucket structure.
-func (g *Grid) near(stamp []int32, visit *int32, q geom.Rect, radius int, fn func(id int)) {
-	*visit++
-	if *visit == 0 { // stamp wrapped; reset
-		for i := range stamp {
-			stamp[i] = 0
-		}
-		*visit = 1
-	}
-	rr := int64(radius) * int64(radius)
-	// Expand by radius+1, not radius: rectangles are half-open, so a
-	// neighbor at gap exactly radius starts at the first coordinate
-	// *outside* q.Expand(radius), and when a cell boundary falls there the
-	// bucket scan would skip its cells entirely — a false negative at the
-	// inclusive boundary of the distance predicate below. The extra cell
-	// ring only adds candidates; GapSq still decides.
-	expanded := q.Expand(radius + 1)
-	c0, r0, c1, r1 := g.cellRange(expanded)
-	for row := r0; row <= r1; row++ {
-		for col := c0; col <= c1; col++ {
-			b := row*g.cols + col
-			for _, id := range g.ids[g.off[b]:g.off[b+1]] {
-				if stamp[id] == *visit {
-					continue
-				}
-				stamp[id] = *visit
-				if geom.GapSq(q, g.bounds[id]) <= rr {
-					fn(int(id))
-				}
-			}
-		}
-	}
-}
-
-// Querier is a read-only query cursor over a Grid with its own visit-stamp
-// state, so multiple goroutines can run Near queries over one shared grid
-// concurrently (the parallel graph-construction shards of internal/core).
+// Querier is a query cursor over a Grid with its own visit stamps, so
+// goroutines can query one shared grid concurrently, each through its own
+// Querier (the parallel graph-construction shards of internal/core).
 type Querier struct {
 	g     *Grid
 	stamp []int32
@@ -303,9 +260,52 @@ func (q *Querier) Release() {
 	q.stamp = nil
 }
 
-// Near is Grid.Near using this cursor's private stamps: identical
-// enumeration order and semantics, safe to run concurrently with other
-// Queriers over the same grid.
+// Near calls fn for every stored ID whose bounding box gap distance to r
+// is at most radius (squared comparison, exact integer arithmetic). Each
+// ID is reported once per query, in bucket scan order; the query's own ID
+// is reported too if it matches, so callers filter self-pairs.
 func (q *Querier) Near(r geom.Rect, radius int, fn func(id int)) {
-	q.g.near(q.stamp, &q.visit, r, radius, fn)
+	q.NearAfter(r, radius, -1, fn)
+}
+
+// NearAfter reports Near's list without the IDs <= after, in the same
+// order. Bucket ids ascend, so those IDs are each bucket's prefix, and the
+// scan starts past them: an all-pairs scan that passes each ID as after
+// finds every pair once and never looks at the candidates below it.
+func (q *Querier) NearAfter(r geom.Rect, radius, after int, fn func(id int)) {
+	last := int32(min(max(after, -1), len(q.g.bounds)))
+	g := q.g
+	q.visit++
+	if q.visit == 0 { // stamp wrapped; reset
+		clear(q.stamp)
+		q.visit = 1
+	}
+	visit := q.visit
+	rr := int64(radius) * int64(radius)
+	// Expand by radius+1, not radius: rectangles are half-open, so a
+	// neighbor at gap exactly radius starts at the first coordinate
+	// *outside* r.Expand(radius), and when a cell boundary falls there the
+	// bucket scan would skip its cells entirely — a false negative at the
+	// inclusive boundary of the distance predicate below. The extra cell
+	// ring only adds candidates; GapSq still decides.
+	c0, r0, c1, r1 := g.cellRange(r.Expand(radius + 1))
+	for row := r0; row <= r1; row++ {
+		for col := c0; col <= c1; col++ {
+			b := row*g.cols + col
+			bucket := g.ids[g.off[b]:g.off[b+1]]
+			k := 0
+			for k < len(bucket) && bucket[k] <= last {
+				k++
+			}
+			for _, id := range bucket[k:] {
+				if q.stamp[id] == visit {
+					continue
+				}
+				q.stamp[id] = visit
+				if geom.GapSq(r, g.bounds[id]) <= rr {
+					fn(int(id))
+				}
+			}
+		}
+	}
 }

@@ -3,7 +3,8 @@ package spatial
 // Differential check of the CSR grid against the append-bucket grid it
 // replaced, kept here as refGrid: built at the same cell size over the same
 // rectangles, both must report the same ids in the same order from every
-// Near and Querier.Near, and that id set must be the brute-force distance
+// Querier.Near, Querier.NearAfter must report that list without the ids at
+// or below its bound, and the id set must be the brute-force distance
 // predicate. Where the old grid's cell choice did not blow past the entry
 // cap, the new one must choose the same cell.
 
@@ -122,10 +123,12 @@ func (g *refGrid) Near(q geom.Rect, radius int, fn func(id int)) {
 type gridQuery struct {
 	r      geom.Rect
 	radius int
+	after  int // an id to check NearAfter at, besides -1 and len(rects)-1
 }
 
 // checkGridMatchesReference builds both grids over rects and runs every
-// query through Grid.Near, Querier.Near and refGrid.Near.
+// query through Querier.Near and refGrid.Near, and through
+// Querier.NearAfter at after ∈ {-1, qu.after, len(rects)-1}.
 func checkGridMatchesReference(t *testing.T, world geom.Rect, cell int, rects []geom.Rect, queries []gridQuery) {
 	t.Helper()
 	g := NewGrid(world, cell, rects)
@@ -148,14 +151,25 @@ func checkGridMatchesReference(t *testing.T, world geom.Rect, cell int, rects []
 	if ref.entries() != len(g.ids) {
 		t.Fatalf("%d entries, reference %d", len(g.ids), ref.entries())
 	}
-	var got, viaQ, want []int
+	var got, want, half, wantHalf []int
 	for k, qu := range queries {
-		got, viaQ, want = got[:0], viaQ[:0], want[:0]
-		g.Near(qu.r, qu.radius, func(id int) { got = append(got, id) })
-		q.Near(qu.r, qu.radius, func(id int) { viaQ = append(viaQ, id) })
+		got, want = got[:0], want[:0]
+		q.Near(qu.r, qu.radius, func(id int) { got = append(got, id) })
 		ref.Near(qu.r, qu.radius, func(id int) { want = append(want, id) })
-		if !slices.Equal(got, want) || !slices.Equal(viaQ, want) {
-			t.Fatalf("query %d %v r=%d: Near %v, Querier %v, reference %v", k, qu.r, qu.radius, got, viaQ, want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %d %v r=%d: Near %v, reference %v", k, qu.r, qu.radius, got, want)
+		}
+		for _, after := range []int{-1, qu.after, len(rects) - 1} {
+			half, wantHalf = half[:0], wantHalf[:0]
+			q.NearAfter(qu.r, qu.radius, after, func(id int) { half = append(half, id) })
+			for _, id := range want {
+				if id > after {
+					wantHalf = append(wantHalf, id)
+				}
+			}
+			if !slices.Equal(half, wantHalf) {
+				t.Fatalf("query %d %v r=%d: NearAfter(%d) %v, reference above %d %v", k, qu.r, qu.radius, after, half, after, wantHalf)
+			}
 		}
 		var brute []int
 		rr := int64(qu.radius) * int64(qu.radius)
@@ -173,6 +187,7 @@ func checkGridMatchesReference(t *testing.T, world geom.Rect, cell int, rects []
 
 func TestGridMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	pick := rand.New(rand.NewSource(4)) // NearAfter ids; rng's layouts stay as they were
 	for trial := 0; trial < 200; trial++ {
 		span := 100 + rng.Intn(5000)
 		n := rng.Intn(120)
@@ -189,7 +204,7 @@ func TestGridMatchesReferenceRandom(t *testing.T) {
 		queries := make([]gridQuery, 30)
 		for k := range queries {
 			x, y := rng.Intn(span), rng.Intn(span)
-			queries[k] = gridQuery{geom.Rect{X0: x, Y0: y, X1: x + 1 + rng.Intn(50), Y1: y + 1 + rng.Intn(50)}, rng.Intn(span / 4)}
+			queries[k] = gridQuery{geom.Rect{X0: x, Y0: y, X1: x + 1 + rng.Intn(50), Y1: y + 1 + rng.Intn(50)}, rng.Intn(span / 4), pick.Intn(max(n, 1))}
 		}
 		t.Run(fmt.Sprint(trial), func(t *testing.T) {
 			checkGridMatchesReference(t, world, 1+rng.Intn(200), rects, queries)
@@ -213,9 +228,9 @@ func TestGridEntryCap(t *testing.T) {
 		rects[i] = geom.Rect{X0: i, Y0: 2 * i, X1: 99_000 + i, Y1: 98_000 + i}
 	}
 	queries := []gridQuery{
-		{geom.Rect{X0: 50_000, Y0: 50_000, X1: 50_010, Y1: 50_010}, 80},
-		{geom.Rect{X0: 99_500, Y0: 0, X1: 99_600, Y1: 10}, 600},
-		{geom.Rect{X0: 0, Y0: 99_990, X1: 10, Y1: 100_000}, 2_000},
+		{geom.Rect{X0: 50_000, Y0: 50_000, X1: 50_010, Y1: 50_010}, 80, 500},
+		{geom.Rect{X0: 99_500, Y0: 0, X1: 99_600, Y1: 10}, 600, 0},
+		{geom.Rect{X0: 0, Y0: 99_990, X1: 10, Y1: 100_000}, 2_000, 998},
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -239,7 +254,7 @@ func TestGridEntryCap(t *testing.T) {
 // (1..256), byte 1 the rectangle count (mod 48); each rectangle is four
 // bytes x, y, w, h on an 8 nm lattice (each side at least 1 nm), where
 // w = 0xFF spans the world; the rest are up to 64 five-byte queries x, y,
-// w, h, radius.
+// w, h, radius. A query's NearAfter id is (x+y) mod (count+1) − 1.
 func FuzzGridMatchesReference(f *testing.F) {
 	f.Add([]byte{80, 3, 0, 0, 2, 2, 10, 0, 2, 2, 60, 60, 1, 1, 0, 0, 1, 1, 20})
 	f.Add([]byte{1, 2, 0, 0, 0xFF, 4, 5, 5, 0, 3, 1, 1, 1, 1, 0})
@@ -266,7 +281,7 @@ func FuzzGridMatchesReference(f *testing.F) {
 		for len(data) >= 5 && len(queries) < 64 {
 			x, y := int(data[0])*unit, int(data[1])*unit
 			r := geom.Rect{X0: x, Y0: y, X1: x + 1 + int(data[2]), Y1: y + 1 + int(data[3])}
-			queries = append(queries, gridQuery{r, int(data[4]) * unit})
+			queries = append(queries, gridQuery{r, int(data[4]) * unit, (int(data[0])+int(data[1]))%(len(rects)+1) - 1})
 			data = data[5:]
 		}
 		world := geom.Rect{X0: -unit, Y0: -unit, X1: span + 2*unit, Y1: span + 2*unit}

@@ -9,9 +9,11 @@ import (
 	"mpl/internal/geom"
 )
 
-func collect(g *Grid, q geom.Rect, radius int) []int {
+func collect(g *Grid, r geom.Rect, radius int) []int {
+	q := g.NewQuerier()
+	defer q.Release()
 	var out []int
-	g.Near(q, radius, func(id int) { out = append(out, id) })
+	q.Near(r, radius, func(id int) { out = append(out, id) })
 	sort.Ints(out)
 	return out
 }
@@ -109,14 +111,14 @@ func TestGridMatchesBruteForce(t *testing.T) {
 
 func TestGridStampWraparound(t *testing.T) {
 	g := NewGrid(geom.Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}, 10, []geom.Rect{{X0: 0, Y0: 0, X1: 5, Y1: 5}})
-	g.visit = -2 // force wrap within two queries
-	got := collect(g, geom.Rect{X0: 0, Y0: 0, X1: 5, Y1: 5}, 1)
-	if len(got) != 1 {
-		t.Fatalf("pre-wrap query = %v", got)
-	}
-	got = collect(g, geom.Rect{X0: 0, Y0: 0, X1: 5, Y1: 5}, 1)
-	if len(got) != 1 {
-		t.Fatalf("post-wrap query = %v", got)
+	q := g.NewQuerier()
+	q.visit = -2 // force wrap within two queries
+	for _, when := range []string{"pre-wrap", "post-wrap"} {
+		var got []int
+		q.Near(geom.Rect{X0: 0, Y0: 0, X1: 5, Y1: 5}, 1, func(id int) { got = append(got, id) })
+		if len(got) != 1 {
+			t.Fatalf("%s query = %v", when, got)
+		}
 	}
 }
 
@@ -172,7 +174,7 @@ func TestGridEmpty(t *testing.T) {
 		t.Fatalf("Near over an empty grid = %v", got)
 	}
 	q := g.NewQuerier()
-	q.Near(geom.Rect{X0: 1, Y0: 1, X1: 2, Y1: 2}, 100, func(id int) { t.Fatalf("querier reported %d", id) })
+	q.NearAfter(geom.Rect{X0: 1, Y0: 1, X1: 2, Y1: 2}, 100, -1, func(id int) { t.Fatalf("NearAfter reported %d", id) })
 	q.Release()
 	g.Release()
 }
