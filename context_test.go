@@ -66,17 +66,19 @@ func TestDecomposeContextAlreadyCancelled(t *testing.T) {
 	}
 }
 
-// TestDecomposeContextDeadline is the serving-latency contract: a 50 ms
-// deadline on a dense Table-2-scale circuit must come back quickly (the
-// checkpoint granularity of in-flight solves plus the linear fallback for
-// the rest, well under the uncancelled multi-second solve) with a valid
-// partial-quality coloring.
+// TestDecomposeContextDeadline is the serving-latency contract: a deadline
+// on a dense Table-2-scale circuit must come back quickly (the checkpoint
+// granularity of in-flight solves plus the linear fallback for the rest)
+// with a valid partial-quality coloring. The deadline must sit well under
+// the uncancelled solve, or the solve may finish first and nothing
+// degrades: C6288 at K=5 solves in ~40–80 ms on a 2-CPU VM, so the
+// deadline is 10 ms and lands during the first engine pieces.
 func TestDecomposeContextDeadline(t *testing.T) {
 	l, err := mpl.GenerateBenchmark("C6288", 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const deadline = 50 * time.Millisecond
+	const deadline = 10 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
@@ -85,11 +87,11 @@ func TestDecomposeContextDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Locally this lands within ~2× the deadline; the bound is slacker so
-	// a loaded CI machine cannot flake it, but still far below the
-	// ~second-scale full solve it replaces.
-	if elapsed > 10*deadline {
-		t.Fatalf("deadline run took %v, want well under %v", elapsed, 10*deadline)
+	// Locally this lands a few ms past the deadline; the ceiling is slack
+	// so a loaded CI machine cannot flake it.
+	const ceiling = 500 * time.Millisecond
+	if elapsed > ceiling {
+		t.Fatalf("deadline run took %v, want well under %v", elapsed, ceiling)
 	}
 	if res.Degraded == 0 || res.Proven {
 		t.Fatalf("expected a degraded unproven result, got degraded=%d proven=%v", res.Degraded, res.Proven)

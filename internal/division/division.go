@@ -6,6 +6,7 @@
 //     processed separately;
 //  2. iterative removal of vertices with conflict degree < K (and stitch
 //     degree < 2), which can always be re-colored legally afterwards;
+//     the core that survives is split again into connected pieces;
 //  3. 2-vertex-connected (biconnected) component computation — blocks meet
 //     only at articulation vertices, and a color rotation aligns each block
 //     to the already-colored cut vertex;
@@ -19,6 +20,13 @@
 // component can be plugged in, which is how the ILP / SDP / linear engines
 // of the paper's Tables 1–2 share identical division treatment.
 //
+// Steps 1 and 2 run once over the whole graph rather than per component:
+// one peel over the caller's graph, the core's connected pieces found on
+// its rows, and one pop of the whole stack at the end. This is the paper's
+// per-component order exactly (see DecomposeEnv), without a copy of every
+// component. Only a core piece is copied out (Subgraph) and handed to a
+// worker for steps 3 and 4.
+//
 // In stage terms (internal/pipeline), this package implements the middle
 // of the flow: step 2 is the Simplify stage, steps 1, 3 and 4 are the
 // Partition stage, each solver call is one Dispatch, and every reassembly
@@ -30,8 +38,9 @@
 package division
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -70,11 +79,11 @@ type Options struct {
 	DisableBiconnected bool
 	// DisableGHTree skips GH-tree (K−1)-cut division (ablation).
 	DisableGHTree bool
-	// Workers sets the number of goroutines coloring independent
-	// components concurrently; 0 or 1 means serial. Results are
-	// deterministic regardless of worker count because components are
-	// disjoint and each is solved from the same inputs — but the solver
-	// must be safe for concurrent calls.
+	// Workers sets the number of goroutines coloring independent core
+	// pieces concurrently; 0 or 1 means serial. Results are deterministic
+	// regardless of worker count because pieces are disjoint and each is
+	// solved from the same inputs — but the solver must be safe for
+	// concurrent calls.
 	Workers int
 }
 
@@ -125,9 +134,10 @@ type Stats struct {
 	// Balance is the dispatch-imbalance gauge of the run: the busy-time
 	// extremes of the worker pool. A max/min ratio near 1 means LPT
 	// scheduling kept the pool saturated; a large ratio means one
-	// straggler component dominated the wall clock (which is exactly when
-	// the shared parallelism budget lets that component's SDP restarts
-	// fan out over the idle workers).
+	// straggler core piece dominated the wall clock (which is exactly when
+	// the shared parallelism budget lets that piece's SDP restarts fan out
+	// over the idle workers). The peel and the pop run outside the pool
+	// and are not counted.
 	Balance Balance
 }
 
@@ -136,9 +146,10 @@ type Stats struct {
 // sums: each worker contributes its own total busy time, and the
 // aggregate keeps the max and the min observed.
 type Balance struct {
-	// Workers counts pool workers that processed at least one component
-	// (a serial run reports 1). Workers that never received a job carry
-	// no busy-time signal and are excluded.
+	// Workers counts pool workers that processed at least one core piece
+	// (a serial run reports 1, or 0 when the whole graph peels away).
+	// Workers that never received a job carry no busy-time signal and are
+	// excluded.
 	Workers int
 	// MaxBusy and MinBusy are the busiest and least-busy workers' total
 	// in-job wall time. Across runs (the service aggregate) they are the
@@ -198,7 +209,7 @@ func (s *Stats) AddStage(name string, d time.Duration) {
 	s.Stages[name] = cur
 }
 
-// addWorker accumulates one worker's per-component counters into s.
+// addWorker accumulates one worker's per-piece counters into s.
 // Components is global (the component count, known before any worker runs)
 // and is deliberately excluded. Every other field MUST be summed here —
 // TestStatsMergeCoversAllFields enforces this by reflection, so a field
@@ -230,7 +241,7 @@ func Decompose(g *graph.Graph, opts Options, solve Solver) ([]int, Stats) {
 // still receives a valid color: pieces whose solve has not started when ctx
 // is cancelled are colored by the linear-time heuristic (Algorithm 2)
 // instead of the configured engine, and Stats.Fallbacks counts them. In
-// parallel mode the worker pool drains its queued components the same way,
+// parallel mode the worker pool drains its queued pieces the same way,
 // so a cancelled call returns as soon as in-flight solver calls notice the
 // cancellation rather than after the full queue is solved at full quality.
 func DecomposeContext(ctx context.Context, g *graph.Graph, opts Options, solve Solver) ([]int, Stats) {
@@ -242,6 +253,12 @@ func DecomposeContext(ctx context.Context, g *graph.Graph, opts Options, solve S
 // parallelism budget. Stats.Stages is tallied either way; the env only
 // decides whether buffers are pooled and whether idle worker slots are
 // handed to nested engine fan-outs.
+//
+// The peel and the pop run once over g itself, and only the core is cut
+// into pieces. No edge crosses a component and PeelOrder is a FIFO seeded
+// in ascending id, so restricted to one component the global removal
+// stack, core and pop order are exactly those of a per-component run
+// (DESIGN.md §4): the output is the paper's component-by-component order.
 func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, solve Solver) ([]int, Stats) {
 	if opts.K < 2 {
 		panic("division: K must be >= 2")
@@ -256,52 +273,69 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 	// Component discovery shards across the division worker pool on large
 	// graphs (lock-free union-find over the CSR rows); the result is
 	// byte-identical to a serial scan at any worker count.
-	comps := g.ComponentsWorkers(opts.Workers)
+	pieces := g.ComponentsWorkers(opts.Workers)
+	st.Components = len(pieces)
+
+	// Peel the whole graph, then split its core into connected pieces over
+	// g's rows (peeling can disconnect a component's core). Without
+	// peeling the pieces are the components themselves.
+	var stack []int
+	if !opts.DisablePeeling {
+		st.AddStage(pipeline.StagePartition, time.Since(tPart))
+		tSimp := time.Now()
+		var core []int
+		stack, core = g.PeelOrder(opts.K, maxStitchDegree, nil)
+		st.AddStage(pipeline.StageSimplify, time.Since(tSimp))
+		st.Peeled = len(stack)
+		tPart = time.Now()
+		sc := env.Scratch.Get()
+		mark := sc.Int32s(n)
+		pieces = g.InducedComponents(core, mark)
+		sc.PutInt32s(mark)
+		env.Scratch.Put(sc)
+	}
+
 	// LPT (longest-processing-time-first) scheduling order for the parallel
-	// pool: heaviest components first, sized by vertex count plus CSR
-	// degree sum — a subgraph-free proxy for solve cost — with discovery
-	// order breaking ties (stable sort), so a straggler component starts as
-	// early as possible instead of arriving last into an otherwise-drained
-	// pool. Computed inside the same Partition region as discovery so the
+	// pool: heaviest pieces first, sized by vertex count plus CSR degree
+	// sum — a subgraph-free proxy for solve cost — with discovery order
+	// breaking ties (stable sort), so a straggler piece starts as early as
+	// possible instead of arriving last into an otherwise-drained pool.
+	// Computed inside the same Partition region as the split so the
 	// per-stage call structure stays identical at any worker count.
-	var order []int
-	if opts.Workers > 1 && len(comps) > 1 {
-		order = make([]int, len(comps))
-		weight := make([]int, len(comps))
-		for ci, comp := range comps {
-			w := len(comp)
-			for _, v := range comp {
+	if opts.Workers > 1 && len(pieces) > 1 {
+		type job struct {
+			piece  []int
+			weight int
+		}
+		byWeight := make([]job, len(pieces))
+		for i, p := range pieces {
+			w := len(p)
+			for _, v := range p {
 				w += g.ConflictDegree(v) + g.StitchDegree(v)
 			}
-			order[ci] = ci
-			weight[ci] = w
+			byWeight[i] = job{p, w}
 		}
-		sort.SliceStable(order, func(a, b int) bool { return weight[order[a]] > weight[order[b]] })
+		slices.SortStableFunc(byWeight, func(a, b job) int { return cmp.Compare(b.weight, a.weight) })
+		for i, j := range byWeight {
+			pieces[i] = j.piece
+		}
 	}
 	st.AddStage(pipeline.StagePartition, time.Since(tPart))
-	st.Components = len(comps)
 
-	// Components enter the pre-filled, closed jobs channel in the LPT order
-	// computed above (discovery order for a serial run). Scheduling order is
-	// observably identical to discovery order: each component is solved
-	// from the same inputs, the writes are vertex-disjoint, and the
-	// per-worker stats merge the same way regardless of which worker ran
-	// which job.
-	jobs := make(chan []int, len(comps))
-	if order != nil {
-		for _, ci := range order {
-			jobs <- comps[ci]
-		}
-	} else {
-		for _, comp := range comps {
-			jobs <- comp
-		}
+	// Pieces enter the pre-filled, closed jobs channel in that order.
+	// Scheduling order is observably identical to discovery order: each
+	// piece is solved from the same inputs, the writes are vertex-disjoint,
+	// and the per-worker stats merge the same way regardless of which
+	// worker ran which job.
+	jobs := make(chan []int, len(pieces))
+	for _, p := range pieces {
+		jobs <- p
 	}
 	close(jobs)
 
-	// worker drains the jobs channel into ws on its own scratch arena.
-	// Components are vertex-disjoint, so concurrent workers write
-	// non-overlapping slices of colors.
+	// worker drains the jobs channel into ws on its own scratch arena,
+	// copying each piece out of g once. Pieces are vertex-disjoint, so
+	// concurrent workers write non-overlapping slices of colors.
 	worker := func(ws *Stats) {
 		sc := env.Scratch.Get()
 		defer env.Scratch.Put(sc)
@@ -309,13 +343,16 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 		defer sc.PutInt32s(idx)
 		var busy time.Duration
 		jobsRun := 0
-		for comp := range jobs {
+		for piece := range jobs {
 			t0 := time.Now()
-			sub, orig := subgraphTimed(g, comp, idx, ws)
-			subColors := decomposeComponent(ctx, sub, opts, solve, ws, sc, idx)
-			for i, v := range orig {
+			sub, _ := subgraphTimed(g, piece, idx, ws)
+			subColors := solveCore(ctx, sub, opts, solve, ws, sc, idx)
+			for i, v := range piece {
 				colors[v] = subColors[i]
 			}
+			// Engine-returned slices are freshly allocated and consumed by
+			// the copy above, so adopting them into the worker's freelist
+			// is safe and lets the next piece reuse the memory.
 			sc.PutInts(subColors)
 			busy += time.Since(t0)
 			jobsRun++
@@ -328,33 +365,44 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 		var ws Stats
 		worker(&ws)
 		st.addWorker(ws)
-		return colors, st
+	} else {
+		// Spare worker slots — workers this run will never spawn because
+		// there are fewer pieces than Options.Workers — go straight to the
+		// shared budget, where a huge piece's SDP restart fan-out can claim
+		// them.
+		spawn := min(opts.Workers, len(pieces))
+		for w := spawn; w < opts.Workers; w++ {
+			env.Budget.Free()
+		}
+		workerStats := make([]Stats, spawn)
+		var wg sync.WaitGroup
+		for w := range workerStats {
+			wg.Add(1)
+			go func(ws *Stats) {
+				defer wg.Done()
+				// The jobs channel is pre-filled and closed, so once this
+				// worker's receive fails it is permanently idle: its slot
+				// returns to the shared budget for nested fan-outs of the
+				// still-running workers.
+				defer env.Budget.Free()
+				worker(ws)
+			}(&workerStats[w])
+		}
+		wg.Wait()
+		for _, ws := range workerStats {
+			st.addWorker(ws)
+		}
 	}
 
-	// Spare worker slots — workers this run will never spawn because there
-	// are fewer components than Options.Workers — go straight to the shared
-	// budget, where a huge component's SDP restart fan-out can claim them.
-	spawn := min(opts.Workers, len(comps))
-	for w := spawn; w < opts.Workers; w++ {
-		env.Budget.Free()
-	}
-	workerStats := make([]Stats, spawn)
-	var wg sync.WaitGroup
-	for w := range workerStats {
-		wg.Add(1)
-		go func(ws *Stats) {
-			defer wg.Done()
-			// The jobs channel is pre-filled and closed, so once this
-			// worker's receive fails it is permanently idle: its slot
-			// returns to the shared budget for nested fan-outs of the
-			// still-running workers.
-			defer env.Budget.Free()
-			worker(ws)
-		}(&workerStats[w])
-	}
-	wg.Wait()
-	for _, ws := range workerStats {
-		st.addWorker(ws)
+	// Pop the stack in reverse removal order; a conflict-free color always
+	// exists (the peeling invariant), stitch cost breaks ties.
+	if len(stack) > 0 {
+		tStitch := time.Now()
+		for i := len(stack) - 1; i >= 0; i-- {
+			v := stack[i]
+			colors[v] = cheapestColor(g, colors, v, opts.K, opts.Alpha)
+		}
+		st.AddStage(pipeline.StageStitch, time.Since(tStitch))
 	}
 	return colors, st
 }
@@ -386,60 +434,6 @@ func callSolver(ctx context.Context, g *graph.Graph, opts Options, solve Solver,
 		st.SolverCalls++
 		return solve(g, sc)
 	}
-}
-
-// decomposeComponent handles one connected component: peel, solve the core
-// (via biconnected + GH division), then pop the peel stack.
-func decomposeComponent(ctx context.Context, g *graph.Graph, opts Options, solve Solver, st *Stats, sc *pipeline.Scratch, idx []int32) []int {
-	n := g.N()
-	colors := sc.Ints(n)
-	for i := range colors {
-		colors[i] = coloring.Uncolored
-	}
-
-	var stack, core []int
-	if opts.DisablePeeling {
-		core = make([]int, n)
-		for i := range core {
-			core[i] = i
-		}
-	} else {
-		tSimp := time.Now()
-		stack, core = g.PeelOrder(opts.K, maxStitchDegree, nil)
-		st.AddStage(pipeline.StageSimplify, time.Since(tSimp))
-		st.Peeled += len(stack)
-	}
-
-	if len(core) > 0 {
-		coreSub, coreOrig := subgraphTimed(g, core, idx, st)
-		// Peeling can disconnect the core; re-split into components.
-		tPart := time.Now()
-		coreComps := coreSub.Components()
-		st.AddStage(pipeline.StagePartition, time.Since(tPart))
-		for _, cc := range coreComps {
-			ccSub, ccOrig := subgraphTimed(coreSub, cc, idx, st)
-			ccColors := solveCore(ctx, ccSub, opts, solve, st, sc, idx)
-			for i, v := range ccOrig {
-				colors[coreOrig[v]] = ccColors[i]
-			}
-			// Engine-returned slices are freshly allocated and consumed by
-			// the copy above, so adopting them into the worker's freelist
-			// is safe and lets the next piece reuse the memory.
-			sc.PutInts(ccColors)
-		}
-	}
-
-	// Pop the stack in reverse removal order; a conflict-free color always
-	// exists (the peeling invariant), stitch cost breaks ties.
-	tStitch := time.Now()
-	for i := len(stack) - 1; i >= 0; i-- {
-		v := stack[i]
-		colors[v] = cheapestColor(g, colors, v, opts.K, opts.Alpha)
-	}
-	if len(stack) > 0 {
-		st.AddStage(pipeline.StageStitch, time.Since(tStitch))
-	}
-	return colors
 }
 
 // solveCore applies the biconnected split to one connected core component.
@@ -612,15 +606,16 @@ func solveBlock(ctx context.Context, g *graph.Graph, opts Options, solve Solver,
 // cheapestColor assigns v the color minimizing conflicts (then α-weighted
 // stitches) against currently colored neighbors.
 func cheapestColor(g *graph.Graph, colors []int, v, k int, alpha float64) int {
+	conf, stit := g.ConflictNeighbors(v), g.StitchNeighbors(v)
 	bestCol, bestCost := 0, 1e18
 	for c := 0; c < k; c++ {
 		cost := 0.0
-		for _, w := range g.ConflictNeighbors(v) {
+		for _, w := range conf {
 			if colors[w] == c {
 				cost++
 			}
 		}
-		for _, w := range g.StitchNeighbors(v) {
+		for _, w := range stit {
 			if colors[w] != coloring.Uncolored && colors[w] != c {
 				cost += alpha
 			}

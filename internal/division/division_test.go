@@ -318,25 +318,38 @@ func TestParallelRace(t *testing.T) {
 
 func TestLPTDispatchMatchesDiscoveryOrder(t *testing.T) {
 	// Size-aware (LPT) dispatch only reorders which worker solves which
-	// component when; the coloring written back must stay byte-identical to
-	// the serial, discovery-ordered run at every worker count. The graph is
-	// built so LPT genuinely disagrees with discovery order: the components
-	// appear smallest-first, so the descending-weight sort reverses the job
+	// core piece when; the coloring written back must stay byte-identical
+	// to the serial, discovery-ordered run at every worker count. The graph
+	// is built so LPT genuinely disagrees with discovery order: each
+	// component is a chain, which peels away, wired vertex by vertex into
+	// a (K+1)-clique, which survives as the component's one core piece.
+	// The components appear smallest-first and a clique's weight counts its
+	// edges into the chain, so the descending-weight sort reverses the job
 	// sequence entirely.
+	const k = 4
 	sizes := []int{2, 2, 2, 3, 4, 6, 9, 14, 21, 40}
 	n := 0
 	for _, size := range sizes {
-		n += size
+		n += size + k + 1
 	}
 	b := graph.NewBuilder(n)
-	first := 0 // each chain's vertices are numbered on from the previous one's
+	first := 0 // each component's vertices are numbered on from the previous one's
 	for _, size := range sizes {
 		last := first + size - 1
 		for v := first; v < last; v++ {
 			b.AddConflict(v, v+1)
 		}
 		b.AddStitch(first, last)
-		first = last + 1
+		clique := last + 1
+		for i := 0; i <= k; i++ {
+			for j := i + 1; j <= k; j++ {
+				b.AddConflict(clique+i, clique+j)
+			}
+		}
+		for v := first; v <= last; v++ {
+			b.AddConflict(v, clique+(v-first)%(k+1))
+		}
+		first = clique + k + 1
 	}
 	g := b.Build(nil)
 	serial, _ := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))

@@ -134,40 +134,55 @@ func collectEdges(c *csr, n, m int) []Edge {
 // of conflict and stitch edges (independent component computation of the
 // division pipeline). Each component is a sorted vertex list.
 func (g *Graph) Components() [][]int {
-	comp := make([]int, g.n)
-	for i := range comp {
-		comp[i] = -1
+	all := make([]int, g.n)
+	for i := range all {
+		all[i] = i
+	}
+	return g.InducedComponents(all, nil)
+}
+
+// InducedComponents returns the connected components, under the union of
+// conflict and stitch edges, of the subgraph induced by vertices (distinct
+// and ascending), read straight off g's rows with no copy of the induced
+// subgraph. Components are ordered by smallest member and each is an
+// ascending list of g's vertex ids: Subgraph(vertices).Components() mapped
+// back through the subgraph's orig. mark is a caller-leased table with the
+// same contract as Subgraph's index (all zero, at least g.N() long, left
+// all zero); nil allocates one.
+func (g *Graph) InducedComponents(vertices []int, mark []int32) [][]int {
+	if mark == nil {
+		mark = make([]int32, g.n)
+	}
+	const member, visited = 1, 2
+	for _, v := range vertices {
+		mark[v] = member
 	}
 	var out [][]int
 	stack := make([]int, 0, 64)
-	for s := 0; s < g.n; s++ {
-		if comp[s] != -1 {
+	for _, s := range vertices {
+		if mark[s] != member {
 			continue
 		}
-		id := len(out)
-		comp[s] = id
+		mark[s] = visited
 		stack = append(stack[:0], s)
 		var members []int
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			members = append(members, u)
-			for _, v := range g.conf.row(u) {
-				if comp[v] == -1 {
-					comp[v] = id
-					stack = append(stack, int(v))
-				}
-			}
-			for _, v := range g.stit.row(u) {
-				if comp[v] == -1 {
-					comp[v] = id
-					stack = append(stack, int(v))
+			for _, row := range [2][]int32{g.conf.row(u), g.stit.row(u)} {
+				for _, w := range row {
+					if mark[w] == member {
+						mark[w] = visited
+						stack = append(stack, int(w))
+					}
 				}
 			}
 		}
 		sort.Ints(members)
 		out = append(out, members)
 	}
+	clearIndex(mark, vertices)
 	return out
 }
 
@@ -257,75 +272,69 @@ func clearIndex(index []int32, vertices []int) {
 // and the sorted list of remaining "core" vertices. The graph itself is not
 // modified; removal is simulated with degree counters.
 //
+// The removal is a FIFO seeded with the qualifying vertices in ascending
+// id. A vertex enters the queue at most once and leaves it removed, so the
+// queue itself, once drained, is the stack.
+//
 // When a removed vertex is later popped and colored, one of the k colors is
 // always conflict-free because fewer than k conflict neighbors remain — the
 // paper's safety argument.
 func (g *Graph) PeelOrder(k, maxStitch int, active []bool) (stack []int, core []int) {
-	deg := make([]int, g.n)
-	sdeg := make([]int, g.n)
-	removed := make([]bool, g.n)
-	isActive := func(v int) bool { return active == nil || active[v] }
+	deg := make([]int32, g.n)
+	sdeg := make([]int32, g.n)
+	// queued marks vertices that are, or were, in the queue, plus the
+	// inactive ones, which must never enter it. Decrementing the degree of
+	// a queued vertex is harmless: it is never read again.
+	queued := make([]bool, g.n)
 	queue := make([]int, 0, g.n)
 	for v := 0; v < g.n; v++ {
-		if !isActive(v) {
-			removed[v] = true // outside the working set; never peeled or core
+		if active != nil && !active[v] {
+			queued[v] = true // outside the working set; never peeled or core
 			continue
 		}
-		for _, w := range g.conf.row(v) {
-			if isActive(int(w)) {
-				deg[v]++
+		conf, stit := g.conf.row(v), g.stit.row(v)
+		if active == nil {
+			deg[v], sdeg[v] = int32(len(conf)), int32(len(stit))
+		} else {
+			for _, w := range conf {
+				if active[w] {
+					deg[v]++
+				}
+			}
+			for _, w := range stit {
+				if active[w] {
+					sdeg[v]++
+				}
 			}
 		}
-		for _, w := range g.stit.row(v) {
-			if isActive(int(w)) {
-				sdeg[v]++
-			}
-		}
-		if deg[v] < k && sdeg[v] < maxStitch {
+		if int(deg[v]) < k && int(sdeg[v]) < maxStitch {
+			queued[v] = true
 			queue = append(queue, v)
 		}
 	}
-	inQueue := make([]bool, g.n)
-	for _, v := range queue {
-		inQueue[v] = true
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if removed[v] {
-			continue
-		}
-		removed[v] = true
-		stack = append(stack, v)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, w := range g.conf.row(v) {
-			wi := int(w)
-			if removed[wi] {
-				continue
-			}
-			deg[wi]--
-			if deg[wi] < k && sdeg[wi] < maxStitch && !inQueue[wi] {
-				inQueue[wi] = true
-				queue = append(queue, wi)
+			deg[w]--
+			if !queued[w] && int(deg[w]) < k && int(sdeg[w]) < maxStitch {
+				queued[w] = true
+				queue = append(queue, int(w))
 			}
 		}
 		for _, w := range g.stit.row(v) {
-			wi := int(w)
-			if removed[wi] {
-				continue
-			}
-			sdeg[wi]--
-			if deg[wi] < k && sdeg[wi] < maxStitch && !inQueue[wi] {
-				inQueue[wi] = true
-				queue = append(queue, wi)
+			sdeg[w]--
+			if !queued[w] && int(deg[w]) < k && int(sdeg[w]) < maxStitch {
+				queued[w] = true
+				queue = append(queue, int(w))
 			}
 		}
 	}
 	for v := 0; v < g.n; v++ {
-		if isActive(v) && !removed[v] {
+		if !queued[v] {
 			core = append(core, v)
 		}
 	}
-	return stack, core
+	return queue, core
 }
 
 // BiconnectedComponents computes the 2-vertex-connected components of the
@@ -333,15 +342,18 @@ func (g *Graph) PeelOrder(k, maxStitch int, active []bool) (stack []int, core []
 // couples the coloring of its endpoints). It returns one vertex set per
 // block and the articulation (cut) vertices. Isolated vertices form
 // singleton blocks.
+//
+// The DFS walks v's conflict row and then its stitch row by one index, so
+// no merged adjacency is materialized; a block's vertices are deduplicated
+// with a per-call stamp array (stamp = block number + 1), not a map.
 func (g *Graph) BiconnectedComponents() (blocks [][]int, cuts []int) {
 	const none = -1
 	disc := make([]int, g.n)
 	low := make([]int, g.n)
-	parent := make([]int, g.n)
+	seen := make([]int32, g.n)
 	isCut := make([]bool, g.n)
 	for i := range disc {
 		disc[i] = none
-		parent[i] = none
 	}
 	timer := 0
 
@@ -352,26 +364,28 @@ func (g *Graph) BiconnectedComponents() (blocks [][]int, cuts []int) {
 	}
 	var edgeStack []Edge
 
-	neighbors := func(v int) []int32 {
-		// Combined conflict+stitch adjacency, materialized lazily per call.
-		conf, stit := g.conf.row(v), g.stit.row(v)
-		if len(stit) == 0 {
-			return conf
+	// neighbor returns the i-th entry of v's conflict row followed by its
+	// stitch row, and false past the end.
+	neighbor := func(v, i int) (int, bool) {
+		conf := g.conf.row(v)
+		if i < len(conf) {
+			return int(conf[i]), true
 		}
-		out := make([]int32, 0, len(conf)+len(stit))
-		out = append(out, conf...)
-		return append(out, stit...)
+		if stit := g.stit.row(v); i-len(conf) < len(stit) {
+			return int(stit[i-len(conf)]), true
+		}
+		return 0, false
 	}
 
 	popBlock := func(until Edge) []int {
-		seen := map[int]bool{}
+		stamp := int32(len(blocks) + 1)
 		var verts []int
 		for len(edgeStack) > 0 {
 			e := edgeStack[len(edgeStack)-1]
 			edgeStack = edgeStack[:len(edgeStack)-1]
-			for _, v := range []int{e.U, e.V} {
-				if !seen[v] {
-					seen[v] = true
+			for _, v := range [2]int{e.U, e.V} {
+				if seen[v] != stamp {
+					seen[v] = stamp
 					verts = append(verts, v)
 				}
 			}
@@ -387,8 +401,7 @@ func (g *Graph) BiconnectedComponents() (blocks [][]int, cuts []int) {
 		if disc[s] != none {
 			continue
 		}
-		adj := neighbors(s)
-		if len(adj) == 0 {
+		if _, ok := neighbor(s, 0); !ok {
 			disc[s] = timer
 			timer++
 			blocks = append(blocks, []int{s})
@@ -401,15 +414,12 @@ func (g *Graph) BiconnectedComponents() (blocks [][]int, cuts []int) {
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			v := f.v
-			vAdj := neighbors(v)
-			if f.childIdx < len(vAdj) {
-				w := int(vAdj[f.childIdx])
+			if w, ok := neighbor(v, f.childIdx); ok {
 				f.childIdx++
 				if w == f.parentEdge {
 					continue
 				}
 				if disc[w] == none {
-					parent[w] = v
 					f.children++
 					e := Edge{U: min(v, w), V: max(v, w)}
 					edgeStack = append(edgeStack, e)
@@ -437,7 +447,9 @@ func (g *Graph) BiconnectedComponents() (blocks [][]int, cuts []int) {
 					low[p] = low[v]
 				}
 				if low[v] >= disc[p] {
-					if parent[p] != none {
+					// p is a cut vertex unless it is the DFS root, the
+					// bottom frame (the root's rule is its child count).
+					if len(stack) > 1 {
 						isCut[p] = true
 					}
 					e := Edge{U: min(p, v), V: max(p, v)}
