@@ -99,7 +99,7 @@ func TestEncodeMatchesSortedReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, comp := range dg.G.Components() {
-		sub, _ := dg.G.Subgraph(comp, nil)
+		sub := dg.G.Subgraph(comp, nil)
 		graphs = append(graphs, sub)
 	}
 	for i, g := range graphs {

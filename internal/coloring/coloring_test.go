@@ -305,7 +305,7 @@ func TestLinearPeelSafety(t *testing.T) {
 		n := 5 + rng.Intn(30)
 		g := randomGraph(rng, n, 2*n, 0)
 		k := 4
-		_, core := g.PeelOrder(k, 2, nil)
+		_, core := g.PeelOrder(k, 2)
 		colors := Linear(g, LinearOptions{K: k, Alpha: 0.1})
 		total, _ := Count(g, colors)
 		inCore := make(map[int]bool)
@@ -369,7 +369,7 @@ func TestLinearOrdersAndPeerSelection(t *testing.T) {
 	b.AddConflict(6, 1)
 	b.AddConflict(7, 2)
 	g := b.Build(nil)
-	_, core := g.PeelOrder(4, 2, nil)
+	_, core := g.PeelOrder(4, 2)
 	for name, ord := range map[string][]int{
 		"sequence": sequenceOrder(core),
 		"degree":   degreeOrder(g, core),

@@ -80,7 +80,7 @@ func Linear(g *graph.Graph, opts LinearOptions) []int {
 	}
 
 	// Stage 1: removal.
-	stack, core := g.PeelOrder(opts.K, linearMaxStitchDegree, nil)
+	stack, core := g.PeelOrder(opts.K, linearMaxStitchDegree)
 
 	// Stage 2: peer selection across the three orders (or the single
 	// order forced by the ablation option).

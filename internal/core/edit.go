@@ -858,10 +858,10 @@ func (r *editRun) divide(ctx context.Context, sc *pipeline.Scratch) {
 		sort.Ints(r.dirty)
 		d, solve := newDispatch(ctx, r.opts, sharedScratch, sharedShapes)
 		idx := sc.Int32s(r.ib.dg.G.N())
-		sub, orig := r.ib.dg.G.Subgraph(r.dirty, idx)
+		sub := r.ib.dg.G.Subgraph(r.dirty, idx)
 		sc.PutInt32s(idx)
 		subColors, st := division.DecomposeEnv(ctx, sub, r.opts.Division, d.env, solve)
-		for i, v := range orig {
+		for i, v := range r.dirty {
 			r.colors[v] = subColors[i]
 		}
 		r.unproven, r.solverTime = d.drainInto(&st)

@@ -24,8 +24,10 @@
 // one peel over the caller's graph, the core's connected pieces found on
 // its rows, and one pop of the whole stack at the end. This is the paper's
 // per-component order exactly (see DecomposeEnv), without a copy of every
-// component. Only a core piece is copied out (Subgraph) and handed to a
-// worker for steps 3 and 4.
+// component; the components are only counted. Only a core piece is copied
+// out (Subgraph) and handed to a worker for steps 3 and 4, which copies
+// each block once and each connected part of a GH piece once; the GH piece
+// itself is split on the block's rows.
 //
 // In stage terms (internal/pipeline), this package implements the middle
 // of the flow: step 2 is the Simplify stage, steps 1, 3 and 4 are the
@@ -270,26 +272,26 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 	}
 	var st Stats
 	tPart := time.Now()
-	// Component discovery shards across the division worker pool on large
-	// graphs (lock-free union-find over the CSR rows); the result is
-	// byte-identical to a serial scan at any worker count.
-	pieces := g.ComponentsWorkers(opts.Workers)
-	st.Components = len(pieces)
-
-	// Peel the whole graph, then split its core into connected pieces over
-	// g's rows (peeling can disconnect a component's core). Without
-	// peeling the pieces are the components themselves.
+	// Without peeling the pieces are the components themselves. With it,
+	// the components are only counted: the whole graph is peeled and its
+	// core split into connected pieces over g's rows (peeling can
+	// disconnect a component's core).
 	var stack []int
-	if !opts.DisablePeeling {
+	var pieces [][]int
+	if opts.DisablePeeling {
+		pieces = g.Components()
+		st.Components = len(pieces)
+	} else {
+		sc := env.Scratch.Get()
+		mark := sc.Int32s(n)
+		st.Components = g.ComponentCount(mark)
 		st.AddStage(pipeline.StagePartition, time.Since(tPart))
 		tSimp := time.Now()
 		var core []int
-		stack, core = g.PeelOrder(opts.K, maxStitchDegree, nil)
+		stack, core = g.PeelOrder(opts.K, maxStitchDegree)
 		st.AddStage(pipeline.StageSimplify, time.Since(tSimp))
 		st.Peeled = len(stack)
 		tPart = time.Now()
-		sc := env.Scratch.Get()
-		mark := sc.Int32s(n)
 		pieces = g.InducedComponents(core, mark)
 		sc.PutInt32s(mark)
 		env.Scratch.Put(sc)
@@ -345,7 +347,7 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 		jobsRun := 0
 		for piece := range jobs {
 			t0 := time.Now()
-			sub, _ := subgraphTimed(g, piece, idx, ws)
+			sub := subgraphTimed(g, piece, idx, ws)
 			subColors := solveCore(ctx, sub, opts, solve, ws, sc, idx)
 			for i, v := range piece {
 				colors[v] = subColors[i]
@@ -411,11 +413,11 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 // clock (structural splitting is partition work wherever it happens). idx
 // is the worker's all-zero Subgraph index, leased once per run at the
 // size of the run's graph, which bounds every piece nested inside it.
-func subgraphTimed(g *graph.Graph, vertices []int, idx []int32, st *Stats) (*graph.Graph, []int) {
+func subgraphTimed(g *graph.Graph, vertices []int, idx []int32, st *Stats) *graph.Graph {
 	t0 := time.Now()
-	sub, orig := g.Subgraph(vertices, idx)
+	sub := g.Subgraph(vertices, idx)
 	st.AddStage(pipeline.StagePartition, time.Since(t0))
-	return sub, orig
+	return sub
 }
 
 // callSolver invokes the engine for one piece unless ctx is already
@@ -473,19 +475,19 @@ func solveCore(ctx context.Context, g *graph.Graph, opts Options, solve Solver, 
 		queue = queue[1:]
 		st.Blocks++
 		block := blocks[bi]
-		bsub, borig := subgraphTimed(g, block, idx, st)
+		bsub := subgraphTimed(g, block, idx, st)
 		bcolors := solveBlock(ctx, bsub, opts, solve, st, sc, idx)
 
 		// Find the anchor: a vertex already colored by an earlier block.
 		tStitch := time.Now()
 		rot := 0
-		for i, v := range borig {
+		for i, v := range block {
 			if colors[v] != coloring.Uncolored {
 				rot = (colors[v] - bcolors[i]%opts.K + 2*opts.K) % opts.K
 				break
 			}
 		}
-		for i, v := range borig {
+		for i, v := range block {
 			if colors[v] == coloring.Uncolored {
 				colors[v] = (bcolors[i] + rot) % opts.K
 			}
@@ -531,18 +533,17 @@ func solveBlock(ctx context.Context, g *graph.Graph, opts Options, solve Solver,
 		colors[i] = coloring.Uncolored
 	}
 	for _, comp := range comps {
-		csub, corig := subgraphTimed(g, comp, idx, st)
 		// The piece may itself be disconnected once cut edges are ignored;
-		// components inside it are solved independently (their relative
-		// rotation is later fixed edge by edge).
+		// components inside it are found on the block's rows and solved
+		// independently (their relative rotation is later fixed edge by
+		// edge). Each is copied out of the block once.
 		tSplit := time.Now()
-		ccs := csub.Components()
+		ccs := g.InducedComponents(comp, idx)
 		st.AddStage(pipeline.StagePartition, time.Since(tSplit))
 		for _, cc := range ccs {
-			ccSub, ccOrig := subgraphTimed(csub, cc, idx, st)
-			ccColors := callSolver(ctx, ccSub, opts, solve, st, sc)
-			for i, v := range ccOrig {
-				colors[corig[v]] = ccColors[i]
+			ccColors := callSolver(ctx, subgraphTimed(g, cc, idx, st), opts, solve, st, sc)
+			for i, v := range cc {
+				colors[v] = ccColors[i]
 			}
 			sc.PutInts(ccColors)
 		}

@@ -8,8 +8,10 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"mpl/internal/coloring"
+	"mpl/internal/ghtree"
 	"mpl/internal/graph"
 	"mpl/internal/pipeline"
 )
@@ -17,10 +19,12 @@ import (
 // decomposeReference is the per-component divide that DecomposeEnv
 // replaced: every connected component is copied out with Subgraph, peeled
 // on its own copy, its core copied again and split into components, and
-// its own stack popped before the worker takes the next component. It is
-// the oracle for TestDivisionMatchesReference and
-// FuzzDivisionMatchesReference: the one-pass divide must write the same
-// colors, count the same Stats and hand the solver the same pieces.
+// its own stack popped before the worker takes the next component. Each
+// core component then goes through solveCoreReference, which copies every
+// GH piece and its components twice. It is the oracle for
+// TestDivisionMatchesReference and FuzzDivisionMatchesReference: the
+// one-pass divide must write the same colors, count the same Stats and
+// hand the solver the same pieces.
 func decomposeReference(ctx context.Context, g *graph.Graph, opts Options, env Env, solve Solver) ([]int, Stats) {
 	n := g.N()
 	colors := make([]int, n)
@@ -28,7 +32,7 @@ func decomposeReference(ctx context.Context, g *graph.Graph, opts Options, env E
 		colors[i] = coloring.Uncolored
 	}
 	var st Stats
-	comps := g.ComponentsWorkers(opts.Workers)
+	comps := g.Components()
 	st.Components = len(comps)
 	jobs := make(chan []int, len(comps))
 	for _, comp := range comps {
@@ -41,9 +45,9 @@ func decomposeReference(ctx context.Context, g *graph.Graph, opts Options, env E
 		idx := sc.Int32s(n)
 		defer sc.PutInt32s(idx)
 		for comp := range jobs {
-			sub, orig := subgraphTimed(g, comp, idx, ws)
+			sub := subgraphTimed(g, comp, idx, ws)
 			subColors := decomposeComponentReference(ctx, sub, opts, solve, ws, sc, idx)
-			for i, v := range orig {
+			for i, v := range comp {
 				colors[v] = subColors[i]
 			}
 		}
@@ -80,16 +84,15 @@ func decomposeComponentReference(ctx context.Context, g *graph.Graph, opts Optio
 			core[i] = i
 		}
 	} else {
-		stack, core = g.PeelOrder(opts.K, maxStitchDegree, nil)
+		stack, core = g.PeelOrder(opts.K, maxStitchDegree)
 		st.Peeled += len(stack)
 	}
 	if len(core) > 0 {
-		coreSub, coreOrig := subgraphTimed(g, core, idx, st)
+		coreSub := subgraphTimed(g, core, idx, st)
 		for _, cc := range coreSub.Components() {
-			ccSub, ccOrig := subgraphTimed(coreSub, cc, idx, st)
-			ccColors := solveCore(ctx, ccSub, opts, solve, st, sc, idx)
-			for i, v := range ccOrig {
-				colors[coreOrig[v]] = ccColors[i]
+			ccColors := solveCoreReference(ctx, subgraphTimed(coreSub, cc, idx, st), opts, solve, st, sc, idx)
+			for i, v := range cc {
+				colors[core[v]] = ccColors[i]
 			}
 		}
 	}
@@ -100,12 +103,183 @@ func decomposeComponentReference(ctx context.Context, g *graph.Graph, opts Optio
 	return colors
 }
 
+// solveCoreReference is solveCore as it was before GH pieces were split on
+// the block's rows: the biconnected split of one connected core component.
+func solveCoreReference(ctx context.Context, g *graph.Graph, opts Options, solve Solver, st *Stats, sc *pipeline.Scratch, idx []int32) []int {
+	if opts.DisableBiconnected {
+		st.Blocks++
+		return solveBlockReference(ctx, g, opts, solve, st, sc, idx)
+	}
+	tPart := time.Now()
+	blocks, _ := g.BiconnectedComponents()
+	st.AddStage(pipeline.StagePartition, time.Since(tPart))
+	if len(blocks) == 1 {
+		st.Blocks++
+		return solveBlockReference(ctx, g, opts, solve, st, sc, idx)
+	}
+
+	n := g.N()
+	colors := sc.Ints(n)
+	for i := range colors {
+		colors[i] = coloring.Uncolored
+	}
+
+	// Process blocks in an order where each new block shares at most one
+	// already-colored vertex (BFS over the block-cut structure); rotate the
+	// block's fresh coloring so that vertex matches.
+	vertexBlocks := make(map[int][]int) // vertex -> block indices
+	for bi, b := range blocks {
+		for _, v := range b {
+			vertexBlocks[v] = append(vertexBlocks[v], bi)
+		}
+	}
+	done := make([]bool, len(blocks))
+	queue := []int{0}
+	done[0] = true
+	for len(queue) > 0 {
+		bi := queue[0]
+		queue = queue[1:]
+		st.Blocks++
+		block := blocks[bi]
+		bsub, borig := subgraphTimed(g, block, idx, st), block
+		bcolors := solveBlockReference(ctx, bsub, opts, solve, st, sc, idx)
+
+		// Find the anchor: a vertex already colored by an earlier block.
+		tStitch := time.Now()
+		rot := 0
+		for i, v := range borig {
+			if colors[v] != coloring.Uncolored {
+				rot = (colors[v] - bcolors[i]%opts.K + 2*opts.K) % opts.K
+				break
+			}
+		}
+		for i, v := range borig {
+			if colors[v] == coloring.Uncolored {
+				colors[v] = (bcolors[i] + rot) % opts.K
+			}
+		}
+		sc.PutInts(bcolors)
+		st.AddStage(pipeline.StageStitch, time.Since(tStitch))
+		for _, v := range block {
+			for _, nb := range vertexBlocks[v] {
+				if !done[nb] {
+					done[nb] = true
+					queue = append(queue, nb)
+				}
+			}
+		}
+	}
+	return colors
+}
+
+// solveBlockReference is solveBlock as it was: each GH piece is copied out
+// of the block, split into components on the copy, and each component
+// copied out of the copy again.
+func solveBlockReference(ctx context.Context, g *graph.Graph, opts Options, solve Solver, st *Stats, sc *pipeline.Scratch, idx []int32) []int {
+	n := g.N()
+	if opts.DisableGHTree || n > ghTreeMaxN || n < 2 {
+		return callSolver(ctx, g, opts, solve, st, sc)
+	}
+	tPart := time.Now()
+	tr := ghtree.BuildFromConflictGraphScratch(ctx, g, sc)
+	if tr == nil {
+		// Cancelled during (or before) the n−1 max-flows: skip GH division
+		// and let callSolver route the whole block to the linear fallback.
+		st.AddStage(pipeline.StagePartition, time.Since(tPart))
+		return callSolver(ctx, g, opts, solve, st, sc)
+	}
+	comps := tr.ComponentsBelowWeight(int64(opts.K))
+	st.AddStage(pipeline.StagePartition, time.Since(tPart))
+	if len(comps) == 1 {
+		return callSolver(ctx, g, opts, solve, st, sc)
+	}
+	st.GHComponents += len(comps)
+
+	colors := sc.Ints(n)
+	for i := range colors {
+		colors[i] = coloring.Uncolored
+	}
+	for _, comp := range comps {
+		csub, corig := subgraphTimed(g, comp, idx, st), comp
+		// The piece may itself be disconnected once cut edges are ignored;
+		// components inside it are solved independently (their relative
+		// rotation is later fixed edge by edge).
+		tSplit := time.Now()
+		ccs := csub.Components()
+		st.AddStage(pipeline.StagePartition, time.Since(tSplit))
+		for _, cc := range ccs {
+			ccSub, ccOrig := subgraphTimed(csub, cc, idx, st), cc
+			ccColors := callSolver(ctx, ccSub, opts, solve, st, sc)
+			for i, v := range ccOrig {
+				colors[corig[v]] = ccColors[i]
+			}
+			sc.PutInts(ccColors)
+		}
+	}
+
+	// Color rotation (Lemma 1): for every removed tree edge, deepest
+	// first, rotate the subtree side by the value that minimizes the cost
+	// of the crossing edges. The cut-tree property bounds the crossing
+	// conflict edges by K−1, so a conflict-free rotation always exists.
+	tStitch := time.Now()
+	ces := g.ConflictEdges()
+	ses := g.StitchEdges()
+	for _, cut := range tr.CutEdgesBelowWeight(int64(opts.K)) {
+		mask := tr.SubtreeMask(cut.Child)
+		bestRot, bestCost := 0, 1e18
+		for r := 0; r < opts.K; r++ {
+			cost := 0.0
+			for _, e := range ces {
+				if mask[e.U] != mask[e.V] {
+					cu, cv := colors[e.U], colors[e.V]
+					if mask[e.U] {
+						cu = (cu + r) % opts.K
+					} else {
+						cv = (cv + r) % opts.K
+					}
+					if cu == cv {
+						cost++
+					}
+				}
+			}
+			for _, e := range ses {
+				if mask[e.U] != mask[e.V] {
+					cu, cv := colors[e.U], colors[e.V]
+					if mask[e.U] {
+						cu = (cu + r) % opts.K
+					} else {
+						cv = (cv + r) % opts.K
+					}
+					if cu != cv {
+						cost += opts.Alpha
+					}
+				}
+			}
+			if cost < bestCost-1e-12 {
+				bestCost = cost
+				bestRot = r
+			}
+		}
+		if bestRot != 0 {
+			for v := 0; v < n; v++ {
+				if mask[v] {
+					colors[v] = (colors[v] + bestRot) % opts.K
+				}
+			}
+		}
+	}
+	st.AddStage(pipeline.StageStitch, time.Since(tStitch))
+	return colors
+}
+
 // refGraph draws a graph of several components whose vertex ids are
 // shuffled, so components interleave in id space and the global peel queue
 // mixes them. A component is a (k+1)-clique, which survives the peel; a
 // chain, which does not; two cliques sharing a vertex (a biconnected
-// split); or two cliques joined by fewer than k conflict edges (a GH cut).
-// Cliques may carry a chain tail. Stitch and color-friendly edges land on
+// split); two cliques joined by fewer than k conflict edges (a GH cut); or
+// two hubs joined through k middle vertices, each middle vertex also in a
+// (k+1)-clique of its own. The hubs are k-edge-connected but not adjacent,
+// so their GH piece is disconnected. Cliques may carry a chain tail. Stitch and color-friendly edges land on
 // unjoined pairs inside a component.
 func refGraph(rng *rand.Rand, k int) *graph.Graph {
 	var comps [][]int
@@ -133,7 +307,7 @@ func refGraph(rng *rand.Rand, k int) *graph.Graph {
 	}
 	for c := 1 + rng.Intn(7); c > 0; c-- {
 		var comp []int
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			comp = fresh(k + 1)
 			clique(comp)
@@ -146,7 +320,7 @@ func refGraph(rng *rand.Rand, k int) *graph.Graph {
 			clique(a)
 			clique(b)
 			comp = append(a, b[:k]...)
-		default:
+		case 3:
 			a, b := fresh(k+1), fresh(k+1)
 			clique(a)
 			clique(b)
@@ -154,6 +328,15 @@ func refGraph(rng *rand.Rand, k int) *graph.Graph {
 				edges = append(edges, [2]int{a[j], b[rng.Intn(len(b))]})
 			}
 			comp = append(a, b...)
+		default:
+			hubs, mid := fresh(2), fresh(k)
+			comp = append(hubs, mid...)
+			for _, m := range mid {
+				edges = append(edges, [2]int{hubs[0], m}, [2]int{hubs[1], m})
+				q := append(fresh(k), m)
+				clique(q)
+				comp = append(comp, q[:k]...)
+			}
 		}
 		if rng.Intn(3) == 0 {
 			tail := fresh(1 + rng.Intn(4))

@@ -156,40 +156,6 @@ type countingArena struct{ got, put int }
 func (c *countingArena) Int32s(n int) []int32 { c.got++; return make([]int32, n) }
 func (c *countingArena) PutInt32s([]int32)    { c.put++ }
 
-// TestComponentsWorkersMatchesSerial forces the lock-free union-find path
-// (n above the parallel threshold) and checks byte-identical output against
-// the serial DFS at several worker counts.
-func TestComponentsWorkersMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 1 << 15
-	bld := NewBuilder(n)
-	// Sparse random graph: many components of varied size, plus stitch
-	// edges binding some pairs.
-	pick := func(not int) int {
-		j := rng.Intn(n - 1)
-		if j >= not {
-			j++ // uniform over [0, n) \ {not}: no self loops
-		}
-		return j
-	}
-	for i := 0; i < n; i++ {
-		if rng.Intn(3) > 0 {
-			bld.AddConflict(i, pick(i))
-		}
-		if rng.Intn(16) == 0 {
-			bld.AddStitch(i, pick(i))
-		}
-	}
-	g := bld.Build(nil)
-	want := g.Components()
-	for _, workers := range []int{2, 4, 8} {
-		got := g.ComponentsWorkers(workers)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: sharded components differ from serial DFS", workers)
-		}
-	}
-}
-
 // BenchmarkDenseHub pins the O(deg²) dense-hub fix: building a graph whose
 // vertex 0 neighbors everyone — with every edge inserted twice, the dedup
 // pressure that made the old linear `contains` scan quadratic — through the

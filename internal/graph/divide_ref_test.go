@@ -223,9 +223,10 @@ func biconnectedReference(g *Graph) (blocks [][]int, cuts []int) {
 
 // TestDivisionPrimitivesMatchReference draws random graphs of all three
 // edge kinds (a pair may be both a conflict and a stitch) and checks
-// Components, InducedComponents, PeelOrder and BiconnectedComponents
-// against the oracles above. InducedComponents is checked against the
-// reference components of the copied subgraph, mapped back to g's ids.
+// Components, ComponentCount, InducedComponents, PeelOrder (every vertex
+// active) and BiconnectedComponents against the oracles above.
+// InducedComponents is checked against the reference components of the
+// copied subgraph, mapped back to g's ids.
 func TestDivisionPrimitivesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 400; trial++ {
@@ -242,12 +243,18 @@ func TestDivisionPrimitivesMatchReference(t *testing.T) {
 			}
 		}
 		mark := make([]int32, n)
-		sub, orig := g.Subgraph(subset, nil)
+		if got, want := g.ComponentCount(mark), len(componentsReference(g)); got != want {
+			t.Fatalf("trial %d: ComponentCount %d, reference %d", trial, got, want)
+		}
+		if !reflect.DeepEqual(mark, make([]int32, n)) {
+			t.Fatalf("trial %d: ComponentCount left mark %v", trial, mark)
+		}
+		sub := g.Subgraph(subset, nil)
 		var want [][]int
 		for _, comp := range componentsReference(sub) {
 			ids := make([]int, len(comp))
 			for i, v := range comp {
-				ids[i] = orig[v]
+				ids[i] = subset[v]
 			}
 			want = append(want, ids)
 		}
@@ -258,16 +265,9 @@ func TestDivisionPrimitivesMatchReference(t *testing.T) {
 			t.Fatalf("trial %d: InducedComponents left mark %v", trial, mark)
 		}
 
-		var active []bool
-		if rng.Intn(2) == 0 {
-			active = make([]bool, n)
-			for _, v := range subset {
-				active[v] = true
-			}
-		}
 		k, maxStitch := 2+rng.Intn(4), 1+rng.Intn(3)
-		stack, core := g.PeelOrder(k, maxStitch, active)
-		wantStack, wantCore := peelReference(g, k, maxStitch, active)
+		stack, core := g.PeelOrder(k, maxStitch)
+		wantStack, wantCore := peelReference(g, k, maxStitch, nil)
 		if len(stack) != len(wantStack) || (len(stack) > 0 && !reflect.DeepEqual(stack, wantStack)) ||
 			!reflect.DeepEqual(core, wantCore) {
 			t.Fatalf("trial %d: PeelOrder(%d, %d) = %v, %v; reference %v, %v", trial, k, maxStitch, stack, core, wantStack, wantCore)

@@ -146,39 +146,24 @@ func (g *Graph) Components() [][]int {
 // and ascending), read straight off g's rows with no copy of the induced
 // subgraph. Components are ordered by smallest member and each is an
 // ascending list of g's vertex ids: Subgraph(vertices).Components() mapped
-// back through the subgraph's orig. mark is a caller-leased table with the
-// same contract as Subgraph's index (all zero, at least g.N() long, left
-// all zero); nil allocates one.
+// back to g's ids. mark is a caller-leased table with the same contract as
+// Subgraph's index (all zero, at least g.N() long, left all zero); nil
+// allocates one.
 func (g *Graph) InducedComponents(vertices []int, mark []int32) [][]int {
 	if mark == nil {
 		mark = make([]int32, g.n)
 	}
-	const member, visited = 1, 2
 	for _, v := range vertices {
-		mark[v] = member
+		mark[v] = unreached
 	}
 	var out [][]int
 	stack := make([]int, 0, 64)
 	for _, s := range vertices {
-		if mark[s] != member {
+		if mark[s] != unreached {
 			continue
 		}
-		mark[s] = visited
-		stack = append(stack[:0], s)
 		var members []int
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			members = append(members, u)
-			for _, row := range [2][]int32{g.conf.row(u), g.stit.row(u)} {
-				for _, w := range row {
-					if mark[w] == member {
-						mark[w] = visited
-						stack = append(stack, int(w))
-					}
-				}
-			}
-		}
+		stack, members = g.flood(s, mark, stack, nil)
 		sort.Ints(members)
 		out = append(out, members)
 	}
@@ -186,11 +171,57 @@ func (g *Graph) InducedComponents(vertices []int, mark []int32) [][]int {
 	return out
 }
 
+// ComponentCount returns len(g.Components()) from the same walk, without
+// listing any component. mark is a caller-leased table, all zero and at
+// least g.N() long, and is left all zero.
+func (g *Graph) ComponentCount(mark []int32) int {
+	mark = mark[:g.n]
+	for v := range mark {
+		mark[v] = unreached
+	}
+	count := 0
+	var stack, members []int
+	for s := range mark {
+		if mark[s] == unreached {
+			count++
+			stack, members = g.flood(s, mark, stack, members[:0])
+		}
+	}
+	clear(mark)
+	return count
+}
+
+// The walk's mark states: a member of the induced subgraph not yet reached,
+// and a reached one. Unmarked vertices are outside the subgraph.
+const unreached, reached = 1, 2
+
+// flood is the component walk: a DFS from the unreached member s over
+// conflict and stitch rows that marks every member it reaches as reached and
+// appends it to members. stack is reused scratch; flood returns it and
+// members grown.
+func (g *Graph) flood(s int, mark []int32, stack, members []int) ([]int, []int) {
+	mark[s] = reached
+	stack = append(stack[:0], s)
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		members = append(members, u)
+		for _, row := range [2][]int32{g.conf.row(u), g.stit.row(u)} {
+			for _, w := range row {
+				if mark[w] == unreached {
+					mark[w] = reached
+					stack = append(stack, int(w))
+				}
+			}
+		}
+	}
+	return stack, members
+}
+
 // Subgraph extracts the induced subgraph over the given vertices, with
-// vertex i of the result standing for vertices[i]. It returns the new graph
-// and the mapping from new indices to original vertex IDs (the input slice,
-// copied). Edges of every kind are preserved when both endpoints are inside
-// the subset.
+// vertex i of the result standing for vertices[i], so vertices itself maps
+// the result's ids back to g's. Edges of every kind are preserved when both
+// endpoints are inside the subset.
 //
 // The result is a filtered CSR copy: each member's adjacency row is copied,
 // neighbors outside the subset dropped and the rest relabeled, into one
@@ -201,13 +232,12 @@ func (g *Graph) InducedComponents(vertices []int, mark []int32) [][]int {
 // and never clears it. A nil index allocates one. Relabeling preserves
 // order when vertices ascends, so the copied rows are already sorted; any
 // other order sorts each row.
-func (g *Graph) Subgraph(vertices []int, index []int32) (*Graph, []int) {
+func (g *Graph) Subgraph(vertices []int, index []int32) *Graph {
 	if index == nil {
 		index = make([]int32, g.n)
 	} else if len(index) < g.n {
 		panic(fmt.Sprintf("graph: subgraph index has %d entries, graph has %d vertices", len(index), g.n))
 	}
-	orig := make([]int, len(vertices))
 	ascending := true
 	for i, v := range vertices {
 		if v < 0 || v >= g.n || index[v] != 0 {
@@ -218,7 +248,6 @@ func (g *Graph) Subgraph(vertices []int, index []int32) (*Graph, []int) {
 			panic(fmt.Sprintf("graph: subgraph vertex %d repeated", v))
 		}
 		index[v] = int32(i + 1)
-		orig[i] = v
 		ascending = ascending && (i == 0 || vertices[i-1] < v)
 	}
 	sub := &Graph{n: len(vertices)}
@@ -226,7 +255,7 @@ func (g *Graph) Subgraph(vertices []int, index []int32) (*Graph, []int) {
 	sub.stit, sub.nStit = filterRows(&g.stit, vertices, index, ascending)
 	sub.friend, sub.nFriend = filterRows(&g.friend, vertices, index, ascending)
 	clearIndex(index, vertices)
-	return sub, orig
+	return sub
 }
 
 // filterRows copies one edge kind's rows of the stamped members into one
@@ -279,34 +308,15 @@ func clearIndex(index []int32, vertices []int) {
 // When a removed vertex is later popped and colored, one of the k colors is
 // always conflict-free because fewer than k conflict neighbors remain — the
 // paper's safety argument.
-func (g *Graph) PeelOrder(k, maxStitch int, active []bool) (stack []int, core []int) {
+func (g *Graph) PeelOrder(k, maxStitch int) (stack []int, core []int) {
 	deg := make([]int32, g.n)
 	sdeg := make([]int32, g.n)
-	// queued marks vertices that are, or were, in the queue, plus the
-	// inactive ones, which must never enter it. Decrementing the degree of
-	// a queued vertex is harmless: it is never read again.
+	// queued marks vertices that are, or were, in the queue. Decrementing
+	// the degree of a queued vertex is harmless: it is never read again.
 	queued := make([]bool, g.n)
 	queue := make([]int, 0, g.n)
 	for v := 0; v < g.n; v++ {
-		if active != nil && !active[v] {
-			queued[v] = true // outside the working set; never peeled or core
-			continue
-		}
-		conf, stit := g.conf.row(v), g.stit.row(v)
-		if active == nil {
-			deg[v], sdeg[v] = int32(len(conf)), int32(len(stit))
-		} else {
-			for _, w := range conf {
-				if active[w] {
-					deg[v]++
-				}
-			}
-			for _, w := range stit {
-				if active[w] {
-					sdeg[v]++
-				}
-			}
-		}
+		deg[v], sdeg[v] = int32(len(g.conf.row(v))), int32(len(g.stit.row(v)))
 		if int(deg[v]) < k && int(sdeg[v]) < maxStitch {
 			queued[v] = true
 			queue = append(queue, v)

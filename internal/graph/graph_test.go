@@ -159,9 +159,9 @@ func TestSubgraph(t *testing.T) {
 	b.AddConflict(1, 2)
 	b.AddStitch(2, 3)
 	b.AddFriend(0, 2)
-	sub, orig := b.Build(nil).Subgraph([]int{0, 1, 2}, nil)
-	if sub.N() != 3 || !reflect.DeepEqual(orig, []int{0, 1, 2}) {
-		t.Fatalf("Subgraph N=%d orig=%v", sub.N(), orig)
+	sub := b.Build(nil).Subgraph([]int{0, 1, 2}, nil)
+	if sub.N() != 3 {
+		t.Fatalf("Subgraph N=%d", sub.N())
 	}
 	if !sub.HasConflict(0, 1) || !sub.HasConflict(1, 2) {
 		t.Fatal("subgraph lost conflict edges")
@@ -199,7 +199,7 @@ func TestPeelOrderSimple(t *testing.T) {
 	// Path 0-1-2 with K=4: every vertex has conflict degree <= 2 < 4,
 	// so everything peels and the core is empty.
 	g := conflicts(3, [2]int{0, 1}, [2]int{1, 2})
-	stack, core := g.PeelOrder(4, 2, nil)
+	stack, core := g.PeelOrder(4, 2)
 	if len(stack) != 3 || len(core) != 0 {
 		t.Fatalf("stack=%v core=%v", stack, core)
 	}
@@ -215,7 +215,7 @@ func TestPeelOrderKeepsDenseCore(t *testing.T) {
 	}
 	b.AddConflict(0, 5) // pendant vertex: degree 1, peels; then K5 stays
 	g := b.Build(nil)
-	stack, core := g.PeelOrder(4, 2, nil)
+	stack, core := g.PeelOrder(4, 2)
 	if len(stack) != 1 || stack[0] != 5 {
 		t.Fatalf("stack = %v, want [5]", stack)
 	}
@@ -237,7 +237,7 @@ func TestPeelOrderCascades(t *testing.T) {
 	b.AddConflict(2, 3)
 	b.AddConflict(3, 4)
 	g := b.Build(nil)
-	stack, core := g.PeelOrder(4, 2, nil)
+	stack, core := g.PeelOrder(4, 2)
 	if len(stack) != 4 {
 		t.Fatalf("stack = %v, want chain of 4", stack)
 	}
@@ -252,7 +252,7 @@ func TestPeelOrderStitchBound(t *testing.T) {
 	b.AddStitch(0, 1)
 	b.AddStitch(1, 2)
 	g := b.Build(nil)
-	stack, core := g.PeelOrder(4, 2, nil)
+	stack, core := g.PeelOrder(4, 2)
 	// Vertices 0 and 2 peel first (1 stitch each); vertex 1 then drops to
 	// 0 stitch degree and peels too.
 	if len(stack) != 3 || len(core) != 0 {
@@ -260,22 +260,6 @@ func TestPeelOrderStitchBound(t *testing.T) {
 	}
 	if stack[len(stack)-1] != 1 {
 		t.Fatalf("middle vertex should peel last: %v", stack)
-	}
-}
-
-func TestPeelOrderActiveMask(t *testing.T) {
-	g := conflicts(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3})
-	active := []bool{true, true, false, false}
-	stack, core := g.PeelOrder(1, 2, active)
-	for _, v := range append(append([]int{}, stack...), core...) {
-		if !active[v] {
-			t.Fatalf("inactive vertex %d appeared in result", v)
-		}
-	}
-	// With K=1, vertex 0 (deg 1 inside active set) does not peel... deg(0)=1 >= 1.
-	// Vertex 1 has active degree 1 as well. Nothing peels.
-	if len(stack) != 0 || len(core) != 2 {
-		t.Fatalf("stack=%v core=%v", stack, core)
 	}
 }
 
@@ -295,7 +279,7 @@ func TestPeelSafetyProperty(t *testing.T) {
 		}
 		g := b.Build(nil)
 		k := 2 + rng.Intn(4)
-		stack, core := g.PeelOrder(k, 2, nil)
+		stack, core := g.PeelOrder(k, 2)
 		inCore := make(map[int]bool)
 		for _, v := range core {
 			inCore[v] = true

@@ -2,9 +2,9 @@ package graph
 
 // Differential check of Subgraph's filtered CSR copy against the map-based
 // extraction it replaced, kept here verbatim as subgraphReference: for any
-// graph and any vertex list, both must produce the same rows, edge counts
-// and original-ID mapping, or panic with the same message; and the leased
-// index must come back all zero, whether the call returned or panicked.
+// graph and any vertex list, both must produce the same rows and edge
+// counts, or panic with the same message; and the leased index must come
+// back all zero, whether the call returned or panicked.
 
 import (
 	"fmt"
@@ -15,10 +15,10 @@ import (
 
 // subgraphReference is the map-plus-sorted-insert Subgraph this package
 // shipped before the filtered CSR copy, building into the legacy mutable
-// representation (mutable_ref_test.go).
-func subgraphReference(g *Graph, vertices []int) (*mutableRef, []int) {
+// representation (mutable_ref_test.go), less the original-ID mapping it
+// also returned (a copy of vertices).
+func subgraphReference(g *Graph, vertices []int) *mutableRef {
 	idx := make(map[int]int32, len(vertices))
-	orig := make([]int, len(vertices))
 	for i, v := range vertices {
 		if v < 0 || v >= g.n {
 			panic(fmt.Sprintf("graph: subgraph vertex %d out of range", v))
@@ -27,7 +27,6 @@ func subgraphReference(g *Graph, vertices []int) (*mutableRef, []int) {
 			panic(fmt.Sprintf("graph: subgraph vertex %d repeated", v))
 		}
 		idx[v] = int32(i)
-		orig[i] = v
 	}
 	sub := newMutableRef(len(vertices))
 	rows, _ := kindRows(g)
@@ -40,14 +39,13 @@ func subgraphReference(g *Graph, vertices []int) (*mutableRef, []int) {
 			}
 		}
 	}
-	return sub, orig
+	return sub
 }
 
 // subgraphOutcome runs one extraction, capturing a panic as its message.
-func subgraphOutcome[G any](f func() (G, []int)) (sub G, orig []int, panicked any) {
+func subgraphOutcome[G any](f func() G) (sub G, panicked any) {
 	defer func() { panicked = recover() }()
-	sub, orig = f()
-	return sub, orig, nil
+	return f(), nil
 }
 
 // checkSubgraph compares Subgraph(vertices, index) with the reference and
@@ -55,8 +53,8 @@ func subgraphOutcome[G any](f func() (G, []int)) (sub G, orig []int, panicked an
 // (nil when both panicked) so callers can nest.
 func checkSubgraph(t testing.TB, g *Graph, vertices []int, index []int32) *Graph {
 	t.Helper()
-	want, wantOrig, wantPanic := subgraphOutcome(func() (*mutableRef, []int) { return subgraphReference(g, vertices) })
-	got, gotOrig, gotPanic := subgraphOutcome(func() (*Graph, []int) { return g.Subgraph(vertices, index) })
+	want, wantPanic := subgraphOutcome(func() *mutableRef { return subgraphReference(g, vertices) })
+	got, gotPanic := subgraphOutcome(func() *Graph { return g.Subgraph(vertices, index) })
 	for v, x := range index {
 		if x != 0 {
 			t.Fatalf("vertices %v: index[%d] = %d after the call, want all zero", vertices, v, x)
@@ -67,9 +65,6 @@ func checkSubgraph(t testing.TB, g *Graph, vertices []int, index []int32) *Graph
 			t.Fatalf("vertices %v: panic %v, reference panic %v", vertices, gotPanic, wantPanic)
 		}
 		return nil
-	}
-	if !slices.Equal(gotOrig, wantOrig) {
-		t.Fatalf("vertices %v: orig %v, reference %v", vertices, gotOrig, wantOrig)
 	}
 	if diff := refMismatch(got, want); diff != "" {
 		t.Fatalf("vertices %v: %s", vertices, diff)

@@ -37,7 +37,7 @@ func circuitComponents(t testing.TB, name string, take int) []*graph.Graph {
 	}
 	var subs []*graph.Graph
 	for _, c := range dg.G.Components() {
-		sub, _ := dg.G.Subgraph(c, nil)
+		sub := dg.G.Subgraph(c, nil)
 		subs = append(subs, sub)
 	}
 	edges := func(g *graph.Graph) int { return len(g.ConflictEdges()) + len(g.StitchEdges()) }
