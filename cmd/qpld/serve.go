@@ -649,7 +649,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.svc.StatsSnapshot()
 	engines := st.Engines
 	if engines == nil {
-		engines = map[string]uint64{} // serialize as {}, not null
+		engines = map[string]int{} // serialize as {}, not null
 	}
 	stages := make(map[string]map[string]any, len(st.Stages))
 	for name, ss := range st.Stages {

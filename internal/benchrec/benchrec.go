@@ -42,7 +42,7 @@ type Run struct {
 	DivWorkers   int     `json:"division_workers"`
 	ILPBudgetMs  float64 `json:"ilp_budget_ms,omitempty"`
 	// Memoize records whether the sweep ran with evaluate's former -memo
-	// flag. Since the shape tier serves every non-race solve it is always
+	// flag. Since the shape tier serves every solve it is always
 	// false; older records keep it.
 	Memoize bool `json:"memoize,omitempty"`
 
@@ -157,8 +157,9 @@ type AlgorithmRun struct {
 	Stitches  int    `json:"stitches"`
 	Proven    bool   `json:"proven"`
 	// AssignMs is division plus color assignment (Result.AssignTime);
-	// SolverMs is time inside the engine only (Result.SolverTime, the
-	// paper's CPU(s) column).
+	// SolverMs is the Dispatch stage's wall (Result.SolverTime, the
+	// paper's CPU(s) column): engine solves, shape-tier lookups and the
+	// linear fallback of pieces cut off by cancellation.
 	AssignMs float64 `json:"assign_ms"`
 	SolverMs float64 `json:"solver_ms"`
 	// StageMs breaks the run down by pipeline stage (simplify/partition/

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"mpl/internal/balance"
@@ -176,12 +175,14 @@ type Result struct {
 	Proven bool
 	// AssignTime is the total time of division plus color assignment.
 	AssignTime time.Duration
-	// SolverTime is the time spent inside the per-component color
-	// assignment engine only. This matches the paper's CPU(s) column:
-	// Section 6 reports "color assignment time", with graph construction
-	// and graph division being separate stages of the Fig. 2 flow. With
-	// Division.Workers > 1 it sums across goroutines (CPU time, not wall
-	// clock).
+	// SolverTime is the time spent coloring division pieces: the Dispatch
+	// stage's clock, DivisionStats.Stages[pipeline.StageDispatch].Wall,
+	// which includes the shape-tier lookups and the linear fallback of
+	// pieces cut off by cancellation. This matches the paper's CPU(s)
+	// column: Section 6 reports "color assignment time", with graph
+	// construction and graph division being separate stages of the Fig. 2
+	// flow. With Division.Workers > 1 it sums across goroutines (CPU time,
+	// not wall clock).
 	SolverTime time.Duration
 	// DivisionStats reports what the division did, including the
 	// per-stage telemetry map (DivisionStats.Stages, keyed by the
@@ -291,7 +292,7 @@ func decomposeGraph(ctx context.Context, dg *Graph, opts Options, build bool, po
 	start := time.Now()
 	d, solve := newDispatch(ctx, opts, pool, shapes)
 	colors, st := division.DecomposeEnv(ctx, dg.G, opts.Division, d.env, solve)
-	unproven, solverTime := d.drainInto(&st)
+	unproven := d.drainInto(&st)
 	assignTime := time.Since(start)
 	if build {
 		st.AddStage(pipeline.StageBuild, dg.Stats.Timing.Total)
@@ -310,7 +311,7 @@ func decomposeGraph(ctx context.Context, dg *Graph, opts Options, build bool, po
 		Stitches:      stit,
 		Proven:        !unproven && st.Fallbacks == 0,
 		AssignTime:    assignTime,
-		SolverTime:    solverTime,
+		SolverTime:    st.Stages[pipeline.StageDispatch].Wall,
 		DivisionStats: st,
 		Degraded:      st.Fallbacks,
 		K:             opts.K,
@@ -318,68 +319,6 @@ func decomposeGraph(ctx context.Context, dg *Graph, opts Options, build bool, po
 		Options:       opts,
 		components:    st.Components,
 	}, nil
-}
-
-// classSolver builds the context-aware solver for one portfolio engine
-// class. The unproven flag is set when this engine's exact search is cut
-// short (node limit, time budget, or ctx cancellation mid-solve). fellBack
-// is set when the piece was not colored by the class at all — the ILP
-// budget was already spent and the linear fallback answered — so the
-// dispatcher can attribute the piece to "fallback" instead of overstating
-// the exact engine in the histogram. ilpDeadline is the run-global ILP
-// budget expiry, shared across components like the classic AlgILP path.
-// Solvers are safe for concurrent calls (division's Workers mode); each
-// call carves its engine workspace from the scratch arena it is handed.
-func classSolver(class portfolio.Class, opts Options, env pipeline.Env, unproven *atomic.Bool, fellBack *atomic.Bool, ilpDeadline time.Time) portfolio.Solver {
-	switch class {
-	case portfolio.Linear:
-		return func(_ context.Context, g *graph.Graph, _ *pipeline.Scratch) []int {
-			return coloring.Linear(g, coloring.LinearOptions{K: opts.K, Alpha: opts.Alpha})
-		}
-	case portfolio.SDPGreedy:
-		return func(ctx context.Context, g *graph.Graph, sc *pipeline.Scratch) []int {
-			sol := solveSDP(ctx, g, opts, sc, env)
-			return coloring.SDPGreedy(g, sol, opts.K, opts.Alpha)
-		}
-	case portfolio.SDPBacktrack:
-		return func(ctx context.Context, g *graph.Graph, sc *pipeline.Scratch) []int {
-			sol := solveSDP(ctx, g, opts, sc, env)
-			colors, ok := coloring.SDPBacktrackContext(ctx, g, sol, opts.K, opts.Alpha, opts.Threshold, backtrackNodeLimit)
-			if !ok {
-				unproven.Store(true)
-			}
-			return colors
-		}
-	case portfolio.ILP:
-		return func(ctx context.Context, g *graph.Graph, _ *pipeline.Scratch) []int {
-			remaining := time.Until(ilpDeadline)
-			if remaining <= 0 {
-				unproven.Store(true)
-				fellBack.Store(true)
-				// Budget exhausted: greedy fallback keeps the run going so
-				// the harness can still report a (non-optimal) solution.
-				return coloring.Linear(g, coloring.LinearOptions{K: opts.K, Alpha: opts.Alpha})
-			}
-			res := coloring.ILPAssignContext(ctx, g, opts.K, opts.Alpha, remaining)
-			if !res.Proven {
-				unproven.Store(true)
-			}
-			return res.Colors
-		}
-	default:
-		panic(fmt.Sprintf("core: unknown engine class %v", class))
-	}
-}
-
-// engineLabel is the histogram bucket of one dispatched piece: the engine
-// class that colored it, or "fallback" when the class never ran (the ILP
-// budget was already spent and the linear fallback answered) — the same
-// bucket division's cancellation path uses, per docs/API.md.
-func engineLabel(class portfolio.Class, fellBack bool) string {
-	if fellBack {
-		return "fallback"
-	}
-	return class.String()
 }
 
 // solved is what the engine dispatcher reports about one piece: its
@@ -399,19 +338,21 @@ type pieceSolver func(g *graph.Graph, sc *pipeline.Scratch) solved
 
 // makeSolver builds the per-piece engine dispatcher the Dispatch stage
 // calls: the fixed Options.Algorithm engine, or auto's portfolio.Select
-// choice when Options.Engine is EngineAuto. A piece is unproven when the
-// kept result's exact search was cut short (node limit, time budget, or
-// ctx cancellation mid-solve), and budget-fallback pieces are labeled
-// "fallback", not their class.
+// choice when Options.Engine is EngineAuto. Each call runs on the calling
+// worker's scratch arena, and the env carries the run's parallelism budget
+// down into the SDP restart fan-out, so the dispatcher is safe for the
+// division's concurrent workers.
+// A piece is unproven when the kept result's exact search was cut short
+// (node limit, time budget, or ctx cancellation mid-solve). A piece the
+// ILP engine never solved, because the run's budget was already spent, is
+// colored by Linear and labeled "fallback", not ILP.
 // Auto adds one deterministic best-of: when its SDP+Backtrack solve comes
 // back unproven (node-capped), Linear colors the piece too and is kept
 // only at a strictly lower cost. Ties keep SDP+Backtrack, so auto's bytes
 // move only where the cap actually cost quality (DESIGN.md §8).
 // The keep rule lives here too: a solve is kept only when it is proven
 // (which also rules out the fallback and a kept Linear answer) and its
-// context is still live. The worker's scratch arena is threaded into the
-// engine, and the env additionally carries the run's parallelism budget
-// down into the SDP restart fan-out.
+// context is still live.
 func makeSolver(ctx context.Context, opts Options, env pipeline.Env) pieceSolver {
 	// The shared ILP budget is a wall-clock deadline by contract: budget
 	// exhaustion degrades pieces to the linear fallback, tallied as
@@ -419,12 +360,33 @@ func makeSolver(ctx context.Context, opts Options, env pipeline.Env) pieceSolver
 	// under a proven label (portfolio_gate_test pins this).
 	//lint:ignore determinism shared ILP budget; expiry degrades to fallback + Proven=false, not silent byte drift
 	ilpDeadline := time.Now().Add(opts.ILPTimeLimit)
+	lin := coloring.LinearOptions{K: opts.K, Alpha: opts.Alpha}
 	// solve runs one class on the worker's arena.
 	solve := func(class portfolio.Class, g *graph.Graph, sc *pipeline.Scratch) solved {
-		var unproven, fell atomic.Bool
-		colors := classSolver(class, opts, env, &unproven, &fell, ilpDeadline)(ctx, g, sc)
-		u := unproven.Load()
-		return solved{colors: colors, engine: engineLabel(class, fell.Load()), unproven: u, keep: !u && ctx.Err() == nil}
+		p := solved{engine: class.String()}
+		switch class {
+		case portfolio.Linear:
+			p.colors = coloring.Linear(g, lin)
+		case portfolio.SDPGreedy:
+			p.colors = coloring.SDPGreedy(g, solveSDP(ctx, g, opts, sc, env), opts.K, opts.Alpha)
+		case portfolio.SDPBacktrack:
+			var ok bool
+			p.colors, ok = coloring.SDPBacktrackContext(ctx, g, solveSDP(ctx, g, opts, sc, env), opts.K, opts.Alpha, opts.Threshold, backtrackNodeLimit)
+			p.unproven = !ok
+		case portfolio.ILP:
+			remaining := time.Until(ilpDeadline)
+			if remaining <= 0 {
+				// Budget exhausted: Linear keeps the run going so the
+				// harness can still report a (non-optimal) solution.
+				return solved{colors: coloring.Linear(g, lin), engine: "fallback", unproven: true}
+			}
+			res := coloring.ILPAssignContext(ctx, g, opts.K, opts.Alpha, remaining)
+			p.colors, p.unproven = res.Colors, !res.Proven
+		default:
+			panic(fmt.Sprintf("core: unknown engine class %v", class))
+		}
+		p.keep = !p.unproven && ctx.Err() == nil
+		return p
 	}
 	if opts.Engine == EngineAuto {
 		return func(g *graph.Graph, sc *pipeline.Scratch) solved {
@@ -433,9 +395,9 @@ func makeSolver(ctx context.Context, opts Options, env pipeline.Env) pieceSolver
 			if class != portfolio.SDPBacktrack || !p.unproven {
 				return p
 			}
-			lin := coloring.Linear(g, coloring.LinearOptions{K: opts.K, Alpha: opts.Alpha})
-			if coloring.Cost(g, lin, opts.Alpha) < coloring.Cost(g, p.colors, opts.Alpha) {
-				return solved{colors: lin, engine: portfolio.Linear.String(), unproven: true}
+			l := coloring.Linear(g, lin)
+			if coloring.Cost(g, l, opts.Alpha) < coloring.Cost(g, p.colors, opts.Alpha) {
+				return solved{colors: l, engine: portfolio.Linear.String(), unproven: true}
 			}
 			return p
 		}

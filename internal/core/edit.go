@@ -694,9 +694,8 @@ type editRun struct {
 	lostOld []int32
 
 	// divide output.
-	unproven   bool
-	solverTime time.Duration
-	dstats     division.Stats
+	unproven bool
+	dstats   division.Stats
 }
 
 // build is the dirty-region Build stage: reconstruct the decomposition
@@ -864,7 +863,7 @@ func (r *editRun) divide(ctx context.Context, sc *pipeline.Scratch) {
 		for i, v := range r.dirty {
 			r.colors[v] = subColors[i]
 		}
-		r.unproven, r.solverTime = d.drainInto(&st)
+		r.unproven = d.drainInto(&st)
 		r.dstats = st
 		r.es.ResolvedFragments = len(r.dirty)
 	}
@@ -928,7 +927,7 @@ func (r *editRun) merge() (*Result, error) {
 		Stitches:      stit,
 		Proven:        prev.Proven && !r.unproven && r.dstats.Fallbacks == 0,
 		AssignTime:    r.es.SolveTime,
-		SolverTime:    r.solverTime,
+		SolverTime:    r.dstats.Stages[pipeline.StageDispatch].Wall,
 		DivisionStats: r.dstats,
 		Degraded:      r.dstats.Fallbacks,
 		K:             r.opts.K,

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"mpl/internal/canon"
 	"mpl/internal/division"
@@ -48,21 +46,19 @@ func shapeOptionsSig(o Options) string {
 
 // dispatch is one run's Dispatch stage, shared by the from-scratch and the
 // incremental divide: the engine dispatcher (makeSolver) behind the shape
-// tier, plus the run's engine histogram, shape counters, provenness and
-// summed solver time, which division workers accumulate concurrently and
-// drainInto publishes once the division has finished.
+// tier, plus the run's engine histogram, shape counters and provenness,
+// which division workers accumulate concurrently into tally and drainInto
+// publishes once the division has finished. The stage's clock is
+// division's own (Stats.Stages[pipeline.StageDispatch]), not kept here.
 type dispatch struct {
-	env      pipeline.Env
-	inner    pieceSolver
-	shapes   *flight.Cache[shapeEntry]
-	sig      string
-	unproven atomic.Bool
-	solverNs atomic.Int64
+	env    pipeline.Env
+	inner  pieceSolver
+	shapes *flight.Cache[shapeEntry]
+	sig    string
 
 	mu       sync.Mutex
-	engines  map[string]int      // guarded by mu
-	hits     int                 // guarded by mu
-	misses   int                 // guarded by mu
+	tally    division.Stats      // guarded by mu; only Engines and Shapes.Hits/Misses
+	unproven bool                // guarded by mu
 	distinct map[string]struct{} // guarded by mu; only len() is read, never ranged
 }
 
@@ -78,7 +74,6 @@ func newDispatch(ctx context.Context, opts Options, pool *pipeline.ScratchPool, 
 		env:      pipeline.Env{Scratch: pool, Budget: pipeline.NewBudget(opts.Division.Workers)},
 		shapes:   shapes,
 		sig:      shapeOptionsSig(opts) + "\x00",
-		engines:  make(map[string]int),
 		distinct: make(map[string]struct{}),
 	}
 	d.inner = makeSolver(ctx, opts, d.env)
@@ -102,8 +97,6 @@ func newDispatch(ctx context.Context, opts Options, pool *pipeline.ScratchPool, 
 // vertex index, so an isomorphic but differently-labeled twin can
 // legitimately color differently (DESIGN.md §11).
 func (d *dispatch) solve(ctx context.Context, g *graph.Graph, sc *pipeline.Scratch) []int {
-	t0 := time.Now()
-	defer func() { d.solverNs.Add(int64(time.Since(t0))) }()
 	n := g.N()
 	if n > canon.MaxVertices {
 		return d.record(d.inner(g, sc), "", false) // uncounted: never a tier candidate
@@ -133,16 +126,14 @@ func (d *dispatch) solve(ctx context.Context, g *graph.Graph, sc *pipeline.Scrat
 // record tallies one served piece: its engine label and provenness, and,
 // for a tier candidate (key non-empty), a hit or a miss of key.
 func (d *dispatch) record(p solved, key string, hit bool) []int {
-	if p.unproven {
-		d.unproven.Store(true)
-	}
 	d.mu.Lock()
-	d.engines[p.engine]++
+	d.unproven = d.unproven || p.unproven
+	d.tally.AddEngine(p.engine, 1)
 	if key != "" {
 		if hit {
-			d.hits++
+			d.tally.Shapes.Hits++
 		} else {
-			d.misses++
+			d.tally.Shapes.Misses++
 		}
 		d.distinct[key] = struct{}{}
 	}
@@ -152,15 +143,11 @@ func (d *dispatch) record(p solved, key string, hit bool) []int {
 
 // drainInto publishes the run's engine histogram and shape counters to st
 // after the division has finished, and reports whether any served piece
-// was unproven plus the solver time summed across workers.
-func (d *dispatch) drainInto(st *division.Stats) (unproven bool, solverTime time.Duration) {
+// was unproven.
+func (d *dispatch) drainInto(st *division.Stats) (unproven bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for name, n := range d.engines {
-		st.AddEngine(name, n)
-	}
-	st.Shapes.Hits += d.hits
-	st.Shapes.Misses += d.misses
+	st.Add(d.tally)
 	st.Shapes.Distinct += len(d.distinct)
-	return d.unproven.Load(), time.Duration(d.solverNs.Load())
+	return d.unproven
 }

@@ -8,7 +8,6 @@ import (
 	"context"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,15 +103,18 @@ func TestAutoBestOfCappedBacktrack(t *testing.T) {
 	auto := opts
 	auto.Engine = EngineAuto
 	solver := makeSolver(context.Background(), auto, env)
+	fixed := opts
+	fixed.Algorithm = AlgSDPBacktrack
+	backtrack := makeSolver(context.Background(), fixed, env)
 	outcomes := map[string]int{}
 	for seed := int64(1); seed <= 40; seed++ {
 		g := randomPiece(seed, 24)
 		if portfolio.Select(portfolio.Analyze(g)) != portfolio.SDPBacktrack {
 			t.Fatalf("seed %d: piece does not route to SDP+Backtrack", seed)
 		}
-		var unproven, fell atomic.Bool
-		bt := classSolver(portfolio.SDPBacktrack, opts, env, &unproven, &fell, time.Time{})(context.Background(), g, nil)
-		if !unproven.Load() {
+		fp := backtrack(g, nil)
+		bt := fp.colors
+		if !fp.unproven {
 			t.Fatalf("seed %d: a 1-node cap reported proven", seed)
 		}
 		lin := coloring.Linear(g, coloring.LinearOptions{K: opts.K, Alpha: opts.Alpha})

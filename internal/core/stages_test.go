@@ -8,8 +8,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"mpl/internal/division"
 	"mpl/internal/geom"
 	"mpl/internal/layout"
 	"mpl/internal/pipeline"
@@ -147,6 +149,72 @@ func TestStagesIdenticalStructureAcrossWorkers(t *testing.T) {
 			if got := res.DivisionStats.Stages[name]; got.Calls != want.Calls {
 				t.Errorf("workers=%d: stage %q calls = %d, serial %d", workers, name, got.Calls, want.Calls)
 			}
+		}
+	}
+}
+
+// TestDispatchTallySingleOwner pins that every dispatch fact has one
+// owner: each dispatched piece lands in exactly one engine bucket (so the
+// histogram sums to solver calls plus fallbacks), and SolverTime is the
+// Dispatch stage's own clock, on the scratch and the ECO path alike, for
+// a fixed engine and auto, under a live and a pre-cancelled context (every
+// piece a fallback).
+func TestDispatchTallySingleOwner(t *testing.T) {
+	l, err := synth.GenerateByName("C432", 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := BuildGraph(l, BuildOptions{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	check := func(t *testing.T, path string, res *Result, cancelled bool) {
+		t.Helper()
+		ds := res.DivisionStats
+		sum := 0
+		for _, n := range ds.Engines {
+			sum += n
+		}
+		if sum != ds.SolverCalls+ds.Fallbacks || sum == 0 {
+			t.Errorf("%s: engines %v sum to %d, want solver calls %d + fallbacks %d (> 0)", path, ds.Engines, sum, ds.SolverCalls, ds.Fallbacks)
+		}
+		if cancelled && (ds.SolverCalls != 0 || ds.Engines["fallback"] != sum) {
+			t.Errorf("%s: a dead context dispatched %d solver calls, engines %v; want all fallbacks", path, ds.SolverCalls, ds.Engines)
+		}
+		if got, want := res.SolverTime, ds.Stages[pipeline.StageDispatch].Wall; got != want {
+			t.Errorf("%s: SolverTime %v != dispatch stage wall %v", path, got, want)
+		}
+	}
+	// Two division workers, so the race detector sees the dispatch tally
+	// written concurrently.
+	fixed := Options{K: 4, Algorithm: AlgSDPBacktrack, Division: division.Options{Workers: 2}}
+	auto := Options{K: 4, Engine: EngineAuto, Division: division.Options{Workers: 2}}
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"fixed", fixed}, {"auto", auto}} {
+		opts := c.opts
+		prev, err := DecomposeGraph(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ctx := range []context.Context{context.Background(), dead} {
+			cancelled := ctx.Err() != nil
+			t.Run(fmt.Sprintf("%s/cancelled=%v", c.name, cancelled), func(t *testing.T) {
+				res, err := DecomposeGraphContext(ctx, g, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, "DecomposeGraph", res, cancelled)
+				// Removing a macro-region feature re-solves a dense component.
+				_, inc, _, err := ApplyEdits(ctx, l, prev, []Edit{{Op: EditRemove, Feature: 3}}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, "ApplyEdits", inc, cancelled)
+			})
 		}
 	}
 }

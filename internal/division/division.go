@@ -127,7 +127,8 @@ type Stats struct {
 	Stages map[string]pipeline.StageStats
 
 	// Shapes reports the shape-tier counters of the run (internal/canon;
-	// every non-race solve, DESIGN.md §11). Like Engines, the counters are
+	// every piece of at most canon.MaxVertices vertices that reaches the
+	// engine dispatcher, DESIGN.md §11). Like Engines, the counters are
 	// produced by the dispatcher in internal/core — this package never
 	// touches them — and arrive after the division finishes; worker-level
 	// Stats always carry zeros here.
@@ -211,13 +212,16 @@ func (s *Stats) AddStage(name string, d time.Duration) {
 	s.Stages[name] = cur
 }
 
-// addWorker accumulates one worker's per-piece counters into s.
+// Add folds o into s. It is the one merge rule for Stats: division
+// workers fold into their run, and the service aggregate folds every
+// executed run (and copies itself by folding into a zero value).
 // Components is global (the component count, known before any worker runs)
-// and is deliberately excluded. Every other field MUST be summed here —
-// TestStatsMergeCoversAllFields enforces this by reflection, so a field
-// added to Stats without a matching line below fails the suite instead of
-// silently under-reporting in parallel runs.
-func (s *Stats) addWorker(o Stats) {
+// and is deliberately excluded; Balance merges by extremes. Every other
+// field MUST be summed here — TestStatsMergeCoversAllFields enforces this
+// by reflection, so a field added to Stats without a matching line below
+// fails the suite instead of silently under-reporting. Maps stay nil when
+// o's are empty.
+func (s *Stats) Add(o Stats) {
 	s.Peeled += o.Peeled
 	s.Blocks += o.Blocks
 	s.GHComponents += o.GHComponents
@@ -226,7 +230,15 @@ func (s *Stats) addWorker(o Stats) {
 	for name, n := range o.Engines {
 		s.AddEngine(name, n)
 	}
-	s.Stages = pipeline.MergeStages(s.Stages, o.Stages)
+	if s.Stages == nil && len(o.Stages) > 0 {
+		s.Stages = make(map[string]pipeline.StageStats, len(o.Stages))
+	}
+	for name, st := range o.Stages {
+		cur := s.Stages[name]
+		cur.Wall += st.Wall
+		cur.Calls += st.Calls
+		s.Stages[name] = cur
+	}
 	s.Shapes.Hits += o.Shapes.Hits
 	s.Shapes.Misses += o.Shapes.Misses
 	s.Shapes.Distinct += o.Shapes.Distinct
@@ -366,7 +378,7 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 	if opts.Workers <= 1 {
 		var ws Stats
 		worker(&ws)
-		st.addWorker(ws)
+		st.Add(ws)
 	} else {
 		// Spare worker slots — workers this run will never spawn because
 		// there are fewer pieces than Options.Workers — go straight to the
@@ -392,7 +404,7 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 		}
 		wg.Wait()
 		for _, ws := range workerStats {
-			st.addWorker(ws)
+			st.Add(ws)
 		}
 	}
 

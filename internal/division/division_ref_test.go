@@ -64,7 +64,7 @@ func decomposeReference(ctx context.Context, g *graph.Graph, opts Options, env E
 	}
 	wg.Wait()
 	for _, ws := range workerStats {
-		st.addWorker(ws)
+		st.Add(ws)
 	}
 	return colors, st
 }

@@ -424,17 +424,17 @@ func probeMapValue(t *testing.T, elem reflect.Type) reflect.Value {
 	}
 }
 
-// checkMerged verifies a probed value doubled after two addWorker calls.
+// checkMerged verifies a probed value doubled after two Add calls.
 func checkMerged(t *testing.T, field string, v reflect.Value) {
 	t.Helper()
 	switch v.Kind() {
 	case reflect.Int, reflect.Int64:
 		if v.Int() != 2 {
-			t.Errorf("Stats field %s is not merged by addWorker; parallel runs would under-report it", field)
+			t.Errorf("Stats field %s is not merged by Add; parallel runs would under-report it", field)
 		}
 	case reflect.Uint, reflect.Uint64:
 		if v.Uint() != 2 {
-			t.Errorf("Stats field %s is not merged by addWorker; parallel runs would under-report it", field)
+			t.Errorf("Stats field %s is not merged by Add; parallel runs would under-report it", field)
 		}
 	case reflect.Struct:
 		for j := 0; j < v.NumField(); j++ {
@@ -447,8 +447,8 @@ func checkMerged(t *testing.T, field string, v reflect.Value) {
 
 // TestStatsMergeCoversAllFields guards the parallel stats merge against
 // silent under-reporting: every numeric field of Stats except Components
-// (which is global, not per-worker) must be summed by addWorker. A field
-// added to Stats without a matching line in addWorker fails here.
+// (which is global, not per-worker) must be summed by Add. A field
+// added to Stats without a matching line in Add fails here.
 func TestStatsMergeCoversAllFields(t *testing.T) {
 	var src Stats
 	rv := reflect.ValueOf(&src).Elem()
@@ -470,24 +470,24 @@ func TestStatsMergeCoversAllFields(t *testing.T) {
 				case reflect.Int, reflect.Int64:
 					sv.Field(j).SetInt(1)
 				default:
-					t.Fatalf("Stats field %s.%s has kind %s; teach this test (and addWorker) how to merge it",
+					t.Fatalf("Stats field %s.%s has kind %s; teach this test (and Add) how to merge it",
 						rv.Type().Field(i).Name, sv.Type().Field(j).Name, sv.Field(j).Kind())
 				}
 			}
 		default:
-			t.Fatalf("Stats field %s has kind %s; teach this test (and addWorker) how to merge it",
+			t.Fatalf("Stats field %s has kind %s; teach this test (and Add) how to merge it",
 				rv.Type().Field(i).Name, rv.Field(i).Kind())
 		}
 	}
 	var dst Stats
-	dst.addWorker(src)
-	dst.addWorker(src)
+	dst.Add(src)
+	dst.Add(src)
 	dv := reflect.ValueOf(dst)
 	for i := 0; i < dv.NumField(); i++ {
 		f := dv.Type().Field(i)
 		if f.Name == "Components" {
 			if dv.Field(i).Int() != 0 {
-				t.Errorf("addWorker must not merge Components (global count)")
+				t.Errorf("Add must not merge Components (global count)")
 			}
 			continue
 		}
@@ -507,13 +507,34 @@ func TestStatsMergeCoversAllFields(t *testing.T) {
 		case reflect.Map:
 			got := dv.Field(i).MapIndex(reflect.ValueOf("probe"))
 			if !got.IsValid() {
-				t.Errorf("Stats map field %s is not merged by addWorker; parallel runs would under-report it", f.Name)
+				t.Errorf("Stats map field %s is not merged by Add; parallel runs would under-report it", f.Name)
 				continue
 			}
 			checkMerged(t, f.Name, got)
 		case reflect.Struct:
 			checkMerged(t, f.Name, dv.Field(i))
 		}
+	}
+}
+
+// TestStatsAddFoldsStages pins Add's stage rule: Wall and Calls sum per
+// stage across keys, and folding a zero Stats into a zero Stats leaves
+// both histograms nil (the service aggregate's snapshot copies by folding
+// into a zero value, so an idle server reports no stages).
+func TestStatsAddFoldsStages(t *testing.T) {
+	var dst Stats
+	dst.Add(Stats{Stages: map[string]pipeline.StageStats{pipeline.StageBuild: {Wall: 2, Calls: 1}}})
+	dst.Add(Stats{Stages: map[string]pipeline.StageStats{
+		pipeline.StageBuild: {Wall: 3, Calls: 1},
+		pipeline.StageMerge: {Wall: 1, Calls: 1},
+	}})
+	if b, m := dst.Stages[pipeline.StageBuild], dst.Stages[pipeline.StageMerge]; b.Wall != 5 || b.Calls != 2 || m.Wall != 1 || m.Calls != 1 || len(dst.Stages) != 2 {
+		t.Fatalf("folded stages = %+v", dst.Stages)
+	}
+	var zero Stats
+	zero.Add(Stats{})
+	if zero.Engines != nil || zero.Stages != nil {
+		t.Fatalf("folding nothing must leave the maps nil, got engines %v stages %v", zero.Engines, zero.Stages)
 	}
 }
 

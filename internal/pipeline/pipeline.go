@@ -3,18 +3,17 @@
 //
 //	Build → Simplify → Partition → Dispatch → Stitch → Merge
 //
-// — and every solve path in this repository (from-scratch decomposition,
-// incremental ECO re-decomposition, the portfolio auto dispatch) runs
-// these six stages over different inputs: the incremental path substitutes
-// a dirty-region Build and Partition, nothing more (DESIGN.md §9). The
-// package provides:
+// — and both solve paths in this repository (from-scratch decomposition
+// and incremental ECO re-decomposition) run these six stages over
+// different inputs: the incremental path substitutes a dirty-region Build
+// and Partition, nothing more (DESIGN.md §9). The package provides:
 //
 //   - the canonical stage names and StageStats, the per-stage wall-time
 //     tally. Each stage is timed once, where it runs, into
 //     division.Stats.Stages: internal/division times the regions it
 //     interleaves per component, internal/core adds build (the builder's
-//     own clock) and merge around it, and MergeStages is the one fold rule
-//     for every Stages map;
+//     own clock) and merge around it, and division.Stats.Add is the one
+//     fold rule for every Stages map;
 //   - Env and Budget, the scratch pool and shared parallelism budget one
 //     run threads from core through division into the engines;
 //   - Scratch / ScratchPool, sync.Pool-backed per-worker arenas for the
@@ -70,23 +69,4 @@ type StageStats struct {
 	// Calls counts how many timed regions were folded into this bucket
 	// (per-piece dispatch regions make this the piece count).
 	Calls int
-}
-
-// MergeStages folds src into dst, allocating dst on first use, and returns
-// it. It is the single merge rule for every Stages map in the repository
-// (division.Stats.addWorker, the service aggregate).
-func MergeStages(dst, src map[string]StageStats) map[string]StageStats {
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(map[string]StageStats, len(src))
-	}
-	for name, st := range src {
-		cur := dst[name]
-		cur.Wall += st.Wall
-		cur.Calls += st.Calls
-		dst[name] = cur
-	}
-	return dst
 }

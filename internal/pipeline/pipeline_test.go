@@ -2,18 +2,6 @@ package pipeline
 
 import "testing"
 
-func TestMergeStages(t *testing.T) {
-	var dst map[string]StageStats
-	dst = MergeStages(dst, map[string]StageStats{StageBuild: {Wall: 2, Calls: 1}})
-	dst = MergeStages(dst, map[string]StageStats{StageBuild: {Wall: 3, Calls: 1}, StageMerge: {Wall: 1, Calls: 1}})
-	if dst[StageBuild].Wall != 5 || dst[StageBuild].Calls != 2 || dst[StageMerge].Calls != 1 {
-		t.Fatalf("merged = %+v", dst)
-	}
-	if out := MergeStages(nil, nil); out != nil {
-		t.Fatalf("merging nothing must stay nil, got %+v", out)
-	}
-}
-
 func TestScratchReuse(t *testing.T) {
 	pool := NewScratchPool()
 	s := pool.Get()

@@ -14,18 +14,17 @@
 // auto also keeps Linear's coloring of a node-capped SDP+Backtrack piece
 // when it costs strictly less).
 //
-// Engines are supplied by the caller as context-aware solve functions, so
-// the package stays free of solver dependencies and the division pipeline
-// stays solver-agnostic. Class is the repository's one engine enum
+// The package only profiles and names; it runs nothing. internal/core
+// owns the one switch from a Class to its engine call, so this package
+// stays free of solver dependencies and the division pipeline stays
+// solver-agnostic. Class is the repository's one engine enum
 // (core.Algorithm aliases it).
 package portfolio
 
 import (
-	"context"
 	"fmt"
 
 	"mpl/internal/graph"
-	"mpl/internal/pipeline"
 )
 
 // Class identifies one color-assignment engine. It is the only engine enum:
@@ -62,14 +61,6 @@ func (c Class) String() string {
 	}
 	return fmt.Sprintf("Class(%d)", int(c))
 }
-
-// Solver colors one connected component, honoring ctx cooperatively: on
-// cancellation it returns its incumbent (a complete, valid coloring) rather
-// than blocking — the contract every engine in this repository obeys. The
-// scratch arena (nil-safe) is the worker's reusable engine workspace; a
-// solver must be done with every carved buffer by the time its colors are
-// consumed, because the next solve on the same arena reclaims them.
-type Solver func(ctx context.Context, g *graph.Graph, sc *pipeline.Scratch) []int
 
 // Profile captures the component structure the selection rule reads.
 type Profile struct {

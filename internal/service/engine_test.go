@@ -7,9 +7,12 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"testing"
 
 	"mpl/internal/core"
+	"mpl/internal/division"
 	"mpl/internal/pipeline"
 )
 
@@ -69,7 +72,7 @@ func TestStatsAggregateEngineHistograms(t *testing.T) {
 	if st.Engines[core.AlgLinear.String()] == 0 {
 		t.Fatalf("fixed Linear solve missing from histogram: %v", st.Engines)
 	}
-	total := uint64(0)
+	total := 0
 	for _, n := range st.Engines {
 		total += n
 	}
@@ -79,7 +82,7 @@ func TestStatsAggregateEngineHistograms(t *testing.T) {
 		t.Fatalf("expected cache hit, cached=%v err=%v", cached, err)
 	}
 	st2 := svc.StatsSnapshot()
-	total2 := uint64(0)
+	total2 := 0
 	for _, n := range st2.Engines {
 		total2 += n
 	}
@@ -138,5 +141,54 @@ func TestStatsAggregateStageTelemetry(t *testing.T) {
 	snap.Stages["probe"] = pipeline.StageStats{Calls: 99}
 	if svc.StatsSnapshot().Stages["probe"].Calls != 0 {
 		t.Fatal("StatsSnapshot leaked its internal stages map")
+	}
+}
+
+// TestStatsAggregateEqualsResultFold pins the one fold rule under
+// concurrency: after a batch over several distinct layouts at four
+// workers, the aggregate's engine histogram, shape counters, non-build
+// stages and balance equal division.Stats.Add over the results the
+// service actually executed (cache-served responses add nothing).
+func TestStatsAggregateEqualsResultFold(t *testing.T) {
+	svc := New(Config{Workers: 4})
+	var reqs []Request
+	// Grids from 4×4 up route auto to SDP+Backtrack; the 3×3 grid's ILP
+	// piece takes seconds under the race detector, where CI runs this.
+	for n := 4; n <= 6; n++ {
+		for _, opts := range []core.Options{{K: 4, Engine: core.EngineAuto}, {K: 4, Algorithm: core.AlgLinear}} {
+			// Each request twice, so some responses are served from the
+			// cache or from another request's in-flight solve.
+			r := Request{Name: fmt.Sprintf("grid%d", n), Layout: denseGrid(n), Options: opts}
+			reqs = append(reqs, r, r)
+		}
+	}
+	var want division.Stats
+	executed := 0
+	for _, r := range svc.DecomposeAll(context.Background(), reqs) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+		if !r.Cached {
+			executed++
+			want.Add(r.Result.DivisionStats)
+		}
+	}
+	if executed < 6 {
+		t.Fatalf("only %d executed solves for 6 distinct requests", executed)
+	}
+	got := svc.StatsSnapshot()
+	if !maps.Equal(got.Engines, want.Engines) {
+		t.Errorf("aggregate engines %v, fold of executed results %v", got.Engines, want.Engines)
+	}
+	if got.Shapes != want.Shapes {
+		t.Errorf("aggregate shapes %+v, fold %+v", got.Shapes, want.Shapes)
+	}
+	if got.Balance != want.Balance {
+		t.Errorf("aggregate balance %+v, fold %+v", got.Balance, want.Balance)
+	}
+	stages := maps.Clone(got.Stages)
+	delete(stages, pipeline.StageBuild)
+	if !maps.Equal(stages, want.Stages) {
+		t.Errorf("aggregate stages %v, fold %v", stages, want.Stages)
 	}
 }

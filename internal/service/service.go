@@ -92,29 +92,25 @@ type Stats struct {
 	// Store carries the durable session store's own counters (log size,
 	// compactions, recovery events); nil without Config.Store.
 	Store *store.Stats
-	// Engines accumulates the per-engine dispatch histograms of every solve
-	// this service executed (cache hits add nothing — no piece was solved):
-	// engine name → pieces colored. Fixed-engine requests land in one
-	// bucket; auto requests spread across the engines the portfolio
-	// picked, plus "fallback" for deadline-degraded pieces.
-	Engines map[string]uint64
-	// Stages accumulates the per-stage telemetry of every solve this
-	// service executed, keyed by the pipeline.Stage* names: division and
-	// merge stages from each solve's Result, build stages from the graph
-	// builds this service actually ran (cache-hit graphs add nothing —
-	// the build they reuse was recorded when it happened).
-	Stages map[string]pipeline.StageStats
-	// Shapes accumulates the shape-tier counters of every non-race solve
-	// this service executed (DESIGN.md §11).
-	// Distinct sums per-run distinct-shape counts, so a shape two solves
-	// both touch is counted by each.
-	Shapes division.ShapeStats
-	// Balance accumulates the dispatch-imbalance gauge across every solve
-	// this service executed: worker contributions sum, busy-time extremes
-	// are the lifetime max/min over all runs' workers (division.Balance
-	// merge semantics). A MaxBusy far above MinBusy flags workloads whose
-	// parallel Dispatch is dominated by straggler components.
-	Balance division.Balance
+	// Stats is the division telemetry of every solve this service
+	// executed, folded with division.Stats.Add (cache hits add nothing —
+	// no piece was solved):
+	//   - Engines: engine name → pieces colored. Fixed-engine requests
+	//     land in one bucket; auto requests spread across the engines the
+	//     portfolio picked, plus "fallback" for deadline-degraded pieces.
+	//   - Stages: keyed by the pipeline.Stage* names, division and merge
+	//     stages from each solve's Result, build stages from the graph
+	//     builds this service actually ran (cache-hit graphs add nothing —
+	//     the build they reuse was recorded when it happened).
+	//   - Shapes: the shape-tier counters (DESIGN.md §11). Distinct sums
+	//     per-run distinct-shape counts, so a shape two solves both touch
+	//     is counted by each.
+	//   - Balance: worker contributions sum, busy-time extremes are the
+	//     lifetime max/min over all runs' workers. A MaxBusy far above
+	//     MinBusy flags workloads whose parallel Dispatch is dominated by
+	//     straggler components.
+	// Components is not folded and stays zero.
+	division.Stats
 }
 
 // Service runs decompositions with caching and bounded concurrency. Safe
@@ -259,7 +255,7 @@ func (s *Service) resolve(ctx context.Context, lh, sig string, l *layout.Layout,
 		s.mu.Unlock()
 		res, err := fill()
 		s.mu.Lock()
-		s.recordEngines(res)
+		s.recordSolve(res)
 		s.mu.Unlock()
 		if err != nil || res.Degraded > 0 {
 			return res, false, err
@@ -282,7 +278,7 @@ func (s *Service) resolve(ctx context.Context, lh, sig string, l *layout.Layout,
 		res, err = bypass()
 		s.mu.Lock()
 		s.stats.Misses++
-		s.recordEngines(res)
+		s.recordSolve(res)
 		s.mu.Unlock()
 	}
 	if err != nil {
@@ -294,38 +290,14 @@ func (s *Service) resolve(ctx context.Context, lh, sig string, l *layout.Layout,
 	return copyResult(res), out == flight.Hit, nil
 }
 
-// recordEngines folds one executed solve's per-engine dispatch histogram
-// and per-stage telemetry into the service totals. Callers must hold s.mu.
+// recordSolve folds one executed solve's division telemetry into the
+// service totals. Callers must hold s.mu.
 //
 //lint:holds mu
-func (s *Service) recordEngines(res *core.Result) {
-	if res == nil {
-		return
+func (s *Service) recordSolve(res *core.Result) {
+	if res != nil {
+		s.stats.Add(res.DivisionStats)
 	}
-	if len(res.DivisionStats.Engines) > 0 {
-		if s.stats.Engines == nil {
-			s.stats.Engines = make(map[string]uint64)
-		}
-		for name, n := range res.DivisionStats.Engines {
-			s.stats.Engines[name] += uint64(n)
-		}
-	}
-	s.stats.Stages = pipeline.MergeStages(s.stats.Stages, res.DivisionStats.Stages)
-	s.stats.Shapes.Hits += res.DivisionStats.Shapes.Hits
-	s.stats.Shapes.Misses += res.DivisionStats.Shapes.Misses
-	s.stats.Shapes.Distinct += res.DivisionStats.Shapes.Distinct
-	s.stats.Balance.Merge(res.DivisionStats.Balance)
-}
-
-// recordBuild folds one executed graph build into the aggregate stage
-// telemetry. Solves over cached graphs never reach here — the build cost
-// was paid (and recorded) once, by the caller that actually built.
-func (s *Service) recordBuild(st core.BuildStats) {
-	s.mu.Lock()
-	s.stats.Stages = pipeline.MergeStages(s.stats.Stages, map[string]pipeline.StageStats{
-		pipeline.StageBuild: {Wall: st.Timing.Total, Calls: 1},
-	})
-	s.mu.Unlock()
 }
 
 // ensureSession re-registers a session for a healthy cached result whose
@@ -401,7 +373,9 @@ func (s *Service) graphFor(ctx context.Context, lh string, l *layout.Layout, opt
 		if err != nil {
 			return nil, false, err
 		}
-		s.recordBuild(g.Stats)
+		s.mu.Lock()
+		s.stats.AddStage(pipeline.StageBuild, g.Stats.Timing.Total)
+		s.mu.Unlock()
 		return g, true, nil
 	})
 	if out == flight.Hit {
@@ -513,13 +487,8 @@ func (s *Service) StatsSnapshot() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Evictions, st.Size, st.Sessions = evictions, size, sessions
-	if s.stats.Engines != nil {
-		st.Engines = make(map[string]uint64, len(s.stats.Engines))
-		for name, n := range s.stats.Engines {
-			st.Engines[name] = n
-		}
-	}
-	st.Stages = pipeline.MergeStages(nil, s.stats.Stages)
+	st.Stats = division.Stats{} // a deep copy: the snapshot owns its maps
+	st.Stats.Add(s.stats.Stats)
 	if s.cfg.Store != nil {
 		ss := s.cfg.Store.StatsSnapshot()
 		st.Store = &ss
