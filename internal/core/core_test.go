@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"mpl/internal/division"
 	"mpl/internal/geom"
 	"mpl/internal/layout"
+	"mpl/internal/pipeline"
 )
 
 // contactCluster builds the Fig. 1 standard-cell contact scenario: four
@@ -237,6 +239,10 @@ func TestILPTimeBudgetReportsUnproven(t *testing.T) {
 	if res := tierRun(t, dg, budget, noTier()); res.Proven {
 		t.Fatal("1ns ILP budget reported proven")
 	}
+	// The fallback answers of a spent budget are never stored.
+	if tier := freshTier(); tierRun(t, dg, budget, tier).Proven || tier.Len() != 0 {
+		t.Fatalf("1ns ILP budget through a tier: %d entries stored", tier.Len())
+	}
 
 	// A tier warmed by an ample-budget solve answers every piece of the
 	// 1 ns run with the stored proven colors.
@@ -249,6 +255,21 @@ func TestILPTimeBudgetReportsUnproven(t *testing.T) {
 	}
 	if !slices.Equal(res.Colors, ample.Colors) {
 		t.Fatal("tier hit under a 1ns budget changed the colors")
+	}
+}
+
+// TestILPClockCutNotKept: an ILP solve cut short by ILPTimeLimit depends
+// on the clock, so the dispatcher never offers it to the shape tier
+// (node-capped SDP+Backtrack is: TestAutoBestOfCappedBacktrack).
+func TestILPClockCutNotKept(t *testing.T) {
+	g := randomPiece(1, 14) // ILP proves it in ~0.1 s; the budget stops it first
+	opts := Options{K: 4, Algorithm: AlgILP, ILPTimeLimit: 2 * time.Millisecond}.withDefaults()
+	p := makeSolver(context.Background(), opts, pipeline.Env{})(g, nil)
+	if p.engine != "ILP" || !p.unproven {
+		t.Fatalf("a 2ms budget on a 14-vertex piece gave engine %s, unproven %v; want a cut-short ILP solve", p.engine, p.unproven)
+	}
+	if p.keep {
+		t.Fatal("a cut-short ILP solve was offered to the shape tier")
 	}
 }
 

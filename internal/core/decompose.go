@@ -119,7 +119,8 @@ type Options struct {
 }
 
 // backtrackNodeLimit bounds each of Algorithm 1's merged-graph searches.
-// It is a var only so a test can lower it to force a capped search.
+// It is a var only so a test can lower it to force a capped search; the
+// shape tier's key carries it (shapeOptionsSig).
 var backtrackNodeLimit int64 = coloring.BacktrackNodeLimit
 
 // Normalize returns o with every defaulted field resolved to the value
@@ -324,8 +325,8 @@ func decomposeGraph(ctx context.Context, dg *Graph, opts Options, build bool, po
 // solved is what the engine dispatcher reports about one piece: its
 // colors, the engine label they carry ("fallback" when the spent ILP
 // budget made the linear fallback answer), whether the kept result's exact
-// search was cut short, and whether the solve is clean enough for the
-// shape tier to keep.
+// search was cut short, and whether the solve is deterministic enough for
+// the shape tier to keep.
 type solved struct {
 	colors   []int
 	engine   string
@@ -350,9 +351,12 @@ type pieceSolver func(g *graph.Graph, sc *pipeline.Scratch) solved
 // back unproven (node-capped), Linear colors the piece too and is kept
 // only at a strictly lower cost. Ties keep SDP+Backtrack, so auto's bytes
 // move only where the cap actually cost quality (DESIGN.md §8).
-// The keep rule lives here too: a solve is kept only when it is proven
-// (which also rules out the fallback and a kept Linear answer) and its
-// context is still live.
+// The keep rule lives here too: a solve is kept when it is deterministic,
+// that is, its context is still live and no wall clock cut it short. A
+// node-capped SDP+Backtrack solve and auto's best-of answer for it are
+// kept (the cap counts nodes and the SDP restarts are seeded), stored with
+// their unproven flag; an ILP solve cut short by ILPTimeLimit and the
+// "fallback" answer are not.
 func makeSolver(ctx context.Context, opts Options, env pipeline.Env) pieceSolver {
 	// The shared ILP budget is a wall-clock deadline by contract: budget
 	// exhaustion degrades pieces to the linear fallback, tallied as
@@ -385,7 +389,8 @@ func makeSolver(ctx context.Context, opts Options, env pipeline.Env) pieceSolver
 		default:
 			panic(fmt.Sprintf("core: unknown engine class %v", class))
 		}
-		p.keep = !p.unproven && ctx.Err() == nil
+		// Only an unproven ILP answer depends on the clock.
+		p.keep = ctx.Err() == nil && (class != portfolio.ILP || !p.unproven)
 		return p
 	}
 	if opts.Engine == EngineAuto {
@@ -397,7 +402,7 @@ func makeSolver(ctx context.Context, opts Options, env pipeline.Env) pieceSolver
 			}
 			l := coloring.Linear(g, lin)
 			if coloring.Cost(g, l, opts.Alpha) < coloring.Cost(g, p.colors, opts.Alpha) {
-				return solved{colors: l, engine: portfolio.Linear.String(), unproven: true}
+				return solved{colors: l, engine: portfolio.Linear.String(), unproven: true, keep: p.keep}
 			}
 			return p
 		}

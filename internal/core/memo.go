@@ -14,19 +14,22 @@ import (
 )
 
 // shapeEntry is one stored piece solve: the colors in the piece's own
-// labeling and the engine label of the solve that produced them, so a hit
-// is tallied under the engine whose answer it carries.
+// labeling, the engine label of the solve that produced them, so a hit
+// is tallied under the engine whose answer it carries, and whether that
+// solve's exact search was node-capped, so a hit is as unproven as the
+// fresh solve it replays.
 type shapeEntry struct {
-	colors []int
-	engine string
+	colors   []int
+	engine   string
+	unproven bool
 }
 
 // sharedShapes is the process-wide shape tier every deterministic solve
 // path shares (like sharedScratch): real workloads repeat standard cells
 // across layouts, across requests and across the steps of an ECO session,
-// so hits compound over the life of the process. Entries are clean piece
-// solves, one per labeled encoding; bounded, least-recently-used entries
-// evicted beyond the bound.
+// so hits compound over the life of the process. Entries are deterministic
+// piece solves (proven or node-capped), one per labeled encoding; bounded,
+// least-recently-used entries evicted beyond the bound.
 var sharedShapes = flight.New[shapeEntry](4096, nil)
 
 // shapeOptionsSig is the solver-configuration part of a shape-tier key:
@@ -35,13 +38,15 @@ var sharedShapes = flight.New[shapeEntry](4096, nil)
 // zeroed — worker counts and build tuning don't reach the engines, and the
 // wall-clock ILPTimeLimit is excluded because a piece whose own solve was
 // cut short by it is never stored (see makeSolver's keep rule), so every
-// entry is the budget-independent exact answer.
+// ILP entry is the budget-independent exact answer. The backtracking node
+// cap is not an option but does shape a capped solve's colors, so it is
+// part of the signature too.
 func shapeOptionsSig(o Options) string {
 	o = o.withDefaults()
 	o.ILPTimeLimit = 0
 	o.Build = BuildOptions{}
 	o.Division = division.Options{}
-	return fmt.Sprintf("%#v", o)
+	return fmt.Sprintf("%#v nodes=%d", o, backtrackNodeLimit)
 }
 
 // dispatch is one run's Dispatch stage, shared by the from-scratch and the
@@ -77,7 +82,7 @@ func newDispatch(ctx context.Context, opts Options, pool *pipeline.ScratchPool, 
 		distinct: make(map[string]struct{}),
 	}
 	d.inner = makeSolver(ctx, opts, d.env)
-	return d, func(g *graph.Graph, sc *pipeline.Scratch) []int { return d.solve(ctx, g, sc) }
+	return d, func(g *graph.Graph, sc *pipeline.Scratch) []int { return d.solve(ctx, g, sc).colors }
 }
 
 // solve colors one division piece. Each piece is encoded with its own
@@ -85,9 +90,9 @@ func newDispatch(ctx context.Context, opts Options, pool *pipeline.ScratchPool, 
 // stored colors, and misses solve through the engine dispatcher under the
 // encoding's single flight, so a hot shape solves once even when every
 // division worker hits it at the same time. A solve is stored only when
-// the dispatcher reports it clean, so the tier never replays degraded
-// colors; a worker whose context dies while waiting on another's flight
-// (Bypass) solves locally.
+// the dispatcher reports it deterministic (makeSolver's keep rule), so the
+// tier never replays degraded or clock-cut colors; a worker whose context
+// dies while waiting on another's flight (Bypass) solves locally.
 //
 // The entry key is (options signature, labeled encoding). Byte-equal
 // encodings are the same labeled graph, and the engines are deterministic
@@ -96,7 +101,7 @@ func newDispatch(ctx context.Context, opts Options, pool *pipeline.ScratchPool, 
 // form is needed, and none would be sound: the engines break ties by
 // vertex index, so an isomorphic but differently-labeled twin can
 // legitimately color differently (DESIGN.md §11).
-func (d *dispatch) solve(ctx context.Context, g *graph.Graph, sc *pipeline.Scratch) []int {
+func (d *dispatch) solve(ctx context.Context, g *graph.Graph, sc *pipeline.Scratch) solved {
 	n := g.N()
 	if n > canon.MaxVertices {
 		return d.record(d.inner(g, sc), "", false) // uncounted: never a tier candidate
@@ -110,13 +115,13 @@ func (d *dispatch) solve(ctx context.Context, g *graph.Graph, sc *pipeline.Scrat
 		if !p.keep {
 			return shapeEntry{}, false, nil
 		}
-		return shapeEntry{slices.Clone(p.colors), p.engine}, true, nil
+		return shapeEntry{slices.Clone(p.colors), p.engine, p.unproven}, true, nil
 	})
 	switch outcome {
 	case flight.Hit:
 		out := sc.Ints(n)
 		copy(out, stored.colors)
-		return d.record(solved{colors: out, engine: stored.engine}, key, true)
+		return d.record(solved{colors: out, engine: stored.engine, unproven: stored.unproven}, key, true)
 	case flight.Bypass: // context died waiting on another flight
 		p = d.inner(g, sc)
 	}
@@ -125,7 +130,7 @@ func (d *dispatch) solve(ctx context.Context, g *graph.Graph, sc *pipeline.Scrat
 
 // record tallies one served piece: its engine label and provenness, and,
 // for a tier candidate (key non-empty), a hit or a miss of key.
-func (d *dispatch) record(p solved, key string, hit bool) []int {
+func (d *dispatch) record(p solved, key string, hit bool) solved {
 	d.mu.Lock()
 	d.unproven = d.unproven || p.unproven
 	d.tally.AddEngine(p.engine, 1)
@@ -138,7 +143,7 @@ func (d *dispatch) record(p solved, key string, hit bool) []int {
 		d.distinct[key] = struct{}{}
 	}
 	d.mu.Unlock()
-	return p.colors
+	return p
 }
 
 // drainInto publishes the run's engine histogram and shape counters to st

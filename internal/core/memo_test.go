@@ -14,12 +14,15 @@ import (
 	"fmt"
 	"maps"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mpl/internal/division"
 	"mpl/internal/flight"
 	"mpl/internal/graph"
 	"mpl/internal/layout"
+	"mpl/internal/pipeline"
 	"mpl/internal/synth"
 )
 
@@ -291,25 +294,94 @@ func TestShapeTierHitEqualsFreshSolve(t *testing.T) {
 		})
 	}
 
-	// A piece whose backtracking search hit its node cap is served but
-	// never stored, so the next run solves it again (unproven again).
+	// A piece whose backtracking search hit its node cap is as
+	// deterministic as a proven one (the cap counts nodes, the SDP
+	// restarts are seeded), so it is stored with its unproven flag and the
+	// next run replays every piece, unproven again.
 	t.Run("capped", func(t *testing.T) {
 		dg := nIdenticalK5s(4)
 		defer func(n int64) { backtrackNodeLimit = n }(backtrackNodeLimit)
 		backtrackNodeLimit = 1
 		opts := Options{K: 4, Algorithm: AlgSDPBacktrack, Seed: 1}
+		fresh := tierRun(t, dg, opts, noTier())
+		if fresh.Proven {
+			t.Fatal("a 1-node backtracking cap reported proven")
+		}
 		tier := freshTier()
 		for run := 0; run < 2; run++ {
 			res := tierRun(t, dg, opts, tier)
-			if res.Proven {
-				t.Fatalf("run %d: a 1-node backtracking cap reported proven", run)
-			}
-			if sh := res.DivisionStats.Shapes; sh.Hits != 0 || sh.Misses != 4 {
-				t.Fatalf("run %d: capped pieces were served from the tier: %+v", run, sh)
+			sameSolve(t, fresh, res)
+			if sh := res.DivisionStats.Shapes; run == 1 && (sh.Hits != 4 || sh.Misses != 0) {
+				t.Fatalf("run %d: capped pieces were solved again: %+v", run, sh)
 			}
 		}
-		if tier.Len() != 0 {
-			t.Fatalf("tier stored %d capped pieces", tier.Len())
+		if tier.Len() != 1 {
+			t.Fatalf("tier holds %d entries, want the one capped shape", tier.Len())
 		}
 	})
+}
+
+// TestShapeTierKeyedByNodeCap: the backtracking node cap is part of the
+// tier key, so incumbents stored under a lowered cap are never replayed
+// to a run at the default cap. A replay would show here as a hit and as
+// Proven false, since the stored entry carries its capped solve's flag.
+func TestShapeTierKeyedByNodeCap(t *testing.T) {
+	dg := nIdenticalK5s(1)
+	opts := Options{K: 4, Algorithm: AlgSDPBacktrack, Seed: 1}
+	tier := freshTier()
+	func() {
+		defer func(n int64) { backtrackNodeLimit = n }(backtrackNodeLimit)
+		backtrackNodeLimit = 1
+		if res := tierRun(t, dg, opts, tier); res.Proven || tier.Len() != 1 {
+			t.Fatalf("capped warm-up: proven %v, %d tier entries", res.Proven, tier.Len())
+		}
+	}()
+	res := tierRun(t, dg, opts, tier)
+	if sh := res.DivisionStats.Shapes; sh.Hits != 0 {
+		t.Fatalf("a default-cap run hit entries stored under a 1-node cap: %+v", sh)
+	}
+	sameSolve(t, tierRun(t, dg, opts, noTier()), res)
+	if !res.Proven {
+		t.Fatal("the default cap did not prove a single K5")
+	}
+}
+
+// TestMemoSingleFlightOneDispatchForCappedComponents extends the
+// concurrency contract to node-capped pieces: N identical capped
+// components under 8 division workers make exactly one engine call, and
+// every piece, hit or miss, is served unproven.
+func TestMemoSingleFlightOneDispatchForCappedComponents(t *testing.T) {
+	const n = 48
+	defer func(n int64) { backtrackNodeLimit = n }(backtrackNodeLimit)
+	backtrackNodeLimit = 1
+	dg := nIdenticalK5s(n)
+	opts := Options{K: 4, Algorithm: AlgSDPBacktrack, Seed: 1}.withDefaults()
+	opts.Division.Workers = 8
+	var calls, unproven atomic.Int64
+	d, _ := newDispatch(context.Background(), opts, sharedScratch, freshTier())
+	inner := d.inner
+	d.inner = func(g *graph.Graph, sc *pipeline.Scratch) solved {
+		calls.Add(1)
+		return inner(g, sc)
+	}
+	_, st := division.DecomposeEnv(context.Background(), dg.G, opts.Division, d.env,
+		func(g *graph.Graph, sc *pipeline.Scratch) []int {
+			p := d.solve(context.Background(), g, sc)
+			if p.unproven {
+				unproven.Add(1)
+			}
+			return p.colors
+		})
+	if !d.drainInto(&st) {
+		t.Fatal("capped run reported proven")
+	}
+	if c := calls.Load(); c != 1 {
+		t.Fatalf("%d engine calls for %d identical capped pieces, want 1", c, n)
+	}
+	if sh := st.Shapes; sh.Misses != 1 || sh.Hits != n-1 || sh.Distinct != 1 {
+		t.Fatalf("want 1 miss / %d hits / 1 distinct, got %+v", n-1, sh)
+	}
+	if u := unproven.Load(); u != n {
+		t.Fatalf("%d of %d pieces were served unproven", u, n)
+	}
 }

@@ -94,7 +94,8 @@ func TestApplyEditsAutoMatchesScratch(t *testing.T) {
 // TestAutoBestOfCappedBacktrack pins auto's per-piece best-of: a
 // node-capped SDP+Backtrack solve is answered by Linear exactly when
 // Linear's cost is strictly lower, a tie keeps SDP+Backtrack, and either
-// way the piece stays unproven and is never offered to the shape tier.
+// way the piece stays unproven. Both answers are deterministic, so the
+// shape tier may keep them under a live context, never under a dead one.
 func TestAutoBestOfCappedBacktrack(t *testing.T) {
 	defer func(n int64) { backtrackNodeLimit = n }(backtrackNodeLimit)
 	backtrackNodeLimit = 1
@@ -103,6 +104,9 @@ func TestAutoBestOfCappedBacktrack(t *testing.T) {
 	auto := opts
 	auto.Engine = EngineAuto
 	solver := makeSolver(context.Background(), auto, env)
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	deadSolver := makeSolver(dead, auto, env)
 	fixed := opts
 	fixed.Algorithm = AlgSDPBacktrack
 	backtrack := makeSolver(context.Background(), fixed, env)
@@ -114,8 +118,8 @@ func TestAutoBestOfCappedBacktrack(t *testing.T) {
 		}
 		fp := backtrack(g, nil)
 		bt := fp.colors
-		if !fp.unproven {
-			t.Fatalf("seed %d: a 1-node cap reported proven", seed)
+		if !fp.unproven || !fp.keep {
+			t.Fatalf("seed %d: fixed SDP+Backtrack under a 1-node cap reported unproven=%v keep=%v", seed, fp.unproven, fp.keep)
 		}
 		lin := coloring.Linear(g, coloring.LinearOptions{K: opts.K, Alpha: opts.Alpha})
 		p := solver(g, nil)
@@ -127,8 +131,11 @@ func TestAutoBestOfCappedBacktrack(t *testing.T) {
 			t.Fatalf("seed %d: auto kept %s, want %s (SDP+Backtrack cost %v, Linear cost %v)", seed, p.engine, wantEngine,
 				coloring.Cost(g, bt, opts.Alpha), coloring.Cost(g, lin, opts.Alpha))
 		}
-		if !p.unproven || p.keep {
+		if !p.unproven || !p.keep {
 			t.Fatalf("seed %d: capped piece reported unproven=%v keep=%v", seed, p.unproven, p.keep)
+		}
+		if dp := deadSolver(g, nil); dp.keep {
+			t.Fatalf("seed %d: a piece solved under a cancelled context was offered to the tier", seed)
 		}
 		outcomes[p.engine]++
 	}
