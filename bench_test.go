@@ -11,6 +11,7 @@
 package mpl_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -236,7 +237,7 @@ func BenchmarkSDPRelaxation(b *testing.B) {
 	g := kingGraph(15, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sdp.Solve(g, sdp.Options{K: 4, Alpha: 0.1, Seed: int64(i)})
+		sdp.SolveScratchEnv(context.Background(), g, sdp.Options{K: 4, Alpha: 0.1, Seed: int64(i)}, nil, pipeline.Env{})
 	}
 }
 
@@ -244,10 +245,10 @@ func BenchmarkSDPRelaxation(b *testing.B) {
 // stage given a solved relaxation.
 func BenchmarkSDPBacktrackMapping(b *testing.B) {
 	g := kingGraph(15, 4)
-	sol := sdp.Solve(g, sdp.Options{K: 4, Alpha: 0.1, Seed: 1})
+	sol := sdp.SolveScratchEnv(context.Background(), g, sdp.Options{K: 4, Alpha: 0.1, Seed: 1}, nil, pipeline.Env{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		coloring.SDPBacktrack(g, sol, 4, 0.1, 0.9, 0)
+		coloring.SDPBacktrackContext(context.Background(), g, sol, 4, 0.1, 0.9, 0)
 	}
 }
 
@@ -266,21 +267,21 @@ func BenchmarkGHTreeConstruction(b *testing.B) {
 	g := kingGraph(15, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ghtree.BuildFromConflictGraph(g)
+		ghtree.BuildFromConflictGraphScratch(context.Background(), g, nil)
 	}
 }
 
 // BenchmarkDinicMaxflow measures a single max-flow on the same component.
 func BenchmarkDinicMaxflow(b *testing.B) {
 	g := kingGraph(15, 4)
-	edges := g.ConflictEdges()
+	var us, vs []int32
+	var ws []int64
+	for _, e := range g.ConflictEdges() {
+		us, vs, ws = append(us, int32(e.U)), append(vs, int32(e.V)), append(ws, 1)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nw := maxflow.NewNetwork(g.N())
-		for _, e := range edges {
-			nw.AddUndirectedEdge(e.U, e.V, 1)
-		}
-		nw.MaxFlow(0, g.N()-1)
+		maxflow.BuildUndirected(g.N(), us, vs, ws, nil).MaxFlow(0, g.N()-1)
 	}
 }
 
@@ -290,7 +291,7 @@ func BenchmarkILPExact(b *testing.B) {
 	g := kingGraph(5, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		coloring.ILPAssign(g, 4, 0.1, time.Minute)
+		coloring.ILPAssignContext(context.Background(), g, 4, 0.1)
 	}
 }
 
@@ -301,7 +302,7 @@ func BenchmarkDivisionPipeline(b *testing.B) {
 	free := func(sub *graph.Graph, _ *pipeline.Scratch) []int { return make([]int, sub.N()) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		division.Decompose(g.G, division.Options{K: 4, Alpha: 0.1}, free)
+		division.DecomposeEnv(context.Background(), g.G, division.Options{K: 4, Alpha: 0.1}, division.Env{}, free)
 	}
 }
 

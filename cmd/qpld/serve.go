@@ -180,10 +180,6 @@ type incrementalJSON struct {
 	SolveMs            float64 `json:"solve_ms"`
 }
 
-type batchRequest struct {
-	Requests []decomposeRequest `json:"requests"`
-}
-
 type batchResponse struct {
 	Responses []decomposeResponse `json:"responses"`
 }

@@ -86,6 +86,12 @@ func refDecodeItem(req decomposeRequest) refItem {
 	return refItem{opts: req, layout: l, err: err}
 }
 
+// batchRequest is the /v1/decompose/batch body in its encoding/json
+// form: the reference decode's schema and the tests' request builder.
+type batchRequest struct {
+	Requests []decomposeRequest `json:"requests"`
+}
+
 // refDecode decodes body the old way. shape reports a rect the new arity
 // rule rejects; the scanner must then refuse the whole body.
 func refDecode(body []byte, batch bool) (items []refItem, shape bool, err error) {

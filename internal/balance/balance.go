@@ -115,39 +115,3 @@ func Rebalance(g *graph.Graph, colors []int, areas []int64, k int) []int {
 	}
 	return colors
 }
-
-// WindowDensity computes per-mask density over a uniform window grid:
-// result[mask][window] = colored area of that mask inside the window. The
-// caller supplies a window assignment per vertex (e.g. by fragment
-// centroid); vertices with window -1 are skipped. This is the measurement
-// side of the balanced-density objective — lithography cares about local,
-// not just global, balance.
-func WindowDensity(colors []int, areas []int64, windowOf []int, k, numWindows int) [][]int64 {
-	out := make([][]int64, k)
-	for c := range out {
-		out[c] = make([]int64, numWindows)
-	}
-	for v, c := range colors {
-		w := windowOf[v]
-		if c >= 0 && c < k && w >= 0 && w < numWindows {
-			out[c][w] += areas[v]
-		}
-	}
-	return out
-}
-
-// MaxWindowSpread returns the worst Spread across windows of a
-// WindowDensity result.
-func MaxWindowSpread(density [][]int64, numWindows int) float64 {
-	worst := 0.0
-	col := make([]int64, len(density))
-	for w := 0; w < numWindows; w++ {
-		for c := range density {
-			col[c] = density[c][w]
-		}
-		if s := Spread(col); s > worst {
-			worst = s
-		}
-	}
-	return worst
-}

@@ -130,20 +130,3 @@ func TestRebalancePanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestWindowDensity(t *testing.T) {
-	colors := []int{0, 0, 1, 2}
-	areas := []int64{5, 7, 11, 13}
-	windows := []int{0, 1, 0, -1}
-	d := WindowDensity(colors, areas, windows, 4, 2)
-	if d[0][0] != 5 || d[0][1] != 7 || d[1][0] != 11 || d[2][0] != 0 {
-		t.Fatalf("density = %v", d)
-	}
-	if s := MaxWindowSpread(d, 2); s <= 0 {
-		t.Fatalf("spread = %v, want positive (unbalanced windows)", s)
-	}
-	balanced := [][]int64{{5, 5}, {5, 5}}
-	if s := MaxWindowSpread(balanced, 2); s != 0 {
-		t.Fatalf("balanced spread = %v", s)
-	}
-}

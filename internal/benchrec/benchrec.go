@@ -41,10 +41,6 @@ type Run struct {
 	BuildWorkers int     `json:"build_workers"`
 	DivWorkers   int     `json:"division_workers"`
 	ILPBudgetMs  float64 `json:"ilp_budget_ms,omitempty"`
-	// Memoize records whether the sweep ran with evaluate's former -memo
-	// flag. Since the shape tier serves every solve it is always
-	// false; older records keep it.
-	Memoize bool `json:"memoize,omitempty"`
 
 	Circuits []Circuit `json:"circuits"`
 
@@ -239,81 +235,6 @@ func StageMsOf(stages map[string]pipeline.StageStats) map[string]float64 {
 	return out
 }
 
-// Delta is one (circuit, algorithm) quality comparison between two runs.
-type Delta struct {
-	Circuit   string
-	Algorithm string
-	// Base/Cur are the baseline and current cn#/st# pairs.
-	BaseConflicts, BaseStitches int
-	CurConflicts, CurStitches   int
-	// Worse reports a quality regression under the paper's ranking: more
-	// conflicts, or equal conflicts and more stitches.
-	Worse bool
-	// Improved reports the strict opposite; a Delta with neither flag set
-	// is unchanged.
-	Improved bool
-}
-
-// worse ranks (c1, s1) strictly worse than (c2, s2): conflicts first, then
-// stitches — the paper's objective ordering.
-func worse(c1, s1, c2, s2 int) bool {
-	if c1 != c2 {
-		return c1 > c2
-	}
-	return s1 > s2
-}
-
-// Compare matches every (circuit, algorithm) pair present in both runs and
-// reports the quality movement, in baseline order. Pairs present in only
-// one run are skipped — a new engine column or a dropped circuit is not a
-// regression. Wall times are deliberately not compared: the trajectory
-// records them for trend reading, but two runs rarely share hardware, so a
-// time gate would only flap. The regression-gate tests consume the Worse
-// flag; EXPERIMENTS.md reads the full list.
-func Compare(baseline, current *Run) []Delta {
-	curByName := make(map[string]*Circuit, len(current.Circuits))
-	for i := range current.Circuits {
-		curByName[current.Circuits[i].Name] = &current.Circuits[i]
-	}
-	var out []Delta
-	for _, bc := range baseline.Circuits {
-		cc, ok := curByName[bc.Name]
-		if !ok {
-			continue
-		}
-		curAlg := make(map[string]AlgorithmRun, len(cc.Algorithms))
-		for _, a := range cc.Algorithms {
-			curAlg[a.Algorithm] = a
-		}
-		for _, ba := range bc.Algorithms {
-			ca, ok := curAlg[ba.Algorithm]
-			if !ok {
-				continue
-			}
-			out = append(out, Delta{
-				Circuit:       bc.Name,
-				Algorithm:     ba.Algorithm,
-				BaseConflicts: ba.Conflicts, BaseStitches: ba.Stitches,
-				CurConflicts: ca.Conflicts, CurStitches: ca.Stitches,
-				Worse:    worse(ca.Conflicts, ca.Stitches, ba.Conflicts, ba.Stitches),
-				Improved: worse(ba.Conflicts, ba.Stitches, ca.Conflicts, ca.Stitches),
-			})
-		}
-	}
-	return out
-}
-
-// Regressions filters a Compare result down to the quality regressions.
-func Regressions(deltas []Delta) []Delta {
-	var out []Delta
-	for _, d := range deltas {
-		if d.Worse {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // DefaultFilename returns the canonical trajectory filename for a run
 // started at t: BENCH_<UTC timestamp>.json, lexicographically sortable.
 func DefaultFilename(t time.Time) string {
@@ -328,17 +249,4 @@ func (r *Run) WriteFile(path string) error {
 		return fmt.Errorf("benchrec: %w", err)
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadFile loads a previously recorded run (trajectory comparisons, tests).
-func ReadFile(path string) (*Run, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Run
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("benchrec: %s: %w", path, err)
-	}
-	return &r, nil
 }

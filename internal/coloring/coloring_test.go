@@ -1,14 +1,20 @@
 package coloring
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"mpl/internal/graph"
+	"mpl/internal/pipeline"
 	"mpl/internal/sdp"
 )
+
+// solveSDP runs the relaxation with no arena and no restart budget.
+func solveSDP(g *graph.Graph, opts sdp.Options) *sdp.Solution {
+	return sdp.SolveScratchEnv(context.Background(), g, opts, nil, pipeline.Env{})
+}
 
 // bruteForce finds the minimum-cost assignment by enumerating k^n colorings.
 func bruteForce(g *graph.Graph, k int, alpha float64) (best []int, bestCost float64) {
@@ -154,11 +160,11 @@ func TestWeightedBasics(t *testing.T) {
 }
 
 func TestBacktrackEmptyAndSingle(t *testing.T) {
-	res := NewWeighted(0).Backtrack(4, 0.1, 0)
+	res := NewWeighted(0).BacktrackContext(context.Background(), 4, 0.1, 0)
 	if !res.Proven || len(res.Colors) != 0 {
 		t.Fatalf("empty = %+v", res)
 	}
-	res = NewWeighted(1).Backtrack(4, 0.1, 0)
+	res = NewWeighted(1).BacktrackContext(context.Background(), 4, 0.1, 0)
 	if !res.Proven || res.Conflicts != 0 {
 		t.Fatalf("single = %+v", res)
 	}
@@ -173,7 +179,7 @@ func TestBacktrackK5(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	res := FromGraph(g).Backtrack(4, 0.1, 0)
+	res := FromGraph(g).BacktrackContext(context.Background(), 4, 0.1, 0)
 	if !res.Proven || res.Conflicts != 1 || res.Stitches != 0 {
 		t.Fatalf("K5 result = %+v", res)
 	}
@@ -186,7 +192,7 @@ func TestBacktrackMatchesBruteForce(t *testing.T) {
 		g := randomGraph(rng, n, n+rng.Intn(2*n), rng.Intn(3))
 		k := 3 + rng.Intn(2)
 		_, wantCost := bruteForce(g, k, 0.1)
-		res := FromGraph(g).Backtrack(k, 0.1, 0)
+		res := FromGraph(g).BacktrackContext(context.Background(), k, 0.1, 0)
 		gotCost := float64(res.Conflicts) + 0.1*float64(res.Stitches)
 		if !res.Proven {
 			t.Fatalf("trial %d: not proven", trial)
@@ -201,7 +207,7 @@ func TestBacktrackNodeLimit(t *testing.T) {
 	// A dense graph with a tiny node budget still returns a valid coloring.
 	rng := rand.New(rand.NewSource(23))
 	g := randomGraph(rng, 20, 80, 5)
-	res := FromGraph(g).Backtrack(4, 0.1, 5)
+	res := FromGraph(g).BacktrackContext(context.Background(), 4, 0.1, 5)
 	if res.Proven {
 		t.Fatal("5-node budget cannot prove optimality here")
 	}
@@ -215,8 +221,8 @@ func TestSDPBacktrackNearOptimal(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 3 + rng.Intn(5)
 		g := randomGraph(rng, n, n+rng.Intn(n), rng.Intn(3))
-		sol := sdp.Solve(g, sdp.Options{K: 4, Alpha: 0.1, Seed: int64(trial)})
-		colors, proven := SDPBacktrack(g, sol, 4, 0.1, 0.9, 0)
+		sol := solveSDP(g, sdp.Options{K: 4, Alpha: 0.1, Seed: int64(trial)})
+		colors, proven := SDPBacktrackContext(context.Background(), g, sol, 4, 0.1, 0.9, 0)
 		if !proven {
 			t.Fatalf("trial %d: merged backtrack not proven", trial)
 		}
@@ -237,7 +243,7 @@ func TestSDPGreedyValid(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 3 + rng.Intn(7)
 		g := randomGraph(rng, n, n+rng.Intn(n), rng.Intn(3))
-		sol := sdp.Solve(g, sdp.Options{K: 4, Alpha: 0.1, Seed: int64(trial)})
+		sol := solveSDP(g, sdp.Options{K: 4, Alpha: 0.1, Seed: int64(trial)})
 		colors := SDPGreedy(g, sol, 4, 0.1)
 		if err := Validate(g, colors, 4); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -255,12 +261,12 @@ func TestSDPGreedyTwoCliques(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	sol := sdp.Solve(g, sdp.Options{K: 4, Alpha: 0.1, Seed: 2, Restarts: 4})
+	sol := solveSDP(g, sdp.Options{K: 4, Alpha: 0.1, Seed: 2, Restarts: 4})
 	colors := SDPGreedy(g, sol, 4, 0.1)
 	if c, _ := Count(g, colors); c != 0 {
 		t.Fatalf("greedy conflicts = %d, want 0", c)
 	}
-	colors, _ = SDPBacktrack(g, sol, 4, 0.1, 0.9, 0)
+	colors, _ = SDPBacktrackContext(context.Background(), g, sol, 4, 0.1, 0.9, 0)
 	if c, _ := Count(g, colors); c != 0 {
 		t.Fatalf("backtrack conflicts = %d, want 0", c)
 	}
@@ -402,7 +408,7 @@ func TestILPAssignMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 2 + rng.Intn(4)
 		g := randomGraph(rng, n, n+rng.Intn(n), rng.Intn(2))
-		res := ILPAssign(g, 4, 0.1, 30*time.Second)
+		res := ILPAssignContext(context.Background(), g, 4, 0.1)
 		if !res.Proven {
 			t.Fatalf("trial %d: ILP not proven (%v)", trial, res.Status)
 		}
@@ -425,7 +431,7 @@ func TestILPAssignK5(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	res := ILPAssign(g, 4, 0.1, time.Minute)
+	res := ILPAssignContext(context.Background(), g, 4, 0.1)
 	if !res.Proven {
 		t.Fatalf("status %v", res.Status)
 	}
@@ -435,7 +441,7 @@ func TestILPAssignK5(t *testing.T) {
 }
 
 func TestILPAssignEmpty(t *testing.T) {
-	res := ILPAssign(graph.NewBuilder(0).Build(nil), 4, 0.1, 0)
+	res := ILPAssignContext(context.Background(), graph.NewBuilder(0).Build(nil), 4, 0.1)
 	if !res.Proven || len(res.Colors) != 0 {
 		t.Fatalf("empty = %+v", res)
 	}
@@ -449,7 +455,7 @@ func TestILPStitchTradeoff(t *testing.T) {
 	b.AddStitch(1, 2)
 	b.AddConflict(0, 2)
 	g := b.Build(nil)
-	res := ILPAssign(g, 4, 0.1, time.Minute)
+	res := ILPAssignContext(context.Background(), g, 4, 0.1)
 	c, s := Count(g, res.Colors)
 	if c != 0 || s != 0 {
 		t.Fatalf("conflicts=%d stitches=%d, want 0,0 (colors %v)", c, s, res.Colors)
@@ -465,12 +471,12 @@ func TestSDPGreedyPentuple(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	sol := sdp.Solve(g, sdp.Options{K: 5, Alpha: 0.1, Seed: 8})
+	sol := solveSDP(g, sdp.Options{K: 5, Alpha: 0.1, Seed: 8})
 	colors := SDPGreedy(g, sol, 5, 0.1)
 	if c, _ := Count(g, colors); c != 0 {
 		t.Fatalf("K5 with 5 colors: greedy conflicts = %d", c)
 	}
-	bt, _ := SDPBacktrack(g, sol, 5, 0.1, 0.9, 0)
+	bt, _ := SDPBacktrackContext(context.Background(), g, sol, 5, 0.1, 0.9, 0)
 	if c, _ := Count(g, bt); c != 0 {
 		t.Fatalf("K5 with 5 colors: backtrack conflicts = %d", c)
 	}
@@ -483,7 +489,7 @@ func TestBacktrackStitchTradeoff(t *testing.T) {
 	w := NewWeighted(2)
 	w.AddConflict(0, 1, 2)
 	w.AddStitch(0, 1, 30)
-	res := w.Backtrack(4, 0.1, 0)
+	res := w.BacktrackContext(context.Background(), 4, 0.1, 0)
 	if !res.Proven {
 		t.Fatal("not proven")
 	}
@@ -494,7 +500,7 @@ func TestBacktrackStitchTradeoff(t *testing.T) {
 	w2 := NewWeighted(2)
 	w2.AddConflict(0, 1, 2)
 	w2.AddStitch(0, 1, 3)
-	res2 := w2.Backtrack(4, 0.1, 0)
+	res2 := w2.BacktrackContext(context.Background(), 4, 0.1, 0)
 	if res2.Conflicts != 0 || res2.Stitches != 3 {
 		t.Fatalf("cn/st = %d/%d, want 0/3", res2.Conflicts, res2.Stitches)
 	}

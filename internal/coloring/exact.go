@@ -102,21 +102,16 @@ type BacktrackResult struct {
 // 2,000,000-node cap (EXPERIMENTS.md, "Forced-conflict bound").
 const BacktrackNodeLimit = 200_000
 
-// Backtrack performs the branch-and-bound backtracking of Algorithm 1
+// BacktrackContext performs the branch-and-bound backtracking of Algorithm 1
 // (lines 7–19) on the merged graph: it enumerates color assignments in a
 // static order (descending weighted conflict degree), prunes when the
 // partial cost plus a lower bound on the uncolored vertices reaches the
 // incumbent, and breaks color symmetry by only allowing each vertex one
 // fresh color beyond those already used. nodeLimit bounds the search; 0
-// means BacktrackNodeLimit nodes.
-func (w *Weighted) Backtrack(k int, alpha float64, nodeLimit int64) BacktrackResult {
-	return w.BacktrackContext(context.Background(), k, alpha, nodeLimit)
-}
-
-// BacktrackContext is Backtrack with cooperative cancellation: ctx is polled
-// every 1024 entered nodes, and on cancellation the search stops and the
-// incumbent (at worst the greedy seed) is returned with Proven=false —
-// exactly the node-limit behavior, triggered by deadline instead of count.
+// means BacktrackNodeLimit nodes. ctx is polled every 1024 entered nodes,
+// and on cancellation the search stops and the incumbent (at worst the
+// greedy seed) is returned with Proven=false — exactly the node-limit
+// behavior, triggered by deadline instead of count.
 //
 // The search is an iterative depth-first walk with an explicit per-depth
 // stack. Its contract is the tree itself: every entered node (root and leaf

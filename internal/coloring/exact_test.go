@@ -186,9 +186,9 @@ func BenchmarkBacktrack(b *testing.B) {
 		name string
 		run  func() BacktrackResult
 	}{
-		{"kernel", func() BacktrackResult { return w.Backtrack(5, 0.1, 2_000_000) }},
+		{"kernel", func() BacktrackResult { return w.BacktrackContext(context.Background(), 5, 0.1, 2_000_000) }},
 		{"reference", func() BacktrackResult { return w.backtrackReference(context.Background(), 5, 0.1, 2_000_000) }},
-		{"production-cap", func() BacktrackResult { return w.Backtrack(5, 0.1, BacktrackNodeLimit) }},
+		{"production-cap", func() BacktrackResult { return w.BacktrackContext(context.Background(), 5, 0.1, BacktrackNodeLimit) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

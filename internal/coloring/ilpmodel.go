@@ -2,7 +2,6 @@ package coloring
 
 import (
 	"context"
-	"time"
 
 	"mpl/internal/graph"
 	"mpl/internal/ilp"
@@ -20,9 +19,9 @@ type ILPResult struct {
 	Status ilp.Status
 }
 
-// ILPAssign solves the component exactly via integer linear programming,
-// the paper's baseline (extended from the triple-patterning ILP of Yu et
-// al. ICCAD'11 to K masks). The encoding is one-hot:
+// ILPAssignContext solves the component exactly via integer linear
+// programming, the paper's baseline (extended from the triple-patterning
+// ILP of Yu et al. ICCAD'11 to K masks). The encoding is one-hot:
 //
 //	y_{v,c} ∈ {0,1}   vertex v uses color c;  Σ_c y_{v,c} = 1
 //	conf_e ≥ y_{u,c} + y_{v,c} − 1            ∀ conflict e=(u,v), ∀ c
@@ -30,16 +29,11 @@ type ILPResult struct {
 //	min  Σ conf_e + α·Σ stit_e
 //
 // conf/stit variables relax to continuous values because minimization
-// forces them onto {0,1} whenever the y's are integral. A zero timeLimit
-// means no limit.
-func ILPAssign(g *graph.Graph, k int, alpha float64, timeLimit time.Duration) ILPResult {
-	return ILPAssignContext(context.Background(), g, k, alpha, timeLimit)
-}
-
-// ILPAssignContext is ILPAssign with cooperative cancellation of the
-// branch-and-bound search; on cancellation the incumbent (or the greedy
-// fallback) is returned with Proven=false.
-func ILPAssignContext(ctx context.Context, g *graph.Graph, k int, alpha float64, timeLimit time.Duration) ILPResult {
+// forces them onto {0,1} whenever the y's are integral. The time budget is
+// ctx's deadline: the branch-and-bound search polls ctx at every node, and
+// on cancellation or expiry the incumbent (or the greedy fallback) is
+// returned with Proven=false.
+func ILPAssignContext(ctx context.Context, g *graph.Graph, k int, alpha float64) ILPResult {
 	n := g.N()
 	if n == 0 {
 		return ILPResult{Colors: []int{}, Proven: true, Status: ilp.Optimal}
@@ -101,7 +95,7 @@ func ILPAssignContext(ctx context.Context, g *graph.Graph, k int, alpha float64,
 	// Symmetry breaking: pin the first vertex to color 0.
 	prob.LP.AddConstraint(lp.EQ, 1, lp.Term{Var: yVar(0, 0), Coef: 1})
 
-	res := ilp.SolveContext(ctx, prob, ilp.Options{TimeLimit: timeLimit})
+	res := ilp.SolveContext(ctx, prob)
 	out := ILPResult{Status: res.Status, Proven: res.Status == ilp.Optimal}
 	if res.X != nil {
 		colors := make([]int, n)

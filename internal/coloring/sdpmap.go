@@ -103,16 +103,12 @@ func buildMerged(g *graph.Graph, groupOf []int, numGroups int) *Weighted {
 	return w
 }
 
-// SDPBacktrack implements Algorithm 1 (SDP + Backtrack): solve the
+// SDPBacktrackContext implements Algorithm 1 (SDP + Backtrack): solve the
 // relaxation, merge every pair with x_ij ≥ threshold into one vertex
 // (skipping merges that would trap a conflict edge inside a group), then run
-// exact branch-and-bound backtracking on the merged graph.
-func SDPBacktrack(g *graph.Graph, sol *sdp.Solution, k int, alpha, threshold float64, nodeLimit int64) ([]int, bool) {
-	return SDPBacktrackContext(context.Background(), g, sol, k, alpha, threshold, nodeLimit)
-}
-
-// SDPBacktrackContext is SDPBacktrack with cooperative cancellation of the
-// exact search phase (the merge phase is linear-time and runs to completion).
+// exact branch-and-bound backtracking on the merged graph. ctx cancels the
+// exact search phase cooperatively (the merge phase is linear-time and runs
+// to completion).
 func SDPBacktrackContext(ctx context.Context, g *graph.Graph, sol *sdp.Solution, k int, alpha, threshold float64, nodeLimit int64) ([]int, bool) {
 	n := g.N()
 	if n == 0 {

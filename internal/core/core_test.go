@@ -273,6 +273,26 @@ func TestILPClockCutNotKept(t *testing.T) {
 	}
 }
 
+// TestILPBudgetStopsAtNextNode: the ILP budget is a context deadline the
+// branch-and-bound search polls at every node, so a 20 ms budget on a
+// 16-vertex piece returns within a few node LPs of the deadline (the search
+// once checked its clock every 16 nodes and overran it by ~0.25 s here).
+func TestILPBudgetStopsAtNextNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("wall-clock bound; the race detector slows each node LP several-fold")
+	}
+	g := randomPiece(1, 16)
+	opts := Options{K: 4, Algorithm: AlgILP, ILPTimeLimit: 20 * time.Millisecond}.withDefaults()
+	start := time.Now()
+	p := makeSolver(context.Background(), opts, pipeline.Env{})(g, nil)
+	if elapsed := time.Since(start); elapsed >= 100*time.Millisecond {
+		t.Fatalf("a 20ms ILP budget took %v on a 16-vertex piece; want < 100ms", elapsed)
+	}
+	if p.engine != "ILP" || !p.unproven || p.keep {
+		t.Fatalf("engine %s, unproven %v, keep %v; want an unkept cut-short ILP solve", p.engine, p.unproven, p.keep)
+	}
+}
+
 func TestParseAlgorithm(t *testing.T) {
 	for s, want := range map[string]Algorithm{
 		"ilp": AlgILP, "sdp": AlgSDPBacktrack, "sdp-backtrack": AlgSDPBacktrack,

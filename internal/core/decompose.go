@@ -378,13 +378,16 @@ func makeSolver(ctx context.Context, opts Options, env pipeline.Env) pieceSolver
 			p.colors, ok = coloring.SDPBacktrackContext(ctx, g, solveSDP(ctx, g, opts, sc, env), opts.K, opts.Alpha, opts.Threshold, backtrackNodeLimit)
 			p.unproven = !ok
 		case portfolio.ILP:
-			remaining := time.Until(ilpDeadline)
-			if remaining <= 0 {
+			if time.Until(ilpDeadline) <= 0 {
 				// Budget exhausted: Linear keeps the run going so the
 				// harness can still report a (non-optimal) solution.
 				return solved{colors: coloring.Linear(g, lin), engine: "fallback", unproven: true}
 			}
-			res := coloring.ILPAssignContext(ctx, g, opts.K, opts.Alpha, remaining)
+			// The search polls its context at every node, so the
+			// budget cuts it at the first node past the deadline.
+			ilpCtx, cancel := context.WithDeadline(ctx, ilpDeadline)
+			res := coloring.ILPAssignContext(ilpCtx, g, opts.K, opts.Alpha)
+			cancel()
 			p.colors, p.unproven = res.Colors, !res.Proven
 		default:
 			panic(fmt.Sprintf("core: unknown engine class %v", class))

@@ -775,34 +775,26 @@ func (r *editRun) partition(sc *pipeline.Scratch) {
 	for i, v := range dirty {
 		r.dirty[i] = int(v)
 	}
-	r.es.CopiedComponents = r.copiedComponents(sc, seen, dirty)
+	r.es.CopiedComponents = r.copiedComponents(sc, dirty)
 	r.es.Components = r.es.ResolvedComponents + r.es.CopiedComponents
 }
 
 // copiedComponents counts the components that kept their prior colors.
 // They are exactly the prior components holding no lost fragment and no
-// prior image of a dirty vertex, so when prev knows its own component count
-// the answer is that count minus the prior components the edit touched — a
-// search over the dirty region of the prior graph. A prior result without
-// the count (one restored from a durable session) has its copied
-// components walked instead, marking them in seen.
-func (r *editRun) copiedComponents(sc *pipeline.Scratch, seen, dirty []int32) int {
+// prior image of a dirty vertex, so the answer is the prior component count
+// minus the prior components the edit touched — a search over the dirty
+// region of the prior graph. A prior result without the count (one
+// restored from a durable session) counts its graph's components first.
+func (r *editRun) copiedComponents(sc *pipeline.Scratch, dirty []int32) int {
 	prev := r.prev
 	pg := prev.Graph.G
 	var buf []int32
-	if prev.components == 0 && pg.N() > 0 {
-		g := r.ib.dg.G
-		n := 0
-		for v := range seen {
-			if seen[v] == 0 {
-				buf = appendComponent(g, int32(v), seen, buf[:0])
-				n++
-			}
-		}
-		return n
-	}
 	oldSeen := sc.Int32s(pg.N())
 	defer sc.PutInt32s(oldSeen)
+	components := prev.components
+	if components == 0 {
+		components = pg.ComponentCount(oldSeen)
+	}
 	touched := 0
 	touch := func(ov int32) {
 		if oldSeen[ov] == 0 {
@@ -818,7 +810,7 @@ func (r *editRun) copiedComponents(sc *pipeline.Scratch, seen, dirty []int32) in
 			touch(ov)
 		}
 	}
-	return prev.components - touched
+	return components - touched
 }
 
 // appendComponent appends the component of s under conflict ∪ stitch edges

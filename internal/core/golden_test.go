@@ -44,7 +44,7 @@ func TestGoldenTable1Counts(t *testing.T) {
 		t.Skip("golden sweep includes full-scale ILP solves; skipped in -short mode")
 	}
 	for circuit, engines := range goldenCounts {
-		l, err := layout.ReadFile(filepath.Join("..", "..", "benchmarks", circuit+".lay"))
+		l, err := layout.ReadAny(filepath.Join("..", "..", "benchmarks", circuit+".lay"))
 		if err != nil {
 			t.Fatalf("%s: %v (the golden table is pinned to the committed .lay files)", circuit, err)
 		}
@@ -102,7 +102,7 @@ var goldenTable2 = map[string][2]int{
 
 func TestGoldenTable2Counts(t *testing.T) {
 	for circuit, want := range goldenTable2 {
-		l, err := layout.ReadFile(filepath.Join("..", "..", "benchmarks", circuit+".lay"))
+		l, err := layout.ReadAny(filepath.Join("..", "..", "benchmarks", circuit+".lay"))
 		if err != nil {
 			t.Fatalf("%s: %v (the golden table is pinned to the committed .lay files)", circuit, err)
 		}

@@ -66,7 +66,7 @@ func sameSolve(t *testing.T, want, got *Result) {
 
 func committedCircuit(t *testing.T, name string) *Graph {
 	t.Helper()
-	l, err := layout.ReadFile(filepath.Join("..", "..", "benchmarks", name+".lay"))
+	l, err := layout.ReadAny(filepath.Join("..", "..", "benchmarks", name+".lay"))
 	if err != nil {
 		t.Fatalf("%s: %v (pinned to the committed .lay files)", name, err)
 	}

@@ -5,9 +5,9 @@ package core
 //	go test -run '^$' -bench BenchmarkRepeatedSolve -benchmem ./internal/core
 //
 // The "pooled" variant is the production configuration (the process-wide
-// sharedScratch pool); "unpooled" swaps in a pool whose arenas never
-// retain memory — the allocation behavior of the code before the scratch
-// layer existed — so the delta in allocs/op and B/op is the pooling win
+// sharedScratch pool); "unpooled" passes a nil pool, whose nil arenas
+// allocate every buffer fresh — the allocation behavior of the code before
+// the scratch layer existed — so the delta in allocs/op and B/op is the pooling win
 // for a repeated-solve (steady-state serving) loop. CI's bench-smoke job
 // publishes both lines in the workflow summary to make pooling
 // regressions visible per PR (see EXPERIMENTS.md for recorded numbers).
@@ -58,7 +58,7 @@ func benchRepeatedSolve(b *testing.B, pool *pipeline.ScratchPool) {
 
 func BenchmarkRepeatedSolve(b *testing.B) {
 	b.Run("pooled", func(b *testing.B) { benchRepeatedSolve(b, pipeline.NewScratchPool()) })
-	b.Run("unpooled", func(b *testing.B) { benchRepeatedSolve(b, pipeline.NewUnpooledScratchPool()) })
+	b.Run("unpooled", func(b *testing.B) { benchRepeatedSolve(b, nil) })
 }
 
 // BenchmarkRepeatedBuild measures the graph-construction path the serving

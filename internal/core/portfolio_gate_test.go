@@ -38,7 +38,7 @@ func TestAutoNeverWorseThanGoldenBest(t *testing.T) {
 	for circuit, engines := range goldenCounts {
 		circuit, engines := circuit, engines
 		t.Run(circuit, func(t *testing.T) {
-			l, err := layout.ReadFile(filepath.Join("..", "..", "benchmarks", circuit+".lay"))
+			l, err := layout.ReadAny(filepath.Join("..", "..", "benchmarks", circuit+".lay"))
 			if err != nil {
 				t.Fatalf("%s: %v (the gate is pinned to the committed .lay files)", circuit, err)
 			}
@@ -93,7 +93,7 @@ func TestAutoK5NeverWorseThanFixedEngines(t *testing.T) {
 		t.Skip("full-scale committed circuits; skipped in -short mode")
 	}
 	for circuit, want := range goldenAutoK5 {
-		l, err := layout.ReadFile(filepath.Join("..", "..", "benchmarks", circuit+".lay"))
+		l, err := layout.ReadAny(filepath.Join("..", "..", "benchmarks", circuit+".lay"))
 		if err != nil {
 			t.Fatalf("%s: %v (the gate is pinned to the committed .lay files)", circuit, err)
 		}

@@ -245,28 +245,21 @@ func (s *Stats) Add(o Stats) {
 	s.Balance.Merge(o.Balance)
 }
 
-// Decompose divides the graph, colors every piece with solve, and
+// DecomposeEnv divides the graph, colors every piece with solve, and
 // reassembles a full coloring.
-func Decompose(g *graph.Graph, opts Options, solve Solver) ([]int, Stats) {
-	return DecomposeContext(context.Background(), g, opts, solve)
-}
-
-// DecomposeContext is Decompose with cooperative cancellation. Every vertex
-// still receives a valid color: pieces whose solve has not started when ctx
-// is cancelled are colored by the linear-time heuristic (Algorithm 2)
-// instead of the configured engine, and Stats.Fallbacks counts them. In
-// parallel mode the worker pool drains its queued pieces the same way,
-// so a cancelled call returns as soon as in-flight solver calls notice the
-// cancellation rather than after the full queue is solved at full quality.
-func DecomposeContext(ctx context.Context, g *graph.Graph, opts Options, solve Solver) ([]int, Stats) {
-	return DecomposeEnv(ctx, g, opts, Env{}, solve)
-}
-
-// DecomposeEnv is DecomposeContext with an explicit pipeline environment:
-// a scratch pool for per-worker engine arenas and the run's shared
-// parallelism budget. Stats.Stages is tallied either way; the env only
-// decides whether buffers are pooled and whether idle worker slots are
-// handed to nested engine fan-outs.
+//
+// ctx cancels cooperatively. Every vertex still receives a valid color:
+// pieces whose solve has not started when ctx is cancelled are colored by
+// the linear-time heuristic (Algorithm 2) instead of the configured engine,
+// and Stats.Fallbacks counts them. In parallel mode the worker pool drains
+// its queued pieces the same way, so a cancelled call returns as soon as
+// in-flight solver calls notice the cancellation rather than after the full
+// queue is solved at full quality.
+//
+// env is the pipeline environment: a scratch pool for per-worker engine
+// arenas and the run's shared parallelism budget. Stats.Stages is tallied
+// either way; the env only decides whether buffers are pooled and whether
+// idle worker slots are handed to nested engine fan-outs.
 //
 // The peel and the pop run once over g itself, and only the core is cut
 // into pieces. No edge crosses a component and PeelOrder is a FIFO seeded

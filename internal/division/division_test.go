@@ -17,9 +17,14 @@ import (
 // branch-and-bound on the component.
 func exactSolver(k int, alpha float64) Solver {
 	return func(g *graph.Graph, _ *pipeline.Scratch) []int {
-		res := coloring.FromGraph(g).Backtrack(k, alpha, 0)
+		res := coloring.FromGraph(g).BacktrackContext(context.Background(), k, alpha, 0)
 		return res.Colors
 	}
+}
+
+// decompose divides g without cancellation, pooling or a shared budget.
+func decompose(g *graph.Graph, opts Options, solve Solver) ([]int, Stats) {
+	return DecomposeEnv(context.Background(), g, opts, Env{}, solve)
 }
 
 // bruteForce enumerates all k^n colorings for the global optimum.
@@ -83,7 +88,7 @@ func randomGraph(rng *rand.Rand, n, ce, se int) *graph.Graph {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	colors, st := Decompose(graph.NewBuilder(0).Build(nil), Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
+	colors, st := decompose(graph.NewBuilder(0).Build(nil), Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	if len(colors) != 0 || st.Components != 0 {
 		t.Fatalf("empty = %v %+v", colors, st)
 	}
@@ -91,7 +96,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestIsolatedVertices(t *testing.T) {
 	g := graph.NewBuilder(5).Build(nil)
-	colors, st := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
+	colors, st := decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	if err := coloring.Validate(g, colors, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +121,7 @@ func TestFig5ThreeCutRotation(t *testing.T) {
 	}
 	g := b.Build(nil)
 	opts := Options{K: 4, Alpha: 0.1, DisablePeeling: true}
-	colors, st := Decompose(g, opts, exactSolver(4, 0.1))
+	colors, st := decompose(g, opts, exactSolver(4, 0.1))
 	if err := coloring.Validate(g, colors, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +140,7 @@ func TestPeelingHandlesTree(t *testing.T) {
 		b.AddConflict(i, i+1)
 	}
 	g := b.Build(nil)
-	colors, st := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
+	colors, st := decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	if c, _ := coloring.Count(g, colors); c != 0 {
 		t.Fatalf("conflicts = %d", c)
 	}
@@ -161,7 +166,7 @@ func TestBiconnectedAlignment(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	colors, st := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
+	colors, st := decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	if err := coloring.Validate(g, colors, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +188,7 @@ func TestRotationNeverAddsConflict(t *testing.T) {
 		k := 4 + rng.Intn(3)
 		n := 4 + rng.Intn(5)
 		g := randomGraph(rng, n, n+rng.Intn(2*n), rng.Intn(2))
-		colors, _ := Decompose(g, Options{K: k, Alpha: alpha}, exactSolver(k, alpha))
+		colors, _ := decompose(g, Options{K: k, Alpha: alpha}, exactSolver(k, alpha))
 		if err := coloring.Validate(g, colors, k); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -216,7 +221,7 @@ func TestAblationSwitches(t *testing.T) {
 		{K: 4, Alpha: 0.1, DisableGHTree: true},
 		{K: 4, Alpha: 0.1, DisablePeeling: true, DisableBiconnected: true, DisableGHTree: true},
 	} {
-		colors, _ := Decompose(g, opt, exactSolver(4, 0.1))
+		colors, _ := decompose(g, opt, exactSolver(4, 0.1))
 		if err := coloring.Validate(g, colors, 4); err != nil {
 			t.Fatalf("opts %+v: %v", opt, err)
 		}
@@ -244,7 +249,7 @@ func TestGHTreeMaxNCap(t *testing.T) {
 		}
 		return exactSolver(4, 0.1)(sub, sc)
 	}
-	if _, st := Decompose(g, opts, solver); st.GHComponents != 0 {
+	if _, st := decompose(g, opts, solver); st.GHComponents != 0 {
 		t.Fatalf("GH ran despite cap: %+v", st)
 	}
 	if maxSeen != 6 {
@@ -260,7 +265,7 @@ func TestStitchEdgesSurviveDivision(t *testing.T) {
 	b.AddConflict(2, 3)
 	b.AddStitch(1, 2)
 	g := b.Build(nil)
-	colors, _ := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
+	colors, _ := decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	c, s := coloring.Count(g, colors)
 	if c != 0 || s != 0 {
 		t.Fatalf("conflicts=%d stitches=%d colors=%v, want clean", c, s, colors)
@@ -273,7 +278,7 @@ func TestBadKPanics(t *testing.T) {
 			t.Fatal("K=0 did not panic")
 		}
 	}()
-	Decompose(graph.NewBuilder(1).Build(nil), Options{K: 0}, exactSolver(4, 0.1))
+	decompose(graph.NewBuilder(1).Build(nil), Options{K: 0}, exactSolver(4, 0.1))
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
@@ -284,8 +289,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 30 + rng.Intn(60)
 		g := randomGraph(rng, n, n, n/4)
-		serial, sst := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
-		par, pst := Decompose(g, Options{K: 4, Alpha: 0.1, Workers: 4}, exactSolver(4, 0.1))
+		serial, sst := decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
+		par, pst := decompose(g, Options{K: 4, Alpha: 0.1, Workers: 4}, exactSolver(4, 0.1))
 		for v := range serial {
 			if serial[v] != par[v] {
 				t.Fatalf("trial %d: vertex %d: serial %d, parallel %d", trial, v, serial[v], par[v])
@@ -307,7 +312,7 @@ func TestParallelRace(t *testing.T) {
 		b.AddConflict(i+3, i)
 	}
 	g := b.Build(nil)
-	colors, st := Decompose(g, Options{K: 4, Alpha: 0.1, Workers: 8}, exactSolver(4, 0.1))
+	colors, st := decompose(g, Options{K: 4, Alpha: 0.1, Workers: 8}, exactSolver(4, 0.1))
 	if err := coloring.Validate(g, colors, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -352,9 +357,9 @@ func TestLPTDispatchMatchesDiscoveryOrder(t *testing.T) {
 		first = clique + k + 1
 	}
 	g := b.Build(nil)
-	serial, _ := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
+	serial, _ := decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	for _, workers := range []int{1, 2, 8} {
-		colors, st := Decompose(g, Options{K: 4, Alpha: 0.1, Workers: workers}, exactSolver(4, 0.1))
+		colors, st := decompose(g, Options{K: 4, Alpha: 0.1, Workers: workers}, exactSolver(4, 0.1))
 		for v := range serial {
 			if colors[v] != serial[v] {
 				t.Fatalf("workers=%d: vertex %d: got %d, want %d", workers, v, colors[v], serial[v])
@@ -557,7 +562,7 @@ func TestStageTelemetry(t *testing.T) {
 		b.AddConflict(tail, tail+1)
 	}
 	g := b.Build(nil)
-	_, st := Decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
+	_, st := decompose(g, Options{K: 4, Alpha: 0.1}, exactSolver(4, 0.1))
 	for _, name := range []string{pipeline.StageSimplify, pipeline.StagePartition, pipeline.StageDispatch} {
 		if st.Stages[name].Calls == 0 {
 			t.Errorf("stage %q not recorded: %+v", name, st.Stages)
@@ -587,14 +592,14 @@ func TestCancelledContextFallsBackToLinear(t *testing.T) {
 		return make([]int, sub.N())
 	}
 	// Peeling is disabled so every component reaches the solver stage.
-	serial, sst := DecomposeContext(ctx, g, Options{K: 4, Alpha: 0.1, DisablePeeling: true}, engine)
+	serial, sst := DecomposeEnv(ctx, g, Options{K: 4, Alpha: 0.1, DisablePeeling: true}, Env{}, engine)
 	if err := coloring.Validate(g, serial, 4); err != nil {
 		t.Fatal(err)
 	}
 	if sst.Fallbacks == 0 || sst.SolverCalls != 0 {
 		t.Fatalf("expected all-fallback stats, got %+v", sst)
 	}
-	par, pst := DecomposeContext(ctx, g, Options{K: 4, Alpha: 0.1, DisablePeeling: true, Workers: 4}, engine)
+	par, pst := DecomposeEnv(ctx, g, Options{K: 4, Alpha: 0.1, DisablePeeling: true, Workers: 4}, Env{}, engine)
 	if !statsEqualIgnoringTime(sst, pst) {
 		t.Fatalf("serial stats %+v != parallel stats %+v", sst, pst)
 	}
@@ -625,10 +630,10 @@ func TestWorkerPoolDrainsOnCancel(t *testing.T) {
 		if calls.Add(1) == 5 {
 			cancel()
 		}
-		res := coloring.FromGraph(sub).Backtrack(4, 0.1, 0)
+		res := coloring.FromGraph(sub).BacktrackContext(context.Background(), 4, 0.1, 0)
 		return res.Colors
 	}
-	colors, st := DecomposeContext(ctx, g, Options{K: 4, Alpha: 0.1, Workers: 4}, engine)
+	colors, st := DecomposeEnv(ctx, g, Options{K: 4, Alpha: 0.1, Workers: 4}, Env{}, engine)
 	if err := coloring.Validate(g, colors, 4); err != nil {
 		t.Fatal(err)
 	}

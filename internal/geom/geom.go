@@ -18,9 +18,6 @@ type Point struct {
 	X, Y int
 }
 
-// Add returns p translated by (dx, dy).
-func (p Point) Add(dx, dy int) Point { return Point{p.X + dx, p.Y + dy} }
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
 
@@ -30,17 +27,6 @@ func (p Point) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
 // X0 < X1 and Y0 < Y1.
 type Rect struct {
 	X0, Y0, X1, Y1 int
-}
-
-// NewRect returns the rectangle spanning the two corner points in any order.
-func NewRect(x0, y0, x1, y1 int) Rect {
-	if x0 > x1 {
-		x0, x1 = x1, x0
-	}
-	if y0 > y1 {
-		y0, y1 = y1, y0
-	}
-	return Rect{x0, y0, x1, y1}
 }
 
 // Valid reports whether the rectangle has positive width and height.
@@ -69,16 +55,6 @@ func (r Rect) Expand(d int) Rect {
 	return Rect{r.X0 - d, r.Y0 - d, r.X1 + d, r.Y1 + d}
 }
 
-// Contains reports whether p lies inside r (half-open).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.X0 && p.X < r.X1 && p.Y >= r.Y0 && p.Y < r.Y1
-}
-
-// Intersects reports whether the two rectangles share interior area.
-func (r Rect) Intersects(o Rect) bool {
-	return r.X0 < o.X1 && o.X0 < r.X1 && r.Y0 < o.Y1 && o.Y0 < r.Y1
-}
-
 // Touches reports whether the rectangles share at least a boundary point
 // (including corner contact) or overlap.
 func (r Rect) Touches(o Rect) bool {
@@ -90,15 +66,6 @@ func (r Rect) Union(o Rect) Rect {
 	return Rect{
 		min(r.X0, o.X0), min(r.Y0, o.Y0),
 		max(r.X1, o.X1), max(r.Y1, o.Y1),
-	}
-}
-
-// Intersection returns the overlapping region; the result is invalid
-// (Width or Height <= 0) when the rectangles do not overlap.
-func (r Rect) Intersection(o Rect) Rect {
-	return Rect{
-		max(r.X0, o.X0), max(r.Y0, o.Y0),
-		min(r.X1, o.X1), min(r.Y1, o.Y1),
 	}
 }
 
@@ -130,9 +97,6 @@ func GapSq(a, b Rect) int64 {
 	dy := int64(axisGap(a.Y0, a.Y1, b.Y0, b.Y1))
 	return dx*dx + dy*dy
 }
-
-// Gap returns the Euclidean gap distance between two rectangles as a float.
-func Gap(a, b Rect) float64 { return math.Sqrt(float64(GapSq(a, b))) }
 
 // Polygon is a rectilinear shape stored as a union of rectangles. The
 // rectangles may touch but should not overlap; layout readers and the

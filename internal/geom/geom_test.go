@@ -7,17 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestNewRectNormalizes(t *testing.T) {
-	r := NewRect(10, 20, 0, 5)
-	want := Rect{0, 5, 10, 20}
-	if r != want {
-		t.Fatalf("NewRect = %v, want %v", r, want)
-	}
-	if !r.Valid() {
-		t.Fatalf("normalized rect should be valid")
-	}
-}
-
 func TestRectValid(t *testing.T) {
 	cases := []struct {
 		r    Rect
@@ -61,31 +50,18 @@ func TestRectTranslateExpand(t *testing.T) {
 	}
 }
 
-func TestRectContains(t *testing.T) {
-	r := Rect{0, 0, 10, 10}
-	if !r.Contains(Point{0, 0}) {
-		t.Error("lower-left corner should be contained (half-open)")
-	}
-	if r.Contains(Point{10, 5}) {
-		t.Error("upper edge should be excluded (half-open)")
-	}
-}
-
 func TestIntersectsTouches(t *testing.T) {
 	a := Rect{0, 0, 10, 10}
 	cases := []struct {
-		b                 Rect
-		intersects, touch bool
+		b     Rect
+		touch bool
 	}{
-		{Rect{5, 5, 15, 15}, true, true},    // overlap
-		{Rect{10, 0, 20, 10}, false, true},  // shared edge
-		{Rect{10, 10, 20, 20}, false, true}, // shared corner
-		{Rect{11, 0, 20, 10}, false, false}, // 1 unit apart
+		{Rect{5, 5, 15, 15}, true},   // overlap
+		{Rect{10, 0, 20, 10}, true},  // shared edge
+		{Rect{10, 10, 20, 20}, true}, // shared corner
+		{Rect{11, 0, 20, 10}, false}, // 1 unit apart
 	}
 	for _, c := range cases {
-		if got := a.Intersects(c.b); got != c.intersects {
-			t.Errorf("Intersects(%v) = %v, want %v", c.b, got, c.intersects)
-		}
 		if got := a.Touches(c.b); got != c.touch {
 			t.Errorf("Touches(%v) = %v, want %v", c.b, got, c.touch)
 		}
@@ -98,12 +74,8 @@ func TestUnionIntersection(t *testing.T) {
 	if got := a.Union(b); got != (Rect{0, 0, 8, 4}) {
 		t.Fatalf("Union = %v", got)
 	}
-	if got := a.Intersection(b); got != (Rect{2, 2, 4, 3}) {
-		t.Fatalf("Intersection = %v", got)
-	}
-	far := Rect{100, 100, 101, 101}
-	if a.Intersection(far).Valid() {
-		t.Fatalf("disjoint intersection must be invalid")
+	if got := b.Union(a); got != (Rect{0, 0, 8, 4}) {
+		t.Fatalf("Union is not symmetric: %v", got)
 	}
 }
 
@@ -123,9 +95,6 @@ func TestGapSq(t *testing.T) {
 		if got := GapSq(a, c.b); got != c.want {
 			t.Errorf("GapSq(%v) = %d, want %d", c.b, got, c.want)
 		}
-	}
-	if g := Gap(a, Rect{13, 14, 20, 20}); math.Abs(g-5) > 1e-12 {
-		t.Errorf("Gap = %v, want 5", g)
 	}
 }
 
@@ -235,9 +204,6 @@ func TestPointString(t *testing.T) {
 	if got := (Point{3, -4}).String(); got != "(3,-4)" {
 		t.Fatalf("String = %q", got)
 	}
-	if got := (Point{1, 2}).Add(2, 3); got != (Point{3, 5}) {
-		t.Fatalf("Add = %v", got)
-	}
 	if got := (Rect{0, 0, 1, 2}).String(); got != "[0,0 1,2]" {
 		t.Fatalf("Rect.String = %q", got)
 	}
@@ -258,17 +224,6 @@ func TestUnionContainsBoth(t *testing.T) {
 				return false
 			}
 		}
-		// Intersection, when valid, lies inside both.
-		if iv := a.Intersection(b); iv.Valid() {
-			if !a.Intersects(b) {
-				return false
-			}
-			if iv.X0 < a.X0 || iv.X1 > a.X1 || iv.X0 < b.X0 || iv.X1 > b.X1 {
-				return false
-			}
-		} else if a.Intersects(b) {
-			return false
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -286,8 +241,9 @@ func TestGapTriangleInequality(t *testing.T) {
 			return Rect{x, y, x + 1 + rng.Intn(40), y + 1 + rng.Intn(40)}
 		}
 		a, b, c := mk(), mk(), mk()
+		gap := func(p, q Rect) float64 { return math.Sqrt(float64(GapSq(p, q))) }
 		diam := math.Hypot(float64(b.Width()), float64(b.Height()))
-		if Gap(a, c) > Gap(a, b)+diam+Gap(b, c)+1e-9 {
+		if gap(a, c) > gap(a, b)+diam+gap(b, c)+1e-9 {
 			t.Fatalf("triangle violated for %v %v %v", a, b, c)
 		}
 	}

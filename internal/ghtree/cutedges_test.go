@@ -15,7 +15,7 @@ func TestCutEdgesBelowWeightOrdering(t *testing.T) {
 	b.AddConflict(1, 2)
 	b.AddConflict(2, 3)
 	g := b.Build(nil)
-	tr := BuildFromConflictGraph(g)
+	tr := fromConflicts(g)
 	cuts := tr.CutEdgesBelowWeight(4)
 	if len(cuts) != 3 {
 		t.Fatalf("cuts = %v, want 3", cuts)
@@ -44,7 +44,7 @@ func TestSubtreeMaskProperties(t *testing.T) {
 		b.AddConflict(0, v)
 	}
 	g := b.Build(nil)
-	tr := BuildFromConflictGraph(g)
+	tr := fromConflicts(g)
 	for v := 0; v < 5; v++ {
 		if tr.Parent[v] < 0 {
 			continue
@@ -77,7 +77,7 @@ func rootOf(t *Tree, v int) int {
 
 func TestWeightedParallelEdgesAccumulate(t *testing.T) {
 	// Two parallel unit edges between 0 and 1 behave like capacity 2.
-	tr := Build(2, []WeightedEdge{{U: 0, V: 1, W: 1}, {U: 0, V: 1, W: 1}})
+	tr := build(2, []WeightedEdge{{U: 0, V: 1, W: 1}, {U: 0, V: 1, W: 1}})
 	if got := tr.MinCut(0, 1); got != 2 {
 		t.Fatalf("parallel-edge min cut = %d, want 2", got)
 	}
@@ -90,7 +90,7 @@ func TestLargeCycleAllCutsTwo(t *testing.T) {
 		b.AddConflict(i, (i+1)%n)
 	}
 	g := b.Build(nil)
-	tr := BuildFromConflictGraph(g)
+	tr := fromConflicts(g)
 	for v := 1; v < n; v++ {
 		if got := tr.MinCut(0, v); got != 2 {
 			t.Fatalf("cycle min cut (0,%d) = %d, want 2", v, got)

@@ -52,14 +52,11 @@ type node struct {
 	w   []int64
 }
 
-// Build constructs the Gomory–Hu cut tree of the weighted undirected graph
-// given as an edge list over n vertices. Vertices in different connected
-// components are joined by weight-0 tree edges, consistent with their
-// minimum cut being 0. Parallel edges are allowed and their capacities add.
-func Build(n int, edges []WeightedEdge) *Tree {
-	return buildCtx(nil, n, edges, nil)
-}
-
+// buildCtx constructs the Gomory–Hu cut tree of the weighted undirected
+// graph given as an edge list over n vertices. Vertices in different
+// connected components are joined by weight-0 tree edges, consistent with
+// their minimum cut being 0. Parallel edges are allowed and their
+// capacities add. It returns nil once done is closed.
 func buildCtx(done <-chan struct{}, n int, edges []WeightedEdge, sc *pipeline.Scratch) *Tree {
 	t := &Tree{Parent: make([]int, n), Weight: make([]int64, n)}
 	if n == 0 {
@@ -240,23 +237,18 @@ func buildCtx(done <-chan struct{}, n int, edges []WeightedEdge, sc *pipeline.Sc
 	return t
 }
 
-// BuildFromConflictGraph builds the tree over the conflict edges of a
+// BuildFromConflictGraphScratch builds the tree over the conflict edges of a
 // decomposition graph, each with unit capacity — the configuration used by
-// the paper's 3-cut (general (K−1)-cut) detection.
-func BuildFromConflictGraph(g *graph.Graph) *Tree {
-	return Build(g.N(), conflictEdges(g))
-}
-
-// BuildFromConflictGraphScratch is BuildFromConflictGraph with cooperative
-// cancellation and pooled workspace. ctx is polled before each of the n−1
-// max-flow computations (the dominant cost on large blocks), and the
-// function returns nil when cancelled before the tree is complete: a
-// partial contraction tree is not a cut tree, so no partial result exists.
-// The contraction maps and max-flow networks of those flow computations are
-// carved from the worker's scratch arena (nil-safe) — the division
-// pipeline's Partition stage calls this once per GH-divided block, and
-// without pooling those throwaway networks dominate the whole solve's
-// allocation profile. The resulting tree is identical.
+// the paper's 3-cut (general (K−1)-cut) detection. ctx is polled before
+// each of the n−1 max-flow computations (the dominant cost on large
+// blocks), and the function returns nil when cancelled before the tree is
+// complete: a partial contraction tree is not a cut tree, so no partial
+// result exists. The contraction maps and max-flow networks of those flow
+// computations are carved from the worker's scratch arena (nil-safe) — the
+// division pipeline's Partition stage calls this once per GH-divided block,
+// and without pooling those throwaway networks dominate the whole solve's
+// allocation profile. A nil arena allocates fresh memory; the tree is
+// identical either way.
 func BuildFromConflictGraphScratch(ctx context.Context, g *graph.Graph, sc *pipeline.Scratch) *Tree {
 	return buildCtx(ctx.Done(), g.N(), conflictEdges(g), sc)
 }

@@ -12,6 +12,25 @@ import (
 	"mpl/internal/pipeline"
 )
 
+// build is the cut tree of an edge list, without cancellation or arena.
+func build(n int, edges []WeightedEdge) *Tree { return buildCtx(nil, n, edges, nil) }
+
+// fromConflicts is the cut tree of g's unit-capacity conflict edges.
+func fromConflicts(g *graph.Graph) *Tree {
+	return BuildFromConflictGraphScratch(context.Background(), g, nil)
+}
+
+// maxFlow is a fresh u–v max flow over the undirected edges.
+func maxFlow(n int, edges []WeightedEdge, u, v int) int64 {
+	us := make([]int32, len(edges))
+	vs := make([]int32, len(edges))
+	ws := make([]int64, len(edges))
+	for i, e := range edges {
+		us[i], vs[i], ws[i] = int32(e.U), int32(e.V), e.W
+	}
+	return maxflow.BuildUndirected(n, us, vs, ws, nil).MaxFlow(u, v)
+}
+
 func TestFig6GHTree(t *testing.T) {
 	// Fig. 6(a): decomposition graph on vertices a..e (0..4).
 	// a-b-c form a triangle-ish dense left part, d, e hang off c.
@@ -27,14 +46,14 @@ func TestFig6GHTree(t *testing.T) {
 		b.AddConflict(e[0], e[1])
 	}
 	g := b.Build(nil)
-	tr := BuildFromConflictGraph(g)
+	tr := fromConflicts(g)
 	for u := 0; u < 5; u++ {
 		for v := u + 1; v < 5; v++ {
-			nw := maxflow.NewNetwork(5)
+			var wedges []WeightedEdge
 			for _, e := range edges {
-				nw.AddUndirectedEdge(e[0], e[1], 1)
+				wedges = append(wedges, WeightedEdge{U: e[0], V: e[1], W: 1})
 			}
-			want := nw.MaxFlow(u, v)
+			want := maxFlow(5, wedges, u, v)
 			if got := tr.MinCut(u, v); got != want {
 				t.Errorf("MinCut(%d,%d) = %d, want %d", u, v, got, want)
 			}
@@ -49,11 +68,11 @@ func TestFig6GHTree(t *testing.T) {
 }
 
 func TestSingleAndEmpty(t *testing.T) {
-	tr := Build(0, nil)
+	tr := build(0, nil)
 	if tr.N() != 0 {
 		t.Fatalf("empty tree N = %d", tr.N())
 	}
-	tr = Build(1, nil)
+	tr = build(1, nil)
 	if tr.N() != 1 || tr.Parent[0] != -1 {
 		t.Fatalf("singleton tree = %+v", tr)
 	}
@@ -64,7 +83,7 @@ func TestSingleAndEmpty(t *testing.T) {
 }
 
 func TestDisconnectedGraph(t *testing.T) {
-	tr := Build(4, []WeightedEdge{{U: 0, V: 1, W: 5}, {U: 2, V: 3, W: 7}})
+	tr := build(4, []WeightedEdge{{U: 0, V: 1, W: 5}, {U: 2, V: 3, W: 7}})
 	if got := tr.MinCut(0, 1); got != 5 {
 		t.Fatalf("MinCut(0,1) = %d", got)
 	}
@@ -83,7 +102,7 @@ func TestMinCutSelfPanics(t *testing.T) {
 			t.Fatal("MinCut(v,v) did not panic")
 		}
 	}()
-	Build(2, []WeightedEdge{{U: 0, V: 1, W: 1}}).MinCut(1, 1)
+	build(2, []WeightedEdge{{U: 0, V: 1, W: 1}}).MinCut(1, 1)
 }
 
 func TestComponentsBelowWeightK5(t *testing.T) {
@@ -96,7 +115,7 @@ func TestComponentsBelowWeightK5(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	tr := BuildFromConflictGraph(g)
+	tr := fromConflicts(g)
 	whole := tr.ComponentsBelowWeight(4)
 	if len(whole) != 1 || len(whole[0]) != 5 {
 		t.Fatalf("K5 at minWeight 4 = %v", whole)
@@ -115,7 +134,7 @@ func TestFig5ThreeCutSplits(t *testing.T) {
 		b.AddConflict(e[0], e[1])
 	}
 	g := b.Build(nil)
-	tr := BuildFromConflictGraph(g)
+	tr := fromConflicts(g)
 	if got := tr.MinCut(0, 3); got != 3 {
 		t.Fatalf("cross min cut = %d, want 3", got)
 	}
@@ -156,14 +175,10 @@ func TestAllPairsMinCutProperty(t *testing.T) {
 			}
 			edges = append(edges, WeightedEdge{U: u, V: v, W: int64(1 + rng.Intn(4))})
 		}
-		tr := Build(n, edges)
+		tr := build(n, edges)
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
-				nw := maxflow.NewNetwork(n)
-				for _, e := range edges {
-					nw.AddUndirectedEdge(e.U, e.V, e.W)
-				}
-				if tr.MinCut(u, v) != nw.MaxFlow(u, v) {
+				if tr.MinCut(u, v) != maxFlow(n, edges, u, v) {
 					return false
 				}
 			}
@@ -191,7 +206,7 @@ func TestCutTreeProperty(t *testing.T) {
 			}
 			edges = append(edges, WeightedEdge{U: u, V: v, W: int64(1 + rng.Intn(3))})
 		}
-		tr := Build(n, edges)
+		tr := build(n, edges)
 		for v := 1; v < n; v++ {
 			// Bipartition: subtree under v vs rest.
 			inSub := make([]bool, n)
@@ -231,7 +246,7 @@ func TestComponentsPartition(t *testing.T) {
 				edges = append(edges, WeightedEdge{U: u, V: v, W: int64(1 + rng.Intn(5))})
 			}
 		}
-		tr := Build(n, edges)
+		tr := build(n, edges)
 		for _, mw := range []int64{1, 2, 4, 100} {
 			seen := make([]bool, n)
 			for _, c := range tr.ComponentsBelowWeight(mw) {
@@ -271,7 +286,7 @@ func TestBuildScratchIdenticalTree(t *testing.T) {
 			}
 		}
 		g := b.Build(nil)
-		ref := BuildFromConflictGraph(g)
+		ref := BuildFromConflictGraphScratch(context.Background(), g, nil)
 		got := BuildFromConflictGraphScratch(context.Background(), g, sc)
 		if !reflect.DeepEqual(ref.Parent, got.Parent) || !reflect.DeepEqual(ref.Weight, got.Weight) {
 			t.Fatalf("trial %d: scratch tree differs:\nref %v / %v\ngot %v / %v", trial, ref.Parent, ref.Weight, got.Parent, got.Weight)

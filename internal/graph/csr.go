@@ -66,9 +66,6 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
-// N returns the vertex count the builder was created with.
-func (b *Builder) N() int { return b.n }
-
 // checkPair range-checks an edge as ints, before any narrowing to int32
 // could alias an out-of-range id onto a real vertex.
 func (b *Builder) checkPair(u, v int) {

@@ -80,15 +80,6 @@ func (g *Graph) HasConflict(u, v int) bool {
 	return found
 }
 
-// HasStitch reports whether {u,v} is a stitch edge.
-func (g *Graph) HasStitch(u, v int) bool {
-	if u < 0 || v < 0 || u >= g.n || v >= g.n || u == v {
-		return false
-	}
-	_, found := slices.BinarySearch(g.stit.row(u), int32(v))
-	return found
-}
-
 // ConflictDegree returns dconf(v), the number of conflict edges at v.
 func (g *Graph) ConflictDegree(v int) int { return len(g.conf.row(v)) }
 

@@ -30,11 +30,11 @@ func TestAddAndQueryEdges(t *testing.T) {
 	if g.HasConflict(0, 2) || g.HasConflict(0, 0) || g.HasConflict(-1, 2) {
 		t.Fatal("HasConflict phantom edge")
 	}
-	if !g.HasStitch(2, 1) {
-		t.Fatal("HasStitch missing edge")
+	if got := g.StitchNeighbors(2); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("StitchNeighbors(2) = %v, want [1]", got)
 	}
-	if g.HasStitch(0, 1) || g.HasStitch(1, 1) || g.HasStitch(2, 4) {
-		t.Fatal("HasStitch phantom edge")
+	if got := g.StitchNeighbors(0); len(got) != 0 {
+		t.Fatalf("StitchNeighbors(0) = %v, want none", got)
 	}
 	if g.ConflictEdgeCount() != 1 || g.StitchEdgeCount() != 1 {
 		t.Fatalf("edge counts = %d/%d", g.ConflictEdgeCount(), g.StitchEdgeCount())

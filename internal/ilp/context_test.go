@@ -13,7 +13,7 @@ import (
 // the search must branch — enough work that cancellation has something to
 // interrupt.
 func triangleCover() *Problem {
-	p := NewBinaryProblem(3)
+	p := binaryProblem(3)
 	p.LP.Objective = []float64{1, 1, 1}
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
 		p.LP.AddConstraint(lp.GE, 1, lp.Term{Var: e[0], Coef: 1}, lp.Term{Var: e[1], Coef: 1})
@@ -28,7 +28,7 @@ func triangleCover() *Problem {
 func TestSolveContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := SolveContext(ctx, triangleCover(), Options{})
+	r := SolveContext(ctx, triangleCover())
 	if r.Status != TimedOut {
 		t.Fatalf("status = %v, want timed-out for a pre-cancelled context", r.Status)
 	}
@@ -38,30 +38,33 @@ func TestSolveContextPreCancelled(t *testing.T) {
 }
 
 // TestSolveContextDeadline: an already-expired deadline behaves like the
-// pre-cancelled case — the ctx path, not the TimeLimit path, stops it.
+// pre-cancelled case.
 func TestSolveContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	r := SolveContext(ctx, triangleCover(), Options{})
+	r := SolveContext(ctx, triangleCover())
 	if r.Status == Optimal {
 		t.Fatalf("status = %v under an expired deadline", r.Status)
 	}
 }
 
-// TestSolveMatchesSolveContext: the compatibility wrapper must be exactly
-// SolveContext under a background context — same status, objective, and
-// assignment, byte for byte the contract the golden tests assume.
+// TestSolveMatchesSolveContext: a deadline that does not expire must not
+// perturb the search — the same status, objective, node count and
+// assignment as a background context, byte for byte the contract the
+// golden tests assume now that the ILP budget is a context deadline.
 func TestSolveMatchesSolveContext(t *testing.T) {
 	build := func() *Problem {
-		p := NewBinaryProblem(3)
+		p := binaryProblem(3)
 		p.LP.Objective = []float64{-10, -13, -7}
 		p.LP.AddConstraint(lp.LE, 6, lp.Term{Var: 0, Coef: 3}, lp.Term{Var: 1, Coef: 4}, lp.Term{Var: 2, Coef: 2})
 		return p
 	}
-	a := Solve(build(), Options{})
-	b := SolveContext(context.Background(), build(), Options{})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	a := SolveContext(ctx, build())
+	b := SolveContext(context.Background(), build())
 	if a.Status != b.Status || math.Abs(a.Obj-b.Obj) > 1e-12 || a.Nodes != b.Nodes {
-		t.Fatalf("Solve %+v != SolveContext %+v", a, b)
+		t.Fatalf("under a deadline %+v != background %+v", a, b)
 	}
 	for i := range a.X {
 		if a.X[i] != b.X[i] {
@@ -75,7 +78,7 @@ func TestSolveMatchesSolveContext(t *testing.T) {
 func TestSolveContextUncancelledIsExact(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	r := SolveContext(ctx, triangleCover(), Options{})
+	r := SolveContext(ctx, triangleCover())
 	if r.Status != Optimal || math.Abs(r.Obj-2) > 1e-6 {
 		t.Fatalf("r = %+v, want proven cover of size 2", r)
 	}

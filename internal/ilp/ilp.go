@@ -2,14 +2,13 @@
 // branch-and-bound over LP relaxations (package lp). It substitutes for the
 // GUROBI solver the DAC'14 paper uses for its exact ILP baseline: exact when
 // it finishes, and — like the paper's Table 1, where the four largest cases
-// report "N/A (>3600s)" — it honors a wall-clock budget and reports whether
-// the incumbent is proven optimal.
+// report "N/A (>3600s)" — it honors a wall-clock budget, given as a context
+// deadline, and reports whether the incumbent is proven optimal.
 package ilp
 
 import (
 	"context"
 	"math"
-	"time"
 
 	"mpl/internal/lp"
 )
@@ -21,22 +20,6 @@ type Problem struct {
 	Binary []bool // len == LP.NumVars
 }
 
-// NewBinaryProblem returns a problem whose variables are all binary.
-func NewBinaryProblem(numVars int) *Problem {
-	return &Problem{
-		LP:     lp.Problem{NumVars: numVars, Objective: make([]float64, numVars)},
-		Binary: makeTrue(numVars),
-	}
-}
-
-func makeTrue(n int) []bool {
-	b := make([]bool, n)
-	for i := range b {
-		b[i] = true
-	}
-	return b
-}
-
 // Status describes the solve outcome.
 type Status int
 
@@ -44,12 +27,13 @@ type Status int
 const (
 	// Optimal means the incumbent is proven optimal.
 	Optimal Status = iota
-	// Feasible means the time budget expired with an incumbent that is
-	// feasible but not proven optimal.
+	// Feasible means the context ended the search with an incumbent that
+	// is feasible but not proven optimal.
 	Feasible
 	// Infeasible means the problem has no integer solution.
 	Infeasible
-	// TimedOut means the budget expired before any integer solution was found.
+	// TimedOut means the context ended the search before any integer
+	// solution was found.
 	TimedOut
 )
 
@@ -75,41 +59,20 @@ type Result struct {
 	Nodes  int // explored branch-and-bound nodes
 }
 
-// Options tunes the search.
-type Options struct {
-	// TimeLimit bounds wall-clock time; zero means no limit.
-	TimeLimit time.Duration
-	// MaxNodes bounds explored nodes; zero means no limit.
-	MaxNodes int
-}
-
 const intTol = 1e-6
 
-// Solve is SolveContext without cancellation (budget limits still apply).
-func Solve(p *Problem, opts Options) Result {
-	return SolveContext(context.Background(), p, opts)
-}
-
-// SolveContext runs best-effort exact branch-and-bound. ctx cancels the
-// search cooperatively: the incumbent at cancellation time is returned
-// with a Feasible (or TimedOut) status, the same contract as an expired
-// TimeLimit.
-func SolveContext(ctx context.Context, p *Problem, opts Options) Result {
+// SolveContext runs best-effort exact branch-and-bound. ctx is the budget:
+// it is polled before every node, and on cancellation or deadline expiry
+// the incumbent is returned with a Feasible status (TimedOut when there is
+// none).
+func SolveContext(ctx context.Context, p *Problem) Result {
 	if len(p.Binary) != p.LP.NumVars {
 		panic("ilp: Binary mask length mismatch")
 	}
 	s := &searcher{
 		prob:    p,
-		maxNode: opts.MaxNodes,
 		bestObj: math.Inf(1),
 		done:    ctx.Done(),
-	}
-	if opts.TimeLimit > 0 {
-		// Budget expiry is not a determinism hazard: it is surfaced as
-		// Status TimedOut/Feasible, which callers map to Proven=false —
-		// never as silently different bytes under a "solved" label.
-		//lint:ignore determinism wall-clock TimeLimit is surfaced via Status (Proven=false), not output bytes
-		s.deadline = time.Now().Add(opts.TimeLimit)
 	}
 
 	// Box constraints x_j <= 1 for binary variables, shared by every node.
@@ -138,23 +101,17 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) Result {
 }
 
 type searcher struct {
-	prob     *Problem
-	base     lp.Problem
-	deadline time.Time
-	done     <-chan struct{}
-	maxNode  int
-	nodes    int
-	bestObj  float64
-	bestX    []float64
-	stopped  bool
+	prob    *Problem
+	base    lp.Problem
+	done    <-chan struct{}
+	nodes   int
+	bestObj float64
+	bestX   []float64
+	stopped bool
 }
 
 func (s *searcher) timeUp() bool {
 	if s.stopped {
-		return true
-	}
-	if s.maxNode > 0 && s.nodes >= s.maxNode {
-		s.stopped = true
 		return true
 	}
 	if s.done != nil {
@@ -164,12 +121,6 @@ func (s *searcher) timeUp() bool {
 			return true
 		default:
 		}
-	}
-	// Check the clock sparingly.
-	//lint:ignore determinism deadline expiry sets stopped, surfaced as TimedOut/Feasible (Proven=false), never as different bytes under Optimal
-	if !s.deadline.IsZero() && s.nodes%16 == 0 && time.Now().After(s.deadline) {
-		s.stopped = true
-		return true
 	}
 	return false
 }

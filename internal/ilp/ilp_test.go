@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,13 +10,28 @@ import (
 	"mpl/internal/lp"
 )
 
+// binaryProblem returns a problem whose variables are all binary.
+func binaryProblem(numVars int) *Problem {
+	p := &Problem{
+		LP:     lp.Problem{NumVars: numVars, Objective: make([]float64, numVars)},
+		Binary: make([]bool, numVars),
+	}
+	for i := range p.Binary {
+		p.Binary[i] = true
+	}
+	return p
+}
+
+// solve runs the search with no deadline.
+func solve(p *Problem) Result { return SolveContext(context.Background(), p) }
+
 func TestKnapsack(t *testing.T) {
 	// max 10a + 13b + 7c s.t. 3a + 4b + 2c <= 6  → a=1,c=1 (17) vs b=1,c=1 (20).
 	// Best: b + c = 20. Minimize the negation.
-	p := NewBinaryProblem(3)
+	p := binaryProblem(3)
 	p.LP.Objective = []float64{-10, -13, -7}
 	p.LP.AddConstraint(lp.LE, 6, lp.Term{Var: 0, Coef: 3}, lp.Term{Var: 1, Coef: 4}, lp.Term{Var: 2, Coef: 2})
-	r := Solve(p, Options{})
+	r := solve(p)
 	if r.Status != Optimal {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -28,21 +44,21 @@ func TestKnapsack(t *testing.T) {
 }
 
 func TestInfeasibleILP(t *testing.T) {
-	p := NewBinaryProblem(2)
+	p := binaryProblem(2)
 	p.LP.AddConstraint(lp.GE, 3, lp.Term{Var: 0, Coef: 1}, lp.Term{Var: 1, Coef: 1})
-	if r := Solve(p, Options{}); r.Status != Infeasible {
+	if r := solve(p); r.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", r.Status)
 	}
 }
 
 func TestEqualityILP(t *testing.T) {
 	// Exactly two of four variables, minimizing weights.
-	p := NewBinaryProblem(4)
+	p := binaryProblem(4)
 	p.LP.Objective = []float64{5, 1, 3, 2}
 	p.LP.AddConstraint(lp.EQ, 2,
 		lp.Term{Var: 0, Coef: 1}, lp.Term{Var: 1, Coef: 1},
 		lp.Term{Var: 2, Coef: 1}, lp.Term{Var: 3, Coef: 1})
-	r := Solve(p, Options{})
+	r := solve(p)
 	if r.Status != Optimal || math.Abs(r.Obj-3) > 1e-6 {
 		t.Fatalf("r = %+v, want obj 3 (vars 1 and 3)", r)
 	}
@@ -50,41 +66,23 @@ func TestEqualityILP(t *testing.T) {
 
 func TestVertexCoverTriangle(t *testing.T) {
 	// Min vertex cover of a triangle = 2.
-	p := NewBinaryProblem(3)
+	p := binaryProblem(3)
 	p.LP.Objective = []float64{1, 1, 1}
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
 		p.LP.AddConstraint(lp.GE, 1, lp.Term{Var: e[0], Coef: 1}, lp.Term{Var: e[1], Coef: 1})
 	}
-	r := Solve(p, Options{})
+	r := solve(p)
 	if r.Status != Optimal || math.Abs(r.Obj-2) > 1e-6 {
 		t.Fatalf("r = %+v", r)
 	}
 }
 
-func TestMaxNodesStops(t *testing.T) {
-	// Triangle vertex cover has the fractional LP optimum (½,½,½), so the
-	// root must branch; with MaxNodes=1 the search stops before finding an
-	// integer incumbent.
-	p := NewBinaryProblem(3)
-	p.LP.Objective = []float64{1, 1, 1}
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
-		p.LP.AddConstraint(lp.GE, 1, lp.Term{Var: e[0], Coef: 1}, lp.Term{Var: e[1], Coef: 1})
-	}
-	r := Solve(p, Options{MaxNodes: 1})
-	if r.Status == Optimal {
-		t.Fatalf("status = %v with MaxNodes 1; expected early stop", r.Status)
-	}
-	if r.Nodes != 1 {
-		t.Fatalf("nodes = %d, want exactly 1", r.Nodes)
-	}
-}
-
 func TestTimeLimit(t *testing.T) {
-	// Tight deadline on a nontrivial problem must not report Optimal
-	// (either Feasible or TimedOut) and must return quickly.
+	// A tight context deadline on a nontrivial problem must not report
+	// Optimal (either Feasible or TimedOut) and must return quickly.
 	rng := rand.New(rand.NewSource(9))
 	n := 18
-	p := NewBinaryProblem(n)
+	p := binaryProblem(n)
 	for j := 0; j < n; j++ {
 		p.LP.Objective[j] = -float64(1 + rng.Intn(9))
 	}
@@ -100,7 +98,9 @@ func TestTimeLimit(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	r := Solve(p, Options{TimeLimit: time.Nanosecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	r := SolveContext(ctx, p)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("deadline ignored: ran %v", elapsed)
 	}
@@ -116,7 +116,7 @@ func TestMismatchedBinaryMaskPanics(t *testing.T) {
 		}
 	}()
 	p := &Problem{LP: lp.Problem{NumVars: 3, Objective: []float64{0, 0, 0}}, Binary: []bool{true}}
-	Solve(p, Options{})
+	solve(p)
 }
 
 func TestStatusString(t *testing.T) {
@@ -133,7 +133,7 @@ func TestRandomKnapsacksExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(9)
-		p := NewBinaryProblem(n)
+		p := binaryProblem(n)
 		for j := 0; j < n; j++ {
 			p.LP.Objective[j] = float64(rng.Intn(21) - 10)
 		}
@@ -151,7 +151,7 @@ func TestRandomKnapsacksExact(t *testing.T) {
 			ops := []lp.Op{lp.LE, lp.GE}
 			p.LP.AddConstraint(ops[rng.Intn(2)], float64(rng.Intn(9)-2), terms...)
 		}
-		r := Solve(p, Options{})
+		r := solve(p)
 
 		// Brute force.
 		best := math.Inf(1)
@@ -209,7 +209,7 @@ func TestMixedContinuousBinary(t *testing.T) {
 		Binary: []bool{true, false},
 	}
 	p.LP.AddConstraint(lp.LE, 1.5, lp.Term{Var: 0, Coef: 1}, lp.Term{Var: 1, Coef: 1})
-	r := Solve(p, Options{})
+	r := solve(p)
 	if r.Status != Optimal || math.Abs(r.Obj+1.25) > 1e-6 {
 		t.Fatalf("r = %+v", r)
 	}
@@ -220,9 +220,9 @@ func TestMixedContinuousBinary(t *testing.T) {
 
 func TestAllZeroObjective(t *testing.T) {
 	// Pure feasibility: any integer point satisfying x0 + x1 >= 1.
-	p := NewBinaryProblem(2)
+	p := binaryProblem(2)
 	p.LP.AddConstraint(lp.GE, 1, lp.Term{Var: 0, Coef: 1}, lp.Term{Var: 1, Coef: 1})
-	r := Solve(p, Options{})
+	r := solve(p)
 	if r.Status != Optimal {
 		t.Fatalf("status = %v", r.Status)
 	}

@@ -271,13 +271,3 @@ func (l *Layout) WriteFile(path string) error {
 	}
 	return f.Close()
 }
-
-// ReadFile parses a .lay file from disk.
-func ReadFile(path string) (*Layout, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
-}

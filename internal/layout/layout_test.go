@@ -62,7 +62,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := l.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	got, err := ReadAny(path)
 	if err != nil {
 		t.Fatal(err)
 	}

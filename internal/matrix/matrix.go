@@ -84,43 +84,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Axpy accumulates dst += a·x element-wise over len(dst) entries. Small
-// lengths are unrolled like Dot; every element update is independent, so
-// the unrolling cannot move a single bit.
-func Axpy(dst []float64, a float64, x []float64) {
-	switch len(dst) {
-	case 2:
-		dst[0] += a * x[0]
-		dst[1] += a * x[1]
-	case 3:
-		dst[0] += a * x[0]
-		dst[1] += a * x[1]
-		dst[2] += a * x[2]
-	case 4:
-		dst[0] += a * x[0]
-		dst[1] += a * x[1]
-		dst[2] += a * x[2]
-		dst[3] += a * x[3]
-	case 5:
-		dst[0] += a * x[0]
-		dst[1] += a * x[1]
-		dst[2] += a * x[2]
-		dst[3] += a * x[3]
-		dst[4] += a * x[4]
-	case 6:
-		dst[0] += a * x[0]
-		dst[1] += a * x[1]
-		dst[2] += a * x[2]
-		dst[3] += a * x[3]
-		dst[4] += a * x[4]
-		dst[5] += a * x[5]
-	default:
-		for i := range dst {
-			dst[i] += a * x[i]
-		}
-	}
-}
-
 // AxpyPair applies the two symmetric gradient contributions of one edge
 // (u, v) in a single pass over the rank: gu += a·vv and gv += a·vu. The
 // gradient edge walk used to traverse three rows per edge (dot already
@@ -216,9 +179,6 @@ func AxpyPair(gu, gv []float64, a float64, vu, vv []float64) {
 		}
 	}
 }
-
-// Norm returns the Euclidean norm of v.
-func Norm(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
 
 // AxpyIntoNormSq writes dst = src + a·x element-wise and returns the
 // squared norm of the freshly written dst, accumulated left to right — the

@@ -2,87 +2,36 @@
 // the network-flow engine behind the Gomory–Hu tree construction of
 // Section 4.1 (the paper cites Dinic [22] for exactly this role).
 //
-// The network is directed internally; AddUndirectedEdge inserts the
-// symmetric pair used when cutting the undirected decomposition graph.
+// The network is directed internally; BuildUndirected inserts the
+// symmetric arc pair used when cutting the undirected decomposition graph.
 package maxflow
 
-import (
-	"fmt"
-
-	"mpl/internal/pipeline"
-)
+import "mpl/internal/pipeline"
 
 const inf = int64(1) << 62
 
-// Network is a flow network over vertices [0, n).
+// Network is a flow network over vertices [0, n), built by BuildUndirected.
 type Network struct {
 	n     int
 	to    []int32
 	cap   []int64
-	base  []int64 // original capacities, for Reset
 	head  [][]int32
 	level []int32
 	iter  []int32
-	// queue is the BFS work list, retained across MaxFlow phases (and, for
-	// scratch-built networks, across network constructions).
+	// queue is the BFS work list, retained across MaxFlow phases.
 	queue []int32
-	// headBack is the flat backing of head for scratch-built networks
-	// (BuildUndirected); nil for incrementally built ones.
+	// headBack is the flat backing of head.
 	headBack []int32
 }
 
-// NewNetwork returns an empty network with n vertices.
-func NewNetwork(n int) *Network {
-	return &Network{
-		n:     n,
-		head:  make([][]int32, n),
-		level: make([]int32, n),
-		iter:  make([]int32, n),
-	}
-}
-
-// N returns the vertex count.
-func (nw *Network) N() int { return nw.n }
-
-func (nw *Network) addArc(u, v int, c int64) {
-	nw.head[u] = append(nw.head[u], int32(len(nw.to)))
-	nw.to = append(nw.to, int32(v))
-	nw.cap = append(nw.cap, c)
-	nw.base = append(nw.base, c)
-}
-
-// AddEdge inserts a directed edge u→v with the given capacity (plus the
-// zero-capacity reverse residual arc).
-func (nw *Network) AddEdge(u, v int, c int64) {
-	nw.checkPair(u, v)
-	if c < 0 {
-		panic("maxflow: negative capacity")
-	}
-	nw.addArc(u, v, c)
-	nw.addArc(v, u, 0)
-}
-
-// AddUndirectedEdge inserts an undirected edge with capacity c in each
-// direction, the standard encoding for undirected min-cut.
-func (nw *Network) AddUndirectedEdge(u, v int, c int64) {
-	nw.checkPair(u, v)
-	if c < 0 {
-		panic("maxflow: negative capacity")
-	}
-	nw.addArc(u, v, c)
-	nw.addArc(v, u, c)
-}
-
-// BuildUndirected constructs, in one preallocated shot, exactly the
-// network that calling AddUndirectedEdge(u[i], v[i], w[i]) for every i in
-// order would produce — identical arc indices (arcs 2i and 2i+1 are the
-// i-th edge's two directions, preserving the ei^1 residual pairing) and
-// identical per-vertex arc order, so every flow and min-cut result is
-// bit-for-bit the same. All storage is carved from the scratch arena
-// (nil-safe): two passes over the edges (degree count, fill) replace the
-// per-arc append storm of the incremental API, which is what makes the
-// Gomory–Hu construction's n−1 throwaway networks affordable on the hot
-// path. Pair with ReleaseScratch.
+// BuildUndirected constructs, in one preallocated shot, the network of the
+// undirected edges {u[i], v[i]} with capacity w[i] in each direction, the
+// standard encoding for undirected min-cut. Arcs 2i and 2i+1 are the i-th
+// edge's two directions (the ei^1 residual pairing), and each vertex lists
+// its arcs in edge order. All storage is carved from the scratch arena
+// (nil-safe): two passes over the edges (degree count, fill) build it with
+// no per-arc appends, which is what makes the Gomory–Hu construction's n−1
+// throwaway networks affordable on the hot path. Pair with ReleaseScratch.
 func BuildUndirected(n int, u, v []int32, w []int64, sc *pipeline.Scratch) *Network {
 	m := len(u)
 	arcs := 2 * m
@@ -90,7 +39,6 @@ func BuildUndirected(n int, u, v []int32, w []int64, sc *pipeline.Scratch) *Netw
 		n:        n,
 		to:       sc.Int32s(arcs),
 		cap:      sc.Int64s(arcs),
-		base:     sc.Int64s(arcs),
 		level:    sc.Int32s(n),
 		iter:     sc.Int32s(n),
 		queue:    sc.Int32s(n)[:0],
@@ -110,14 +58,14 @@ func BuildUndirected(n int, u, v []int32, w []int64, sc *pipeline.Scratch) *Netw
 		nw.head[x] = nw.headBack[off : off : off+d]
 		off += d
 	}
-	// Pass 2: fill in AddUndirectedEdge order.
+	// Pass 2: fill in edge order.
 	for i := 0; i < m; i++ {
 		ai := int32(2 * i)
 		bi := ai + 1
 		nw.head[u[i]] = append(nw.head[u[i]], ai)
-		nw.to[ai], nw.cap[ai], nw.base[ai] = v[i], w[i], w[i]
+		nw.to[ai], nw.cap[ai] = v[i], w[i]
 		nw.head[v[i]] = append(nw.head[v[i]], bi)
-		nw.to[bi], nw.cap[bi], nw.base[bi] = u[i], w[i], w[i]
+		nw.to[bi], nw.cap[bi] = u[i], w[i]
 	}
 	clear(deg)
 	return nw
@@ -128,39 +76,18 @@ func BuildUndirected(n int, u, v []int32, w []int64, sc *pipeline.Scratch) *Netw
 func (nw *Network) ReleaseScratch(sc *pipeline.Scratch) {
 	sc.PutInt32s(nw.to)
 	sc.PutInt64s(nw.cap)
-	sc.PutInt64s(nw.base)
 	sc.PutInt32s(nw.level)
 	sc.PutInt32s(nw.iter)
 	sc.PutInt32s(nw.queue)
 	sc.PutInt32s(nw.headBack)
-	nw.to, nw.cap, nw.base, nw.level, nw.iter, nw.queue, nw.headBack, nw.head = nil, nil, nil, nil, nil, nil, nil, nil
-}
-
-func (nw *Network) checkPair(u, v int) {
-	if u < 0 || u >= nw.n || v < 0 || v >= nw.n {
-		panic(fmt.Sprintf("maxflow: edge (%d,%d) out of range [0,%d)", u, v, nw.n))
-	}
-	if u == v {
-		panic("maxflow: self-loop")
-	}
-}
-
-// Reset restores all residual capacities to their original values so the
-// network can be reused for another max-flow computation (the Gomory–Hu
-// construction runs n−1 flows over the same network).
-func (nw *Network) Reset() {
-	copy(nw.cap, nw.base)
+	nw.to, nw.cap, nw.level, nw.iter, nw.queue, nw.headBack, nw.head = nil, nil, nil, nil, nil, nil, nil
 }
 
 func (nw *Network) bfs(s, t int) bool {
 	for i := range nw.level {
 		nw.level[i] = -1
 	}
-	queue := nw.queue[:0]
-	if cap(queue) < nw.n {
-		queue = make([]int32, 0, nw.n)
-	}
-	queue = append(queue, int32(s))
+	queue := append(nw.queue[:0], int32(s))
 	nw.level[s] = 0
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
@@ -203,8 +130,8 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-// MaxFlow computes the maximum s–t flow on the current residual network.
-// Call Reset first to start from original capacities.
+// MaxFlow computes the maximum s–t flow on the current residual network,
+// which starts at the built capacities; a network serves one flow.
 func (nw *Network) MaxFlow(s, t int) int64 {
 	if s == t {
 		panic("maxflow: source equals sink")

@@ -8,74 +8,60 @@ import (
 	"testing/quick"
 )
 
+// edge is one undirected test edge with its capacity.
+type edge struct {
+	u, v int
+	c    int64
+}
+
+// build is BuildUndirected over an edge list, on sc (nil allocates).
+func build(n int, edges []edge, sc *pipeline.Scratch) *Network {
+	us := make([]int32, len(edges))
+	vs := make([]int32, len(edges))
+	ws := make([]int64, len(edges))
+	for i, e := range edges {
+		us[i], vs[i], ws[i] = int32(e.u), int32(e.v), e.c
+	}
+	return BuildUndirected(n, us, vs, ws, sc)
+}
+
 func TestSimplePath(t *testing.T) {
-	nw := NewNetwork(3)
-	nw.AddEdge(0, 1, 5)
-	nw.AddEdge(1, 2, 3)
+	nw := build(3, []edge{{0, 1, 5}, {1, 2, 3}}, nil)
 	if got := nw.MaxFlow(0, 2); got != 3 {
 		t.Fatalf("MaxFlow = %d, want 3", got)
 	}
 }
 
 func TestClassicNetwork(t *testing.T) {
-	// CLRS figure: max flow 23.
-	nw := NewNetwork(6)
-	nw.AddEdge(0, 1, 16)
-	nw.AddEdge(0, 2, 13)
-	nw.AddEdge(1, 2, 10)
-	nw.AddEdge(2, 1, 4)
-	nw.AddEdge(1, 3, 12)
-	nw.AddEdge(3, 2, 9)
-	nw.AddEdge(2, 4, 14)
-	nw.AddEdge(4, 3, 7)
-	nw.AddEdge(3, 5, 20)
-	nw.AddEdge(4, 5, 4)
-	if got := nw.MaxFlow(0, 5); got != 23 {
-		t.Fatalf("MaxFlow = %d, want 23", got)
+	// The CLRS flow network read as undirected capacities (the antiparallel
+	// 1–2 pair becomes two parallel edges): the minimum 0–5 cut is the two
+	// edges into the sink, 20 + 4.
+	nw := build(6, []edge{
+		{0, 1, 16}, {0, 2, 13}, {1, 2, 10}, {2, 1, 4}, {1, 3, 12},
+		{3, 2, 9}, {2, 4, 14}, {4, 3, 7}, {3, 5, 20}, {4, 5, 4},
+	}, nil)
+	if got := nw.MaxFlow(0, 5); got != 24 {
+		t.Fatalf("MaxFlow = %d, want 24", got)
 	}
 }
 
 func TestDisconnected(t *testing.T) {
-	nw := NewNetwork(4)
-	nw.AddEdge(0, 1, 7)
-	nw.AddEdge(2, 3, 7)
+	nw := build(4, []edge{{0, 1, 7}, {2, 3, 7}}, nil)
 	if got := nw.MaxFlow(0, 3); got != 0 {
 		t.Fatalf("MaxFlow = %d, want 0", got)
 	}
 }
 
 func TestUndirectedTriangle(t *testing.T) {
-	nw := NewNetwork(3)
-	nw.AddUndirectedEdge(0, 1, 1)
-	nw.AddUndirectedEdge(1, 2, 1)
-	nw.AddUndirectedEdge(0, 2, 1)
+	nw := build(3, []edge{{0, 1, 1}, {1, 2, 1}, {0, 2, 1}}, nil)
 	if got := nw.MaxFlow(0, 2); got != 2 {
 		t.Fatalf("triangle cut = %d, want 2", got)
 	}
 }
 
-func TestResetAllowsReuse(t *testing.T) {
-	nw := NewNetwork(3)
-	nw.AddUndirectedEdge(0, 1, 4)
-	nw.AddUndirectedEdge(1, 2, 2)
-	first := nw.MaxFlow(0, 2)
-	nw.Reset()
-	second := nw.MaxFlow(0, 2)
-	if first != 2 || second != 2 {
-		t.Fatalf("flows = %d, %d; want 2, 2", first, second)
-	}
-	nw.Reset()
-	if got := nw.MaxFlow(0, 1); got != 4 {
-		t.Fatalf("reused flow = %d, want 4", got)
-	}
-}
-
 func TestMinCutSide(t *testing.T) {
 	// Bottleneck between 1 and 2: cut side should be {0, 1}.
-	nw := NewNetwork(4)
-	nw.AddEdge(0, 1, 10)
-	nw.AddEdge(1, 2, 1)
-	nw.AddEdge(2, 3, 10)
+	nw := build(4, []edge{{0, 1, 10}, {1, 2, 1}, {2, 3, 10}}, nil)
 	if got := nw.MaxFlow(0, 3); got != 1 {
 		t.Fatalf("flow = %d", got)
 	}
@@ -89,28 +75,17 @@ func TestMinCutSide(t *testing.T) {
 }
 
 func TestPanics(t *testing.T) {
-	cases := []func(){
-		func() { NewNetwork(2).AddEdge(0, 0, 1) },
-		func() { NewNetwork(2).AddEdge(0, 5, 1) },
-		func() { NewNetwork(2).AddEdge(0, 1, -1) },
-		func() { NewNetwork(2).AddUndirectedEdge(0, 1, -2) },
-		func() { NewNetwork(2).MaxFlow(1, 1) },
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MaxFlow with source == sink did not panic")
+		}
+	}()
+	build(2, []edge{{0, 1, 1}}, nil).MaxFlow(1, 1)
 }
 
-// brute-force min cut by enumerating vertex bipartitions (undirected, unit
-// capacities) for cross-checking Dinic on small graphs.
-func bruteMinCut(n int, edges [][2]int, s, t int) int64 {
+// bruteMinCut is the minimum, over every s–t bipartition of the n
+// vertices, of the capacity crossing it.
+func bruteMinCut(n int, edges []edge, s, t int) int64 {
 	best := int64(1) << 60
 	for mask := 0; mask < 1<<n; mask++ {
 		if mask&(1<<s) == 0 || mask&(1<<t) != 0 {
@@ -118,38 +93,47 @@ func bruteMinCut(n int, edges [][2]int, s, t int) int64 {
 		}
 		var cut int64
 		for _, e := range edges {
-			a := mask&(1<<e[0]) != 0
-			b := mask&(1<<e[1]) != 0
-			if a != b {
-				cut++
+			if (mask&(1<<e.u) != 0) != (mask&(1<<e.v) != 0) {
+				cut += e.c
 			}
 		}
-		if cut < best {
-			best = cut
-		}
+		best = min(best, cut)
 	}
 	return best
 }
 
+// TestMatchesBruteForceOnRandomGraphs cross-checks every s–t max flow of
+// seeded random weighted graphs on at most 8 vertices (parallel edges
+// included) against bruteMinCut, building each network on one reused
+// scratch arena so stale arena contents would show as a wrong flow.
 func TestMatchesBruteForceOnRandomGraphs(t *testing.T) {
+	sc := pipeline.NewScratchPool().Get()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(7)
-		var edges [][2]int
-		nw := NewNetwork(n)
+		var edges []edge
 		for i := 0; i < n*2; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
 				continue
 			}
-			edges = append(edges, [2]int{u, v})
-			nw.AddUndirectedEdge(u, v, 1)
+			edges = append(edges, edge{u, v, int64(1 + rng.Intn(5))})
 		}
-		s := 0
-		tt := 1 + rng.Intn(n-1)
-		got := nw.MaxFlow(s, tt)
-		want := bruteMinCut(n, edges, s, tt)
-		return got == want
+		for s := 0; s < n; s++ {
+			for tt := 0; tt < n; tt++ {
+				if s == tt {
+					continue
+				}
+				nw := build(n, edges, sc)
+				got := nw.MaxFlow(s, tt)
+				nw.ReleaseScratch(sc)
+				if want := bruteMinCut(n, edges, s, tt); got != want {
+					t.Logf("seed %d: flow %d→%d = %d, brute-force min cut %d", seed, s, tt, got, want)
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -162,85 +146,30 @@ func TestMinCutSideSeparates(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(8)
-		nw := NewNetwork(n)
-		type e struct {
-			u, v int
-			c    int64
-		}
-		var edges []e
+		var edges []edge
 		for i := 0; i < n*2; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
 				continue
 			}
-			c := int64(1 + rng.Intn(5))
-			edges = append(edges, e{u, v, c})
-			nw.AddUndirectedEdge(u, v, c)
+			edges = append(edges, edge{u, v, int64(1 + rng.Intn(5))})
 		}
+		nw := build(n, edges, nil)
 		s, tt := 0, n-1
 		flow := nw.MaxFlow(s, tt)
 		side := nw.MinCutSide(s)
-		if side[tt] && flow < (1<<60) {
-			// t reachable means flow was not maximal (only possible if
-			// truly disconnected... then flow is 0 and side must not reach t
-			// unless connected). Treat as failure.
+		if side[tt] {
 			return false
 		}
 		var cut int64
-		for _, ed := range edges {
-			if side[ed.u] != side[ed.v] {
-				cut += ed.c
+		for _, e := range edges {
+			if side[e.u] != side[e.v] {
+				cut += e.c
 			}
 		}
 		return cut == flow
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBuildUndirectedMatchesIncremental(t *testing.T) {
-	// BuildUndirected must be indistinguishable from AddUndirectedEdge
-	// calls in the same order: same flows, same min-cut sides (the
-	// Gomory–Hu construction depends on identical arc enumeration, not
-	// just identical flow values). Exercised both with and without a
-	// scratch arena, and across arena reuse.
-	rng := rand.New(rand.NewSource(11))
-	sc := pipeline.NewScratchPool().Get()
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(12)
-		m := rng.Intn(30)
-		var us, vs []int32
-		var ws []int64
-		ref := NewNetwork(n)
-		for i := 0; i < m; i++ {
-			u := rng.Intn(n)
-			v := rng.Intn(n)
-			if u == v {
-				continue
-			}
-			w := int64(1 + rng.Intn(5))
-			ref.AddUndirectedEdge(u, v, w)
-			us = append(us, int32(u))
-			vs = append(vs, int32(v))
-			ws = append(ws, w)
-		}
-		bulk := BuildUndirected(n, us, vs, ws, sc)
-		s, tt := 0, 1+rng.Intn(n-1)
-		ref.Reset()
-		bulk.Reset()
-		fRef := ref.MaxFlow(s, tt)
-		fBulk := bulk.MaxFlow(s, tt)
-		if fRef != fBulk {
-			t.Fatalf("trial %d: flow %d != incremental %d", trial, fBulk, fRef)
-		}
-		sideRef := ref.MinCutSide(s)
-		sideBulk := bulk.MinCutSide(s)
-		for v := range sideRef {
-			if sideRef[v] != sideBulk[v] {
-				t.Fatalf("trial %d: cut side differs at vertex %d", trial, v)
-			}
-		}
-		bulk.ReleaseScratch(sc)
 	}
 }

@@ -57,9 +57,6 @@ const (
 	StageMerge = "merge"
 )
 
-// StageNames lists the canonical stages in flow order (report columns).
-var StageNames = []string{StageBuild, StageSimplify, StagePartition, StageDispatch, StageStitch, StageMerge}
-
 // StageStats is the accumulated telemetry of one named stage.
 type StageStats struct {
 	// Wall is total wall-clock time inside the stage. Stages that run on

@@ -78,7 +78,8 @@ func TestScratchNilAndUnpooled(t *testing.T) {
 	}
 	pool.Put(nil)
 
-	up := NewUnpooledScratchPool().Get()
+	// The nil pool is the unpooled baseline: its arenas never reuse.
+	up := pool.Get()
 	a := up.Ints(16)
 	up.PutInts(a)
 	b := up.Ints(16)

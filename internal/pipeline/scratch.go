@@ -15,11 +15,6 @@ import "sync"
 // discards returns, so callers can thread scratch optionally without
 // branching.
 type Scratch struct {
-	// noReuse turns every request into a fresh allocation (the un-pooled
-	// baseline of the allocation benchmarks — the behavior of the code
-	// before the scratch layer existed).
-	noReuse bool
-
 	ints   [][]int
 	int32s [][]int32
 	int64s [][]int64
@@ -41,7 +36,7 @@ const maxFreelist = 16
 // need zeroing (none today — color slices are filled with Uncolored
 // immediately) must do it themselves.
 func (s *Scratch) Ints(n int) []int {
-	if s == nil || s.noReuse {
+	if s == nil {
 		return make([]int, n)
 	}
 	for i := len(s.ints) - 1; i >= 0; i-- {
@@ -60,7 +55,7 @@ func (s *Scratch) Ints(n int) []int {
 // engine-returned color slices whose contents it has already consumed);
 // the only contract is that the caller no longer references it.
 func (s *Scratch) PutInts(b []int) {
-	if s == nil || s.noReuse || cap(b) == 0 || len(s.ints) >= maxFreelist {
+	if s == nil || cap(b) == 0 || len(s.ints) >= maxFreelist {
 		return
 	}
 	s.ints = append(s.ints, b[:0])
@@ -69,7 +64,7 @@ func (s *Scratch) PutInts(b []int) {
 // Int32s returns a zeroed length-n int32 slice (visit stamps and index
 // maps rely on the zero state).
 func (s *Scratch) Int32s(n int) []int32 {
-	if s == nil || s.noReuse {
+	if s == nil {
 		return make([]int32, n)
 	}
 	for i := len(s.int32s) - 1; i >= 0; i-- {
@@ -86,7 +81,7 @@ func (s *Scratch) Int32s(n int) []int32 {
 
 // PutInt32s returns a slice obtained from Int32s for reuse.
 func (s *Scratch) PutInt32s(b []int32) {
-	if s == nil || s.noReuse || cap(b) == 0 || len(s.int32s) >= maxFreelist {
+	if s == nil || cap(b) == 0 || len(s.int32s) >= maxFreelist {
 		return
 	}
 	s.int32s = append(s.int32s, b[:0])
@@ -94,7 +89,7 @@ func (s *Scratch) PutInt32s(b []int32) {
 
 // Int64s returns a zeroed length-n int64 slice.
 func (s *Scratch) Int64s(n int) []int64 {
-	if s == nil || s.noReuse {
+	if s == nil {
 		return make([]int64, n)
 	}
 	for i := len(s.int64s) - 1; i >= 0; i-- {
@@ -111,7 +106,7 @@ func (s *Scratch) Int64s(n int) []int64 {
 
 // PutInt64s returns a slice obtained from Int64s for reuse.
 func (s *Scratch) PutInt64s(b []int64) {
-	if s == nil || s.noReuse || cap(b) == 0 || len(s.int64s) >= maxFreelist {
+	if s == nil || cap(b) == 0 || len(s.int64s) >= maxFreelist {
 		return
 	}
 	s.int64s = append(s.int64s, b[:0])
@@ -131,7 +126,7 @@ func (s *Scratch) ResetFloats() {
 // they keep referencing the previous backing), so a sequence of takes is
 // always safe; steady-state solves of similar size never allocate.
 func (s *Scratch) Floats(n int) []float64 {
-	if s == nil || s.noReuse {
+	if s == nil {
 		return make([]float64, n)
 	}
 	if s.off+n > len(s.floats) {
@@ -147,24 +142,16 @@ func (s *Scratch) Floats(n int) []float64 {
 
 // ScratchPool is a sync.Pool of per-worker Scratch arenas. The zero value
 // is NOT usable; a nil *ScratchPool is — Get returns nil (callers then
-// allocate fresh via the nil-safe Scratch methods) and Put discards.
+// allocate fresh via the nil-safe Scratch methods) and Put discards, which
+// makes a nil pool the unpooled baseline of the allocation benchmarks.
 type ScratchPool struct {
-	unpooled bool
-	p        sync.Pool
+	p sync.Pool
 }
 
 // NewScratchPool returns a pool whose scratches retain their buffers
 // across Get/Put cycles (and across GC survivors, per sync.Pool).
 func NewScratchPool() *ScratchPool {
 	return &ScratchPool{p: sync.Pool{New: func() any { return new(Scratch) }}}
-}
-
-// NewUnpooledScratchPool returns a pool whose scratches allocate fresh
-// memory on every request — the pre-pooling behavior, kept as the
-// comparison baseline for the allocation benchmarks and for bisecting
-// pooling bugs (run with the unpooled pool to rule the scratch layer out).
-func NewUnpooledScratchPool() *ScratchPool {
-	return &ScratchPool{unpooled: true, p: sync.Pool{New: func() any { return &Scratch{noReuse: true} }}}
 }
 
 // Get leases a scratch arena; pair with Put.

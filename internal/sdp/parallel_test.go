@@ -27,7 +27,7 @@ import (
 // the exact shapes the dispatch stage hands to the SDP engine.
 func circuitComponents(t testing.TB, name string, take int) []*graph.Graph {
 	t.Helper()
-	l, err := layout.ReadFile(filepath.Join("..", "..", "benchmarks", name+".lay"))
+	l, err := layout.ReadAny(filepath.Join("..", "..", "benchmarks", name+".lay"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestParallelRestartsByteIdentical(t *testing.T) {
 		for ci, g := range circuitComponents(t, name, 2) {
 			for _, k := range []int{3, 4} {
 				opts := sdp.Options{K: k, Alpha: 0.1, Seed: 7, Restarts: 4}
-				ref := sdp.Solve(g, opts)
+				ref := sdp.SolveScratchEnv(context.Background(), g, opts, nil, pipeline.Env{})
 				for _, workers := range []int{1, 2, 8} {
 					t.Run(fmt.Sprintf("%s/comp%d/K%d/w%d", name, ci, k, workers), func(t *testing.T) {
 						sc := pool.Get()

@@ -91,37 +91,6 @@ func (s *Solution) Pair(i, j int) float64 {
 	return matrix.Dot(s.Vectors[i], s.Vectors[j])
 }
 
-// Solve runs the relaxation on the decomposition graph g.
-func Solve(g *graph.Graph, opts Options) *Solution {
-	return SolveContext(context.Background(), g, opts)
-}
-
-// SolveContext runs the relaxation, polling ctx inside the gradient-descent
-// iteration loop. On cancellation it returns the best solution found so far
-// (after at least one restart has been initialized), which downstream
-// consumers can still round — quality degrades gracefully with the time
-// allowed rather than the call hanging until convergence.
-func SolveContext(ctx context.Context, g *graph.Graph, opts Options) *Solution {
-	return SolveScratch(ctx, g, opts, nil)
-}
-
-// SolveScratch is SolveContext carving its matrix workspace — the factor
-// rows, gradients, and line-search saves of every restart — from the
-// worker's scratch arena instead of the heap, so repeated solves on one
-// worker stop re-allocating the (solve-count × n × rank)-sized hot-path
-// memory. The arena is reset at the start of each solve, which means the
-// returned Solution's Vectors alias scratch memory: they are valid only
-// until the next SolveScratch call on the same arena. Every consumer in
-// this repository (the greedy/backtrack rounding of one Dispatch region)
-// finishes with the Solution before its worker solves the next piece; a
-// caller that needs to retain vectors must copy them or pass a nil
-// scratch, which allocates fresh memory exactly like SolveContext. The
-// numerical trajectory is bit-identical either way — the workspace only
-// changes where the floats live.
-func SolveScratch(ctx context.Context, g *graph.Graph, opts Options, sc *pipeline.Scratch) *Solution {
-	return SolveScratchEnv(ctx, g, opts, sc, pipeline.Env{})
-}
-
 // restartParallelMinEdges is the component-size floor below which the
 // restart fan-out does not engage even when budget slots are free: on
 // trivially small pieces the descend loop finishes in microseconds and a
@@ -129,7 +98,26 @@ func SolveScratch(ctx context.Context, g *graph.Graph, opts Options, sc *pipelin
 // heuristic — the solve's bytes are identical either way.
 const restartParallelMinEdges = 32
 
-// SolveScratchEnv is SolveScratch with the run's pipeline environment.
+// SolveScratchEnv runs the relaxation on the decomposition graph g,
+// polling ctx inside the gradient-descent iteration loop. On cancellation
+// it returns the best solution found so far (after at least one restart has
+// been initialized), which downstream consumers can still round — quality
+// degrades gracefully with the time allowed rather than the call hanging
+// until convergence.
+//
+// The matrix workspace — the factor rows, gradients, and line-search saves
+// of every restart — is carved from the worker's scratch arena sc instead
+// of the heap, so repeated solves on one worker stop re-allocating the
+// (solve-count × n × rank)-sized hot-path memory. The arena is reset at the
+// start of each solve, which means the returned Solution's Vectors alias
+// scratch memory: they are valid only until the next solve on the same
+// arena. Every consumer in this repository (the greedy/backtrack rounding
+// of one Dispatch region) finishes with the Solution before its worker
+// solves the next piece; a caller that needs to retain vectors must copy
+// them or pass a nil scratch, which allocates fresh memory. The numerical
+// trajectory is bit-identical either way — the workspace only changes
+// where the floats live.
+//
 // When the environment carries a parallelism budget with free slots
 // (division workers that have gone idle), the random restarts run
 // concurrently instead of back-to-back — the one-huge-component workload

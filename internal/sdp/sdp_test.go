@@ -10,6 +10,14 @@ import (
 	"mpl/internal/pipeline"
 )
 
+// solve runs the relaxation with no arena and no restart budget.
+func solve(g *graph.Graph, opts Options) *Solution {
+	return SolveScratchEnv(context.Background(), g, opts, nil, pipeline.Env{})
+}
+
+// norm is the Euclidean length of v.
+func norm(v []float64) float64 { return math.Sqrt(matrix.Dot(v, v)) }
+
 func TestColoringVectorsInnerProducts(t *testing.T) {
 	// Fig. 3: for K=4, four unit vectors with pairwise inner product −1/3.
 	for k := 2; k <= 8; k++ {
@@ -19,8 +27,8 @@ func TestColoringVectorsInnerProducts(t *testing.T) {
 		}
 		want := -1.0 / float64(k-1)
 		for i := 0; i < k; i++ {
-			if math.Abs(matrix.Norm(vecs[i])-1) > 1e-9 {
-				t.Fatalf("K=%d: vector %d has norm %v", k, i, matrix.Norm(vecs[i]))
+			if math.Abs(norm(vecs[i])-1) > 1e-9 {
+				t.Fatalf("K=%d: vector %d has norm %v", k, i, norm(vecs[i]))
 			}
 			for j := i + 1; j < k; j++ {
 				got := matrix.Dot(vecs[i], vecs[j])
@@ -42,18 +50,18 @@ func TestIdealVectorsPanics(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	sol := Solve(graph.NewBuilder(0).Build(nil), Options{K: 4, Alpha: 0.1})
+	sol := solve(graph.NewBuilder(0).Build(nil), Options{K: 4, Alpha: 0.1})
 	if len(sol.Vectors) != 0 || sol.Obj != 0 {
 		t.Fatalf("empty solve = %+v", sol)
 	}
 }
 
 func TestSingleVertex(t *testing.T) {
-	sol := Solve(graph.NewBuilder(1).Build(nil), Options{K: 4, Alpha: 0.1, Seed: 1})
+	sol := solve(graph.NewBuilder(1).Build(nil), Options{K: 4, Alpha: 0.1, Seed: 1})
 	if len(sol.Vectors) != 1 {
 		t.Fatalf("vectors = %d", len(sol.Vectors))
 	}
-	if math.Abs(matrix.Norm(sol.Vectors[0])-1) > 1e-9 {
+	if math.Abs(norm(sol.Vectors[0])-1) > 1e-9 {
 		t.Fatalf("vector not unit: %v", sol.Vectors[0])
 	}
 }
@@ -64,7 +72,7 @@ func TestKInvalidPanics(t *testing.T) {
 			t.Fatal("K=1 did not panic")
 		}
 	}()
-	Solve(graph.NewBuilder(2).Build(nil), Options{K: 1})
+	solve(graph.NewBuilder(2).Build(nil), Options{K: 1})
 }
 
 // TestConflictPairSeparates: two vertices joined by a conflict edge should
@@ -74,7 +82,7 @@ func TestConflictPairSeparates(t *testing.T) {
 		b := graph.NewBuilder(2)
 		b.AddConflict(0, 1)
 		g := b.Build(nil)
-		sol := Solve(g, Options{K: k, Alpha: 0.1, Seed: 7})
+		sol := solve(g, Options{K: k, Alpha: 0.1, Seed: 7})
 		want := -1.0 / float64(k-1)
 		if got := sol.Pair(0, 1); got > want+0.05 {
 			t.Fatalf("K=%d: x01 = %v, want ≈ %v", k, got, want)
@@ -90,7 +98,7 @@ func TestStitchPairAligns(t *testing.T) {
 	b := graph.NewBuilder(2)
 	b.AddStitch(0, 1)
 	g := b.Build(nil)
-	sol := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 3})
+	sol := solve(g, Options{K: 4, Alpha: 0.1, Seed: 3})
 	if got := sol.Pair(0, 1); got < 0.99 {
 		t.Fatalf("x01 = %v, want ≈ 1", got)
 	}
@@ -109,7 +117,7 @@ func TestK5RelaxationValue(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	sol := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 11, Restarts: 4})
+	sol := solve(g, Options{K: 4, Alpha: 0.1, Seed: 11, Restarts: 4})
 	if sol.MaxViolation > 0.05 {
 		t.Fatalf("violation = %v", sol.MaxViolation)
 	}
@@ -135,7 +143,7 @@ func TestK4CliqueSplitsCleanly(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	sol := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 5})
+	sol := solve(g, Options{K: 4, Alpha: 0.1, Seed: 5})
 	if math.Abs(sol.Obj-(-2)) > 0.1 {
 		t.Fatalf("objective = %v, want ≈ -2", sol.Obj)
 	}
@@ -143,7 +151,7 @@ func TestK4CliqueSplitsCleanly(t *testing.T) {
 		t.Fatal("solution Gram matrix not PSD")
 	}
 	for i := range sol.Vectors {
-		if math.Abs(matrix.Norm(sol.Vectors[i])-1) > 1e-9 {
+		if math.Abs(norm(sol.Vectors[i])-1) > 1e-9 {
 			t.Fatalf("vector %d not unit", i)
 		}
 	}
@@ -163,7 +171,7 @@ func TestMergeSignalQuality(t *testing.T) {
 	}
 	b.AddStitch(3, 4)
 	g := b.Build(nil)
-	sol := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 13, Restarts: 4})
+	sol := solve(g, Options{K: 4, Alpha: 0.1, Seed: 13, Restarts: 4})
 	if got := sol.Pair(3, 4); got < 0.8 {
 		t.Fatalf("stitch pair x = %v, want high", got)
 	}
@@ -219,8 +227,8 @@ func TestDeterminism(t *testing.T) {
 	bld.AddStitch(3, 4)
 	bld.AddConflict(4, 5)
 	g := bld.Build(nil)
-	a := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 21})
-	b := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 21})
+	a := solve(g, Options{K: 4, Alpha: 0.1, Seed: 21})
+	b := solve(g, Options{K: 4, Alpha: 0.1, Seed: 21})
 	for i := range a.Vectors {
 		for j := range a.Vectors[i] {
 			if a.Vectors[i][j] != b.Vectors[i][j] {
@@ -239,7 +247,7 @@ func TestSextupleRelaxation(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	sol := Solve(g, Options{K: 6, Alpha: 0.1, Seed: 5, Restarts: 4})
+	sol := solve(g, Options{K: 6, Alpha: 0.1, Seed: 5, Restarts: 4})
 	if sol.MaxViolation > 0.05 {
 		t.Fatalf("violation = %v", sol.MaxViolation)
 	}
@@ -253,12 +261,12 @@ func TestExplicitRankOption(t *testing.T) {
 	b.AddConflict(0, 1)
 	b.AddConflict(1, 2)
 	g := b.Build(nil)
-	sol := Solve(g, Options{K: 4, Alpha: 0.1, Rank: 5, Seed: 2})
+	sol := solve(g, Options{K: 4, Alpha: 0.1, Rank: 5, Seed: 2})
 	// Rank caps at n.
 	if len(sol.Vectors[0]) != 3 {
 		t.Fatalf("rank = %d, want capped at n=3", len(sol.Vectors[0]))
 	}
-	sol = Solve(g, Options{K: 4, Alpha: 0.1, Rank: 2, Seed: 2})
+	sol = solve(g, Options{K: 4, Alpha: 0.1, Rank: 2, Seed: 2})
 	if len(sol.Vectors[0]) != 2 {
 		t.Fatalf("rank = %d, want 2", len(sol.Vectors[0]))
 	}
@@ -275,8 +283,8 @@ func TestRestartsImproveOrMatch(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	one := Solve(g, Options{K: 4, Alpha: 0.1, Restarts: 1, Seed: 9})
-	many := Solve(g, Options{K: 4, Alpha: 0.1, Restarts: 6, Seed: 9})
+	one := solve(g, Options{K: 4, Alpha: 0.1, Restarts: 1, Seed: 9})
+	many := solve(g, Options{K: 4, Alpha: 0.1, Restarts: 6, Seed: 9})
 	// Compare the penalized score proxy: objective + violation weight.
 	if many.Obj > one.Obj+50*one.MaxViolation*one.MaxViolation+0.05 {
 		t.Fatalf("restarts made things worse: %v vs %v", many.Obj, one.Obj)
@@ -295,10 +303,10 @@ func TestSolveScratchMatchesSolveContext(t *testing.T) {
 	b.AddStitch(1, 3)
 	opts := Options{K: 4, Alpha: 0.1, Seed: 7}
 	g := b.Build(nil)
-	ref := Solve(g, opts)
+	ref := solve(g, opts)
 	sc := pipeline.NewScratchPool().Get()
 	for round := 0; round < 3; round++ {
-		got := SolveScratch(context.Background(), g, opts, sc)
+		got := SolveScratchEnv(context.Background(), g, opts, sc, pipeline.Env{})
 		if got.Obj != ref.Obj || got.MaxViolation != ref.MaxViolation {
 			t.Fatalf("round %d: obj/viol %v/%v != reference %v/%v", round, got.Obj, got.MaxViolation, ref.Obj, ref.MaxViolation)
 		}

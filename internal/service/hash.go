@@ -157,13 +157,13 @@ func optionsSig(opts core.Options) string {
 // will find.
 func OptionsSig(opts core.Options) string { return optionsSig(opts) }
 
-// resultKey keys the result cache: layout geometry plus every solve-affecting
-// option. Options are normalized first so default spellings ({} vs {K: 4})
-// share an entry, and the Division and Build worker counts never participate
-// because worker count never changes the (deterministic) result, only how
-// fast it arrives.
-func resultKey(layoutHash string, opts core.Options) string {
-	return layoutHash + optionsSig(opts)
+// resultKey keys the result cache and the session cache: layout geometry
+// plus sig, the optionsSig of the request. optionsSig normalizes the options
+// first, so default spellings ({} vs {K: 4}) share an entry, and the
+// Division and Build worker counts never participate because worker count
+// never changes the (deterministic) result, only how fast it arrives.
+func resultKey(layoutHash, sig string) string {
+	return layoutHash + sig
 }
 
 // graphKey keys the decomposition-graph cache: layout geometry plus the

@@ -85,9 +85,9 @@ func TestResultKeyDistinguishesOptions(t *testing.T) {
 		"build":     {K: 4, Build: core.BuildOptions{DisableStitches: true}},
 		"division":  {K: 4, Division: division.Options{DisableGHTree: true}},
 	}
-	bk := resultKey("lh", base)
+	bk := resultKey("lh", optionsSig(base))
 	for name, o := range variants {
-		if vk := resultKey("lh", o); vk == bk {
+		if vk := resultKey("lh", optionsSig(o)); vk == bk {
 			t.Errorf("option %s does not reach the result key", name)
 		}
 	}
@@ -96,14 +96,14 @@ func TestResultKeyDistinguishesOptions(t *testing.T) {
 	w := base
 	w.Division.Workers = 8
 	w.Build.Workers = 8
-	if resultKey("lh", w) != bk {
+	if resultKey("lh", optionsSig(w)) != bk {
 		t.Error("worker counts must not affect the result key")
 	}
-	if resultKey("lh", core.Options{K: 4, Memoize: true}) != bk {
+	if resultKey("lh", optionsSig(core.Options{K: 4, Memoize: true})) != bk {
 		t.Error("Memoize must not affect the result key")
 	}
 	// Default spellings share an entry through normalization.
-	if resultKey("lh", core.Options{}) != bk {
+	if resultKey("lh", optionsSig(core.Options{})) != bk {
 		t.Error("{} and {K: 4} must normalize to one key")
 	}
 }
@@ -171,7 +171,7 @@ func TestGraphKeyDistinguishesBuildOptions(t *testing.T) {
 	if graphKey("lh", w) != bk {
 		t.Error("build workers must not affect the graph key")
 	}
-	if graphKey("lh", base) == resultKey("lh", core.Options{K: 4}) {
+	if graphKey("lh", base) == resultKey("lh", optionsSig(core.Options{K: 4})) {
 		t.Error("graph and result keys must not collide")
 	}
 }

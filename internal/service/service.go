@@ -236,7 +236,7 @@ func (s *Service) DecomposeHashed(ctx context.Context, l *layout.Layout, opts co
 }
 
 // resolve is the result-cache path both public methods share: it serves
-// key lh+sig through the results flight, running fill on a miss. A
+// resultKey(lh, sig) through the results flight, running fill on a miss. A
 // healthy fill registers its session for l — after persist, the
 // incremental path's write-ahead log hook, and before any waiter wakes —
 // and is kept; a degraded or failed one is not, so a later caller with a
@@ -247,7 +247,7 @@ func (s *Service) DecomposeHashed(ctx context.Context, l *layout.Layout, opts co
 // a lost session is "re-send the full layout", and it must work when it
 // lands on a hit. The returned Result has its own Colors slice.
 func (s *Service) resolve(ctx context.Context, lh, sig string, l *layout.Layout, fill, bypass func() (*core.Result, error), persist func(*session)) (*core.Result, bool, error) {
-	key := lh + sig
+	key := resultKey(lh, sig)
 	res, out, err := s.results.Do(ctx, key, func() (*core.Result, bool, error) {
 		// An owner knows its outcome before it solves: a Miss.
 		s.mu.Lock()
@@ -304,7 +304,7 @@ func (s *Service) recordSolve(res *core.Result) {
 // session entry may have been LRU-evicted independently. The (pure,
 // O(features)) snapshot is taken only when actually needed.
 func (s *Service) ensureSession(lh, sig string, l *layout.Layout, res *core.Result) {
-	key := lh + sig
+	key := resultKey(lh, sig)
 	if _, ok := s.sessions.Get(key); ok { // present: just bumped its recency
 		return
 	}
@@ -443,7 +443,7 @@ func (s *Service) DecomposeIncremental(ctx context.Context, baseHash string, edi
 // a dead-context replay does. Only when the disk has nothing either is it
 // truly no session.
 func (s *Service) session(ctx context.Context, hash, sig string, opts core.Options) (*session, error) {
-	key := hash + sig
+	key := resultKey(hash, sig)
 	sess, _ := s.sessions.Get(key)
 	if sess == nil && s.cfg.Store != nil {
 		var out flight.Outcome

@@ -234,9 +234,6 @@ func (g *Grid) cellRange(r geom.Rect) (c0, r0, c1, r1 int) {
 	return
 }
 
-// Bounds returns the bounding box stored for id.
-func (g *Grid) Bounds(id int) geom.Rect { return g.bounds[id] }
-
 // Querier is a query cursor over a Grid with its own visit stamps, so
 // goroutines can query one shared grid concurrently, each through its own
 // Querier (the parallel graph-construction shards of internal/core).

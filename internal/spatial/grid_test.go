@@ -25,19 +25,19 @@ func TestGridBasicQuery(t *testing.T) {
 		{X0: 500, Y0: 500, X1: 510, Y1: 510},
 	})
 	a, b, c := 0, 1, 2
-	got := collect(g, g.Bounds(a), 25)
+	got := collect(g, g.bounds[a], 25)
 	if len(got) != 2 || got[0] != a || got[1] != b {
 		t.Fatalf("Near = %v, want [a b]", got)
 	}
-	got = collect(g, g.Bounds(a), 19)
+	got = collect(g, g.bounds[a], 19)
 	if len(got) != 1 || got[0] != a {
 		t.Fatalf("Near tight = %v, want only a (gap is exactly 20)", got)
 	}
-	got = collect(g, g.Bounds(a), 20)
+	got = collect(g, g.bounds[a], 20)
 	if len(got) != 2 {
 		t.Fatalf("Near radius==gap = %v, want inclusive match", got)
 	}
-	got = collect(g, g.Bounds(c), 100)
+	got = collect(g, g.bounds[c], 100)
 	if len(got) != 1 || got[0] != c {
 		t.Fatalf("far query = %v", got)
 	}
@@ -197,10 +197,10 @@ func TestGridSparseWorldCapped(t *testing.T) {
 		t.Fatalf("cell %d did not grow", g.Cell())
 	}
 	a, b := 0, 1
-	if got := collect(g, g.Bounds(a), 80); len(got) != 1 || got[0] != a {
+	if got := collect(g, g.bounds[a], 80); len(got) != 1 || got[0] != a {
 		t.Fatalf("Near(a) = %v, want only a", got)
 	}
-	if got := collect(g, g.Bounds(b), 80); len(got) != 1 || got[0] != b {
+	if got := collect(g, g.bounds[b], 80); len(got) != 1 || got[0] != b {
 		t.Fatalf("Near(b) = %v, want only b", got)
 	}
 	if got := collect(g, geom.Rect{X0: 100, Y0: 0, X1: 120, Y1: 20}, 80); len(got) != 1 || got[0] != a {

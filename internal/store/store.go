@@ -509,16 +509,6 @@ func (s *Store) readPayload(r rec) ([]byte, error) {
 	return payload, nil
 }
 
-// Compact rewrites the log keeping only live records (and, when
-// Options.MaxSessions caps retention, only the most recent lineages plus
-// the ancestors their replay needs), writing to a scratch file renamed
-// atomically over the log.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compact()
-}
-
 // maybeCompact runs compaction when the log has accumulated enough dead
 // weight: at least Options.CompactMin records, over half of them dead.
 //

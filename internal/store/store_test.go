@@ -52,6 +52,14 @@ func openStore(t *testing.T, dir string, opts Options) *Store {
 	return s
 }
 
+// compactNow rewrites the log at once, as AppendSnapshot and AppendEdits do
+// when dead records pass half of it.
+func compactNow(s *Store) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.compact()
+}
+
 func snapsEqual(a, b *Snapshot) bool {
 	var la, lb bytes.Buffer
 	if a.Layout.WriteBinary(&la) != nil || b.Layout.WriteBinary(&lb) != nil {
@@ -263,7 +271,7 @@ func TestStoreCompaction(t *testing.T) {
 	if before.WALRecords != 11 {
 		t.Fatalf("pre-compaction records = %d", before.WALRecords)
 	}
-	if err := s.Compact(); err != nil {
+	if err := compactNow(s); err != nil {
 		t.Fatal(err)
 	}
 	after := s.StatsSnapshot()
@@ -309,7 +317,7 @@ func TestStoreCompactionOrdersBases(t *testing.T) {
 	if err := s.AppendSnapshot(sig, "h0", testSnap(4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Compact(); err != nil {
+	if err := compactNow(s); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -342,7 +350,7 @@ func TestStoreRetention(t *testing.T) {
 	if err := s.AppendSnapshot(sig, "f0", testSnap(5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Compact(); err != nil {
+	if err := compactNow(s); err != nil {
 		t.Fatal(err)
 	}
 	// Newest two sessions are f0 and g0; the h lineage is dropped whole.
@@ -360,7 +368,7 @@ func TestStoreRetention(t *testing.T) {
 	if _, err := s.AppendEdits(sig, "f1", "f2", testEdits(3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Compact(); err != nil {
+	if err := compactNow(s); err != nil {
 		t.Fatal(err)
 	}
 	// Newest two are f2 and f1, but f0 must survive as their root.
