@@ -1,5 +1,5 @@
 // The serve subcommand exposes layout decomposition as an HTTP JSON API
-// backed by internal/service: a layout-hash keyed LRU result cache,
+// backed by internal/service: a layout-hash keyed LRU session cache,
 // single-flight deduplication, and bounded solver concurrency. Every
 // request runs under a deadline (client-supplied timeout_ms capped by the
 // server's -timeout), and a request that overruns it still answers with a
@@ -187,7 +187,7 @@ type batchResponse struct {
 func runServe(args []string) {
 	fs := flag.NewFlagSet("qpld serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8470", "listen address")
-	cacheSize := fs.Int("cache", 256, "LRU result-cache entries (negative disables caching)")
+	cacheSize := fs.Int("cache", 256, "LRU session-cache entries, each one cached result (negative disables caching)")
 	workers := fs.Int("workers", 0, "max concurrent decompositions (0 = GOMAXPROCS)")
 	buildWorkers := fs.Int("build-workers", 0, "graph-construction workers: default for requests and cap on their build_workers (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request solve deadline cap")
@@ -661,7 +661,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"cache_size":         st.Size,
 		"graph_hits":         st.GraphHits,
 		"incremental_solves": st.Incremental,
-		"sessions":           st.Sessions,
+		"sessions":           st.Size, // one cache: every cached result is a session
 		"rehydrations":       st.Rehydrations,
 		"spills":             st.Spills,
 		"store_errors":       st.StoreErrors,

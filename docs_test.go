@@ -128,6 +128,60 @@ func TestInternalPackageDocs(t *testing.T) {
 	}
 }
 
+// roadmapItemRef matches a citation of a ROADMAP item by number, in either
+// word order and across line breaks: "ROADMAP item 2", "item 5 of
+// ROADMAP.md". Items are renumbered as work lands, so such a citation
+// silently comes to name other work.
+var roadmapItemRef = regexp.MustCompile(`(?i)\bROADMAP(?:\.md)?\s+items?\s+\d+|\bitems?\s+\d+(?:\([a-z]\))?\s+of\s+(?:the\s+)?ROADMAP\b`)
+
+// taskChecklist matches a markdown task-list entry ("- [ ] ..."). A doc
+// that carries one is a work plan: it cites ROADMAP items as they are
+// numbered when it is written, like the change log does.
+var taskChecklist = regexp.MustCompile(`(?m)^\s*- \[[ xX]\] `)
+
+// TestDocsCiteNoRoadmapItemNumbers: no markdown doc except ROADMAP.md
+// itself, the change log (CHANGES.md) and work plans may cite a ROADMAP
+// item by number; name the subject instead.
+func TestDocsCiteNoRoadmapItemNumbers(t *testing.T) {
+	exempt := map[string]bool{"ROADMAP.md": true, "CHANGES.md": true}
+	scanned := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == ".bench_build" || name == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".md") || exempt[path] {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		scanned++
+		text := string(data)
+		if taskChecklist.MatchString(text) {
+			return nil
+		}
+		for _, loc := range roadmapItemRef.FindAllStringIndex(text, -1) {
+			line := 1 + strings.Count(text[:loc[0]], "\n")
+			t.Errorf("%s:%d cites a ROADMAP item by number (%q); name its subject instead",
+				path, line, strings.Join(strings.Fields(text[loc[0]:loc[1]]), " "))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scanned == 0 {
+		t.Fatal("no markdown docs found; the scanner is broken")
+	}
+}
+
 func dedup(in []string) []string {
 	seen := map[string]bool{}
 	var out []string

@@ -1,7 +1,7 @@
 // Package flight is the one cache-entry lifecycle every memoising layer of
-// the decomposer shares: the service's result, graph and session caches
-// and core's shape store. A Cache is a bounded LRU of completed
-// values plus a map of in-flight fills, in the idiom of Go's singleflight
+// the decomposer shares: the service's session and graph caches and core's
+// shape store. A Cache is a bounded LRU of completed values plus a map of
+// in-flight fills, in the idiom of Go's singleflight
 // (golang.org/x/sync/singleflight): one caller owns a key's fill, callers
 // arriving meanwhile wait for it, and only a fill that asks to be kept is
 // stored and shared. A degraded or failed fill reflects its owner's
@@ -154,29 +154,12 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return el.Value.(*Entry[V]).Value, true
 }
 
-// Put stores v under key (replacing any stored value) and hands the
-// entries the bound pushed out to the eviction hook. A no-op when the
-// cache is disabled.
-func (c *Cache[V]) Put(key string, v V) {
-	if c.capacity < 0 {
-		return
-	}
-	c.mu.Lock()
-	evicted := c.storeLocked(key, v)
-	c.mu.Unlock()
-	c.evicted(evicted)
-}
-
-// storeLocked inserts or refreshes key, then evicts least-recently-used
-// entries beyond the bound, returning them for the hook.
+// storeLocked inserts key, then evicts least-recently-used entries beyond
+// the bound, returning them for the hook. Only a fill's owner stores, and
+// Do never starts a fill for a stored key, so key is never present yet.
 //
 //lint:holds mu
 func (c *Cache[V]) storeLocked(key string, v V) (evicted []Entry[V]) {
-	if el, ok := c.items[key]; ok {
-		el.Value.(*Entry[V]).Value = v
-		c.ll.MoveToFront(el)
-		return nil
-	}
 	c.items[key] = c.ll.PushFront(&Entry[V]{Key: key, Value: v})
 	for c.ll.Len() > c.capacity {
 		e := c.ll.Remove(c.ll.Back()).(*Entry[V])

@@ -108,9 +108,9 @@ func TestFlightLRUBound(t *testing.T) {
 	if v, ok := c.Get("b"); !ok || v != 1 {
 		t.Fatalf("Get(b) = %d, %v", v, ok)
 	}
-	c.Put("d", 3)
+	c.Do(ctx, "d", fixed(3))
 	if _, ok := c.Get("c"); ok {
-		t.Fatal("Put did not evict the least recently used entry")
+		t.Fatal("a kept fill did not evict the least recently used entry")
 	}
 	if len(evicted) != 2 || evicted[1] != "c" {
 		t.Fatalf("evicted %v, want [a c]", evicted)
@@ -250,7 +250,7 @@ func TestFlightDisabledNeverDeduplicates(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	c.Put("k", 1)
+	c.Do(context.Background(), "k", fixed(1))
 	if _, ok := c.Get("k"); ok || c.Len() != 0 {
 		t.Fatal("disabled cache stored a value")
 	}

@@ -1,7 +1,7 @@
 package service
 
 // Regression tests for the service-layer bugfix sweep: the bounded
-// fallback-lane wait and the hit/miss tally rules of the result cache (on
+// fallback-lane wait and the hit/miss tally rules of the session cache (on
 // both the full and the incremental path) and the graph cache.
 
 import (
@@ -82,7 +82,7 @@ func TestWaiterDegradedRetalliedAsMiss(t *testing.T) {
 	l := denseRow("skew", 5)
 	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
 	// An in-flight fill that outlives the request stands in for a slow owner.
-	release := plantOwner(s.results, resultKey(LayoutHash(l), optionsSig(opts)))
+	release := plantOwner(s.sessions, resultKey(LayoutHash(l), optionsSig(opts)))
 	defer release(nil, false, nil)
 
 	dead, cancel := context.WithCancel(context.Background())
@@ -111,7 +111,7 @@ func TestIncrementalWaiterDegradedRetalliedAsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := plantOwner(s.results, resultKey(LayoutHash(newL), optionsSig(opts)))
+	release := plantOwner(s.sessions, resultKey(LayoutHash(newL), optionsSig(opts)))
 	defer release(nil, false, nil)
 	before := s.StatsSnapshot()
 

@@ -8,7 +8,7 @@ package service
 //     the base) before the successor session is registered in memory;
 //   - spill: a session the LRU pushes out is snapshotted to disk
 //     instead of dropped, unless the log can already replay it;
-//   - rehydrate / fullFromStore: a miss in the in-memory stores loads the
+//   - rehydrate / fullFromStore: a miss in the session cache loads the
 //     nearest snapshot and replays the log tail through core.ApplyEdits —
 //     the exact operation the incremental-≡-scratch equivalence harness
 //     proves identical to a fresh solve.
@@ -195,10 +195,11 @@ func (s *Service) rehydrate(ctx context.Context, hash, sig string, opts core.Opt
 // fullFromStore serves a full (non-incremental) solve from the durable log
 // when the requested hash is persisted as a snapshot with no replay tail:
 // the graph is rebuilt and the coloring verified, skipping only the solve
-// itself. Deeper chains are left to rehydrate — replaying edit batches to
-// answer a request that already carries the full layout can cost more than
-// the solve it saves.
-func (s *Service) fullFromStore(ctx context.Context, lh, sig string, opts core.Options) *core.Result {
+// itself, and the verified session is the one the cache keeps. Deeper
+// chains are left to rehydrate — replaying edit batches to answer a
+// request that already carries the full layout can cost more than the
+// solve it saves.
+func (s *Service) fullFromStore(ctx context.Context, lh, sig string, opts core.Options) *session {
 	st := s.cfg.Store
 	if st == nil {
 		return nil
@@ -219,5 +220,5 @@ func (s *Service) fullFromStore(ctx context.Context, lh, sig string, opts core.O
 	s.mu.Lock()
 	s.stats.Rehydrations++
 	s.mu.Unlock()
-	return sess.res
+	return sess
 }

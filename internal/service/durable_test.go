@@ -200,6 +200,57 @@ func TestDurableFullSolveFromDisk(t *testing.T) {
 	}
 }
 
+// TestRehydratedSessionServesFullRequest: after a restart, a chain request
+// rehydrates its base from the log into the session cache, and a full
+// request of that base geometry is then a hit — no solve, no second
+// rehydration — because the cached session is the cached result.
+func TestRehydratedSessionServesFullRequest(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	l := denseRow("rehy-full", 8)
+	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
+	first := []core.Edit{{Op: core.EditMove, Feature: 1, DX: 20, DY: 0}}
+	st := openTestStore(t, dir, store.Options{})
+	svcA := New(Config{Store: st})
+	if _, _, err := svcA.Decompose(ctx, l, opts); err != nil {
+		t.Fatal(err)
+	}
+	_, hash, _, _, err := svcA.DecomposeIncremental(ctx, LayoutHash(l), first, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := New(Config{Store: openTestStore(t, dir, store.Options{})})
+	if _, _, _, _, err := svc.DecomposeIncremental(ctx, hash, []core.Edit{{Op: core.EditRemove, Feature: 0}}, opts); err != nil {
+		t.Fatalf("chain from the logged hash: %v", err)
+	}
+	before := svc.StatsSnapshot()
+	if before.Rehydrations != 1 {
+		t.Fatalf("Rehydrations = %d after the chain request, want 1", before.Rehydrations)
+	}
+	base, err := core.EditLayout(l, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, cached, err := svc.Decompose(ctx, base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := svc.StatsSnapshot()
+	if !cached || after.Misses != before.Misses || after.Rehydrations != before.Rehydrations {
+		t.Fatalf("full request of the rehydrated geometry: cached=%v misses %d->%d rehydrations %d->%d, want a hit with both unchanged",
+			cached, before.Misses, after.Misses, before.Rehydrations, after.Rehydrations)
+	}
+	ref, _, err := New(Config{}).Decompose(ctx, base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSolution(t, "full request served by a rehydrated session", res, ref)
+}
+
 // TestDurableSnapshotReroot: when a chain reaches the snapshot-every-N
 // depth, the service re-roots it with a successor snapshot, bounding the
 // replay a future rehydration pays.

@@ -157,11 +157,12 @@ func optionsSig(opts core.Options) string {
 // will find.
 func OptionsSig(opts core.Options) string { return optionsSig(opts) }
 
-// resultKey keys the result cache and the session cache: layout geometry
-// plus sig, the optionsSig of the request. optionsSig normalizes the options
-// first, so default spellings ({} vs {K: 4}) share an entry, and the
-// Division and Build worker counts never participate because worker count
-// never changes the (deterministic) result, only how fast it arrives.
+// resultKey keys the session cache, where each cached result lives with
+// its session: layout geometry plus sig, the optionsSig of the request.
+// optionsSig normalizes the options first, so default spellings ({} vs
+// {K: 4}) share an entry, and the Division and Build worker counts never
+// participate because worker count never changes the (deterministic)
+// result, only how fast it arrives.
 func resultKey(layoutHash, sig string) string {
 	return layoutHash + sig
 }

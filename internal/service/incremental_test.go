@@ -14,7 +14,6 @@ import (
 
 	"mpl/internal/coloring"
 	"mpl/internal/core"
-	"mpl/internal/flight"
 	"mpl/internal/geom"
 	"mpl/internal/synth"
 )
@@ -78,7 +77,7 @@ func TestIncrementalSessionRoundTrip(t *testing.T) {
 	if cached || es3 == nil {
 		t.Fatal("chained batch from the advanced session must solve incrementally")
 	}
-	if st := s.StatsSnapshot(); st.Incremental != 2 || st.Sessions < 3 {
+	if st := s.StatsSnapshot(); st.Incremental != 2 || st.Size < 3 {
 		t.Fatalf("stats = %+v, want 2 incremental solves and ≥3 sessions", st)
 	}
 }
@@ -248,27 +247,28 @@ func TestIncrementalConcurrencyStress(t *testing.T) {
 }
 
 // TestSessionRecoveryAfterEviction: the documented recovery for a lost
-// session ("re-send the full layout via Decompose") must work even when
-// the result is still cached — a cache hit has to (re)register the
-// session, or the client livelocks between 404 and cached full solves.
+// session ("re-send the full layout via Decompose") works once the LRU
+// bound has pushed the session out: the chain request answers
+// ErrNoSession, the full request re-solves and reopens the session, and
+// the chain then proceeds.
 func TestSessionRecoveryAfterEviction(t *testing.T) {
-	s := New(Config{})
+	s := New(Config{CacheSize: 1})
 	ctx := context.Background()
 	l := denseRow("row", 8)
 	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
 	if _, _, err := s.Decompose(ctx, l, opts); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the session store evicting this entry while the result
-	// cache kept it (the two LRUs age independently).
-	s.sessions = flight.New(s.cfg.CacheSize, s.spill)
+	// A second layout fills the one-entry cache, evicting l's session.
+	if _, _, err := s.Decompose(ctx, denseRow("other", 5), opts); err != nil {
+		t.Fatal(err)
+	}
 	edits := []core.Edit{{Op: core.EditRemove, Feature: 0}}
 	if _, _, _, _, err := s.DecomposeIncremental(ctx, LayoutHash(l), edits, opts); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("evicted session: err = %v, want ErrNoSession", err)
 	}
-	// The recovery: a full request — served from cache — reopens it.
-	if _, cached, err := s.Decompose(ctx, l, opts); err != nil || !cached {
-		t.Fatalf("recovery request: cached=%v err=%v", cached, err)
+	if _, cached, err := s.Decompose(ctx, l, opts); err != nil || cached {
+		t.Fatalf("recovery request: cached=%v err=%v, want a fresh solve", cached, err)
 	}
 	if _, _, _, _, err := s.DecomposeIncremental(ctx, LayoutHash(l), edits, opts); err != nil {
 		t.Fatalf("incremental after recovery: %v", err)
@@ -299,7 +299,7 @@ func TestIncrementalDegradedNotCachedNotSessioned(t *testing.T) {
 		t.Skip("dead context still solved at full quality (tiny component); nothing to assert")
 	}
 	st := s.StatsSnapshot()
-	if st.Size != before.Size || st.Sessions != before.Sessions {
+	if st.Size != before.Size {
 		t.Fatalf("degraded incremental result was cached or sessioned: %+v -> %+v", before, st)
 	}
 	// A healthy retry must run fresh, not inherit the degraded answer.
@@ -367,7 +367,7 @@ func TestFullAndIncrementalShareOneFlight(t *testing.T) {
 		t.Fatalf("misses %d->%d hits %d->%d, want one solve and one hit",
 			before.Misses, st.Misses, before.Hits, st.Hits)
 	}
-	if st.Sessions != before.Sessions+1 {
-		t.Fatalf("sessions %d->%d, want exactly one new session", before.Sessions, st.Sessions)
+	if st.Size != before.Size+1 {
+		t.Fatalf("sessions %d->%d, want exactly one new session", before.Size, st.Size)
 	}
 }

@@ -1,14 +1,15 @@
 // Package service is the serving layer over the decomposition pipeline: a
-// layout-hash keyed LRU result cache with single-flight deduplication, a
-// decomposition-graph cache shared by algorithm sweeps, a bounded-concurrency
-// batch runner, and a session store for incremental (ECO) serving. It exists
+// layout-hash keyed LRU session cache with single-flight deduplication —
+// each entry is both the cached result and the session edits chain from —
+// a decomposition-graph cache shared by algorithm sweeps, and a
+// bounded-concurrency batch runner. It exists
 // so callers with many or repeated layouts (the HTTP API of `qpld serve`,
 // the table sweeps of cmd/evaluate) get concurrency and caching without
 // re-implementing either, while cancellation flows straight through to
 // core.DecomposeGraphContext.
 //
 // Sessions make edits first-class: every successful full-quality Decompose
-// registers an immutable session (layout + result) under its layout hash,
+// caches an immutable session (layout + result) under its layout hash,
 // and DecomposeIncremental advances a session by an edit batch through
 // core.ApplyEdits — re-solving only the dirty region — registering the
 // post-edit state as a new session. Because a session is keyed by the
@@ -42,8 +43,9 @@ var ErrNoSession = errors.New("service: no session for base layout hash")
 
 // Config sizes a Service. The zero value is usable.
 type Config struct {
-	// CacheSize caps the number of cached results (and, independently, of
-	// cached decomposition graphs); 0 means 128, negative disables caching.
+	// CacheSize caps the number of cached sessions (each one full-quality
+	// result with its layout) and, independently, of cached decomposition
+	// graphs; 0 means 128, negative disables caching.
 	CacheSize int
 	// Workers caps concurrently running decompositions across all callers;
 	// 0 means GOMAXPROCS.
@@ -75,11 +77,10 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	Hits        uint64 // result served from cache (including waits on an in-flight solve)
 	Misses      uint64 // result required a solve
-	Evictions   uint64 // cache entries dropped by the LRU policy
+	Evictions   uint64 // sessions dropped by the LRU policy
 	GraphHits   uint64 // graph builds avoided by the graph cache
 	Incremental uint64 // incremental (ApplyEdits) solves actually executed
-	Size        int    // current result-cache entry count (stored results; in-flight solves excluded)
-	Sessions    int    // current session-store entry count
+	Size        int    // current session-cache entry count (stored sessions; in-flight solves excluded)
 	// Rehydrations counts sessions reconstructed from the durable store
 	// (nearest snapshot plus log-tail replay); Spills counts sessions
 	// written to the durable store on LRU eviction; StoreErrors counts
@@ -116,18 +117,17 @@ type Stats struct {
 // Service runs decompositions with caching and bounded concurrency. Safe
 // for concurrent use.
 //
-// All three caches share one entry lifecycle, internal/flight: one caller
-// owns a key's fill, the rest wait for it, and only full-quality results,
-// successful builds and replayable sessions are kept. Each call tallies
-// its outcome exactly once (Hit → Hits, Miss or Bypass → Misses; a graph
-// Hit → GraphHits).
+// Both caches share one entry lifecycle, internal/flight: one caller owns
+// a key's fill, the rest wait for it, and only full-quality or rehydrated
+// sessions and successful builds are kept. Each resolve tallies its
+// outcome exactly once (Hit → Hits, Miss or Bypass → Misses; a graph Hit →
+// GraphHits).
 type Service struct {
 	cfg      Config
-	sem      chan struct{}               // full-quality solves
-	fbSem    chan struct{}               // fallback solves for requests whose deadline expired while queued
-	results  *flight.Cache[*core.Result] // layout hash + options sig -> full-quality result
-	graphs   *flight.Cache[*core.Graph]  // graphKey -> decomposition graph
-	sessions *flight.Cache[*session]     // layout hash + options sig -> session (immutable once stored)
+	sem      chan struct{}              // full-quality solves
+	fbSem    chan struct{}              // fallback solves for requests whose deadline expired while queued
+	graphs   *flight.Cache[*core.Graph] // graphKey -> decomposition graph
+	sessions *flight.Cache[*session]    // resultKey -> session (immutable once stored)
 
 	mu    sync.Mutex
 	stats Stats // guarded by mu
@@ -148,26 +148,28 @@ type session struct {
 	res    *core.Result
 }
 
-// snapshotLayout shields a stored session from later caller-side appends to
-// the feature slice. (Callers mutating feature geometry in place would
-// already have broken the hash-keyed caches; that contract is unchanged.)
-func snapshotLayout(l *layout.Layout) *layout.Layout {
-	return &layout.Layout{
+// newSession is the session a full solve of the caller's l under sig
+// registers. The layout is snapshotted (O(features), outside any lock) to
+// shield the session from later caller-side appends to the feature slice. (Callers mutating feature
+// geometry in place would already have broken the hash-keyed caches; that
+// contract is unchanged.)
+func newSession(lh, sig string, l *layout.Layout, res *core.Result) *session {
+	snap := &layout.Layout{
 		Name:     l.Name,
 		Process:  l.Process,
 		Features: append([]geom.Polygon(nil), l.Features...),
 	}
+	return &session{hash: lh, sig: sig, layout: snap, res: res}
 }
 
 // New returns a Service with the given configuration.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.Workers),
-		fbSem:   make(chan struct{}, cfg.Workers),
-		results: flight.New[*core.Result](cfg.CacheSize, nil),
-		graphs:  flight.New[*core.Graph](cfg.CacheSize, nil),
+		cfg:    cfg,
+		sem:    make(chan struct{}, cfg.Workers),
+		fbSem:  make(chan struct{}, cfg.Workers),
+		graphs: flight.New[*core.Graph](cfg.CacheSize, nil),
 	}
 	s.sessions = flight.New(cfg.CacheSize, s.spill)
 	return s
@@ -218,56 +220,53 @@ func (s *Service) DecomposeHashed(ctx context.Context, l *layout.Layout, opts co
 	defer cancel()
 	lh := LayoutHash(l)
 	sig := optionsSig(opts)
-	solve := func() (*core.Result, error) { return s.solve(ctx, lh, l, opts) }
+	solve := func() (*session, error) {
+		res, err := s.solve(ctx, lh, l, opts)
+		return newSession(lh, sig, l, res), err
+	}
 	// A restart may have left this very solve on disk: a durable snapshot
-	// of the requested hash with no replay tail reconstructs the result
+	// of the requested hash with no replay tail reconstructs the session
 	// (graph build + verification) without re-running the solve.
-	fromStoreOrSolve := func() (*core.Result, error) {
-		if r := s.fullFromStore(ctx, lh, sig, opts); r != nil {
-			return r, nil
+	fromStoreOrSolve := func() (*session, error) {
+		if sess := s.fullFromStore(ctx, lh, sig, opts); sess != nil {
+			return sess, nil
 		}
 		return solve()
 	}
-	res, cached, err = s.resolve(ctx, lh, sig, l, fromStoreOrSolve, solve, nil)
+	res, cached, err = s.resolve(ctx, resultKey(lh, sig), fromStoreOrSolve, solve, nil)
 	if err != nil {
 		return nil, "", false, err
 	}
 	return res, lh, cached, nil
 }
 
-// resolve is the result-cache path both public methods share: it serves
-// resultKey(lh, sig) through the results flight, running fill on a miss. A
-// healthy fill registers its session for l — after persist, the
-// incremental path's write-ahead log hook, and before any waiter wakes —
-// and is kept; a degraded or failed one is not, so a later caller with a
-// healthy deadline gets a full-quality run. A waiter whose deadline
-// expires answers by itself through bypass, uncached, instead of turning a
-// cache-key collision into an error. A hit re-registers the session if it
-// was LRU-evicted while the result stayed hot: the documented recovery for
-// a lost session is "re-send the full layout", and it must work when it
-// lands on a hit. The returned Result has its own Colors slice.
-func (s *Service) resolve(ctx context.Context, lh, sig string, l *layout.Layout, fill, bypass func() (*core.Result, error), persist func(*session)) (*core.Result, bool, error) {
-	key := resultKey(lh, sig)
-	res, out, err := s.results.Do(ctx, key, func() (*core.Result, bool, error) {
+// resolve is the cache path both public methods share: it serves key
+// through the session cache, running fill on a miss. fill returns the
+// session it computed; a healthy one is persisted — the incremental path's
+// write-ahead log hook — and kept before any waiter wakes; a degraded or
+// failed one is not, so a later caller with a healthy deadline gets a
+// full-quality run. A hit answers with the stored session's result, so
+// re-sending the full layout of a lost session reopens it. A waiter whose
+// deadline expires answers by itself through bypass, uncached, instead of
+// turning a cache-key collision into an error. The returned Result has its
+// own Colors slice.
+func (s *Service) resolve(ctx context.Context, key string, fill, bypass func() (*session, error), persist func(*session)) (*core.Result, bool, error) {
+	sess, out, err := s.sessions.Do(ctx, key, func() (*session, bool, error) {
 		// An owner knows its outcome before it solves: a Miss.
 		s.mu.Lock()
 		s.stats.Misses++
 		s.mu.Unlock()
-		res, err := fill()
+		sess, err := fill()
 		s.mu.Lock()
-		s.recordSolve(res)
+		s.recordSolve(sess.res)
 		s.mu.Unlock()
-		if err != nil || res.Degraded > 0 {
-			return res, false, err
+		if err != nil || sess.res.Degraded > 0 {
+			return sess, false, err
 		}
-		// The layout snapshot is O(features) pure work, taken outside any
-		// lock.
-		sess := &session{hash: lh, sig: sig, layout: snapshotLayout(l), res: res}
 		if persist != nil {
 			persist(sess)
 		}
-		s.sessions.Put(key, sess)
-		return res, true, nil
+		return sess, true, nil
 	})
 	switch out {
 	case flight.Hit:
@@ -275,19 +274,16 @@ func (s *Service) resolve(ctx context.Context, lh, sig string, l *layout.Layout,
 		s.stats.Hits++
 		s.mu.Unlock()
 	case flight.Bypass:
-		res, err = bypass()
+		sess, err = bypass()
 		s.mu.Lock()
 		s.stats.Misses++
-		s.recordSolve(res)
+		s.recordSolve(sess.res)
 		s.mu.Unlock()
 	}
 	if err != nil {
 		return nil, false, err
 	}
-	if out == flight.Hit {
-		s.ensureSession(lh, sig, l, res)
-	}
-	return copyResult(res), out == flight.Hit, nil
+	return copyResult(sess.res), out == flight.Hit, nil
 }
 
 // recordSolve folds one executed solve's division telemetry into the
@@ -298,17 +294,6 @@ func (s *Service) recordSolve(res *core.Result) {
 	if res != nil {
 		s.stats.Add(res.DivisionStats)
 	}
-}
-
-// ensureSession re-registers a session for a healthy cached result whose
-// session entry may have been LRU-evicted independently. The (pure,
-// O(features)) snapshot is taken only when actually needed.
-func (s *Service) ensureSession(lh, sig string, l *layout.Layout, res *core.Result) {
-	key := resultKey(lh, sig)
-	if _, ok := s.sessions.Get(key); ok { // present: just bumped its recency
-		return
-	}
-	s.sessions.Put(key, &session{hash: lh, sig: sig, layout: snapshotLayout(l), res: res})
 }
 
 // fallbackLaneWait bounds how long an expired request may queue for the
@@ -394,7 +379,7 @@ func (s *Service) graphFor(ctx context.Context, lh string, l *layout.Layout, opt
 // statistics (nil when the result came from the cache), and whether it was
 // cached.
 //
-// Identical concurrent batches are deduplicated through the result cache:
+// Identical concurrent batches are deduplicated through the session cache:
 // the post-edit geometry is hashed first, so one caller applies the edits
 // and the rest wait on its entry. Conflicting concurrent batches derive
 // independent successor sessions from the same immutable base — there is
@@ -413,22 +398,25 @@ func (s *Service) DecomposeIncremental(ctx context.Context, baseHash string, edi
 		return nil, "", nil, false, err
 	}
 
-	// Hash the post-edit geometry up front: the result cache and
+	// Hash the post-edit geometry up front: the session cache and
 	// single-flight machinery then work exactly as for full solves.
 	newL, err := core.EditLayout(base.layout, edits)
 	if err != nil {
 		return nil, "", nil, false, err
 	}
 	newHash = LayoutHash(newL)
-	apply := func() (r *core.Result, applyErr error) {
-		_, r, estats, applyErr = s.applyEdits(ctx, base, edits, opts)
-		return r, applyErr
+	// newL is built afresh by EditLayout and held by nothing else, so the
+	// session keeps it without a snapshot.
+	apply := func() (*session, error) {
+		_, r, es, err := s.applyEdits(ctx, base, edits, opts)
+		estats = es
+		return &session{hash: newHash, sig: sig, layout: newL, res: r}, err
 	}
 	// A healthy successor is persisted to the durable log BEFORE it is
 	// registered in memory (write-ahead discipline: once a client can chain
 	// from newHash, a crash must not lose the state it chains from).
 	persist := func(succ *session) { s.persistEdits(base, succ, edits) }
-	res, cached, err = s.resolve(ctx, newHash, sig, newL, apply, apply, persist)
+	res, cached, err = s.resolve(ctx, resultKey(newHash, sig), apply, apply, persist)
 	if err != nil {
 		return nil, "", nil, false, err
 	}
@@ -436,11 +424,13 @@ func (s *Service) DecomposeIncremental(ctx context.Context, baseHash string, edi
 }
 
 // session returns the live session for hash under sig. With a durable
-// store, a session the in-memory store lost (evicted, or a restart) is
-// rehydrated from the log as a fill of the session cache, so concurrent
-// batches on one lost base share one replay; an unreplayable base is not
-// kept, and a waiter whose context ends first gets its context error, as
-// a dead-context replay does. Only when the disk has nothing either is it
+// store, a session the cache lost (evicted, or a restart) is rehydrated
+// from the log as a fill of the session cache, so concurrent batches on one
+// lost base share one replay, a base whose own solve is still in flight is
+// waited for rather than replayed, and a later full request of the
+// rehydrated geometry is a hit. An unreplayable base is not kept, and a
+// waiter whose context ends first gets its context error, as a
+// dead-context replay does. Only when the disk has nothing either is it
 // truly no session.
 func (s *Service) session(ctx context.Context, hash, sig string, opts core.Options) (*session, error) {
 	key := resultKey(hash, sig)
@@ -482,11 +472,11 @@ func (s *Service) applyEdits(ctx context.Context, sess *session, edits []core.Ed
 
 // StatsSnapshot returns current cache statistics.
 func (s *Service) StatsSnapshot() Stats {
-	evictions, size, sessions := s.results.Evictions(), s.results.Len(), s.sessions.Len()
+	evictions, size := s.sessions.Evictions(), s.sessions.Len()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Evictions, st.Size, st.Sessions = evictions, size, sessions
+	st.Evictions, st.Size = evictions, size
 	st.Stats = division.Stats{} // a deep copy: the snapshot owns its maps
 	st.Stats.Add(s.stats.Stats)
 	if s.cfg.Store != nil {
