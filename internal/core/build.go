@@ -35,15 +35,18 @@ type Fragment struct {
 // (DESIGN.md §3). In a parallel build the Split and Edges stages run on the
 // worker pool; Merge is the serial deterministic assembly.
 type BuildTiming struct {
-	// Split is the stitch-candidate stage: building the rectangle grid,
-	// then features → fragments plus intra-feature stitch pair detection.
+	// Split is the stitch-candidate stage: the one neighbour join over the
+	// layout's rectangles, each wire's conflicting neighbours gathered from
+	// its pairs, then features → fragments plus intra-feature stitch pair
+	// detection.
 	Split time.Duration
-	// Edges is conflict/color-friendly edge discovery: building the
-	// fragment-bounds grid (and, in parallel builds, the tile ordering),
-	// then the neighborhood scan.
+	// Edges is conflict/color-friendly edge discovery: each cross-feature
+	// rectangle pair the join found expands to its two features' fragment
+	// pairs, which the exact polygon gap classifies.
 	Edges time.Duration
 	// Merge is the serial assembly: fragment numbering, stitch-edge
-	// insertion, and (in parallel builds) the deterministic edge replay.
+	// insertion, and the drain of the per-strip edge lists into the CSR
+	// build.
 	Merge time.Duration
 	// Total is the end-to-end BuildGraph wall clock; it exceeds
 	// Split+Edges+Merge only by input validation and bookkeeping.
@@ -102,13 +105,15 @@ func BuildGraph(l *layout.Layout, opts BuildOptions) (*Graph, error) {
 }
 
 // BuildGraphContext is BuildGraph with cooperative cancellation and optional
-// parallelism (BuildOptions.Workers). The build is sharded: features are
-// split into stitch fragments on a bounded worker pool, fragments are
-// grouped into spatial tile shards for conflict/friend edge discovery, and a
-// serial merge replays everything in deterministic order, so the resulting
-// graph is identical to a serial build. Unlike DecomposeContext — which
-// degrades rather than fails — a half-built graph has no degraded form, so
-// cancellation mid-build returns a wrapped ctx error and no graph.
+// parallelism (BuildOptions.Workers). The build is sharded: one strip-sweep
+// join finds every pair of rectangles within mins+hp with strips as the
+// shard unit, features are split into stitch fragments on a bounded worker
+// pool, the join's pairs are classified into conflict/friend edges strip by
+// strip, and a serial merge replays everything in deterministic order, so
+// the resulting graph is identical to a serial build. Unlike
+// DecomposeContext — which degrades rather than fails — a half-built graph
+// has no degraded form, so cancellation mid-build returns a wrapped ctx
+// error and no graph.
 func BuildGraphContext(ctx context.Context, l *layout.Layout, opts BuildOptions) (*Graph, error) {
 	t0 := time.Now()
 	if err := l.Validate(); err != nil {
@@ -142,8 +147,10 @@ func BuildGraphContext(ctx context.Context, l *layout.Layout, opts BuildOptions)
 
 	b := &builder{l: l, opts: opts, minS: minS, hp: hp, workers: workers}
 
-	// Stage 1 (parallel over features): stitch candidate generation — split
-	// features into fragment pieces and detect intra-feature stitch pairs.
+	// Stage 1 (parallel over strips, then over features): the neighbour
+	// join over the layout's rectangles, then stitch candidate generation —
+	// split features into fragment pieces and detect intra-feature stitch
+	// pairs.
 	tSplit := time.Now()
 	if err := b.splitFeatures(ctx); err != nil {
 		return nil, err
@@ -159,21 +166,21 @@ func BuildGraphContext(ctx context.Context, l *layout.Layout, opts BuildOptions)
 	}
 	timing.Merge += time.Since(tMerge)
 
-	// Stage 3 (parallel over tile shards): conflict and color-friendly edge
-	// discovery via a shared read-only grid over fragment bounds. Each
-	// fragment i is owned by exactly one shard, which queries only the
-	// fragments j > i — the cross-tile deduplication rule: a pair is
-	// emitted only by its lower-indexed owner.
+	// Stage 3 (parallel over strips): conflict and color-friendly edge
+	// discovery. Each cross-feature rectangle pair of stage 1's join expands
+	// to its two features' fragment pairs; the join reported it once, in
+	// the strip of its reference point, so each strip's worker writes only
+	// that strip's output slots.
 	tEdges := time.Now()
 	if err := b.discoverEdges(ctx); err != nil {
 		return nil, err
 	}
 	timing.Edges = time.Since(tEdges)
 
-	// Stage 4 (serial merge): drain the per-shard edge lists into the CSR
+	// Stage 4 (serial merge): drain the per-strip edge lists into the CSR
 	// builder and materialize the graph in one two-pass count-then-fill
 	// build. The builder sorts and compacts every adjacency row, so the
-	// graph is a pure function of the edge *set* — independent of grid
+	// graph is a pure function of the edge *set* — independent of strip
 	// geometry, scan order, shard boundaries, and worker count. Incremental
 	// rebuilds (ApplyEdits) rely on exactly this: they splice the prior
 	// graph's sorted rows with freshly discovered pairs
@@ -197,23 +204,30 @@ type builder struct {
 	hp      int
 	workers int
 
-	// Stage 1 output: the pieces of each feature, and per shard chunk the
-	// touching (gap 0) piece pairs as flat (feature, i, j) triples of
-	// local piece indices, in feature order within the chunk.
+	// Stage 1 output: the layout's rectangles in feature order with their
+	// features; per join strip the cross-feature rectangle pairs as flat
+	// (a, c) ids, those within mins in near and the rest (within mins+hp)
+	// in far; the pieces of each feature; and per shard chunk the touching
+	// (gap 0) piece pairs as flat (feature, i, j) triples of local piece
+	// indices, in feature order within the chunk.
+	rects       []geom.Rect
+	owner       []int32
+	near, far   [][]int32
 	pieces      [][]geom.Polygon
 	stitchShard [][]int32
 
-	// Stage 2 output.
+	// Stage 2 output: the fragments of feature fi are
+	// frags[start[fi]:start[fi+1]].
 	frags []Fragment
+	start []int32
 	bld   *graph.Builder
 	g     *graph.Graph
 	stats BuildStats
 
-	// Stage 3 output, indexed by shard chunk: flat (u,v) conflict and
-	// color-friendly pairs, u < v (owner-computes dedup). Each chunk is
-	// written by exactly one worker; the merge drains them into the CSR
-	// builder, which sorts and compacts — so shard boundaries never show
-	// through in the finished graph.
+	// Stage 3 output, indexed by join strip: flat (u,v) conflict and
+	// color-friendly pairs. Each strip is written by exactly one worker;
+	// the merge drains them into the CSR builder, which sorts and compacts
+	// — so strip boundaries never show through in the finished graph.
 	confShard   [][]int32
 	friendShard [][]int32
 }
@@ -235,18 +249,19 @@ func (b *builder) shardPlan(n int) (chunk, nChunks int) {
 	return chunk, (n + chunk - 1) / chunk
 }
 
-// runSharded executes fn over [0, n) in contiguous chunks pulled from an
-// atomic cursor by min(workers, needed) goroutines. fn receives the chunk
-// index alongside the range, so a stage can write per-chunk output slots
-// without coordination. Chunk processing order is nondeterministic but every
-// output is indexed by its input position, so results are deterministic.
-// Returns promptly with ctx's error when cancelled mid-build.
-func (b *builder) runSharded(ctx context.Context, n int, stage string, fn func(ci, lo, hi int)) error {
+// runSharded executes fn over [0, n) in contiguous chunks of the given
+// length pulled from an atomic cursor by min(workers, needed) goroutines.
+// fn receives the chunk index alongside the range, so a stage can write
+// per-chunk output slots without coordination. Chunk processing order is
+// nondeterministic but every output is indexed by its input position, so
+// results are deterministic. Returns promptly with ctx's error when
+// cancelled mid-build.
+func (b *builder) runSharded(ctx context.Context, n, chunk int, stage string, fn func(ci, lo, hi int)) error {
 	if n == 0 {
 		return nil
 	}
 	workers := b.workers
-	chunk, nChunks := b.shardPlan(n)
+	nChunks := (n + chunk - 1) / chunk
 	if workers > nChunks {
 		workers = nChunks
 	}
@@ -299,11 +314,43 @@ func (b *builder) runSharded(ctx context.Context, n int, stage string, fn func(c
 	return nil
 }
 
-// splitFeatures runs stage 1: per-feature stitch splitting plus local
-// stitch-pair detection, sharded across the worker pool. Output depends
-// only on the feature index, never on the shard that computed it.
+// splitFeatures runs stage 1: the neighbour join over the layout's
+// rectangles at mins+hp, sharded by strip, then per-feature stitch
+// splitting plus local stitch-pair detection, sharded across the worker
+// pool. The pairs within mins give the wires their conflicting
+// neighbours, whose projections are the forbidden spans; all of the pairs
+// are kept for stage 3. Output depends only on the feature index, never on
+// the shard that computed it.
 func (b *builder) splitFeatures(ctx context.Context) error {
-	nf := len(b.l.Features)
+	nf, nr := len(b.l.Features), b.l.RectCount()
+	b.rects = make([]geom.Rect, 0, nr)
+	b.owner = make([]int32, 0, nr)
+	for fi, f := range b.l.Features {
+		for _, r := range f.Rects {
+			b.rects = append(b.rects, r)
+			b.owner = append(b.owner, int32(fi))
+		}
+	}
+	join := spatial.NewJoin(b.rects, b.minS+b.hp)
+	b.near = make([][]int32, join.Strips())
+	b.far = make([][]int32, join.Strips())
+	minSq := int64(b.minS) * int64(b.minS)
+	if err := b.runSharded(ctx, join.Strips(), 1, "neighbour join", func(s, _, _ int) {
+		var near, far []int32
+		join.Sweep(s, func(a, c int32) {
+			switch {
+			case b.owner[a] == b.owner[c]:
+			case geom.GapSq(b.rects[a], b.rects[c]) <= minSq:
+				near = append(near, a, c)
+			default:
+				far = append(far, a, c)
+			}
+		})
+		b.near[s], b.far[s] = near, far
+	}); err != nil {
+		return err
+	}
+
 	b.pieces = make([][]geom.Polygon, nf)
 	if b.opts.DisableStitches {
 		whole := slices.Clone(b.l.Features)
@@ -312,19 +359,18 @@ func (b *builder) splitFeatures(ctx context.Context) error {
 		}
 		return nil
 	}
-	_, nChunks := b.shardPlan(nf)
+	wire := make([]bool, nf)
+	for fi, f := range b.l.Features {
+		wire[fi] = len(f.Rects) == 1
+	}
+	chunk, nChunks := b.shardPlan(nf)
 	b.stitchShard = make([][]int32, nChunks)
-	splitter := newStitchSplitter(b.l, b.minS)
-	defer splitter.grid.Release()
-	queriers := newQuerierLease(splitter.grid)
-	defer queriers.release()
-	return b.runSharded(ctx, nf, "stitch splitting", func(ci, lo, hi int) {
-		q := queriers.get()
-		defer queriers.put(q)
+	splitter := newStitchSplitter(b.l.Process.MinWidth, b.rects, b.owner, wire, b.near)
+	return b.runSharded(ctx, nf, chunk, "stitch splitting", func(ci, lo, hi int) {
 		buf := newSplitBuf(hi - lo)
 		var stitches []int32
 		for fi := lo; fi < hi; fi++ {
-			ps := splitter.split(q, buf, fi, b.l.Features[fi])
+			ps := splitter.split(buf, b.l.Features[fi], splitter.neighbours(fi))
 			b.pieces[fi] = ps
 			// Touching pieces of one feature are stitch candidates; record
 			// local pairs now so the merge only replays them.
@@ -356,13 +402,15 @@ func (b *builder) assembleFragments() error {
 		return fmt.Errorf("core: layout splits into %d fragments, exceeding the graph capacity of %d vertices", total, graph.MaxVertices)
 	}
 	b.frags = make([]Fragment, 0, total)
-	start := make([]int32, len(b.pieces))
+	start := make([]int32, len(b.pieces)+1)
 	for fi, ps := range b.pieces {
 		start[fi] = int32(len(b.frags))
 		for _, p := range ps {
 			b.frags = append(b.frags, Fragment{Feature: fi, Shape: p})
 		}
 	}
+	start[len(b.pieces)] = int32(len(b.frags))
+	b.start = start
 	b.pieces = nil
 	b.bld = graph.NewBuilder(len(b.frags))
 	b.stats = BuildStats{Features: len(b.l.Features), Fragments: len(b.frags)}
@@ -376,122 +424,50 @@ func (b *builder) assembleFragments() error {
 	return nil
 }
 
-// discoverEdges runs stage 3: conflict and color-friendly candidate
-// discovery over a shared fragment grid. Each fragment i queries only the
-// fragments above it (Querier.NearAfter), so every pair is found once, by
-// its lower-indexed endpoint (owner-computes dedup). Parallel builds sort
-// the fragments into spatial tile shards so each worker's chunk touches a
-// coherent region of the grid. Neither the scan order nor the shard
-// boundaries reach the graph: the CSR build sorts and compacts every row.
+// discoverEdges runs stage 3: conflict and color-friendly edge discovery
+// from stage 1's join, sharded by strip. A fragment lies inside its
+// feature's rectangles, so every fragment pair within mins+hp belongs to a
+// feature pair with some rectangle pair within mins+hp: expanding each
+// such rectangle pair to its two features' fragment pairs and keeping
+// those whose exact polygon gap qualifies finds the whole edge set. A
+// fragment pair two rectangle pairs reach is found twice; the CSR build
+// compacts the duplicate, as it sorts every row, so neither the strip
+// boundaries nor the scan order reach the graph.
 func (b *builder) discoverEdges(ctx context.Context) error {
-	n := len(b.frags)
-	if n == 0 {
-		return nil
-	}
-	radius := b.minS + b.hp
-	world := b.l.Bounds().Expand(radius + 1)
-	bounds := make([]geom.Rect, n)
-	for i, fr := range b.frags {
-		bounds[i] = fr.Shape.Bounds()
-	}
-	grid := spatial.NewGrid(world, radius, bounds)
-	defer grid.Release()
-
 	minSq := int64(b.minS) * int64(b.minS)
+	radius := b.minS + b.hp
 	friendOuter := int64(radius) * int64(radius)
-	if b.workers == 1 {
-		// Serial hot path: scan in index order and append each discovered
-		// pair to the builder as soon as the query reports it. No sorting
-		// here — the CSR build's sort+compact canonicalizes.
-		q := grid.NewQuerier()
-		defer q.Release()
-		return b.runSharded(ctx, n, "edge generation", func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				fi := b.frags[i]
-				q.NearAfter(bounds[i], radius, i, func(j int) {
-					if fi.Feature == b.frags[j].Feature {
-						return
+	b.confShard = make([][]int32, len(b.near))
+	b.friendShard = make([][]int32, len(b.near))
+	return b.runSharded(ctx, len(b.near), 1, "edge generation", func(s, _, _ int) {
+		var conf, friend []int32
+		for _, pairs := range [2][]int32{b.near[s], b.far[s]} {
+			for k := 0; k < len(pairs); k += 2 {
+				fa, fc := b.owner[pairs[k]], b.owner[pairs[k+1]]
+				for u := b.start[fa]; u < b.start[fa+1]; u++ {
+					for v := b.start[fc]; v < b.start[fc+1]; v++ {
+						d := geom.GapSqPoly(b.frags[u].Shape, b.frags[v].Shape)
+						switch {
+						case d <= minSq:
+							conf = append(conf, u, v)
+						case d < friendOuter:
+							friend = append(friend, u, v)
+						}
 					}
-					d := geom.GapSqPoly(fi.Shape, b.frags[j].Shape)
-					switch {
-					case d <= minSq:
-						b.bld.AddConflict(i, j)
-					case d < friendOuter:
-						b.bld.AddFriend(i, j)
-					}
-				})
+				}
 			}
-		})
-	}
-
-	// Tile sharding: workers pull contiguous chunks of the tile order, so
-	// one chunk ≈ one spatial tile run. Tiles are 4×4 grid cells, and the
-	// grid's cell is capped at a few cells per fragment, so the tile table
-	// is O(n) however sparse the layout.
-	_, nChunks := b.shardPlan(n)
-	b.confShard = make([][]int32, nChunks)
-	b.friendShard = make([][]int32, nChunks)
-	order := tileOrder(bounds, world, 4*grid.Cell())
-	queriers := newQuerierLease(grid)
-	defer queriers.release()
-	return b.runSharded(ctx, n, "edge generation", func(ci, lo, hi int) {
-		q := queriers.get()
-		defer queriers.put(q)
-		conf, friend := b.confShard[ci], b.friendShard[ci]
-		for _, oi := range order[lo:hi] {
-			i := int(oi)
-			fi := b.frags[i]
-			q.NearAfter(bounds[i], radius, i, func(j int) {
-				if fi.Feature == b.frags[j].Feature {
-					return
-				}
-				d := geom.GapSqPoly(fi.Shape, b.frags[j].Shape)
-				switch {
-				case d <= minSq:
-					conf = append(conf, int32(i), int32(j))
-				case d < friendOuter:
-					friend = append(friend, int32(i), int32(j))
-				}
-			})
 		}
-		b.confShard[ci], b.friendShard[ci] = conf, friend
+		b.near[s], b.far[s] = nil, nil
+		b.confShard[s], b.friendShard[s] = conf, friend
 	})
 }
 
-// tileOrder returns the indices of bounds ordered by the tile of side
-// tileSize (numbered row by row from world's corner) containing each box's
-// center, ascending within a tile: a counting sort that counts each tile's
-// boxes, prefix-sums the counts into starts and places the indices.
-func tileOrder(bounds []geom.Rect, world geom.Rect, tileSize int) []int32 {
-	cols := world.Width()/tileSize + 1
-	rows := world.Height()/tileSize + 1
-	tile := func(bb geom.Rect) int {
-		tx := ((bb.X0+bb.X1)/2 - world.X0) / tileSize
-		ty := ((bb.Y0+bb.Y1)/2 - world.Y0) / tileSize
-		return ty*cols + tx
-	}
-	start := make([]int32, cols*rows+1)
-	for _, bb := range bounds {
-		start[tile(bb)+1]++
-	}
-	for t := 1; t < len(start); t++ {
-		start[t] += start[t-1]
-	}
-	order := make([]int32, len(bounds))
-	for i, bb := range bounds {
-		t := tile(bb)
-		order[start[t]] = int32(i)
-		start[t]++
-	}
-	return order
-}
-
-// finishGraph runs stage 4: drain the per-shard edge lists into the CSR
-// builder (resident pairs from a serial build are already there) and run the
-// two-pass count-then-fill build. Transient fill cursors come from the
-// shared scratch pool; the offsets and id arrays belong to the finished
-// graph. Edge-kind totals come from the builder's compacted rows, so they
-// equal the per-insert tallies of the old mutable path by construction.
+// finishGraph runs stage 4: drain the per-strip edge lists into the CSR
+// builder and run the two-pass count-then-fill build. Transient fill
+// cursors come from the shared scratch pool; the offsets and id arrays
+// belong to the finished graph. Edge-kind totals come from the builder's
+// compacted rows, so they equal the per-insert tallies of the old mutable
+// path by construction.
 func (b *builder) finishGraph() {
 	var nc, nf int
 	for ci := range b.confShard {
@@ -518,43 +494,6 @@ func (b *builder) finishGraph() {
 	b.stats.FriendEdges = b.g.FriendEdgeCount()
 }
 
-// querierLease is a sync.Pool of queriers over one grid that also tracks
-// every querier it ever created, so the build can Release their pooled
-// stamp arrays once the sharded stage finishes (a bare sync.Pool cannot be
-// enumerated, which would strand the stamps until GC instead of recycling
-// them into the next build).
-type querierLease struct {
-	p       sync.Pool
-	mu      sync.Mutex
-	created []*spatial.Querier
-}
-
-func newQuerierLease(grid *spatial.Grid) *querierLease {
-	ql := &querierLease{}
-	ql.p.New = func() any {
-		q := grid.NewQuerier()
-		ql.mu.Lock()
-		ql.created = append(ql.created, q)
-		ql.mu.Unlock()
-		return q
-	}
-	return ql
-}
-
-func (ql *querierLease) get() *spatial.Querier  { return ql.p.Get().(*spatial.Querier) }
-func (ql *querierLease) put(q *spatial.Querier) { ql.p.Put(q) }
-
-// release recycles every created querier's stamps. Call only after all
-// workers are done.
-func (ql *querierLease) release() {
-	ql.mu.Lock()
-	defer ql.mu.Unlock()
-	for _, q := range ql.created {
-		q.Release()
-	}
-	ql.created = nil
-}
-
 // maxStitchesPerFeature caps the stitch candidates of one feature: long
 // wires rarely profit from more, and the cap keeps vertex counts close to
 // the paper's "stitch candidate" regime.
@@ -563,70 +502,53 @@ const maxStitchesPerFeature = 2
 // stitchSplitter implements projection-based stitch candidate generation
 // (DESIGN.md §5): a wire-like rectangle may be split at positions not
 // covered by the projection of any conflicting neighbor, keeping at least
-// minSeg of material on each side.
+// minSeg of material on each side. It holds each wire's conflicting
+// neighbours, gathered from a neighbour join's rectangle pairs, as one CSR
+// array of rectangle ids.
 type stitchSplitter struct {
-	l      *layout.Layout
-	minS   int
 	minSeg int
-	grid   *spatial.Grid
-	owner  []int32     // grid id -> feature index
-	rects  []geom.Rect // grid id -> rectangle (the grid's bounds table)
+	rects  []geom.Rect // the join's rectangles
+	off    []int32     // slot k's neighbours are nbrs[off[k]:off[k+1]]
+	nbrs   []int32
 }
 
-// newStitchSplitter indexes every rectangle of l.
-func newStitchSplitter(l *layout.Layout, minS int) *stitchSplitter {
-	s := newSplitterIndex(l, minS, l.RectCount())
-	for fi := range l.Features {
-		s.index(fi)
-	}
-	s.seal(l.Bounds())
-	return s
-}
-
-// newWindowSplitter indexes only the rectangles of the given features. split
-// is exact for a feature as long as every rectangle within minS of it is
-// indexed, so ApplyEdits indexes just the window around the features it
-// re-splits instead of the whole layout.
-func newWindowSplitter(l *layout.Layout, minS int, feats []int32) *stitchSplitter {
-	var world geom.Rect
-	total := 0
-	for k, fi := range feats {
-		f := l.Features[fi]
-		if k == 0 {
-			world = f.Bounds()
+// newStitchSplitter gathers the conflicting neighbours of the wires among
+// len(wire) feature slots from pairs, flat (a, c) pairs of rectangles of
+// different slots within minS: each rectangle is a neighbour of the
+// other's slot when wire marks that slot as one split will consult. owner
+// maps each of rects to its slot. The neighbours are grouped by slot in two passes:
+// count each slot's neighbours into off[k+1], prefix-sum them into start
+// offsets, fill, then shift the advanced offsets back by one. split sorts
+// a wire's spans, so the order neighbours come in does not matter.
+func newStitchSplitter(minSeg int, rects []geom.Rect, owner []int32, wire []bool, pairs [][]int32) *stitchSplitter {
+	n := len(wire)
+	s := &stitchSplitter{minSeg: minSeg, rects: rects, off: make([]int32, n+1)}
+	for _, ps := range pairs {
+		for i := 0; i < len(ps); i++ {
+			if k := owner[ps[i]]; wire[k] {
+				s.off[k+1]++
+			}
 		}
-		world = world.Union(f.Bounds())
-		total += len(f.Rects)
 	}
-	s := newSplitterIndex(l, minS, total)
-	for _, fi := range feats {
-		s.index(int(fi))
+	for k := 1; k <= n; k++ {
+		s.off[k] += s.off[k-1]
 	}
-	s.seal(world)
+	s.nbrs = make([]int32, s.off[n])
+	for _, ps := range pairs {
+		for i := 0; i < len(ps); i++ {
+			if k := owner[ps[i]]; wire[k] {
+				s.nbrs[s.off[k]] = ps[i^1]
+				s.off[k]++
+			}
+		}
+	}
+	copy(s.off[1:], s.off[:n])
+	s.off[0] = 0
 	return s
 }
 
-// newSplitterIndex returns an empty splitter sized for total rectangles.
-// Each stitch leaves at least the process minimum width on both sides.
-func newSplitterIndex(l *layout.Layout, minS int, total int) *stitchSplitter {
-	s := &stitchSplitter{l: l, minS: minS, minSeg: l.Process.MinWidth}
-	s.owner = make([]int32, 0, total)
-	s.rects = make([]geom.Rect, 0, total)
-	return s
-}
-
-// index adds the rectangles of feature fi.
-func (s *stitchSplitter) index(fi int) {
-	for _, r := range s.l.Features[fi].Rects {
-		s.owner = append(s.owner, int32(fi))
-		s.rects = append(s.rects, r)
-	}
-}
-
-// seal builds the grid over every indexed rectangle; world bounds them.
-func (s *stitchSplitter) seal(world geom.Rect) {
-	s.grid = spatial.NewGrid(world.Expand(s.minS+1), s.minS, s.rects)
-}
+// neighbours returns the conflicting neighbours of slot k's wire.
+func (s *stitchSplitter) neighbours(k int) []int32 { return s.nbrs[s.off[k]:s.off[k+1]] }
 
 // span is a forbidden projection interval [lo, hi) along a wire.
 type span struct{ lo, hi int }
@@ -673,10 +595,10 @@ func (b *splitBuf) whole(f geom.Polygon) []geom.Polygon {
 // wire features may be divided at stitch candidates; everything else stays
 // whole. (Stitches inside complex polygons exist in practice but the
 // paper's stitch model — one candidate per uncovered projection interval —
-// is defined on wires; see DESIGN.md §5.) Queries go through the caller's
-// Querier so shards can split concurrently over the shared grid; the
-// pieces live in buf's arenas.
-func (s *stitchSplitter) split(q *spatial.Querier, buf *splitBuf, fi int, f geom.Polygon) []geom.Polygon {
+// is defined on wires; see DESIGN.md §5.) nbrs holds the ids of the
+// wire's conflicting neighbor rectangles in s.rects. The pieces live in
+// buf's arenas.
+func (s *stitchSplitter) split(buf *splitBuf, f geom.Polygon, nbrs []int32) []geom.Polygon {
 	if len(f.Rects) != 1 {
 		return buf.whole(f)
 	}
@@ -694,20 +616,14 @@ func (s *stitchSplitter) split(q *spatial.Querier, buf *splitBuf, fi int, f geom
 	// expanded by minSeg so a stitch keeps clearance from the region where
 	// the neighbor actually constrains the wire.
 	forbidden := buf.forbidden[:0]
-	q.Near(r, s.minS, func(id int) {
-		if int(s.owner[id]) == fi {
-			return
-		}
+	for _, id := range nbrs {
 		nr := s.rects[id]
-		if geom.GapSq(r, nr) > int64(s.minS)*int64(s.minS) {
-			return
-		}
 		if horizontal {
 			forbidden = append(forbidden, span{nr.X0 - s.minSeg, nr.X1 + s.minSeg})
 		} else {
 			forbidden = append(forbidden, span{nr.Y0 - s.minSeg, nr.Y1 + s.minSeg})
 		}
-	})
+	}
 	buf.forbidden = forbidden
 
 	lo, hi := r.X0, r.X1

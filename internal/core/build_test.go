@@ -120,42 +120,42 @@ func TestBadMinSRejected(t *testing.T) {
 	}
 }
 
-// TestGridCellUnchangedOnBenchmarks pins the spatial grid's bucket cap against
-// the committed circuits: each grid the build and the verifier make over a
-// committed layout keeps its requested cell size, at every K the tables
-// use. The bucket cap exists for sparse hostile inputs; it must not coarsen
-// the grids real layouts are decomposed with.
+// TestGridCellUnchangedOnBenchmarks pins the neighbour join's strip caps
+// against the committed circuits: the join the build runs over a committed
+// layout's rectangles (at mins+hp) and the one the verifier runs over its
+// fragments' bounds (at mins) keep strip height r, at every K the tables
+// use. The caps exist for sparse hostile inputs; they must not coarsen the
+// strips real layouts are decomposed with. ("Grid" in the name is the
+// strip partition, the one-column grid the join sweeps.)
 func TestGridCellUnchangedOnBenchmarks(t *testing.T) {
 	for name, l := range parallelCases(t) {
+		var rects []geom.Rect
+		for _, f := range l.Features {
+			rects = append(rects, f.Rects...)
+		}
 		for k := 3; k <= 6; k++ {
 			dg, err := BuildGraph(l, BuildOptions{K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
-			minS := dg.MinS
-			radius := minS + dg.HalfPitch
-			var rects, frags []geom.Rect
-			for _, f := range l.Features {
-				rects = append(rects, f.Rects...)
-			}
-			for _, fr := range dg.Fragments {
-				frags = append(frags, fr.Shape.Bounds())
-			}
-			for _, g := range []struct {
+			for _, j := range []struct {
 				what  string
-				world geom.Rect
-				cell  int
+				r     int
 				rects []geom.Rect
 			}{
-				{"splitter", l.Bounds().Expand(minS + 1), minS, rects},
-				{"edges", l.Bounds().Expand(radius + 1), radius, frags},
-				{"verify", worldOf(dg), minS + 1, frags},
+				{"build", dg.MinS + dg.HalfPitch, rects},
+				{"verify", dg.MinS, fragmentBounds(dg)},
 			} {
-				grid := spatial.NewGrid(g.world, g.cell, g.rects)
-				if grid.Cell() != g.cell {
-					t.Errorf("%s K=%d %s grid: cell %d grew to %d", name, k, g.what, g.cell, grid.Cell())
+				// Doubling the height from r cuts the strip count, as the
+				// rectangles span more than r.
+				lo, hi := j.rects[0].Y0, j.rects[0].Y1
+				for _, b := range j.rects {
+					lo, hi = min(lo, b.Y0), max(hi, b.Y1)
 				}
-				grid.Release()
+				want := (hi+j.r-lo)/j.r + 1
+				if got := spatial.NewJoin(j.rects, j.r).Strips(); got != want {
+					t.Errorf("%s K=%d %s join: %d strips, want %d at strip height %d", name, k, j.what, got, want, j.r)
+				}
 			}
 		}
 	}
@@ -182,14 +182,14 @@ func TestDecomposeFarApartFeatures(t *testing.T) {
 	}
 }
 
-// TestParallelBuildSparseWorld: a parallel build orders fragments by tile
-// with a counting sort whose table has one slot per tile. Tiles are 4×4
-// cells of the edge grid, whose cell NewGrid coarsens until the grid has at
-// most a few cells per fragment, so the table stays O(n) on sparse layouts:
-// tiny features 2^30 apart, or at opposite corners of the coordinate range,
-// where tiles of four query radii would number past MaxInt32. The build
-// must succeed, allocate under 1 MiB and equal the serial build. Each
-// layout also carries a conflicting pair, so the graphs have an edge.
+// TestParallelBuildSparseWorld: sparse layouts — tiny features 2^30
+// apart, or at opposite corners of the coordinate range, where tiles of
+// four radii (the parallel build's old tile order) would number past
+// MaxInt32 — must not size anything by area. The neighbour join raises
+// its strip height until it has at most a few strips per rectangle, so
+// its tables stay O(n). The build must succeed, allocate under 1 MiB and
+// equal the serial build. Each layout also carries a conflicting pair, so
+// the graphs have an edge.
 func TestParallelBuildSparseWorld(t *testing.T) {
 	const half, far = 1 << 29, layout.CoordLimit - 100
 	// pair returns two 20 nm squares 40 nm apart, the first at (x, y).

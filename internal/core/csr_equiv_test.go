@@ -4,10 +4,14 @@ package core
 // build (graph.Builder) must produce graphs byte-identical to the legacy
 // per-insert adjacency — the pre-CSR path, preserved below as
 // referenceBuildGraph — on every committed circuit and across a population
-// of seeded random layouts, at workers 1 and 8 (the resident serial stream
-// and the sharded parallel stream).
+// of seeded random layouts, at workers 1 and 8 (one worker sweeping every
+// strip, and the sharded per-strip streams). The reference finds its
+// neighbours with a plain x-sorted sweep (sweepPairs), so the production
+// strip join is checked against independent candidate discovery rather
+// than against itself.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -15,9 +19,30 @@ import (
 	"mpl/internal/geom"
 	"mpl/internal/graph"
 	"mpl/internal/layout"
-	"mpl/internal/spatial"
 	"mpl/internal/synth"
 )
+
+// sweepPairs calls fn(i, j), i < j, for every pair of rects whose squared
+// gap is at most r²: a plain sweep over the rectangles sorted by x0, each
+// scanning forward while the next one starts within r of its right edge.
+func sweepPairs(rects []geom.Rect, r int, fn func(i, j int)) {
+	order := make([]int, len(rects))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(rects[a].X0, rects[b].X0) })
+	rr := int64(r) * int64(r)
+	for k, i := range order {
+		for _, j := range order[k+1:] {
+			if rects[j].X0 > rects[i].X1+r {
+				break
+			}
+			if geom.GapSq(rects[i], rects[j]) <= rr {
+				fn(min(i, j), max(i, j))
+			}
+		}
+	}
+}
 
 // legacyRows is the per-insert adjacency the codebase kept before the CSR
 // core: one sorted, duplicate-free []int32 row per vertex and edge kind.
@@ -74,13 +99,27 @@ func referenceBuildGraph(l *layout.Layout, opts BuildOptions) (*legacyGraph, err
 			pieces[fi] = []geom.Polygon{l.Features[fi]}
 		}
 	} else {
-		splitter := newStitchSplitter(l, minS)
-		defer splitter.grid.Release()
-		q := splitter.grid.NewQuerier()
-		defer q.Release()
+		// Each wire's conflicting neighbours: the rectangles of other
+		// features within minS. split projects them into forbidden spans.
+		var rects []geom.Rect
+		var owner []int
+		for fi, f := range l.Features {
+			for _, r := range f.Rects {
+				rects = append(rects, r)
+				owner = append(owner, fi)
+			}
+		}
+		nbrs := make([][]int32, nf)
+		sweepPairs(rects, minS, func(i, j int) {
+			if owner[i] != owner[j] {
+				nbrs[owner[i]] = append(nbrs[owner[i]], int32(j))
+				nbrs[owner[j]] = append(nbrs[owner[j]], int32(i))
+			}
+		})
+		splitter := &stitchSplitter{minSeg: l.Process.MinWidth, rects: rects}
 		buf := newSplitBuf(nf)
 		for fi := range l.Features {
-			ps := splitter.split(q, buf, fi, l.Features[fi])
+			ps := splitter.split(buf, l.Features[fi], nbrs[fi])
 			pieces[fi] = ps
 			for i := 0; i < len(ps); i++ {
 				for j := i + 1; j < len(ps); j++ {
@@ -113,40 +152,31 @@ func referenceBuildGraph(l *layout.Layout, opts BuildOptions) (*legacyGraph, err
 		}
 	}
 
-	// Stage 3: per-insert conflict/friend discovery in ascending order.
-	if n > 0 {
-		radius := minS + hp
-		world := l.Bounds().Expand(radius + 1)
-		bounds := make([]geom.Rect, n)
-		for i, fr := range frags {
-			bounds[i] = fr.Shape.Bounds()
-		}
-		grid := spatial.NewGrid(world, radius, bounds)
-		defer grid.Release()
-		q := grid.NewQuerier()
-		defer q.Release()
-		minSq := int64(minS) * int64(minS)
-		friendOuter := int64(radius) * int64(radius)
-		for i := 0; i < n; i++ {
-			fi := frags[i]
-			q.Near(fi.Shape.Bounds(), radius, func(j int) {
-				if j <= i || fi.Feature == frags[j].Feature {
-					return
-				}
-				d := geom.GapSqPoly(fi.Shape, frags[j].Shape)
-				switch {
-				case d <= minSq:
-					if g.conf.add(i, j) {
-						stats.ConflictEdges++
-					}
-				case d < friendOuter:
-					if g.friend.add(i, j) {
-						stats.FriendEdges++
-					}
-				}
-			})
-		}
+	// Stage 3: per-insert conflict/friend discovery over the fragments'
+	// bounds.
+	radius := minS + hp
+	bounds := make([]geom.Rect, n)
+	for i, fr := range frags {
+		bounds[i] = fr.Shape.Bounds()
 	}
+	minSq := int64(minS) * int64(minS)
+	friendOuter := int64(radius) * int64(radius)
+	sweepPairs(bounds, radius, func(i, j int) {
+		if frags[i].Feature == frags[j].Feature {
+			return
+		}
+		d := geom.GapSqPoly(frags[i].Shape, frags[j].Shape)
+		switch {
+		case d <= minSq:
+			if g.conf.add(i, j) {
+				stats.ConflictEdges++
+			}
+		case d < friendOuter:
+			if g.friend.add(i, j) {
+				stats.FriendEdges++
+			}
+		}
+	})
 	g.hdr = Graph{Fragments: frags, Stats: stats, MinS: minS, HalfPitch: hp}
 	return g, nil
 }

@@ -420,12 +420,13 @@ func solveSDP(ctx context.Context, g *graph.Graph, opts Options, sc *pipeline.Sc
 }
 
 // VerifySolution independently re-derives conflicts from geometry: it
-// rebuilds neighbor relations with a fresh spatial query and counts
-// same-mask fragment pairs of different features within MinS, plus stitch
-// mismatches between touching fragments of one feature. It must agree with
-// Result.Conflicts/Stitches — a cross-check that graph construction and
-// coloring agree (used by tests and cmd/qpld -verify). A coloring with a
-// mask outside [0, r.K), or a result with K < 2, is an error.
+// rebuilds neighbor relations with a fresh neighbour join over the
+// fragments' bounds at MinS and counts same-mask fragment pairs of
+// different features within MinS, plus stitch mismatches between touching
+// fragments of one feature. It must agree with Result.Conflicts/Stitches —
+// a cross-check that graph construction and coloring agree (used by tests
+// and cmd/qpld -verify). A coloring with a mask outside [0, r.K), or a
+// result with K < 2, is an error.
 func VerifySolution(r *Result) (conflicts, stitches int, err error) {
 	dg := r.Graph
 	if len(r.Colors) != len(dg.Fragments) {
@@ -440,19 +441,10 @@ func VerifySolution(r *Result) (conflicts, stitches int, err error) {
 		}
 	}
 	minSq := int64(dg.MinS) * int64(dg.MinS)
-	world := worldOf(dg)
-	bounds := make([]geom.Rect, len(dg.Fragments))
-	for i, fr := range dg.Fragments {
-		bounds[i] = fr.Shape.Bounds()
-	}
-	grid := spatial.NewGrid(world, dg.MinS+1, bounds)
-	defer grid.Release()
-	q := grid.NewQuerier()
-	defer q.Release()
-	for i := range dg.Fragments {
-		fi := dg.Fragments[i]
-		q.NearAfter(bounds[i], dg.MinS, i, func(j int) {
-			fj := dg.Fragments[j]
+	join := spatial.NewJoin(fragmentBounds(dg), dg.MinS)
+	for s := range join.Strips() {
+		join.Sweep(s, func(i, j int32) {
+			fi, fj := dg.Fragments[i], dg.Fragments[j]
 			d := geom.GapSqPoly(fi.Shape, fj.Shape)
 			if fi.Feature != fj.Feature {
 				if d <= minSq && r.Colors[i] == r.Colors[j] {
@@ -466,15 +458,13 @@ func VerifySolution(r *Result) (conflicts, stitches int, err error) {
 	return conflicts, stitches, nil
 }
 
-func worldOf(dg *Graph) geom.Rect {
-	if len(dg.Fragments) == 0 {
-		return geom.Rect{}
+// fragmentBounds returns the bounding box of every fragment of dg.
+func fragmentBounds(dg *Graph) []geom.Rect {
+	bounds := make([]geom.Rect, len(dg.Fragments))
+	for i, fr := range dg.Fragments {
+		bounds[i] = fr.Shape.Bounds()
 	}
-	b := dg.Fragments[0].Shape.Bounds()
-	for _, fr := range dg.Fragments[1:] {
-		b = b.Union(fr.Shape.Bounds())
-	}
-	return b.Expand(dg.MinS + 1)
+	return bounds
 }
 
 // BalanceMasks rebalances mask usage by rotating the colors of whole

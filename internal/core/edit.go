@@ -13,11 +13,11 @@ package core
 //
 //  1. Canonical graphs. BuildGraph emits adjacency lists sorted ascending,
 //     so a decomposition graph is a pure function of its edge set — never
-//     of grid geometry or scan order. The index maps are monotonic, so a
-//     reused fragment's prior row, mapped and stripped of lost neighbors,
-//     is still sorted; ApplyEdits therefore splices the prior rows with the
-//     freshly discovered pairs (graph.Builder.BuildSpliced) and lands on
-//     the byte-identical graph a scratch build would produce.
+//     of join strip geometry or scan order. The index maps are monotonic,
+//     so a reused fragment's prior row, mapped and stripped of lost
+//     neighbors, is still sorted; ApplyEdits therefore splices the prior
+//     rows with the freshly discovered pairs (graph.Builder.BuildSpliced)
+//     and lands on the byte-identical graph a scratch build would produce.
 //  2. Locality of construction. A feature's fragmentation depends only on
 //     neighbors within MinS (projection intervals), and an edge only on the
 //     geometry of its two endpoints. Features outside the dirty region keep
@@ -117,21 +117,28 @@ type EditStats struct {
 
 // EditLayout returns the layout obtained by applying the edits in order,
 // without decomposing anything. The input layout is not modified. It is the
-// pure layout half of ApplyEdits, split out so callers (the serving layer)
-// can hash the post-edit geometry before deciding whether a cached result
-// already covers it.
+// pure layout half of ApplyEdits.
 func EditLayout(l *layout.Layout, edits []Edit) (*layout.Layout, error) {
-	plan, err := planEdits(l, edits)
+	plan, err := PlanEdits(l, edits)
 	if err != nil {
 		return nil, err
 	}
-	return plan.newLayout(l), nil
+	return plan.Layout(), nil
 }
 
-// editPlan is the resolved edit batch: the post-edit feature list, each
-// feature's pre-edit identity, and the bounding boxes of every piece of
-// geometry that appeared or disappeared.
-type editPlan struct {
+// EditPlan is an edit batch resolved against the layout it edits: the
+// post-edit layout, each feature's pre-edit identity, and the bounding
+// boxes of every piece of geometry that appeared or disappeared. A caller
+// that must see the post-edit geometry before deciding to decompose it
+// (the serving layer hashes it to look up a cached result) plans once and
+// then Applies the same plan, instead of paying for EditLayout and
+// ApplyEdits planning the batch twice.
+type EditPlan struct {
+	// base is the pre-edit layout, post the post-edit one; post shares the
+	// plan's feature list, which nothing modifies after planning. edits is
+	// the batch's operation count.
+	base, post *layout.Layout
+	edits      int
 	// shapes is the post-edit feature list. orig[fi] is feature fi's index
 	// in the pre-edit layout, or -1 for features added by an edit; edited
 	// marks the features whose geometry differs from the pre-edit layout
@@ -145,14 +152,18 @@ type editPlan struct {
 	dirty []geom.Rect
 }
 
-func planEdits(l *layout.Layout, edits []Edit) (*editPlan, error) {
+// PlanEdits resolves the edits, in order, against l, which it does not
+// modify.
+func PlanEdits(l *layout.Layout, edits []Edit) (*EditPlan, error) {
 	n, adds := len(l.Features), 0
 	for _, e := range edits {
 		if e.Op == EditAdd {
 			adds++
 		}
 	}
-	p := &editPlan{
+	p := &EditPlan{
+		base:   l,
+		edits:  len(edits),
 		shapes: make([]geom.Polygon, n, n+adds),
 		orig:   make([]int32, n, n+adds),
 		edited: make([]bool, n, n+adds),
@@ -191,14 +202,12 @@ func planEdits(l *layout.Layout, edits []Edit) (*editPlan, error) {
 			return nil, fmt.Errorf("core: edit %d: unknown op %v", ei, e.Op)
 		}
 	}
+	p.post = &layout.Layout{Name: l.Name, Process: l.Process, Features: p.shapes}
 	return p, nil
 }
 
-// newLayout materializes the post-edit layout. It shares the plan's
-// feature list, which nothing modifies after planning.
-func (p *editPlan) newLayout(l *layout.Layout) *layout.Layout {
-	return &layout.Layout{Name: l.Name, Process: l.Process, Features: p.shapes}
-}
+// Layout returns the post-edit layout.
+func (p *EditPlan) Layout() *layout.Layout { return p.post }
 
 // ApplyEdits incrementally re-decomposes an edited layout. l and prev are
 // the layout and Result of the previous run (a Decompose of l, or a prior
@@ -221,22 +230,37 @@ func (p *editPlan) newLayout(l *layout.Layout) *layout.Layout {
 // instead of failing. A degraded incremental result is still a valid
 // coloring but no longer matches a from-scratch run.
 func ApplyEdits(ctx context.Context, l *layout.Layout, prev *Result, edits []Edit, opts Options) (*layout.Layout, *Result, *EditStats, error) {
-	if err := checkEngine(opts); err != nil {
+	plan, err := PlanEdits(l, edits)
+	if err != nil {
 		return nil, nil, nil, err
+	}
+	res, es, err := plan.Apply(ctx, prev, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return plan.post, res, es, nil
+}
+
+// checkPrev checks that prev is a decomposition of l that an incremental
+// run under opts may reuse, and returns the normalized options and the
+// minimum coloring distance they derive.
+func checkPrev(l *layout.Layout, prev *Result, opts Options) (Options, int, error) {
+	if err := checkEngine(opts); err != nil {
+		return opts, 0, err
 	}
 	opts = opts.withDefaults()
 	if prev == nil || prev.Graph == nil {
-		return nil, nil, nil, fmt.Errorf("core: ApplyEdits needs the previous result")
+		return opts, 0, fmt.Errorf("core: ApplyEdits needs the previous result")
 	}
 	pg := prev.Graph
 	if pg.Stats.Features != len(l.Features) {
-		return nil, nil, nil, fmt.Errorf("core: previous result covers %d features, layout has %d", pg.Stats.Features, len(l.Features))
+		return opts, 0, fmt.Errorf("core: previous result covers %d features, layout has %d", pg.Stats.Features, len(l.Features))
 	}
 	if len(prev.Colors) != len(pg.Fragments) {
-		return nil, nil, nil, fmt.Errorf("core: previous result is inconsistent: %d colors for %d fragments", len(prev.Colors), len(pg.Fragments))
+		return opts, 0, fmt.Errorf("core: previous result is inconsistent: %d colors for %d fragments", len(prev.Colors), len(pg.Fragments))
 	}
 	if pg.G == nil || pg.G.N() != len(pg.Fragments) {
-		return nil, nil, nil, fmt.Errorf("core: previous result is inconsistent: its graph does not have one vertex per fragment (%d fragments)", len(pg.Fragments))
+		return opts, 0, fmt.Errorf("core: previous result is inconsistent: its graph does not have one vertex per fragment (%d fragments)", len(pg.Fragments))
 	}
 	// Copied components are only valid under the exact options that
 	// produced prev — engine, seed, division ablations, stitch settings,
@@ -246,36 +270,41 @@ func ApplyEdits(ctx context.Context, l *layout.Layout, prev *Result, edits []Edi
 	want.Division.Workers, have.Division.Workers = 0, 0
 	want.Build.Workers, have.Build.Workers = 0, 0
 	if want != have {
-		return nil, nil, nil, fmt.Errorf("core: previous result was solved under different options (%+v) than requested (%+v)", prev.Options, opts)
+		return opts, 0, fmt.Errorf("core: previous result was solved under different options (%+v) than requested (%+v)", prev.Options, opts)
 	}
 	minS := opts.Build.MinS
 	if minS == 0 {
 		minS = l.Process.MinColoringDistance(opts.Build.K)
 	}
 	if minS <= 0 {
-		return nil, nil, nil, fmt.Errorf("core: non-positive minimum coloring distance %d", minS)
+		return opts, 0, fmt.Errorf("core: non-positive minimum coloring distance %d", minS)
 	}
 	if pg.MinS != minS || pg.HalfPitch != l.Process.HalfPitch {
-		return nil, nil, nil, fmt.Errorf("core: previous result was built with mins=%d hp=%d, options derive mins=%d hp=%d",
+		return opts, 0, fmt.Errorf("core: previous result was built with mins=%d hp=%d, options derive mins=%d hp=%d",
 			pg.MinS, pg.HalfPitch, minS, l.Process.HalfPitch)
 	}
+	return opts, minS, nil
+}
 
-	plan, err := planEdits(l, edits)
+// Apply is ApplyEdits of the planned batch: prev is the Result of the
+// layout the plan edits, and the Result returned decomposes p.Layout().
+func (p *EditPlan) Apply(ctx context.Context, prev *Result, opts Options) (*Result, *EditStats, error) {
+	opts, minS, err := checkPrev(p.base, prev, opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	newL := plan.newLayout(l)
-	// Only edited features need checking: the rest are unchanged from l,
-	// which prev was built from.
-	for fi, edited := range plan.edited {
+	newL := p.post
+	// Only edited features need checking: the rest are unchanged from the
+	// base layout, which prev was built from.
+	for fi, edited := range p.edited {
 		if edited {
 			if err := newL.ValidateFeature(fi); err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 		}
 	}
 	if err := newL.ValidateProcess(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	// The incremental path runs the regular stages with Build and
@@ -288,10 +317,10 @@ func ApplyEdits(ctx context.Context, l *layout.Layout, prev *Result, edits []Edi
 	// marks and counters) for the whole call.
 	sc := sharedScratch.Get()
 	defer sharedScratch.Put(sc)
-	es := &EditStats{Edits: len(edits)}
-	run := &editRun{newL: newL, prev: prev, plan: plan, opts: opts, minS: minS, es: es}
+	es := &EditStats{Edits: p.edits}
+	run := &editRun{newL: newL, prev: prev, plan: p, opts: opts, minS: minS, es: es}
 	if err := run.build(sc); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	tPart := time.Now()
 	run.partition(sc)
@@ -304,10 +333,10 @@ func ApplyEdits(ctx context.Context, l *layout.Layout, prev *Result, edits []Edi
 	sc.PutInt32s(run.ib.oldToNew)
 	sc.PutInt32s(run.ib.newToOld)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	res.DivisionStats.AddStage(pipeline.StageMerge, time.Since(tMerge))
-	return newL, res, es, nil
+	return res, es, nil
 }
 
 // incrementalGraph is the output of the dirty-region graph rebuild: the
@@ -345,7 +374,7 @@ type rebuiltFeature struct {
 // passes: the feature-bounds scans that select those windows, the fragment
 // copy, and the splice's pass over the vertices and mapped copies of
 // untouched rows.
-func rebuildGraph(newL *layout.Layout, prev *Result, plan *editPlan, opts Options, minS int, sc *pipeline.Scratch, es *EditStats) (*incrementalGraph, error) {
+func rebuildGraph(newL *layout.Layout, prev *Result, plan *EditPlan, opts Options, minS int, sc *pipeline.Scratch, es *EditStats) (*incrementalGraph, error) {
 	pg := prev.Graph
 	nOld, nf := len(pg.Fragments), len(plan.shapes)
 
@@ -464,7 +493,7 @@ func rebuildGraph(newL *layout.Layout, prev *Result, plan *editPlan, opts Option
 			}
 		}
 	}
-	addDirtyEdges(bld, frags, rebuilt, fb, newStart, minS, minS+newL.Process.HalfPitch)
+	addDirtyEdges(bld, frags, rebuilt, newToOld, fb, newStart, minS, minS+newL.Process.HalfPitch)
 	g := bld.BuildSpliced(pg.G, newToOld, oldToNew, sc)
 
 	stats := BuildStats{
@@ -486,10 +515,10 @@ func rebuildGraph(newL *layout.Layout, prev *Result, plan *editPlan, opts Option
 // changed, but count as rebuilt only if the pieces actually differ. Every
 // other feature keeps its prior pieces: fragmentation is MinS-local.
 //
-// The splitter indexes only the window of features within MinS of a
+// The neighbour join covers only the window of features within MinS of a
 // re-split wire — split reads nothing else — so its cost follows the dirty
 // region, not the layout.
-func splitDirty(newL *layout.Layout, plan *editPlan, fb []geom.Rect, disableStitches bool, minS int, oldFrags func(int) []Fragment, es *EditStats) []rebuiltFeature {
+func splitDirty(newL *layout.Layout, plan *EditPlan, fb []geom.Rect, disableStitches bool, minS int, oldFrags func(int) []Fragment, es *EditStats) []rebuiltFeature {
 	var out []rebuiltFeature
 	if disableStitches {
 		for fi, edited := range plan.edited {
@@ -527,13 +556,48 @@ func splitDirty(newL *layout.Layout, plan *editPlan, fb []geom.Rect, disableStit
 			window = append(window, int32(fi))
 		}
 	}
-	splitter := newWindowSplitter(newL, minS, window)
-	defer splitter.grid.Release()
-	q := splitter.grid.NewQuerier()
-	defer q.Release()
+	// The join's slot k is window[k]. slot[t] is todo[t]'s slot, or -1 for
+	// a re-split feature outside the window: it is no wire, and split
+	// keeps it whole. The splitter gathers neighbours only for re-split
+	// wires.
+	slot := make([]int32, len(todo))
+	wire := make([]bool, len(window))
+	k := 0
+	for t, fi := range todo {
+		for k < len(window) && window[k] < fi {
+			k++
+		}
+		slot[t] = -1
+		if k < len(window) && window[k] == fi {
+			slot[t] = int32(k)
+			wire[k] = len(plan.shapes[fi].Rects) == 1
+		}
+	}
+	var rects []geom.Rect
+	var owner []int32
+	for k, fi := range window {
+		for _, r := range plan.shapes[fi].Rects {
+			rects = append(rects, r)
+			owner = append(owner, int32(k))
+		}
+	}
+	var pairs []int32
+	join := spatial.NewJoin(rects, minS)
+	for s := range join.Strips() {
+		join.Sweep(s, func(a, c int32) {
+			if ka, kc := owner[a], owner[c]; ka != kc && (wire[ka] || wire[kc]) {
+				pairs = append(pairs, a, c)
+			}
+		})
+	}
+	splitter := newStitchSplitter(newL.Process.MinWidth, rects, owner, wire, [][]int32{pairs})
 	buf := newSplitBuf(len(todo))
-	for _, fi := range todo {
-		ps := splitter.split(q, buf, int(fi), plan.shapes[fi])
+	for t, fi := range todo {
+		var nb []int32
+		if slot[t] >= 0 {
+			nb = splitter.neighbours(int(slot[t]))
+		}
+		ps := splitter.split(buf, plan.shapes[fi], nb)
 		if !plan.edited[fi] && piecesEqual(ps, oldFrags(int(plan.orig[fi]))) {
 			continue // a stable suspect keeps its prior fragments
 		}
@@ -544,17 +608,17 @@ func splitDirty(newL *layout.Layout, plan *editPlan, fb []geom.Rect, disableStit
 }
 
 // addDirtyEdges re-derives every conflict and color-friendly pair with a
-// rebuilt endpoint. The grid covers only the fragments whose bounds lie
-// within the query radius of a rebuilt fragment's bounds, selected from the
-// rebuilt geometry itself: a suspect wire that was re-split can reach far
-// past the edit that disturbed it. The scan goes feature by feature over
-// the flat bounds fb (a fragment lies inside its feature's bounds) and
-// looks at the fragments of near features only; newStart[fi] is the first
-// fragment of feature fi. Near's candidate filter is the same
-// bounds-distance predicate, so the pairs found are exactly a scratch
-// scan's. A pair with two rebuilt endpoints is found twice; the splice
-// drops the duplicate.
-func addDirtyEdges(bld *graph.Builder, frags []Fragment, rebuilt []int32, fb []geom.Rect, newStart []int32, minS, radius int) {
+// rebuilt endpoint (newToOld[v] < 0). The neighbour join covers only the
+// fragments whose bounds lie within the radius of a rebuilt fragment's
+// bounds, selected from the rebuilt geometry itself: a suspect wire that
+// was re-split can reach far past the edit that disturbed it. The scan goes
+// feature by feature over the flat bounds fb (a fragment lies inside its
+// feature's bounds) and looks at the fragments of near features only;
+// newStart[fi] is the first fragment of feature fi. Every rebuilt fragment
+// and every fragment within the radius of one is in the window, and the
+// join's predicate is the bounds distance a scratch build's candidates
+// pass, so the pairs kept are exactly a scratch build's.
+func addDirtyEdges(bld *graph.Builder, frags []Fragment, rebuilt, newToOld []int32, fb []geom.Rect, newStart []int32, minS, radius int) {
 	if len(rebuilt) == 0 {
 		return
 	}
@@ -565,7 +629,6 @@ func addDirtyEdges(bld *graph.Builder, frags []Fragment, rebuilt []int32, fb []g
 	near := newBoxSet(boxes, radius)
 	var window []int32
 	var winBounds []geom.Rect
-	world := boxes[0]
 	for fi, b := range fb {
 		if !near.nearRect(b) {
 			continue
@@ -574,24 +637,19 @@ func addDirtyEdges(bld *graph.Builder, frags []Fragment, rebuilt []int32, fb []g
 			if b := frags[v].Shape.Bounds(); near.nearRect(b) {
 				window = append(window, v)
 				winBounds = append(winBounds, b)
-				world = world.Union(b)
 			}
 		}
 	}
-	grid := spatial.NewGrid(world.Expand(radius+1), radius, winBounds)
-	defer grid.Release()
-	q := grid.NewQuerier()
-	defer q.Release()
 	minSq := int64(minS) * int64(minS)
 	friendOuter := int64(radius) * int64(radius)
-	for k, u := range rebuilt {
-		fu := frags[u]
-		q.Near(boxes[k], radius, func(id int) {
-			v := window[id]
-			if v == u || frags[v].Feature == fu.Feature {
+	join := spatial.NewJoin(winBounds, radius)
+	for s := range join.Strips() {
+		join.Sweep(s, func(a, c int32) {
+			u, v := window[a], window[c]
+			if (newToOld[u] >= 0 && newToOld[v] >= 0) || frags[u].Feature == frags[v].Feature {
 				return
 			}
-			d := geom.GapSqPoly(fu.Shape, frags[v].Shape)
+			d := geom.GapSqPoly(frags[u].Shape, frags[v].Shape)
 			switch {
 			case d <= minSq:
 				bld.AddConflict(int(u), int(v))
@@ -603,9 +661,10 @@ func addDirtyEdges(bld *graph.Builder, frags []Fragment, rebuilt []int32, fb []g
 }
 
 // boxSet answers "is this within d of any of a few boxes" for flat scans
-// over a whole layout. The predicate is Querier.Near's — squared gap at most
-// d² — behind two cheap rejections: the hull of the boxes grown by d, then
-// each box grown by d (a rectangle within d of a box touches it grown).
+// over a whole layout. The predicate is the neighbour join's — squared gap
+// at most d² — behind two cheap rejections: the hull of the boxes grown by
+// d, then each box grown by d (a rectangle within d of a box touches it
+// grown).
 type boxSet struct {
 	boxes []geom.Rect
 	grown []geom.Rect
@@ -678,7 +737,7 @@ func piecesEqual(ps []geom.Polygon, old []Fragment) bool {
 type editRun struct {
 	newL *layout.Layout
 	prev *Result
-	plan *editPlan
+	plan *EditPlan
 	opts Options
 	minS int
 	es   *EditStats

@@ -47,9 +47,9 @@ func BenchmarkFullchipSolve(b *testing.B) {
 }
 
 // TestFullchipSolveAllocsBounded keeps the fresh build allocating per
-// stage, not per fragment or grid bucket, and the divide allocating per
-// core piece, not per component: a warm fullchip solve makes ~7.1k
-// allocations. The ceiling leaves room for those to drift, not for a
+// stage or join strip, not per fragment or rectangle, and the divide
+// allocating per core piece, not per component: a warm fullchip solve
+// makes ~9.7k allocations. The ceiling leaves room for those to drift, not for a
 // per-component list or copy (S38417 has ~2.6k components, each worth one
 // or more allocations) or a per-feature allocation (~80k features) to
 // return.

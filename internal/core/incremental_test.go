@@ -478,8 +478,9 @@ func TestIncrementalEdgeCases(t *testing.T) {
 	})
 
 	t.Run("far-move", func(t *testing.T) {
-		// A move by 10⁷ nm stretches the world box: before the spatial grid
-		// capped its bucket count, this one edit allocated tens of gigabytes.
+		// A move by 10⁷ nm stretches the layout: before the old spatial grid
+		// capped its bucket count, this one edit allocated tens of gigabytes;
+		// the neighbour join caps its strips the same way.
 		l, _ := synth.GenerateByName("C432", 0.2)
 		applyAndCompare(t, l, []Edit{{Op: EditMove, Feature: 0, DX: 10_000_000, DY: 10_000_000}})
 	})

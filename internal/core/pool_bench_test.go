@@ -62,8 +62,7 @@ func BenchmarkRepeatedSolve(b *testing.B) {
 }
 
 // BenchmarkRepeatedBuild measures the graph-construction path the serving
-// layer pays on every cache-miss layout; the spatial visit-stamp pool
-// keeps its steady-state allocations flat across requests.
+// layer pays on every cache-miss layout.
 func BenchmarkRepeatedBuild(b *testing.B) {
 	l, err := synth.GenerateByName("C432", 0.5)
 	if err != nil {

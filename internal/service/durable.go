@@ -163,7 +163,11 @@ func (s *Service) rehydrate(ctx context.Context, hash, sig string, opts core.Opt
 		return nil, nil
 	}
 	for i, batch := range chain.Batches {
-		resL, res, _, err := s.applyEdits(ctx, sess, batch, opts)
+		var res *core.Result
+		plan, err := core.PlanEdits(sess.layout, batch)
+		if err == nil {
+			res, _, err = s.applyEdits(ctx, sess, plan, opts)
+		}
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, err
@@ -177,6 +181,7 @@ func (s *Service) rehydrate(ctx context.Context, hash, sig string, opts core.Opt
 			}
 			return nil, fmt.Errorf("service: session replay degraded without cancellation")
 		}
+		resL := plan.Layout()
 		h := LayoutHash(resL)
 		if h != chain.Hashes[i] {
 			// The replayed geometry diverged from what the log recorded:

@@ -371,3 +371,40 @@ func TestFullAndIncrementalShareOneFlight(t *testing.T) {
 		t.Fatalf("sessions %d->%d, want exactly one new session", before.Size, st.Size)
 	}
 }
+
+// TestIncrementalSessionLayoutIsDecomposed: an incremental miss plans its
+// batch once and decomposes the layout it hashed, so the session's layout
+// is the very geometry its result's fragments were cut from — not a
+// second, equal copy of it. With stitches off, a moved feature's one
+// fragment shares the rectangles of the post-edit feature it came from.
+func TestIncrementalSessionLayoutIsDecomposed(t *testing.T) {
+	s := New(Config{})
+	ctx := context.Background()
+	l, err := synth.GenerateByName("C432", 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{K: 4, Algorithm: core.AlgLinear, Build: core.BuildOptions{DisableStitches: true}}
+	if _, _, err := s.Decompose(ctx, l, opts); err != nil {
+		t.Fatal(err)
+	}
+	const moved = 2
+	edits := []core.Edit{{Op: core.EditMove, Feature: moved, DX: 20, DY: 0}}
+	_, nh, _, cached, err := s.DecomposeIncremental(ctx, LayoutHash(l), edits, opts)
+	if err != nil || cached {
+		t.Fatalf("incremental miss: cached=%v err=%v", cached, err)
+	}
+	sess, ok := s.sessions.Get(resultKey(nh, optionsSig(opts)))
+	if !ok {
+		t.Fatal("no session for the post-edit hash")
+	}
+	for _, fr := range sess.res.Graph.Fragments {
+		if fr.Feature == moved {
+			if &fr.Shape.Rects[0] != &sess.layout.Features[moved].Rects[0] {
+				t.Fatal("the session keeps a layout other than the one its result decomposes")
+			}
+			return
+		}
+	}
+	t.Fatalf("no fragment of feature %d", moved)
+}

@@ -399,16 +399,18 @@ func (s *Service) DecomposeIncremental(ctx context.Context, baseHash string, edi
 	}
 
 	// Hash the post-edit geometry up front: the session cache and
-	// single-flight machinery then work exactly as for full solves.
-	newL, err := core.EditLayout(base.layout, edits)
+	// single-flight machinery then work exactly as for full solves. A miss
+	// decomposes the same plan, so the batch is planned once.
+	plan, err := core.PlanEdits(base.layout, edits)
 	if err != nil {
 		return nil, "", nil, false, err
 	}
+	newL := plan.Layout()
 	newHash = LayoutHash(newL)
-	// newL is built afresh by EditLayout and held by nothing else, so the
+	// newL is built afresh by PlanEdits and held by nothing else, so the
 	// session keeps it without a snapshot.
 	apply := func() (*session, error) {
-		_, r, es, err := s.applyEdits(ctx, base, edits, opts)
+		r, es, err := s.applyEdits(ctx, base, plan, opts)
 		estats = es
 		return &session{hash: newHash, sig: sig, layout: newL, res: r}, err
 	}
@@ -455,19 +457,20 @@ func (s *Service) session(ctx context.Context, hash, sig string, opts core.Optio
 	return sess, nil
 }
 
-// applyEdits runs core.ApplyEdits under the same concurrency discipline as
-// solve: a full-quality slot when the deadline is alive, the bounded
+// applyEdits decomposes plan, an edit batch planned against sess's layout,
+// incrementally from sess's result under the same concurrency discipline
+// as solve: a full-quality slot when the deadline is alive, the bounded
 // fallback lane when it expired while queued.
-func (s *Service) applyEdits(ctx context.Context, sess *session, edits []core.Edit, opts core.Options) (*layout.Layout, *core.Result, *core.EditStats, error) {
+func (s *Service) applyEdits(ctx context.Context, sess *session, plan *core.EditPlan, opts core.Options) (*core.Result, *core.EditStats, error) {
 	release, err := s.acquireLane(ctx)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	defer release()
 	s.mu.Lock()
 	s.stats.Incremental++
 	s.mu.Unlock()
-	return core.ApplyEdits(ctx, sess.layout, sess.res, edits, opts)
+	return plan.Apply(ctx, sess.res, opts)
 }
 
 // StatsSnapshot returns current cache statistics.
