@@ -76,7 +76,7 @@ func main() {
 	fmt.Printf("division    %d components, %d peeled, %d blocks, %d GH pieces, %d solver calls\n",
 		res.DivisionStats.Components, res.DivisionStats.Peeled, res.DivisionStats.Blocks,
 		res.DivisionStats.GHComponents, res.DivisionStats.SolverCalls)
-	fmt.Printf("assignment  %s, K=%d, alpha=%.2f\n", alg, *k, *alpha)
+	fmt.Printf("assignment  %s, K=%d, alpha=%.2f\n", alg, res.K, res.Alpha)
 	fmt.Printf("result      cn#=%d st#=%d assign=%.3fs (solver %.3fs) proven=%v\n",
 		res.Conflicts, res.Stitches, res.AssignTime.Seconds(), res.SolverTime.Seconds(), res.Proven)
 	if *balanceFlag {
@@ -99,7 +99,7 @@ func main() {
 	}
 
 	if *svgOut != "" {
-		if err := viz.WriteResultFile(*svgOut, res, viz.Options{ShowConflicts: true, ShowStitches: true}); err != nil {
+		if err := viz.WriteResultFile(*svgOut, res); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote       %s\n", *svgOut)

@@ -83,17 +83,12 @@ type decomposeRequest struct {
 	// Engine selects the adaptive per-component policy: "auto" picks an
 	// engine per component from its structure. Empty applies Algorithm
 	// uniformly; auto ignores Algorithm.
-	Engine       string  `json:"engine,omitempty"`
-	Alpha        float64 `json:"alpha,omitempty"`
-	Seed         int64   `json:"seed,omitempty"`
-	Workers      int     `json:"workers,omitempty"`       // per-request component workers
-	BuildWorkers int     `json:"build_workers,omitempty"` // graph-construction workers, capped by -build-workers
-	// Memoize is deprecated and ignored: every solve answers
-	// byte-identical repeats of already-solved pieces (standard cells)
-	// from the server's process-wide shape tier. Still accepted, so
-	// older clients keep working.
-	Memoize      bool       `json:"memoize,omitempty"`
-	TimeoutMs    int64      `json:"timeout_ms,omitempty"` // capped by the server's -timeout
+	Engine       string     `json:"engine,omitempty"`
+	Alpha        float64    `json:"alpha,omitempty"`
+	Seed         int64      `json:"seed,omitempty"`
+	Workers      int        `json:"workers,omitempty"`       // per-request component workers
+	BuildWorkers int        `json:"build_workers,omitempty"` // graph-construction workers, capped by -build-workers
+	TimeoutMs    int64      `json:"timeout_ms,omitempty"`    // capped by the server's -timeout
 	IncludeMasks bool       `json:"include_masks,omitempty"`
 	Layout       layoutJSON `json:"layout"`
 }
@@ -162,7 +157,6 @@ type incrementalRequest struct {
 	Seed         int64      `json:"seed,omitempty"`
 	Workers      int        `json:"workers,omitempty"`
 	BuildWorkers int        `json:"build_workers,omitempty"`
-	Memoize      bool       `json:"memoize,omitempty"` // deprecated, ignored (decomposeRequest.Memoize)
 	TimeoutMs    int64      `json:"timeout_ms,omitempty"`
 	IncludeMasks bool       `json:"include_masks,omitempty"`
 }

@@ -438,3 +438,85 @@ func TestServeIncrementalErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestServeIgnoresMemoizeKey: `memoize` is no longer a request field, so a
+// body carrying it (older clients, servebench's fullchip) decodes as an
+// unknown key and gets the same response as one without it, on the full
+// and the incremental endpoint alike. Each body goes to a fresh server so
+// neither answer is a cache hit; only the wall-clock fields are dropped
+// before the bytes are compared.
+func TestServeIgnoresMemoizeKey(t *testing.T) {
+	req := rowRequest("row", 8)
+	req.IncludeMasks = true
+	plain, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(memoize bool) (full, inc []byte) {
+		t.Helper()
+		ts := testServer(t)
+		body := plain
+		if memoize {
+			body = append([]byte(`{"memoize":true,`), plain[1:]...)
+		}
+		full = postRaw(t, ts.URL+"/v1/decompose", body)
+		var out decomposeResponse
+		if err := json.Unmarshal(full, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Cached {
+			t.Fatal("a fresh server answered from its cache")
+		}
+		incBody := `{"base":"` + out.LayoutHash + `","k":4,"algorithm":"sdp-backtrack","include_masks":true,"edits":[{"op":"remove","feature":7}]}`
+		if memoize {
+			incBody = `{"memoize":true,` + incBody[1:]
+		}
+		return withoutTimings(t, full), withoutTimings(t, postRaw(t, ts.URL+"/v1/decompose/incremental", []byte(incBody)))
+	}
+	full, inc := answer(false)
+	memoFull, memoInc := answer(true)
+	if !bytes.Equal(full, memoFull) {
+		t.Errorf("decompose answer changed with memoize:\n%s\n%s", memoFull, full)
+	}
+	if !bytes.Equal(inc, memoInc) {
+		t.Errorf("incremental answer changed with memoize:\n%s\n%s", memoInc, inc)
+	}
+}
+
+// postRaw posts body and returns the 200 response body.
+func postRaw(t *testing.T, url string, body []byte) []byte {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, out)
+	}
+	return out
+}
+
+// withoutTimings re-encodes a response without its wall-clock fields.
+func withoutTimings(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	delete(m, "elapsed_ms")
+	delete(m, "stage_ms")
+	if inc, ok := m["incremental"].(map[string]any); ok {
+		delete(inc, "build_ms")
+		delete(inc, "solve_ms")
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}

@@ -303,7 +303,7 @@ func s38417Body(tb testing.TB) []byte {
 			features[i] = append(features[i], rectJSON{r.X0, r.Y0, r.X1, r.Y1})
 		}
 	}
-	body, err := json.Marshal(decomposeRequest{K: 4, Engine: "auto", Memoize: true, Workers: 2, BuildWorkers: 2,
+	body, err := json.Marshal(decomposeRequest{K: 4, Engine: "auto", Workers: 2, BuildWorkers: 2,
 		Layout: layoutJSON{Features: features}})
 	if err != nil {
 		tb.Fatal(err)

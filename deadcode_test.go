@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"mpl/internal/lint/lintkit"
@@ -38,18 +39,10 @@ var reachabilityExempt = map[string]string{
 // ones kept on purpose are listed in reachabilityExempt, and an entry that no
 // longer names an unreachable declaration is reported as stale.
 func TestNoUnreachableDeclarations(t *testing.T) {
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	module, servebench := loadProduction(t)
 	w := newReachWalk()
-	for _, dir := range []string{root, filepath.Join(root, "servebench")} {
-		pkgs, err := lintkit.Load(dir, "./...")
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.add(pkgs, dir == root)
-	}
+	w.add(module, true)
+	w.add(servebench, false)
 	w.walk(w.roots)
 
 	// An exemption must name a declaration (or a package with one) that
@@ -84,6 +77,31 @@ func TestNoUnreachableDeclarations(t *testing.T) {
 	}
 }
 
+// loadProduction type-checks the non-test files of the module and of
+// servebench once for every guard in this file.
+func loadProduction(t *testing.T) (module, servebench []*lintkit.Package) {
+	t.Helper()
+	trees, err := productionTrees()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trees[0], trees[1]
+}
+
+var productionTrees = sync.OnceValues(func() ([2][]*lintkit.Package, error) {
+	var trees [2][]*lintkit.Package
+	root, err := filepath.Abs(".")
+	if err != nil {
+		return trees, err
+	}
+	for i, dir := range []string{root, filepath.Join(root, "servebench")} {
+		if trees[i], err = lintkit.Load(dir, "./..."); err != nil {
+			return trees, err
+		}
+	}
+	return trees, nil
+})
+
 // reachDecl is one top-level declaration: a func, a method, a type, or one
 // name of a var or const spec.
 type reachDecl struct {
@@ -111,6 +129,12 @@ func newReachWalk() *reachWalk {
 func posKey(fset *token.FileSet, p token.Pos) string {
 	pos := fset.Position(p)
 	return pos.Filename + ":" + strconv.Itoa(pos.Offset)
+}
+
+// linePos names p as "file.go:line", for failure messages.
+func linePos(fset *token.FileSet, p token.Pos) string {
+	pos := fset.Position(p)
+	return filepath.Base(pos.Filename) + ":" + strconv.Itoa(pos.Line)
 }
 
 // origin maps an instantiated generic object to its declaration.
@@ -188,11 +212,10 @@ func (w *reachWalk) add(pkgs []*lintkit.Package, report bool) {
 		}
 		declare := func(obj types.Object, refs []string) {
 			key := posKey(p.Fset, obj.Pos())
-			pos := p.Fset.Position(obj.Pos())
 			w.decls[key] = &reachDecl{
 				name:   declName(obj),
 				pkg:    p.Path,
-				pos:    filepath.Base(pos.Filename) + ":" + strconv.Itoa(pos.Line),
+				pos:    linePos(p.Fset, obj.Pos()),
 				report: report && obj.Name() != "_" && obj.Name() != "init",
 				refs:   refs,
 			}
@@ -309,4 +332,145 @@ func (w *reachWalk) walk(roots []string) {
 			stack = append(stack, d.refs...)
 		}
 	}
+}
+
+// optionFieldExempt lists the option fields no production code sets that
+// stay on purpose, each with the reason. A key names a field as the guard
+// does ("mpl/internal/store.Options.NoSync").
+var optionFieldExempt = map[string]string{
+	"mpl/internal/store.Options.NoSync":                        "test seam: the store, service and serve tests skip fsync for speed",
+	"mpl/internal/coloring.LinearOptions.Order":                "test seam: the stage-2 vertex-order ablation in coloring's ablation_test.go",
+	"mpl/internal/coloring.LinearOptions.DisableColorFriendly": "test seam: the color-friendly-edge ablation in coloring's ablation_test.go",
+}
+
+// TestEveryOptionFieldIsSet is the knob guard (DESIGN.md §10): every
+// exported field of a module struct named Options, Config or *Options must
+// be set by non-test code of the module or servebench, through a keyed
+// composite literal or an assignment to the field. Writes inside the
+// type's own methods do not count: a withDefaults filling in a default is
+// not a caller. A field that only tests set is a dead knob; make it a
+// constant of its package, or list it in optionFieldExempt with a reason.
+// An exemption for a field that production code does set is stale and
+// fails too.
+func TestEveryOptionFieldIsSet(t *testing.T) {
+	module, servebench := loadProduction(t)
+
+	type field struct {
+		name  string // "pkg.Type.Field"
+		pos   string // base file name:line, for the failure message
+		owner string // position key of the struct's type name
+	}
+	fields := map[string]field{} // field position key -> field
+	for _, p := range module {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				s, ok := n.(*ast.TypeSpec)
+				if !ok || s.Assign.IsValid() || !optionsTypeName(s.Name.Name) {
+					return true
+				}
+				obj := p.Info.Defs[s.Name]
+				st, ok := obj.Type().Underlying().(*types.Struct)
+				if !ok {
+					return true
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if v := st.Field(i); v.Exported() {
+						fields[posKey(p.Fset, v.Pos())] = field{
+							name:  p.Path + "." + obj.Name() + "." + v.Name(),
+							pos:   linePos(p.Fset, v.Pos()),
+							owner: posKey(p.Fset, obj.Pos()),
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("no option structs found; the scanner is broken")
+	}
+
+	set := map[string]bool{} // field position keys production code writes
+	for _, pkgs := range [][]*lintkit.Package{module, servebench} {
+		for _, p := range pkgs {
+			mark := func(obj types.Object, recv string) {
+				if v, ok := obj.(*types.Var); ok && v.IsField() {
+					k := posKey(p.Fset, v.Origin().Pos())
+					if f, ok := fields[k]; ok && f.owner != recv {
+						set[k] = true
+					}
+				}
+			}
+			for _, f := range p.Files {
+				for _, d := range f.Decls {
+					recv := "" // position key of a method's receiver type
+					if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+						rt := p.Info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()
+						if ptr, ok := rt.(*types.Pointer); ok {
+							rt = ptr.Elem()
+						}
+						if named, ok := rt.(*types.Named); ok {
+							recv = posKey(p.Fset, named.Obj().Pos())
+						}
+					}
+					ast.Inspect(d, func(n ast.Node) bool {
+						var lhs []ast.Expr
+						switch n := n.(type) {
+						case *ast.CompositeLit:
+							for _, e := range n.Elts {
+								if kv, ok := e.(*ast.KeyValueExpr); ok {
+									if id, ok := kv.Key.(*ast.Ident); ok {
+										mark(p.Info.Uses[id], recv)
+									}
+								}
+							}
+						case *ast.AssignStmt:
+							lhs = n.Lhs
+						case *ast.IncDecStmt:
+							lhs = []ast.Expr{n.X}
+						}
+						for _, e := range lhs {
+							if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+								if s := p.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+									mark(s.Obj(), recv)
+								}
+							}
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+
+	exempt := map[string]bool{}
+	for name, reason := range optionFieldExempt {
+		if reason == "" {
+			t.Errorf("exemption %q has no reason", name)
+		}
+		exempt[name] = true
+	}
+	var unset []string
+	for k, f := range fields {
+		switch {
+		case set[k] && exempt[f.name]:
+			t.Errorf("stale exemption %q: production code sets it", f.name)
+		case !set[k] && !exempt[f.name]:
+			unset = append(unset, f.pos+": "+f.name)
+		}
+		delete(exempt, f.name)
+	}
+	for name := range exempt {
+		t.Errorf("stale exemption %q: it names no option field", name)
+	}
+	sort.Strings(unset)
+	for _, name := range unset {
+		t.Errorf("option field no production code sets: %s", name)
+	}
+}
+
+// optionsTypeName reports whether a struct named name is an option struct
+// the knob guard covers.
+func optionsTypeName(name string) bool {
+	return name == "Config" || strings.HasSuffix(name, "Options")
 }

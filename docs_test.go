@@ -182,6 +182,90 @@ func TestDocsCiteNoRoadmapItemNumbers(t *testing.T) {
 	}
 }
 
+// testName matches a Go test, benchmark or fuzz target named in prose;
+// a trailing * makes the name a prefix ("TestCSRMatchesLegacy*").
+var testName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*\*?`)
+
+// testFunc matches the declaration of one in a _test.go file.
+var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
+
+// TestDocsNameExistingTests: every test, benchmark or fuzz target the docs
+// name must be defined in some _test.go file of the repository, so a doc
+// that points readers at a pinning test cannot outlive the test.
+func TestDocsNameExistingTests(t *testing.T) {
+	defined := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(data), -1) {
+			defined[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(defined) == 0 {
+		t.Fatal("no test functions found; the scanner is broken")
+	}
+
+	docs := []string{"DESIGN.md", "EXPERIMENTS.md", "README.md", "servebench/README.md"}
+	for _, pattern := range []string{"docs/*.md", ".claude/skills/*/SKILL.md"} {
+		matches, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, matches...)
+	}
+	named := 0
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, name := range testName.FindAllString(line, -1) {
+				named++
+				if !testDefined(defined, name) {
+					t.Errorf("%s:%d names %s, which no _test.go defines", doc, i+1, name)
+				}
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatal("no test names found in the docs; the scanner is broken")
+	}
+}
+
+// testDefined reports whether name, or with a trailing * any name it
+// prefixes, is a defined test function.
+func testDefined(defined map[string]bool, name string) bool {
+	prefix, ok := strings.CutSuffix(name, "*")
+	if !ok {
+		return defined[name]
+	}
+	for d := range defined {
+		if strings.HasPrefix(d, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
 func dedup(in []string) []string {
 	seen := map[string]bool{}
 	var out []string

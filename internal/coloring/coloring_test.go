@@ -261,7 +261,7 @@ func TestSDPGreedyTwoCliques(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	sol := solveSDP(g, sdp.Options{K: 4, Alpha: 0.1, Seed: 2, Restarts: 4})
+	sol := solveSDP(g, sdp.Options{K: 4, Alpha: 0.1, Seed: 2})
 	colors := SDPGreedy(g, sol, 4, 0.1)
 	if c, _ := Count(g, colors); c != 0 {
 		t.Fatalf("greedy conflicts = %d, want 0", c)

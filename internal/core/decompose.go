@@ -86,9 +86,11 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 
 // Options configures a decomposition run. The zero value plus K is usable;
 // defaults follow the paper (α = 0.1, t_th = 0.9, all division techniques).
-// The parameters the paper fixes — the backtracking node cap, the SDP
-// restart and iteration counts, the stitch bounds and the GH-tree size
-// cap — are constants of the packages that use them, not options.
+// The parameters the paper fixes — the backtracking node cap
+// (coloring.BacktrackNodeLimit), the SDP restart count (sdp.Restarts) and
+// iteration cap, the stitch bounds and the GH-tree size cap — are
+// constants of the packages that use them, and the SDP rank is a function
+// of the piece's size; none is an option.
 type Options struct {
 	// K is the number of masks; 0 means 4 (quadruple patterning).
 	K int

@@ -38,38 +38,22 @@ type Options struct {
 	K int
 	// Alpha is the stitch weight α in the objective (paper: 0.1).
 	Alpha float64
-	// Rank is the factorization rank r; 0 picks max(K, ⌈√(2n)⌉) capped at n.
-	Rank int
-	// Restarts is the number of random restarts; 0 means 3.
-	Restarts int
 	// Seed makes the run deterministic.
 	Seed int64
 }
 
+// Restarts is the number of deterministic random restarts of every solve.
+const Restarts = 3
+
 // maxIter bounds the gradient iterations of one restart.
 const maxIter = 400
 
-func (o Options) withDefaults(n int) Options {
-	if o.K < 2 {
-		panic("sdp: K must be >= 2")
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 3
-	}
-	if o.Rank <= 0 {
-		r := int(math.Ceil(math.Sqrt(float64(2 * n))))
-		if r < o.K {
-			r = o.K
-		}
-		o.Rank = r
-	}
-	if o.Rank > n && n > 0 {
-		o.Rank = n
-	}
-	if o.Rank < 1 {
-		o.Rank = 1
-	}
-	return o
+// rank is the factorization rank r of an n-vertex solve with k masks: the
+// Barvinok–Pataki bound ⌈√(2n)⌉ (n unit-diagonal constraints admit an
+// optimum of rank r with r(r+1)/2 ≤ n, so the Burer–Monteiro factorization
+// loses nothing), raised to k so the K simplex vectors fit, capped at n.
+func rank(n, k int) int {
+	return min(max(k, int(math.Ceil(math.Sqrt(float64(2*n))))), n)
 }
 
 // Solution is the relaxation output.
@@ -145,11 +129,14 @@ const restartParallelMinEdges = 32
 // serial and parallel execution, exactly as division's parallel mode
 // already documents for its fallback pieces.
 func SolveScratchEnv(ctx context.Context, g *graph.Graph, opts Options, sc *pipeline.Scratch, env pipeline.Env) *Solution {
+	if opts.K < 2 {
+		panic("sdp: K must be >= 2")
+	}
 	n := g.N()
-	opts = opts.withDefaults(n)
 	if n == 0 {
 		return &Solution{}
 	}
+	r := rank(n, opts.K)
 	sc.ResetFloats()
 
 	ce := g.ConflictEdges()
@@ -160,28 +147,28 @@ func SolveScratchEnv(ctx context.Context, g *graph.Graph, opts Options, sc *pipe
 	// Serialization point: draw every restart's initialization now, from
 	// the one seeded rng, before any concurrency exists.
 	rng := rand.New(rand.NewSource(opts.Seed))
-	states := make([]*state, opts.Restarts)
+	states := make([]*state, Restarts)
 	for i := range states {
-		states[i] = newState(n, opts.Rank, rng, sc)
+		states[i] = newState(n, r, rng, sc)
 	}
 
 	// Claim idle worker slots for the extra restart runners. TryAcquire
 	// never blocks: with no budget (or no idle workers) the fan-out simply
 	// stays serial.
 	extra := 0
-	if opts.Restarts > 1 && len(ce)+len(se) >= restartParallelMinEdges {
-		for extra < opts.Restarts-1 && env.Budget.TryAcquire() {
+	if len(ce)+len(se) >= restartParallelMinEdges {
+		for extra < Restarts-1 && env.Budget.TryAcquire() {
 			extra++
 		}
 	}
 
-	scores := make([]float64, opts.Restarts)
-	ran := make([]bool, opts.Restarts)
+	scores := make([]float64, Restarts)
+	ran := make([]bool, Restarts)
 	var next atomic.Int64
 	runRestarts := func(ws *workspace) {
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= opts.Restarts {
+			if i >= Restarts {
 				return
 			}
 			// The claimed restart always descends and scores — even under a
@@ -212,13 +199,13 @@ func SolveScratchEnv(ctx context.Context, g *graph.Graph, opts Options, sc *pipe
 				// is never touched from here.
 				rsc := env.Scratch.Get()
 				defer env.Scratch.Put(rsc)
-				runRestarts(newWorkspace(n, opts.Rank, len(ce), rsc))
+				runRestarts(newWorkspace(n, r, len(ce), rsc))
 			}()
 		}
-		runRestarts(newWorkspace(n, opts.Rank, len(ce), sc))
+		runRestarts(newWorkspace(n, r, len(ce), sc))
 		wg.Wait()
 	} else {
-		runRestarts(newWorkspace(n, opts.Rank, len(ce), sc))
+		runRestarts(newWorkspace(n, r, len(ce), sc))
 	}
 
 	// Lexicographic (score, restart index) minimum over the restarts that
@@ -226,7 +213,7 @@ func SolveScratchEnv(ctx context.Context, g *graph.Graph, opts Options, sc *pipe
 	// computed exactly once (the old comparison re-scored the incumbent's
 	// full CE scan on every restart).
 	best := -1
-	for i := 0; i < opts.Restarts; i++ {
+	for i := 0; i < Restarts; i++ {
 		if ran[i] && (best < 0 || scores[i] < scores[best]) {
 			best = i
 		}

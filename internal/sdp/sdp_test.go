@@ -117,7 +117,7 @@ func TestK5RelaxationValue(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	sol := solve(g, Options{K: 4, Alpha: 0.1, Seed: 11, Restarts: 4})
+	sol := solve(g, Options{K: 4, Alpha: 0.1, Seed: 11})
 	if sol.MaxViolation > 0.05 {
 		t.Fatalf("violation = %v", sol.MaxViolation)
 	}
@@ -171,7 +171,7 @@ func TestMergeSignalQuality(t *testing.T) {
 	}
 	b.AddStitch(3, 4)
 	g := b.Build(nil)
-	sol := solve(g, Options{K: 4, Alpha: 0.1, Seed: 13, Restarts: 4})
+	sol := solve(g, Options{K: 4, Alpha: 0.1, Seed: 13})
 	if got := sol.Pair(3, 4); got < 0.8 {
 		t.Fatalf("stitch pair x = %v, want high", got)
 	}
@@ -247,7 +247,7 @@ func TestSextupleRelaxation(t *testing.T) {
 		}
 	}
 	g := b.Build(nil)
-	sol := solve(g, Options{K: 6, Alpha: 0.1, Seed: 5, Restarts: 4})
+	sol := solve(g, Options{K: 6, Alpha: 0.1, Seed: 5})
 	if sol.MaxViolation > 0.05 {
 		t.Fatalf("violation = %v", sol.MaxViolation)
 	}
@@ -257,37 +257,15 @@ func TestSextupleRelaxation(t *testing.T) {
 }
 
 func TestExplicitRankOption(t *testing.T) {
+	// The rank is max(K, ⌈√(2n)⌉) capped at n: K=4 on three vertices
+	// caps at n.
 	b := graph.NewBuilder(3)
 	b.AddConflict(0, 1)
 	b.AddConflict(1, 2)
 	g := b.Build(nil)
-	sol := solve(g, Options{K: 4, Alpha: 0.1, Rank: 5, Seed: 2})
-	// Rank caps at n.
+	sol := solve(g, Options{K: 4, Alpha: 0.1, Seed: 2})
 	if len(sol.Vectors[0]) != 3 {
 		t.Fatalf("rank = %d, want capped at n=3", len(sol.Vectors[0]))
-	}
-	sol = solve(g, Options{K: 4, Alpha: 0.1, Rank: 2, Seed: 2})
-	if len(sol.Vectors[0]) != 2 {
-		t.Fatalf("rank = %d, want 2", len(sol.Vectors[0]))
-	}
-}
-
-func TestRestartsImproveOrMatch(t *testing.T) {
-	// More restarts never pick a worse-scoring solution (best-of selection).
-	b := graph.NewBuilder(6)
-	for i := 0; i < 6; i++ {
-		for j := i + 1; j < 6; j++ {
-			if (i+j)%2 == 0 {
-				b.AddConflict(i, j)
-			}
-		}
-	}
-	g := b.Build(nil)
-	one := solve(g, Options{K: 4, Alpha: 0.1, Restarts: 1, Seed: 9})
-	many := solve(g, Options{K: 4, Alpha: 0.1, Restarts: 6, Seed: 9})
-	// Compare the penalized score proxy: objective + violation weight.
-	if many.Obj > one.Obj+50*one.MaxViolation*one.MaxViolation+0.05 {
-		t.Fatalf("restarts made things worse: %v vs %v", many.Obj, one.Obj)
 	}
 }
 

@@ -18,10 +18,9 @@ import (
 	"mpl/internal/store"
 )
 
-func openTestStore(t *testing.T, dir string, opts store.Options) *store.Store {
+func openTestStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
-	opts.NoSync = true
-	st, err := store.Open(dir, opts)
+	st, err := store.Open(dir, store.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func TestDurableRestartIncremental(t *testing.T) {
 		{{Op: core.EditMove, Feature: 3, DX: 0, DY: 40}},
 	}
 
-	st := openTestStore(t, dir, store.Options{})
+	st := openTestStore(t, dir)
 	svcA := New(Config{Store: st})
 	if _, _, err := svcA.Decompose(ctx, l, opts); err != nil {
 		t.Fatal(err)
@@ -75,7 +74,7 @@ func TestDurableRestartIncremental(t *testing.T) {
 	}
 
 	// "Restart": a fresh Service over a fresh Store on the same directory.
-	st2 := openTestStore(t, dir, store.Options{})
+	st2 := openTestStore(t, dir)
 	svcB := New(Config{Store: st2})
 	resB, nh, estats, cached, err := svcB.DecomposeIncremental(ctx, hash, batches[2], opts)
 	if err != nil {
@@ -115,7 +114,7 @@ func TestDurableRestartIncremental(t *testing.T) {
 // and rehydrate on demand within the same process.
 func TestDurableSpillOnEviction(t *testing.T) {
 	ctx := context.Background()
-	st := openTestStore(t, t.TempDir(), store.Options{})
+	st := openTestStore(t, t.TempDir())
 	svc := New(Config{CacheSize: 2, Store: st})
 	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
 
@@ -164,7 +163,7 @@ func TestDurableFullSolveFromDisk(t *testing.T) {
 	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
 	l1, l2 := denseRow("a", 6), denseRow("b", 7)
 
-	st := openTestStore(t, dir, store.Options{})
+	st := openTestStore(t, dir)
 	svcA := New(Config{CacheSize: 1, Store: st})
 	if _, _, err := svcA.Decompose(ctx, l1, opts); err != nil {
 		t.Fatal(err)
@@ -176,7 +175,7 @@ func TestDurableFullSolveFromDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2 := openTestStore(t, dir, store.Options{})
+	st2 := openTestStore(t, dir)
 	svcB := New(Config{Store: st2})
 	res, cached, err := svcB.Decompose(ctx, l1, opts)
 	if err != nil {
@@ -210,7 +209,7 @@ func TestRehydratedSessionServesFullRequest(t *testing.T) {
 	l := denseRow("rehy-full", 8)
 	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
 	first := []core.Edit{{Op: core.EditMove, Feature: 1, DX: 20, DY: 0}}
-	st := openTestStore(t, dir, store.Options{})
+	st := openTestStore(t, dir)
 	svcA := New(Config{Store: st})
 	if _, _, err := svcA.Decompose(ctx, l, opts); err != nil {
 		t.Fatal(err)
@@ -223,7 +222,7 @@ func TestRehydratedSessionServesFullRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc := New(Config{Store: openTestStore(t, dir, store.Options{})})
+	svc := New(Config{Store: openTestStore(t, dir)})
 	if _, _, _, _, err := svc.DecomposeIncremental(ctx, hash, []core.Edit{{Op: core.EditRemove, Feature: 0}}, opts); err != nil {
 		t.Fatalf("chain from the logged hash: %v", err)
 	}
@@ -251,27 +250,28 @@ func TestRehydratedSessionServesFullRequest(t *testing.T) {
 	sameSolution(t, "full request served by a rehydrated session", res, ref)
 }
 
-// TestDurableSnapshotReroot: when a chain reaches the snapshot-every-N
-// depth, the service re-roots it with a successor snapshot, bounding the
-// replay a future rehydration pays.
+// TestDurableSnapshotReroot: when a chain reaches the store's
+// snapshot-every depth (8), the service re-roots it with a successor
+// snapshot, bounding the replay a future rehydration pays.
 func TestDurableSnapshotReroot(t *testing.T) {
+	const snapshotEvery = 8
 	ctx := context.Background()
-	st := openTestStore(t, t.TempDir(), store.Options{SnapshotEvery: 2})
+	st := openTestStore(t, t.TempDir())
 	svc := New(Config{Store: st})
 	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
-	l := denseRow("row", 8)
+	l := denseRow("row", 2*snapshotEvery)
 	if _, _, err := svc.Decompose(ctx, l, opts); err != nil {
 		t.Fatal(err)
 	}
 	hash := LayoutHash(l)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < snapshotEvery; i++ {
 		_, nh, _, _, err := svc.DecomposeIncremental(ctx, hash, []core.Edit{{Op: core.EditRemove, Feature: 0}}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		hash = nh
 	}
-	// Depth 2 hit the policy: the deepest session must be directly
+	// Depth 8 hit the policy: the deepest session must be directly
 	// replayable (snapshot, no edit tail).
 	ch, err := st.Lookup(optionsSig(opts), hash)
 	if err != nil || ch == nil {
@@ -290,7 +290,7 @@ func TestDurableSnapshotReroot(t *testing.T) {
 // ErrNoSession, a StoreErrors tick, and never a corrupt session.
 func TestDurableCorruptSnapshotNotServed(t *testing.T) {
 	ctx := context.Background()
-	st := openTestStore(t, t.TempDir(), store.Options{})
+	st := openTestStore(t, t.TempDir())
 	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
 	l := denseRow("row", 5)
 	// All-same-color is wrong for a dense row (adjacent features conflict),
@@ -335,7 +335,7 @@ func TestConcurrentRehydrateReplaysOnce(t *testing.T) {
 	ctx := context.Background()
 	l := denseRow("rehy", 8)
 	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
-	st := openTestStore(t, dir, store.Options{})
+	st := openTestStore(t, dir)
 	svcA := New(Config{Store: st})
 	if _, _, err := svcA.Decompose(ctx, l, opts); err != nil {
 		t.Fatal(err)
@@ -357,7 +357,7 @@ func TestConcurrentRehydrateReplaysOnce(t *testing.T) {
 
 	// A restarted service: the base lives only in the log (snapshot plus a
 	// replay tail).
-	svc := New(Config{Store: openTestStore(t, dir, store.Options{})})
+	svc := New(Config{Store: openTestStore(t, dir)})
 	const n = 8
 	batch := []core.Edit{{Op: core.EditMove, Feature: 3, DX: 0, DY: 40}}
 	results := make([]*core.Result, n)

@@ -50,9 +50,6 @@ type Config struct {
 	// Workers caps concurrently running decompositions across all callers;
 	// 0 means GOMAXPROCS.
 	Workers int
-	// DefaultTimeout, when positive, bounds each decomposition that arrives
-	// with a context carrying no earlier deadline.
-	DefaultTimeout time.Duration
 	// Store, when non-nil, makes sessions durable (DESIGN.md §13): edit
 	// batches are logged before the successor session is registered, a
 	// session evicted from the LRU is spilled to disk instead of dropped,
@@ -175,17 +172,6 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// withDefaultTimeout bounds ctx by Config.DefaultTimeout when it carries
-// no deadline of its own.
-func (s *Service) withDefaultTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.cfg.DefaultTimeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			return context.WithTimeout(ctx, s.cfg.DefaultTimeout)
-		}
-	}
-	return ctx, func() {}
-}
-
 // checkOptions rejects options no engine can honor: K below 2, and a
 // negative or non-finite stitch weight, under which the branch-and-bound
 // prune (and so a Proven answer) no longer holds. Zero values mean the
@@ -216,8 +202,6 @@ func (s *Service) DecomposeHashed(ctx context.Context, l *layout.Layout, opts co
 	if err := checkOptions(opts); err != nil {
 		return nil, "", false, err
 	}
-	ctx, cancel := s.withDefaultTimeout(ctx)
-	defer cancel()
 	lh := LayoutHash(l)
 	sig := optionsSig(opts)
 	solve := func() (*session, error) {
@@ -390,8 +374,6 @@ func (s *Service) DecomposeIncremental(ctx context.Context, baseHash string, edi
 	if err := checkOptions(opts); err != nil {
 		return nil, "", nil, false, err
 	}
-	ctx, cancel := s.withDefaultTimeout(ctx)
-	defer cancel()
 	sig := optionsSig(opts)
 	base, err := s.session(ctx, baseHash, sig, opts)
 	if err != nil {

@@ -72,33 +72,21 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// snapshotEvery is the edit-chain depth at which AppendEdits asks the
+// caller for a fresh snapshot, bounding replay work on rehydration;
+// compactMin is the number of log records below which automatic compaction
+// never runs.
+const (
+	snapshotEvery = 8
+	compactMin    = 128
+)
+
 // Options tunes a Store. The zero value is usable.
 type Options struct {
-	// SnapshotEvery is the edit-chain depth at which AppendEdits asks the
-	// caller for a fresh snapshot, bounding replay work on rehydration;
-	// 0 means 8.
-	SnapshotEvery int
-	// CompactMin is the minimum number of log records before automatic
-	// compaction considers running; 0 means 128.
-	CompactMin int
-	// MaxSessions caps the distinct sessions compaction retains, dropping
-	// the least recently appended lineages first (ancestors a retained
-	// chain still replays through are always kept); 0 means unlimited.
-	MaxSessions int
 	// NoSync skips the fsync after each append. Records still survive a
 	// killed process (the OS has the writes); only power loss can lose
 	// the un-synced tail. Tests use it for speed.
 	NoSync bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.SnapshotEvery <= 0 {
-		o.SnapshotEvery = 8
-	}
-	if o.CompactMin <= 0 {
-		o.CompactMin = 128
-	}
-	return o
 }
 
 // Snapshot is one full persisted session state.
@@ -193,7 +181,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts.withDefaults(), f: f, index: make(map[string]rec)}
+	s := &Store{dir: dir, opts: opts, f: f, index: make(map[string]rec)}
 	if err := s.recover(); err != nil {
 		f.Close()
 		return nil, err
@@ -366,7 +354,7 @@ func (s *Store) AppendSnapshot(sig, hash string, snap *Snapshot) error {
 
 // AppendEdits durably records one ECO batch deriving session next from
 // session base. needSnapshot reports that the new chain's replay depth
-// reached Options.SnapshotEvery — the caller should follow up with an
+// reached snapshotEvery — the caller should follow up with an
 // AppendSnapshot of the successor state it already holds, re-rooting the
 // chain. An unknown base is an error: the service persists a session
 // before ever deriving from it, so an unpersisted base means the caller
@@ -398,7 +386,7 @@ func (s *Store) AppendEdits(sig, base, next string, edits []core.Edit) (needSnap
 	if err := s.maybeCompact(); err != nil {
 		return false, err
 	}
-	return r.depth >= s.opts.SnapshotEvery, nil
+	return r.depth >= snapshotEvery, nil
 }
 
 // append frames and writes one record at the logical end of the log,
@@ -510,11 +498,11 @@ func (s *Store) readPayload(r rec) ([]byte, error) {
 }
 
 // maybeCompact runs compaction when the log has accumulated enough dead
-// weight: at least Options.CompactMin records, over half of them dead.
+// weight: at least compactMin records, over half of them dead.
 //
 //lint:holds mu
 func (s *Store) maybeCompact() error {
-	if s.records < s.opts.CompactMin {
+	if s.records < compactMin {
 		return nil
 	}
 	if s.records < 2*len(s.index) {
@@ -523,46 +511,19 @@ func (s *Store) maybeCompact() error {
 	return s.compact()
 }
 
-// retained returns the index keys compaction keeps, ordered so every edit
-// record's base precedes it in the output log (recover scans front to back
-// and drops base-less edits as orphans). Replay depth is that order:
-// AppendEdits only ever lowers a key's depth, so a base's current depth is
-// always strictly below its children's. Recency (seq) breaks ties for a
-// deterministic output log.
+// logOrder returns every index key in the order compaction writes them:
+// each edit record's base precedes it in the output log (recover scans
+// front to back and drops base-less edits as orphans). Replay depth is that
+// order: AppendEdits only ever lowers a key's depth, so a base's current
+// depth is always strictly below its children's. Recency (seq) breaks ties
+// for a deterministic output log.
 //
 //lint:holds mu
-func (s *Store) retained() []string {
+func (s *Store) logOrder() []string {
 	index := s.index // sort closures run with the same lock held
 	keys := make([]string, 0, len(index))
 	for k := range index {
 		keys = append(keys, k)
-	}
-	if s.opts.MaxSessions > 0 && len(keys) > s.opts.MaxSessions {
-		// Keep the newest (by append recency) MaxSessions lineages plus
-		// every ancestor their replay chains pass through (an ancestor may
-		// be older than the cut).
-		sort.Slice(keys, func(i, j int) bool { return index[keys[i]].seq < index[keys[j]].seq })
-		keep := make(map[string]bool, s.opts.MaxSessions)
-		for _, k := range keys[len(keys)-s.opts.MaxSessions:] {
-			for cur := k; !keep[cur]; {
-				keep[cur] = true
-				r := index[cur]
-				if r.typ != recEdits {
-					break
-				}
-				cur = keyFrom(cur, r.base)
-				if _, ok := index[cur]; !ok {
-					break // broken chain; Lookup will report it
-				}
-			}
-		}
-		kept := keys[:0]
-		for _, k := range keys {
-			if keep[k] {
-				kept = append(kept, k)
-			}
-		}
-		keys = kept
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := index[keys[i]], index[keys[j]]
@@ -576,7 +537,7 @@ func (s *Store) retained() []string {
 
 //lint:holds mu
 func (s *Store) compact() error {
-	keys := s.retained()
+	keys := s.logOrder()
 	tmpPath := filepath.Join(s.dir, compactName)
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

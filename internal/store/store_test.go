@@ -15,9 +15,9 @@ import (
 	"mpl/internal/layout"
 )
 
-// testOpts keeps unit tests fast and deterministic: no fsync, no automatic
-// compaction unless a test asks for it.
-var testOpts = Options{NoSync: true, CompactMin: 1 << 30}
+// testOpts keeps unit tests fast: no fsync. Only TestStoreAutoCompaction
+// appends compactMin records, so no other test compacts unless it asks.
+var testOpts = Options{NoSync: true}
 
 func testLayout(n int) *layout.Layout {
 	l := layout.New("store-test")
@@ -100,7 +100,7 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if need {
-			t.Fatalf("needSnapshot at depth %d with default SnapshotEvery", i+1)
+			t.Fatalf("needSnapshot at depth %d below snapshotEvery", i+1)
 		}
 		base = hashes[i]
 	}
@@ -188,22 +188,19 @@ func TestStoreReopen(t *testing.T) {
 }
 
 func TestStoreSnapshotPolicy(t *testing.T) {
-	opts := testOpts
-	opts.SnapshotEvery = 3
-	s := openStore(t, t.TempDir(), opts)
+	s := openStore(t, t.TempDir(), testOpts)
 	if err := s.AppendSnapshot(sig, "h0", testSnap(3)); err != nil {
 		t.Fatal(err)
 	}
-	wantNeed := []bool{false, false, true} // depths 1, 2, 3
 	base := "h0"
-	for i, want := range wantNeed {
-		next := fmt.Sprintf("h%d", i+1)
-		need, err := s.AppendEdits(sig, base, next, testEdits(i))
+	for depth := 1; depth <= snapshotEvery; depth++ {
+		next := fmt.Sprintf("h%d", depth)
+		need, err := s.AppendEdits(sig, base, next, testEdits(depth))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if need != want {
-			t.Fatalf("depth %d: needSnapshot = %v, want %v", i+1, need, want)
+		if want := depth == snapshotEvery; need != want {
+			t.Fatalf("depth %d: needSnapshot = %v, want %v", depth, need, want)
 		}
 		base = next
 	}
@@ -212,13 +209,13 @@ func TestStoreSnapshotPolicy(t *testing.T) {
 	if err := s.AppendSnapshot(sig, base, testSnap(6)); err != nil {
 		t.Fatal(err)
 	}
-	need, err := s.AppendEdits(sig, base, "h4", testEdits(4))
+	need, err := s.AppendEdits(sig, base, "tip", testEdits(snapshotEvery+1))
 	if err != nil || need {
 		t.Fatalf("edit after re-rooting: need=%v err=%v", need, err)
 	}
-	ch, err := s.Lookup(sig, "h4")
+	ch, err := s.Lookup(sig, "tip")
 	if err != nil || ch == nil {
-		t.Fatalf("Lookup(h4): %v, %v", ch, err)
+		t.Fatalf("Lookup(tip): %v, %v", ch, err)
 	}
 	if len(ch.Batches) != 1 {
 		t.Fatalf("replay depth after re-rooting = %d, want 1", len(ch.Batches))
@@ -333,69 +330,26 @@ func TestStoreCompactionOrdersBases(t *testing.T) {
 	}
 }
 
-func TestStoreRetention(t *testing.T) {
-	opts := testOpts
-	opts.MaxSessions = 2
-	s := openStore(t, t.TempDir(), opts)
-	// Lineage 1: h0 -> h1 (old). Lineage 2: g0 (newer). Lineage 3: f0 (newest).
-	if err := s.AppendSnapshot(sig, "h0", testSnap(3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AppendEdits(sig, "h0", "h1", testEdits(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendSnapshot(sig, "g0", testSnap(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendSnapshot(sig, "f0", testSnap(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := compactNow(s); err != nil {
-		t.Fatal(err)
-	}
-	// Newest two sessions are f0 and g0; the h lineage is dropped whole.
-	for h, want := range map[string]bool{"f0": true, "g0": true, "h0": false, "h1": false} {
-		if s.Has(sig, h) != want {
-			t.Fatalf("after retention, Has(%s) = %v, want %v", h, !want, want)
-		}
-	}
-
-	// Ancestor closure: a retained chain keeps the ancestors it replays
-	// through even when they fall outside the recency cut.
-	if _, err := s.AppendEdits(sig, "f0", "f1", testEdits(2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AppendEdits(sig, "f1", "f2", testEdits(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := compactNow(s); err != nil {
-		t.Fatal(err)
-	}
-	// Newest two are f2 and f1, but f0 must survive as their root.
-	for h, want := range map[string]bool{"f0": true, "f1": true, "f2": true, "g0": false} {
-		if s.Has(sig, h) != want {
-			t.Fatalf("after ancestor closure, Has(%s) = %v, want %v", h, !want, want)
-		}
-	}
-	if ch, err := s.Lookup(sig, "f2"); err != nil || ch == nil || len(ch.Batches) != 2 {
-		t.Fatalf("retained chain does not replay: %v, %v", ch, err)
-	}
-}
-
 func TestStoreAutoCompaction(t *testing.T) {
-	opts := testOpts
-	opts.CompactMin = 8
-	s := openStore(t, t.TempDir(), opts)
-	for i := 0; i < 20; i++ {
+	s := openStore(t, t.TempDir(), testOpts)
+	for i := 1; i < compactMin; i++ {
 		if err := s.AppendSnapshot(sig, "h0", testSnap(3)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if st := s.StatsSnapshot(); st.Compactions != 0 {
+		t.Fatalf("compacted below compactMin records: %+v", st)
+	}
+	// The compactMin-th record crosses the floor: one live session among
+	// compactMin records compacts to that one record.
+	if err := s.AppendSnapshot(sig, "h0", testSnap(3)); err != nil {
+		t.Fatal(err)
+	}
 	st := s.StatsSnapshot()
-	if st.Compactions == 0 {
+	if st.Compactions != 1 {
 		t.Fatal("auto-compaction never ran")
 	}
-	if st.WALRecords >= 8 {
+	if st.WALRecords != 1 {
 		t.Fatalf("log still carries %d records for one live session", st.WALRecords)
 	}
 }

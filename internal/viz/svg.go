@@ -27,27 +27,13 @@ var maskPalette = []string{
 	"#f032e6", // magenta
 }
 
-// Options controls rendering.
-type Options struct {
-	// Scale multiplies database units into SVG units; 0 means 0.5.
-	Scale float64
-	// ShowConflicts draws a line between every conflicting same-mask pair.
-	ShowConflicts bool
-	// ShowStitches draws dashed marks between stitch-linked fragments of
-	// different masks.
-	ShowStitches bool
-}
+// scale multiplies database units into SVG units.
+const scale = 0.5
 
-func (o Options) withDefaults() Options {
-	if o.Scale <= 0 {
-		o.Scale = 0.5
-	}
-	return o
-}
-
-// WriteResult renders a decomposition result: fragments filled by mask.
-func WriteResult(w io.Writer, r *core.Result, opts Options) error {
-	opts = opts.withDefaults()
+// WriteResult renders a decomposition result: fragments filled by mask, a
+// red line between every conflicting same-mask pair, and a dashed mark
+// between stitch-linked fragments of different masks.
+func WriteResult(w io.Writer, r *core.Result) error {
 	bw := bufio.NewWriter(w)
 
 	bounds := geom.Rect{}
@@ -62,16 +48,15 @@ func WriteResult(w io.Writer, r *core.Result, opts Options) error {
 		}
 	}
 	bounds = bounds.Expand(40)
-	s := opts.Scale
-	width := float64(bounds.Width()) * s
-	height := float64(bounds.Height()) * s
+	width := float64(bounds.Width()) * scale
+	height := float64(bounds.Height()) * scale
 	fmt.Fprintf(bw, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f">`+"\n",
 		width, height, width, height)
 	fmt.Fprintf(bw, `<rect width="100%%" height="100%%" fill="white"/>`+"\n")
 
 	// Flip y: layout coordinates grow up, SVG grows down.
-	tx := func(x int) float64 { return float64(x-bounds.X0) * s }
-	ty := func(y int) float64 { return float64(bounds.Y1-y) * s }
+	tx := func(x int) float64 { return float64(x-bounds.X0) * scale }
+	ty := func(y int) float64 { return float64(bounds.Y1-y) * scale }
 
 	for i, fr := range r.Graph.Fragments {
 		color := "#808080"
@@ -80,31 +65,27 @@ func WriteResult(w io.Writer, r *core.Result, opts Options) error {
 		}
 		for _, rc := range fr.Shape.Rects {
 			fmt.Fprintf(bw, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s" stroke="black" stroke-width="0.4"/>`+"\n",
-				tx(rc.X0), ty(rc.Y1), float64(rc.Width())*s, float64(rc.Height())*s, color)
+				tx(rc.X0), ty(rc.Y1), float64(rc.Width())*scale, float64(rc.Height())*scale, color)
 		}
 	}
 
-	if opts.ShowConflicts {
-		for _, e := range r.Graph.G.ConflictEdges() {
-			if r.Colors[e.U] != r.Colors[e.V] {
-				continue
-			}
-			cu := r.Graph.Fragments[e.U].Shape.Bounds().Center()
-			cv := r.Graph.Fragments[e.V].Shape.Bounds().Center()
-			fmt.Fprintf(bw, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="red" stroke-width="2"/>`+"\n",
-				tx(cu.X), ty(cu.Y), tx(cv.X), ty(cv.Y))
+	for _, e := range r.Graph.G.ConflictEdges() {
+		if r.Colors[e.U] != r.Colors[e.V] {
+			continue
 		}
+		cu := r.Graph.Fragments[e.U].Shape.Bounds().Center()
+		cv := r.Graph.Fragments[e.V].Shape.Bounds().Center()
+		fmt.Fprintf(bw, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="red" stroke-width="2"/>`+"\n",
+			tx(cu.X), ty(cu.Y), tx(cv.X), ty(cv.Y))
 	}
-	if opts.ShowStitches {
-		for _, e := range r.Graph.G.StitchEdges() {
-			if r.Colors[e.U] == r.Colors[e.V] {
-				continue
-			}
-			cu := r.Graph.Fragments[e.U].Shape.Bounds().Center()
-			cv := r.Graph.Fragments[e.V].Shape.Bounds().Center()
-			fmt.Fprintf(bw, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="black" stroke-width="1.5" stroke-dasharray="3,3"/>`+"\n",
-				tx(cu.X), ty(cu.Y), tx(cv.X), ty(cv.Y))
+	for _, e := range r.Graph.G.StitchEdges() {
+		if r.Colors[e.U] == r.Colors[e.V] {
+			continue
 		}
+		cu := r.Graph.Fragments[e.U].Shape.Bounds().Center()
+		cv := r.Graph.Fragments[e.V].Shape.Bounds().Center()
+		fmt.Fprintf(bw, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="black" stroke-width="1.5" stroke-dasharray="3,3"/>`+"\n",
+			tx(cu.X), ty(cu.Y), tx(cv.X), ty(cv.Y))
 	}
 
 	fmt.Fprintln(bw, `</svg>`)
@@ -112,13 +93,13 @@ func WriteResult(w io.Writer, r *core.Result, opts Options) error {
 }
 
 // WriteResultFile renders to a file path.
-func WriteResultFile(path string, r *core.Result, opts Options) error {
+func WriteResultFile(path string, r *core.Result) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := WriteResult(f, r, opts); err != nil {
+	if err := WriteResult(f, r); err != nil {
 		return err
 	}
 	return f.Close()

@@ -33,7 +33,7 @@ func testResult(t *testing.T) *core.Result {
 func TestWriteResultWellFormed(t *testing.T) {
 	res := testResult(t)
 	var buf bytes.Buffer
-	if err := WriteResult(&buf, res, Options{ShowConflicts: true, ShowStitches: true}); err != nil {
+	if err := WriteResult(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -62,21 +62,10 @@ func TestWriteResultWellFormed(t *testing.T) {
 	}
 }
 
-func TestWriteResultNoOverlays(t *testing.T) {
-	res := testResult(t)
-	var buf bytes.Buffer
-	if err := WriteResult(&buf, res, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "<line") {
-		t.Fatal("overlay lines drawn despite disabled options")
-	}
-}
-
 func TestWriteResultFile(t *testing.T) {
 	res := testResult(t)
 	path := filepath.Join(t.TempDir(), "out.svg")
-	if err := WriteResultFile(path, res, Options{Scale: 1}); err != nil {
+	if err := WriteResultFile(path, res); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(path)
