@@ -32,9 +32,9 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"mpl"
+	"mpl/internal/pipeline"
 )
 
 func main() {
@@ -78,43 +78,27 @@ func main() {
 }
 
 // run generates every named circuit into outDir, fanning the work across
-// workers goroutines. Each circuit's bytes depend only on (name, scale,
-// seed) — never on scheduling — and status lines are collected and printed
-// in input order, so the whole command is deterministic at any worker
-// count. The first error wins; remaining work still drains.
+// at most workers goroutines (pipeline.Fan). Each circuit's bytes depend
+// only on (name, scale, seed) — never on scheduling — and status lines are
+// collected and printed in input order, so the whole command is
+// deterministic at any worker count. The first error wins; remaining work
+// still drains.
 func run(names []string, scale float64, seed int64, workers int, outDir string, binary bool, w io.Writer) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(names) {
-		workers = len(names)
-	}
-
 	type status struct {
 		line string
 		err  error
 	}
 	results := make([]status, len(names))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				line, err := generateOne(names[i], scale, seed, outDir, binary)
-				results[i] = status{line: line, err: err}
-			}
-		}()
-	}
-	for i := range names {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	var cur pipeline.Cursor
+	pipeline.Fan(min(workers, len(names)), func(int) {
+		for i := cur.Next(); i < len(names); i = cur.Next() {
+			line, err := generateOne(names[i], scale, seed, outDir, binary)
+			results[i] = status{line: line, err: err}
+		}
+	})
 
 	for _, r := range results {
 		if r.err != nil {

@@ -146,20 +146,17 @@ func circuitList(flagVal string, k int) []string {
 	return names
 }
 
-func buildGraphs(names []string, k int, scale float64, buildWorkers int) map[string]*mpl.DecompGraph {
-	out := make(map[string]*mpl.DecompGraph, len(names))
-	for _, name := range names {
-		l, err := loadLayout(name, scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		g, err := mpl.BuildGraph(l, mpl.BuildOptions{K: k, Workers: buildWorkers})
-		if err != nil {
-			log.Fatal(err)
-		}
-		out[name] = g
+// buildGraph loads one circuit and builds its decomposition graph.
+func buildGraph(name string, k int, scale float64, buildWorkers int) *mpl.DecompGraph {
+	l, err := loadLayout(name, scale)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return out
+	g, err := mpl.BuildGraph(l, mpl.BuildOptions{K: k, Workers: buildWorkers})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return g
 }
 
 // algList resolves the -algs flag, defaulting to the table's own columns.
@@ -250,42 +247,48 @@ func runTable(names []string, k int, scale float64, seed int64, ilpBudget time.D
 	title := fmt.Sprintf("%d-patterning layout decomposition (synthetic suite, scale %.2f, seed %d)", k, scale, seed)
 	tbl := report.New(title, cols, baseline)
 
-	// All (circuit, algorithm) pairs run through the service's batch
-	// runner, and the per-layout graph cache builds each decomposition
-	// graph once for the whole algorithm sweep. The seeded SDP and linear
-	// engines give identical cn#/st# at any -batch-workers; ILP rows keep
-	// the paper's caveat — the -ilp-budget wall clock decides Proven/N/A,
-	// so CPU contention from concurrent circuits can flip borderline rows
-	// (run -batch-workers 1 for budget-faithful ILP columns).
+	// All (circuit, algorithm) pairs are service solves, and the
+	// per-layout graph cache builds each decomposition graph once for the
+	// whole algorithm sweep. -batch-workers workers (pipeline.Fan) take the
+	// pairs in row order from one cursor, and the service's lanes bound the
+	// solves to the same count. The seeded SDP and linear engines give
+	// identical cn#/st# at any -batch-workers; ILP rows keep the paper's
+	// caveat — the -ilp-budget wall clock decides Proven/N/A, so CPU
+	// contention from concurrent circuits can flip borderline rows (run
+	// -batch-workers 1 for budget-faithful ILP columns).
+	if batchWorkers <= 0 {
+		batchWorkers = runtime.GOMAXPROCS(0)
+	}
 	svc := service.New(service.Config{
 		Workers:   batchWorkers,
 		CacheSize: len(names) * (len(specs) + 1),
 	})
-	reqs := make([]service.Request, 0, len(names)*len(specs))
-	for _, name := range names {
+	layouts := make([]*mpl.Layout, len(names))
+	for i, name := range names {
 		l, err := loadLayout(name, scale)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, s := range specs {
-			reqs = append(reqs, service.Request{
-				Name:    name,
-				Layout:  l,
-				Options: s.options(k, seed, ilpBudget, workers, buildWorkers),
-			})
-		}
+		layouts[i] = l
 	}
-	out := svc.DecomposeAll(context.Background(), reqs)
+	out := make([]*mpl.Result, len(names)*len(specs))
+	errs := make([]error, len(out))
+	var cur pipeline.Cursor
+	pipeline.Fan(min(batchWorkers, len(out)), func(int) {
+		for i := cur.Next(); i < len(out); i = cur.Next() {
+			opts := specs[i%len(specs)].options(k, seed, ilpBudget, workers, buildWorkers)
+			out[i], _, errs[i] = svc.Decompose(context.Background(), layouts[i/len(specs)], opts)
+		}
+	})
 
 	for ci, name := range names {
 		cells := make([]report.Cell, 0, len(specs))
 		fragments := 0
 		for si, s := range specs {
-			r := out[ci*len(specs)+si]
-			if r.Err != nil {
-				log.Fatalf("%s/%s: %v", name, s.label, r.Err)
+			res := out[ci*len(specs)+si]
+			if err := errs[ci*len(specs)+si]; err != nil {
+				log.Fatalf("%s/%s: %v", name, s.label, err)
 			}
-			res := r.Result
 			fragments = len(res.Graph.Fragments)
 			// CPU(s) is color-assignment (solver) time, matching the
 			// paper's column; division overhead is shared by all engines.
@@ -312,7 +315,7 @@ func runTable(names []string, k int, scale float64, seed int64, ilpBudget time.D
 // solve stage (the build stage is amortized by the service's graph cache
 // across the whole sweep, so it is not a per-solve number; use -json for
 // per-circuit build times).
-func writeStageTable(w io.Writer, names []string, specs []sweepSpec, out []service.Response) {
+func writeStageTable(w io.Writer, names []string, specs []sweepSpec, out []*mpl.Result) {
 	stageCols := []string{pipeline.StageSimplify, pipeline.StagePartition, pipeline.StageDispatch, pipeline.StageStitch, pipeline.StageMerge}
 	for si, s := range specs {
 		fmt.Fprintf(w, "\nstage timings (ms, %s):\n%-10s", s.label, "circuit")
@@ -326,17 +329,14 @@ func writeStageTable(w io.Writer, names []string, specs []sweepSpec, out []servi
 		fmt.Fprintf(w, " %6s %9s %9s\n", "disp-w", "busy-max", "busy-min")
 		for ci, name := range names {
 			r := out[ci*len(specs)+si]
-			if r.Err != nil || r.Result == nil {
-				continue
-			}
-			ms := benchrec.StageMsOf(r.Result.DivisionStats.Stages)
+			ms := benchrec.StageMsOf(r.DivisionStats.Stages)
 			fmt.Fprintf(w, "%-10s", name)
 			for _, sc := range stageCols {
 				fmt.Fprintf(w, " %10.3f", ms[sc])
 			}
-			sh := r.Result.DivisionStats.Shapes
+			sh := r.DivisionStats.Shapes
 			fmt.Fprintf(w, " %8d %8d %8d", sh.Hits, sh.Misses, sh.Distinct)
-			bal := r.Result.DivisionStats.Balance
+			bal := r.DivisionStats.Balance
 			fmt.Fprintf(w, " %6d %9.3f %9.3f\n",
 				bal.Workers, benchrec.Ms(bal.MaxBusy), benchrec.Ms(bal.MinBusy))
 		}
@@ -362,7 +362,7 @@ func runDivisionAblation(names []string, k int, scale float64, seed int64, worke
 	title := fmt.Sprintf("division ablation, SDP+Backtrack, K=%d, scale %.2f", k, scale)
 	tbl := report.New(title, cols, "all-on")
 	for _, name := range names {
-		g := buildGraphs([]string{name}, k, scale, buildWorkers)[name]
+		g := buildGraph(name, k, scale, buildWorkers)
 		cells := make([]report.Cell, 0, len(configs))
 		for _, c := range configs {
 			opt := c.opt
@@ -612,7 +612,7 @@ func runThresholdAblation(names []string, k int, scale float64, seed int64, work
 	title := fmt.Sprintf("t_th ablation, SDP+Backtrack, K=%d, scale %.2f", k, scale)
 	tbl := report.New(title, cols, "tth=0.90")
 	for _, name := range names {
-		g := buildGraphs([]string{name}, k, scale, buildWorkers)[name]
+		g := buildGraph(name, k, scale, buildWorkers)
 		cells := make([]report.Cell, 0, len(ths))
 		for _, th := range ths {
 			res, err := mpl.DecomposeGraph(g, mpl.Options{

@@ -42,7 +42,6 @@ import (
 	"net/http"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
@@ -52,6 +51,7 @@ import (
 	"mpl/internal/division"
 	"mpl/internal/geom"
 	"mpl/internal/layout"
+	"mpl/internal/pipeline"
 	"mpl/internal/service"
 	"mpl/internal/store"
 )
@@ -370,31 +370,21 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Each element carries its own options and deadline (which starts when
-	// the element does). At most s.workers goroutines pull element indices,
-	// as service.DecomposeAll does, so a body of millions of tiny elements
-	// cannot ask for millions of goroutines. Per-item failures are
+	// the element does). At most s.workers workers pull element indices
+	// from one cursor (pipeline.Fan), so a body of millions of tiny
+	// elements cannot ask for millions of goroutines. Per-item failures are
 	// reported inline so one bad layout cannot sink the batch.
 	out := batchResponse{Responses: make([]decomposeResponse, len(reqs))}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for n := min(max(s.workers, 1), len(reqs)); n > 0; n-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				resp, err := s.decomposeOne(r.Context(), &reqs[i])
-				if err != nil {
-					resp = decomposeResponse{Name: reqs[i].opts.Name, Error: err.Error()}
-				}
-				out.Responses[i] = resp
+	var cur pipeline.Cursor
+	pipeline.Fan(min(s.workers, len(reqs)), func(int) {
+		for i := cur.Next(); i < len(reqs); i = cur.Next() {
+			resp, err := s.decomposeOne(r.Context(), &reqs[i])
+			if err != nil {
+				resp = decomposeResponse{Name: reqs[i].opts.Name, Error: err.Error()}
 			}
-		}()
-	}
-	for i := range reqs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+			out.Responses[i] = resp
+		}
+	})
 	writeJSON(w, out)
 }
 

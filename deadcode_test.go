@@ -77,6 +77,66 @@ func TestNoUnreachableDeclarations(t *testing.T) {
 	}
 }
 
+// goStmtExempt lists the functions besides pipeline.Fan that may start a
+// goroutine with a `go` statement, each with the reason. A key is the
+// enclosing declaration as the guard names it ("mpl/cmd/qpld.serveUntil").
+var goStmtExempt = map[string]string{
+	"mpl/cmd/qpld.serveUntil": "the HTTP listener: hs.Serve runs for the server's whole life while serveUntil waits for a shutdown signal, so it is no bounded fan-out",
+}
+
+// fanPrimitive is the module's one goroutine boundary.
+const fanPrimitive = "mpl/internal/pipeline.Fan"
+
+// TestOneGoroutineBoundary is the goroutine guard (DESIGN.md §10): every
+// worker pool in the module runs through pipeline.Fan, so a `go` statement
+// in any other non-test declaration of the module fails it, named by file,
+// line and enclosing declaration. The exceptions sit in goStmtExempt with a
+// reason, and an entry whose declaration no longer starts a goroutine is
+// reported as stale.
+func TestOneGoroutineBoundary(t *testing.T) {
+	module, _ := loadProduction(t)
+	found := map[string][]string{} // enclosing declaration -> go statement positions
+	for _, p := range module {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				name := p.Path + " (package-level)"
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					name = declName(p.Info.Defs[fd.Name])
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok {
+						found[name] = append(found[name], linePos(p.Fset, g.Pos()))
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(found[fanPrimitive]) == 0 {
+		t.Errorf("no go statement in %s: the primitive is gone or the scanner is broken", fanPrimitive)
+	}
+	delete(found, fanPrimitive)
+	for name, reason := range goStmtExempt {
+		if reason == "" {
+			t.Errorf("exemption %q has no reason", name)
+		}
+		if len(found[name]) == 0 {
+			t.Errorf("stale exemption %q: it starts no goroutine", name)
+		}
+		delete(found, name)
+	}
+	var stray []string
+	for name, pos := range found {
+		for _, p := range pos {
+			stray = append(stray, p+": "+name)
+		}
+	}
+	sort.Strings(stray)
+	for _, line := range stray {
+		t.Errorf("go statement outside %s: %s", fanPrimitive, line)
+	}
+}
+
 // loadProduction type-checks the non-test files of the module and of
 // servebench once for every guard in this file.
 func loadProduction(t *testing.T) (module, servebench []*lintkit.Package) {

@@ -12,13 +12,12 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpl/internal/geom"
 	"mpl/internal/graph"
 	"mpl/internal/layout"
+	"mpl/internal/pipeline"
 	"mpl/internal/spatial"
 )
 
@@ -250,64 +249,27 @@ func (b *builder) shardPlan(n int) (chunk, nChunks int) {
 }
 
 // runSharded executes fn over [0, n) in contiguous chunks of the given
-// length pulled from an atomic cursor by min(workers, needed) goroutines.
-// fn receives the chunk index alongside the range, so a stage can write
-// per-chunk output slots without coordination. Chunk processing order is
-// nondeterministic but every output is indexed by its input position, so
-// results are deterministic. Returns promptly with ctx's error when
-// cancelled mid-build.
+// length pulled from a cursor by min(workers, needed) workers
+// (pipeline.Fan). fn receives the chunk index alongside the range, so a
+// stage can write per-chunk output slots without coordination. Chunk
+// processing order is nondeterministic but every output is indexed by its
+// input position, so results are deterministic. Workers poll ctx between
+// chunks, so a cancelled build returns promptly with ctx's error.
 func (b *builder) runSharded(ctx context.Context, n, chunk int, stage string, fn func(ci, lo, hi int)) error {
 	if n == 0 {
 		return nil
 	}
-	workers := b.workers
 	nChunks := (n + chunk - 1) / chunk
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers == 1 {
-		for ci := 0; ci < nChunks; ci++ {
-			if ctx.Err() != nil {
-				return buildCancelled(ctx, stage)
+	var cur pipeline.Cursor
+	pipeline.Fan(min(b.workers, nChunks), func(int) {
+		for ctx.Err() == nil {
+			c := cur.Next()
+			if c >= nChunks {
+				return
 			}
-			lo := ci * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(ci, lo, hi)
+			fn(c, c*chunk, min(c*chunk+chunk, n))
 		}
-		return nil
-	}
-	var cursor atomic.Int64
-	var stopped atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stopped.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					stopped.Store(true)
-					return
-				}
-				c := int(cursor.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				fn(c, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	if ctx.Err() != nil {
 		return buildCancelled(ctx, stage)
 	}

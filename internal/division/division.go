@@ -43,7 +43,6 @@ import (
 	"cmp"
 	"context"
 	"slices"
-	"sync"
 	"time"
 
 	"mpl/internal/coloring"
@@ -302,6 +301,10 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 		env.Scratch.Put(sc)
 	}
 
+	// One worker per piece, up to Options.Workers; pipeline.Fan runs a
+	// single worker inline on this goroutine.
+	workers := max(min(opts.Workers, len(pieces)), 1)
+
 	// LPT (longest-processing-time-first) scheduling order for the parallel
 	// pool: heaviest pieces first, sized by vertex count plus CSR degree
 	// sum — a subgraph-free proxy for solve cost — with discovery order
@@ -309,7 +312,7 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 	// possible instead of arriving last into an otherwise-drained pool.
 	// Computed inside the same Partition region as the split so the
 	// per-stage call structure stays identical at any worker count.
-	if opts.Workers > 1 && len(pieces) > 1 {
+	if workers > 1 {
 		type job struct {
 			piece  []int
 			weight int
@@ -329,28 +332,35 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 	}
 	st.AddStage(pipeline.StagePartition, time.Since(tPart))
 
-	// Pieces enter the pre-filled, closed jobs channel in that order.
+	// Spare worker slots — workers this run never starts because there are
+	// fewer pieces than Options.Workers — go straight to the shared budget,
+	// where a huge piece's SDP restart fan-out can claim them.
+	for w := workers; w < opts.Workers; w++ {
+		env.Budget.Free()
+	}
+
+	// Workers claim pieces from one cursor in that order, each into its own
+	// Stats on its own scratch arena, copying each piece out of g once.
 	// Scheduling order is observably identical to discovery order: each
 	// piece is solved from the same inputs, the writes are vertex-disjoint,
 	// and the per-worker stats merge the same way regardless of which
-	// worker ran which job.
-	jobs := make(chan []int, len(pieces))
-	for _, p := range pieces {
-		jobs <- p
-	}
-	close(jobs)
-
-	// worker drains the jobs channel into ws on its own scratch arena,
-	// copying each piece out of g once. Pieces are vertex-disjoint, so
-	// concurrent workers write non-overlapping slices of colors.
-	worker := func(ws *Stats) {
+	// worker ran which piece.
+	workerStats := make([]Stats, workers)
+	var cur pipeline.Cursor
+	pipeline.Fan(workers, func(w int) {
+		// Once the cursor has passed the last piece this worker is
+		// permanently idle: its slot returns to the shared budget for
+		// nested fan-outs of the still-running workers.
+		defer env.Budget.Free()
+		ws := &workerStats[w]
 		sc := env.Scratch.Get()
 		defer env.Scratch.Put(sc)
 		idx := sc.Int32s(n)
 		defer sc.PutInt32s(idx)
 		var busy time.Duration
 		jobsRun := 0
-		for piece := range jobs {
+		for pi := cur.Next(); pi < len(pieces); pi = cur.Next() {
+			piece := pieces[pi]
 			t0 := time.Now()
 			sub := subgraphTimed(g, piece, idx, ws)
 			subColors := solveCore(ctx, sub, opts, solve, ws, sc, idx)
@@ -367,38 +377,9 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 		if jobsRun > 0 {
 			ws.Balance = Balance{Workers: 1, MaxBusy: busy, MinBusy: busy}
 		}
-	}
-	if opts.Workers <= 1 {
-		var ws Stats
-		worker(&ws)
+	})
+	for _, ws := range workerStats {
 		st.Add(ws)
-	} else {
-		// Spare worker slots — workers this run will never spawn because
-		// there are fewer pieces than Options.Workers — go straight to the
-		// shared budget, where a huge piece's SDP restart fan-out can claim
-		// them.
-		spawn := min(opts.Workers, len(pieces))
-		for w := spawn; w < opts.Workers; w++ {
-			env.Budget.Free()
-		}
-		workerStats := make([]Stats, spawn)
-		var wg sync.WaitGroup
-		for w := range workerStats {
-			wg.Add(1)
-			go func(ws *Stats) {
-				defer wg.Done()
-				// The jobs channel is pre-filled and closed, so once this
-				// worker's receive fails it is permanently idle: its slot
-				// returns to the shared budget for nested fan-outs of the
-				// still-running workers.
-				defer env.Budget.Free()
-				worker(ws)
-			}(&workerStats[w])
-		}
-		wg.Wait()
-		for _, ws := range workerStats {
-			st.Add(ws)
-		}
 	}
 
 	// Pop the stack in reverse removal order; a conflict-free color always

@@ -12,7 +12,9 @@
 //   - Branches fork the state; paths that terminate (return, branch,
 //     panic, log.Fatal, os.Exit) do not rejoin, and surviving paths merge
 //     by intersection — held only if held on every way in.
-//   - A `go` statement's function literal starts with nothing held; other
+//   - A `go` statement's function literal starts with nothing held, and so
+//     does the body passed to pipeline.Fan, the module's one goroutine
+//     boundary, though its body 0 runs on the caller's goroutine; other
 //     function literals are also analyzed from an empty state, because
 //     nothing ties their call time to the current lock region.
 //   - A function whose doc carries `//lint:holds <mu>` is analyzed with

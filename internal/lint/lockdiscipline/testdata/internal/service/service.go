@@ -2,7 +2,11 @@
 // annotated `guarded by mu`, so every access must hold c.mu.
 package service
 
-import "sync"
+import (
+	"sync"
+
+	"fix/internal/pipeline"
+)
 
 // Counter is the annotated struct under test.
 type Counter struct {
@@ -78,6 +82,25 @@ func (c *Counter) Spawn() {
 	go func() {
 		c.n++ // want `c\.n is guarded by c\.mu but accessed without holding it`
 	}()
+}
+
+// FanOut shows that a pipeline.Fan body, a goroutine body, does not
+// inherit the lock its caller holds, even though body 0 runs inline.
+func (c *Counter) FanOut() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pipeline.Fan(2, func(int) {
+		c.n++ // want `c\.n is guarded by c\.mu but accessed without holding it`
+	})
+}
+
+// FanLocked is the sanctioned shape: each body takes the lock itself.
+func (c *Counter) FanLocked() {
+	pipeline.Fan(2, func(int) {
+		c.mu.Lock()
+		c.n++
+		c.mu.Unlock()
+	})
 }
 
 // Snapshot is a deliberately racy read with its contract argument.

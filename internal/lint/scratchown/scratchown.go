@@ -11,12 +11,15 @@
 //  2. noGoCapture (§9 rule 2): a goroutine must not capture or receive an
 //     enclosing scope's Scratch — each worker or runner leases its own arena
 //     inside its own goroutine (`sc := pool.Get()` in the goroutine body).
-//     The SDP restart fan-out (DESIGN.md §14) is the canonical sanctioned
-//     shape: the caller's arena keeps the pre-carved factor blocks, and
-//     each extra restart runner opens `rsc := env.Scratch.Get()` /
-//     `defer env.Scratch.Put(rsc)` inside its goroutine for the workspace
-//     it descends with. Pool, Env, and Budget captures are exempt — those
-//     are shared by design; only the leased arena is single-goroutine.
+//     The function literal passed to pipeline.Fan, the module's one
+//     goroutine boundary, is a goroutine body too, and is checked like a
+//     `go` statement's. The SDP restart fan-out (DESIGN.md §14) is the
+//     canonical sanctioned shape: the caller's arena keeps the pre-carved
+//     factor blocks, and each extra restart runner opens
+//     `rsc := env.Scratch.Get()` / `defer env.Scratch.Put(rsc)` inside its
+//     body for the workspace it descends with. Pool, Env, and Budget
+//     captures are exempt — those are shared by design; only the leased
+//     arena is single-goroutine.
 //  3. noUseAfterPut (§9 rule 3): after pool.Put(sc), sc (and every buffer
 //     carved from it) belongs to the next lessee; any later use of sc in
 //     the same block is a finding. `defer pool.Put(sc)` is the idiomatic
@@ -39,7 +42,7 @@ import (
 var Analyzer = &lintkit.Analyzer{
 	Name: "scratchown",
 	Doc: "enforces pipeline.Scratch ownership (DESIGN.md §9): no struct fields,\n" +
-		"no goroutine captures, no channel sends, no use after Put",
+		"no goroutine (or pipeline.Fan body) captures, no channel sends, no use after Put",
 	Run: run,
 }
 
@@ -54,6 +57,10 @@ func run(pass *lintkit.Pass) error {
 				checkNoField(pass, n)
 			case *ast.GoStmt:
 				checkGoStmt(pass, n)
+			case *ast.CallExpr:
+				if body := fanBody(pass, n); body != nil {
+					checkCapture(pass, body)
+				}
 			case *ast.SendStmt:
 				if isScratchExpr(pass, n.Value) {
 					pass.Reportf(n.Pos(), "pipeline.Scratch sent on a channel: the lease is single-goroutine (DESIGN.md §9 rule 2); the receiver must lease its own arena")
@@ -111,10 +118,34 @@ func checkGoStmt(pass *lintkit.Pass, g *ast.GoStmt) {
 			pass.Reportf(arg.Pos(), "pipeline.Scratch passed into a goroutine: the lease is single-goroutine (DESIGN.md §9 rule 2); lease inside the goroutine instead")
 		}
 	}
-	lit, ok := g.Call.Fun.(*ast.FuncLit)
-	if !ok {
-		return
+	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
+		checkCapture(pass, lit)
 	}
+}
+
+// fanBody returns the function literal a pipeline.Fan call runs on its
+// workers, or nil when call is not such a call.
+func fanBody(pass *lintkit.Pass, call *ast.CallExpr) *ast.FuncLit {
+	var id *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	case *ast.Ident:
+		id = fun
+	default:
+		return nil
+	}
+	fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+	if !ok || fn.Name() != "Fan" || fn.Pkg() == nil || !lintkit.PathWithin(fn.Pkg().Path(), "internal/pipeline") || len(call.Args) != 2 {
+		return nil
+	}
+	lit, _ := call.Args[1].(*ast.FuncLit)
+	return lit
+}
+
+// checkCapture reports every Scratch a goroutine body lit uses that is
+// declared outside it.
+func checkCapture(pass *lintkit.Pass, lit *ast.FuncLit) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {

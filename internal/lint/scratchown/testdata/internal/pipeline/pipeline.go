@@ -39,3 +39,11 @@ func (b *Budget) TryAcquire() bool { return b != nil }
 
 // Release returns a claimed slot.
 func (b *Budget) Release() {}
+
+// Fan is a stub of the module's one goroutine boundary: body(0) runs
+// inline, the others on new goroutines.
+func Fan(n int, body func(w int)) {
+	for w := 0; w < n || w == 0; w++ {
+		body(w)
+	}
+}

@@ -32,3 +32,27 @@ func RestartBorrow(sc *pipeline.Scratch, env pipeline.Env) {
 		}()
 	}
 }
+
+// FanRestarts is the sanctioned shape through pipeline.Fan: runner 0
+// descends with a workspace carved from the caller's lease before the
+// fan-out, and every other runner leases its own arena inside its body.
+func FanRestarts(sc *pipeline.Scratch, env pipeline.Env) {
+	ws0 := sc.Ints(32) // carved before any concurrency
+	pipeline.Fan(3, func(w int) {
+		if w == 0 {
+			_ = ws0
+			return
+		}
+		rsc := env.Scratch.Get()
+		defer env.Scratch.Put(rsc)
+		_ = rsc.Ints(32)
+	})
+}
+
+// FanBorrow hands the caller's lease to every Fan body — rule 2, exactly
+// as a `go` statement would.
+func FanBorrow(sc *pipeline.Scratch) {
+	pipeline.Fan(2, func(int) {
+		_ = sc.Ints(32) // want `goroutine captures pipeline.Scratch sc from its enclosing scope`
+	})
+}

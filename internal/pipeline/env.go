@@ -21,9 +21,10 @@ type Env struct {
 //
 // The accounting is deliberately one-directional. Every slot starts owned
 // by a (current or future) division worker, so a fresh Budget has no free
-// slots. A worker that runs out of components for good returns its slot
-// with Free — the component queue is pre-filled and closed before workers
-// start, so a drained queue means no job will ever arrive for it again.
+// slots. A worker that runs out of pieces for good returns its slot with
+// Free — workers claim pieces from one Cursor over a list fixed before
+// they start, so once the cursor has passed its end no piece will ever
+// arrive for that worker again.
 // Nested parallelism (the SDP restart fan-out) claims only freed slots
 // with TryAcquire, never blocking, and hands them back with Release. The
 // invariant follows directly: every claimed slot corresponds to a worker

@@ -16,6 +16,9 @@
 //     fold rule for every Stages map;
 //   - Env and Budget, the scratch pool and shared parallelism budget one
 //     run threads from core through division into the engines;
+//   - Fan and Cursor, the module's one goroutine boundary: every worker
+//     pool (sharded build, division pieces, SDP restarts, the serve batch
+//     handler, benchgen, evaluate's sweep) is a Fan over a shared Cursor;
 //   - Scratch / ScratchPool, sync.Pool-backed per-worker arenas for the
 //     hot-path buffers that used to be re-allocated on every solve
 //     (per-component color slices, SDP matrix workspace, spatial visit

@@ -23,8 +23,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"mpl/internal/graph"
 	"mpl/internal/matrix"
@@ -164,13 +162,24 @@ func SolveScratchEnv(ctx context.Context, g *graph.Graph, opts Options, sc *pipe
 
 	scores := make([]float64, Restarts)
 	ran := make([]bool, Restarts)
-	var next atomic.Int64
-	runRestarts := func(ws *workspace) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= Restarts {
-				return
-			}
+	var next pipeline.Cursor
+	// Runner 0 is this goroutine (pipeline.Fan runs body 0 inline) and
+	// descends with a workspace carved from the caller's arena; with no
+	// extra slot it is the whole serial loop.
+	ws0 := newWorkspace(n, r, len(ce), sc)
+	pipeline.Fan(1+extra, func(w int) {
+		ws := ws0
+		if w > 0 {
+			defer env.Budget.Release()
+			// Arena-lease-per-runner: an extra runner leases its own
+			// scratch for the descend workspace and returns it before
+			// exiting — the caller's arena (holding the factor blocks) is
+			// never touched from here.
+			rsc := env.Scratch.Get()
+			defer env.Scratch.Put(rsc)
+			ws = newWorkspace(n, r, len(ce), rsc)
+		}
+		for i := next.Next(); i < Restarts; i = next.Next() {
 			// The claimed restart always descends and scores — even under a
 			// dead context descend returns promptly with a valid state, so
 			// at least one restart (index 0) is always ranked. The done
@@ -185,28 +194,7 @@ func SolveScratchEnv(ctx context.Context, g *graph.Graph, opts Options, sc *pipe
 			default:
 			}
 		}
-	}
-	if extra > 0 {
-		var wg sync.WaitGroup
-		for w := 0; w < extra; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer env.Budget.Release()
-				// Arena-lease-per-runner: the goroutine leases its own
-				// scratch for the descend workspace and returns it before
-				// exiting — the caller's arena (holding the factor blocks)
-				// is never touched from here.
-				rsc := env.Scratch.Get()
-				defer env.Scratch.Put(rsc)
-				runRestarts(newWorkspace(n, r, len(ce), rsc))
-			}()
-		}
-		runRestarts(newWorkspace(n, r, len(ce), sc))
-		wg.Wait()
-	} else {
-		runRestarts(newWorkspace(n, r, len(ce), sc))
-	}
+	})
 
 	// Lexicographic (score, restart index) minimum over the restarts that
 	// ran — the serial loop's strict-improvement rule, with each score

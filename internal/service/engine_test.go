@@ -13,6 +13,7 @@ import (
 
 	"mpl/internal/core"
 	"mpl/internal/division"
+	"mpl/internal/layout"
 	"mpl/internal/pipeline"
 )
 
@@ -151,26 +152,40 @@ func TestStatsAggregateStageTelemetry(t *testing.T) {
 // service actually executed (cache-served responses add nothing).
 func TestStatsAggregateEqualsResultFold(t *testing.T) {
 	svc := New(Config{Workers: 4})
-	var reqs []Request
+	type request struct {
+		name   string
+		layout *layout.Layout
+		opts   core.Options
+	}
+	var reqs []request
 	// Grids from 4×4 up route auto to SDP+Backtrack; the 3×3 grid's ILP
 	// piece takes seconds under the race detector, where CI runs this.
 	for n := 4; n <= 6; n++ {
 		for _, opts := range []core.Options{{K: 4, Engine: core.EngineAuto}, {K: 4, Algorithm: core.AlgLinear}} {
 			// Each request twice, so some responses are served from the
 			// cache or from another request's in-flight solve.
-			r := Request{Name: fmt.Sprintf("grid%d", n), Layout: denseGrid(n), Options: opts}
+			r := request{fmt.Sprintf("grid%d", n), denseGrid(n), opts}
 			reqs = append(reqs, r, r)
 		}
 	}
+	results := make([]*core.Result, len(reqs))
+	cached := make([]bool, len(reqs))
+	errs := make([]error, len(reqs))
+	var cur pipeline.Cursor
+	pipeline.Fan(4, func(int) {
+		for i := cur.Next(); i < len(reqs); i = cur.Next() {
+			results[i], cached[i], errs[i] = svc.Decompose(context.Background(), reqs[i].layout, reqs[i].opts)
+		}
+	})
 	var want division.Stats
 	executed := 0
-	for _, r := range svc.DecomposeAll(context.Background(), reqs) {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Name, r.Err)
+	for i, r := range reqs {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", r.name, errs[i])
 		}
-		if !r.Cached {
+		if !cached[i] {
 			executed++
-			want.Add(r.Result.DivisionStats)
+			want.Add(results[i].DivisionStats)
 		}
 	}
 	if executed < 6 {

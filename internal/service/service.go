@@ -1,10 +1,11 @@
 // Package service is the serving layer over the decomposition pipeline: a
 // layout-hash keyed LRU session cache with single-flight deduplication —
 // each entry is both the cached result and the session edits chain from —
-// a decomposition-graph cache shared by algorithm sweeps, and a
-// bounded-concurrency batch runner. It exists
-// so callers with many or repeated layouts (the HTTP API of `qpld serve`,
-// the table sweeps of cmd/evaluate) get concurrency and caching without
+// a decomposition-graph cache shared by algorithm sweeps, and a lane
+// semaphore that bounds concurrently running solves to Config.Workers
+// however many goroutines call in. It exists so callers with many or
+// repeated layouts (the HTTP API of `qpld serve`, the table sweeps of
+// cmd/evaluate) get bounded concurrency and caching without
 // re-implementing either, while cancellation flows straight through to
 // core.DecomposeGraphContext.
 //
@@ -477,71 +478,4 @@ func copyResult(r *core.Result) *core.Result {
 	cp := *r
 	cp.Colors = append([]int(nil), r.Colors...)
 	return &cp
-}
-
-// Request is one unit of batch work.
-type Request struct {
-	// Name labels the request in its Response (e.g. a circuit name).
-	Name string
-	// Layout is the layout to decompose.
-	Layout *layout.Layout
-	// Options configures the run.
-	Options core.Options
-}
-
-// Response pairs a Request with its outcome, in the same slice position.
-type Response struct {
-	Name    string
-	Result  *core.Result
-	Cached  bool
-	Err     error
-	Elapsed time.Duration
-}
-
-// DecomposeAll runs every request through Decompose with at most
-// Config.Workers solves in flight, returning responses in request order.
-// Cancelling ctx degrades rather than abandons the work already picked
-// up — requests already solving finish promptly via core's fallback path,
-// with valid degraded results — while requests a worker has not yet
-// started are not solved at all: their responses carry the context's
-// error, so the batch returns as soon as the in-flight tail drains
-// instead of grinding every remaining layout through a fallback solve.
-func (s *Service) DecomposeAll(ctx context.Context, reqs []Request) []Response {
-	out := make([]Response, len(reqs))
-	workers := s.cfg.Workers
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					out[i] = Response{Name: reqs[i].Name, Err: fmt.Errorf("service: batch cancelled before this request started: %w", err)}
-					continue
-				}
-				t0 := time.Now()
-				res, cached, err := s.Decompose(ctx, reqs[i].Layout, reqs[i].Options)
-				out[i] = Response{
-					Name:    reqs[i].Name,
-					Result:  res,
-					Cached:  cached,
-					Err:     err,
-					Elapsed: time.Since(t0),
-				}
-			}
-		}()
-	}
-	for i := range reqs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return out
 }

@@ -3,9 +3,7 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -274,37 +272,6 @@ func TestDegradedResultNotCached(t *testing.T) {
 	}
 }
 
-func TestDecomposeAll(t *testing.T) {
-	s := New(Config{Workers: 4})
-	var reqs []Request
-	for i := 0; i < 10; i++ {
-		reqs = append(reqs, Request{
-			Name:    fmt.Sprintf("row-%d", i%5), // duplicates exercise cache + single-flight
-			Layout:  denseRow("row", 4+i%5),
-			Options: core.Options{K: 4, Algorithm: core.AlgSDPGreedy},
-		})
-	}
-	out := s.DecomposeAll(context.Background(), reqs)
-	if len(out) != len(reqs) {
-		t.Fatalf("got %d responses", len(out))
-	}
-	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("request %d: %v", i, r.Err)
-		}
-		if r.Name != reqs[i].Name {
-			t.Fatalf("response %d out of order: %q != %q", i, r.Name, reqs[i].Name)
-		}
-		if len(r.Result.Colors) == 0 {
-			t.Fatalf("request %d: empty result", i)
-		}
-	}
-	st := s.StatsSnapshot()
-	if st.Misses != 5 || st.Hits != 5 {
-		t.Fatalf("stats = %+v, want 5 misses + 5 hits for 5 distinct layouts requested twice", st)
-	}
-}
-
 func TestGraphBuildSingleFlight(t *testing.T) {
 	s := New(Config{Workers: 8})
 	l := denseRow("row", 10)
@@ -324,73 +291,5 @@ func TestGraphBuildSingleFlight(t *testing.T) {
 	// the other two wait on the in-flight entry.
 	if st := s.StatsSnapshot(); st.GraphHits != uint64(len(algs)-1) {
 		t.Fatalf("stats = %+v, want %d graph hits", st, len(algs)-1)
-	}
-}
-
-func TestDecomposeAllCancelMidBatch(t *testing.T) {
-	// Cancelling the batch context after the first response must return
-	// promptly: the in-flight request degrades through core's fallback
-	// path, requests never picked up carry the ctx error (no fallback
-	// solves are wasted on them), and no worker goroutines leak.
-	before := runtime.NumGoroutine()
-	s := New(Config{Workers: 1, CacheSize: -1})
-	reqs := []Request{
-		{Name: "fast", Layout: denseRow("fast", 4), Options: core.Options{K: 4, Algorithm: core.AlgLinear}},
-		{Name: "slow1", Layout: denseGrid(18), Options: core.Options{K: 4, Algorithm: core.AlgSDPBacktrack}},
-		{Name: "slow2", Layout: denseGrid(19), Options: core.Options{K: 4, Algorithm: core.AlgSDPBacktrack}},
-		{Name: "slow3", Layout: denseGrid(20), Options: core.Options{K: 4, Algorithm: core.AlgSDPBacktrack}},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan []Response, 1)
-	go func() { done <- s.DecomposeAll(ctx, reqs) }()
-
-	// With one worker the requests run strictly in order; the second miss
-	// means "fast" answered and "slow1" is now in flight.
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		if s.StatsSnapshot().Misses >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the batch never reached its second request")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-
-	var out []Response
-	select {
-	case out = <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("DecomposeAll did not return promptly after cancellation")
-	}
-
-	if out[0].Err != nil || out[0].Result == nil || out[0].Result.Degraded != 0 {
-		t.Fatalf("pre-cancel response damaged: %+v", out[0])
-	}
-	// slow1 was in flight: it must still produce a valid (if degraded)
-	// result rather than an error.
-	if out[1].Err != nil || out[1].Result == nil {
-		t.Fatalf("in-flight response must degrade, not fail: %+v", out[1])
-	}
-	// slow2/slow3 were never started: the ctx error, not a fallback solve.
-	for _, r := range out[2:] {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Errorf("undispatched request %q: err = %v, want context.Canceled", r.Name, r.Err)
-		}
-		if r.Result != nil {
-			t.Errorf("undispatched request %q was solved anyway", r.Name)
-		}
-	}
-
-	// The worker pool exits without leaking goroutines.
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before, %d after cancelled batch", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

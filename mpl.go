@@ -86,10 +86,10 @@
 // # Serving
 //
 // The qpld command's serve subcommand exposes decomposition as an HTTP
-// JSON API backed by a layout-hash keyed LRU result cache, a
-// bounded-concurrency batch runner, and sessions for incremental (ECO)
-// serving via POST /v1/decompose/incremental (internal/service); see the
-// README and docs/API.md.
+// JSON API backed by a layout-hash keyed LRU result cache, a bound on
+// concurrently running solves, and sessions for incremental (ECO) serving
+// via POST /v1/decompose/incremental (internal/service); see the README
+// and docs/API.md.
 package mpl
 
 import (
